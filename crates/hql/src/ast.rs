@@ -192,6 +192,21 @@ pub enum Statement {
         /// New relation name.
         to: String,
     },
+    /// `SHOW RELATIONS [OVER domain]` — the relation names in name
+    /// order; with `OVER`, only those whose schema references `domain`.
+    ShowRelations {
+        /// Restrict the listing to relations over this domain.
+        over: Option<String>,
+    },
+    /// `DUMP rel AS name` — export a stored relation as an HQL script
+    /// that recreates it under `name` (schema, preemption mode, every
+    /// tuple with its sign) on any engine holding the same domains.
+    Dump {
+        /// Relation name.
+        relation: String,
+        /// The name the script creates.
+        to: String,
+    },
 }
 
 /// The fieldless discriminant of a [`Statement`] — the key the
@@ -257,10 +272,14 @@ pub enum StatementKind {
     DropRelation = 25,
     /// `RENAME RELATION`
     RenameRelation = 26,
+    /// `SHOW RELATIONS`
+    ShowRelations = 27,
+    /// `DUMP`
+    Dump = 28,
 }
 
 /// Number of statement kinds (= dispatch-table length).
-pub const STATEMENT_KINDS: usize = 27;
+pub const STATEMENT_KINDS: usize = 29;
 
 impl StatementKind {
     /// Does this statement leave the session state untouched?
@@ -283,6 +302,8 @@ impl StatementKind {
                 | StatementKind::Save
                 | StatementKind::Explain
                 | StatementKind::Trace
+                | StatementKind::ShowRelations
+                | StatementKind::Dump
         )
     }
 }
@@ -318,6 +339,8 @@ impl Statement {
             Statement::DropDomain { .. } => StatementKind::DropDomain,
             Statement::DropRelation { .. } => StatementKind::DropRelation,
             Statement::RenameRelation { .. } => StatementKind::RenameRelation,
+            Statement::ShowRelations { .. } => StatementKind::ShowRelations,
+            Statement::Dump { .. } => StatementKind::Dump,
         }
     }
 
@@ -381,7 +404,8 @@ fn quoted(name: &str) -> String {
             "all", "not", "under", "of", "over", "in", "on", "by", "where", "is", "and", "domain",
             "to", "relation",
         ]
-        .contains(&name.to_ascii_lowercase().as_str());
+        .contains(&name.to_ascii_lowercase().as_str())
+        && !name.eq_ignore_ascii_case("relations");
     if bare_ok {
         name.to_string()
     } else {
@@ -404,7 +428,9 @@ fn tuple(values: &[ValueRef]) -> String {
     format!("({})", parts.join(", "))
 }
 
-fn names(list: &[String]) -> String {
+/// Comma-separated names, quoted where needed — a parent or attribute
+/// list, and the body of a `SHOW RELATIONS` listing.
+pub(crate) fn names(list: &[String]) -> String {
     list.iter()
         .map(|n| quoted(n))
         .collect::<Vec<_>>()
@@ -509,6 +535,13 @@ impl fmt::Display for Statement {
             Statement::DropRelation { name } => write!(f, "DROP RELATION {};", quoted(name)),
             Statement::RenameRelation { from, to } => {
                 write!(f, "RENAME RELATION {} TO {};", quoted(from), quoted(to))
+            }
+            Statement::ShowRelations { over: None } => write!(f, "SHOW RELATIONS;"),
+            Statement::ShowRelations { over: Some(d) } => {
+                write!(f, "SHOW RELATIONS OVER {};", quoted(d))
+            }
+            Statement::Dump { relation, to } => {
+                write!(f, "DUMP {} AS {};", quoted(relation), quoted(to))
             }
         }
     }

@@ -33,7 +33,7 @@ use hrdm_core::render::render_table;
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
 use hrdm_persist::{Image, Journal};
 
-use crate::ast::{Statement, STATEMENT_KINDS};
+use crate::ast::{names, Statement, ValueRef, STATEMENT_KINDS};
 use crate::error::{HqlError, Result};
 use crate::exec::Response;
 use crate::parser::parse;
@@ -204,6 +204,8 @@ const DISPATCH: [Handler; STATEMENT_KINDS] = [
     Handler::Write(exec_drop_domain),     // DropDomain
     Handler::Write(exec_drop_relation),   // DropRelation
     Handler::Write(exec_rename_relation), // RenameRelation
+    Handler::Read(exec_show_relations),   // ShowRelations
+    Handler::Read(exec_dump),             // Dump
 ];
 
 /// A pinned, shareable read-only view of the engine: one snapshot
@@ -254,17 +256,6 @@ impl ReadView {
             }
         }
         Some(Ok(out))
-    }
-
-    /// Execute one parsed statement against the pinned snapshot **iff**
-    /// it is read-only (`None` otherwise). The per-statement entry
-    /// point a sharded coordinator scatter-gathers through: it routes
-    /// each statement to its owning shard's floor-checked view.
-    pub fn execute_statement(&self, stmt: Statement) -> Option<Result<Response>> {
-        let Handler::Read(h) = &DISPATCH[stmt.kind() as usize] else {
-            return None;
-        };
-        Some(h(&self.snap, stmt))
     }
 }
 
@@ -814,6 +805,63 @@ fn exec_show_domain(world: &World, stmt: Statement) -> Result<Response> {
     Ok(Response::Dot(hrdm_hierarchy::dot::to_dot(g, &name)))
 }
 
+fn exec_show_relations(world: &World, stmt: Statement) -> Result<Response> {
+    let Statement::ShowRelations { over } = stmt else {
+        unreachable!("dispatched by kind")
+    };
+    let listed: Vec<String> = match &over {
+        Some(domain) => {
+            world.domain(domain)?;
+            world.relations_over(domain).map(String::from).collect()
+        }
+        None => world.relation_names().map(String::from).collect(),
+    };
+    Ok(Response::Table(names(&listed)))
+}
+
+fn exec_dump(world: &World, stmt: Statement) -> Result<Response> {
+    let Statement::Dump { relation, to } = stmt else {
+        unreachable!("dispatched by kind")
+    };
+    let entry = world.relation_entry(&relation)?;
+    if world.is_view(&relation) {
+        // A view's tuples are derived state: a script of its rows would
+        // recreate a plain relation that no longer follows its sources.
+        return Err(HqlError::Unsupported(format!(
+            "{relation} is a live view; dump its sources, or drop or detach it first"
+        )));
+    }
+    let rel = entry.relation.as_ref();
+    let mut script = vec![
+        Statement::CreateRelation {
+            name: to.clone(),
+            attributes: entry.signature.clone(),
+        },
+        Statement::SetPreemption {
+            relation: to.clone(),
+            mode: rel.preemption().to_string().to_ascii_uppercase(),
+        },
+    ];
+    let attrs = rel.schema().attributes();
+    for (item, truth) in rel.iter() {
+        let values = item
+            .components()
+            .iter()
+            .zip(attrs)
+            .map(|(&id, a)| ValueRef {
+                name: a.domain().name(id).to_string(),
+                all: !a.domain().is_instance(id),
+            });
+        script.push(Statement::Assert {
+            relation: to.clone(),
+            negated: truth == Truth::Negative,
+            values: values.collect(),
+        });
+    }
+    let lines: Vec<String> = script.iter().map(ToString::to_string).collect();
+    Ok(Response::Script(lines.join("\n")))
+}
+
 fn exec_count(world: &World, stmt: Statement) -> Result<Response> {
     let Statement::Count { relation, by } = stmt else {
         unreachable!("dispatched by kind")
@@ -916,6 +964,8 @@ mod tests {
             DropDomain,
             DropRelation,
             RenameRelation,
+            ShowRelations,
+            Dump,
         ];
         assert_eq!(kinds.len(), STATEMENT_KINDS);
         for (i, kind) in kinds.into_iter().enumerate() {

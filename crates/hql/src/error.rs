@@ -62,6 +62,9 @@ pub enum HqlError {
     /// (ambiguous name resolution, statements that need an open store,
     /// unrecognized mode keywords, …).
     Execution(String),
+    /// The statement is well-formed but cannot run against this object
+    /// or backend (`DUMP` of a live view, …).
+    Unsupported(String),
     /// A statement that needs a consistent relation found conflicts.
     Inconsistent {
         /// Relation involved.
@@ -85,6 +88,7 @@ impl HqlError {
             HqlError::Core(e) => e.kind(),
             HqlError::Persist { kind, .. } => kind,
             HqlError::Execution(_) => "execution",
+            HqlError::Unsupported(_) => "unsupported",
             HqlError::Inconsistent { .. } => "conflict",
         }
     }
@@ -104,6 +108,7 @@ impl fmt::Display for HqlError {
             HqlError::Core(e) => write!(f, "execution error: {e}"),
             HqlError::Persist { message, .. } => write!(f, "execution error: {message}"),
             HqlError::Execution(msg) => write!(f, "execution error: {msg}"),
+            HqlError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             HqlError::Inconsistent {
                 relation,
                 conflicts,
@@ -229,6 +234,7 @@ mod tests {
                 "io",
             ),
             (HqlError::Execution(String::new()), "execution"),
+            (HqlError::Unsupported(String::new()), "unsupported"),
             (
                 HqlError::Inconsistent {
                     relation: String::new(),

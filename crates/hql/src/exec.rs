@@ -45,6 +45,8 @@ pub enum Response {
     /// A `TRACE` report: the executed span tree with per-node rows,
     /// wall time and cache attribution, plus the rewrites that fired.
     Trace(String),
+    /// A `DUMP` export: an HQL script recreating the relation.
+    Script(String),
 }
 
 impl fmt::Display for Response {
@@ -64,6 +66,7 @@ impl fmt::Display for Response {
             Response::Dot(d) => write!(f, "{d}"),
             Response::Plan(p) => write!(f, "{p}"),
             Response::Trace(t) => write!(f, "{t}"),
+            Response::Script(s) => write!(f, "{s}"),
         }
     }
 }
@@ -86,23 +89,9 @@ impl Default for Session {
 impl Session {
     /// A fresh, empty session over its own private engine.
     pub fn new() -> Session {
-        Session::over(Engine::new())
-    }
-
-    fn over(engine: Engine) -> Session {
+        let engine = Engine::new();
         let view = engine.snapshot();
         Session { engine, view }
-    }
-
-    /// A session view over an existing (possibly shared) engine.
-    #[deprecated(
-        since = "0.1.0",
-        note = "program against `ExecutorHandle` (which `Engine` implements directly) \
-                instead of wrapping a shared engine in a second `Session`; \
-                use `Session::new()` for a private session"
-    )]
-    pub fn with_engine(engine: Engine) -> Session {
-        Session::over(engine)
     }
 
     /// The underlying engine — clone it to execute concurrently from
@@ -597,15 +586,15 @@ mod tests {
     }
 
     #[test]
-    fn sessions_sharing_an_engine_see_each_other() {
+    fn a_shared_engine_sees_the_sessions_writes() {
+        // The supported shape of engine sharing: clone the engine and
+        // read it through the location-transparent handle.
         let mut writer = fig1_session();
-        let mut reader = Session::over(writer.engine().clone());
-        assert_eq!(truth_of(&mut reader, "HOLDS Flies (Tweety);"), Some(true));
+        let reader = writer.engine().clone();
+        let handle: &dyn crate::executor::ExecutorHandle = &reader;
+        let out = handle.execute_read("HOLDS Flies (Tweety);", 0).unwrap();
+        assert!(out[0].ends_with("true"), "{:?}", out[0]);
         writer.execute("CREATE INSTANCE Pia OF Penguin;").unwrap();
-        assert_eq!(truth_of(&mut reader, "HOLDS Flies (Pia);"), Some(false));
-        // The supported public shape of the same pattern: share the
-        // engine through the location-transparent handle.
-        let handle: &dyn crate::executor::ExecutorHandle = writer.engine();
         let out = handle.execute_read("HOLDS Flies (Pia);", 0).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out[0].ends_with("false"), "{:?}", out[0]);

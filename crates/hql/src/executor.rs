@@ -4,7 +4,8 @@
 //! [`Engine`]: the same code drives
 //!
 //! * the embedded [`Engine`] (implemented here),
-//! * a sharded coordinator ([`ShardedEngine`](crate::shard::ShardedEngine)),
+//! * a sharded coordinator ([`Router`](crate::shard::Router)) over
+//!   any of the others,
 //! * a WAL-fed read replica ([`Replica`](crate::replica::Replica)),
 //! * a remote server over HRDM/1 (`hrdm-server`'s `proto::Client`).
 //!
@@ -22,6 +23,7 @@
 //! against a read replica, `OPEN` through a sharded coordinator), and
 //! `"busy"`/`"io"` from remote transports.
 
+use crate::ast::Statement;
 use crate::engine::Engine;
 use crate::error::HqlError;
 use crate::exec::Response;
@@ -112,6 +114,22 @@ pub trait ExecutorHandle: Send + Sync {
     /// A small rendered telemetry report (`key: value` lines); the
     /// first line is always `epoch: <n>`.
     fn probe(&self) -> ExecResult<String>;
+
+    /// Execute one parsed statement, returning its rendered response —
+    /// what a coordinator calls per routed statement. The default
+    /// renders the statement and goes through [`execute`](Self::execute)
+    /// (`Display` → `parse` is a lossless round trip); a backend that
+    /// holds the engine runs the AST directly instead.
+    fn execute_statement(&self, stmt: Statement) -> ExecResult<String> {
+        let mut out = self.execute(&stmt.to_string())?;
+        match (out.pop(), out.is_empty()) {
+            (Some(response), true) => Ok(response),
+            _ => Err(ExecError::new(
+                "protocol",
+                format!("backend did not answer `{stmt}` with exactly one response"),
+            )),
+        }
+    }
 }
 
 impl ExecutorHandle for Engine {
@@ -151,6 +169,12 @@ impl ExecutorHandle for Engine {
             self.epoch(),
             self.write_queue_depth()
         ))
+    }
+
+    fn execute_statement(&self, stmt: Statement) -> ExecResult<String> {
+        Engine::execute_statement(self, stmt)
+            .map(|r| r.to_string())
+            .map_err(ExecError::from)
     }
 }
 

@@ -30,6 +30,8 @@
 //! CHECK Flies;                     -- ambiguity-constraint audit (§3.1)
 //! SHOW Flies;                      -- paper-style table
 //! SHOW DOMAIN Animal;              -- Graphviz DOT
+//! SHOW RELATIONS OVER Animal;      -- relation names (OVER optional)
+//! DUMP Flies AS Flying;            -- the script recreating Flies as Flying
 //!
 //! CONSOLIDATE Flies;               -- §3.3.1 (in place)
 //! EXPLICATE Flies;                 -- §3.3.2 (in place; optional ON attrs)
@@ -64,7 +66,7 @@ pub use error::{HqlError, Result};
 pub use exec::{Response, Session};
 pub use executor::{render, ExecError, ExecResult, ExecutorHandle};
 pub use replica::Replica;
-pub use shard::{default_shard, ShardedEngine};
+pub use shard::{default_shard, Router, ShardedEngine};
 pub use world::World;
 
 /// Parse and execute one or more statements against a fresh session.

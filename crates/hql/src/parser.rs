@@ -171,8 +171,22 @@ impl Parser {
                 let name = self.name("a domain name")?;
                 return Ok(Statement::ShowDomain { name });
             }
+            if self.eat_kw("relations") {
+                let over = if self.eat_kw("over") {
+                    Some(self.name("a domain name")?)
+                } else {
+                    None
+                };
+                return Ok(Statement::ShowRelations { over });
+            }
             let relation = self.name("a relation name")?;
             return Ok(Statement::Show { relation });
+        }
+        if self.eat_kw("dump") {
+            let relation = self.name("a relation name")?;
+            self.expect_kw("as")?;
+            let to = self.name("a new relation name")?;
+            return Ok(Statement::Dump { relation, to });
         }
         if self.eat_kw("consolidate") {
             let relation = self.name("a relation name")?;
@@ -556,11 +570,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_drop_and_rename() {
+    fn parse_drop_rename_list_and_dump() {
         let stmts = parse(
             "DROP DOMAIN Animal;\
              DROP RELATION Flies;\
-             RENAME RELATION Flies TO Flying;",
+             RENAME RELATION Flies TO Flying;\
+             SHOW RELATIONS;\
+             SHOW RELATIONS OVER Animal;\
+             DUMP Flies AS Flying;",
         )
         .unwrap();
         assert_eq!(
@@ -582,8 +599,22 @@ mod tests {
                 to: "Flying".into(),
             }
         );
+        assert_eq!(stmts[3], Statement::ShowRelations { over: None });
+        assert_eq!(
+            stmts[5],
+            Statement::Dump {
+                relation: "Flies".into(),
+                to: "Flying".into(),
+            }
+        );
         assert!(parse("DROP TABLE x;").is_err());
         assert!(parse("RENAME RELATION A B;").is_err());
+        assert!(parse("DUMP Flies Flying;").is_err());
+        // A relation that is itself called `relations` needs quotes.
+        let show = Statement::Show {
+            relation: "relations".into(),
+        };
+        assert_eq!(parse(&show.to_string()).unwrap()[0], show);
         // Round-trip through Display.
         for s in &stmts {
             assert_eq!(parse(&s.to_string()).unwrap()[0], *s);

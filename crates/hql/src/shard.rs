@@ -1,39 +1,47 @@
-//! A single-process sharded coordinator over N engine shards.
+//! One sharded coordinator over N [`ExecutorHandle`] shards.
 //!
-//! [`ShardedEngine`] hash-partitions the catalog by **relation name**
-//! ([`default_shard`]) across N in-process [`Engine`] shards, while
-//! staying **domain-subtree aware**: domain hierarchies are replicated
-//! to every shard (domain DDL — `CREATE DOMAIN`/`CLASS`/`INSTANCE`,
-//! `PREFER`, `DROP DOMAIN` — broadcasts), so the name-hash partition
-//! never splits a domain's subsumption structure and any relation can
-//! resolve its values on whichever shard owns it.
+//! [`Router`] hash-partitions the catalog by **relation name**
+//! ([`default_shard`]) across N shards, while staying **domain-subtree
+//! aware**: domain hierarchies are replicated to every shard (domain
+//! DDL — `CREATE DOMAIN`/`CLASS`/`INSTANCE`, `PREFER`, `DROP DOMAIN` —
+//! broadcasts), so the name-hash partition never splits a domain's
+//! subsumption structure and any relation can resolve its values on
+//! whichever shard owns it. A shard is anything behind the trait: an
+//! in-process [`Engine`] ([`ShardedEngine`]), a wire client to a shard
+//! server (`hrdm-server`'s `WireRouter`), or a test's fake. The router
+//! talks to its shards in HQL alone, so every backend gets the same
+//! rules:
 //!
-//! * **Reads scatter-gather**: each read statement routes to its owning
-//!   shard's epoch-floor-checked [`ReadView`] and the responses are
-//!   gathered in statement order.
-//! * **Writes route**: relation-scoped writes go to the owning shard;
-//!   `LET` lands on the (single) shard holding all its sources;
-//!   `RENAME RELATION` migrates the relation when the name hash moves
-//!   it to a different shard.
+//! * **Statements route**: a relation-scoped statement, read or write,
+//!   goes to the owning shard; `LET`, `EXPLAIN` and `TRACE` go to the
+//!   (single) shard holding all their sources; `SHOW RELATIONS` gathers
+//!   from every shard.
+//! * **`RENAME RELATION` migrates** the relation when the name hash
+//!   moves it to a different shard: the source shard's `DUMP` script is
+//!   replayed on the destination, then the source is dropped.
+//! * **`DROP DOMAIN` asks every shard** for `SHOW RELATIONS OVER` the
+//!   domain first, so the in-use guard sees what the shards hold, not
+//!   what this router happened to create.
 //! * **Errors merge** under the existing stable wire codes: a shard's
-//!   [`HqlError::kind`](crate::HqlError::kind) crosses the coordinator
-//!   unchanged as an [`ExecError`].
+//!   [`ExecError`] crosses the coordinator unchanged.
 //!
-//! The coordinator keeps a per-shard **epoch floor**, advanced after
-//! every write it routes; reads pin a view at or above the floor, so a
-//! read that program-order follows a write through this coordinator
-//! always observes it, even while other statements race.
+//! A read that program-order follows a write through one router always
+//! observes it, with no bookkeeping here: a shard acknowledges a write
+//! only after publishing it (`Engine::execute_statement` returns after
+//! the snapshot cell's publication; a shard server replies after it),
+//! and a later statement to the same shard loads its snapshot after
+//! that.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
-use hrdm_core::prelude::*;
+use hrdm_core::CoreError;
 
-use crate::ast::{Derivation, Source, Statement, ValueRef};
-use crate::engine::{Engine, ReadView};
+use crate::ast::{names, Derivation, Source, Statement};
+use crate::engine::Engine;
 use crate::error::HqlError;
-use crate::exec::Response;
 use crate::executor::{ExecError, ExecResult, ExecutorHandle};
+use crate::lexer::lex;
 use crate::parser::parse;
 
 /// The default placement of a relation name: FNV-1a over the name,
@@ -48,29 +56,9 @@ pub fn default_shard(relation: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// The relation a statement is scoped to, when it names exactly one
-/// (derivation-bearing statements route by their source set instead).
-pub fn statement_relation(stmt: &Statement) -> Option<&str> {
-    match stmt {
-        Statement::CreateRelation { name, .. } | Statement::DropRelation { name } => Some(name),
-        Statement::Assert { relation, .. }
-        | Statement::Retract { relation, .. }
-        | Statement::Holds { relation, .. }
-        | Statement::Holds3 { relation, .. }
-        | Statement::Why { relation, .. }
-        | Statement::Check { relation }
-        | Statement::Show { relation }
-        | Statement::Consolidate { relation }
-        | Statement::Explicate { relation, .. }
-        | Statement::SetPreemption { relation, .. }
-        | Statement::Count { relation, .. } => Some(relation),
-        _ => None,
-    }
-}
-
 /// Collect the named base relations a derivation scans (recursing into
 /// nested derivations).
-pub fn derivation_sources(derivation: &Derivation, out: &mut BTreeSet<String>) {
+fn derivation_sources(derivation: &Derivation, out: &mut BTreeSet<String>) {
     let mut source = |s: &Source| match s {
         Source::Named(name) => {
             out.insert(name.clone());
@@ -92,49 +80,62 @@ pub fn derivation_sources(derivation: &Derivation, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Routing state: the authoritative relation→shard map plus the
-/// per-shard epoch floors of writes routed through this coordinator.
-struct Routing {
-    routes: BTreeMap<String, usize>,
-    floors: Vec<u64>,
+/// A failure on shard `k` after the step that decided the statement's
+/// verdict: the shards no longer agree, or one became unreachable
+/// mid-operation. The shard's own error rides along in the message.
+fn diverged(k: usize, step: &str, e: &ExecError) -> ExecError {
+    ExecError::new("execution", format!("shard {k} diverged on {step}: {e}"))
 }
 
-/// A coordinator that partitions one logical catalog across N
-/// in-process engine shards behind the same [`ExecutorHandle`] surface
-/// as a single [`Engine`]. See the module docs for the routing rules.
+/// A coordinator that partitions one logical catalog across N shards
+/// behind the same [`ExecutorHandle`] surface as a single [`Engine`].
+/// See the module docs for the routing rules.
 ///
 /// Statements that are inherently whole-catalog (`SAVE`, `LOAD`,
 /// `OPEN`, `CHECKPOINT`) report kind `"unsupported"` through the
-/// coordinator — durability composes per shard instead (each shard
-/// engine can be `OPEN`ed individually before serving).
-pub struct ShardedEngine {
-    shards: Vec<Engine>,
-    routing: RwLock<Routing>,
+/// coordinator — durability composes per shard instead (each shard can
+/// be `OPEN`ed individually before serving).
+pub struct Router<H> {
+    shards: Vec<H>,
+    /// Where this router placed each relation it created, `LET`-bound
+    /// or renamed; any other name lives at its hash.
+    routes: RwLock<BTreeMap<String, usize>>,
     /// Serializes route-changing DDL (broadcasts, create/drop/rename
-    /// relation) so a `DROP DOMAIN` probe can't race a `CREATE
+    /// relation, `LET`) so a `DROP DOMAIN` probe can't race a `CREATE
     /// RELATION` into an inconsistent cross-shard state. Row writes
-    /// (`ASSERT`, …) do not take it.
+    /// (`ASSERT`, …) and reads do not take it.
     ddl: Mutex<()>,
 }
 
-impl ShardedEngine {
+/// The single-process coordinator: N in-process engine shards.
+pub type ShardedEngine = Router<Engine>;
+
+impl Router<Engine> {
     /// A coordinator over `shards` fresh, empty engine shards (at
     /// least one).
     pub fn new(shards: usize) -> ShardedEngine {
-        let n = shards.max(1);
-        ShardedEngine {
-            shards: (0..n).map(|_| Engine::new()).collect(),
-            routing: RwLock::new(Routing {
-                routes: BTreeMap::new(),
-                floors: vec![0; n],
-            }),
+        Router::over((0..shards.max(1)).map(|_| Engine::new()).collect())
+    }
+}
+
+impl<H: ExecutorHandle> Router<H> {
+    /// A coordinator over the given shards, in shard order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty.
+    pub fn over(shards: Vec<H>) -> Router<H> {
+        assert!(!shards.is_empty(), "a router needs at least one shard");
+        Router {
+            shards,
+            routes: RwLock::new(BTreeMap::new()),
             ddl: Mutex::new(()),
         }
     }
 
-    /// The shard engines, in shard order — e.g. to put each behind its
+    /// The shards, in shard order — e.g. to put each engine behind its
     /// own `hrdm-server` event loop.
-    pub fn shards(&self) -> &[Engine] {
+    pub fn shards(&self) -> &[H] {
         &self.shards
     }
 
@@ -146,58 +147,25 @@ impl ShardedEngine {
     /// The shard currently owning `relation`: its routing-table entry
     /// if the coordinator placed it, the name hash otherwise.
     pub fn owner_of(&self, relation: &str) -> usize {
-        let routing = self.routing.read().expect("routing lock poisoned");
-        routing
-            .routes
-            .get(relation)
-            .copied()
+        self.route_of(relation)
             .unwrap_or_else(|| default_shard(relation, self.shards.len()))
     }
 
     /// The routing-table entry for `relation`, if the coordinator has
     /// placed it (created, `LET`-bound, or renamed through here).
     pub fn route_of(&self, relation: &str) -> Option<usize> {
-        let routing = self.routing.read().expect("routing lock poisoned");
-        routing.routes.get(relation).copied()
+        let routes = self.routes.read().expect("routes lock poisoned");
+        routes.get(relation).copied()
     }
 
-    /// The coordinator epoch: the sum of all shard epochs (monotone —
-    /// every routed or broadcast write advances it by at least one).
-    pub fn epoch(&self) -> u64 {
-        self.shards.iter().map(Engine::epoch).sum()
-    }
-
-    /// Execute one statement on shard `k` and advance its epoch floor.
-    fn exec_on(&self, k: usize, stmt: Statement) -> ExecResult<Response> {
-        let response = self.shards[k].execute_statement(stmt)?;
-        let mut routing = self.routing.write().expect("routing lock poisoned");
-        let epoch = self.shards[k].epoch();
-        if routing.floors[k] < epoch {
-            routing.floors[k] = epoch;
-        }
-        Ok(response)
-    }
-
-    /// Pin a read view on shard `k` at or above its epoch floor.
-    ///
-    /// The floor is recorded *after* a routed write publishes, so a
-    /// freshly loaded view can never be below it; the loop is the
-    /// belt-and-braces form of that argument.
-    fn floor_view(&self, k: usize) -> ReadView {
-        let floor = self.routing.read().expect("routing lock poisoned").floors[k];
-        loop {
-            let view = self.shards[k].read_view();
-            if view.epoch() >= floor {
-                return view;
-            }
-            std::thread::yield_now();
-        }
+    fn ddl_lock(&self) -> MutexGuard<'_, ()> {
+        self.ddl.lock().expect("ddl lock poisoned")
     }
 
     /// The single shard holding **all** of a derivation's sources.
-    /// Cross-shard derivations are not evaluated in this PR; colocate
-    /// the sources (they hash together or were `LET` on one shard) or
-    /// run the derivation against one shard engine directly.
+    /// Cross-shard derivations are not evaluated; colocate the sources
+    /// (they hash together or were `LET` on one shard) or run the
+    /// derivation against one shard directly.
     fn single_shard_of(&self, derivation: &Derivation) -> ExecResult<usize> {
         let mut sources = BTreeSet::new();
         derivation_sources(derivation, &mut sources);
@@ -215,286 +183,230 @@ impl ShardedEngine {
         }
     }
 
-    /// Apply a domain-scoped statement to every shard. Shard 0 goes
-    /// first: since domain state is identical on every shard by
-    /// induction, its verdict is the statement's verdict, and a failure
-    /// there leaves all shards untouched. The caller holds the DDL
-    /// lock.
-    fn broadcast_locked(&self, stmt: Statement) -> ExecResult<Response> {
-        let response = self.exec_on(0, stmt.clone())?;
-        for k in 1..self.shards.len() {
-            self.exec_on(k, stmt.clone()).map_err(|e| {
-                ExecError::new(
-                    "execution",
-                    format!("shard {k} diverged on broadcast of `{stmt}`: {e}"),
-                )
-            })?;
-        }
-        Ok(response)
-    }
-
-    fn run_write(&self, stmt: Statement) -> ExecResult<Response> {
-        match stmt {
-            Statement::CreateDomain { .. }
-            | Statement::CreateClass { .. }
-            | Statement::CreateInstance { .. }
-            | Statement::Prefer { .. } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                self.broadcast_locked(stmt)
-            }
-            Statement::DropDomain { name } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                // The InUse guard must see every shard's relations, not
-                // just one's: probe all snapshots before broadcasting.
-                for shard in &self.shards {
-                    if let Some(by) = shard.snapshot().domain_user(&name) {
-                        return Err(HqlError::Core(CoreError::InUse {
-                            kind: "domain",
-                            name: name.clone(),
-                            by,
-                        })
-                        .into());
-                    }
-                }
-                self.broadcast_locked(Statement::DropDomain { name })
-            }
-            Statement::CreateRelation { name, attributes } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                let k = default_shard(&name, self.shards.len());
-                let response = self.exec_on(
-                    k,
-                    Statement::CreateRelation {
-                        name: name.clone(),
-                        attributes,
-                    },
-                )?;
-                let mut routing = self.routing.write().expect("routing lock poisoned");
-                routing.routes.insert(name, k);
-                Ok(response)
-            }
-            Statement::DropRelation { name } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                let k = self.owner_of(&name);
-                let response = self.exec_on(k, Statement::DropRelation { name: name.clone() })?;
-                let mut routing = self.routing.write().expect("routing lock poisoned");
-                routing.routes.remove(&name);
-                Ok(response)
-            }
-            Statement::RenameRelation { from, to } => self.rename(from, to),
-            Statement::Let { name, derivation } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                let k = self.single_shard_of(&derivation)?;
-                let response = self.exec_on(
-                    k,
-                    Statement::Let {
-                        name: name.clone(),
-                        derivation,
-                    },
-                )?;
-                let mut routing = self.routing.write().expect("routing lock poisoned");
-                routing.routes.insert(name, k);
-                Ok(response)
-            }
-            Statement::Load { .. } | Statement::Open { .. } | Statement::Checkpoint => {
-                Err(ExecError::new(
-                    "unsupported",
-                    format!(
-                        "`{}` is whole-catalog; it does not route through a sharded \
-                         coordinator (open each shard engine individually)",
-                        stmt.kind_keyword()
-                    ),
-                ))
-            }
-            other => {
-                // Relation-scoped row writes: ASSERT, RETRACT,
-                // CONSOLIDATE, EXPLICATE, SET PREEMPTION.
-                let relation = statement_relation(&other)
-                    .expect("all remaining write statements are relation-scoped")
-                    .to_string();
-                self.exec_on(self.owner_of(&relation), other)
-            }
-        }
-    }
-
-    fn run_read(&self, stmt: Statement) -> ExecResult<Response> {
-        let k = match &stmt {
-            Statement::ShowDomain { .. } => 0, // domains are on every shard
-            Statement::Explain { derivation } | Statement::Trace { derivation } => {
-                self.single_shard_of(derivation)?
-            }
-            Statement::Save { .. } => {
-                return Err(ExecError::new(
-                    "unsupported",
-                    "`SAVE` is whole-catalog; it does not route through a sharded coordinator",
-                ))
-            }
-            other => {
-                let relation = statement_relation(other)
-                    .expect("all remaining read statements are relation-scoped");
-                self.owner_of(relation)
-            }
-        };
-        match self.floor_view(k).execute_statement(stmt) {
-            Some(result) => result.map_err(ExecError::from),
-            None => unreachable!("run_read is called with read-only statements"),
-        }
-    }
-
-    fn run_one(&self, stmt: Statement) -> ExecResult<Response> {
-        if stmt.is_read_only() {
-            self.run_read(stmt)
-        } else {
-            self.run_write(stmt)
-        }
-    }
-
-    /// Rename, migrating the relation when the name hash places the new
-    /// name on a different shard: replay schema, preemption mode, and
-    /// tuples onto the destination (domains are already everywhere),
-    /// then drop the source. Failures before the source drop roll the
-    /// destination back, so the old name stays intact.
-    fn rename(&self, from: String, to: String) -> ExecResult<Response> {
-        let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-        let src = self.owner_of(&from);
-        let dst = default_shard(&to, self.shards.len());
-        if src == dst {
-            let response = self.exec_on(
-                src,
-                Statement::RenameRelation {
-                    from: from.clone(),
-                    to: to.clone(),
-                },
-            )?;
-            let mut routing = self.routing.write().expect("routing lock poisoned");
-            routing.routes.remove(&from);
-            routing.routes.insert(to, src);
-            return Ok(response);
-        }
-        let snap = self.shards[src].snapshot();
-        let entry = snap.relation_entry(&from)?; // kind "unknown" if missing
-        if self.shards[src].snapshot().is_view(&from) {
-            // Match the single-engine semantics: a renamed view detaches.
-            // Dropping the source below would otherwise fail its
-            // dependents mid-migration; keep it simple and explicit.
-            return Err(ExecError::new(
-                "unsupported",
-                format!("{from} is a live view; drop or detach it before a cross-shard rename"),
-            ));
-        }
-        let attributes = entry.signature.clone();
-        let relation = entry.relation.clone();
-        self.exec_on(
-            dst,
-            Statement::CreateRelation {
-                name: to.clone(),
-                attributes,
-            },
-        )?; // kind "duplicate" if the new name exists — source untouched
-        let replay: ExecResult<()> = (|| {
-            let mode = match relation.preemption() {
-                Preemption::OffPath => "OFF-PATH",
-                Preemption::OnPath => "ON-PATH",
-                Preemption::NoPreemption => "NONE",
-            };
-            self.exec_on(
-                dst,
-                Statement::SetPreemption {
-                    relation: to.clone(),
-                    mode: mode.to_string(),
-                },
-            )?;
-            let attrs = relation.schema().attributes().to_vec();
-            for (item, truth) in relation.iter() {
-                let values: Vec<ValueRef> = item
-                    .components()
-                    .iter()
-                    .zip(attrs.iter())
-                    .map(|(id, a)| ValueRef {
-                        name: a.domain().name(*id).to_string(),
-                        all: false,
-                    })
-                    .collect();
-                self.exec_on(
-                    dst,
-                    Statement::Assert {
-                        relation: to.clone(),
-                        negated: truth == Truth::Negative,
-                        values,
-                    },
-                )?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = replay {
-            let _ = self.exec_on(dst, Statement::DropRelation { name: to.clone() });
-            return Err(e);
-        }
-        self.exec_on(src, Statement::DropRelation { name: from.clone() })?;
-        let mut routing = self.routing.write().expect("routing lock poisoned");
-        routing.routes.remove(&from);
-        routing.routes.insert(to.clone(), dst);
-        Ok(Response::Ok(format!("relation {from} renamed to {to}")))
-    }
-}
-
-impl ExecutorHandle for ShardedEngine {
-    fn execute(&self, script: &str) -> ExecResult<Vec<String>> {
-        let statements = parse(script).map_err(ExecError::from)?;
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            out.push(self.run_one(stmt)?.to_string());
+    /// Run a statement on every shard, in shard order, and return every
+    /// response. Shard 0 goes first: since domain state is identical on
+    /// every shard by induction, its verdict is the statement's
+    /// verdict, and a failure there leaves all shards untouched. A
+    /// later shard failing has [`diverged`]; shards before it keep the
+    /// statement's effect. Callers that write hold the DDL lock.
+    fn broadcast(&self, stmt: &Statement) -> ExecResult<Vec<String>> {
+        let mut out = Vec::with_capacity(self.shards.len());
+        for (k, shard) in self.shards.iter().enumerate() {
+            let response = shard.execute_statement(stmt.clone());
+            out.push(match k {
+                0 => response?,
+                _ => response.map_err(|e| diverged(k, &format!("broadcast of `{stmt}`"), &e))?,
+            });
         }
         Ok(out)
     }
 
+    /// Run route-changing DDL on shard `k`; on success drop `remove`
+    /// from the routing table and point `insert` at `k`. The caller
+    /// holds the DDL lock.
+    fn reroute(
+        &self,
+        k: usize,
+        stmt: &Statement,
+        remove: Option<&str>,
+        insert: Option<&str>,
+    ) -> ExecResult<String> {
+        let response = self.shards[k].execute_statement(stmt.clone())?;
+        let mut routes = self.routes.write().expect("routes lock poisoned");
+        if let Some(name) = remove {
+            routes.remove(name);
+        }
+        if let Some(name) = insert {
+            routes.insert(name.to_string(), k);
+        }
+        Ok(response)
+    }
+
+    /// Rename, migrating the relation when the name hash places the new
+    /// name on a different shard: the source shard's `DUMP` (schema,
+    /// preemption mode, tuples — domains are already everywhere) is
+    /// replayed on the destination, then the source is dropped. A
+    /// failure before the source drop rolls the destination back, so
+    /// the old name stays intact; if the source drop itself fails, both
+    /// copies remain and the old name stays routed (never destroy what
+    /// may be the only copy).
+    fn rename(&self, stmt: &Statement, from: &str, to: &str) -> ExecResult<String> {
+        let _ddl = self.ddl_lock();
+        // The new name goes where it is routed (its hash, unless this
+        // router placed that name elsewhere and must be told it exists).
+        let (src, dst) = (self.owner_of(from), self.owner_of(to));
+        if src == dst {
+            return self.reroute(src, stmt, Some(from), Some(to));
+        }
+        // Kind "unknown" if `from` is missing, "unsupported" if it is a
+        // live view (dropping it below would strand its definition).
+        let dump = self.shards[src].execute_statement(Statement::Dump {
+            relation: from.to_string(),
+            to: to.to_string(),
+        })?;
+        let script = parse(&dump)?;
+        let (create, rows) = script
+            .split_first()
+            .ok_or_else(|| ExecError::new("protocol", format!("shard {src} dumped nothing")))?;
+        // Kind "duplicate" if the new name exists — source untouched.
+        self.shards[dst].execute_statement(create.clone())?;
+        let drop_relation = |name: &str| Statement::DropRelation {
+            name: name.to_string(),
+        };
+        for step in rows {
+            if let Err(e) = self.shards[dst].execute_statement(step.clone()) {
+                let _ = self.shards[dst].execute_statement(drop_relation(to));
+                return Err(diverged(dst, &format!("replay of `{step}`"), &e));
+            }
+        }
+        self.shards[src]
+            .execute_statement(drop_relation(from))
+            .map_err(|e| {
+                let dropping = format!("dropping {from:?} (shard {dst} now holds {to:?} too)");
+                diverged(src, &dropping, &e)
+            })?;
+        let mut routes = self.routes.write().expect("routes lock poisoned");
+        routes.remove(from);
+        routes.insert(to.to_string(), dst);
+        Ok(format!("relation {from} renamed to {to}"))
+    }
+
+    /// Route one statement. Reads and row writes take no coordinator
+    /// lock beyond the routing-table read.
+    fn run(&self, stmt: Statement) -> ExecResult<String> {
+        let first = |mut responses: Vec<String>| responses.swap_remove(0);
+        match &stmt {
+            // Reads and writes in place on the one relation they name.
+            Statement::Assert { relation, .. }
+            | Statement::Retract { relation, .. }
+            | Statement::Holds { relation, .. }
+            | Statement::Holds3 { relation, .. }
+            | Statement::Why { relation, .. }
+            | Statement::Check { relation }
+            | Statement::Show { relation }
+            | Statement::Consolidate { relation }
+            | Statement::Explicate { relation, .. }
+            | Statement::SetPreemption { relation, .. }
+            | Statement::Count { relation, .. }
+            | Statement::Dump { relation, .. } => {
+                let k = self.owner_of(relation);
+                self.shards[k].execute_statement(stmt)
+            }
+            Statement::CreateDomain { .. }
+            | Statement::CreateClass { .. }
+            | Statement::CreateInstance { .. }
+            | Statement::Prefer { .. } => {
+                let _ddl = self.ddl_lock();
+                self.broadcast(&stmt).map(first)
+            }
+            Statement::DropDomain { name } => {
+                let _ddl = self.ddl_lock();
+                // The in-use guard must see every shard's relations,
+                // not just one's: ask them all before dropping anywhere.
+                let users = self.gather(&Statement::ShowRelations {
+                    over: Some(name.clone()),
+                })?;
+                if let Some(by) = users.into_iter().next() {
+                    let (kind, name) = ("domain", name.clone());
+                    return Err(HqlError::Core(CoreError::InUse { kind, name, by }).into());
+                }
+                self.broadcast(&stmt).map(first)
+            }
+            Statement::CreateRelation { name, .. } => {
+                let _ddl = self.ddl_lock();
+                self.reroute(self.owner_of(name), &stmt, None, Some(name))
+            }
+            Statement::DropRelation { name } => {
+                let _ddl = self.ddl_lock();
+                self.reroute(self.owner_of(name), &stmt, Some(name), None)
+            }
+            Statement::RenameRelation { from, to } => self.rename(&stmt, from, to),
+            Statement::Let { name, derivation } => {
+                let _ddl = self.ddl_lock();
+                let k = self.single_shard_of(derivation)?;
+                self.reroute(k, &stmt, None, Some(name))
+            }
+            Statement::Explain { derivation } | Statement::Trace { derivation } => {
+                let k = self.single_shard_of(derivation)?;
+                self.shards[k].execute_statement(stmt)
+            }
+            // Domains are on every shard.
+            Statement::ShowDomain { .. } => self.shards[0].execute_statement(stmt),
+            Statement::ShowRelations { .. } => Ok(names(&self.gather(&stmt)?)),
+            Statement::Save { .. }
+            | Statement::Load { .. }
+            | Statement::Open { .. }
+            | Statement::Checkpoint => Err(ExecError::new(
+                "unsupported",
+                format!(
+                    "`{stmt}` is whole-catalog; it does not route through a sharded \
+                     coordinator (open each shard individually)"
+                ),
+            )),
+        }
+    }
+
+    /// The union of every shard's `SHOW RELATIONS` listing, in name
+    /// order — the order one engine holding them all would list.
+    fn gather(&self, listing: &Statement) -> ExecResult<Vec<String>> {
+        let mut names = BTreeSet::new();
+        for body in self.broadcast(listing)? {
+            let listed = lex(&body)?;
+            names.extend(listed.iter().filter_map(|t| t.as_name().map(String::from)));
+        }
+        Ok(names.into_iter().collect())
+    }
+}
+
+impl<H: ExecutorHandle> ExecutorHandle for Router<H> {
+    fn execute(&self, script: &str) -> ExecResult<Vec<String>> {
+        parse(script)?.into_iter().map(|s| self.run(s)).collect()
+    }
+
     fn execute_read(&self, script: &str, min_epoch: u64) -> ExecResult<Vec<String>> {
-        let statements = parse(script).map_err(ExecError::from)?;
+        let statements = parse(script)?;
         if !statements.iter().all(Statement::is_read_only) {
             return Err(ExecError::new(
                 "unsupported",
                 "script contains a mutating statement; route it through execute",
             ));
         }
-        if self.epoch() < min_epoch {
-            return Err(ExecError::new(
-                "stale",
-                format!(
-                    "coordinator at epoch {} is below the requested floor {min_epoch}",
-                    self.epoch()
-                ),
-            ));
+        if min_epoch > 0 {
+            let epoch = self.last_epoch()?;
+            if epoch < min_epoch {
+                return Err(ExecError::new(
+                    "stale",
+                    format!(
+                        "coordinator at epoch {epoch} is below the requested floor {min_epoch}"
+                    ),
+                ));
+            }
         }
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            out.push(self.run_read(stmt)?.to_string());
-        }
-        Ok(out)
+        statements.into_iter().map(|s| self.run(s)).collect()
     }
 
+    /// The coordinator epoch: the sum of the shard epochs (monotone —
+    /// every routed or broadcast write advances it by at least one).
     fn last_epoch(&self) -> ExecResult<u64> {
-        Ok(self.epoch())
+        self.shards.iter().map(H::last_epoch).sum()
     }
 
     fn probe(&self) -> ExecResult<String> {
-        let mut out = format!("epoch: {}\nshards: {}", self.epoch(), self.shards.len());
-        for (k, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!("\nshard-{k}-epoch: {}", shard.epoch()));
+        // One read per shard, so the total is the sum of the lines
+        // under it even while writes land.
+        let epochs: Vec<u64> = self
+            .shards
+            .iter()
+            .map(H::last_epoch)
+            .collect::<ExecResult<_>>()?;
+        let total: u64 = epochs.iter().sum();
+        let mut out = format!("epoch: {total}\nshards: {}", epochs.len());
+        for (k, epoch) in epochs.iter().enumerate() {
+            out.push_str(&format!("\nshard-{k}-epoch: {epoch}"));
         }
-        let routing = self.routing.read().expect("routing lock poisoned");
-        out.push_str(&format!("\nrouted-relations: {}", routing.routes.len()));
+        let routes = self.routes.read().expect("routes lock poisoned");
+        out.push_str(&format!("\nrouted-relations: {}", routes.len()));
         Ok(out)
-    }
-}
-
-impl Statement {
-    /// The leading keyword(s) of this statement kind, for messages.
-    fn kind_keyword(&self) -> &'static str {
-        match self {
-            Statement::Load { .. } => "LOAD",
-            Statement::Open { .. } => "OPEN",
-            Statement::Checkpoint => "CHECKPOINT",
-            _ => "statement",
-        }
     }
 }
 

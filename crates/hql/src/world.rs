@@ -223,12 +223,7 @@ impl World {
     /// relation that references it (node ids are stable, so tuples are
     /// reused as-is).
     fn reshare(&mut self, domain: &str) {
-        let names: Vec<String> = self
-            .relations
-            .iter()
-            .filter(|(_, e)| e.signature.iter().any(|(_, d)| d == domain))
-            .map(|(n, _)| n.clone())
-            .collect();
+        let names: Vec<String> = self.relations_over(domain).map(String::from).collect();
         for name in names {
             let entry = self.relations.remove(&name).expect("listed above");
             let attrs: Vec<Attribute> = entry
@@ -344,14 +339,14 @@ impl World {
         Ok(())
     }
 
-    /// The name of some relation whose schema references `domain`, if
-    /// any — the `DROP DOMAIN` InUse guard, and what a sharded
-    /// coordinator probes on every shard before broadcasting a drop.
-    pub fn domain_user(&self, domain: &str) -> Option<String> {
+    /// Names of the relations whose schema references `domain`, in name
+    /// order: the `SHOW RELATIONS OVER` listing, whose first entry is
+    /// what the `DROP DOMAIN` in-use guard reports.
+    pub fn relations_over<'a>(&'a self, domain: &'a str) -> impl Iterator<Item = &'a str> {
         self.relations
             .iter()
-            .find(|(_, e)| e.signature.iter().any(|(_, d)| d == domain))
-            .map(|(n, _)| n.clone())
+            .filter(move |(_, e)| e.signature.iter().any(|(_, d)| d == domain))
+            .map(|(n, _)| n.as_str())
     }
 
     /// Remove a domain no relation references (mirrors
@@ -365,11 +360,11 @@ impl World {
                 name: name.to_string(),
             });
         }
-        if let Some(by) = self.domain_user(name) {
+        if let Some(by) = self.relations_over(name).next() {
             return Err(CoreError::InUse {
                 kind: "domain",
                 name: name.to_string(),
-                by,
+                by: by.to_string(),
             }
             .into());
         }

@@ -125,6 +125,13 @@ fn arb_statement() -> impl Strategy<Value = Statement> {
         (arb_name(), arb_derivation())
             .prop_map(|(name, derivation)| Statement::Let { name, derivation }),
         arb_derivation().prop_map(|derivation| Statement::Explain { derivation }),
+        prop::option::of(arb_name()).prop_map(|over| Statement::ShowRelations { over }),
+        (arb_name(), arb_name()).prop_map(|(relation, to)| Statement::Dump { relation, to }),
+        // A relation whose name is the listing keyword must come back
+        // as a relation, not as the listing.
+        Just(Statement::Show {
+            relation: "Relations".to_string()
+        }),
     ]
 }
 

@@ -1,296 +1,36 @@
-//! A wire-level sharded coordinator: the same statement routing as the
-//! in-process `ShardedEngine`, but speaking `HRDM/1` to remote shard
-//! servers **through the same trait** ([`ExecutorHandle`]) it
-//! implements itself.
+//! The wire-level sharded coordinator: [`hrdm::hql::shard::Router`]
+//! over one [`Client`] connection per shard server.
 //!
-//! Each shard is one [`Client`] connection to an `hrdm-server` event
-//! loop serving that shard's engine (see `ShardedEngine::shards` for
-//! the single-process wiring, or point each connection at a separate
-//! process). Routing mirrors the in-process coordinator: relations
-//! hash-partition by name ([`default_shard`]), domain DDL broadcasts to
-//! every shard (domain hierarchies are replicated, keeping the
-//! partition domain-subtree aware), and `LET` colocates with its
-//! sources. Ordering needs no epoch floors here: all statements for a
-//! shard flow down **one** connection, and the server executes a
-//! connection's requests in order — so a read that follows a write
-//! through this router always observes it.
-//!
-//! Two whole-catalog operations the in-process coordinator supports by
-//! reaching into engine internals are reported as `"unsupported"` over
-//! the wire: cross-shard `RENAME RELATION` (the replay would need a
-//! machine-readable tuple export verb) and `DROP DOMAIN`'s in-use guard
-//! is enforced from the router's own placement records rather than shard
-//! snapshots (identical outcomes for catalogs administered through the
-//! router).
+//! Each shard is an `hrdm-server` event loop serving that shard's
+//! engine (see `Router::shards` for the single-process wiring, or point
+//! each connection at a separate process). All routing lives in the
+//! router, which reaches its shards through
+//! [`ExecutorHandle`](hrdm::hql::ExecutorHandle) alone, so this backend
+//! supports exactly what the in-process one does. One `QUERY` round
+//! trip per routed statement, N per broadcast, N probes + N drops for
+//! `DROP DOMAIN`, 2 + one per tuple for a cross-shard `RENAME`.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::sync::Mutex;
+use std::net::ToSocketAddrs;
 
-use hrdm::hql::ast::{Derivation, Statement};
-use hrdm::hql::shard::{default_shard, derivation_sources, statement_relation};
-use hrdm::hql::{ExecError, ExecResult, ExecutorHandle};
+use hrdm::hql::shard::Router;
 
 use crate::proto::Client;
 
-/// Placement records: where each relation lives and which domains its
-/// signature references (the `DROP DOMAIN` guard).
-#[derive(Default)]
-struct Routes {
-    placement: BTreeMap<String, usize>,
-    domains_of: BTreeMap<String, BTreeSet<String>>,
-}
+/// A coordinator over N remote shard servers. Build one over
+/// already-connected clients with [`Router::over`], or with [`connect`].
+pub type WireRouter = Router<Client>;
 
-/// A coordinator over N remote shard servers, itself an
-/// [`ExecutorHandle`].
-pub struct WireRouter {
-    shards: Vec<Client>,
-    routes: Mutex<Routes>,
-}
-
-impl WireRouter {
-    /// Connect one `HRDM/1` client per shard address, in shard order.
-    pub fn connect<A: std::net::ToSocketAddrs>(addrs: &[A]) -> io::Result<WireRouter> {
-        let shards = addrs
-            .iter()
-            .map(Client::connect)
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(WireRouter::over(shards))
+/// Connect one `HRDM/1` client per shard address, in shard order, and
+/// front them with a router.
+pub fn connect<A: ToSocketAddrs>(addrs: &[A]) -> io::Result<WireRouter> {
+    if addrs.is_empty() {
+        let reason = "a router needs at least one shard address";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, reason));
     }
-
-    /// Build a router over already-connected clients (shard order).
-    pub fn over(shards: Vec<Client>) -> WireRouter {
-        assert!(!shards.is_empty(), "a router needs at least one shard");
-        WireRouter {
-            shards,
-            routes: Mutex::new(Routes::default()),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard currently owning `relation`.
-    pub fn owner_of(&self, relation: &str) -> usize {
-        let routes = self.routes.lock().expect("routes lock poisoned");
-        routes
-            .placement
-            .get(relation)
-            .copied()
-            .unwrap_or_else(|| default_shard(relation, self.shards.len()))
-    }
-
-    /// Run one rendered statement on shard `k`, returning its single
-    /// rendered response.
-    fn exec_on(&self, k: usize, stmt: &Statement) -> ExecResult<String> {
-        let mut out = self.shards[k].execute(&stmt.to_string())?;
-        out.pop()
-            .ok_or_else(|| ExecError::new("protocol", "empty response body from shard"))
-    }
-
-    /// Broadcast a domain-scoped statement: shard 0 decides (all shards
-    /// hold identical domain state), the rest must agree.
-    fn broadcast(&self, stmt: &Statement) -> ExecResult<String> {
-        let response = self.exec_on(0, stmt)?;
-        for k in 1..self.shards.len() {
-            self.exec_on(k, stmt).map_err(|e| {
-                ExecError::new(
-                    "execution",
-                    format!("shard {k} diverged on broadcast of `{stmt}`: {e}"),
-                )
-            })?;
-        }
-        Ok(response)
-    }
-
-    /// The single shard holding all of a derivation's sources.
-    fn single_shard_of(&self, derivation: &Derivation) -> ExecResult<usize> {
-        let mut sources = BTreeSet::new();
-        derivation_sources(derivation, &mut sources);
-        let shards: BTreeSet<usize> = sources.iter().map(|s| self.owner_of(s)).collect();
-        match shards.len() {
-            0 => Err(ExecError::new("unsupported", "derivation has no sources")),
-            1 => Ok(shards.into_iter().next().expect("len checked")),
-            _ => Err(ExecError::new(
-                "unsupported",
-                format!("derivation spans shards {shards:?}; colocate its sources"),
-            )),
-        }
-    }
-
-    fn run_one(&self, stmt: &Statement) -> ExecResult<String> {
-        match stmt {
-            Statement::CreateDomain { .. }
-            | Statement::CreateClass { .. }
-            | Statement::CreateInstance { .. }
-            | Statement::Prefer { .. } => self.broadcast(stmt),
-            Statement::DropDomain { name } => {
-                {
-                    let routes = self.routes.lock().expect("routes lock poisoned");
-                    if let Some((relation, _)) = routes
-                        .domains_of
-                        .iter()
-                        .find(|(_, domains)| domains.contains(name))
-                    {
-                        return Err(ExecError::new(
-                            "in-use",
-                            format!("domain {name:?} is referenced by relation {relation:?}"),
-                        ));
-                    }
-                }
-                self.broadcast(stmt)
-            }
-            Statement::CreateRelation { name, attributes } => {
-                let k = default_shard(name, self.shards.len());
-                let response = self.exec_on(k, stmt)?;
-                let mut routes = self.routes.lock().expect("routes lock poisoned");
-                routes.placement.insert(name.clone(), k);
-                routes.domains_of.insert(
-                    name.clone(),
-                    attributes.iter().map(|(_, d)| d.clone()).collect(),
-                );
-                Ok(response)
-            }
-            Statement::DropRelation { name } => {
-                let response = self.exec_on(self.owner_of(name), stmt)?;
-                let mut routes = self.routes.lock().expect("routes lock poisoned");
-                routes.placement.remove(name);
-                routes.domains_of.remove(name);
-                Ok(response)
-            }
-            Statement::RenameRelation { from, to } => {
-                let src = self.owner_of(from);
-                let dst = default_shard(to, self.shards.len());
-                if src != dst {
-                    return Err(ExecError::new(
-                        "unsupported",
-                        format!(
-                            "renaming {from:?} to {to:?} would move it from shard {src} to \
-                             {dst}; cross-shard renames need the in-process coordinator"
-                        ),
-                    ));
-                }
-                let response = self.exec_on(src, stmt)?;
-                let mut routes = self.routes.lock().expect("routes lock poisoned");
-                routes.placement.remove(from);
-                routes.placement.insert(to.clone(), src);
-                if let Some(domains) = routes.domains_of.remove(from) {
-                    routes.domains_of.insert(to.clone(), domains);
-                }
-                Ok(response)
-            }
-            Statement::Let { name, derivation } => {
-                let k = self.single_shard_of(derivation)?;
-                let response = self.exec_on(k, stmt)?;
-                let mut routes = self.routes.lock().expect("routes lock poisoned");
-                routes.placement.insert(name.clone(), k);
-                // The view's signature domains are the union of its
-                // sources' — what the DROP DOMAIN guard needs.
-                let mut sources = BTreeSet::new();
-                derivation_sources(derivation, &mut sources);
-                let domains: BTreeSet<String> = sources
-                    .iter()
-                    .filter_map(|s| routes.domains_of.get(s))
-                    .flatten()
-                    .cloned()
-                    .collect();
-                routes.domains_of.insert(name.clone(), domains);
-                Ok(response)
-            }
-            Statement::Save { .. }
-            | Statement::Load { .. }
-            | Statement::Open { .. }
-            | Statement::Checkpoint => Err(ExecError::new(
-                "unsupported",
-                "whole-catalog persistence statements do not route through a sharded \
-                 coordinator",
-            )),
-            Statement::ShowDomain { .. } => self.exec_on(0, stmt),
-            Statement::Explain { derivation } | Statement::Trace { derivation } => {
-                self.exec_on(self.single_shard_of(derivation)?, stmt)
-            }
-            other => {
-                let relation = statement_relation(other)
-                    .expect("all remaining statements are relation-scoped");
-                self.exec_on(self.owner_of(relation), other)
-            }
-        }
-    }
-}
-
-impl ExecutorHandle for WireRouter {
-    fn execute(&self, script: &str) -> ExecResult<Vec<String>> {
-        let statements = hrdm::hql::parser::parse(script)
-            .map_err(|e| ExecError::new(e.kind(), e.to_string()))?;
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in &statements {
-            out.push(self.run_one(stmt)?);
-        }
-        Ok(out)
-    }
-
-    fn execute_read(&self, script: &str, min_epoch: u64) -> ExecResult<Vec<String>> {
-        let statements = hrdm::hql::parser::parse(script)
-            .map_err(|e| ExecError::new(e.kind(), e.to_string()))?;
-        if !statements.iter().all(Statement::is_read_only) {
-            return Err(ExecError::new(
-                "unsupported",
-                "script contains a mutating statement; route it through execute",
-            ));
-        }
-        if self.last_epoch()? < min_epoch {
-            return Err(ExecError::new(
-                "stale",
-                format!("router is below the requested epoch floor {min_epoch}"),
-            ));
-        }
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in &statements {
-            out.push(self.run_one(stmt)?);
-        }
-        Ok(out)
-    }
-
-    fn last_epoch(&self) -> ExecResult<u64> {
-        let mut total = 0u64;
-        for shard in &self.shards {
-            total += shard.last_epoch()?;
-        }
-        Ok(total)
-    }
-
-    fn probe(&self) -> ExecResult<String> {
-        let mut out = format!(
-            "epoch: {}\nshards: {}",
-            self.last_epoch()?,
-            self.shards.len()
-        );
-        for (k, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!("\nshard-{k}-epoch: {}", shard.last_epoch()?));
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rename_routing_stays_consistent_with_the_engine_coordinator() {
-        // The wire router and the in-process coordinator must agree on
-        // placement, or a statement routed through one would miss data
-        // written through the other.
-        for n in 1..6 {
-            for name in ["Flies", "Sizes", "Colors", "Loved"] {
-                assert_eq!(
-                    default_shard(name, n),
-                    hrdm::hql::default_shard(name, n),
-                    "one hash function, re-exported"
-                );
-            }
-        }
-    }
+    let shards = addrs
+        .iter()
+        .map(Client::connect)
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(Router::over(shards))
 }

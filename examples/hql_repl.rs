@@ -40,6 +40,7 @@ HQL statements (see crates/hql for the full grammar):
   CREATE RELATION r (attr: domain, ...);
   ASSERT [NOT] r (ALL Class, instance, ...); RETRACT r (...);
   HOLDS r (...); WHY r (...); CHECK r; SHOW r; SHOW DOMAIN d;
+  SHOW RELATIONS [OVER d]; DUMP r AS s;
   CONSOLIDATE r; EXPLICATE r [ON attr]; SET PREEMPTION r ON-PATH;
   LET x = UNION a b | INTERSECT a b | DIFFERENCE a b | JOIN a b
         | PROJECT a (attrs) | SELECT a WHERE attr IS value;

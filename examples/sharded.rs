@@ -8,15 +8,18 @@
 //! [`ExecutorHandle`] — runs unchanged against three deployments:
 //!
 //! 1. an embedded [`Engine`] (one process, one partition),
-//! 2. a [`ShardedEngine`] hash-partitioning the catalog across four
-//!    in-process shards (domain DDL broadcast, reads scatter-gathered
-//!    under an epoch floor),
+//! 2. a [`ShardedEngine`] — the one coordinator, `Router<Engine>` —
+//!    hash-partitioning the catalog across four in-process shards
+//!    (domain DDL broadcast, every statement on a relation routed to
+//!    the shard that owns it),
 //! 3. a WAL-fed [`Replica`] tailing a primary's store directory and
 //!    serving the same reads from its own snapshot.
 //!
 //! Which backend a program talks to is a wiring decision, not an API
-//! one — exactly the contract the serving tier (`hrdm-serve` +
-//! `hrdm_server::WireRouter`) extends across processes.
+//! one. The coordinator itself is written against the same trait, so
+//! the serving tier extends it across processes by changing only the
+//! shard type: `hrdm_server::WireRouter` is `Router<Client>` over N
+//! `hrdm-serve` instances.
 
 use hrdm::prelude::{Engine, ExecutorHandle, Replica, ShardedEngine};
 

@@ -64,7 +64,8 @@ pub use error::{Error, Result};
 /// Programs that execute HQL should depend on
 /// [`ExecutorHandle`](hrdm_hql::ExecutorHandle) rather than a concrete
 /// backend: the embedded [`Engine`](hrdm_hql::Engine), the sharded
-/// coordinator ([`ShardedEngine`](hrdm_hql::ShardedEngine)), a
+/// coordinator ([`Router`](hrdm_hql::Router) over any of the others;
+/// [`ShardedEngine`](hrdm_hql::ShardedEngine) over engines), a
 /// WAL-fed read [`Replica`](hrdm_hql::Replica), and `hrdm-server`'s
 /// wire `Client` all implement it with byte-identical rendered
 /// responses, so the choice of deployment (embedded, sharded, remote,
@@ -74,7 +75,7 @@ pub mod prelude {
     pub use hrdm_core::prelude::*;
     pub use hrdm_hql::{
         default_shard, render, Engine, ExecError, ExecResult, ExecutorHandle, HqlError, ReadView,
-        Replica, Response, Session, ShardedEngine, Statement, StatementKind, World,
+        Replica, Response, Router, Session, ShardedEngine, Statement, StatementKind, World,
     };
     pub use hrdm_persist::{Image, Journal, PersistError, ShipEvent, WalTailer};
 }
