@@ -3,10 +3,22 @@
 //! The paper pitches the model as "a standard interface providing
 //! 'higher level' primitive operators … \[that\] could be used as a
 //! back-end for, say, a frame-based knowledge representation system or
-//! a semantic net" (§1). [`Catalog`] is that back-end surface: named
-//! domain hierarchies and named relations, shared via `Arc` so that
-//! relations over the same domain join naturally. The Datalog layer
-//! (`hrdm-datalog`) resolves its EDB predicates against a catalog.
+//! a semantic net" (§1). [`Catalog`] is that back-end surface and the
+//! **only** container of named state in the workspace: named domain
+//! hierarchies and named relations, both held through `Arc` so that
+//! relations over the same domain join naturally and a `clone()` of the
+//! whole catalog is a handful of pointer bumps. The HQL `World`, the
+//! persistence `Image` and the durable store all wrap or exchange this
+//! one type; the Datalog layer (`hrdm-datalog`) resolves its EDB
+//! predicates against it.
+//!
+//! [`Catalog::apply_mutation`] is likewise the only interpreter of the
+//! [`CatalogMutation`] vocabulary: live HQL writes, crash recovery and
+//! WAL-fed replicas all change named state through it, so the code that
+//! replays a log is the code that produced it. It mutates through
+//! [`Arc::make_mut`] — in place when the catalog uniquely owns the
+//! graph or relation (recovery), copy-on-write when a published
+//! snapshot still shares it (live writes).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,7 +26,7 @@ use std::sync::Arc;
 use hrdm_hierarchy::{cache, HierarchyGraph, NodeKind};
 
 use crate::error::{CoreError, Result};
-use crate::mutation::{CatalogMutation, MutationSink};
+use crate::mutation::CatalogMutation;
 use crate::relation::HRelation;
 use crate::render::render_table;
 use crate::schema::{Attribute, Schema};
@@ -22,16 +34,29 @@ use crate::stats::{self, EngineStats};
 use crate::tuple::Tuple;
 
 /// Named domains and relations.
-#[derive(Default)]
+///
+/// `Clone` is shallow: it copies the two name maps and bumps the `Arc`s
+/// they hold, never a graph or a tuple.
+#[derive(Clone, Default)]
 pub struct Catalog {
     domains: BTreeMap<String, Arc<HierarchyGraph>>,
-    relations: BTreeMap<String, HRelation>,
-    /// Observer notified after every mutation applied via [`mutate`]
-    /// (never during [`apply_mutation`] replay).
-    ///
-    /// [`mutate`]: Catalog::mutate
-    /// [`apply_mutation`]: Catalog::apply_mutation
-    sink: Option<Box<dyn MutationSink>>,
+    relations: BTreeMap<String, Arc<HRelation>>,
+}
+
+fn not_found(kind: &'static str, name: &str) -> CoreError {
+    CoreError::NotFound {
+        kind,
+        name: name.to_string(),
+    }
+}
+
+/// Does any attribute of `relation` range over exactly this graph?
+fn is_over(relation: &HRelation, graph: &Arc<HierarchyGraph>) -> bool {
+    relation
+        .schema()
+        .attributes()
+        .iter()
+        .any(|a| Arc::ptr_eq(a.domain(), graph))
 }
 
 impl Catalog {
@@ -65,26 +90,36 @@ impl Catalog {
     pub fn domain(&self, name: &str) -> Result<&Arc<HierarchyGraph>> {
         self.domains
             .get(name)
-            .ok_or_else(|| CoreError::UnknownAttribute(name.to_string()))
+            .ok_or_else(|| not_found("domain", name))
     }
 
     /// Register a relation under a name (replacing any previous one).
-    pub fn add_relation(&mut self, name: impl Into<String>, relation: HRelation) {
-        self.relations.insert(name.into(), relation);
+    /// Takes the relation owned or already shared.
+    pub fn add_relation(&mut self, name: impl Into<String>, relation: impl Into<Arc<HRelation>>) {
+        self.relations.insert(name.into(), relation.into());
     }
 
     /// Look up a relation.
     pub fn relation(&self, name: &str) -> Result<&HRelation> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownAttribute(name.to_string()))
+        self.relation_arc(name).map(Arc::as_ref)
     }
 
-    /// Mutable access to a relation.
+    /// Look up a relation's shared handle (an `Arc` bump away from
+    /// aliasing its tuples without copying them).
+    pub fn relation_arc(&self, name: &str) -> Result<&Arc<HRelation>> {
+        self.relations
+            .get(name)
+            .ok_or_else(|| not_found("relation", name))
+    }
+
+    /// Mutable access to a relation: in place when this catalog is the
+    /// only holder, copy-on-write when a clone of it still shares the
+    /// tuples.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut HRelation> {
         self.relations
             .get_mut(name)
-            .ok_or_else(|| CoreError::UnknownAttribute(name.to_string()))
+            .map(Arc::make_mut)
+            .ok_or_else(|| not_found("relation", name))
     }
 
     /// Iterate relation names in order.
@@ -95,6 +130,28 @@ impl Catalog {
     /// Iterate domain names in order.
     pub fn domain_names(&self) -> impl Iterator<Item = &str> {
         self.domains.keys().map(|s| s.as_str())
+    }
+
+    /// Iterate `(name, shared handle)` over the domains, in name order.
+    pub fn domains(&self) -> impl Iterator<Item = (&str, &Arc<HierarchyGraph>)> {
+        self.domains.iter().map(|(n, g)| (n.as_str(), g))
+    }
+
+    /// Iterate `(name, shared handle)` over the relations, in name
+    /// order.
+    pub fn relations(&self) -> impl Iterator<Item = (&str, &Arc<HRelation>)> {
+        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+    }
+
+    /// Names of the relations with an attribute over the domain
+    /// registered as `domain` (by `Arc` identity), in name order. The
+    /// first entry is what the `DropDomain` in-use guard reports.
+    pub fn relations_over<'a>(&'a self, domain: &str) -> impl Iterator<Item = &'a str> {
+        let graph = self.domains.get(domain);
+        self.relations
+            .iter()
+            .filter(move |(_, r)| graph.is_some_and(|g| is_over(r, g)))
+            .map(|(n, _)| n.as_str())
     }
 
     /// Snapshot the engine counters (closure cache, subsumption cache,
@@ -125,7 +182,7 @@ impl Catalog {
         let g = self
             .domains
             .remove(name)
-            .ok_or_else(|| CoreError::UnknownAttribute(name.to_string()))?;
+            .ok_or_else(|| not_found("domain", name))?;
         cache::invalidate_graph(g.graph_id());
         Ok(g)
     }
@@ -145,39 +202,20 @@ impl Catalog {
         let arc = self
             .domains
             .get_mut(name)
-            .ok_or_else(|| CoreError::UnknownAttribute(name.to_string()))?;
+            .ok_or_else(|| not_found("domain", name))?;
         f(Arc::make_mut(arc)).map_err(CoreError::Hierarchy)
     }
 
-    /// Unregister a relation.
-    pub fn drop_relation(&mut self, name: &str) -> Result<HRelation> {
+    /// Unregister a relation, returning its shared handle.
+    pub fn drop_relation(&mut self, name: &str) -> Result<Arc<HRelation>> {
         self.relations
             .remove(name)
-            .ok_or_else(|| CoreError::NotFound {
-                kind: "relation",
-                name: name.to_string(),
-            })
+            .ok_or_else(|| not_found("relation", name))
     }
 
-    /// Install (or clear) the mutation observer; returns the previous
-    /// one. The sink fires after every successful [`Catalog::mutate`],
-    /// which is how a durable wrapper journals changes without
-    /// re-implementing the catalog surface.
-    pub fn set_mutation_sink(
-        &mut self,
-        sink: Option<Box<dyn MutationSink>>,
-    ) -> Option<Box<dyn MutationSink>> {
-        std::mem::replace(&mut self.sink, sink)
-    }
-
-    /// Is a mutation observer currently installed?
-    pub fn has_mutation_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Apply a logical mutation *without* notifying the sink — the
-    /// replay path. Recovery reads mutations back out of a journal and
-    /// must not re-journal them.
+    /// Apply a logical mutation — the one interpreter of the
+    /// [`CatalogMutation`] vocabulary, run by live writes, recovery and
+    /// replicas alike.
     ///
     /// Validation happens before any state changes, so a failed
     /// mutation leaves the catalog untouched.
@@ -194,21 +232,12 @@ impl Catalog {
                 Ok(())
             }
             CatalogMutation::DropDomain { name } => {
-                let arc = self.domains.get(name).ok_or_else(|| CoreError::NotFound {
-                    kind: "domain",
-                    name: name.clone(),
-                })?;
-                if let Some(rel) = self.relations.iter().find_map(|(rn, r)| {
-                    r.schema()
-                        .attributes()
-                        .iter()
-                        .any(|a| Arc::ptr_eq(a.domain(), arc))
-                        .then_some(rn)
-                }) {
+                self.domain(name)?;
+                if let Some(by) = self.relations_over(name).next() {
                     return Err(CoreError::InUse {
                         kind: "domain",
                         name: name.clone(),
-                        by: rel.clone(),
+                        by: by.to_string(),
                     });
                 }
                 self.drop_domain(name).map(|_| ())
@@ -265,91 +294,55 @@ impl Catalog {
                 values,
                 truth,
             } => {
-                let rel = self.require_relation_mut(relation)?;
+                let rel = self.relation_mut(relation)?;
                 let names: Vec<&str> = values.iter().map(String::as_str).collect();
                 rel.assert_fact(&names, *truth)
             }
             CatalogMutation::Retract { relation, values } => {
-                let rel = self.require_relation_mut(relation)?;
+                let rel = self.relation_mut(relation)?;
                 let names: Vec<&str> = values.iter().map(String::as_str).collect();
                 let item = rel.item(&names)?;
                 match rel.remove(&item) {
                     Some(_) => Ok(()),
-                    None => Err(CoreError::NotFound {
-                        kind: "tuple",
-                        name: values.join(", "),
-                    }),
+                    None => Err(not_found("tuple", &rel.schema().display_item(&item))),
                 }
             }
             CatalogMutation::SetPreemption { relation, mode } => {
-                let rel = self.require_relation_mut(relation)?;
-                rel.set_preemption(*mode);
+                self.relation_mut(relation)?.set_preemption(*mode);
                 Ok(())
             }
         }
     }
 
-    /// Apply a logical mutation and notify the installed sink.
+    /// Mutate a domain graph, keeping the catalog *internally shared*:
+    /// every relation over the domain ends up holding the same `Arc` the
+    /// domain map does, so join compatibility and a checkpoint image's
+    /// by-identity domain table both survive the edit.
     ///
-    /// The sink only sees mutations that succeeded, in application
-    /// order — exactly the sequence a replay needs.
-    pub fn mutate(&mut self, m: CatalogMutation) -> Result<()> {
-        self.apply_mutation(&m)?;
-        if let Some(sink) = &mut self.sink {
-            sink.on_mutation(&m);
-        }
-        Ok(())
-    }
-
-    /// Update a domain through [`Catalog::update_domain`], then re-bind
-    /// every relation schema that held the pre-update `Arc` to the new
-    /// one.
-    ///
-    /// `update_domain`'s copy-on-write leaves relations on the graph
-    /// version they were created with — correct for ad-hoc readers, but
-    /// the mutation vocabulary needs the catalog to stay *internally
-    /// shared* so a checkpoint image can resolve every relation's
-    /// domains by identity. Node ids are append-only, so existing items
-    /// stay valid on the grown graph.
+    /// A uniquely owned graph is edited in place (its generation bump
+    /// orphans the old cached closures). A shared one — a relation
+    /// schema or a published snapshot still holds it — is cloned,
+    /// edited, and re-bound into every relation that held the old
+    /// handle; node ids are append-only, so stored items stay valid on
+    /// the grown graph. `f` runs before anything is replaced, so a
+    /// failed mutation leaves even the `Arc` identities untouched.
     fn mutate_domain_resharing(
         &mut self,
         domain: &str,
         f: impl FnOnce(&mut HierarchyGraph) -> hrdm_hierarchy::Result<()>,
     ) -> Result<()> {
-        let arc = self
+        let slot = self
             .domains
-            .get(domain)
-            .ok_or_else(|| CoreError::NotFound {
-                kind: "domain",
-                name: domain.to_string(),
-            })?;
-        if Arc::strong_count(arc) == 1 {
-            // Uniquely owned: mutated in place, no reader can diverge.
-            return self.update_domain(domain, f);
+            .get_mut(domain)
+            .ok_or_else(|| not_found("domain", domain))?;
+        if let Some(unique) = Arc::get_mut(slot) {
+            return f(unique).map_err(CoreError::Hierarchy);
         }
-        let old = arc.clone();
-        if let Err(e) = self.update_domain(domain, f) {
-            // `Arc::make_mut` may have diverged the catalog's copy
-            // before `f` failed; put the original handle back so a
-            // failed mutation leaves even the `Arc` identity untouched.
-            self.domains.insert(domain.to_string(), old);
-            return Err(e);
-        }
-        let new = self.domain(domain).expect("still registered").clone();
-        debug_assert!(!Arc::ptr_eq(&old, &new), "shared arc must diverge");
-        let stale: Vec<String> = self
-            .relations
-            .iter()
-            .filter(|(_, r)| {
-                r.schema()
-                    .attributes()
-                    .iter()
-                    .any(|a| Arc::ptr_eq(a.domain(), &old))
-            })
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in stale {
-            let rel = self.relations.remove(&name).expect("listed above");
+        let mut grown = HierarchyGraph::clone(slot);
+        f(&mut grown).map_err(CoreError::Hierarchy)?;
+        let new = Arc::new(grown);
+        let old = std::mem::replace(slot, new.clone());
+        for rel in self.relations.values_mut().filter(|r| is_over(r, &old)) {
             let attrs: Vec<Attribute> = rel
                 .schema()
                 .attributes()
@@ -369,18 +362,9 @@ impl Catalog {
                     .insert(Tuple::new(item.clone(), truth))
                     .expect("node ids are stable across domain growth");
             }
-            self.relations.insert(name, rebuilt);
+            *rel = Arc::new(rebuilt);
         }
         Ok(())
-    }
-
-    fn require_relation_mut(&mut self, name: &str) -> Result<&mut HRelation> {
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| CoreError::NotFound {
-                kind: "relation",
-                name: name.to_string(),
-            })
     }
 
     /// Render the whole catalog with stable fields only: every domain's
@@ -439,12 +423,7 @@ impl Catalog {
     pub fn schema(&self, attrs: &[(&str, &str)]) -> Result<Arc<Schema>> {
         let attributes = attrs
             .iter()
-            .map(|&(attr, dom)| {
-                Ok(crate::schema::Attribute::new(
-                    attr,
-                    self.domain(dom)?.clone(),
-                ))
-            })
+            .map(|&(attr, dom)| Ok(Attribute::new(attr, self.domain(dom)?.clone())))
             .collect::<Result<Vec<_>>>()?;
         Ok(Arc::new(Schema::new(attributes)))
     }
@@ -500,18 +479,22 @@ mod tests {
         assert_eq!(cat.relation_names().collect::<Vec<_>>(), vec!["Flies"]);
     }
 
+    // The two cache tests assert on the identity of the `Arc` the closure
+    // cache hands out, not on the process-wide hit/miss counters that
+    // concurrently running tests also bump.
+
     #[test]
     fn warm_domain_prebuilds_closures() {
         let mut cat = Catalog::new();
         let g = cat.add_domain("Animal", sample_graph());
         cat.warm_domain("Animal").unwrap();
-        let before = cat.engine_stats();
-        // Both closure kinds are resident: these hit, never build.
-        cache::closure(&g);
-        cache::subset_closure(&g);
-        let after = cat.engine_stats();
-        assert_eq!(after.closure_misses, before.closure_misses);
-        assert!(after.closure_hits >= before.closure_hits + 2);
+        // Both closure kinds are resident: repeated lookups share one
+        // allocation instead of rebuilding.
+        assert!(Arc::ptr_eq(&cache::closure(&g), &cache::closure(&g)));
+        assert!(Arc::ptr_eq(
+            &cache::subset_closure(&g),
+            &cache::subset_closure(&g)
+        ));
         assert!(cat.warm_domain("Nope").is_err());
     }
 
@@ -520,15 +503,49 @@ mod tests {
         let mut cat = Catalog::new();
         let g = cat.add_domain("Animal", sample_graph());
         cat.warm_domain("Animal").unwrap();
+        let resident = cache::closure(&g);
         let dropped = cat.drop_domain("Animal").unwrap();
         assert!(Arc::ptr_eq(&g, &dropped));
         assert!(cat.domain("Animal").is_err());
         assert!(cat.drop_domain("Animal").is_err());
         // The dropped graph's entries are gone: touching it rebuilds.
-        let before = cat.engine_stats();
-        cache::closure(&g);
-        let after = cat.engine_stats();
-        assert_eq!(after.closure_misses, before.closure_misses + 1);
+        assert!(!Arc::ptr_eq(&resident, &cache::closure(&g)));
+    }
+
+    #[test]
+    fn missing_names_are_not_found_by_kind() {
+        let mut cat = Catalog::new();
+        cat.add_domain("Animal", sample_graph());
+        let missing = |kind: &'static str, name: &str| CoreError::NotFound {
+            kind,
+            name: name.to_string(),
+        };
+        assert_eq!(cat.domain("Plant").unwrap_err(), missing("domain", "Plant"));
+        assert_eq!(
+            cat.drop_domain("Plant").unwrap_err(),
+            missing("domain", "Plant")
+        );
+        assert_eq!(
+            cat.schema(&[("V", "Plant")]).unwrap_err(),
+            missing("domain", "Plant")
+        );
+        assert_eq!(
+            cat.relation("Walks").err(),
+            Some(missing("relation", "Walks"))
+        );
+        assert_eq!(
+            cat.relation_mut("Walks").err(),
+            Some(missing("relation", "Walks"))
+        );
+        // The interpreter reports a relation over a missing domain the
+        // same way — this is what replay sees for such a WAL record.
+        assert_eq!(
+            cat.apply_mutation(&CatalogMutation::CreateRelation {
+                name: "Grows".into(),
+                attributes: vec![("V".into(), "Plant".into())],
+            }),
+            Err(missing("domain", "Plant"))
+        );
     }
 
     /// The Fig. 1 world expressed as a mutation script.
@@ -575,7 +592,7 @@ mod tests {
     fn mutation_script_builds_a_world() {
         let mut cat = Catalog::new();
         for m in fig1_script() {
-            cat.mutate(m).unwrap();
+            cat.apply_mutation(&m).unwrap();
         }
         let flies = cat.relation("Flies").unwrap();
         assert_eq!(flies.len(), 2);
@@ -591,40 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn mutation_sink_sees_successful_mutations_only() {
-        struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
-        impl crate::mutation::MutationSink for Recorder {
-            fn on_mutation(&mut self, m: &CatalogMutation) {
-                self.0.lock().unwrap().push(m.kind().to_string());
-            }
-        }
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut cat = Catalog::new();
-        assert!(!cat.has_mutation_sink());
-        cat.set_mutation_sink(Some(Box::new(Recorder(log.clone()))));
-        assert!(cat.has_mutation_sink());
-        cat.mutate(CatalogMutation::CreateDomain { name: "D".into() })
-            .unwrap();
-        // A failing mutation must not reach the sink.
-        assert!(cat
-            .mutate(CatalogMutation::CreateDomain { name: "D".into() })
-            .is_err());
-        // Replay bypasses the sink entirely.
-        cat.apply_mutation(&CatalogMutation::AddClass {
-            domain: "D".into(),
-            name: "A".into(),
-            parents: vec!["D".into()],
-        })
-        .unwrap();
-        assert_eq!(*log.lock().unwrap(), vec!["create-domain"]);
-        assert!(cat.set_mutation_sink(None).is_some());
-    }
-
-    #[test]
     fn mutations_fail_atomically() {
         let mut cat = Catalog::new();
         for m in fig1_script() {
-            cat.mutate(m).unwrap();
+            cat.apply_mutation(&m).unwrap();
         }
         let before = cat.render_stable();
         use CatalogMutation::*;
@@ -668,7 +655,7 @@ mod tests {
             },
         ];
         for m in bad {
-            assert!(cat.mutate(m.clone()).is_err(), "{m} should fail");
+            assert!(cat.apply_mutation(&m).is_err(), "{m} should fail");
             assert_eq!(cat.render_stable(), before, "{m} must not change state");
         }
     }
@@ -677,9 +664,9 @@ mod tests {
     fn drop_and_set_preemption_mutations() {
         let mut cat = Catalog::new();
         for m in fig1_script() {
-            cat.mutate(m).unwrap();
+            cat.apply_mutation(&m).unwrap();
         }
-        cat.mutate(CatalogMutation::SetPreemption {
+        cat.apply_mutation(&CatalogMutation::SetPreemption {
             relation: "Flies".into(),
             mode: Preemption::OnPath,
         })
@@ -688,18 +675,18 @@ mod tests {
             cat.relation("Flies").unwrap().preemption(),
             Preemption::OnPath
         );
-        cat.mutate(CatalogMutation::Retract {
+        cat.apply_mutation(&CatalogMutation::Retract {
             relation: "Flies".into(),
             values: vec!["Penguin".into()],
         })
         .unwrap();
         assert_eq!(cat.relation("Flies").unwrap().len(), 1);
-        cat.mutate(CatalogMutation::DropRelation {
+        cat.apply_mutation(&CatalogMutation::DropRelation {
             name: "Flies".into(),
         })
         .unwrap();
         assert!(cat.relation("Flies").is_err());
-        cat.mutate(CatalogMutation::DropDomain {
+        cat.apply_mutation(&CatalogMutation::DropDomain {
             name: "Animal".into(),
         })
         .unwrap();

@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, Result};
     pub use crate::intern::Sym;
     pub use crate::item::Item;
-    pub use crate::mutation::{CatalogMutation, MutationSink};
+    pub use crate::mutation::CatalogMutation;
     pub use crate::parallel::ExecMode;
     pub use crate::plan::LogicalPlan;
     pub use crate::preemption::Preemption;

@@ -180,20 +180,6 @@ impl fmt::Display for CatalogMutation {
     }
 }
 
-/// Observer of successfully applied mutations.
-///
-/// A catalog with a sink installed reports every mutation applied
-/// through [`Catalog::mutate`](crate::catalog::Catalog::mutate) *after*
-/// it succeeded — the hook a durable wrapper uses to journal changes
-/// without re-implementing the catalog surface. Replay
-/// ([`Catalog::apply_mutation`](crate::catalog::Catalog::apply_mutation))
-/// deliberately bypasses the sink, so recovery does not re-journal the
-/// log it is reading.
-pub trait MutationSink: Send {
-    /// Called once per successfully applied mutation, in order.
-    fn on_mutation(&mut self, mutation: &CatalogMutation);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,8 @@
 //! The concurrent HQL engine: snapshot reads, serialized writes.
 //!
-//! An [`Engine`] is the shared, thread-safe core a
-//! [`Session`](crate::Session) (and the `hrdm-server` serving layer)
-//! executes against. It splits the statement vocabulary by effect:
+//! An [`Engine`] is the shared, thread-safe core embedders and the
+//! `hrdm-server` serving layer execute against. It splits the
+//! statement vocabulary by effect:
 //!
 //! * **Read-only statements** (`HOLDS`, `SHOW`, `EXPLAIN`, …) grab one
 //!   [`Snapshot`] of the [`World`] and evaluate with no lock held —
@@ -13,7 +13,12 @@
 //!   applies its change, journals it through the write-ahead log of the
 //!   `OPEN`ed store (if any), and publishes the fresh world as the next
 //!   **epoch**. A failed statement publishes nothing, so errors are
-//!   atomic — readers can never observe a half-applied write.
+//!   atomic — readers can never observe a half-applied write. A
+//!   statement in the WAL vocabulary resolves to one
+//!   [`CatalogMutation`], and that one value is both applied (through
+//!   [`Catalog::apply_mutation`], the interpreter recovery replays
+//!   with) and logged; [`Engine::apply_mutation`] is the same path for
+//!   a mutation that arrives already resolved (a replica's feed).
 //!
 //! Statements dispatch through a table indexed by
 //! [`StatementKind`](crate::ast::StatementKind): one handler function
@@ -37,7 +42,7 @@ use crate::ast::{names, Statement, ValueRef, STATEMENT_KINDS};
 use crate::error::{HqlError, Result};
 use crate::exec::Response;
 use crate::parser::parse;
-use crate::world::{resolve_item, World};
+use crate::world::{resolve_item, signature, World};
 
 /// A shared, thread-safe HQL engine.
 ///
@@ -143,10 +148,51 @@ pub struct WriteTxn<'a> {
     journal: &'a mut Option<Journal>,
 }
 
+/// Resolve a tuple-level mutation's value names against `relation` as
+/// it stands in `world`; the relation comes back too, for rendering.
+fn written_item<'w>(
+    world: &'w World,
+    relation: &str,
+    values: &[String],
+) -> Result<(&'w HRelation, Item)> {
+    let rel = world.relation(relation)?;
+    let names: Vec<&str> = values.iter().map(String::as_str).collect();
+    let item = rel.item(&names)?;
+    Ok((rel, item))
+}
+
 impl WriteTxn<'_> {
-    /// Append one mutation record to the open store's WAL (no-op when
-    /// detached). Called only after the transaction applied the change.
-    fn record(&mut self, m: CatalogMutation) -> Result<()> {
+    /// Apply one WAL-vocabulary mutation: record its effect in the
+    /// write's delta (resolved against the pre-image), apply it to the
+    /// private world through the catalog's interpreter, and append it
+    /// to the open store's WAL (skipped when detached) — the value that
+    /// is applied is the value that is logged.
+    fn apply(&mut self, m: CatalogMutation) -> Result<()> {
+        use CatalogMutation::*;
+        match &m {
+            CreateDomain { name } | DropDomain { name } => self.delta.record_domain(name),
+            AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. } => {
+                self.delta.record_domain(domain)
+            }
+            // Dropping resets too: any view depending on the dropped
+            // relation fails its maintenance pass — and therefore this
+            // write — atomically.
+            CreateRelation { name, .. } | DropRelation { name } => self.delta.record_reset(name),
+            SetPreemption { relation, .. } => self.delta.record_reset(relation),
+            Assert {
+                relation,
+                values,
+                truth,
+            } => {
+                let (_, item) = written_item(&self.world, relation, values)?;
+                self.delta.record_added(relation, item, *truth);
+            }
+            Retract { relation, values } => {
+                let (_, item) = written_item(&self.world, relation, values)?;
+                self.delta.record_removed(relation, item);
+            }
+        }
+        self.world.apply(&m)?;
         if let Some(j) = self.journal.as_mut() {
             j.record(&m)?;
         }
@@ -158,8 +204,7 @@ impl WriteTxn<'_> {
     /// operators, `LOAD`), which only an image can carry.
     fn checkpoint(&mut self) -> Result<()> {
         if let Some(j) = self.journal.as_mut() {
-            let image = self.world.to_image();
-            j.checkpoint(&image)?;
+            j.checkpoint(&self.world.to_image())?;
         }
         Ok(())
     }
@@ -329,55 +374,70 @@ impl Engine {
                 let snap = self.inner.state.load();
                 h(&snap, stmt)
             }
-            Handler::Write(h) => {
-                let wobs = write_obs();
-                let enqueue_epoch = self.inner.state.epoch();
-                let queued = self.inner.write_queue.fetch_add(1, Ordering::SeqCst) + 1;
-                let _queue_guard = QueueGuard(&self.inner.write_queue);
-                let wait_started = Instant::now();
-                let mut writer = self.inner.writer.lock().expect("writer lock poisoned");
-                wobs.wait
-                    .observe_ns(wait_started.elapsed().as_nanos() as u64);
-                // Fresh load at acquisition: this writer plus anyone
-                // who queued behind it while it waited.
-                wobs.queue_depth
-                    .set(self.inner.write_queue.load(Ordering::SeqCst));
-                if queued > 1 {
-                    // Someone was already queued (or writing) when this
-                    // writer enqueued.
-                    wobs.contended.incr();
-                }
-                wobs.epoch_lag
-                    .set(self.inner.state.epoch().saturating_sub(enqueue_epoch));
-                let snap = self.inner.state.load();
-                let mut txn = WriteTxn {
-                    world: (*snap).clone(),
-                    delta: Delta::new(),
-                    journal: &mut writer.journal,
-                };
-                let response = h(&mut txn, stmt)?;
-                // Bring live views up to date with this write's delta
-                // before anything publishes: a maintenance failure (the
-                // fallback recomputation erroring) fails the statement
-                // atomically, so readers never see a world whose views
-                // disagree with their definitions.
-                let mut delta = std::mem::take(&mut txn.delta);
-                let summary = txn.world.maintain_views(&mut delta)?;
-                if summary.changed() {
-                    // View relations changed outside the WAL mutation
-                    // vocabulary; only an image carries them.
-                    txn.checkpoint()?;
-                }
-                let m = ivm_obs();
-                m.maintained.add(summary.maintained as u64);
-                m.fallback.add(summary.fallback as u64);
-                m.detached.add(summary.detached as u64);
-                let epoch = self.inner.state.publish(Arc::new(txn.world));
-                *self.inner.last_delta.lock().expect("delta lock poisoned") =
-                    Some((epoch, Arc::new(delta)));
-                Ok(response)
-            }
+            Handler::Write(h) => self.write(|txn| h(txn, stmt)),
         }
+    }
+
+    /// Apply one logical mutation through the single writer — the entry
+    /// a WAL-fed [`Replica`](crate::Replica) feeds shipped records to.
+    /// It is the write path of a mutating statement minus the parsing:
+    /// same lock, same clone–apply–maintain-views–publish sequence, one
+    /// epoch per mutation, and the mutation is journaled if a store is
+    /// `OPEN`.
+    pub fn apply_mutation(&self, mutation: CatalogMutation) -> Result<()> {
+        self.write(|txn| txn.apply(mutation))
+    }
+
+    /// Run one write under the writer lock against a copy-on-write
+    /// clone of the published world, and publish the clone as the next
+    /// epoch iff `f` (and view maintenance) succeed.
+    fn write<T>(&self, f: impl FnOnce(&mut WriteTxn<'_>) -> Result<T>) -> Result<T> {
+        let wobs = write_obs();
+        let enqueue_epoch = self.inner.state.epoch();
+        let queued = self.inner.write_queue.fetch_add(1, Ordering::SeqCst) + 1;
+        let _queue_guard = QueueGuard(&self.inner.write_queue);
+        let wait_started = Instant::now();
+        let mut writer = self.inner.writer.lock().expect("writer lock poisoned");
+        wobs.wait
+            .observe_ns(wait_started.elapsed().as_nanos() as u64);
+        // Fresh load at acquisition: this writer plus anyone who queued
+        // behind it while it waited.
+        wobs.queue_depth
+            .set(self.inner.write_queue.load(Ordering::SeqCst));
+        if queued > 1 {
+            // Someone was already queued (or writing) when this writer
+            // enqueued.
+            wobs.contended.incr();
+        }
+        wobs.epoch_lag
+            .set(self.inner.state.epoch().saturating_sub(enqueue_epoch));
+        let snap = self.inner.state.load();
+        let mut txn = WriteTxn {
+            world: (*snap).clone(),
+            delta: Delta::new(),
+            journal: &mut writer.journal,
+        };
+        let response = f(&mut txn)?;
+        // Bring live views up to date with this write's delta before
+        // anything publishes: a maintenance failure (the fallback
+        // recomputation erroring) fails the write atomically, so
+        // readers never see a world whose views disagree with their
+        // definitions.
+        let mut delta = std::mem::take(&mut txn.delta);
+        let summary = txn.world.maintain_views(&mut delta)?;
+        if summary.changed() {
+            // View relations changed outside the WAL mutation
+            // vocabulary; only an image carries them.
+            txn.checkpoint()?;
+        }
+        let m = ivm_obs();
+        m.maintained.add(summary.maintained as u64);
+        m.fallback.add(summary.fallback as u64);
+        m.detached.add(summary.detached as u64);
+        let epoch = self.inner.state.publish(Arc::new(txn.world));
+        *self.inner.last_delta.lock().expect("delta lock poisoned") =
+            Some((epoch, Arc::new(delta)));
+        Ok(response)
     }
 
     /// LSN of the attached store, if one is `OPEN` (= mutations recorded
@@ -414,9 +474,8 @@ impl Engine {
     }
 
     /// Replace the whole published state from a persistence image (no
-    /// journal interaction; used by [`Session::restore`]).
-    ///
-    /// [`Session::restore`]: crate::Session::restore
+    /// journal interaction; how a [`Replica`](crate::Replica) applies a
+    /// checkpoint rollover).
     pub fn restore(&self, image: Image) {
         let _writer = self.inner.writer.lock().expect("writer lock poisoned");
         self.inner.state.publish(Arc::new(World::from_image(image)));
@@ -432,9 +491,7 @@ fn exec_create_domain(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respons
     let Statement::CreateDomain { name } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.world.create_domain(&name)?;
-    txn.delta.record_domain(&name);
-    txn.record(CatalogMutation::CreateDomain { name: name.clone() })?;
+    txn.apply(CatalogMutation::CreateDomain { name: name.clone() })?;
     Ok(Response::Ok(format!("domain {name} created")))
 }
 
@@ -442,9 +499,8 @@ fn exec_create_class(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response
     let Statement::CreateClass { name, parents } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let domain = txn.world.add_class(&name, &parents)?;
-    txn.delta.record_domain(&domain);
-    txn.record(CatalogMutation::AddClass {
+    let domain = txn.world.domain_containing(&parents)?;
+    txn.apply(CatalogMutation::AddClass {
         domain: domain.clone(),
         name: name.clone(),
         parents,
@@ -456,9 +512,8 @@ fn exec_create_instance(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respo
     let Statement::CreateInstance { name, parents } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let domain = txn.world.add_instance(&name, &parents)?;
-    txn.delta.record_domain(&domain);
-    txn.record(CatalogMutation::AddInstance {
+    let domain = txn.world.domain_containing(&parents)?;
+    txn.apply(CatalogMutation::AddInstance {
         domain: domain.clone(),
         name: name.clone(),
         parents,
@@ -475,9 +530,7 @@ fn exec_prefer(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     else {
         unreachable!("dispatched by kind")
     };
-    txn.world.prefer(&domain, &stronger, &weaker)?;
-    txn.delta.record_domain(&domain);
-    txn.record(CatalogMutation::Prefer {
+    txn.apply(CatalogMutation::Prefer {
         domain: domain.clone(),
         stronger: stronger.clone(),
         weaker: weaker.clone(),
@@ -491,9 +544,7 @@ fn exec_create_relation(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respo
     let Statement::CreateRelation { name, attributes } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.world.create_relation(&name, &attributes)?;
-    txn.delta.record_reset(&name);
-    txn.record(CatalogMutation::CreateRelation {
+    txn.apply(CatalogMutation::CreateRelation {
         name: name.clone(),
         attributes,
     })?;
@@ -514,11 +565,12 @@ fn exec_assert(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     } else {
         Truth::Positive
     };
-    let (rendered, item) = txn.world.assert_item(&relation, &values, truth)?;
-    txn.delta.record_added(&relation, item, truth);
-    txn.record(CatalogMutation::Assert {
+    let values: Vec<String> = values.into_iter().map(|v| v.name).collect();
+    let (rel, item) = written_item(&txn.world, &relation, &values)?;
+    let rendered = rel.schema().display_item(&item);
+    txn.apply(CatalogMutation::Assert {
         relation: relation.clone(),
-        values: values.iter().map(|v| v.name.clone()).collect(),
+        values,
         truth,
     })?;
     Ok(Response::Ok(format!(
@@ -531,11 +583,12 @@ fn exec_retract(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::Retract { relation, values } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let (rendered, item) = txn.world.retract_item(&relation, &values)?;
-    txn.delta.record_removed(&relation, item);
-    txn.record(CatalogMutation::Retract {
+    let values: Vec<String> = values.into_iter().map(|v| v.name).collect();
+    let (rel, item) = written_item(&txn.world, &relation, &values)?;
+    let rendered = rel.schema().display_item(&item);
+    txn.apply(CatalogMutation::Retract {
         relation: relation.clone(),
-        values: values.iter().map(|v| v.name.clone()).collect(),
+        values,
     })?;
     Ok(Response::Ok(format!(
         "retracted {rendered} from {relation}"
@@ -581,9 +634,7 @@ fn exec_set_preemption(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respon
             })
         }
     };
-    txn.world.set_preemption(&relation, preemption)?;
-    txn.delta.record_reset(&relation);
-    txn.record(CatalogMutation::SetPreemption {
+    txn.apply(CatalogMutation::SetPreemption {
         relation: relation.clone(),
         mode: preemption,
     })?;
@@ -635,20 +686,21 @@ fn exec_open(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     };
     let path = Path::new(&dir);
     std::fs::create_dir_all(path).map_err(hrdm_persist::PersistError::from)?;
-    let recovered = hrdm_persist::recover(path)?;
-    let image = Image::from_catalog(&recovered.catalog);
+    let hrdm_persist::Recovered { catalog, report: r } = hrdm_persist::recover(path)?;
+    // The recovered catalog becomes the world as it stands: no image
+    // round trip, no relation copied.
+    let world = World::from(catalog);
     let group = sync_every.unwrap_or(1) as usize;
     // Start a fresh generation at the recovered LSN: the checkpoint
     // makes the replayed tail durable and drops any torn bytes, so a
     // re-crash cannot regress.
-    let journal = Journal::begin(path, recovered.report.next_lsn(), &image, group)?;
-    txn.world = World::from_image(image);
+    let journal = Journal::begin(path, r.next_lsn(), &world.to_image(), group)?;
+    txn.world = world;
     let names: Vec<String> = txn.world.relation_names().map(String::from).collect();
     for name in &names {
         txn.delta.record_reset(name);
     }
     *txn.journal = Some(journal);
-    let r = &recovered.report;
     Ok(Response::Ok(format!(
         "store {dir} open at lsn {} ({} domain(s), {} relation(s); \
          {} record(s) replayed, {} byte(s) truncated)",
@@ -669,8 +721,7 @@ fn exec_checkpoint(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> 
             "no store open; use OPEN \"dir\" first".into(),
         ));
     };
-    let image = txn.world.to_image();
-    let lsn = j.checkpoint(&image)?;
+    let lsn = j.checkpoint(&txn.world.to_image())?;
     Ok(Response::Ok(format!("checkpoint written at lsn {lsn}")))
 }
 
@@ -678,9 +729,7 @@ fn exec_drop_domain(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response>
     let Statement::DropDomain { name } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.world.drop_domain(&name)?;
-    txn.delta.record_domain(&name);
-    txn.record(CatalogMutation::DropDomain { name: name.clone() })?;
+    txn.apply(CatalogMutation::DropDomain { name: name.clone() })?;
     Ok(Response::Ok(format!("domain {name} dropped")))
 }
 
@@ -688,11 +737,7 @@ fn exec_drop_relation(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respons
     let Statement::DropRelation { name } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.world.drop_relation(&name)?;
-    // The reset makes any view depending on the dropped relation fail
-    // its maintenance pass — and therefore this statement — atomically.
-    txn.delta.record_reset(&name);
-    txn.record(CatalogMutation::DropRelation { name: name.clone() })?;
+    txn.apply(CatalogMutation::DropRelation { name: name.clone() })?;
     Ok(Response::Ok(format!("relation {name} dropped")))
 }
 
@@ -823,7 +868,7 @@ fn exec_dump(world: &World, stmt: Statement) -> Result<Response> {
     let Statement::Dump { relation, to } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let entry = world.relation_entry(&relation)?;
+    let rel = world.relation(&relation)?;
     if world.is_view(&relation) {
         // A view's tuples are derived state: a script of its rows would
         // recreate a plain relation that no longer follows its sources.
@@ -831,11 +876,10 @@ fn exec_dump(world: &World, stmt: Statement) -> Result<Response> {
             "{relation} is a live view; dump its sources, or drop or detach it first"
         )));
     }
-    let rel = entry.relation.as_ref();
     let mut script = vec![
         Statement::CreateRelation {
             name: to.clone(),
-            attributes: entry.signature.clone(),
+            attributes: signature(rel),
         },
         Statement::SetPreemption {
             relation: to.clone(),
@@ -929,6 +973,7 @@ fn exec_trace(world: &World, stmt: Statement) -> Result<Response> {
 mod tests {
     use super::*;
     use crate::ast::StatementKind;
+    use crate::executor::ExecutorHandle;
 
     /// The dispatch table's effect classes must agree with the
     /// [`StatementKind::is_read_only`] classification the engine (and
@@ -1033,6 +1078,87 @@ mod tests {
         a.execute("CREATE DOMAIN D;").unwrap();
         assert_eq!(b.epoch(), 1);
         assert!(b.snapshot().domain("D").is_ok());
+    }
+
+    /// `DROP DOMAIN` goes through the catalog's interpreter, which
+    /// reclaims the dropped graph's closure-cache entries.
+    #[test]
+    fn drop_domain_drops_the_graphs_cached_closures() {
+        use hrdm_hierarchy::cache;
+        let engine = Engine::new();
+        engine
+            .execute("CREATE DOMAIN D; CREATE CLASS A UNDER D;")
+            .unwrap();
+        let graph = engine.snapshot().domain("D").unwrap().clone();
+        let resident = cache::closure(&graph);
+        assert!(Arc::ptr_eq(&resident, &cache::closure(&graph)));
+        engine.execute("DROP DOMAIN D;").unwrap();
+        assert!(
+            !Arc::ptr_eq(&resident, &cache::closure(&graph)),
+            "the dropped graph's closure was still cached"
+        );
+    }
+
+    /// One interpreter, one failure: a relation over a missing domain
+    /// is refused with the same kind and name as a statement, as a
+    /// shipped mutation, and as a replayed WAL record.
+    #[test]
+    fn create_relation_over_a_missing_domain_fails_alike_live_and_in_replay() {
+        let m = CatalogMutation::CreateRelation {
+            name: "R".into(),
+            attributes: vec![("V".into(), "Nope".into())],
+        };
+        let replayed = Catalog::new().apply_mutation(&m).unwrap_err();
+        assert_eq!(
+            replayed,
+            CoreError::NotFound {
+                kind: "domain",
+                name: "Nope".into()
+            }
+        );
+        let live = Engine::new()
+            .execute("CREATE RELATION R (V: Nope);")
+            .unwrap_err();
+        assert_eq!(live, HqlError::from_catalog(replayed));
+        assert_eq!(live.to_string(), "unknown domain \"Nope\"");
+        assert_eq!(Engine::new().apply_mutation(m).unwrap_err(), live);
+    }
+
+    /// [`Engine::apply_mutation`] is the statement write path minus the
+    /// parsing: one epoch and one delta per mutation, nothing published
+    /// on failure.
+    #[test]
+    fn applied_mutations_publish_like_statements() {
+        let engine = Engine::new();
+        for m in [
+            CatalogMutation::CreateDomain { name: "D".into() },
+            CatalogMutation::CreateRelation {
+                name: "R".into(),
+                attributes: vec![("V".into(), "D".into())],
+            },
+            CatalogMutation::Assert {
+                relation: "R".into(),
+                values: vec!["D".into()],
+                truth: Truth::Negative,
+            },
+        ] {
+            engine.apply_mutation(m).unwrap();
+        }
+        assert_eq!(engine.epoch(), 3);
+        let (epoch, delta) = engine.last_delta().unwrap();
+        assert_eq!((epoch, delta.row_count()), (3, 1));
+        assert!(engine
+            .apply_mutation(CatalogMutation::DropDomain { name: "D".into() })
+            .is_err());
+        assert_eq!(engine.epoch(), 3, "a refused mutation publishes nothing");
+        let by_statement = Engine::new();
+        by_statement
+            .execute("CREATE DOMAIN D; CREATE RELATION R (V: D); ASSERT NOT R (ALL D);")
+            .unwrap();
+        assert_eq!(
+            engine.execute_read("SHOW R;", 0).unwrap(),
+            by_statement.execute_read("SHOW R;", 0).unwrap()
+        );
     }
 
     /// A pinned [`ReadView`] serves read-only scripts byte-identically

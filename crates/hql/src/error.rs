@@ -94,6 +94,21 @@ impl HqlError {
     }
 }
 
+impl HqlError {
+    /// A [`Catalog`](hrdm_core::Catalog) failure in HQL's wording — the
+    /// one place the catalog's name-resolution outcomes are mapped:
+    /// `NotFound` is HQL's `Unknown` and `DuplicateName` its
+    /// `Duplicate` (kinds `unknown` / `duplicate` on the wire);
+    /// everything else stays a structured [`HqlError::Core`].
+    pub(crate) fn from_catalog(e: CoreError) -> HqlError {
+        match e {
+            CoreError::NotFound { kind, name } => HqlError::Unknown { kind, name },
+            CoreError::DuplicateName { kind, name } => HqlError::Duplicate { kind, name },
+            e => HqlError::Core(e),
+        }
+    }
+}
+
 impl fmt::Display for HqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,23 +1,13 @@
-//! The HQL session: a single-caller view over the concurrent engine.
+//! The response vocabulary: what one executed statement answers.
 //!
-//! A [`Session`] is the classic embedding API — `new`, `execute`,
-//! `relation` — now implemented as a thin wrapper over an
-//! [`Engine`]: every statement executes through
-//! the engine's dispatch table (snapshot reads, serialized writes), and
-//! the session keeps one cached [`Snapshot`] of the world so borrows
-//! like [`Session::relation`] keep working exactly as before. Programs
-//! that want concurrency call [`Session::engine`] (or build an
-//! [`Engine`] directly) and clone it across
-//! threads; programs that don't never notice the difference.
+//! Every backend behind
+//! [`ExecutorHandle`](crate::executor::ExecutorHandle) renders these
+//! through [`Display`](std::fmt::Display), which is what makes their
+//! replies byte-comparable. The unit tests below drive the whole
+//! statement vocabulary through an embedded
+//! [`Engine`](crate::engine::Engine).
 
 use std::fmt;
-
-use hrdm_core::prelude::*;
-use hrdm_persist::Image;
-
-use crate::engine::Engine;
-use crate::error::Result;
-use crate::world::World;
 
 /// The result of one executed statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,83 +61,12 @@ impl fmt::Display for Response {
     }
 }
 
-/// An interactive HQL session.
-pub struct Session {
-    /// The shared engine all statements execute through.
-    engine: Engine,
-    /// The world as of this session's last statement; refreshed after
-    /// every `execute` so borrowing accessors see the latest state.
-    view: Snapshot<World>,
-}
-
-impl Default for Session {
-    fn default() -> Session {
-        Session::new()
-    }
-}
-
-impl Session {
-    /// A fresh, empty session over its own private engine.
-    pub fn new() -> Session {
-        let engine = Engine::new();
-        let view = engine.snapshot();
-        Session { engine, view }
-    }
-
-    /// The underlying engine — clone it to execute concurrently from
-    /// other threads while this session keeps its own view.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Names of the defined relations.
-    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.view.relation_names()
-    }
-
-    /// Access a relation by name (for embedding HQL in a larger
-    /// program).
-    pub fn relation(&self, name: &str) -> Result<&HRelation> {
-        self.view.relation(name)
-    }
-
-    /// LSN of the attached store, if one is `OPEN` (= mutations recorded
-    /// since the store's birth).
-    pub fn journal_lsn(&self) -> Option<u64> {
-        self.engine.journal_lsn()
-    }
-
-    /// Flush and fsync any buffered WAL records of the open store.
-    /// A no-op when no store is attached.
-    pub fn sync(&mut self) -> Result<()> {
-        self.engine.sync()
-    }
-
-    /// Parse and execute a script; returns one response per statement.
-    pub fn execute(&mut self, script: &str) -> Result<Vec<Response>> {
-        let result = self.engine.execute(script);
-        // Refresh even on error: a mid-script failure keeps the earlier
-        // statements' published effects, and the view must show them.
-        self.view = self.engine.snapshot();
-        result
-    }
-
-    /// Snapshot the session as a persistence image.
-    pub fn to_image(&self) -> Image {
-        self.view.to_image()
-    }
-
-    /// Replace the session's whole state from a persistence image.
-    pub fn restore(&mut self, image: Image) {
-        self.engine.restore(image);
-        self.view = self.engine.snapshot();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::error::HqlError;
+    use hrdm_core::prelude::*;
 
     /// The Fig. 1 world, entirely through HQL.
     const FIG1: &str = r#"
@@ -169,13 +88,13 @@ mod tests {
             ASSERT Flies (Peter);
             "#;
 
-    fn fig1_session() -> Session {
-        let mut s = Session::new();
+    fn fig1_engine() -> Engine {
+        let s = Engine::new();
         s.execute(FIG1).expect("script is well-formed");
         s
     }
 
-    fn truth_of(s: &mut Session, q: &str) -> Option<bool> {
+    fn truth_of(s: &Engine, q: &str) -> Option<bool> {
         match s.execute(q).unwrap().remove(0) {
             Response::Truth { value, .. } => value,
             other => panic!("expected truth, got {other:?}"),
@@ -184,16 +103,16 @@ mod tests {
 
     #[test]
     fn fig1_through_hql() {
-        let mut s = fig1_session();
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Tweety);"), Some(true));
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Paul);"), Some(false));
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Patricia);"), Some(true));
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Peter);"), Some(true));
+        let s = fig1_engine();
+        assert_eq!(truth_of(&s, "HOLDS Flies (Tweety);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Paul);"), Some(false));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Patricia);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Peter);"), Some(true));
     }
 
     #[test]
     fn show_and_why() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let table = s.execute("SHOW Flies;").unwrap().remove(0);
         let rendered = table.to_string();
         assert!(rendered.contains("∀Bird"));
@@ -206,7 +125,7 @@ mod tests {
 
     #[test]
     fn check_reports_conflicts() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let r = s.execute("CHECK Flies;").unwrap().remove(0);
         assert_eq!(r, Response::Conflicts(vec![]));
         s.execute("ASSERT NOT Flies (ALL \"Galapagos Penguin\");")
@@ -217,52 +136,55 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // And HOLDS reports the conflict as None.
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Patricia);"), None);
+        assert_eq!(truth_of(&s, "HOLDS Flies (Patricia);"), None);
     }
 
     #[test]
     fn consolidate_and_explicate_in_place() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let r = s.execute("CONSOLIDATE Flies;").unwrap().remove(0);
         assert!(r.to_string().contains("removed 1"));
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let r = s.execute("EXPLICATE Flies;").unwrap().remove(0);
         assert!(r.to_string().contains("now 5 tuple(s)"));
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Pamela);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Pamela);"), Some(true));
     }
 
     #[test]
     fn ddl_after_relations_reshares_domains() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         // Growing the taxonomy after the relation exists must keep old
         // tuples and make the new instance inherit.
         s.execute("CREATE INSTANCE Pablo OF \"Galapagos Penguin\";")
             .unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Pablo);"), Some(false));
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Tweety);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Pablo);"), Some(false));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Tweety);"), Some(true));
     }
 
     #[test]
     fn let_derivations() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         s.execute(
             "CREATE RELATION JillLoves (Creature: Animal);\
              ASSERT JillLoves (ALL Penguin);",
         )
         .unwrap();
         s.execute("LET Both = INTERSECT Flies JillLoves;").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Both (Peter);"), Some(true));
-        assert_eq!(truth_of(&mut s, "HOLDS Both (Tweety);"), Some(false));
+        assert_eq!(truth_of(&s, "HOLDS Both (Peter);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Both (Tweety);"), Some(false));
         s.execute("LET Sub = SELECT Flies WHERE Creature IS ALL Penguin;")
             .unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Sub (Pamela);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Sub (Pamela);"), Some(true));
         s.execute("LET Small = CONSOLIDATE Flies;").unwrap();
-        assert!(s.relation("Small").unwrap().len() < s.relation("Flies").unwrap().len());
+        assert!(
+            s.snapshot().relation("Small").unwrap().len()
+                < s.snapshot().relation("Flies").unwrap().len()
+        );
     }
 
     #[test]
     fn preference_statement() {
-        let mut s = Session::new();
+        let s = Engine::new();
         s.execute(
             r#"
             CREATE DOMAIN D;
@@ -277,24 +199,24 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS R (x);"), None, "conflict");
+        assert_eq!(truth_of(&s, "HOLDS R (x);"), None, "conflict");
         s.execute("PREFER A OVER B IN D;").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS R (x);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS R (x);"), Some(true));
     }
 
     #[test]
     fn set_preemption() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         s.execute("SET PREEMPTION Flies ON-PATH;").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Patricia);"), None);
+        assert_eq!(truth_of(&s, "HOLDS Flies (Patricia);"), None);
         s.execute("SET PREEMPTION Flies OFF-PATH;").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Patricia);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Patricia);"), Some(true));
         assert!(s.execute("SET PREEMPTION Flies SIDEWAYS;").is_err());
     }
 
     #[test]
     fn error_paths() {
-        let mut s = Session::new();
+        let s = Engine::new();
         assert!(matches!(
             s.execute("SHOW Nope;"),
             Err(HqlError::Unknown {
@@ -327,34 +249,34 @@ mod tests {
         // A LET-derived relation references the domain through its
         // schema; later DDL on that domain must re-share it too, keeping
         // the derived relation queryable and join-compatible.
-        let mut s = fig1_session();
+        let s = fig1_engine();
         s.execute("LET Flyers = SELECT Flies WHERE Creature IS ALL Bird;")
             .unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Flyers (Tweety);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flyers (Tweety);"), Some(true));
         s.execute("CREATE INSTANCE Pablo OF Penguin;").unwrap();
         // Old derived data still queryable after the re-share...
-        assert_eq!(truth_of(&mut s, "HOLDS Flyers (Tweety);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flyers (Tweety);"), Some(true));
         // ...and it can still combine with the (rebuilt) base relation.
         s.execute("LET Again = INTERSECT Flyers Flies;").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Again (Tweety);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Again (Tweety);"), Some(true));
     }
 
     #[test]
     fn save_and_load_round_trip() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let path =
             std::env::temp_dir().join(format!("hrdm_hql_session_{}.hrdm", std::process::id()));
         let path_str = path.to_str().unwrap().to_string();
         s.execute(&format!("SAVE \"{path_str}\";")).unwrap();
 
         // A fresh session restores the whole world.
-        let mut s2 = Session::new();
+        let s2 = Engine::new();
         s2.execute(&format!("LOAD \"{path_str}\";")).unwrap();
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Patricia);"), Some(true));
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Paul);"), Some(false));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Patricia);"), Some(true));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Paul);"), Some(false));
         // DDL continues to work after a restore (re-sharing logic).
         s2.execute("CREATE INSTANCE Pablo OF Penguin;").unwrap();
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Pablo);"), Some(false));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Pablo);"), Some(false));
         std::fs::remove_file(&path).unwrap();
 
         // Loading a missing file reports a persistence error with its
@@ -367,7 +289,7 @@ mod tests {
 
     #[test]
     fn holds3_reports_unknown() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         // Canary flies via Bird: true.
         let r = s.execute("HOLDS3 Flies (Tweety);").unwrap().remove(0);
         assert!(r.to_string().ends_with("true"), "{r}");
@@ -377,12 +299,12 @@ mod tests {
         let r = s.execute("HOLDS3 Flies (Animal);").unwrap().remove(0);
         assert!(r.to_string().ends_with("unknown"), "{r}");
         // Closed-world HOLDS says false for the same item.
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Animal);"), Some(false));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Animal);"), Some(false));
     }
 
     #[test]
     fn count_statements() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let r = s.execute("COUNT Flies;").unwrap().remove(0);
         assert!(r.to_string().contains("4 atom(s)"), "{r}");
         let r = s.execute("COUNT Flies BY Creature;").unwrap().remove(0);
@@ -396,7 +318,7 @@ mod tests {
 
     #[test]
     fn nested_derivations_compose_in_one_statement() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         // SELECT over an inline EXPLICATE: the planner fuses these
         // (explicate-select-fusion) but the answer must match running
         // the two statements separately.
@@ -406,34 +328,35 @@ mod tests {
              LET TwoStep = SELECT Flat WHERE Creature IS ALL Penguin;",
         )
         .unwrap();
-        let fused = s.relation("Fused").unwrap();
-        let twostep = s.relation("TwoStep").unwrap();
+        let world = s.snapshot();
+        let fused = world.relation("Fused").unwrap();
+        let twostep = world.relation("TwoStep").unwrap();
         let tuples = |r: &HRelation| -> Vec<(Item, Truth)> {
             r.iter().map(|(i, t)| (i.clone(), t)).collect()
         };
         assert_eq!(tuples(fused), tuples(twostep));
-        assert_eq!(truth_of(&mut s, "HOLDS Fused (Patricia);"), Some(true));
-        assert_eq!(truth_of(&mut s, "HOLDS Fused (Paul);"), Some(false));
+        assert_eq!(truth_of(&s, "HOLDS Fused (Patricia);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Fused (Paul);"), Some(false));
     }
 
     #[test]
     fn top_level_explicate_keeps_explicit_form() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         // A derived EXPLICATE must not be collapsed back to minimal
         // form by plan canonicalization: all 5 instances, including the
         // redundant negated Paul tuple, stay stored.
         s.execute("LET Flat = EXPLICATE Flies;").unwrap();
-        assert_eq!(s.relation("Flat").unwrap().len(), 5);
+        assert_eq!(s.snapshot().relation("Flat").unwrap().len(), 5);
         // Nested under another operator the explicit form is just an
         // intermediate, so the composed result is canonical.
         s.execute("LET Can = CONSOLIDATE (EXPLICATE Flies);")
             .unwrap();
-        assert!(s.relation("Can").unwrap().len() < 5);
+        assert!(s.snapshot().relation("Can").unwrap().len() < 5);
     }
 
     #[test]
     fn explain_reports_plan_and_rewrites() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let r = s
             .execute("EXPLAIN SELECT (EXPLICATE Flies) WHERE Creature IS ALL Penguin;")
             .unwrap()
@@ -450,14 +373,14 @@ mod tests {
         let explicate_at = text.find("Explicate").expect("explicate node rendered");
         assert!(explicate_at < select_at, "{text}");
         // EXPLAIN materializes nothing.
-        assert!(s.relation("Flies").unwrap().len() == 4);
+        assert!(s.snapshot().relation("Flies").unwrap().len() == 4);
         // Errors in the referenced relations still surface.
         assert!(s.execute("EXPLAIN UNION Flies Nope;").is_err());
     }
 
     #[test]
     fn trace_reports_execution_per_node() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         let r = s
             .execute("TRACE SELECT (EXPLICATE Flies) WHERE Creature IS ALL Penguin;")
             .unwrap()
@@ -475,18 +398,18 @@ mod tests {
         // The result summary closes the report.
         assert!(text.contains("stored tuple(s)"), "{text}");
         // TRACE materializes nothing.
-        assert_eq!(s.relation("Flies").unwrap().len(), 4);
+        assert_eq!(s.snapshot().relation("Flies").unwrap().len(), 4);
         // Errors in the referenced relations still surface.
         assert!(s.execute("TRACE UNION Flies Nope;").is_err());
     }
 
     #[test]
     fn retract_and_assert_round_trip() {
-        let mut s = fig1_session();
+        let s = fig1_engine();
         s.execute("RETRACT Flies (ALL Penguin);").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Paul);"), Some(true));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Paul);"), Some(true));
         s.execute("ASSERT NOT Flies (ALL Penguin);").unwrap();
-        assert_eq!(truth_of(&mut s, "HOLDS Flies (Paul);"), Some(false));
+        assert_eq!(truth_of(&s, "HOLDS Flies (Paul);"), Some(false));
     }
 
     fn temp_store(tag: &str) -> (std::path::PathBuf, String) {
@@ -499,7 +422,7 @@ mod tests {
     #[test]
     fn open_journals_statements_and_survives_reopen() {
         let (dir, dir_str) = temp_store("reopen");
-        let mut s = Session::new();
+        let s = Engine::new();
         let r = s
             .execute(&format!("OPEN \"{dir_str}\" SYNC EVERY 4;"))
             .unwrap()
@@ -511,19 +434,19 @@ mod tests {
         drop(s);
 
         // A fresh session recovers the whole world from checkpoint+WAL.
-        let mut s2 = Session::new();
+        let s2 = Engine::new();
         let r = s2
             .execute(&format!("OPEN \"{dir_str}\";"))
             .unwrap()
             .remove(0);
         assert!(r.to_string().contains("16 record(s) replayed"), "{r}");
         assert_eq!(s2.journal_lsn(), Some(16));
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Tweety);"), Some(true));
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Paul);"), Some(false));
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Patricia);"), Some(true));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Tweety);"), Some(true));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Paul);"), Some(false));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Patricia);"), Some(true));
         // DDL keeps working (and journaling) against the recovered state.
         s2.execute("CREATE INSTANCE Pablo OF Penguin;").unwrap();
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Pablo);"), Some(false));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Pablo);"), Some(false));
         assert_eq!(s2.journal_lsn(), Some(17));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -531,7 +454,7 @@ mod tests {
     #[test]
     fn checkpoint_truncates_the_log() {
         let (dir, dir_str) = temp_store("ckpt");
-        let mut s = Session::new();
+        let s = Engine::new();
         s.execute(&format!("OPEN \"{dir_str}\";")).unwrap();
         s.execute(FIG1).unwrap();
         let r = s.execute("CHECKPOINT;").unwrap().remove(0);
@@ -543,21 +466,21 @@ mod tests {
 
         // After the checkpoint the WAL tail is empty: recovery loads the
         // image and replays nothing.
-        let mut s2 = Session::new();
+        let s2 = Engine::new();
         let r = s2
             .execute(&format!("OPEN \"{dir_str}\";"))
             .unwrap()
             .remove(0);
         assert!(r.to_string().contains("open at lsn 16"), "{r}");
         assert!(r.to_string().contains("0 record(s) replayed"), "{r}");
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Peter);"), Some(true));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Peter);"), Some(true));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn derived_and_in_place_results_checkpoint_implicitly() {
         let (dir, dir_str) = temp_store("implicit");
-        let mut s = Session::new();
+        let s = Engine::new();
         s.execute(&format!("OPEN \"{dir_str}\";")).unwrap();
         s.execute(FIG1).unwrap();
         // LET is outside the WAL vocabulary, so it must checkpoint; the
@@ -567,16 +490,16 @@ mod tests {
         s.execute("CONSOLIDATE Flies;").unwrap();
         drop(s);
 
-        let mut s2 = Session::new();
+        let s2 = Engine::new();
         s2.execute(&format!("OPEN \"{dir_str}\";")).unwrap();
-        assert_eq!(truth_of(&mut s2, "HOLDS Sub (Pamela);"), Some(true));
-        assert_eq!(truth_of(&mut s2, "HOLDS Flies (Paul);"), Some(false));
+        assert_eq!(truth_of(&s2, "HOLDS Sub (Pamela);"), Some(true));
+        assert_eq!(truth_of(&s2, "HOLDS Flies (Paul);"), Some(false));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_without_open_store_errors() {
-        let mut s = Session::new();
+        let s = Engine::new();
         assert!(matches!(
             s.execute("CHECKPOINT;"),
             Err(HqlError::Execution(msg)) if msg.contains("no store open")
@@ -586,11 +509,11 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_engine_sees_the_sessions_writes() {
+    fn a_shared_engine_sees_the_writers_writes() {
         // The supported shape of engine sharing: clone the engine and
         // read it through the location-transparent handle.
-        let mut writer = fig1_session();
-        let reader = writer.engine().clone();
+        let writer = fig1_engine();
+        let reader = writer.clone();
         let handle: &dyn crate::executor::ExecutorHandle = &reader;
         let out = handle.execute_read("HOLDS Flies (Tweety);", 0).unwrap();
         assert!(out[0].ends_with("true"), "{:?}", out[0]);

@@ -63,29 +63,30 @@ pub mod world;
 pub use ast::{Statement, StatementKind};
 pub use engine::{Engine, ReadView};
 pub use error::{HqlError, Result};
-pub use exec::{Response, Session};
+pub use exec::Response;
 pub use executor::{render, ExecError, ExecResult, ExecutorHandle};
 pub use replica::Replica;
 pub use shard::{default_shard, Router, ShardedEngine};
 pub use world::World;
 
-/// Parse and execute one or more statements against a fresh session.
+/// Parse and execute one or more statements against a fresh engine.
 ///
-/// Convenience for tests and doctests; real applications keep a
-/// [`Session`] alive.
+/// Convenience for tests and doctests; real applications keep an
+/// [`Engine`] alive (clone it across threads; read borrowed state
+/// through [`Engine::snapshot`]).
 ///
 /// ```
-/// use hrdm_hql::Session;
-/// let mut session = Session::new();
-/// session.execute("CREATE DOMAIN Animal;").unwrap();
-/// session.execute("CREATE CLASS Bird UNDER Animal;").unwrap();
-/// session.execute("CREATE INSTANCE Tweety OF Bird;").unwrap();
-/// session.execute("CREATE RELATION Flies (Creature: Animal);").unwrap();
-/// session.execute("ASSERT Flies (ALL Bird);").unwrap();
-/// let out = session.execute("HOLDS Flies (Tweety);").unwrap();
+/// use hrdm_hql::Engine;
+/// let engine = Engine::new();
+/// engine.execute("CREATE DOMAIN Animal;").unwrap();
+/// engine.execute("CREATE CLASS Bird UNDER Animal;").unwrap();
+/// engine.execute("CREATE INSTANCE Tweety OF Bird;").unwrap();
+/// engine.execute("CREATE RELATION Flies (Creature: Animal);").unwrap();
+/// engine.execute("ASSERT Flies (ALL Bird);").unwrap();
+/// let out = engine.execute("HOLDS Flies (Tweety);").unwrap();
 /// assert!(out.iter().any(|r| r.to_string().contains("true")));
+/// assert_eq!(engine.snapshot().relation("Flies").unwrap().len(), 1);
 /// ```
 pub fn run(script: &str) -> Result<Vec<Response>> {
-    let mut session = Session::new();
-    session.execute(script)
+    Engine::new().execute(script)
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`Replica`] is an embedded [`Engine`] kept current by tailing a
 //! primary's store directory (`hrdm-persist`'s
-//! [`WalTailer`](hrdm_persist::ship::WalTailer)): checkpoint rollovers
+//! [`WalTailer`]): checkpoint rollovers
 //! arrive as whole images and restore the replica wholesale; committed
 //! WAL mutations arrive one at a time and are replayed as the
 //! equivalent HQL statements through the same write path the primary
@@ -24,69 +24,11 @@
 use std::path::Path;
 use std::sync::Mutex;
 
-use hrdm_core::prelude::*;
 use hrdm_persist::ship::{ShipEvent, WalTailer};
 
-use crate::ast::{Statement, ValueRef};
 use crate::engine::Engine;
 use crate::error::HqlError;
 use crate::executor::{ExecError, ExecResult, ExecutorHandle};
-
-/// Replay form of one WAL mutation: the HQL statement whose write-path
-/// effect on a catalog equals applying the mutation directly.
-pub fn statement_for(mutation: CatalogMutation) -> Statement {
-    let values = |vs: Vec<String>| -> Vec<ValueRef> {
-        vs.into_iter()
-            .map(|name| ValueRef { name, all: false })
-            .collect()
-    };
-    match mutation {
-        CatalogMutation::CreateDomain { name } => Statement::CreateDomain { name },
-        CatalogMutation::DropDomain { name } => Statement::DropDomain { name },
-        CatalogMutation::AddClass { name, parents, .. } => Statement::CreateClass { name, parents },
-        CatalogMutation::AddInstance { name, parents, .. } => {
-            Statement::CreateInstance { name, parents }
-        }
-        CatalogMutation::Prefer {
-            domain,
-            stronger,
-            weaker,
-        } => Statement::Prefer {
-            stronger,
-            weaker,
-            domain,
-        },
-        CatalogMutation::CreateRelation { name, attributes } => {
-            Statement::CreateRelation { name, attributes }
-        }
-        CatalogMutation::DropRelation { name } => Statement::DropRelation { name },
-        CatalogMutation::Assert {
-            relation,
-            values: vs,
-            truth,
-        } => Statement::Assert {
-            relation,
-            negated: truth == Truth::Negative,
-            values: values(vs),
-        },
-        CatalogMutation::Retract {
-            relation,
-            values: vs,
-        } => Statement::Retract {
-            relation,
-            values: values(vs),
-        },
-        CatalogMutation::SetPreemption { relation, mode } => Statement::SetPreemption {
-            relation,
-            mode: match mode {
-                Preemption::OffPath => "OFF-PATH",
-                Preemption::OnPath => "ON-PATH",
-                Preemption::NoPreemption => "NONE",
-            }
-            .to_string(),
-        },
-    }
-}
 
 /// A read-only engine fed by a primary's WAL.
 pub struct Replica {
@@ -124,9 +66,7 @@ impl Replica {
             match event {
                 ShipEvent::Rollover { image, .. } => self.engine.restore(image),
                 ShipEvent::Mutation { mutation, .. } => {
-                    self.engine
-                        .execute_statement(statement_for(mutation))
-                        .map_err(ExecError::from)?;
+                    self.engine.apply_mutation(mutation)?;
                 }
             }
         }
@@ -171,62 +111,6 @@ impl ExecutorHandle for Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_wal_mutation_kind_has_a_replay_statement() {
-        let cases = vec![
-            CatalogMutation::CreateDomain { name: "D".into() },
-            CatalogMutation::AddClass {
-                domain: "D".into(),
-                name: "C".into(),
-                parents: vec!["D".into()],
-            },
-            CatalogMutation::AddInstance {
-                domain: "D".into(),
-                name: "i".into(),
-                parents: vec!["C".into()],
-            },
-            CatalogMutation::Prefer {
-                domain: "D".into(),
-                stronger: "A".into(),
-                weaker: "B".into(),
-            },
-            CatalogMutation::CreateRelation {
-                name: "R".into(),
-                attributes: vec![("a".into(), "D".into())],
-            },
-            CatalogMutation::Assert {
-                relation: "R".into(),
-                values: vec!["C".into()],
-                truth: Truth::Negative,
-            },
-            CatalogMutation::Retract {
-                relation: "R".into(),
-                values: vec!["C".into()],
-            },
-            CatalogMutation::SetPreemption {
-                relation: "R".into(),
-                mode: Preemption::OnPath,
-            },
-            CatalogMutation::DropRelation { name: "R".into() },
-            CatalogMutation::DropDomain { name: "D".into() },
-        ];
-        for m in cases {
-            let stmt = statement_for(m);
-            assert!(!stmt.is_read_only(), "replay statements are writes");
-            // Every replay statement re-parses from its rendering, so
-            // the mapping stays inside the language.
-            crate::parser::parse(&stmt.to_string()).unwrap();
-        }
-        assert_eq!(
-            statement_for(CatalogMutation::SetPreemption {
-                relation: "R".into(),
-                mode: Preemption::OnPath,
-            })
-            .to_string(),
-            "SET PREEMPTION R ON-PATH;"
-        );
-    }
 
     #[test]
     fn replica_refuses_writes_and_serves_reads() {

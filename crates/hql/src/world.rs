@@ -1,44 +1,34 @@
 //! The immutable-once-published session state.
 //!
-//! A [`World`] is everything an HQL statement can see: the domain
-//! graphs and the relations over them. It is the unit the concurrent
-//! [`Engine`](crate::engine::Engine) publishes through a
-//! [`SnapshotCell`]: readers hold an
-//! `Arc<World>` and never lock; the single writer clones the world
-//! (cheap — both maps hold `Arc`s, so a clone is a handful of pointer
+//! A [`World`] is everything an HQL statement can see: the
+//! [`Catalog`] of named domains and relations — the workspace's one
+//! container of named state, wrapped here rather than re-kept — plus
+//! the registry of live `LET` views over it. It is the unit the
+//! concurrent [`Engine`](crate::engine::Engine) publishes through a
+//! [`SnapshotCell`]: readers hold an `Arc<World>` and never lock; the
+//! single writer clones the world (cheap — the catalog's maps and the
+//! view registry hold `Arc`s, so a clone is a handful of pointer
 //! bumps), mutates its private copy, and publishes it as the next
 //! epoch.
 //!
-//! Because relations share their domain graphs through `Arc`s (join
-//! compatibility is `Arc` identity), any mutation of a domain —
-//! `CREATE CLASS`, `CREATE INSTANCE`, `PREFER` — re-shares a fresh
-//! `Arc` across every relation on that domain. Node ids are stable
-//! under node/edge addition, so the stored tuples carry over verbatim.
+//! Named state changes in exactly one place:
+//! [`Catalog::apply_mutation`], which the world forwards to for every
+//! statement in the WAL vocabulary. The world itself only
+//! resolves names (`UNDER`/`OF` parents to their domain), words
+//! failures the HQL way, and keeps the views current.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hrdm_core::delta::{Delta, RelationChange, RelationDelta};
 use hrdm_core::differential::MaterializedPlan;
+use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::plan::LogicalPlan;
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 
 use crate::ast::{Derivation, Source, ValueRef};
 use crate::error::{HqlError, Result};
-
-/// A stored relation plus its (attribute, domain-name) signature. The
-/// signature is what lets a domain mutation rebuild the relation's
-/// schema against the freshly re-shared graphs.
-#[derive(Clone)]
-pub struct RelationEntry {
-    /// The relation itself, shared so a maintained view can alias its
-    /// materialized plan's root cache instead of cloning every tuple on
-    /// each write.
-    pub relation: Arc<HRelation>,
-    /// `(attribute name, domain name)` per schema position.
-    pub signature: Vec<(String, String)>,
-}
 
 /// How a registered view is kept current.
 #[derive(Clone)]
@@ -96,23 +86,31 @@ impl MaintainSummary {
 
 /// The complete state an HQL statement executes against.
 ///
-/// `Clone` is the copy-on-write entry point: it clones only the two
-/// maps of `Arc`s (plus the view registry's `Arc`s), never a graph or
-/// a tuple. Mutators then use
-/// [`Arc::make_mut`] (relations) or clone-and-re-share (domains) so the
-/// original world — possibly still held by concurrent readers — is
-/// untouched.
+/// `Clone` is the copy-on-write entry point: it clones the catalog's
+/// two maps of `Arc`s (plus the view registry's `Arc`s), never a graph
+/// or a tuple. Mutation then goes through [`Arc::make_mut`] inside the
+/// catalog, so the original world — possibly still held by concurrent
+/// readers — is untouched.
 #[derive(Clone, Default)]
 pub struct World {
-    /// The domain graphs, shared with every schema that references them.
-    domains: BTreeMap<String, Arc<HierarchyGraph>>,
-    /// Relations by name.
-    relations: BTreeMap<String, Arc<RelationEntry>>,
+    /// Every named domain and relation.
+    catalog: Catalog,
     /// Live `LET` views in registration order, so a view over another
-    /// view is maintained after its input and sees its delta. Views are
-    /// *session* state, not image state: `LOAD`/`OPEN`/`restore`
-    /// degrade them to plain relations.
+    /// view is maintained after its input and sees its delta. Each
+    /// view's stored relation is an entry of `catalog` like any other.
+    /// Views are *session* state, not image state: `LOAD`/`OPEN`/
+    /// `restore` degrade them to plain relations.
     views: Vec<Arc<ViewDef>>,
+}
+
+impl From<Catalog> for World {
+    /// Wrap a catalog (e.g. a recovered one) as a world with no views.
+    fn from(catalog: Catalog) -> World {
+        World {
+            catalog,
+            views: Vec::new(),
+        }
+    }
 }
 
 /// Resolve a written tuple into an item against a relation's schema.
@@ -132,6 +130,21 @@ pub(crate) fn attr_indexes(rel: &HRelation, attrs: &[String]) -> Result<Vec<usiz
         .collect()
 }
 
+/// The `(attribute, domain)` name pairs of a relation's schema — the
+/// `CREATE RELATION` signature that recreates it (a domain is named
+/// after its root node).
+pub(crate) fn signature(relation: &HRelation) -> Vec<(String, String)> {
+    relation
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| {
+            let domain_name = a.domain().name(a.domain().root()).to_string();
+            (a.name().to_string(), domain_name)
+        })
+        .collect()
+}
+
 impl World {
     /// A fresh, empty world.
     pub fn new() -> World {
@@ -140,76 +153,52 @@ impl World {
 
     /// Names of the defined domains.
     pub fn domain_names(&self) -> impl Iterator<Item = &str> {
-        self.domains.keys().map(String::as_str)
+        self.catalog.domain_names()
     }
 
     /// Number of defined domains.
     pub fn domain_count(&self) -> usize {
-        self.domains.len()
+        self.catalog.domain_names().count()
     }
 
     /// A domain graph by name.
     pub fn domain(&self, name: &str) -> Result<&Arc<HierarchyGraph>> {
-        self.domains.get(name).ok_or_else(|| HqlError::Unknown {
-            kind: "domain",
-            name: name.to_string(),
-        })
+        self.catalog.domain(name).map_err(HqlError::from_catalog)
     }
 
     /// Names of the defined relations.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
+        self.catalog.relation_names()
     }
 
     /// Number of defined relations.
     pub fn relation_count(&self) -> usize {
-        self.relations.len()
+        self.catalog.relation_names().count()
     }
 
     /// A relation by name.
     pub fn relation(&self, name: &str) -> Result<&HRelation> {
-        self.relation_entry(name).map(|e| e.relation.as_ref())
+        self.relation_arc(name).map(Arc::as_ref)
     }
 
-    pub(crate) fn relation_entry(&self, name: &str) -> Result<&RelationEntry> {
-        self.relations
-            .get(name)
-            .map(Arc::as_ref)
-            .ok_or_else(|| HqlError::Unknown {
-                kind: "relation",
-                name: name.to_string(),
-            })
-    }
-
-    fn relation_entry_mut(&mut self, name: &str) -> Result<&mut RelationEntry> {
-        match self.relations.get_mut(name) {
-            Some(arc) => Ok(Arc::make_mut(arc)),
-            None => Err(HqlError::Unknown {
-                kind: "relation",
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    /// Unique access to a relation's tuples (copy-on-write through both
-    /// the entry and the relation `Arc`s).
-    fn relation_mut(&mut self, name: &str) -> Result<&mut HRelation> {
-        let entry = self.relation_entry_mut(name)?;
-        Ok(Arc::make_mut(&mut entry.relation))
+    /// A relation's shared handle by name.
+    fn relation_arc(&self, name: &str) -> Result<&Arc<HRelation>> {
+        self.catalog
+            .relation_arc(name)
+            .map_err(HqlError::from_catalog)
     }
 
     /// The domain that contains all the given node names (for resolving
     /// `UNDER`/`OF` parents).
-    fn domain_containing(&self, names: &[String]) -> Result<String> {
-        let mut hits: Vec<&String> = self
-            .domains
-            .iter()
+    pub(crate) fn domain_containing(&self, names: &[String]) -> Result<String> {
+        let mut hits = self
+            .catalog
+            .domains()
             .filter(|(_, g)| names.iter().all(|n| g.node(n).is_ok()))
-            .map(|(d, _)| d)
-            .collect();
-        match hits.len() {
-            1 => Ok(hits.remove(0).clone()),
-            0 => Err(HqlError::Unknown {
+            .map(|(d, _)| d);
+        match (hits.next(), hits.next()) {
+            (Some(only), None) => Ok(only.to_string()),
+            (None, _) => Err(HqlError::Unknown {
                 kind: "class",
                 name: names.join(", "),
             }),
@@ -219,171 +208,37 @@ impl World {
         }
     }
 
-    /// After mutating `domain`, re-share its fresh `Arc` across every
-    /// relation that references it (node ids are stable, so tuples are
-    /// reused as-is).
-    fn reshare(&mut self, domain: &str) {
-        let names: Vec<String> = self.relations_over(domain).map(String::from).collect();
-        for name in names {
-            let entry = self.relations.remove(&name).expect("listed above");
-            let attrs: Vec<Attribute> = entry
-                .signature
-                .iter()
-                .map(|(attr, dom)| Attribute::new(attr.clone(), self.domains[dom].clone()))
-                .collect();
-            let schema = Arc::new(Schema::new(attrs));
-            let mut rebuilt = HRelation::with_preemption(schema, entry.relation.preemption());
-            for (item, truth) in entry.relation.iter() {
-                rebuilt
-                    .insert(Tuple::new(item.clone(), truth))
-                    .expect("node ids are stable across domain growth");
-            }
-            self.relations.insert(
-                name,
-                Arc::new(RelationEntry {
-                    relation: Arc::new(rebuilt),
-                    signature: entry.signature.clone(),
-                }),
-            );
+    /// Apply one WAL-vocabulary mutation through the catalog's
+    /// interpreter, wording its name-resolution failures the HQL way.
+    /// Dropping a relation that was a live view takes the view's
+    /// definition with it; views *depending* on it fail on their next
+    /// maintenance pass (the write records a reset delta, so that pass
+    /// is this very statement and the failure is atomic).
+    pub(crate) fn apply(&mut self, m: &CatalogMutation) -> Result<()> {
+        self.catalog
+            .apply_mutation(m)
+            .map_err(HqlError::from_catalog)?;
+        if let CatalogMutation::DropRelation { name } = m {
+            self.views.retain(|v| v.name != *name);
         }
-    }
-
-    /// Clone `domain`'s graph, apply `f` to the copy, and on success
-    /// publish the fresh graph to every relation over the domain.
-    fn mutate_domain<F>(&mut self, domain: &str, f: F) -> Result<()>
-    where
-        F: FnOnce(&mut HierarchyGraph) -> Result<()>,
-    {
-        let arc = self.domain(domain)?;
-        let mut g = (**arc).clone();
-        f(&mut g)?;
-        self.domains.insert(domain.to_string(), Arc::new(g));
-        self.reshare(domain);
-        Ok(())
-    }
-
-    pub(crate) fn create_domain(&mut self, name: &str) -> Result<()> {
-        if self.domains.contains_key(name) {
-            return Err(HqlError::Duplicate {
-                kind: "domain",
-                name: name.to_string(),
-            });
-        }
-        self.domains
-            .insert(name.to_string(), Arc::new(HierarchyGraph::new(name)));
-        Ok(())
-    }
-
-    /// Add a class under the named parents; returns the containing
-    /// domain's name (for the journal record and the reply).
-    pub(crate) fn add_class(&mut self, name: &str, parents: &[String]) -> Result<String> {
-        let domain = self.domain_containing(parents)?;
-        self.mutate_domain(&domain, |g| {
-            let parent_ids = parents
-                .iter()
-                .map(|p| g.node(p))
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            g.add_class_multi(name, &parent_ids)?;
-            Ok(())
-        })?;
-        Ok(domain)
-    }
-
-    /// Add an instance under the named parents; returns the containing
-    /// domain's name.
-    pub(crate) fn add_instance(&mut self, name: &str, parents: &[String]) -> Result<String> {
-        let domain = self.domain_containing(parents)?;
-        self.mutate_domain(&domain, |g| {
-            let parent_ids = parents
-                .iter()
-                .map(|p| g.node(p))
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            g.add_instance_multi(name, &parent_ids)?;
-            Ok(())
-        })?;
-        Ok(domain)
-    }
-
-    pub(crate) fn prefer(&mut self, domain: &str, stronger: &str, weaker: &str) -> Result<()> {
-        self.mutate_domain(domain, |g| {
-            let s = g.node(stronger)?;
-            let w = g.node(weaker)?;
-            hrdm_hierarchy::preference::prefer(g, s, w)?;
-            Ok(())
-        })
-    }
-
-    pub(crate) fn create_relation(
-        &mut self,
-        name: &str,
-        attributes: &[(String, String)],
-    ) -> Result<()> {
-        if self.relations.contains_key(name) {
-            return Err(HqlError::Duplicate {
-                kind: "relation",
-                name: name.to_string(),
-            });
-        }
-        let attrs = attributes
-            .iter()
-            .map(|(attr, dom)| Ok(Attribute::new(attr.clone(), self.domain(dom)?.clone())))
-            .collect::<Result<Vec<_>>>()?;
-        let schema = Arc::new(Schema::new(attrs));
-        self.relations.insert(
-            name.to_string(),
-            Arc::new(RelationEntry {
-                relation: Arc::new(HRelation::new(schema)),
-                signature: attributes.to_vec(),
-            }),
-        );
         Ok(())
     }
 
     /// Names of the relations whose schema references `domain`, in name
     /// order: the `SHOW RELATIONS OVER` listing, whose first entry is
     /// what the `DROP DOMAIN` in-use guard reports.
-    pub fn relations_over<'a>(&'a self, domain: &'a str) -> impl Iterator<Item = &'a str> {
-        self.relations
-            .iter()
-            .filter(move |(_, e)| e.signature.iter().any(|(_, d)| d == domain))
-            .map(|(n, _)| n.as_str())
+    pub fn relations_over<'a>(&'a self, domain: &str) -> impl Iterator<Item = &'a str> {
+        self.catalog.relations_over(domain)
     }
 
-    /// Remove a domain no relation references (mirrors
-    /// `Catalog::apply_mutation`'s InUse guard, keyed on the signature
-    /// rather than `Arc` identity — equivalent, since every relation
-    /// over the domain shares its graph by name).
-    pub(crate) fn drop_domain(&mut self, name: &str) -> Result<()> {
-        if !self.domains.contains_key(name) {
-            return Err(HqlError::Unknown {
-                kind: "domain",
-                name: name.to_string(),
-            });
-        }
-        if let Some(by) = self.relations_over(name).next() {
-            return Err(CoreError::InUse {
-                kind: "domain",
-                name: name.to_string(),
-                by: by.to_string(),
-            }
-            .into());
-        }
-        self.domains.remove(name);
-        Ok(())
-    }
-
-    /// Remove a stored relation. If it was a live view, its definition
-    /// goes with it; views *depending* on it fail on their next
-    /// maintenance pass (the caller records a reset delta, so that pass
-    /// is this very statement and the failure is atomic).
-    pub(crate) fn drop_relation(&mut self, name: &str) -> Result<()> {
-        if self.relations.remove(name).is_none() {
-            return Err(HqlError::Unknown {
+    /// Fail with HQL's `Duplicate` if a relation named `name` exists.
+    fn require_fresh_relation(&self, name: &str) -> Result<()> {
+        if self.catalog.relation(name).is_ok() {
+            return Err(HqlError::Duplicate {
                 kind: "relation",
                 name: name.to_string(),
             });
         }
-        self.views.retain(|v| v.name != name);
         Ok(())
     }
 
@@ -391,111 +246,41 @@ impl World {
     /// (the stored tuples survive under `to` as a plain relation); views
     /// depending on `from` fail atomically via the caller's reset delta.
     pub(crate) fn rename_relation(&mut self, from: &str, to: &str) -> Result<()> {
-        if self.relations.contains_key(to) {
-            return Err(HqlError::Duplicate {
-                kind: "relation",
-                name: to.to_string(),
-            });
-        }
-        let entry = match self.relations.remove(from) {
-            Some(e) => e,
-            None => {
-                return Err(HqlError::Unknown {
-                    kind: "relation",
-                    name: from.to_string(),
-                })
-            }
-        };
-        self.relations.insert(to.to_string(), entry);
+        self.require_fresh_relation(to)?;
+        let relation = self
+            .catalog
+            .drop_relation(from)
+            .map_err(HqlError::from_catalog)?;
+        self.catalog.add_relation(to, relation);
         self.views.retain(|v| v.name != from);
         Ok(())
-    }
-
-    /// Assert a tuple; returns the rendered item (for the reply) and
-    /// the resolved item (for the write's delta).
-    pub(crate) fn assert_item(
-        &mut self,
-        relation: &str,
-        values: &[ValueRef],
-        truth: Truth,
-    ) -> Result<(String, Item)> {
-        let rel = self.relation_mut(relation)?;
-        let item = resolve_item(rel, values)?;
-        let rendered = rel.schema().display_item(&item);
-        rel.assert_item(item.clone(), truth)?;
-        Ok((rendered, item))
-    }
-
-    /// Retract a stored tuple; returns the rendered item (for the
-    /// reply) and the resolved item (for the write's delta).
-    pub(crate) fn retract_item(
-        &mut self,
-        relation: &str,
-        values: &[ValueRef],
-    ) -> Result<(String, Item)> {
-        let rel = self.relation_mut(relation)?;
-        let item = resolve_item(rel, values)?;
-        let rendered = rel.schema().display_item(&item);
-        if rel.remove(&item).is_none() {
-            return Err(HqlError::Unknown {
-                kind: "tuple",
-                name: rendered,
-            });
-        }
-        Ok((rendered, item))
     }
 
     /// Consolidate a relation in place; returns the number of tuples
     /// removed.
     pub(crate) fn consolidate_in_place(&mut self, relation: &str) -> Result<usize> {
-        let entry = self.relation_entry_mut(relation)?;
-        let result = hrdm_core::consolidate::consolidate(entry.relation.as_ref());
+        let result = hrdm_core::consolidate::consolidate(self.relation(relation)?);
         let removed = result.removed.len();
-        entry.relation = Arc::new(result.relation);
+        self.catalog.add_relation(relation, result.relation);
         Ok(removed)
     }
 
     /// Explicate a relation in place; returns the new tuple count.
     pub(crate) fn explicate_in_place(&mut self, relation: &str, attrs: &[String]) -> Result<usize> {
-        let entry = self.relation_entry_mut(relation)?;
-        let indexes = attr_indexes(entry.relation.as_ref(), attrs)?;
-        let result = hrdm_core::explicate::explicate(entry.relation.as_ref(), &indexes)?;
+        let rel = self.relation(relation)?;
+        let indexes = attr_indexes(rel, attrs)?;
+        let result = hrdm_core::explicate::explicate(rel, &indexes)?;
         let tuples = result.len();
-        entry.relation = Arc::new(result);
+        self.catalog.add_relation(relation, result);
         Ok(tuples)
-    }
-
-    pub(crate) fn set_preemption(&mut self, relation: &str, mode: Preemption) -> Result<()> {
-        self.relation_mut(relation)?.set_preemption(mode);
-        Ok(())
     }
 
     /// Store a derived relation under a fresh name; returns its stored
     /// tuple count.
     pub(crate) fn store_derived(&mut self, name: &str, relation: HRelation) -> Result<usize> {
-        if self.relations.contains_key(name) {
-            return Err(HqlError::Duplicate {
-                kind: "relation",
-                name: name.to_string(),
-            });
-        }
-        let signature: Vec<(String, String)> = relation
-            .schema()
-            .attributes()
-            .iter()
-            .map(|a| {
-                let domain_name = a.domain().name(a.domain().root()).to_string();
-                (a.name().to_string(), domain_name)
-            })
-            .collect();
+        self.require_fresh_relation(name)?;
         let tuples = relation.len();
-        self.relations.insert(
-            name.to_string(),
-            Arc::new(RelationEntry {
-                relation: Arc::new(relation),
-                signature,
-            }),
-        );
+        self.catalog.add_relation(name, relation);
         Ok(tuples)
     }
 
@@ -507,34 +292,6 @@ impl World {
     /// Whether `name` is a maintained view.
     pub fn is_view(&self, name: &str) -> bool {
         self.views.iter().any(|v| v.name == name)
-    }
-
-    /// The `(attribute, domain-root)` signature of a relation's schema,
-    /// mirroring [`World::store_derived`]'s bookkeeping.
-    fn signature_of(relation: &HRelation) -> Vec<(String, String)> {
-        relation
-            .schema()
-            .attributes()
-            .iter()
-            .map(|a| {
-                let domain_name = a.domain().name(a.domain().root()).to_string();
-                (a.name().to_string(), domain_name)
-            })
-            .collect()
-    }
-
-    /// Replace a relation entry wholesale (view maintenance). Takes the
-    /// relation as an `Arc` so the entry can alias a materialized
-    /// plan's root cache without copying tuples.
-    fn set_relation(&mut self, name: &str, relation: Arc<HRelation>) {
-        let signature = World::signature_of(&relation);
-        self.relations.insert(
-            name.to_string(),
-            Arc::new(RelationEntry {
-                relation,
-                signature,
-            }),
-        );
     }
 
     /// Build the maintenance machinery for a derivation against the
@@ -571,10 +328,8 @@ impl World {
         let deps = hrdm_core::differential::scan_names(&plan);
         let mut dep_domains = BTreeSet::new();
         for dep in &deps {
-            if let Ok(entry) = self.relation_entry(dep) {
-                for (_, dom) in &entry.signature {
-                    dep_domains.insert(dom.clone());
-                }
+            if let Ok(relation) = self.relation(dep) {
+                dep_domains.extend(signature(relation).into_iter().map(|(_, dom)| dom));
             }
         }
         let mode = self.view_mode_of(&derivation);
@@ -646,8 +401,8 @@ impl World {
                     // scan caches alias them instead of copying.
                     let mut bases: BTreeMap<String, Arc<HRelation>> = BTreeMap::new();
                     for dep in rows.keys() {
-                        if let Ok(entry) = self.relation_entry(dep) {
-                            bases.insert(dep.clone(), entry.relation.clone());
+                        if let Ok(base) = self.relation_arc(dep) {
+                            bases.insert(dep.clone(), base.clone());
                         }
                     }
                     // Any differential error falls through to the full
@@ -680,7 +435,7 @@ impl World {
                 }
             };
             let mode_changed = relation.preemption() != old_preemption;
-            self.set_relation(&view.name, relation);
+            self.catalog.add_relation(view.name.as_str(), relation);
             if mode_changed {
                 // A preemption-mode flip is invisible to a row diff but
                 // changes downstream semantics; cascade it as a reset so
@@ -705,49 +460,15 @@ impl World {
         Ok(summary)
     }
 
-    /// Snapshot the world as a persistence image.
+    /// Snapshot the world as a persistence image: the catalog's own
+    /// handles, no graph or tuple copied.
     pub fn to_image(&self) -> hrdm_persist::Image {
-        let mut image = hrdm_persist::Image::new();
-        for (name, arc) in &self.domains {
-            image.add_domain(name.clone(), arc.clone());
-        }
-        for (name, entry) in &self.relations {
-            image.add_relation(name.clone(), entry.relation.as_ref().clone());
-        }
-        image
+        hrdm_persist::Image::from_catalog(&self.catalog)
     }
 
-    /// Build a world from a persistence image.
+    /// Build a world from a persistence image, taking over its handles.
     pub fn from_image(image: hrdm_persist::Image) -> World {
-        let mut world = World::new();
-        let domain_names: Vec<String> = image.domain_names().map(String::from).collect();
-        for name in &domain_names {
-            let arc = image.domain(name).expect("listed").clone();
-            world.domains.insert(name.clone(), arc);
-        }
-        let relation_names: Vec<String> = image.relation_names().map(String::from).collect();
-        for name in relation_names {
-            let rel = image.relation(&name).expect("listed").clone();
-            let signature: Vec<(String, String)> = rel
-                .schema()
-                .attributes()
-                .iter()
-                .map(|a| {
-                    (
-                        a.name().to_string(),
-                        a.domain().name(a.domain().root()).to_string(),
-                    )
-                })
-                .collect();
-            world.relations.insert(
-                name,
-                Arc::new(RelationEntry {
-                    relation: Arc::new(rel),
-                    signature,
-                }),
-            );
-        }
-        world
+        World::from(image.into_catalog())
     }
 
     /// Evaluate a derivation by building a [`LogicalPlan`], optimizing
@@ -781,7 +502,7 @@ impl World {
     /// nested derivation is evaluated like any `LET` right-hand side.
     fn source_relation(&self, src: &Source) -> Result<HRelation> {
         match src {
-            Source::Named(name) => Ok(self.relation_entry(name)?.relation.as_ref().clone()),
+            Source::Named(name) => Ok(self.relation(name)?.clone()),
             Source::Derived(inner) => self.derive(inner),
         }
     }
@@ -790,13 +511,10 @@ impl World {
     /// inline into the surrounding tree so rewrites can cross them.
     fn source_plan(&self, src: &Source) -> Result<LogicalPlan> {
         match src {
-            Source::Named(name) => {
-                let entry = self.relation_entry(name)?;
-                Ok(LogicalPlan::scan(
-                    name.clone(),
-                    entry.relation.as_ref().clone(),
-                ))
-            }
+            Source::Named(name) => Ok(LogicalPlan::scan(
+                name.clone(),
+                self.relation(name)?.clone(),
+            )),
             Source::Derived(inner) => self.plan_of(inner),
         }
     }
@@ -849,62 +567,115 @@ impl World {
 mod tests {
     use super::*;
 
+    fn apply(w: &mut World, m: CatalogMutation) {
+        w.apply(&m).unwrap();
+    }
+
+    /// Domain `D` with class `A`, and relations `R` and `S` over it,
+    /// `R` holding `∀A`.
+    fn sample() -> World {
+        let mut w = World::new();
+        apply(&mut w, CatalogMutation::CreateDomain { name: "D".into() });
+        apply(
+            &mut w,
+            CatalogMutation::AddClass {
+                domain: "D".into(),
+                name: "A".into(),
+                parents: vec!["D".into()],
+            },
+        );
+        for name in ["R", "S"] {
+            apply(
+                &mut w,
+                CatalogMutation::CreateRelation {
+                    name: name.into(),
+                    attributes: vec![("V".into(), "D".into())],
+                },
+            );
+        }
+        apply(&mut w, assert_a("R"));
+        w
+    }
+
+    fn assert_a(relation: &str) -> CatalogMutation {
+        CatalogMutation::Assert {
+            relation: relation.into(),
+            values: vec!["A".into()],
+            truth: Truth::Positive,
+        }
+    }
+
     #[test]
     fn clone_is_shallow() {
-        let mut w = World::new();
-        w.create_domain("D").unwrap();
-        w.create_relation("R", &[("V".into(), "D".into())]).unwrap();
+        let w = sample();
         let copy = w.clone();
         // Same Arcs on both sides until someone mutates.
         assert!(Arc::ptr_eq(
             w.domain("D").unwrap(),
             copy.domain("D").unwrap()
         ));
-        assert!(Arc::ptr_eq(&w.relations["R"], &copy.relations["R"]));
+        assert!(Arc::ptr_eq(
+            w.relation_arc("R").unwrap(),
+            copy.relation_arc("R").unwrap()
+        ));
     }
 
     #[test]
     fn mutating_a_copy_leaves_the_original_untouched() {
-        let mut w = World::new();
-        w.create_domain("D").unwrap();
-        w.add_class("A", &["D".into()]).unwrap();
-        w.create_relation("R", &[("V".into(), "D".into())]).unwrap();
+        let w = sample();
         let mut copy = w.clone();
-        copy.add_class("B", &["A".into()]).unwrap();
-        copy.assert_item(
-            "R",
-            &[ValueRef {
-                name: "A".into(),
-                all: true,
-            }],
-            Truth::Positive,
-        )
-        .unwrap();
+        apply(
+            &mut copy,
+            CatalogMutation::AddClass {
+                domain: "D".into(),
+                name: "B".into(),
+                parents: vec!["A".into()],
+            },
+        );
+        apply(&mut copy, assert_a("S"));
         // The original still has the pre-mutation graph and relation.
         assert!(w.domain("D").unwrap().node("B").is_err());
-        assert_eq!(w.relation("R").unwrap().len(), 0);
+        assert_eq!(w.relation("S").unwrap().len(), 0);
         assert!(copy.domain("D").unwrap().node("B").is_ok());
-        assert_eq!(copy.relation("R").unwrap().len(), 1);
+        assert_eq!(copy.relation("S").unwrap().len(), 1);
     }
 
     #[test]
-    fn image_round_trip() {
-        let mut w = World::new();
-        w.create_domain("D").unwrap();
-        w.add_class("A", &["D".into()]).unwrap();
-        w.create_relation("R", &[("V".into(), "D".into())]).unwrap();
-        w.assert_item(
-            "R",
-            &[ValueRef {
-                name: "A".into(),
-                all: true,
-            }],
-            Truth::Positive,
-        )
-        .unwrap();
+    fn a_write_to_one_relation_shares_every_other() {
+        let before = sample();
+        let mut after = before.clone();
+        apply(&mut after, assert_a("S"));
+        assert!(!Arc::ptr_eq(
+            before.relation_arc("S").unwrap(),
+            after.relation_arc("S").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            before.relation_arc("R").unwrap(),
+            after.relation_arc("R").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            before.domain("D").unwrap(),
+            after.domain("D").unwrap()
+        ));
+    }
+
+    #[test]
+    fn image_round_trip_shares_storage() {
+        let w = sample();
         let restored = World::from_image(w.to_image());
         assert_eq!(restored.domain_count(), 1);
-        assert_eq!(restored.relation("R").unwrap().len(), 1);
+        assert_eq!(restored.relation_count(), 2);
+        // No graph and no tuple was copied on the way through the image.
+        for name in ["R", "S"] {
+            assert!(Arc::ptr_eq(
+                w.relation_arc(name).unwrap(),
+                restored.relation_arc(name).unwrap()
+            ));
+        }
+        assert!(Arc::ptr_eq(
+            w.domain("D").unwrap(),
+            restored.domain("D").unwrap()
+        ));
         // Domain handle identity links the restored relation's schema to
         // the restored domain map (join compatibility is Arc identity).
         assert!(Arc::ptr_eq(

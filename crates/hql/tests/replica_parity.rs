@@ -1,14 +1,20 @@
-//! Replica-parity harness (the acceptance gate for WAL shipping).
+//! Replica-parity harness (the acceptance gate for WAL shipping and
+//! for restart).
 //!
 //! A model-driven generator feeds a primary engine ≥ 1k randomized
 //! mutation statements (every WAL mutation kind, plus rollover-forcing
 //! `CHECKPOINT` / `CONSOLIDATE`), journaling through an `OPEN`ed store.
 //! A [`Replica`] tails the same directory and, at randomized sync
-//! points, every read over the catalog (`SHOW` / `COUNT` / `CHECK` per
-//! relation, `SHOW DOMAIN` per domain) must render **byte-identically**
-//! on the replica and on the primary at the shipped LSN. The shipped
-//! LSN itself must agree with the primary's journal LSN — the replica
-//! is exactly as far along as the WAL says.
+//! points, a fresh engine `OPEN`s a *copy* of the directory (a restart
+//! at that instant). Every read over the catalog (`SHOW` / `COUNT` /
+//! `CHECK` per relation, `SHOW DOMAIN` per domain) must render
+//! **byte-identically** on the primary, on the replica and on the
+//! restart at the shipped LSN — live writes, shipped mutations and
+//! recovery all run one interpreter, and this pins that they agree. The
+//! shipped and recovered LSNs must equal the primary's journal LSN, and
+//! statements the primary refuses (duplicate names, unknown parents or
+//! domains, a retract of an absent tuple) must advance none of the
+//! three.
 
 use hrdm_hql::{Engine, ExecutorHandle, Replica};
 use rand::rngs::SmallRng;
@@ -66,6 +72,37 @@ impl Model {
         } else {
             format!("ALL {}", d.classes[rng.gen_range(0..d.classes.len())])
         }
+    }
+
+    /// Statements the primary must refuse right now: duplicate names,
+    /// an unknown parent, an unknown domain, and a retract of a tuple
+    /// that is not stored.
+    fn refused_statements(&self) -> Vec<String> {
+        let mut out = vec![
+            "CREATE CLASS Ghost UNDER NoSuchParent;".to_string(),
+            "CREATE RELATION Ghost (A0: NoSuchDomain);".to_string(),
+        ];
+        if let Some(d) = self.domains.first() {
+            out.push(format!("CREATE DOMAIN {};", d.name));
+        }
+        if let Some(r) = self.relations.first() {
+            out.push(format!(
+                "CREATE RELATION {} (A0: {});",
+                r.name, r.domains[0]
+            ));
+            // `stored` over-approximates what the primary holds (refused
+            // asserts stay listed), so a value list outside it is absent.
+            let roots = r
+                .domains
+                .iter()
+                .map(|d| format!("ALL {d}"))
+                .collect::<Vec<_>>()
+                .join(", ");
+            if !r.stored.contains(&roots) {
+                out.push(format!("RETRACT {} ({roots});", r.name));
+            }
+        }
+        out
     }
 
     /// The read suite over everything currently live.
@@ -203,23 +240,71 @@ fn temp_store(tag: u64) -> (std::path::PathBuf, String) {
     (dir, quoted)
 }
 
-/// Sync the replica and pin byte parity with the primary right now.
-fn assert_parity(primary: &Engine, replica: &Replica, model: &Model, at: usize) {
+/// A restart at this instant: `OPEN` a copy of the primary's store
+/// directory in a fresh engine.
+fn restart_from_copy(dir: &std::path::Path) -> Engine {
+    let copy = dir.with_extension("restart");
+    let _ = std::fs::remove_dir_all(&copy);
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+    }
+    let restarted = Engine::new();
+    restarted
+        .execute(&format!("OPEN \"{}\";", copy.to_str().unwrap()))
+        .unwrap();
+    restarted
+}
+
+/// Sync the replica, restart from a copy of the store, and pin byte
+/// parity of all three right now.
+fn assert_parity(
+    primary: &Engine,
+    replica: &Replica,
+    model: &Model,
+    dir: &std::path::Path,
+    at: usize,
+) {
     let shipped = replica.sync().unwrap();
     assert_eq!(
         Some(shipped),
         primary.journal_lsn(),
         "replica drained to a different LSN than the primary journaled (statement {at})"
     );
+
+    // Refused statements journal nothing and publish nothing, anywhere.
+    let epochs = (primary.epoch(), replica.engine().epoch());
+    for stmt in model.refused_statements() {
+        assert!(
+            primary.execute(&stmt).is_err(),
+            "primary accepted {stmt} (statement {at})"
+        );
+    }
+    assert_eq!(primary.journal_lsn(), Some(shipped));
+    assert_eq!(replica.sync().unwrap(), shipped);
+    assert_eq!((primary.epoch(), replica.engine().epoch()), epochs);
+    let restarted = restart_from_copy(dir);
+    assert_eq!(
+        restarted.journal_lsn(),
+        Some(shipped),
+        "restart recovered a different LSN than the primary journaled (statement {at})"
+    );
+
     let suite = model.read_suite();
     if suite.is_empty() {
         return;
     }
     let expected = primary.execute_read(&suite, 0).unwrap();
-    let got = replica.execute_read(&suite, 0).unwrap();
     assert_eq!(
-        expected, got,
+        expected,
+        replica.execute_read(&suite, 0).unwrap(),
         "replica diverged from the primary at statement {at} (lsn {shipped})"
+    );
+    assert_eq!(
+        expected,
+        restarted.execute_read(&suite, 0).unwrap(),
+        "restart diverged from the primary at statement {at} (lsn {shipped})"
     );
     assert!(replica.execute("CREATE DOMAIN Nope;").is_err());
 }
@@ -255,10 +340,10 @@ fn replica_reads_are_byte_identical_across_randomized_histories() {
             }
             applied += 1;
             if applied.is_multiple_of(SYNC_STRIDE) {
-                assert_parity(&primary, &replica, &model, applied);
+                assert_parity(&primary, &replica, &model, &dir, applied);
             }
         }
-        assert_parity(&primary, &replica, &model, applied);
+        assert_parity(&primary, &replica, &model, &dir, applied);
         statements_total += applied;
 
         // A replica attached late sees the same state via a catch-up
@@ -273,6 +358,7 @@ fn replica_reads_are_byte_identical_across_randomized_histories() {
         );
 
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(dir.with_extension("restart")).ok();
     }
     assert!(
         statements_total >= 1000,

@@ -4,14 +4,14 @@
 
 use proptest::prelude::*;
 
-use hrdm_hql::Session;
+use hrdm_hql::Engine;
 
 const CLASSES: &[&str] = &["Bird", "Penguin", "Fish", "Mammal"];
 const INSTANCES: &[&str] = &["tweety", "paul", "nemo", "rex"];
 const RELATIONS: &[&str] = &["R", "S"];
 
-fn seeded_session() -> Session {
-    let mut s = Session::new();
+fn seeded_session() -> Engine {
+    let s = Engine::new();
     s.execute(
         r#"
         CREATE DOMAIN D;
@@ -68,7 +68,7 @@ proptest! {
 
     #[test]
     fn random_sessions_never_panic(commands in prop::collection::vec(arb_command(), 1..25)) {
-        let mut s = seeded_session();
+        let s = seeded_session();
         for cmd in &commands {
             // Errors are fine (contradictions, unknown names, duplicate
             // LET bindings); panics are not.
@@ -81,7 +81,7 @@ proptest! {
 
     #[test]
     fn successful_asserts_are_visible(class in prop::sample::select(CLASSES.to_vec())) {
-        let mut s = seeded_session();
+        let s = seeded_session();
         s.execute(&format!("ASSERT R (ALL {class});")).unwrap();
         // Some instance under the class must now hold.
         let member = match class {

@@ -1,5 +1,10 @@
 //! The `HRDM1` image: a whole catalog in one byte stream.
 //!
+//! [`Image`] is the codec type, not a store of its own: it carries the
+//! same `Arc<HierarchyGraph>` / `Arc<HRelation>` handles a
+//! [`Catalog`] holds, so a checkpoint or an
+//! `OPEN` moves a catalog through it without copying a tuple.
+//!
 //! Layout (all integers little-endian):
 //!
 //! ```text
@@ -46,11 +51,18 @@ fn checked_count(n: u32, what: &str) -> Result<usize> {
 }
 
 /// An in-memory catalog image: named shared domains plus named
-/// relations over them.
+/// relations over them, in the order they are encoded.
+///
+/// The image is the `HRDM1` codec's view of a
+/// [`Catalog`], not a second container: it holds the catalog's own
+/// `Arc`s, so converting in either direction
+/// ([`from_catalog`](Image::from_catalog),
+/// [`into_catalog`](Image::into_catalog)) bumps or moves pointers and
+/// never copies a graph or a tuple.
 #[derive(Default)]
 pub struct Image {
     domains: Vec<(String, Arc<HierarchyGraph>)>,
-    relations: Vec<(String, HRelation)>,
+    relations: Vec<(String, Arc<HRelation>)>,
 }
 
 impl std::fmt::Debug for Image {
@@ -78,30 +90,32 @@ impl Image {
         self.domains.push((name.into(), graph));
     }
 
-    /// Register a relation. Its attribute domains must have been added
-    /// (checked at encode time).
-    pub fn add_relation(&mut self, name: impl Into<String>, relation: HRelation) {
-        self.relations.push((name.into(), relation));
+    /// Register a relation, owned or already shared. Its attribute
+    /// domains must have been added (checked at encode time).
+    pub fn add_relation(&mut self, name: impl Into<String>, relation: impl Into<Arc<HRelation>>) {
+        self.relations.push((name.into(), relation.into()));
     }
 
-    /// Build an image from a [`Catalog`], sharing its domain handles.
+    /// Build an image from a [`Catalog`], sharing its domain and
+    /// relation handles.
     pub fn from_catalog(catalog: &Catalog) -> Image {
-        let mut image = Image::new();
-        for name in catalog.domain_names() {
-            image.add_domain(name, catalog.domain(name).expect("listed").clone());
+        Image {
+            domains: catalog
+                .domains()
+                .map(|(n, g)| (n.to_string(), g.clone()))
+                .collect(),
+            relations: catalog
+                .relations()
+                .map(|(n, r)| (n.to_string(), r.clone()))
+                .collect(),
         }
-        for name in catalog.relation_names() {
-            image.add_relation(name, catalog.relation(name).expect("listed").clone());
-        }
-        image
     }
 
-    /// Convert back into a [`Catalog`].
+    /// Convert back into a [`Catalog`], moving the handles (relations
+    /// were rebuilt against these same domain `Arc`s at decode time).
     pub fn into_catalog(self) -> Catalog {
         let mut catalog = Catalog::new();
         for (name, graph) in self.domains {
-            // Re-wrap: Catalog interns its own Arc; relations keep theirs
-            // (they were rebuilt against these same Arcs at decode time).
             catalog.add_domain_arc(name, graph);
         }
         for (name, relation) in self.relations {
@@ -115,7 +129,7 @@ impl Image {
         self.relations
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.as_ref())
             .ok_or_else(|| PersistError::NotFound(name.to_string()))
     }
 
@@ -300,7 +314,7 @@ impl Image {
                     .insert(Tuple::new(item, truth))
                     .map_err(|e| PersistError::Corrupt(format!("bad tuple: {e}")))?;
             }
-            relations.push((rel_name, relation));
+            relations.push((rel_name, Arc::new(relation)));
         }
 
         Ok(Image { domains, relations })

@@ -31,7 +31,7 @@ use std::fs::{self, File};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use hrdm_core::mutation::{CatalogMutation, MutationSink};
+use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::Catalog;
 
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
@@ -351,32 +351,12 @@ impl Journal {
     }
 }
 
-/// Forwards successful catalog mutations into a shared journal.
-///
-/// The sink must not fail (the mutation is already applied), so append
-/// errors are parked and surfaced by [`DurableCatalog::mutate`]'s
-/// post-check.
-struct JournalSink {
-    journal: std::sync::Arc<std::sync::Mutex<Journal>>,
-    error: std::sync::Arc<std::sync::Mutex<Option<PersistError>>>,
-}
-
-impl MutationSink for JournalSink {
-    fn on_mutation(&mut self, mutation: &CatalogMutation) {
-        let mut journal = self.journal.lock().expect("journal lock");
-        if let Err(e) = journal.record(mutation) {
-            *self.error.lock().expect("error lock") = Some(e);
-        }
-    }
-}
-
 /// A [`Catalog`] whose every mutation is journaled to a store
 /// directory — open it again after a crash and [`recover`] rebuilds
 /// the same state.
 pub struct DurableCatalog {
     catalog: Catalog,
-    journal: std::sync::Arc<std::sync::Mutex<Journal>>,
-    sink_error: std::sync::Arc<std::sync::Mutex<Option<PersistError>>>,
+    journal: Journal,
     report: RecoveryReport,
 }
 
@@ -394,26 +374,16 @@ impl DurableCatalog {
     /// (the torn tail of the previous one is garbage-collected, not
     /// edited in place).
     pub fn open_with_group(dir: &Path, group: usize) -> Result<DurableCatalog> {
-        let Recovered {
-            mut catalog,
-            report,
-        } = recover(dir)?;
+        let Recovered { catalog, report } = recover(dir)?;
         let journal = Journal::begin(
             dir,
             report.next_lsn(),
             &Image::from_catalog(&catalog),
             group,
         )?;
-        let journal = std::sync::Arc::new(std::sync::Mutex::new(journal));
-        let sink_error = std::sync::Arc::new(std::sync::Mutex::new(None));
-        catalog.set_mutation_sink(Some(Box::new(JournalSink {
-            journal: journal.clone(),
-            error: sink_error.clone(),
-        })));
         Ok(DurableCatalog {
             catalog,
             journal,
-            sink_error,
             report,
         })
     }
@@ -431,36 +401,30 @@ impl DurableCatalog {
     /// LSN of the next mutation (= mutations applied over the store's
     /// lifetime).
     pub fn lsn(&self) -> u64 {
-        self.journal.lock().expect("journal lock").next_lsn()
+        self.journal.next_lsn()
     }
 
-    /// Apply a mutation and journal it. An error from the journal
-    /// (disk full, …) is surfaced here even though the in-memory
-    /// change already happened — the caller must treat the store as
-    /// poisoned beyond that point.
+    /// Apply a mutation, then journal it — only mutations the catalog
+    /// accepted reach the log. An error from the journal (disk full, …)
+    /// is surfaced here even though the in-memory change already
+    /// happened — the caller must treat the store as poisoned beyond
+    /// that point.
     pub fn mutate(&mut self, m: CatalogMutation) -> Result<()> {
         self.catalog
-            .mutate(m)
+            .apply_mutation(&m)
             .map_err(|e| PersistError::Rebuild(e.to_string()))?;
-        if let Some(e) = self.sink_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-        Ok(())
+        self.journal.record(&m)
     }
 
     /// Fsync any buffered WAL records.
     pub fn sync(&mut self) -> Result<()> {
-        self.journal.lock().expect("journal lock").sync()
+        self.journal.sync()
     }
 
     /// Checkpoint the current state and truncate the WAL. Returns the
     /// new checkpoint LSN.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let image = Image::from_catalog(&self.catalog);
-        self.journal
-            .lock()
-            .expect("journal lock")
-            .checkpoint(&image)
+        self.journal.checkpoint(&Image::from_catalog(&self.catalog))
     }
 }
 
@@ -525,7 +489,7 @@ mod tests {
             let mut store = DurableCatalog::open(&dir).unwrap();
             for m in script() {
                 store.mutate(m.clone()).unwrap();
-                live.mutate(m).unwrap();
+                live.apply_mutation(&m).unwrap();
             }
             assert_eq!(store.lsn(), script().len() as u64);
         } // dropped without checkpoint: WAL replay carries everything

@@ -311,7 +311,7 @@ fn reference_prefixes(script: &[CatalogMutation]) -> Vec<String> {
     let mut refs = vec![catalog.render_stable()];
     for m in script {
         catalog
-            .mutate(m.clone())
+            .apply_mutation(m)
             .unwrap_or_else(|e| panic!("generated mutation must apply: {m}: {e}"));
         refs.push(catalog.render_stable());
     }

@@ -6,7 +6,7 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hrdm::prelude::{Engine, Session};
+use hrdm::prelude::Engine;
 use hrdm_server::proto::{read_frame, write_frame, PROTOCOL_VERSION};
 use hrdm_server::{Client, Reply, Request, Server, ServerConfig, ServerHandle};
 
@@ -34,7 +34,7 @@ fn queries_over_the_wire_are_byte_identical_to_an_embedded_session() {
                   HOLDS Flies (Tweety); \
                   SHOW Flies; \
                   COUNT Flies;";
-    let mut session = Session::new();
+    let session = Engine::new();
     let expected: Vec<String> = session
         .execute(script)
         .unwrap()

@@ -13,7 +13,7 @@
 
 use std::io::{BufRead, Write};
 
-use hrdm::hql::Session;
+use hrdm::hql::Engine;
 
 const PRELUDE: &str = r#"
 CREATE DOMAIN Animal;
@@ -47,7 +47,7 @@ HQL statements (see crates/hql for the full grammar):
 Shell commands: .help  .relations  .quit";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut session = Session::new();
+    let session = Engine::new();
     session.execute(PRELUDE)?;
     println!("hrdm HQL shell — Fig. 1 world preloaded ('.help' for help)");
 
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             ".relations" => {
-                for name in session.relation_names() {
+                for name in session.snapshot().relation_names() {
                     println!("  {name}");
                 }
                 continue;

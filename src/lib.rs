@@ -57,7 +57,7 @@ mod error;
 
 pub use error::{Error, Result};
 
-/// One-stop imports: the model types, the HQL engine/session layer,
+/// One-stop imports: the model types, the HQL engine layer,
 /// the location-transparent execution surface, persistence handles,
 /// and the unified error.
 ///
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use hrdm_core::prelude::*;
     pub use hrdm_hql::{
         default_shard, render, Engine, ExecError, ExecResult, ExecutorHandle, HqlError, ReadView,
-        Replica, Response, Router, Session, ShardedEngine, Statement, StatementKind, World,
+        Replica, Response, Router, ShardedEngine, Statement, StatementKind, World,
     };
     pub use hrdm_persist::{Image, Journal, PersistError, ShipEvent, WalTailer};
 }

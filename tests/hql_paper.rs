@@ -1,7 +1,7 @@
 //! The whole paper as one HQL script: every figure scenario driven
 //! through the textual interface, end to end.
 
-use hrdm::hql::{Response, Session};
+use hrdm::hql::{Engine, Response};
 
 fn truth(responses: Vec<Response>) -> Option<bool> {
     match responses.into_iter().next().expect("one response") {
@@ -12,7 +12,7 @@ fn truth(responses: Vec<Response>) -> Option<bool> {
 
 #[test]
 fn figures_1_and_10_through_hql() {
-    let mut s = Session::new();
+    let s = Engine::new();
     s.execute(
         r#"
         -- Fig. 1a
@@ -88,7 +88,7 @@ fn figures_1_and_10_through_hql() {
 
 #[test]
 fn figures_2_through_9_through_hql() {
-    let mut s = Session::new();
+    let s = Engine::new();
     // Figs. 2–3.
     s.execute(
         r#"
@@ -155,7 +155,7 @@ fn figures_2_through_9_through_hql() {
 
 #[test]
 fn fig11_join_and_projection_through_hql() {
-    let mut s = Session::new();
+    let s = Engine::new();
     s.execute(
         r#"
         CREATE DOMAIN Animal;
