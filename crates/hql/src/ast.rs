@@ -306,6 +306,21 @@ impl StatementKind {
                 | StatementKind::Dump
         )
     }
+
+    /// Is this a point read: one item bound against one relation's
+    /// class-level tuples (`HOLDS`, `HOLDS3`, `WHY`)?
+    ///
+    /// Point reads never scan an extension, so their cost is a handful
+    /// of tuple bindings whatever the relation's size; the serving tier
+    /// runs scripts made only of them to completion on its readiness
+    /// loop instead of handing them to a worker. Every point read is
+    /// read-only.
+    pub fn is_point_read(self) -> bool {
+        matches!(
+            self,
+            StatementKind::Holds | StatementKind::Holds3 | StatementKind::Why
+        )
+    }
 }
 
 impl Statement {

@@ -256,11 +256,11 @@ const DISPATCH: [Handler; STATEMENT_KINDS] = [
 /// A pinned, shareable read-only view of the engine: one snapshot
 /// acquisition serving arbitrarily many read-only scripts.
 ///
-/// The serving tier's event loop acquires one `ReadView` per loop tick
-/// and hands clones of it to every worker executing a read-only script
-/// parsed in that tick, so a batch of independent queries from many
-/// connections costs a **single** snapshot load instead of one per
-/// statement. Cloning is an `Arc` bump; the view keeps its world alive
+/// The serving tier's event loop acquires one `ReadView` per loop tick,
+/// answers that tick's point reads through it and hands clones of it
+/// to every worker executing a read-only script dispatched in that
+/// tick, so a batch of independent queries from many connections costs
+/// a **single** snapshot load instead of one per statement. Cloning is an `Arc` bump; the view keeps its world alive
 /// (and byte-stable) for as long as any clone exists, exactly like a
 /// reader inside [`Engine::execute`].
 #[derive(Clone)]
@@ -275,32 +275,29 @@ impl ReadView {
         self.snap.epoch()
     }
 
-    /// Execute `script` against the pinned snapshot **iff** every
-    /// statement in it is read-only.
+    /// Execute already-parsed read-only `statements` against the
+    /// pinned snapshot, one response per statement, stopping at the
+    /// first that fails.
     ///
-    /// Returns `None` when the script contains a mutating statement
-    /// (the caller must fall back to [`Engine::execute`], which routes
-    /// writes through the single writer). Parse errors are served from
-    /// the view (`Some(Err(..))`) — they touch no shared state.
-    pub fn try_execute(&self, script: &str) -> Option<Result<Vec<Response>>> {
-        let statements = match parse(script) {
-            Ok(s) => s,
-            Err(e) => return Some(Err(e)),
-        };
+    /// The view cannot write: if any statement mutates, nothing runs
+    /// and the call fails with kind `unsupported`. A caller that routes
+    /// writes elsewhere asks [`Statement::is_read_only`] first and sends
+    /// such a script through [`Engine::execute_statement`] instead.
+    pub fn execute(&self, statements: Vec<Statement>) -> Result<Vec<Response>> {
         if !statements.iter().all(Statement::is_read_only) {
-            return None;
+            return Err(HqlError::Unsupported(
+                "a read view cannot run a mutating statement".into(),
+            ));
         }
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            let Handler::Read(h) = &DISPATCH[stmt.kind() as usize] else {
-                unreachable!("read-only statements dispatch to read handlers");
-            };
-            match h(&self.snap, stmt) {
-                Ok(r) => out.push(r),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(out))
+        statements
+            .into_iter()
+            .map(|stmt| {
+                let Handler::Read(h) = &DISPATCH[stmt.kind() as usize] else {
+                    unreachable!("read-only statements dispatch to read handlers");
+                };
+                h(&self.snap, stmt)
+            })
+            .collect()
     }
 }
 
@@ -1021,6 +1018,10 @@ mod tests {
                 kind.is_read_only(),
                 "{kind:?} handler class disagrees with its classification"
             );
+            assert!(
+                !kind.is_point_read() || is_read,
+                "{kind:?} is a point read, so it must be read-only"
+            );
         }
     }
 
@@ -1177,29 +1178,34 @@ mod tests {
         assert_eq!(view.epoch(), engine.epoch());
         let render =
             |rs: Vec<Response>| -> Vec<String> { rs.iter().map(ToString::to_string).collect() };
+        let on = |view: &ReadView, script: &str| view.execute(parse(script).unwrap()).map(render);
         for script in ["SHOW R;", "CHECK R; COUNT R;", "HOLDS R (ALL A);"] {
-            let via_view = render(view.try_execute(script).expect("read-only").unwrap());
             let via_engine = render(engine.execute(script).unwrap());
-            assert_eq!(via_view, via_engine, "{script}");
+            assert_eq!(on(&view, script).unwrap(), via_engine, "{script}");
         }
-        // Mutating statements anywhere in the script refuse the view.
-        assert!(view.try_execute("CREATE CLASS B UNDER D;").is_none());
-        assert!(view.try_execute("SHOW R; ASSERT R (ALL A);").is_none());
-        // Parse errors are served from the view without engine access.
-        assert!(view.try_execute("EXPLODE").unwrap().is_err());
+        // A mutating statement anywhere in the script refuses the view
+        // before anything runs.
+        for script in ["CREATE CLASS B UNDER D;", "SHOW R; ASSERT R (ALL A);"] {
+            assert_eq!(on(&view, script).unwrap_err().kind(), "unsupported");
+        }
+        assert_eq!(
+            engine.epoch(),
+            view.epoch(),
+            "a refused script wrote nothing"
+        );
         // The view is immune to later writes; a fresh view sees them.
-        let before = render(view.try_execute("COUNT R;").unwrap().unwrap());
+        let before = on(&view, "COUNT R;").unwrap();
         engine
             .execute("CREATE INSTANCE x OF A; ASSERT NOT R (x);")
             .unwrap();
         assert_eq!(
-            render(view.try_execute("COUNT R;").unwrap().unwrap()),
+            on(&view, "COUNT R;").unwrap(),
             before,
             "pinned views are byte-stable across writes"
         );
         assert_ne!(
-            render(engine.read_view().try_execute("SHOW R;").unwrap().unwrap()),
-            render(view.try_execute("SHOW R;").unwrap().unwrap()),
+            on(&engine.read_view(), "SHOW R;").unwrap(),
+            on(&view, "SHOW R;").unwrap(),
         );
         // The queue-depth signal reads zero when no writer is queued.
         assert_eq!(engine.write_queue_depth(), 0);

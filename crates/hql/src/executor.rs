@@ -27,6 +27,7 @@ use crate::ast::Statement;
 use crate::engine::Engine;
 use crate::error::HqlError;
 use crate::exec::Response;
+use crate::parser::parse;
 
 /// Result alias for handle-level execution.
 pub type ExecResult<T> = std::result::Result<T, ExecError>;
@@ -150,13 +151,14 @@ impl ExecutorHandle for Engine {
                 ),
             ));
         }
-        match view.try_execute(script) {
-            None => Err(ExecError::new(
+        let statements = parse(script)?;
+        if !statements.iter().all(Statement::is_read_only) {
+            return Err(ExecError::new(
                 "unsupported",
                 "script contains a mutating statement; route it through execute",
-            )),
-            Some(result) => result.map(|rs| render(&rs)).map_err(ExecError::from),
+            ));
         }
+        Ok(render(&view.execute(statements)?))
     }
 
     fn last_epoch(&self) -> ExecResult<u64> {

@@ -67,6 +67,7 @@ mod tests {
 
     #[test]
     fn renders_one_event_per_span() {
+        let _capturing = crate::span::tests::capture_lock();
         let ((), trace) = capture("test.chrome.root", || {
             let _a = crate::span!("test.chrome.child", rows = 4);
         });

@@ -217,11 +217,21 @@ pub fn span_with_parent(name: &'static str, parent: Option<SpanId>) -> SpanGuard
 }
 
 #[cfg(all(test, feature = "obs"))]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A live capture makes spans active on every thread of the
+    /// process, so the test asserting that a span outside any capture
+    /// is inert and the unit tests that capture take turns.
+    pub(crate) fn capture_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn inert_guard_outside_capture() {
+        let _no_capture = capture_lock();
         let g = span("test.span.inert");
         assert!(!g.is_active());
         assert_eq!(g.id(), None);
@@ -230,6 +240,7 @@ mod tests {
 
     #[test]
     fn parenting_follows_the_thread_stack() {
+        let _capturing = capture_lock();
         let start = begin_recording();
         let root_id;
         {
@@ -260,6 +271,7 @@ mod tests {
 
     #[test]
     fn explicit_parent_crosses_threads() {
+        let _capturing = capture_lock();
         let start = begin_recording();
         let root_id;
         {

@@ -212,6 +212,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn capture_assembles_a_tree() {
+        let _capturing = crate::span::tests::capture_lock();
         let ((), trace) = capture("test.trace.root", || {
             let a = crate::span!("test.trace.a", rows = 3);
             drop(a);
@@ -231,6 +232,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn nested_captures_do_not_disturb_each_other() {
+        let _capturing = crate::span::tests::capture_lock();
         let ((), outer) = capture("test.trace.outer", || {
             let ((), inner) = capture("test.trace.inner", || {
                 let _x = crate::span!("test.trace.leaf");
@@ -248,6 +250,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn stable_render_elides_times() {
+        let _capturing = crate::span::tests::capture_lock();
         let ((), trace) = capture("test.trace.stable", || {
             let mut g = crate::span!("test.trace.op");
             g.field_u64("rows", 9);

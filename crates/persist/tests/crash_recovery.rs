@@ -555,57 +555,3 @@ fn durable_catalog_end_to_end_with_crash_snapshots() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
-
-#[cfg(feature = "obs")]
-#[test]
-fn recovery_emits_spans_and_counters() {
-    use hrdm_obs::{metrics, trace};
-
-    let script = gen_script(SEED ^ 0x0B5, 40);
-    let (bytes, _) = wal_stream(&script);
-    let dir = temp_dir("obs");
-    // Torn tail: cut the last record in half so truncation is nonzero.
-    let cut = bytes.len() - 5;
-    std::fs::write(wal_path(&dir, 0), &bytes[..cut]).unwrap();
-
-    let replayed_before = metrics::counter("recover.records_replayed").get();
-    let truncated_before = metrics::counter("recover.truncated_bytes").get();
-    let (rec, captured) = trace::capture("recovery-test", || recover(&dir).unwrap());
-
-    let span = captured
-        .find("recover.replay")
-        .expect("recover.replay span must appear in the trace");
-    assert_eq!(span.field("dir"), Some(dir.display().to_string().as_str()));
-    assert!(rec.report.records_replayed > 0);
-    assert!(rec.report.truncated_bytes > 0);
-    assert_eq!(
-        metrics::counter("recover.records_replayed").get() - replayed_before,
-        rec.report.records_replayed
-    );
-    assert_eq!(
-        metrics::counter("recover.truncated_bytes").get() - truncated_before,
-        rec.report.truncated_bytes
-    );
-
-    // The journaling side: appends and fsyncs are counted and spanned.
-    let appends_before = metrics::counter("wal.appends").get();
-    let fsyncs_before = metrics::counter("wal.fsyncs").get();
-    let checkpoints_before = metrics::counter("persist.checkpoints").get();
-    let (_, captured) = trace::capture("journal-test", || {
-        let mut store = DurableCatalog::open(&dir).unwrap();
-        store
-            .mutate(CatalogMutation::CreateDomain {
-                name: "ObsDomain".into(),
-            })
-            .unwrap();
-        store.checkpoint().unwrap();
-    });
-    assert!(captured.find("wal.append").is_some());
-    assert!(captured.find("wal.fsync").is_some());
-    assert!(captured.find("persist.checkpoint").is_some());
-    assert_eq!(metrics::counter("wal.appends").get() - appends_before, 1);
-    assert!(metrics::counter("wal.fsyncs").get() > fsyncs_before);
-    assert!(metrics::counter("persist.checkpoints").get() >= checkpoints_before + 2);
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}

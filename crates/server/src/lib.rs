@@ -17,9 +17,11 @@
 //!   for non-blocking reassembly, and a blocking [`Client`] with
 //!   pipelining support ([`Client::pipeline`]).
 //! * [`server`] — the event-driven server: one `poll(2)` readiness
-//!   loop owning every socket in non-blocking mode, a worker pool
-//!   executing requests against engine snapshots, per-connection
-//!   request pipelining (in-order execution and replies), admission
+//!   loop owning every socket in non-blocking mode and answering
+//!   point-read scripts (`HOLDS`/`HOLDS3`/`WHY`) itself, a worker pool
+//!   executing every other request against engine snapshots,
+//!   per-connection request pipelining (in-order execution and
+//!   replies, whichever side runs a request), admission
 //!   control (`BUSY` past the connection cap), write backpressure
 //!   keyed off the engine's writer-queue depth, idle/slow-client
 //!   timeouts, and graceful shutdown.

@@ -67,17 +67,19 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// (ASCII record separator — cannot appear in rendered responses).
 pub const RESPONSE_SEP: &str = "\u{1e}";
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame: header and payload leave in a
+/// single `write`, so a frame is one syscall (and, on a socket, one
+/// segment) rather than two.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME {
+    if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    encode_frame(payload, &mut frame);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -96,6 +98,9 @@ pub fn encode_frame(payload: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
     out.extend_from_slice(bytes);
 }
+
+/// The least a [`FrameReader::read_from`] call asks the stream for.
+const READ_CHUNK: usize = 4096;
 
 /// An incremental frame decoder over an arbitrarily-chunked byte
 /// stream.
@@ -120,9 +125,9 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Feed bytes read off the wire.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: everything before `consumed` is dead.
+    /// Drop the bytes of frames already yielded; runs before the
+    /// buffer grows.
+    fn compact(&mut self) {
         if self.consumed > 0 && self.consumed == self.buf.len() {
             self.buf.clear();
             self.consumed = 0;
@@ -130,12 +135,51 @@ impl FrameReader {
             self.buf.drain(..self.consumed);
             self.consumed = 0;
         }
+    }
+
+    /// Feed bytes read off the wire.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Issue one `read` on `r` straight into the buffer and return its
+    /// byte count (`0` is end of stream). The read asks for the rest of
+    /// the frame being assembled when its header is already buffered,
+    /// and for at least 4 KiB, so whatever the peer has sent — one
+    /// reply or a pipelined run of them — arrives in one call.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.compact();
+        let missing = self.announced().map_or(0, |payload| {
+            (4 + payload.min(MAX_FRAME)).saturating_sub(self.buffered())
+        });
+        let len = self.buf.len();
+        self.buf.resize(len + missing.max(READ_CHUNK), 0);
+        let read = r.read(&mut self.buf[len..]);
+        self.buf.truncate(len + read.as_ref().map_or(0, |n| *n));
+        read
     }
 
     /// Bytes buffered but not yet yielded as frames.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.consumed
+    }
+
+    /// The payload length the next frame's header announces, once the
+    /// whole header is buffered.
+    fn announced(&self) -> Option<usize> {
+        match self.buf[self.consumed..] {
+            [a, b, c, d, ..] => Some(u32::from_be_bytes([a, b, c, d]) as usize),
+            _ => None,
+        }
+    }
+
+    /// Is a whole frame (or a header announcing an oversized one, which
+    /// [`next_frame`](Self::next_frame) reports as an error) buffered,
+    /// so that `next_frame` would not answer `Ok(None)`?
+    pub fn frame_ready(&self) -> bool {
+        self.announced()
+            .is_some_and(|payload| payload > MAX_FRAME || self.buffered() >= 4 + payload)
     }
 
     /// Pop the next complete frame, if one is buffered.
@@ -144,17 +188,16 @@ impl FrameReader {
     /// violations (oversized frame, non-UTF-8 payload) and poison the
     /// stream — the caller must close the connection.
     pub fn next_frame(&mut self) -> io::Result<Option<String>> {
-        let pending = &self.buf[self.consumed..];
-        if pending.len() < 4 {
+        let Some(len) = self.announced() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
+        };
         if len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
             ));
         }
+        let pending = &self.buf[self.consumed..];
         if pending.len() < 4 + len {
             return Ok(None);
         }
@@ -342,7 +385,7 @@ impl Reply {
 
 /// A blocking client over one TCP connection.
 ///
-/// The stream sits behind a mutex so a `Client` is also a
+/// The connection sits behind a mutex so a `Client` is also a
 /// [`ExecutorHandle`]: the trait's `&self` methods serialize whole
 /// round trips per lock hold (requests from different threads
 /// interleave at reply boundaries, never mid-frame). The inherent
@@ -357,7 +400,45 @@ impl Reply {
 /// ```
 #[derive(Debug)]
 pub struct Client {
-    stream: Mutex<TcpStream>,
+    wire: Mutex<Wire>,
+}
+
+/// One connection's two directions: frames go out through
+/// [`write_frame`] (one `write` each) and come back through a
+/// [`FrameReader`] that outlives the call, so a reply costs one `read`
+/// and the replies of a pipelined burst that arrive together cost one
+/// between them.
+#[derive(Debug)]
+struct Wire {
+    stream: TcpStream,
+    reader: FrameReader,
+}
+
+impl Wire {
+    /// The next reply frame's payload, reading only when none is
+    /// already buffered.
+    fn recv_frame(&mut self) -> io::Result<String> {
+        loop {
+            if let Some(frame) = self.reader.next_frame()? {
+                return Ok(frame);
+            }
+            match self.reader.read_from(&mut self.stream) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    ))
+                }
+                Ok(_) => {}
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn recv(&mut self) -> io::Result<Reply> {
+        Reply::parse(&self.recv_frame()?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
 }
 
 impl Client {
@@ -383,19 +464,23 @@ impl Client {
     /// Connect without the handshake (for protocol-level tests).
     pub fn connect_raw(addr: impl std::net::ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        // A request is two small writes (length header, then payload);
-        // without TCP_NODELAY, Nagle holds the second until the peer
-        // ACKs the first, costing tens of milliseconds per round trip.
+        // Requests are small and each waits for its reply: without
+        // TCP_NODELAY, Nagle holds a frame written while an earlier
+        // one is still unacknowledged (the second `send` of a pipelined
+        // exchange), costing tens of milliseconds.
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream: Mutex::new(stream),
+            wire: Mutex::new(Wire {
+                stream,
+                reader: FrameReader::new(),
+            }),
         })
     }
 
-    /// Exclusive access to the stream without locking (the `&mut self`
-    /// fast path).
-    fn stream(&mut self) -> &mut TcpStream {
-        self.stream.get_mut().expect("client stream poisoned")
+    /// Exclusive access to the connection without locking (the
+    /// `&mut self` fast path).
+    fn wire(&mut self) -> &mut Wire {
+        self.wire.get_mut().expect("client connection poisoned")
     }
 
     /// Send one request frame and read one reply frame.
@@ -408,16 +493,13 @@ impl Client {
     /// server executes a connection's requests in order and replies in
     /// order, so the k-th `recv` answers the k-th `send`.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        write_frame(self.stream(), &request.render())
+        write_frame(&mut self.wire().stream, &request.render())
     }
 
     /// Read the next reply frame (the receive half of a pipelined
     /// exchange).
     pub fn recv(&mut self) -> io::Result<Reply> {
-        let frame = read_frame(self.stream())?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-        })?;
-        Reply::parse(&frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        self.wire().recv()
     }
 
     /// Issue `requests` pipelined: every frame is encoded into one
@@ -429,36 +511,27 @@ impl Client {
         for request in requests {
             encode_frame(&request.render(), &mut burst);
         }
-        let stream = self.stream();
-        stream.write_all(&burst)?;
-        stream.flush()?;
-        let mut replies = Vec::with_capacity(requests.len());
-        for _ in requests {
-            replies.push(self.recv()?);
-        }
-        Ok(replies)
+        let wire = self.wire();
+        wire.stream.write_all(&burst)?;
+        wire.stream.flush()?;
+        requests.iter().map(|_| wire.recv()).collect()
     }
 
     /// Send an arbitrary frame payload and parse the reply (for
     /// protocol-error tests).
     pub fn send_raw(&mut self, payload: &str) -> io::Result<Reply> {
-        let stream = self.stream();
-        write_frame(stream, payload)?;
-        let frame = read_frame(stream)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-        })?;
-        Reply::parse(&frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let wire = self.wire();
+        write_frame(&mut wire.stream, payload)?;
+        wire.recv()
     }
 
-    /// One whole round trip under the stream lock (the `&self` path the
-    /// [`ExecutorHandle`] impl uses).
+    /// One whole round trip under the connection lock (the `&self` path
+    /// the [`ExecutorHandle`] impl uses).
     fn roundtrip(&self, request: &Request) -> ExecResult<Reply> {
         let io_err = |e: io::Error| ExecError::new("io", e.to_string());
-        let mut stream = self.stream.lock().expect("client stream poisoned");
-        write_frame(&mut *stream, &request.render()).map_err(io_err)?;
-        let frame = read_frame(&mut *stream)
-            .map_err(io_err)?
-            .ok_or_else(|| ExecError::new("io", "server closed the connection"))?;
+        let mut wire = self.wire.lock().expect("client connection poisoned");
+        write_frame(&mut wire.stream, &request.render()).map_err(io_err)?;
+        let frame = wire.recv_frame().map_err(io_err)?;
         Reply::parse(&frame).map_err(|e| ExecError::new("protocol", e))
     }
 
@@ -592,6 +665,25 @@ mod tests {
             Some("QUERY\nSHOW Flies;")
         );
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    /// A frame is one `write`: a socket sees header and payload
+    /// together, never a 4-byte segment followed by the rest.
+    #[test]
+    fn a_frame_is_one_write() {
+        struct Calls(Vec<usize>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut calls = Calls(Vec::new());
+        write_frame(&mut calls, "QUERY\nHOLDS Flies (Tweety);").unwrap();
+        assert_eq!(calls.0, [4 + 27]);
     }
 
     #[test]

@@ -8,32 +8,59 @@
 //! [`crate::sys`] libc shim). Connections are state machines: bytes
 //! arrive in arbitrary fragments, a [`FrameReader`] reassembles frames,
 //! parsed requests queue per connection, and replies flush through a
-//! per-connection write buffer when the socket is writable. The loop
-//! itself never executes a query: `QUERY`/`TRACE` requests are handed
-//! to a small **worker pool** (`hrdm-worker-N`) over a channel; workers
-//! execute against engine snapshots and post completed reply frames
-//! back through a completion queue + wake pipe.
+//! per-connection write buffer when the socket is writable.
+//!
+//! What runs where is decided per request, from the kinds of the
+//! statements in it and nothing else:
+//!
+//! * A `QUERY` whose script is a few **point reads** (`HOLDS`, `HOLDS3`,
+//!   `WHY` — [`StatementKind::is_point_read`]) runs to completion **on
+//!   the loop thread** against the tick's snapshot. Binding one item
+//!   costs a few microseconds whatever the relation's size; handing it
+//!   to another thread and waiting to be woken for the answer cost
+//!   twenty times that. So does a small script that fails to parse —
+//!   there is nothing to run.
+//! * Everything else — `COUNT`, `SHOW`, `CHECK`, `DUMP`, every write,
+//!   every `TRACE`, any script too long to be one of the above — goes
+//!   to a small **worker pool** (`hrdm-worker-N`) over a channel, with
+//!   the statements the loop already parsed; workers post completed
+//!   reply frames back through a completion queue + wake pipe.
+//!
+//! Both sides build the reply with the same function (`answer`): same
+//! counters, same slow-log capture, same bytes.
+//!
+//! [`StatementKind::is_point_read`]: hrdm::hql::StatementKind::is_point_read
 //!
 //! # Pipelining
 //!
 //! A connection may have many requests in flight (up to
 //! [`ServerConfig::max_pipeline`]): requests execute **in order** and
 //! replies return **in order**, so the k-th reply answers the k-th
-//! request. In-order execution preserves read-your-writes per
-//! connection — a pipelined burst answers byte-identically to the same
-//! requests issued sequentially. Past the pipeline cap the loop simply
-//! stops reading from that connection, letting TCP flow control push
-//! back on the client.
+//! request. A connection's queue is consumed from its head only, by the
+//! loop, and only while none of its requests is with a worker — so a
+//! point read behind a write waits for that write, and a pipelined
+//! burst answers byte-identically to the same requests issued
+//! sequentially. Past the pipeline cap the loop simply stops reading
+//! from that connection, letting TCP flow control push back on the
+//! client.
+//!
+//! The loop answers at most `LOOP_REQUESTS_PER_TICK` requests per
+//! connection per tick; what is left runs next tick (which does not
+//! sleep in `poll`), after every other connection's turn. What the
+//! loop answered for a connection in a tick is flushed once, so a burst
+//! of k point reads is one `read` and one `write`.
 //!
 //! # Snapshot batching
 //!
-//! Read-only scripts dispatched within one loop tick share a **single**
+//! Read-only scripts handled within one loop tick share a **single**
 //! snapshot acquisition ([`Engine::read_view`]): the loop pins one
-//! `ReadView` per tick and attaches it to every job. A worker uses the
-//! shared view unless the connection committed a later write (the
-//! read-your-writes floor), in which case it pins a fresh one. Scripts
-//! containing mutations fall back to [`Engine::execute`] and serialize
-//! through the single writer as always.
+//! `ReadView` per tick, reads through it itself and attaches it to
+//! every job. A connection that committed a write since the view was
+//! pinned (the read-your-writes floor, the engine epoch after its last
+//! worker-run request) makes the loop pin a fresh one first. Scripts
+//! containing mutations go statement by statement through
+//! [`Engine::execute_statement`] and serialize through the single
+//! writer as always.
 //!
 //! # Admission control and backpressure
 //!
@@ -52,8 +79,11 @@
 //! own series: `server.loop.tick` / `server.loop.ready` (events per
 //! tick), `server.pipeline.depth` (queued requests at dispatch),
 //! `server.snapshot.batch` / `server.snapshot.shared_read` (tick views
-//! pinned / reads served from a shared view), and
-//! `server.backpressure.shed`.
+//! pinned / reads served from one), `server.read.inline` /
+//! `server.read.dispatched` (requests answered on the loop / handed to
+//! a worker; [`ServerStats`] carries the same pair per server),
+//! `server.stage.queue_wait` (dispatch to worker start, for the
+//! requests that still cross threads), and `server.backpressure.shed`.
 //!
 //! Shutdown is graceful: the flag flips, the wake pipe nudges the
 //! loop, in-flight requests complete and flush, every connection
@@ -69,6 +99,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hrdm::hql::{self, parser, Statement};
 use hrdm::prelude::{Engine, ReadView};
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
 use hrdm_obs::trace::fmt_ns;
@@ -97,9 +128,9 @@ pub struct ServerConfig {
     /// Bound on resident slow-log entries; the log keeps the N
     /// *slowest* requests, not the N most recent.
     pub slowlog_capacity: usize,
-    /// Worker threads executing `QUERY`/`TRACE` requests. `0` sizes
-    /// the pool from the machine (available parallelism, clamped to
-    /// [2, 8]).
+    /// Worker threads executing the `QUERY`/`TRACE` requests the loop
+    /// does not answer itself. `0` sizes the pool from the machine
+    /// (available parallelism, clamped to [2, 8]).
     pub workers: usize,
     /// Write backpressure: when the engine's writer queue is at least
     /// this deep, mutating scripts are shed with `BUSY` instead of
@@ -160,6 +191,12 @@ pub struct ServerStats {
     pub bytes_out: AtomicU64,
     /// Mutating scripts shed with `BUSY` under write backpressure.
     pub shed_writes: AtomicU64,
+    /// `QUERY` requests answered on the loop thread, never crossing to
+    /// a worker: point-read scripts, and small frames that fail to
+    /// parse.
+    pub inline_reads: AtomicU64,
+    /// `QUERY`/`TRACE` requests handed to the worker pool.
+    pub dispatched: AtomicU64,
 }
 
 /// Registry-backed server metrics, resolved once per process. The same
@@ -185,6 +222,9 @@ struct ServerObs {
     snapshot_batch: Counter,
     snapshot_shared_read: Counter,
     shed: Counter,
+    read_inline: Counter,
+    read_dispatched: Counter,
+    queue_wait: Histogram,
     write_queue_depth: Gauge,
     lat_hello: Histogram,
     lat_query: Histogram,
@@ -218,6 +258,9 @@ fn server_obs() -> &'static ServerObs {
         snapshot_batch: metrics::counter("server.snapshot.batch"),
         snapshot_shared_read: metrics::counter("server.snapshot.shared_read"),
         shed: metrics::counter("server.backpressure.shed"),
+        read_inline: metrics::counter("server.read.inline"),
+        read_dispatched: metrics::counter("server.read.dispatched"),
+        queue_wait: metrics::histogram("server.stage.queue_wait"),
         write_queue_depth: metrics::gauge("server.write_queue_depth"),
         lat_hello: metrics::histogram("server.latency.hello"),
         lat_query: metrics::histogram("server.latency.query"),
@@ -230,19 +273,61 @@ fn server_obs() -> &'static ServerObs {
     })
 }
 
+/// Scripts of at most this many bytes are parsed on the loop thread,
+/// which needs the statement kinds to choose where they run; a longer
+/// one goes to a worker as text, so the loop never parses more than
+/// this per request.
+const LOOP_PARSE_BYTES: usize = 1024;
+
+/// The most statements a point-read script may have and still run on
+/// the loop thread.
+const INLINE_STATEMENTS: usize = 4;
+
+/// The most requests the loop answers for one connection in one tick;
+/// what is left in its queue runs next tick, after every other
+/// connection has had its turn.
+const LOOP_REQUESTS_PER_TICK: usize = 32;
+
+/// A `QUERY`/`TRACE` script on its way to an answer.
+struct Script {
+    /// The text as received; the slow log quotes it.
+    text: String,
+    traced: bool,
+    /// The parse of `text` when the loop already made it; whoever
+    /// answers parses only if this is `None`, so no script is parsed
+    /// twice.
+    parsed: Option<hql::Result<Vec<Statement>>>,
+}
+
+impl Script {
+    /// Does this script run to completion on the loop thread? Only if
+    /// every statement is a point read (and there are few of them), or
+    /// if it failed to parse and there is nothing to run at all. The
+    /// kinds of the parsed statements are the whole decision.
+    fn runs_on_loop(&self) -> bool {
+        match &self.parsed {
+            Some(Ok(statements)) => {
+                statements.len() <= INLINE_STATEMENTS
+                    && statements.iter().all(|s| s.kind().is_point_read())
+            }
+            Some(Err(_)) => true,
+            None => false,
+        }
+    }
+}
+
 /// One `QUERY`/`TRACE` request handed to the worker pool.
 struct Job {
     conn: usize,
     generation: u64,
     seq: u64,
-    script: String,
-    traced: bool,
-    /// The loop-tick snapshot this job may execute on (read-only
-    /// scripts only, and only if it satisfies `min_epoch`).
+    script: Script,
+    /// The loop-tick snapshot a read-only script executes on; the loop
+    /// only attaches one at least as fresh as the connection's
+    /// read-your-writes floor.
     view: ReadView,
-    /// Read-your-writes floor: the engine epoch this connection has
-    /// already observed through a completed write.
-    min_epoch: u64,
+    /// When the loop sent the job, for `server.stage.queue_wait`.
+    dispatched: Instant,
 }
 
 /// A finished request: the fully-encoded reply frame plus routing.
@@ -394,15 +479,11 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
         let Ok(job) = job else {
             return; // channel closed: the loop is shutting down
         };
-        let reply = execute_job(&shared, &job);
-        let payload = reply.render();
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        encode_frame(&payload, &mut frame);
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        server_obs().bytes_out.add(frame.len() as u64);
+        server_obs()
+            .queue_wait
+            .observe_ns(job.dispatched.elapsed().as_nanos() as u64);
+        let mut frame = Vec::new();
+        encode_reply(&shared, &answer(&shared, job.script, &job.view), &mut frame);
         let completion = Completion {
             conn: job.conn,
             generation: job.generation,
@@ -418,35 +499,53 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
     }
 }
 
-/// Execute one `QUERY`/`TRACE` script, preferring the tick-shared
-/// snapshot for read-only scripts, shedding mutating scripts under
-/// write backpressure, and recording query counters plus the slow log.
-fn execute_job(shared: &Shared, job: &Job) -> Reply {
+/// Render `reply` as one frame appended to `out`, counting its bytes.
+fn encode_reply(shared: &Shared, reply: &Reply, out: &mut Vec<u8>) {
+    let before = out.len();
+    encode_frame(&reply.render(), out);
+    let wire_len = (out.len() - before) as u64;
+    shared
+        .stats
+        .bytes_out
+        .fetch_add(wire_len, Ordering::Relaxed);
+    server_obs().bytes_out.add(wire_len);
+}
+
+/// Answer one `QUERY`/`TRACE` script — on a worker, or on the loop
+/// thread for a script that [`Script::runs_on_loop`]; the reply, the
+/// counters and the slow-log capture are the same either way. A
+/// read-only script executes on `view`; one that mutates is shed under
+/// write backpressure or else takes the engine's serialized writer,
+/// statement by statement. The wall time recorded starts here, so it
+/// leaves out the loop's parse of a small script.
+fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
     let obs = server_obs();
     let started = Instant::now();
+    let Script {
+        text,
+        traced,
+        parsed,
+    } = script;
     // Capture spans whenever the trace can be consumed: always for
     // TRACE, and for QUERY when an obs build may feed the slow log.
-    let capture = job.traced || cfg!(feature = "obs");
+    let capture = traced || cfg!(feature = "obs");
     let run = || {
-        // Read-your-writes: the tick view is only usable if it is at
-        // least as fresh as the last write this connection observed.
-        let (view, from_tick) = if job.view.epoch() >= job.min_epoch {
-            (job.view.clone(), true)
-        } else {
-            (shared.engine.read_view(), false)
+        let statements = match parsed.unwrap_or_else(|| parser::parse(&text)) {
+            Ok(statements) => statements,
+            Err(e) => return (Err(e), false, false),
         };
-        match view.try_execute(&job.script) {
-            Some(result) => (result, from_tick, false),
-            None => {
-                // The script mutates: apply write backpressure, then
-                // take the ordinary serialized-writer path.
-                let limit = shared.config.backpressure_depth;
-                if limit > 0 && shared.engine.write_queue_depth() >= limit {
-                    return (Ok(Vec::new()), false, true);
-                }
-                (shared.engine.execute(&job.script), false, false)
-            }
+        if statements.iter().all(Statement::is_read_only) {
+            return (view.execute(statements), true, false);
         }
+        let limit = shared.config.backpressure_depth;
+        if limit > 0 && shared.engine.write_queue_depth() >= limit {
+            return (Ok(Vec::new()), false, true);
+        }
+        let responses = statements
+            .into_iter()
+            .map(|stmt| shared.engine.execute_statement(stmt))
+            .collect();
+        (responses, false, false)
     };
     let ((result, shared_view, shed), trace) = if capture {
         hrdm_obs::trace::capture("server.query", run)
@@ -456,7 +555,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Reply {
     obs.requests.incr();
     obs.write_queue_depth.set(shared.engine.write_queue_depth());
     let wall = started.elapsed();
-    if job.traced {
+    if traced {
         obs.lat_trace.observe_ns(wall.as_nanos() as u64);
     } else {
         obs.lat_query.observe_ns(wall.as_nanos() as u64);
@@ -474,10 +573,10 @@ fn execute_job(shared: &Shared, job: &Job) -> Reply {
         obs.snapshot_shared_read.incr();
     }
     if cfg!(feature = "obs") && wall >= shared.config.slowlog_threshold {
-        let verb = if job.traced { "TRACE" } else { "QUERY" };
+        let verb = if traced { "TRACE" } else { "QUERY" };
         if hrdm_obs::slowlog::record(
             verb,
-            &job.script,
+            &text,
             wall.as_nanos() as u64,
             shared.engine.epoch(),
             trace.render(),
@@ -490,7 +589,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Reply {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
             obs.query.incr();
             let mut parts: Vec<String> = responses.iter().map(ToString::to_string).collect();
-            if job.traced {
+            if traced {
                 parts.push(trace.render());
             }
             Reply::Ok(parts)
@@ -545,6 +644,9 @@ struct Conn {
     inflight: bool,
     /// Parsed requests not yet executed (pipelining backlog).
     queue: VecDeque<(u64, Request)>,
+    /// Requests the loop has answered for this connection in the
+    /// current tick, against [`LOOP_REQUESTS_PER_TICK`].
+    loop_used: usize,
     /// Read-your-writes floor (engine epoch after this connection's
     /// last completed request).
     min_epoch: u64,
@@ -571,6 +673,7 @@ impl Conn {
             write_pos: 0,
             inflight: false,
             queue: VecDeque::new(),
+            loop_used: 0,
             min_epoch: 0,
             lifecycle: Lifecycle::Open,
             shutdown_after: false,
@@ -598,6 +701,16 @@ impl Conn {
     /// write.
     fn drained(&self) -> bool {
         !self.inflight && self.queue.is_empty() && !self.has_pending_writes()
+    }
+
+    /// Has work the loop can do without any new readiness event: a
+    /// queued request with no job in flight (the tick's budget ran
+    /// out), or a whole frame still in the read buffer. The loop must
+    /// not sleep in `poll` while this holds.
+    fn runnable(&self, max_pipeline: usize) -> bool {
+        !self.inflight
+            && (!self.queue.is_empty()
+                || (self.wants_read(max_pipeline) && self.reader.frame_ready()))
     }
 
     /// The idle clock runs only when the connection is waiting on the
@@ -673,6 +786,8 @@ impl EventLoop {
         loop {
             pollfds.clear();
             targets.clear();
+            // Some connection has work left over from the last tick.
+            let mut runnable = false;
             {
                 use std::os::unix::io::AsRawFd;
                 pollfds.push(PollFd::new(self.shared.wake.poll_fd(), POLLIN));
@@ -681,8 +796,10 @@ impl EventLoop {
                     pollfds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
                     targets.push(Target::Listener);
                 }
-                for (token, slot) in self.conns.iter().enumerate() {
+                for (token, slot) in self.conns.iter_mut().enumerate() {
                     let Some(conn) = slot else { continue };
+                    conn.loop_used = 0;
+                    runnable |= conn.runnable(self.shared.config.max_pipeline);
                     let mut events = 0;
                     if conn.wants_read(self.shared.config.max_pipeline) {
                         events |= POLLIN;
@@ -696,7 +813,7 @@ impl EventLoop {
                     targets.push(Target::Conn(token));
                 }
             }
-            let timeout_ms = self.poll_timeout_ms();
+            let timeout_ms = if runnable { 0 } else { self.poll_timeout_ms() };
             let ready = sys::poll_fds(&mut pollfds, timeout_ms).unwrap_or_default();
             obs.loop_tick.incr();
             obs.loop_ready.observe(ready as u64);
@@ -724,6 +841,19 @@ impl EventLoop {
             // Worker completions (wake-pipe driven, but drained every
             // tick regardless so a missed wake can't strand a reply).
             self.drain_completions();
+
+            // Leftovers: connections the tick's budget cut short get
+            // their next turn now, whether or not their socket had
+            // anything new to say.
+            if runnable {
+                let max_pipeline = self.shared.config.max_pipeline;
+                for token in 0..self.conns.len() {
+                    if matches!(&self.conns[token], Some(c) if c.runnable(max_pipeline)) {
+                        self.process_input(token);
+                        self.pump(token);
+                    }
+                }
+            }
 
             // Shutdown entry: stop accepting, stop reading, let
             // in-flight work and queued replies drain.
@@ -865,6 +995,9 @@ impl EventLoop {
             }
         }
         self.process_input(token);
+        // The one flush of this tick for whatever the loop just
+        // answered.
+        self.pump(token);
         if eof {
             if let Some(conn) = self.conns[token].as_mut() {
                 if conn.drained() {
@@ -875,9 +1008,7 @@ impl EventLoop {
                     conn.lifecycle = Lifecycle::Draining;
                 }
             }
-            return;
         }
-        self.pump(token);
     }
 
     /// Parse buffered bytes into requests (respecting the pipeline
@@ -998,10 +1129,14 @@ impl EventLoop {
         self.advance(token);
     }
 
-    /// Execute from the head of the connection's request queue:
-    /// lightweight verbs run inline on the loop thread, `QUERY`/`TRACE`
-    /// dispatch to the worker pool (one in flight per connection, so
-    /// pipelined requests execute — and answer — in order).
+    /// Execute from the head of the connection's request queue, in
+    /// order: lightweight verbs and point-read `QUERY` scripts run to
+    /// completion here on the loop thread, every other `QUERY`/`TRACE`
+    /// goes to the worker pool (one in flight per connection, so
+    /// pipelined requests execute — and answer — in order whichever
+    /// side runs them). Stops at a dispatch, at an empty queue, or
+    /// after [`LOOP_REQUESTS_PER_TICK`] requests. Point-read replies
+    /// are queued, not flushed: every caller pumps once afterwards.
     fn advance(&mut self, token: usize) {
         let obs = server_obs();
         loop {
@@ -1009,22 +1144,45 @@ impl EventLoop {
                 let Some(conn) = self.conns[token].as_mut() else {
                     return;
                 };
-                if conn.inflight {
+                if conn.inflight || conn.loop_used >= LOOP_REQUESTS_PER_TICK {
                     return;
                 }
                 let Some(head) = conn.queue.pop_front() else {
                     return;
                 };
+                conn.loop_used += 1;
                 head
             };
             let started = Instant::now();
             match request {
-                Request::Query(script) => {
-                    self.dispatch(token, seq, script, false);
-                    return;
+                Request::Query(text) => {
+                    let parsed = (text.len() <= LOOP_PARSE_BYTES).then(|| parser::parse(&text));
+                    let script = Script {
+                        text,
+                        traced: false,
+                        parsed,
+                    };
+                    if !script.runs_on_loop() {
+                        self.dispatch(token, seq, script);
+                        return;
+                    }
+                    let view = self.view_for(token);
+                    let reply = answer(&self.shared, script, &view);
+                    self.shared
+                        .stats
+                        .inline_reads
+                        .fetch_add(1, Ordering::Relaxed);
+                    obs.read_inline.incr();
+                    self.queue_reply(token, seq, &reply);
                 }
-                Request::Trace(script) => {
-                    self.dispatch(token, seq, script, true);
+                Request::Trace(text) => {
+                    // Parsed on the worker, inside the trace capture.
+                    let script = Script {
+                        text,
+                        traced: true,
+                        parsed: None,
+                    };
+                    self.dispatch(token, seq, script);
                     return;
                 }
                 Request::Hello => {
@@ -1079,32 +1237,41 @@ impl EventLoop {
         }
     }
 
-    /// Hand one script to the worker pool, pinning (at most) one
-    /// snapshot per loop tick for the whole read batch.
-    fn dispatch(&mut self, token: usize, seq: u64, script: String, traced: bool) {
-        let obs = server_obs();
-        let view = match self.tick_view.clone() {
-            Some(v) => v,
-            None => {
-                let v = self.shared.engine.read_view();
-                obs.snapshot_batch.incr();
-                self.tick_view = Some(v.clone());
-                v
+    /// The tick's shared snapshot, as connection `token` may read it:
+    /// pinned at the first use in a tick, and pinned afresh when it is
+    /// older than the connection's read-your-writes floor (later users
+    /// in the tick get the fresher one too).
+    fn view_for(&mut self, token: usize) -> ReadView {
+        let floor = self.conns[token].as_ref().map_or(0, |c| c.min_epoch);
+        match &self.tick_view {
+            Some(view) if view.epoch() >= floor => view.clone(),
+            _ => {
+                let view = self.shared.engine.read_view();
+                server_obs().snapshot_batch.incr();
+                self.tick_view = Some(view.clone());
+                view
             }
-        };
+        }
+    }
+
+    /// Hand one script to the worker pool with the tick's snapshot.
+    fn dispatch(&mut self, token: usize, seq: u64, script: Script) {
+        let obs = server_obs();
+        let view = self.view_for(token);
         let Some(conn) = self.conns[token].as_mut() else {
             return;
         };
         conn.inflight = true;
         obs.pipeline_depth.observe(conn.backlog() as u64);
+        self.shared.stats.dispatched.fetch_add(1, Ordering::Relaxed);
+        obs.read_dispatched.incr();
         let job = Job {
             conn: token,
             generation: conn.generation,
             seq,
             script,
-            traced,
             view,
-            min_epoch: conn.min_epoch,
+            dispatched: Instant::now(),
         };
         if let Some(jobs) = &self.jobs {
             if jobs.send(job).is_err() {
@@ -1145,22 +1312,21 @@ impl EventLoop {
         }
     }
 
-    /// Render, encode, and enqueue a loop-thread reply, then flush
-    /// opportunistically.
-    fn complete_inline(&mut self, token: usize, seq: u64, reply: &Reply) {
-        let payload = reply.render();
+    /// Render, encode, and enqueue a loop-thread reply in its sequence
+    /// slot, without touching the socket.
+    fn queue_reply(&mut self, token: usize, seq: u64, reply: &Reply) {
         let Some(conn) = self.conns[token].as_mut() else {
             return;
         };
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        encode_frame(&payload, &mut frame);
-        self.shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        server_obs().bytes_out.add(frame.len() as u64);
+        let mut frame = Vec::new();
+        encode_reply(&self.shared, reply, &mut frame);
         conn.ready.insert(seq, frame);
         conn.last_activity = Instant::now();
+    }
+
+    /// [`queue_reply`](Self::queue_reply), then flush opportunistically.
+    fn complete_inline(&mut self, token: usize, seq: u64, reply: &Reply) {
+        self.queue_reply(token, seq, reply);
         self.pump(token);
     }
 
@@ -1351,7 +1517,7 @@ fn render_stats(shared: &Shared) -> String {
         "epoch: {}\naccepted: {}\nactive: {}\nbusy-rejected: {}\nqueries: {}\nerrors: {}\n\
          timeouts: {}\nprotocol-errors: {}\nbytes-in: {}\nbytes-out: {}\n\
          slowlog-entries: {}\nslowlog-threshold-ms: {}\nworkers: {}\n\
-         backpressure-depth: {}\nshed-writes: {}",
+         backpressure-depth: {}\nshed-writes: {}\ninline-reads: {}\ndispatched: {}",
         shared.engine.epoch(),
         shared.stats.accepted.load(Ordering::Relaxed),
         shared.active.load(Ordering::SeqCst),
@@ -1367,5 +1533,7 @@ fn render_stats(shared: &Shared) -> String {
         shared.config.effective_workers(),
         shared.config.backpressure_depth,
         shared.stats.shed_writes.load(Ordering::Relaxed),
+        shared.stats.inline_reads.load(Ordering::Relaxed),
+        shared.stats.dispatched.load(Ordering::Relaxed),
     )
 }

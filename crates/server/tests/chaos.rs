@@ -4,19 +4,21 @@
 //! storms must never leak a connection slot or wedge a worker, the
 //! loop must hold thousands of idle sockets, and write backpressure
 //! must shed mutating scripts — never reads — while the writer queue
-//! is saturated. After every storm the server still answers a fresh
-//! client and `active_connections` returns to zero.
+//! is saturated, and a connection that keeps the loop's own fast path
+//! full must not starve its neighbours. After every storm the server
+//! still answers a fresh client and `active_connections` returns to
+//! zero.
 
-use std::io::Write;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use hrdm::prelude::Engine;
 use hrdm_bench::fixtures::serving_bootstrap;
 use hrdm_server::proto::read_frame;
 use hrdm_server::sys::raise_nofile_limit;
-use hrdm_server::{Client, Reply, Request, Server, ServerConfig, ServerHandle};
+use hrdm_server::{Client, FrameReader, Reply, Request, Server, ServerConfig, ServerHandle};
 
 fn start_server(config: ServerConfig) -> (ServerHandle, Engine) {
     let engine = Engine::new();
@@ -278,6 +280,100 @@ fn write_backpressure_sheds_writes_but_never_reads() {
     });
 
     assert!(handle.stats().shed_writes.load(Ordering::Relaxed) >= 1);
+    wait_active(&handle, 0, Duration::from_secs(5));
+    handle.shutdown();
+}
+
+/// Point reads run on the loop thread, so a connection that never
+/// stops sending them is the one client that could hold the loop. It
+/// gets a fixed number of requests per tick (DESIGN.md 14.2): beside a
+/// firehose pipelining `HOLDS` as fast as the socket takes them — with
+/// a pipeline cap far above that budget — a second connection's point
+/// read (the loop's) and `COUNT` (a worker's) keep completing promptly.
+#[test]
+fn a_point_read_firehose_does_not_starve_its_neighbours() {
+    const BOUND: Duration = Duration::from_millis(250);
+    const BURST: usize = 512;
+    let (handle, _engine) = start_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        read_timeout: Duration::from_secs(10),
+        max_pipeline: 4096,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+
+    let mut burst = Vec::new();
+    for _ in 0..BURST {
+        let holds = Request::Query("HOLDS Flies (Tweety);".into());
+        hrdm_server::proto::encode_frame(&holds.render(), &mut burst);
+    }
+    let mut hello = Vec::new();
+    hrdm_server::proto::encode_frame(&Request::Hello.render(), &mut hello);
+
+    let stop = AtomicBool::new(false);
+    let answered = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let mut writer = TcpStream::connect(addr).unwrap();
+        let mut reader = writer.try_clone().unwrap();
+        writer.write_all(&hello).unwrap();
+        assert!(read_frame(&mut reader).unwrap().is_some(), "greeted");
+        // The firehose's two halves: one thread only writes bursts, the
+        // other only drains replies, so requests are always waiting.
+        let (stop, answered, burst) = (&stop, &answered, &burst);
+        s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                writer.write_all(burst).unwrap();
+            }
+            writer.shutdown(Shutdown::Write).unwrap();
+        });
+        s.spawn(move || {
+            let mut frames = FrameReader::new();
+            let mut chunk = vec![0u8; 64 * 1024];
+            loop {
+                let n = reader.read(&mut chunk).unwrap();
+                if n == 0 {
+                    break;
+                }
+                frames.push(&chunk[..n]);
+                while let Some(frame) = frames.next_frame().unwrap() {
+                    assert!(frame.starts_with("OK\n"), "firehose reply {frame:?}");
+                    answered.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        let mut slowest = Duration::ZERO;
+        for round in 0..40 {
+            // Only rounds that ran against a flowing firehose count:
+            // wait for it to be answered some more since the last one.
+            let before = answered.load(Ordering::Relaxed);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while answered.load(Ordering::Relaxed) < before + BURST as u64 {
+                assert!(Instant::now() < deadline, "the firehose itself stalled");
+                std::thread::yield_now();
+            }
+            for script in ["HOLDS Flies (Tweety);", "COUNT Flies;"] {
+                let started = Instant::now();
+                let reply = client.query(script).unwrap();
+                let took = started.elapsed();
+                assert!(reply.is_ok(), "{script}: {reply:?}");
+                assert!(took < BOUND, "round {round}: {script} took {took:?}");
+                slowest = slowest.max(took);
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        client.quit().unwrap();
+        eprintln!("slowest neighbour round trip beside the firehose: {slowest:?}");
+    });
+
+    let stats = handle.stats();
+    assert_eq!(
+        stats.inline_reads.load(Ordering::Relaxed),
+        answered.load(Ordering::Relaxed) + 40,
+        "every firehose request and the neighbour's point reads ran on the loop"
+    );
+    assert_eq!(stats.dispatched.load(Ordering::Relaxed), 40, "the COUNTs");
     wait_active(&handle, 0, Duration::from_secs(5));
     handle.shutdown();
 }

@@ -156,6 +156,11 @@ fn stats_report_epoch_and_counters() {
             };
             assert!(field("bytes-in:") > 0, "{body}");
             assert!(field("bytes-out:") > 0, "{body}");
+            // `epoch:` stays the first line (`Client::last_epoch` reads
+            // it there); where requests ran comes last. The one QUERY
+            // was a write, so a worker ran it.
+            assert!(body.starts_with("epoch: "), "{body}");
+            assert!(body.ends_with("inline-reads: 0\ndispatched: 1"), "{body}");
         }
         other => panic!("expected OK, got {other:?}"),
     }

@@ -4,12 +4,41 @@
 //! write → read byte-for-byte, and *pipelined* frame sequences must
 //! reassemble through the incremental [`FrameReader`] no matter how
 //! the byte stream is split (partial headers, partial payloads, many
-//! frames in one chunk).
+//! frames in one chunk) — whether the bytes are pushed in (the server's
+//! loop) or pulled with one `read` per call (the client's `recv`).
+
+use std::io::{self, Read, Write};
+use std::net::TcpListener;
 
 use proptest::prelude::*;
 
 use hrdm_server::proto::{encode_frame, read_frame, write_frame};
-use hrdm_server::{FrameReader, MetricsFormat, Reply, Request};
+use hrdm_server::{Client, FrameReader, MetricsFormat, Reply, Request};
+
+/// A stream that hands out its bytes in the given pieces: each `read`
+/// returns at most the rest of the current piece, however much room
+/// the caller offers — what a socket does when segments arrive apart.
+struct Pieces<'a> {
+    wire: &'a [u8],
+    sizes: &'a [usize],
+    next: usize,
+    reads: usize,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let piece = match self.sizes {
+            [] => self.wire.len(),
+            sizes => sizes[self.next % sizes.len()],
+        };
+        self.next += 1;
+        let n = piece.min(self.wire.len()).min(out.len());
+        out[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        self.reads += 1;
+        Ok(n)
+    }
+}
 
 /// HQL-ish script bodies, plus hostile shapes: empty, blank lines,
 /// embedded newlines, leading whitespace, unicode.
@@ -171,4 +200,85 @@ proptest! {
         prop_assert_eq!(&got, &replies);
         prop_assert_eq!(reader.buffered(), 0);
     }
+
+    /// The client's receive path is this loop: yield a buffered frame,
+    /// else issue one `read` into the reader's own buffer. However the
+    /// stream fragments — and when it does not, so that every reply of
+    /// the burst arrives in a single read — the k-th frame out is the
+    /// k-th reply, and no read is issued while a whole frame is still
+    /// buffered.
+    #[test]
+    fn buffered_reads_reassemble_reply_bursts_under_any_split(
+        replies in prop::collection::vec(arb_reply(), 1..8),
+        splits in prop::collection::vec(1usize..48, 0..24),
+    ) {
+        let mut wire = Vec::new();
+        for r in &replies {
+            encode_frame(&r.render(), &mut wire);
+        }
+        let mut stream = Pieces { wire: &wire, sizes: &splits, next: 0, reads: 0 };
+        let mut reader = FrameReader::new();
+        let mut got = Vec::new();
+        while got.len() < replies.len() {
+            prop_assert_eq!(reader.frame_ready(), false);
+            let n = reader.read_from(&mut stream).expect("the stream never fails");
+            prop_assert!(n > 0, "the stream ended {} replies short", replies.len() - got.len());
+            let ready = reader.frame_ready();
+            let before = got.len();
+            while let Some(frame) = reader.next_frame().expect("well-formed frames") {
+                got.push(Reply::parse(&frame).expect("replies parse"));
+            }
+            prop_assert_eq!(ready, got.len() > before);
+        }
+        prop_assert_eq!(&got, &replies);
+        prop_assert_eq!(reader.buffered(), 0);
+        if splits.is_empty() {
+            prop_assert_eq!(stream.reads, 1, "an unsplit burst is one read");
+        }
+    }
+}
+
+/// `Client::recv` over a real socket whose peer writes a burst of
+/// replies first whole (they arrive in one read) and then a few bytes
+/// at a time: every `recv` returns the next reply either way.
+#[test]
+fn client_recv_reassembles_what_the_socket_delivers() {
+    let replies = [
+        Reply::Ok(vec!["first".into(), "with\nnewline".into()]),
+        Reply::Err {
+            kind: "unknown".into(),
+            message: "no such creature".into(),
+        },
+        Reply::Ok(vec![]),
+        Reply::Busy("later".into()),
+        Reply::Ok(vec!["x".repeat(10_000)]),
+    ];
+    let mut wire = Vec::new();
+    for r in &replies {
+        encode_frame(&r.render(), &mut wire);
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = Client::connect_raw(listener.local_addr().unwrap()).unwrap();
+    let (mut peer, _) = listener.accept().unwrap();
+    peer.set_nodelay(true).unwrap();
+
+    peer.write_all(&wire).unwrap();
+    for want in &replies {
+        assert_eq!(&client.recv().unwrap(), want);
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for piece in wire.chunks(7).take(40) {
+                peer.write_all(piece).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            peer.write_all(&wire[wire.len().min(7 * 40)..]).unwrap();
+        });
+        for want in &replies {
+            assert_eq!(&client.recv().unwrap(), want);
+        }
+    });
+    drop(peer);
+    let eof = client.recv().unwrap_err();
+    assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
 }
