@@ -69,6 +69,31 @@ impl RelationDelta {
         delta
     }
 
+    /// Rewrite this delta as the *net* change to the items it touches
+    /// between `pre` and `post`, the relation before and after the
+    /// write that recorded it. Edits are recorded in two unordered
+    /// lists, so a write that asserts and then retracts one item (or
+    /// re-asserts what is stored) would otherwise apply as something it
+    /// did not do; afterwards `apply_to(pre)` yields `post`, and every
+    /// listed row is a real difference.
+    pub fn normalise(&mut self, pre: &HRelation, post: &HRelation) {
+        let mut touched: Vec<Item> = self
+            .added
+            .drain(..)
+            .map(|(item, _)| item)
+            .chain(self.removed.drain(..))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for item in touched {
+            match (pre.stored(&item), post.stored(&item)) {
+                (before, after) if before == after => {}
+                (_, Some(truth)) => self.added.push((item, truth)),
+                (_, None) => self.removed.push(item),
+            }
+        }
+    }
+
     /// Apply this delta to `relation` in place: removals first, then
     /// inserts (an insert overwrites any existing truth).
     pub fn apply_to(&self, relation: &mut HRelation) {
@@ -222,6 +247,37 @@ mod tests {
         assert_eq!(
             patched.iter().collect::<Vec<_>>(),
             new.iter().collect::<Vec<_>>()
+        );
+    }
+
+    /// Edits recorded in an order the two lists cannot express come out
+    /// as the difference that is actually there.
+    #[test]
+    fn normalise_keeps_only_net_changes() {
+        let s = schema();
+        let mut pre = HRelation::new(s.clone());
+        pre.assert_fact(&["x"], Truth::Positive).unwrap();
+        let mut post = HRelation::new(s);
+        post.assert_fact(&["x"], Truth::Negative).unwrap();
+        let item = |name: &str| pre.item(&[name]).unwrap();
+        // x retracted then re-asserted negative, y asserted then
+        // retracted, A re-asserted as stored (absent before and after).
+        let mut d = RelationDelta {
+            added: vec![
+                (item("x"), Truth::Negative),
+                (item("y"), Truth::Positive),
+                (item("A"), Truth::Positive),
+            ],
+            removed: vec![item("x"), item("y"), item("A")],
+        };
+        d.normalise(&pre, &post);
+        assert_eq!(d.added, [(item("x"), Truth::Negative)]);
+        assert!(d.removed.is_empty());
+        let mut patched = pre.clone();
+        d.apply_to(&mut patched);
+        assert_eq!(
+            patched.iter().collect::<Vec<_>>(),
+            post.iter().collect::<Vec<_>>()
         );
     }
 

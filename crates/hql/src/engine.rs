@@ -17,8 +17,9 @@
 //!   statement in the WAL vocabulary resolves to one
 //!   [`CatalogMutation`], and that one value is both applied (through
 //!   [`Catalog::apply_mutation`], the interpreter recovery replays
-//!   with) and logged; [`Engine::apply_mutation`] is the same path for
-//!   a mutation that arrives already resolved (a replica's feed).
+//!   with) and logged; [`Engine::apply_mutations`] is the same path for
+//!   mutations that arrive already resolved (a replica's feed), a
+//!   whole batch of them as one write.
 //!
 //! Statements dispatch through a table indexed by
 //! [`StatementKind`](crate::ast::StatementKind): one handler function
@@ -30,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use hrdm_core::delta::Delta;
+use hrdm_core::delta::{Delta, RelationChange};
 use hrdm_core::justify::justify;
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
@@ -148,6 +149,21 @@ pub struct WriteTxn<'a> {
     journal: &'a mut Option<Journal>,
 }
 
+/// Rewrite the row-level entries of a write's `delta` as their net
+/// effect between the world before and after it: handlers record row
+/// edits in statement order into unordered lists, and a write may touch
+/// one item more than once.
+fn net_rows(delta: &mut Delta, pre: &World, post: &World) {
+    for (name, change) in &mut delta.relations {
+        if let RelationChange::Rows(rows) = change {
+            match (pre.relation(name), post.relation(name)) {
+                (Ok(pre), Ok(post)) => rows.normalise(pre, post),
+                _ => *change = RelationChange::Reset,
+            }
+        }
+    }
+}
+
 /// Resolve a tuple-level mutation's value names against `relation` as
 /// it stands in `world`; the relation comes back too, for rendering.
 fn written_item<'w>(
@@ -197,6 +213,16 @@ impl WriteTxn<'_> {
             j.record(&m)?;
         }
         Ok(())
+    }
+
+    /// Replace the whole world (`LOAD`, `OPEN`, a shipped checkpoint
+    /// image): every relation of the new world resets, and live views
+    /// are gone — images carry relations, not view definitions.
+    fn replace_world(&mut self, world: World) {
+        self.world = world;
+        for name in self.world.relation_names() {
+            self.delta.record_reset(name);
+        }
     }
 
     /// Checkpoint the open store from the transaction's current world —
@@ -338,8 +364,10 @@ impl Engine {
     }
 
     /// The most recent committed write's structured [`Delta`], paired
-    /// with the epoch it produced. `None` until the first write (and
-    /// after [`Engine::restore`], which replaces state out-of-band).
+    /// with the epoch it produced; `None` until the first write. Its
+    /// row-level entries are *net*: applying one to the relation as it
+    /// stood before the write yields the relation after it, however
+    /// many mutations the write ran.
     pub fn last_delta(&self) -> Option<(u64, Arc<Delta>)> {
         self.inner
             .last_delta
@@ -375,14 +403,29 @@ impl Engine {
         }
     }
 
-    /// Apply one logical mutation through the single writer — the entry
-    /// a WAL-fed [`Replica`](crate::Replica) feeds shipped records to.
-    /// It is the write path of a mutating statement minus the parsing:
-    /// same lock, same clone–apply–maintain-views–publish sequence, one
-    /// epoch per mutation, and the mutation is journaled if a store is
-    /// `OPEN`.
-    pub fn apply_mutation(&self, mutation: CatalogMutation) -> Result<()> {
-        self.write(|txn| txn.apply(mutation))
+    /// Apply a batch of logical mutations as **one** write — the entry
+    /// a WAL-fed [`Replica`](crate::Replica) feeds each poll of shipped
+    /// history to: an optional checkpoint image to start over from
+    /// (`base`), then `batch` in order. It is the write path of a
+    /// mutating statement minus the parsing, run once for the lot: one
+    /// world clone (each touched relation is copied once, then edited
+    /// in place), one view-maintenance pass, one published epoch, one
+    /// net [`Delta`]. All or nothing: if any mutation is refused the
+    /// engine publishes nothing and stays on the epoch it had. If a
+    /// store is `OPEN` the mutations are journaled (and a `base`
+    /// checkpointed, as `LOAD` is).
+    pub fn apply_mutations(
+        &self,
+        base: Option<Image>,
+        batch: impl IntoIterator<Item = CatalogMutation>,
+    ) -> Result<()> {
+        self.write(|txn| {
+            if let Some(image) = base {
+                txn.replace_world(World::from_image(image));
+                txn.checkpoint()?;
+            }
+            batch.into_iter().try_for_each(|m| txn.apply(m))
+        })
     }
 
     /// Run one write under the writer lock against a copy-on-write
@@ -421,6 +464,7 @@ impl Engine {
         // readers never see a world whose views disagree with their
         // definitions.
         let mut delta = std::mem::take(&mut txn.delta);
+        net_rows(&mut delta, &snap, &txn.world);
         let summary = txn.world.maintain_views(&mut delta)?;
         if summary.changed() {
             // View relations changed outside the WAL mutation
@@ -468,15 +512,6 @@ impl Engine {
     /// every shard — in the process.
     pub fn set_cone_limit(&self, limit: usize) {
         hrdm_core::differential::set_cone_limit(limit);
-    }
-
-    /// Replace the whole published state from a persistence image (no
-    /// journal interaction; how a [`Replica`](crate::Replica) applies a
-    /// checkpoint rollover).
-    pub fn restore(&self, image: Image) {
-        let _writer = self.inner.writer.lock().expect("writer lock poisoned");
-        self.inner.state.publish(Arc::new(World::from_image(image)));
-        *self.inner.last_delta.lock().expect("delta lock poisoned") = None;
     }
 }
 
@@ -661,14 +696,7 @@ fn exec_load(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::Load { path } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let image = hrdm_persist::Image::load(&path)?;
-    txn.world = World::from_image(image);
-    // Wholesale state replacement: every relation resets and any live
-    // views are gone (images carry relations, not view definitions).
-    let names: Vec<String> = txn.world.relation_names().map(String::from).collect();
-    for name in &names {
-        txn.delta.record_reset(name);
-    }
+    txn.replace_world(World::from_image(Image::load(&path)?));
     txn.checkpoint()?;
     Ok(Response::Ok(format!(
         "session restored from {path} ({} domain(s), {} relation(s))",
@@ -692,11 +720,7 @@ fn exec_open(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     // makes the replayed tail durable and drops any torn bytes, so a
     // re-crash cannot regress.
     let journal = Journal::begin(path, r.next_lsn(), &world.to_image(), group)?;
-    txn.world = world;
-    let names: Vec<String> = txn.world.relation_names().map(String::from).collect();
-    for name in &names {
-        txn.delta.record_reset(name);
-    }
+    txn.replace_world(world);
     *txn.journal = Some(journal);
     Ok(Response::Ok(format!(
         "store {dir} open at lsn {} ({} domain(s), {} relation(s); \
@@ -1122,44 +1146,89 @@ mod tests {
             .unwrap_err();
         assert_eq!(live, HqlError::from_catalog(replayed));
         assert_eq!(live.to_string(), "unknown domain \"Nope\"");
-        assert_eq!(Engine::new().apply_mutation(m).unwrap_err(), live);
+        assert_eq!(Engine::new().apply_mutations(None, [m]).unwrap_err(), live);
     }
 
-    /// [`Engine::apply_mutation`] is the statement write path minus the
-    /// parsing: one epoch and one delta per mutation, nothing published
-    /// on failure.
+    /// [`Engine::apply_mutations`] is the statement write path minus the
+    /// parsing, once per batch: one epoch and one net delta however
+    /// many mutations, and nothing published — not even the mutations
+    /// before it — when one is refused.
     #[test]
-    fn applied_mutations_publish_like_statements() {
+    fn a_batch_of_mutations_publishes_one_epoch_or_nothing() {
+        let assert = |value: &str, truth| CatalogMutation::Assert {
+            relation: "R".into(),
+            values: vec![value.into()],
+            truth,
+        };
         let engine = Engine::new();
-        for m in [
-            CatalogMutation::CreateDomain { name: "D".into() },
-            CatalogMutation::CreateRelation {
-                name: "R".into(),
-                attributes: vec![("V".into(), "D".into())],
-            },
-            CatalogMutation::Assert {
-                relation: "R".into(),
-                values: vec!["D".into()],
-                truth: Truth::Negative,
-            },
-        ] {
-            engine.apply_mutation(m).unwrap();
-        }
-        assert_eq!(engine.epoch(), 3);
+        engine
+            .apply_mutations(
+                None,
+                [
+                    CatalogMutation::CreateDomain { name: "D".into() },
+                    CatalogMutation::AddClass {
+                        domain: "D".into(),
+                        name: "A".into(),
+                        parents: vec!["D".into()],
+                    },
+                    CatalogMutation::CreateRelation {
+                        name: "R".into(),
+                        attributes: vec![("V".into(), "D".into())],
+                    },
+                    assert("D", Truth::Negative),
+                ],
+            )
+            .unwrap();
+        assert_eq!(engine.epoch(), 1, "one epoch for the whole batch");
         let (epoch, delta) = engine.last_delta().unwrap();
-        assert_eq!((epoch, delta.row_count()), (3, 1));
+        assert_eq!(epoch, 1);
+        assert_eq!(
+            delta.relations["R"],
+            RelationChange::Reset,
+            "a relation created in the batch resets, rows and all"
+        );
+
+        // Assert-then-retract nets to nothing; a row that stays is one
+        // row, and the batch is still one epoch.
+        engine
+            .apply_mutations(
+                None,
+                [
+                    assert("A", Truth::Positive),
+                    CatalogMutation::Retract {
+                        relation: "R".into(),
+                        values: vec!["A".into()],
+                    },
+                    assert("A", Truth::Positive),
+                    assert("D", Truth::Negative),
+                ],
+            )
+            .unwrap();
+        let (epoch, delta) = engine.last_delta().unwrap();
+        assert_eq!((epoch, engine.epoch(), delta.row_count()), (2, 2, 1));
+
+        // A refused record takes the whole batch with it.
+        let before = engine.execute_read("SHOW R;", 0).unwrap();
         assert!(engine
-            .apply_mutation(CatalogMutation::DropDomain { name: "D".into() })
+            .apply_mutations(
+                None,
+                [
+                    assert("A", Truth::Positive),
+                    CatalogMutation::DropDomain { name: "D".into() },
+                ],
+            )
             .is_err());
-        assert_eq!(engine.epoch(), 3, "a refused mutation publishes nothing");
+        assert_eq!(engine.epoch(), 2, "a refused batch publishes nothing");
+        assert_eq!(engine.execute_read("SHOW R;", 0).unwrap(), before);
+
         let by_statement = Engine::new();
         by_statement
-            .execute("CREATE DOMAIN D; CREATE RELATION R (V: D); ASSERT NOT R (ALL D);")
+            .execute(
+                "CREATE DOMAIN D; CREATE CLASS A UNDER D; CREATE RELATION R (V: D); \
+                 ASSERT NOT R (ALL D); ASSERT R (ALL A);",
+            )
             .unwrap();
-        assert_eq!(
-            engine.execute_read("SHOW R;", 0).unwrap(),
-            by_statement.execute_read("SHOW R;", 0).unwrap()
-        );
+        assert_eq!(before, by_statement.execute_read("SHOW R;", 0).unwrap());
     }
 
     /// A pinned [`ReadView`] serves read-only scripts byte-identically

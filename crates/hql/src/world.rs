@@ -98,8 +98,8 @@ pub struct World {
     /// Live `LET` views in registration order, so a view over another
     /// view is maintained after its input and sees its delta. Each
     /// view's stored relation is an entry of `catalog` like any other.
-    /// Views are *session* state, not image state: `LOAD`/`OPEN`/
-    /// `restore` degrade them to plain relations.
+    /// Views are *session* state, not image state: `LOAD`, `OPEN` and a
+    /// shipped checkpoint image degrade them to plain relations.
     views: Vec<Arc<ViewDef>>,
 }
 

@@ -7,30 +7,54 @@
 //!
 //! * [`ShipEvent::Rollover`] — a new generation appeared (first attach,
 //!   or the primary took a checkpoint). Carries the checkpoint
-//!   [`Image`]; the replica replaces its state with it wholesale.
+//!   [`Image`]; the replica replaces its state with it wholesale. Only
+//!   ever the first event of a poll.
 //! * [`ShipEvent::Mutation`] — one committed WAL record past what was
 //!   already delivered, numbered by its LSN (mutations applied since
 //!   the store was born).
 //!
-//! The tailer is strictly **read-only** and crash-tolerant by the same
-//! argument as recovery: every delivered record was CRC-verified, a
-//! torn or corrupt tail is a clean stop (the next poll re-reads the
-//! file and picks up whatever the primary has completed since), and a
-//! vanished generation (checkpointed away mid-poll) resolves as a
-//! rollover to the newer one. Polling therefore always yields a
-//! *prefix* of the primary's committed history, delivered exactly once
-//! across the tailer's lifetime.
+//! A poll costs what is *new*. The tailer keeps a [`ShipCursor`] —
+//! generation, records delivered, and the byte offset of the frame
+//! boundary it verified up to — decides "same generation" from the
+//! newest checkpoint's file name (an image is loaded and checksummed
+//! only when that name changed), seeks to the offset and decodes from
+//! there. The offset only ever moves past intact frames.
+//!
+//! The tailer is strictly **read-only**, and every delivered record
+//! was CRC-verified. What it does at a frame it cannot deliver depends
+//! on why ([`FrameError`]):
+//!
+//! * a frame cut **short** by end-of-file is a tail still being written
+//!   (or torn by a crash): delivery stops quietly at the last intact
+//!   record and the next poll resumes there;
+//! * a **complete but invalid** frame is damage no retry repairs: the
+//!   poll that finds it first in line fails with
+//!   [`PersistError::Corrupt`] naming the byte offset (and bumps
+//!   `ship.corrupt_records`), and so does every later poll until a
+//!   checkpoint supersedes the generation. Intact records before it
+//!   are delivered first;
+//! * a WAL now *shorter* than the cursor, or gone (the directory was
+//!   recreated, or the generation was checkpointed away mid-poll), is
+//!   re-read from the newest checkpoint as a rollover.
+//!
+//! Polling therefore always yields a *prefix* of the primary's
+//! committed history, delivered exactly once across the tailer's
+//! lifetime — unless the consumer [`rewind`](WalTailer::rewind)s to
+//! re-read what it failed to apply. A poll that returns `Err` leaves
+//! the cursor where it was.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use hrdm_core::mutation::CatalogMutation;
+use hrdm_obs::metrics::{self, Counter};
 
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::store::{checkpoint_path, load_checkpoint, wal_path};
-use crate::wal::{WalReader, WalRecord};
+use crate::store::{checkpoint_lsns, newest_intact_checkpoint, wal_path};
+use crate::wal::{FrameError, WalReader, WalRecord, WAL_HEADER_LEN};
 
 /// One unit of shipped history.
 pub enum ShipEvent {
@@ -52,44 +76,54 @@ pub enum ShipEvent {
     },
 }
 
-/// Newest checkpoint LSN in `dir` whose image verifies, skipping
-/// corrupt ones exactly like recovery does.
-fn newest_intact_checkpoint(dir: &Path) -> Result<Option<(u64, Image)>> {
-    if !dir.is_dir() {
-        return Ok(None);
-    }
-    let mut lsns = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(hex) = name
-            .strip_prefix("checkpoint-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-        {
-            if let Ok(lsn) = u64::from_str_radix(hex, 16) {
-                lsns.push(lsn);
-            }
-        }
-    }
-    lsns.sort_unstable();
-    for lsn in lsns.into_iter().rev() {
-        match load_checkpoint(&checkpoint_path(dir, lsn)) {
-            Ok((file_lsn, image)) if file_lsn == lsn => return Ok(Some((lsn, image))),
-            Ok(_) | Err(_) => continue, // skipped, like recovery
-        }
-    }
-    Ok(None)
+struct ShipObs {
+    rollovers: Counter,
+    mutations: Counter,
+    /// WAL bytes consumed by polls, a partly read tail frame included.
+    poll_bytes: Counter,
+    /// Checkpoint images opened and verified.
+    checkpoint_loads: Counter,
+    /// Polls that failed on a complete but invalid frame.
+    corrupt_records: Counter,
+    /// Cursors dropped because the WAL under them had shrunk.
+    resets: Counter,
+}
+
+fn obs() -> &'static ShipObs {
+    static M: OnceLock<ShipObs> = OnceLock::new();
+    M.get_or_init(|| ShipObs {
+        rollovers: metrics::counter("ship.rollovers"),
+        mutations: metrics::counter("ship.mutations"),
+        poll_bytes: metrics::counter("ship.poll_bytes"),
+        checkpoint_loads: metrics::counter("ship.checkpoint_loads"),
+        corrupt_records: metrics::counter("ship.corrupt_records"),
+        resets: metrics::counter("ship.resets"),
+    })
+}
+
+/// Where a [`WalTailer`] stands in the primary's history. Opaque: take
+/// it with [`WalTailer::cursor`] before a poll, hand it back to
+/// [`WalTailer::rewind`] to have that poll's events delivered again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShipCursor {
+    /// Checkpoint LSN of the generation being tailed; `None` until the
+    /// first generation is observed.
+    generation: Option<u64>,
+    /// Newest checkpoint LSN *named* in the directory when the
+    /// generation was last resolved (it may name a file that did not
+    /// verify); a poll opens checkpoint files only when this changes.
+    newest_named: Option<u64>,
+    /// Mutation records delivered from the generation's WAL.
+    delivered: u64,
+    /// Byte offset in that WAL just past the last verified frame; 0
+    /// until its header and checkpoint record have been read.
+    offset: u64,
 }
 
 /// A read-only tailer over a store directory's live generation.
 pub struct WalTailer {
     dir: PathBuf,
-    /// Checkpoint LSN of the generation being tailed; `None` until the
-    /// first generation is observed.
-    generation: Option<u64>,
-    /// Mutation records already delivered from the current generation's
-    /// WAL (the leading checkpoint record is not counted).
-    delivered: u64,
+    cursor: ShipCursor,
 }
 
 impl WalTailer {
@@ -99,8 +133,7 @@ impl WalTailer {
     pub fn attach(dir: impl Into<PathBuf>) -> WalTailer {
         WalTailer {
             dir: dir.into(),
-            generation: None,
-            delivered: 0,
+            cursor: ShipCursor::default(),
         }
     }
 
@@ -112,74 +145,174 @@ impl WalTailer {
     /// LSN of the last event delivered (checkpoint LSN + mutations
     /// delivered on top); 0 before the first generation is observed.
     pub fn shipped_lsn(&self) -> u64 {
-        self.generation.unwrap_or(0) + self.delivered
+        self.cursor.generation.unwrap_or(0) + self.cursor.delivered
+    }
+
+    /// Where the tailer stands: everything up to here was delivered.
+    pub fn cursor(&self) -> ShipCursor {
+        self.cursor
+    }
+
+    /// Go back to a cursor taken earlier, so the events delivered since
+    /// are delivered again — what a consumer does when it could not
+    /// apply them, so that nothing is skipped.
+    pub fn rewind(&mut self, cursor: ShipCursor) {
+        self.cursor = cursor;
     }
 
     /// Collect everything newly committed since the last poll.
     ///
-    /// Returns an empty vector when nothing changed. A torn WAL tail is
-    /// not an error — delivery stops at the last intact record and the
-    /// next poll continues from there. IO failures (other than files
+    /// Returns an empty vector when nothing changed. A WAL tail cut
+    /// short is not an error — delivery stops at the last intact record
+    /// and the next poll continues from there. A complete but invalid
+    /// frame is [`PersistError::Corrupt`] once every intact record
+    /// before it has been delivered. IO failures (other than files
     /// legitimately missing mid-rollover) propagate.
     pub fn poll(&mut self) -> Result<Vec<ShipEvent>> {
-        let _g = hrdm_obs::span!("ship.poll", dir = self.dir.display());
-        let mut events = Vec::new();
+        self.poll_at_most(usize::MAX)
+    }
 
-        // 1. Generation check: first attach, or the primary rolled over.
-        match newest_intact_checkpoint(&self.dir)? {
-            None => return Ok(events), // store not born yet
-            Some((lsn, image)) => {
-                if self.generation != Some(lsn) {
-                    self.generation = Some(lsn);
-                    self.delivered = 0;
-                    events.push(ShipEvent::Rollover { lsn, image });
-                    hrdm_obs::metrics::counter("ship.rollovers").incr();
-                }
+    /// [`poll`](WalTailer::poll), stopping after `max` mutation records:
+    /// the cursor stays on the frame boundary and the next poll carries
+    /// on from it, so a long log can be drained in bounded pieces.
+    pub fn poll_at_most(&mut self, max: usize) -> Result<Vec<ShipEvent>> {
+        let _g = hrdm_obs::span!("ship.poll", dir = self.dir.display());
+        let mut cursor = self.cursor;
+        let mut events = Vec::new();
+        match self.advance(&mut cursor, &mut events, max) {
+            // A failed read says nothing about the log: deliver nothing
+            // and leave the cursor where it was.
+            Err(PersistError::Io(e)) => Err(PersistError::Io(e)),
+            // Damage, with nothing intact before it.
+            Err(e) if events.is_empty() => {
+                obs().corrupt_records.incr();
+                Err(e)
+            }
+            // Deliver what is intact; the next poll meets the damage
+            // first in line and reports it.
+            Err(_) | Ok(()) => {
+                self.cursor = cursor;
+                Ok(events)
             }
         }
-        let generation = self.generation.expect("set above");
+    }
 
-        // 2. Tail the generation's WAL past what was already delivered.
-        //    The file may not exist yet (checkpoint written, WAL not):
-        //    that's just "nothing to ship".
+    /// Move `cursor` forward over what is new, pushing what it passes
+    /// onto `events`. On `Err` the cursor stands on the last frame
+    /// boundary before the failure.
+    fn advance(
+        &self,
+        cursor: &mut ShipCursor,
+        events: &mut Vec<ShipEvent>,
+        max: usize,
+    ) -> Result<()> {
+        let obs = obs();
+
+        // 0. A WAL shorter than what was already verified, or gone, is
+        //    not the file the cursor points into: start over from the
+        //    newest checkpoint instead of seeking into garbage.
+        if cursor.offset > 0 {
+            let generation = cursor.generation.expect("an offset is into a generation");
+            match std::fs::metadata(wal_path(&self.dir, generation)) {
+                Ok(meta) if meta.len() >= cursor.offset => {}
+                Ok(_) => {
+                    obs.resets.incr();
+                    *cursor = ShipCursor::default();
+                }
+                Err(e) if e.kind() == ErrorKind::NotFound => *cursor = ShipCursor::default(),
+                Err(e) => return Err(e.into()),
+            }
+        }
+
+        // 1. Generation check, by file name: first attach, or the
+        //    primary rolled over.
+        let lsns = match checkpoint_lsns(&self.dir) {
+            Ok(lsns) => lsns,
+            Err(PersistError::Io(e)) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let Some(&newest_named) = lsns.first() else {
+            return Ok(()); // store not born yet
+        };
+        if cursor.newest_named != Some(newest_named) {
+            // Corrupt ones are skipped, exactly like recovery does.
+            let (intact, skipped) = newest_intact_checkpoint(&self.dir, &lsns);
+            obs.checkpoint_loads
+                .add(skipped + u64::from(intact.is_some()));
+            let Some((lsn, image)) = intact else {
+                return Ok(()); // nothing verifies (yet)
+            };
+            cursor.newest_named = Some(newest_named);
+            if cursor.generation != Some(lsn) {
+                *cursor = ShipCursor {
+                    generation: Some(lsn),
+                    newest_named: Some(newest_named),
+                    delivered: 0,
+                    offset: 0,
+                };
+                events.push(ShipEvent::Rollover { lsn, image });
+                obs.rollovers.incr();
+            }
+        }
+        let generation = cursor.generation.expect("resolved above");
+
+        // 2. Tail the generation's WAL from the cursor. The file may not
+        //    exist yet (checkpoint written, WAL not), or hold less than a
+        //    header: that's just "nothing to ship".
         let path = wal_path(&self.dir, generation);
-        let file = match File::open(&path) {
+        let mut file = match File::open(&path) {
             Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(events),
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        let mut reader = match WalReader::new(BufReader::new(file)) {
-            Ok(r) => r,
-            Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
-            Err(_) => return Ok(events), // torn header: nothing durable yet
+        let mut reader = if cursor.offset == 0 {
+            if file.metadata()?.len() < WAL_HEADER_LEN {
+                return Ok(());
+            }
+            WalReader::new(BufReader::new(file))?
+        } else {
+            file.seek(SeekFrom::Start(cursor.offset))?;
+            WalReader::resume(BufReader::new(file), cursor.offset)
         };
-        let mut seen = 0u64;
-        loop {
-            match reader.next() {
-                Ok(None) => break,
+        let corrupt = |at: u64, msg: String| {
+            PersistError::Corrupt(format!("{} at byte {at}: {msg}", path.display()))
+        };
+        let started_at = cursor.offset;
+        let delivered_before = cursor.delivered;
+        let mut outcome = Ok(());
+        while ((cursor.delivered - delivered_before) as usize) < max {
+            match reader.next_frame() {
+                // A clean end, or a tail still being written.
+                Ok(None) | Err(FrameError::Short(_)) => break,
+                Ok(Some(WalRecord::Checkpoint { lsn })) if lsn == generation => {}
                 Ok(Some(WalRecord::Checkpoint { lsn })) => {
-                    if lsn != generation {
-                        return Err(PersistError::Corrupt(format!(
-                            "wal names checkpoint {lsn}, expected {generation}"
-                        )));
-                    }
+                    outcome = Err(corrupt(
+                        cursor.offset,
+                        format!("wal names checkpoint {lsn}, expected {generation}"),
+                    ));
+                    break;
                 }
                 Ok(Some(WalRecord::Mutation(mutation))) => {
-                    seen += 1;
-                    if seen > self.delivered {
-                        self.delivered = seen;
-                        events.push(ShipEvent::Mutation {
-                            lsn: generation + seen,
-                            mutation,
-                        });
-                        hrdm_obs::metrics::counter("ship.mutations").incr();
-                    }
+                    cursor.delivered += 1;
+                    events.push(ShipEvent::Mutation {
+                        lsn: generation + cursor.delivered,
+                        mutation,
+                    });
                 }
-                Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
-                Err(_) => break, // torn tail: clean stop, next poll retries
+                Err(FrameError::Io(e)) => {
+                    outcome = Err(e.into());
+                    break;
+                }
+                Err(FrameError::Invalid(msg)) => {
+                    outcome = Err(corrupt(reader.good_pos(), msg));
+                    break;
+                }
             }
+            cursor.offset = reader.good_pos();
         }
-        Ok(events)
+        obs.poll_bytes.add(reader.pos() - started_at);
+        obs.mutations.add(cursor.delivered - delivered_before);
+        outcome
     }
 }
 
@@ -297,6 +430,63 @@ mod tests {
             ShipEvent::Mutation { lsn: got, mutation: CatalogMutation::CreateDomain { name } }
                 if *got == lsn + 1 && name == "Tool"
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn lsns(events: &[ShipEvent]) -> Vec<u64> {
+        events
+            .iter()
+            .map(|e| match e {
+                ShipEvent::Rollover { lsn, .. } | ShipEvent::Mutation { lsn, .. } => *lsn,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bounded_polls_stop_on_frame_boundaries_and_a_rewind_redelivers() {
+        let dir = temp_dir("bounded");
+        let mut store = DurableCatalog::open(&dir).unwrap();
+        for m in mutations() {
+            store.mutate(m).unwrap();
+        }
+        let mut tailer = WalTailer::attach(&dir);
+        let attached = tailer.cursor();
+        // The rollover does not count against the bound.
+        assert_eq!(lsns(&tailer.poll_at_most(1).unwrap()), [0, 1]);
+        let after_one = tailer.cursor();
+        assert_eq!(lsns(&tailer.poll_at_most(2).unwrap()), [2, 3]);
+        assert_eq!(lsns(&tailer.poll_at_most(2).unwrap()), [4]);
+        assert!(tailer.poll_at_most(2).unwrap().is_empty());
+
+        tailer.rewind(after_one);
+        assert_eq!(tailer.shipped_lsn(), 1);
+        assert_eq!(lsns(&tailer.poll().unwrap()), [2, 3, 4]);
+        // Back before the generation was seen: the rollover comes again.
+        tailer.rewind(attached);
+        assert_eq!(lsns(&tailer.poll().unwrap()), [0, 1, 2, 3, 4]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A WAL shorter than the cursor is a different file under the same
+    /// name (the directory was recreated): start over from its
+    /// checkpoint rather than seek past its end.
+    #[test]
+    fn a_wal_shorter_than_the_cursor_restarts_from_the_checkpoint() {
+        let dir = temp_dir("shrunk");
+        let mut store = DurableCatalog::open(&dir).unwrap();
+        for m in mutations() {
+            store.mutate(m).unwrap();
+        }
+        let mut tailer = WalTailer::attach(&dir);
+        assert_eq!(tailer.poll().unwrap().len(), 5);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut store = DurableCatalog::open(&dir).unwrap();
+        store.mutate(mutations().remove(0)).unwrap();
+        let events = tailer.poll().unwrap();
+        assert_eq!(lsns(&events), [0, 1], "rollover, then the new store's log");
+        assert!(matches!(&events[0], ShipEvent::Rollover { .. }));
+        assert!(tailer.poll().unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -145,7 +145,9 @@ pub struct Recovered {
     pub report: RecoveryReport,
 }
 
-fn checkpoint_lsns(dir: &Path) -> Result<Vec<u64>> {
+/// LSNs of the checkpoint files *named* in `dir`, newest first (no
+/// file is opened).
+pub(crate) fn checkpoint_lsns(dir: &Path) -> Result<Vec<u64>> {
     let mut lsns = Vec::new();
     for entry in fs::read_dir(dir)? {
         let name = entry?.file_name();
@@ -164,6 +166,19 @@ fn checkpoint_lsns(dir: &Path) -> Result<Vec<u64>> {
     Ok(lsns)
 }
 
+/// The newest of `lsns` (newest first) whose checkpoint file verifies,
+/// and how many newer ones were skipped because theirs did not.
+pub(crate) fn newest_intact_checkpoint(dir: &Path, lsns: &[u64]) -> (Option<(u64, Image)>, u64) {
+    let mut skipped = 0;
+    for &lsn in lsns {
+        match load_checkpoint(&checkpoint_path(dir, lsn)) {
+            Ok((file_lsn, image)) if file_lsn == lsn => return (Some((lsn, image)), skipped),
+            Ok(_) | Err(_) => skipped += 1,
+        }
+    }
+    (None, skipped)
+}
+
 /// Rebuild a catalog from a store directory: newest intact checkpoint,
 /// plus as much of its WAL as is intact.
 ///
@@ -176,19 +191,11 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
     // 1. Newest checkpoint that verifies; corrupt ones are skipped so a
     //    crash mid-rename (or a damaged newest image) falls back to the
     //    previous generation.
-    let mut checkpoints_skipped = 0u64;
-    let mut base: Option<(u64, Image)> = None;
-    if dir.is_dir() {
-        for lsn in checkpoint_lsns(dir)? {
-            match load_checkpoint(&checkpoint_path(dir, lsn)) {
-                Ok((file_lsn, image)) if file_lsn == lsn => {
-                    base = Some((lsn, image));
-                    break;
-                }
-                Ok(_) | Err(_) => checkpoints_skipped += 1,
-            }
-        }
-    }
+    let (base, checkpoints_skipped) = if dir.is_dir() {
+        newest_intact_checkpoint(dir, &checkpoint_lsns(dir)?)
+    } else {
+        (None, 0)
+    };
     let (checkpoint_lsn, mut catalog) = match base {
         Some((lsn, image)) => (lsn, image.into_catalog()),
         None => (0, Catalog::new()),

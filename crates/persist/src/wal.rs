@@ -28,6 +28,13 @@
 //! ([`crate::store::recover`]) is what converts a corrupt *tail* into a
 //! clean stop — every record before it was CRC-verified, so replay
 //! yields exactly a prefix of the history.
+//!
+//! A reader of a *live* log ([`crate::ship::WalTailer`]) cannot treat
+//! the two alike, so [`WalReader::next_frame`] keeps them apart as a
+//! [`FrameError`]: end-of-file inside a frame is a tail still being
+//! written ([`FrameError::Short`] — come back later), a complete frame
+//! that fails verification is damage ([`FrameError::Invalid`] — no
+//! amount of waiting repairs it).
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -47,6 +54,8 @@ use crate::error::{PersistError, Result};
 pub const WAL_MAGIC: &[u8; 8] = b"HRDMWAL1";
 /// WAL format version.
 pub const WAL_VERSION: u32 = 1;
+/// Bytes of file header (magic + version) before the first frame.
+pub const WAL_HEADER_LEN: u64 = WAL_MAGIC.len() as u64 + 4;
 /// Upper bound on one record's payload. Catalog mutations are names
 /// and small lists; anything larger is a corrupt length prefix.
 pub const RECORD_CAP: usize = 1 << 20;
@@ -310,8 +319,44 @@ pub fn write_record(w: &mut impl Write, record: &WalRecord) -> Result<()> {
     Ok(())
 }
 
+/// Why [`WalReader::next_frame`] produced no record.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The underlying read failed (with anything but end-of-file).
+    Io(std::io::Error),
+    /// End-of-file inside the frame's length prefix, checksum or
+    /// payload: the frame is still being written, or a crash tore it.
+    Short(&'static str),
+    /// A complete frame that fails verification — checksum mismatch,
+    /// over-cap length, unknown tag, trailing payload bytes, a
+    /// checkpoint record out of place.
+    Invalid(String),
+}
+
+impl From<FrameError> for PersistError {
+    fn from(e: FrameError) -> PersistError {
+        match e {
+            FrameError::Io(e) => PersistError::Io(e),
+            FrameError::Short(what) => PersistError::Corrupt(what.into()),
+            FrameError::Invalid(msg) => PersistError::Corrupt(msg),
+        }
+    }
+}
+
+/// Fill `buf` from `r`; running out of bytes is a short frame.
+fn read_frame_part(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    what: &'static str,
+) -> std::result::Result<(), FrameError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => FrameError::Short(what),
+        _ => FrameError::Io(e),
+    })
+}
+
 /// A counting reader so the WAL reader can report exact byte offsets
-/// (how much of a torn tail gets discarded).
+/// (how much of a torn tail gets discarded, where a tailer resumes).
 struct Counted<R> {
     inner: R,
     pos: u64,
@@ -338,6 +383,8 @@ pub struct WalReader<R> {
     good_pos: u64,
     seen_checkpoint: bool,
     poisoned: bool,
+    /// The current frame's payload (reused across frames).
+    payload: Vec<u8>,
 }
 
 impl<R: Read> WalReader<R> {
@@ -352,7 +399,23 @@ impl<R: Read> WalReader<R> {
             good_pos,
             seen_checkpoint: false,
             poisoned: false,
+            payload: Vec::new(),
         })
+    }
+
+    /// Continue a log whose header and checkpoint record were verified
+    /// by an earlier reader: `inner` is positioned at byte `offset` of
+    /// the stream, a frame boundary that reader reported as its
+    /// [`good_pos`](WalReader::good_pos) past the checkpoint record.
+    /// Offsets stay absolute.
+    pub fn resume(inner: R, offset: u64) -> WalReader<R> {
+        WalReader {
+            r: Counted { inner, pos: offset },
+            good_pos: offset,
+            seen_checkpoint: true,
+            poisoned: false,
+            payload: Vec::new(),
+        }
     }
 
     /// Byte offset just past the last intact record (or the header).
@@ -360,11 +423,23 @@ impl<R: Read> WalReader<R> {
         self.good_pos
     }
 
+    /// Byte offset just past the last byte consumed, a partly read
+    /// frame included.
+    pub fn pos(&self) -> u64 {
+        self.r.pos
+    }
+
     /// Read the next record. After the first error the reader is
     /// poisoned: further calls return `Ok(None)` (a torn tail has no
     /// decodable continuation).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<WalRecord>> {
+        Ok(self.next_frame()?)
+    }
+
+    /// [`next`](WalReader::next) with the failure classified: a frame
+    /// cut short by end-of-file versus a complete frame that is wrong.
+    pub fn next_frame(&mut self) -> std::result::Result<Option<WalRecord>, FrameError> {
         if self.poisoned {
             return Ok(None);
         }
@@ -381,13 +456,13 @@ impl<R: Read> WalReader<R> {
         }
     }
 
-    fn read_one(&mut self) -> Result<Option<WalRecord>> {
+    fn read_one(&mut self) -> std::result::Result<Option<WalRecord>, FrameError> {
         // Distinguish clean EOF (no bytes at all) from a torn frame.
         let mut first = [0u8; 1];
         match self.r.read(&mut first) {
             Ok(0) => return Ok(None),
             Ok(_) => {}
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(FrameError::Io(e)),
         }
         // Finish the varint whose first byte we just consumed.
         let len = if first[0] & 0x80 == 0 {
@@ -396,10 +471,11 @@ impl<R: Read> WalReader<R> {
             let mut v = (first[0] & 0x7F) as u64;
             let mut shift = 7u32;
             loop {
-                let byte = read_u8(&mut self.r)
-                    .map_err(|_| PersistError::Corrupt("torn varint length prefix".into()))?;
+                let mut byte = [0u8; 1];
+                read_frame_part(&mut self.r, &mut byte, "torn varint length prefix")?;
+                let byte = byte[0];
                 if shift >= 63 && byte > 1 {
-                    return Err(PersistError::Corrupt("varint overflows 64 bits".into()));
+                    return Err(FrameError::Invalid("varint overflows 64 bits".into()));
                 }
                 v |= ((byte & 0x7F) as u64) << shift;
                 if byte & 0x80 == 0 {
@@ -407,35 +483,38 @@ impl<R: Read> WalReader<R> {
                 }
                 shift += 7;
                 if shift > 63 {
-                    return Err(PersistError::Corrupt("varint longer than 10 bytes".into()));
+                    return Err(FrameError::Invalid("varint longer than 10 bytes".into()));
                 }
             }
             v
         };
-        if len as usize > RECORD_CAP {
-            return Err(PersistError::Corrupt(format!(
+        if len > RECORD_CAP as u64 {
+            return Err(FrameError::Invalid(format!(
                 "record length {len} exceeds cap {RECORD_CAP}"
             )));
         }
-        let expected_crc = read_u32(&mut self.r)
-            .map_err(|_| PersistError::Corrupt("torn record checksum".into()))?;
-        let mut payload = vec![0u8; len as usize];
-        self.r
-            .read_exact(&mut payload)
-            .map_err(|_| PersistError::Corrupt("torn record payload".into()))?;
-        if crc32(&payload) != expected_crc {
-            return Err(PersistError::Corrupt("record checksum mismatch".into()));
+        let mut crc = [0u8; 4];
+        read_frame_part(&mut self.r, &mut crc, "torn record checksum")?;
+        self.payload.resize(len as usize, 0);
+        read_frame_part(&mut self.r, &mut self.payload, "torn record payload")?;
+        if crc32(&self.payload) != u32::from_le_bytes(crc) {
+            return Err(FrameError::Invalid("record checksum mismatch".into()));
         }
-        let record = decode_payload(&payload)?;
+        let record = decode_payload(&self.payload).map_err(|e| {
+            FrameError::Invalid(match e {
+                PersistError::Corrupt(msg) => msg,
+                other => other.to_string(),
+            })
+        })?;
         match (&record, self.seen_checkpoint) {
             (WalRecord::Checkpoint { .. }, true) => {
-                return Err(PersistError::Corrupt(
+                return Err(FrameError::Invalid(
                     "duplicate checkpoint record mid-log".into(),
                 ))
             }
             (WalRecord::Checkpoint { .. }, false) => self.seen_checkpoint = true,
             (WalRecord::Mutation(_), false) => {
-                return Err(PersistError::Corrupt(
+                return Err(FrameError::Invalid(
                     "log does not start with a checkpoint record".into(),
                 ))
             }
@@ -646,6 +725,44 @@ mod tests {
         // Poisoned: the tail has no decodable continuation.
         assert_eq!(reader.next().unwrap(), None);
         assert!(reader.good_pos() < cut as u64);
+    }
+
+    /// The classified read tells a frame cut short (any cut inside it)
+    /// from a complete frame that is wrong, and a resumed reader picks
+    /// up at a reported boundary with absolute offsets.
+    #[test]
+    fn frames_cut_short_are_told_from_invalid_ones_and_readers_resume() {
+        let bytes = sample_log();
+        let mut reader = WalReader::new(&bytes[..]).unwrap();
+        let mut boundaries = Vec::new();
+        while reader.next().unwrap().is_some() {
+            boundaries.push(reader.good_pos() as usize);
+        }
+        let (start, end) = (boundaries[3], boundaries[4]);
+        for cut in start + 1..end {
+            let mut reader = WalReader::resume(&bytes[start..cut], start as u64);
+            assert!(
+                matches!(reader.next_frame(), Err(FrameError::Short(_))),
+                "cut at byte {cut}"
+            );
+            assert_eq!(reader.good_pos(), start as u64);
+            assert_eq!(reader.pos(), cut as u64);
+        }
+        let mut flipped = bytes.clone();
+        flipped[end - 1] ^= 1;
+        let mut reader = WalReader::resume(&flipped[start..], start as u64);
+        assert!(matches!(
+            reader.next_frame(),
+            Err(FrameError::Invalid(msg)) if msg.contains("checksum")
+        ));
+
+        let mut reader = WalReader::resume(&bytes[start..], start as u64);
+        let mut got = Vec::new();
+        while let Some(WalRecord::Mutation(m)) = reader.next().unwrap() {
+            got.push(m);
+        }
+        assert_eq!(got, sample_mutations()[3..]);
+        assert_eq!(reader.good_pos(), bytes.len() as u64);
     }
 
     #[test]

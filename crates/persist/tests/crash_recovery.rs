@@ -20,6 +20,13 @@
 //! The invariant throughout: **recovery always yields a prefix** of
 //! the mutation history — never an error, never a panic, never a
 //! state that mixes records from both sides of the kill point.
+//!
+//! The same streams, kill points and bit flips are then put under a
+//! [`WalTailer`] (what a replica reads the log with), whose cursor
+//! resumes mid-file: split the stream anywhere, across a rollover, and
+//! every record is still delivered exactly once and every state a
+//! follower reaches is a reference prefix; damage is an error or a
+//! prefix, never a wrong record and never a quiet stall.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -27,9 +34,11 @@ use std::path::{Path, PathBuf};
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::{Catalog, Preemption, Truth};
-use hrdm_persist::store::wal_path;
+use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
 use hrdm_persist::wal::{write_header, write_record};
-use hrdm_persist::{recover, DurableCatalog, Fault, FaultFs, WalRecord};
+use hrdm_persist::{
+    recover, DurableCatalog, Fault, FaultFs, Image, PersistError, ShipEvent, WalRecord, WalTailer,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -320,12 +329,17 @@ fn reference_prefixes(script: &[CatalogMutation]) -> Vec<String> {
 
 /// The WAL byte stream for the script, plus the frame boundaries:
 /// `boundaries[0]` = end of header, `boundaries[1]` = end of the
-/// checkpoint record, `boundaries[k + 1]` = end of mutation `k`.
+/// checkpoint record, `boundaries[k + 2]` = end of mutation `k`.
 fn wal_stream(script: &[CatalogMutation]) -> (Vec<u8>, Vec<u64>) {
+    wal_stream_at(0, script)
+}
+
+/// [`wal_stream`] for a generation that extends the checkpoint at `lsn`.
+fn wal_stream_at(lsn: u64, script: &[CatalogMutation]) -> (Vec<u8>, Vec<u64>) {
     let mut bytes = Vec::new();
     write_header(&mut bytes).unwrap();
     let mut boundaries = vec![bytes.len() as u64];
-    write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 0 }).unwrap();
+    write_record(&mut bytes, &WalRecord::Checkpoint { lsn }).unwrap();
     boundaries.push(bytes.len() as u64);
     for m in script {
         write_record(&mut bytes, &WalRecord::Mutation(m.clone())).unwrap();
@@ -553,5 +567,248 @@ fn durable_catalog_end_to_end_with_crash_snapshots() {
     assert_eq!(store.recovery_report().records_replayed, 0);
     assert_eq!(store.catalog().render_stable(), refs[script.len()]);
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What a replica is, one layer down: a tailer whose events are folded
+/// into a catalog — a rollover replaces it, a mutation applies to it.
+struct Follower {
+    tailer: WalTailer,
+    catalog: Catalog,
+    /// LSNs of the events delivered so far, rollovers and mutations
+    /// apart, in delivery order.
+    rollovers: Vec<u64>,
+    mutations: Vec<u64>,
+}
+
+impl Follower {
+    fn attach(dir: &Path) -> Follower {
+        Follower {
+            tailer: WalTailer::attach(dir),
+            catalog: Catalog::new(),
+            rollovers: Vec::new(),
+            mutations: Vec::new(),
+        }
+    }
+
+    fn poll(&mut self) -> Result<(), PersistError> {
+        for event in self.tailer.poll()? {
+            match event {
+                ShipEvent::Rollover { lsn, image } => {
+                    self.catalog = image.into_catalog();
+                    self.rollovers.push(lsn);
+                }
+                ShipEvent::Mutation { lsn, mutation } => {
+                    self.catalog
+                        .apply_mutation(&mutation)
+                        .unwrap_or_else(|e| panic!("shipped lsn {lsn} must apply: {e}"));
+                    self.mutations.push(lsn);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The follower's state is the reference prefix its LSN names, and
+    /// every mutation up to it arrived once, in order.
+    fn assert_on_a_prefix(&self, refs: &[String], first_lsn: u64, context: &str) {
+        let lsn = self.tailer.shipped_lsn();
+        assert_eq!(
+            self.catalog.render_stable(),
+            refs[lsn as usize],
+            "{context}: follower at lsn {lsn} is not that prefix"
+        );
+        assert!(
+            self.mutations.iter().copied().eq(first_lsn + 1..=lsn),
+            "{context}: delivered {:?}, expected {}..={lsn}",
+            self.mutations,
+            first_lsn + 1
+        );
+    }
+}
+
+/// Mutation records that end at or before `cut` in a stream with these
+/// frame boundaries.
+fn records_within(cut: usize, boundaries: &[u64]) -> u64 {
+    (boundaries.iter().filter(|&&b| b <= cut as u64).count() as u64).saturating_sub(2)
+}
+
+/// The tailer's cursor, swept: a follower that first sees only the
+/// first `L` bytes of a generation's WAL and then the whole file — for
+/// every `L`, in the generation it attached to and in the one a
+/// rollover brings — is on a reference prefix after each poll (exactly
+/// the records complete within `L`, a tail cut short being no error)
+/// and has seen every record exactly once, in LSN order, at the end.
+#[test]
+fn a_tailer_split_at_every_offset_delivers_every_record_exactly_once() {
+    let script = gen_script(SEED, SCRIPT_LEN);
+    let refs = reference_prefixes(&script);
+    let mid = script.len() / 2;
+    let (first, first_bounds) = wal_stream_at(0, &script[..mid]);
+    let (second, second_bounds) = wal_stream_at(mid as u64, &script[mid..]);
+    let dir = temp_dir("tailsplit");
+    let total = script.len() as u64;
+
+    // Generation 0 starts from an empty image; the rollover's image is
+    // the state after `mid` mutations, written once and copied into
+    // place whenever the "primary" checkpoints.
+    write_checkpoint(&dir, 0, &Image::new()).unwrap();
+    let mut at_mid = Catalog::new();
+    for m in &script[..mid] {
+        at_mid.apply_mutation(m).unwrap();
+    }
+    let side = temp_dir("tailsplit_side");
+    let mid_checkpoint =
+        write_checkpoint(&side, mid as u64, &Image::from_catalog(&at_mid)).unwrap();
+    let roll_over = |wal: &[u8]| {
+        std::fs::write(wal_path(&dir, mid as u64), wal).unwrap();
+        std::fs::copy(&mid_checkpoint, checkpoint_path(&dir, mid as u64)).unwrap();
+    };
+    let undo_roll_over = || {
+        let _ = std::fs::remove_file(checkpoint_path(&dir, mid as u64));
+        let _ = std::fs::remove_file(wal_path(&dir, mid as u64));
+    };
+
+    // Split inside the generation the follower attached to.
+    for cut in kill_points(first.len(), &first_bounds) {
+        let context = format!("generation 0 cut at byte {cut}");
+        undo_roll_over();
+        std::fs::write(wal_path(&dir, 0), &first[..cut]).unwrap();
+        let mut follower = Follower::attach(&dir);
+        follower.poll().unwrap();
+        assert_eq!(
+            follower.tailer.shipped_lsn(),
+            records_within(cut, &first_bounds),
+            "{context}"
+        );
+        follower.assert_on_a_prefix(&refs, 0, &context);
+        std::fs::write(wal_path(&dir, 0), &first).unwrap();
+        follower.poll().unwrap();
+        assert_eq!(follower.tailer.shipped_lsn(), mid as u64, "{context}");
+        follower.assert_on_a_prefix(&refs, 0, &context);
+        roll_over(&second);
+        follower.poll().unwrap();
+        assert_eq!(follower.tailer.shipped_lsn(), total, "{context}");
+        follower.assert_on_a_prefix(&refs, 0, &context);
+        assert_eq!(follower.rollovers, [0, mid as u64], "{context}");
+    }
+
+    // Split inside the generation the rollover brings.
+    std::fs::write(wal_path(&dir, 0), &first).unwrap();
+    for cut in kill_points(second.len(), &second_bounds) {
+        let context = format!("generation {mid} cut at byte {cut}");
+        undo_roll_over();
+        let mut follower = Follower::attach(&dir);
+        follower.poll().unwrap();
+        roll_over(&second[..cut]);
+        follower.poll().unwrap();
+        assert_eq!(
+            follower.tailer.shipped_lsn(),
+            mid as u64 + records_within(cut, &second_bounds),
+            "{context}"
+        );
+        follower.assert_on_a_prefix(&refs, 0, &context);
+        std::fs::write(wal_path(&dir, mid as u64), &second).unwrap();
+        follower.poll().unwrap();
+        assert_eq!(follower.tailer.shipped_lsn(), total, "{context}");
+        follower.assert_on_a_prefix(&refs, 0, &context);
+        assert_eq!(follower.rollovers, [0, mid as u64], "{context}");
+
+        // And a follower that attaches only now, to the cut file.
+        std::fs::write(wal_path(&dir, mid as u64), &second[..cut]).unwrap();
+        let mut late = Follower::attach(&dir);
+        late.poll().unwrap();
+        late.assert_on_a_prefix(&refs, mid as u64, &context);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&side).unwrap();
+}
+
+/// Damage under a tailer is loud. Whatever bit of the log is flipped,
+/// a follower ends on a reference prefix having seen no record twice
+/// and none out of order — and if the flip is in a frame's checksum or
+/// payload (the frame is complete, and wrong), polling reports
+/// `Corrupt` naming where the frame starts, again on every later poll,
+/// having first delivered the intact records before it.
+#[test]
+fn every_bit_flip_under_a_tailer_is_an_error_or_a_prefix() {
+    let script = gen_script(SEED, SCRIPT_LEN);
+    let refs = reference_prefixes(&script);
+    let (bytes, boundaries) = wal_stream(&script);
+    let dir = temp_dir("tailflips");
+    write_checkpoint(&dir, 0, &Image::new()).unwrap();
+
+    // Frame j spans boundaries[j]..boundaries[j + 1] (frame 0 is the
+    // checkpoint record, frame j the mutation with LSN j); its length
+    // prefix is the bytes with the continuation bit, plus one. Gives
+    // the frame a byte is in, where the frame starts, and whether the
+    // byte is past the length prefix.
+    let frame_of = |at: usize| -> Option<(u64, u64, bool)> {
+        let j = boundaries.iter().filter(|&&b| b <= at as u64).count();
+        let start = *boundaries.get(j.checked_sub(1)?)?;
+        let mut prefix = 1;
+        while bytes[start as usize + prefix - 1] & 0x80 != 0 {
+            prefix += 1;
+        }
+        Some((j as u64 - 1, start, at >= start as usize + prefix))
+    };
+
+    let step = if cfg!(debug_assertions) { 17 } else { 1 };
+    let mut flipped = bytes.clone();
+    let mut loud = 0usize;
+    for at in (0..bytes.len()).step_by(step) {
+        let bit = 1u8 << (at % 8);
+        flipped[at] ^= bit;
+        std::fs::write(wal_path(&dir, 0), &flipped).unwrap();
+        let mut follower = Follower::attach(&dir);
+        // Intact records first, then the damage, then the damage again.
+        let outcomes = [follower.poll(), follower.poll(), follower.poll()];
+        follower.assert_on_a_prefix(&refs, 0, &format!("flip at byte {at}"));
+        assert_eq!(outcomes[1], outcomes[2], "flip at byte {at}: not stable");
+        match frame_of(at) {
+            // In a mutation frame's checksum or payload.
+            Some((lsn, start, true)) if lsn >= 1 => {
+                let expected = format!("at byte {start}:");
+                assert!(
+                    matches!(&outcomes[2], Err(PersistError::Corrupt(msg)) if msg.contains(&expected)),
+                    "flip at byte {at}: expected corrupt {expected}, got {:?}",
+                    outcomes[2]
+                );
+                assert_eq!(
+                    follower.tailer.shipped_lsn(),
+                    lsn - 1,
+                    "flip at byte {at}: the records before the damaged frame are delivered"
+                );
+                loud += 1;
+            }
+            // In the header, the checkpoint record or a length prefix:
+            // an error, or a frame that now reads as cut short.
+            _ => assert!(
+                !matches!(outcomes[2], Err(PersistError::Io(_))),
+                "flip at byte {at}: {:?}",
+                outcomes[2]
+            ),
+        }
+        flipped[at] ^= bit; // restore
+    }
+    assert!(loud > 0);
+
+    // A checkpoint supersedes the damaged generation, and the follower
+    // with it.
+    let at = boundaries[5] as usize - 1;
+    flipped[at] ^= 1;
+    std::fs::write(wal_path(&dir, 0), &flipped).unwrap();
+    let mut follower = Follower::attach(&dir);
+    follower.poll().unwrap();
+    assert!(matches!(follower.poll(), Err(PersistError::Corrupt(_))));
+    let mut all = Catalog::new();
+    for m in &script {
+        all.apply_mutation(m).unwrap();
+    }
+    let total = script.len() as u64;
+    write_checkpoint(&dir, total, &Image::from_catalog(&all)).unwrap();
+    follower.poll().unwrap();
+    assert_eq!(follower.tailer.shipped_lsn(), total);
+    assert_eq!(follower.catalog.render_stable(), refs[script.len()]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
