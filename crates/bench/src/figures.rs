@@ -734,33 +734,6 @@ pub fn trace_report() -> String {
         flat_trace.render_stable()
     );
 
-    // The batch-at-a-time executor over the columnar runs: byte-identical
-    // relation, `batch.*` span names, deterministic per-query memo
-    // counts (the local memos, not the process-global caches).
-    let batch = hrdm_core::batch::execute_batch(&build()).expect("consistent input");
-    assert_eq!(
-        hier.relation.iter().collect::<Vec<_>>(),
-        batch.relation.iter().collect::<Vec<_>>(),
-        "batch executor is byte-identical"
-    );
-    w!(
-        out,
-        "batch engine (columnar runs):\n{}",
-        batch.trace.render_stable()
-    );
-
-    // And the flat volcano lowering batched, with the fixed default
-    // cost-model calibration picking its access paths.
-    let model = hrdm_core::cost::CostModel::default_calibration();
-    let (brows, flat_batch_trace) = crate::flatplan::execute_flat_batch_traced(&build(), &model)
-        .expect("flat batch engine evaluates");
-    assert_eq!(rows, brows, "flat batch lowering agrees with volcano");
-    w!(
-        out,
-        "flat batch engine (cost-model access paths):\n{}",
-        flat_batch_trace.render_stable()
-    );
-
     // §3's equivalence principle, visible in the traces themselves.
     let flat_of_hier = hrdm_core::flat::flatten(&hier.relation).atoms().len();
     assert_eq!(flat_of_hier, rows.len(), "engines agree on the extension");

@@ -28,13 +28,11 @@
 
 use std::collections::BTreeSet;
 
-use hrdm_core::cost::{AccessPath, CostModel};
 use hrdm_core::error::{CoreError, Result};
 use hrdm_core::flat::flatten;
 use hrdm_core::plan::LogicalPlan;
 use hrdm_obs::attrib;
 use hrdm_obs::QueryTrace;
-use hrdm_storage::batch::{self, RowBatch};
 use hrdm_storage::exec;
 use hrdm_storage::{Row, Table};
 
@@ -222,263 +220,6 @@ fn load(rows: Vec<Row>, arity: usize) -> Table {
     t
 }
 
-/// [`execute_flat`]'s batch-at-a-time twin: the same lowering, but over
-/// [`hrdm_storage::batch`]'s 1 k-row column slices, with selections
-/// routed through [`CostModel::access_path`] — a selective equality
-/// predicate builds and probes a [`hrdm_storage::batch::BatchIndex`]
-/// instead of filtering the scan. Returns the identical sorted distinct rows (pinned by the
-/// tests below and by the bench parity gate).
-pub fn execute_flat_batch(plan: &LogicalPlan, model: &CostModel) -> Result<Vec<Row>> {
-    let (bs, _) = eval_b(plan, model)?;
-    Ok(batch::distinct_rows(&bs))
-}
-
-/// [`execute_flat_batch`] under a trace capture rooted at
-/// `flatplan.batch_execute`, with `batch.*` spans per operator.
-pub fn execute_flat_batch_traced(
-    plan: &LogicalPlan,
-    model: &CostModel,
-) -> Result<(Vec<Row>, QueryTrace)> {
-    let (rows, trace) =
-        hrdm_obs::trace::capture("flatplan.batch_execute", || execute_flat_batch(plan, model));
-    Ok((rows?, trace))
-}
-
-/// Span names for the batch lowering — the same `batch.*` vocabulary
-/// the hierarchical batch executor emits, so obs dashboards and golden
-/// traces treat the two batch engines uniformly.
-fn flat_batch_kind(plan: &LogicalPlan) -> &'static str {
-    match plan {
-        LogicalPlan::Scan { .. } => "batch.scan",
-        LogicalPlan::Select { .. } => "batch.select",
-        LogicalPlan::SelectEq { .. } => "batch.select_eq",
-        LogicalPlan::Project { .. } => "batch.project",
-        LogicalPlan::Join { .. } => "batch.join",
-        LogicalPlan::Union { .. } => "batch.union",
-        LogicalPlan::Intersect { .. } => "batch.intersect",
-        LogicalPlan::Diff { .. } => "batch.diff",
-        LogicalPlan::Consolidate { .. } => "batch.consolidate",
-        LogicalPlan::Explicate { .. } => "batch.explicate",
-    }
-}
-
-/// Evaluate to (column batches, arity), one `batch.*` span per node.
-fn eval_b(plan: &LogicalPlan, model: &CostModel) -> Result<(Vec<RowBatch>, usize)> {
-    let mut span = hrdm_obs::span!(flat_batch_kind(plan));
-    let result = eval_b_inner(plan, model, &mut span)?;
-    let rows: usize = result.0.iter().map(RowBatch::len).sum();
-    hrdm_obs::metrics::counter("batch.flat.rows").add(rows as u64);
-    hrdm_obs::metrics::counter("batch.flat.batches").add(result.0.len() as u64);
-    if span.is_active() {
-        span.field_u64("rows", rows as u64);
-        span.field_u64("batches", result.0.len() as u64);
-    }
-    Ok(result)
-}
-
-fn eval_b_inner(
-    plan: &LogicalPlan,
-    model: &CostModel,
-    span: &mut hrdm_obs::SpanGuard,
-) -> Result<(Vec<RowBatch>, usize)> {
-    match plan {
-        LogicalPlan::Scan { relation, .. } => {
-            let arity = relation.schema().arity();
-            let rows: BTreeSet<Row> = flatten(relation)
-                .iter()
-                .map(|atom| {
-                    (0..arity)
-                        .map(|i| atom.component(i).index() as u32)
-                        .collect()
-                })
-                .collect();
-            let rows: Vec<Row> = rows.into_iter().collect();
-            Ok((
-                batch::batches_from_rows(arity.max(1), rows.into_iter()),
-                arity,
-            ))
-        }
-        LogicalPlan::Select { input, region } => {
-            let (bs, arity) = eval_b(input, model)?;
-            let schema = input.output_schema()?;
-            let allowed: Vec<BTreeSet<u32>> = (0..arity)
-                .map(|i| {
-                    schema
-                        .domain(i)
-                        .extension(region.component(i))
-                        .into_iter()
-                        .map(|n| n.index() as u32)
-                        .collect()
-                })
-                .collect();
-            let mut out = Vec::new();
-            for b in &bs {
-                let sel: Vec<usize> = (0..b.len())
-                    .filter(|&k| (0..arity).all(|i| allowed[i].contains(&b.col(i)[k])))
-                    .collect();
-                if !sel.is_empty() {
-                    out.push(b.take(&sel));
-                }
-            }
-            Ok((out, arity))
-        }
-        LogicalPlan::SelectEq { input, attr, value } => {
-            let (bs, arity) = eval_b(input, model)?;
-            let schema = input.output_schema()?;
-            let i = schema.index_of(attr)?;
-            let node = schema.domain(i).node(value)?;
-            let allowed: Vec<u32> = schema
-                .domain(i)
-                .extension(node)
-                .into_iter()
-                .map(|n| n.index() as u32)
-                .collect();
-            let input_rows: usize = bs.iter().map(RowBatch::len).sum();
-            // Selectivity estimate: allowed instances over the domain's
-            // full instance population (uniformity assumption).
-            let domain_size = schema.domain(i).instances().count().max(1);
-            let est = (input_rows * allowed.len().min(domain_size)) / domain_size;
-            let path = model.access_path(input_rows as u64, est as u64);
-            hrdm_obs::metrics::counter(match path {
-                AccessPath::IndexProbe => "batch.access.index",
-                AccessPath::Scan => "batch.access.scan",
-            })
-            .incr();
-            if span.is_active() {
-                span.field_str("access", path.label().to_string());
-            }
-            let out = match path {
-                AccessPath::IndexProbe => {
-                    // Build a class-id-keyed sorted index straight over
-                    // the batch columns and probe per allowed instance —
-                    // no heap-table materialization on the way.
-                    let idx = batch::BatchIndex::build(&bs, i);
-                    let mut rows = Vec::new();
-                    for &v in &allowed {
-                        idx.probe_into(&bs, v, &mut rows);
-                    }
-                    rows.sort();
-                    batch::batches_from_rows(arity.max(1), rows.into_iter())
-                }
-                AccessPath::Scan => {
-                    let allowed: BTreeSet<u32> = allowed.into_iter().collect();
-                    let mut out = Vec::new();
-                    for b in &bs {
-                        let sel: Vec<usize> = b
-                            .col(i)
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(k, v)| allowed.contains(v).then_some(k))
-                            .collect();
-                        if !sel.is_empty() {
-                            out.push(b.take(&sel));
-                        }
-                    }
-                    out
-                }
-            };
-            Ok((out, arity))
-        }
-        LogicalPlan::Project { input, attrs } => {
-            let (bs, arity) = eval_b(input, model)?;
-            for &a in attrs {
-                if a >= arity {
-                    return Err(CoreError::AttributeIndexOutOfRange(a));
-                }
-            }
-            let projected: Vec<RowBatch> = bs.iter().map(|b| b.project(attrs)).collect();
-            let rows = batch::distinct_rows(&projected);
-            Ok((
-                batch::batches_from_rows(attrs.len().max(1), rows.into_iter()),
-                attrs.len(),
-            ))
-        }
-        LogicalPlan::Join { left, right } => {
-            let (lbs, larity) = eval_b(left, model)?;
-            let (rbs, rarity) = eval_b(right, model)?;
-            let ls = left.output_schema()?;
-            let rs = right.output_schema()?;
-            let mut shared: Vec<(usize, usize)> = Vec::new();
-            let mut right_only: Vec<usize> = Vec::new();
-            for j in 0..rarity {
-                let name = rs.attributes()[j].name();
-                match (0..larity).find(|&i| ls.attributes()[i].name() == name) {
-                    Some(i) => shared.push((i, j)),
-                    None => right_only.push(j),
-                }
-            }
-            if shared.is_empty() {
-                return Err(CoreError::NoJoinAttributes);
-            }
-            let (i0, j0) = shared[0];
-            let joined = batch::hash_join(&lbs, i0, &rbs, j0);
-            // Residual equality on the remaining shared columns, then
-            // the natural-join column layout, all column-at-a-time.
-            let residual: Vec<(usize, usize)> = shared[1..].to_vec();
-            let mut cols: Vec<usize> = (0..larity).collect();
-            cols.extend(right_only.iter().map(|&j| larity + j));
-            let mut out = Vec::new();
-            for b in &joined {
-                let sel: Vec<usize> = (0..b.len())
-                    .filter(|&k| {
-                        residual
-                            .iter()
-                            .all(|&(i, j)| b.col(i)[k] == b.col(larity + j)[k])
-                    })
-                    .collect();
-                if !sel.is_empty() {
-                    out.push(b.take(&sel).project(&cols));
-                }
-            }
-            let rows = batch::distinct_rows(&out);
-            Ok((
-                batch::batches_from_rows(cols.len().max(1), rows.into_iter()),
-                cols.len(),
-            ))
-        }
-        LogicalPlan::Union { left, right } => {
-            let ((l, la), (r, ra)) = (eval_b(left, model)?, eval_b(right, model)?);
-            check_compat(la, ra)?;
-            let rows = exec::union(
-                batch::distinct_rows(&l).into_iter(),
-                batch::distinct_rows(&r).into_iter(),
-            );
-            Ok((batch::batches_from_rows(la.max(1), rows.into_iter()), la))
-        }
-        LogicalPlan::Intersect { left, right } => {
-            let ((l, la), (r, ra)) = (eval_b(left, model)?, eval_b(right, model)?);
-            check_compat(la, ra)?;
-            let rows = exec::intersection(
-                batch::distinct_rows(&l).into_iter(),
-                batch::distinct_rows(&r).into_iter(),
-            );
-            Ok((batch::batches_from_rows(la.max(1), rows.into_iter()), la))
-        }
-        LogicalPlan::Diff { left, right } => {
-            let ((l, la), (r, ra)) = (eval_b(left, model)?, eval_b(right, model)?);
-            check_compat(la, ra)?;
-            let rows = exec::difference(
-                batch::distinct_rows(&l).into_iter(),
-                batch::distinct_rows(&r).into_iter(),
-            );
-            Ok((batch::batches_from_rows(la.max(1), rows.into_iter()), la))
-        }
-        LogicalPlan::Consolidate { input } => eval_b(input, model),
-        LogicalPlan::Explicate { input, attrs } => {
-            let (bs, arity) = eval_b(input, model)?;
-            for (k, &a) in attrs.iter().enumerate() {
-                if a >= arity {
-                    return Err(CoreError::AttributeIndexOutOfRange(a));
-                }
-                if attrs[..k].contains(&a) {
-                    return Err(CoreError::DuplicateAttributeIndex(a));
-                }
-            }
-            Ok((bs, arity))
-        }
-    }
-}
-
 /// The hierarchical engine's answer to the same plan, rendered as flat
 /// atom rows: execute, then explicate the (canonical) result. This is
 /// the parity oracle the tests and the figures report compare against.
@@ -506,39 +247,12 @@ mod tests {
         let flat = execute_flat(plan).expect("flat engine evaluates");
         let hier = hierarchical_as_rows(plan).expect("hierarchical engine evaluates");
         assert_eq!(flat, hier, "engines disagree on {plan:?}");
-        // The batch lowering is a third route to the same rows, under
-        // both access-path policies.
-        let model = CostModel::default_calibration();
-        assert_eq!(
-            execute_flat_batch(plan, &model).expect("batch flat engine"),
-            flat,
-            "batch lowering disagrees on {plan:?}"
-        );
-        let mut probe_happy = model;
-        probe_happy.probe_ns = 0.0;
-        probe_happy.node_ns = 0.0;
-        assert_eq!(
-            execute_flat_batch(plan, &probe_happy).expect("index-leaning batch"),
-            flat,
-            "index-leaning batch lowering disagrees on {plan:?}"
-        );
-        // The optimizer must not change any engine's answer — including
-        // the cost-based join commute.
+        // The optimizer must not change either engine's answer.
         let (optimized, _) = plan.optimize();
         assert_eq!(execute_flat(&optimized).expect("optimized flat"), flat);
         assert_eq!(
             hierarchical_as_rows(&optimized).expect("optimized hierarchical"),
             hier
-        );
-        let (costed, _) = hrdm_core::cost::optimize_with_cost(plan, &model);
-        assert_eq!(execute_flat(&costed).expect("cost-optimized flat"), flat);
-        assert_eq!(
-            hierarchical_as_rows(&costed).expect("cost-optimized hierarchical"),
-            hier
-        );
-        assert_eq!(
-            execute_flat_batch(&costed, &model).expect("cost-optimized batch"),
-            flat
         );
     }
 
@@ -610,48 +324,6 @@ mod tests {
         let touched = scan.field_u64("subsumption_hits").unwrap_or(0)
             + scan.field_u64("subsumption_misses").unwrap_or(0);
         assert!(touched > 0, "scan fields: {:?}", scan.fields);
-    }
-
-    #[test]
-    fn batch_lowering_chooses_an_index_for_selective_probes() {
-        // A selective point lookup over a large workload must cross the
-        // cost model's index threshold; an unselective one must not.
-        let w = class_workload(3000, 5);
-        let plan = LogicalPlan::scan("R", w.relation.clone())
-            .explicate(vec![0])
-            .select_eq("D", "i0_1500");
-        let model = CostModel::default_calibration();
-        let (rows, trace) = execute_flat_batch_traced(&plan, &model).expect("traced batch");
-        assert_eq!(rows.len(), 1);
-        let seleq = trace.find("batch.select_eq").expect("select span");
-        assert_eq!(seleq.field("access"), Some("index"));
-        // Selecting the whole class keeps the scan.
-        let all = LogicalPlan::scan("R", w.relation.clone())
-            .explicate(vec![0])
-            .select_eq("D", "C0");
-        let (_, trace) = execute_flat_batch_traced(&all, &model).expect("traced batch");
-        let seleq = trace.find("batch.select_eq").expect("select span");
-        assert_eq!(seleq.field("access"), Some("scan"));
-    }
-
-    #[test]
-    fn batch_traced_execution_uses_batch_span_names() {
-        let tax = fig1_taxonomy();
-        let r = fig1_relation(&tax);
-        let plan = LogicalPlan::scan("Flies", r)
-            .explicate(vec![0])
-            .select_eq("Creature", "Penguin");
-        let model = CostModel::default_calibration();
-        let (rows, trace) = execute_flat_batch_traced(&plan, &model).expect("traced");
-        assert_eq!(rows, execute_flat(&plan).expect("plain"));
-        assert_eq!(
-            trace.root.as_ref().map(|r| r.name),
-            Some("flatplan.batch_execute")
-        );
-        let seleq = trace.find("batch.select_eq").expect("operator span");
-        assert_eq!(seleq.field_u64("rows"), Some(rows.len() as u64));
-        assert!(trace.find("batch.explicate").is_some());
-        assert!(trace.find("batch.scan").is_some());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::time::Instant;
 
 use crate::binding::Binding;
 use crate::item::Item;
-use crate::parallel;
 use crate::relation::HRelation;
 use crate::schema::Schema;
 use crate::stats;
@@ -102,25 +101,19 @@ pub fn minimal_resolution_set(schema: &Schema, a: &Item, b: &Item) -> Vec<Item> 
 pub fn find_conflicts(relation: &HRelation) -> Vec<Conflict> {
     let mut span = hrdm_obs::span!("core.conflict");
     let start = Instant::now();
-    let candidates: Vec<Item> = conflict_candidates(relation).into_iter().collect();
+    let candidates = conflict_candidates(relation);
     if span.is_active() {
         span.field_u64("candidates", candidates.len() as u64);
     }
-    // Each candidate's binding is evaluated independently; fan the
-    // lookups out across threads and keep the deterministic item order.
-    let verdicts = parallel::par_map(&candidates, |item| match relation.bind(item) {
-        Binding::Conflict { positive, negative } => Some((positive, negative)),
-        _ => None,
-    });
     let out = candidates
         .into_iter()
-        .zip(verdicts)
-        .filter_map(|(item, verdict)| {
-            verdict.map(|(positive, negative)| Conflict {
+        .filter_map(|item| match relation.bind(&item) {
+            Binding::Conflict { positive, negative } => Some(Conflict {
                 item,
                 positive,
                 negative,
-            })
+            }),
+            _ => None,
         })
         .collect();
     stats::record_conflict(start.elapsed());
@@ -131,13 +124,15 @@ pub fn find_conflicts(relation: &HRelation) -> Vec<Conflict> {
 pub fn is_consistent(relation: &HRelation) -> bool {
     let mut span = hrdm_obs::span!("core.conflict");
     let start = Instant::now();
-    let candidates: Vec<Item> = conflict_candidates(relation).into_iter().collect();
+    let candidates = conflict_candidates(relation);
     if span.is_active() {
         span.field_u64("candidates", candidates.len() as u64);
     }
-    let verdicts = parallel::par_map(&candidates, |item| relation.bind(item).is_conflict());
+    let consistent = !candidates
+        .iter()
+        .any(|item| relation.bind(item).is_conflict());
     stats::record_conflict(start.elapsed());
-    !verdicts.into_iter().any(|conflicted| conflicted)
+    consistent
 }
 
 /// Candidate items at which a conflict could possibly occur: the common

@@ -33,8 +33,8 @@
 //!
 //! The cone argument for consolidate (and the scan short-circuit) is
 //! what makes per-update cost scale with `|delta|`, not `|catalog|`:
-//! see `BENCH_ivm.json`. Correctness is anchored the same way as the
-//! batch executor's: the `differential_parity` harness proves the
+//! see `BENCH_ivm.json`. Correctness is anchored by an oracle: the
+//! `differential_parity` harness proves the
 //! maintained relation byte-identical to full recomputation over
 //! thousands of random mutation scripts, and any error raised on the
 //! differential path is propagated so callers (the HQL view registry)
@@ -146,7 +146,7 @@ impl MaterializedPlan {
     ///
     /// [`relation`]: MaterializedPlan::relation
     pub fn new(plan: LogicalPlan) -> Result<MaterializedPlan> {
-        MaterializedPlan::build(plan.consolidate(), true)
+        MaterializedPlan::build(plan, true)
     }
 
     /// Materialize `plan` exactly as written, without the root
@@ -157,19 +157,16 @@ impl MaterializedPlan {
     }
 
     fn build(plan: LogicalPlan, canonical: bool) -> Result<MaterializedPlan> {
-        fn eval(node: &LogicalPlan, caches: &mut Vec<Arc<HRelation>>) -> Result<usize> {
-            let child_idx: Vec<usize> = node
-                .children()
-                .iter()
-                .map(|c| eval(c, caches))
-                .collect::<Result<_>>()?;
-            let inputs: Vec<HRelation> = child_idx.iter().map(|&i| (*caches[i]).clone()).collect();
-            let (out, _) = node.apply(inputs)?;
-            caches.push(Arc::new(out));
-            Ok(caches.len() - 1)
-        }
         let mut caches = Vec::new();
-        eval(&plan, &mut caches)?;
+        plan.eval_into(&mut caches)?;
+        let plan = if canonical {
+            let raw = caches.last().expect("a plan has at least one node");
+            let (relation, _) = crate::plan::canonicalize(raw);
+            caches.push(Arc::new(relation));
+            plan.consolidate()
+        } else {
+            plan
+        };
         Ok(MaterializedPlan {
             plan,
             canonical,
@@ -369,11 +366,11 @@ fn maintain(
 
     // Everything else: recompute this node from the cached children and
     // diff against the previous output.
-    let inputs: Vec<HRelation> = child_idx.iter().map(|&i| (*out[i]).clone()).collect();
-    let (new_rel, _) = node.apply(inputs)?;
+    let inputs: Vec<&HRelation> = child_idx.iter().map(|&i| &*out[i]).collect();
+    let new_rel = node.apply(&inputs)?;
     let delta = RelationDelta::diff(&my_old, &new_rel);
     report.recomputed += 1;
-    out.push(Arc::new(new_rel));
+    out.push(new_rel);
     Ok(delta)
 }
 

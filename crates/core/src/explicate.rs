@@ -26,7 +26,6 @@ use std::time::Instant;
 
 use crate::error::{CoreError, Result};
 use crate::item::Item;
-use crate::parallel;
 use crate::relation::HRelation;
 use crate::stats;
 use crate::subsumption::SubsumptionGraph;
@@ -55,16 +54,15 @@ pub fn explicate(relation: &HRelation, attrs: &[usize]) -> Result<HRelation> {
     order.reverse(); // most specific first
 
     let schema = relation.schema();
-    // Per-tuple descendant fan-out is independent per node: enumerate
-    // every node's expansion in parallel, then merge sequentially in
-    // reverse topological order so the paper's most-specific-first
-    // `or_insert` semantics (and hence the output) are exactly those of
-    // the serial sweep.
-    let expansions: Vec<Vec<Item>> = parallel::par_map_indexed(order.len(), |k| {
-        let item = g.item(order[k]);
+    // Merge each node's expansion in reverse topological order: the
+    // paper's most-specific-first `or_insert` semantics.
+    let mut out: BTreeMap<Item, Truth> = BTreeMap::new();
+    for &v in &order {
+        let truth = g.truth(v);
         // Per-position expansions: extension members for explicated
         // class positions, the original node otherwise.
-        let axes: Vec<Vec<hrdm_hierarchy::NodeId>> = item
+        let axes: Vec<Vec<hrdm_hierarchy::NodeId>> = g
+            .item(v)
             .components()
             .iter()
             .enumerate()
@@ -76,14 +74,8 @@ pub fn explicate(relation: &HRelation, attrs: &[usize]) -> Result<HRelation> {
                 }
             })
             .collect();
-        cartesian(&axes).into_iter().map(Item::new).collect()
-    });
-
-    let mut out: BTreeMap<Item, Truth> = BTreeMap::new();
-    for (&v, expanded) in order.iter().zip(expansions) {
-        let truth = g.truth(v);
-        for item in expanded {
-            out.entry(item).or_insert(truth);
+        for components in cartesian(&axes) {
+            out.entry(Item::new(components)).or_insert(truth);
         }
     }
 

@@ -63,14 +63,11 @@
 //! assert!(!flies.holds(&flies.item(&["Paul"]).unwrap()));
 //! ```
 
-pub mod batch;
 pub mod binding;
 pub mod catalog;
-pub mod columnar;
 pub mod conflict;
 pub mod consolidate;
 pub mod constraints;
-pub mod cost;
 pub mod delta;
 pub mod differential;
 pub mod discover;
@@ -78,11 +75,11 @@ pub mod error;
 pub mod explicate;
 pub mod flat;
 pub mod integrity;
-pub mod intern;
 pub mod item;
 pub mod justify;
 pub mod mutation;
 pub mod ops;
+#[doc(hidden)]
 pub mod parallel;
 pub mod plan;
 pub mod preemption;
@@ -98,20 +95,15 @@ pub mod tuple;
 
 /// One-stop imports for the common API surface.
 pub mod prelude {
-    pub use crate::batch::execute_batch;
     pub use crate::binding::Binding;
     pub use crate::catalog::Catalog;
-    pub use crate::columnar::{Batch, ColumnarRelation, BATCH_ROWS};
-    pub use crate::cost::{AccessPath, CostModel};
     pub use crate::delta::{Delta, RelationChange, RelationDelta};
     pub use crate::differential::{
         cone_limit, set_cone_limit, MaintainReport, MaterializedPlan, DEFAULT_CONE_LIMIT,
     };
     pub use crate::error::{CoreError, Result};
-    pub use crate::intern::Sym;
     pub use crate::item::Item;
     pub use crate::mutation::CatalogMutation;
-    pub use crate::parallel::ExecMode;
     pub use crate::plan::LogicalPlan;
     pub use crate::preemption::Preemption;
     pub use crate::relation::HRelation;
@@ -120,6 +112,15 @@ pub mod prelude {
     pub use crate::stats::EngineStats;
     pub use crate::truth::Truth;
     pub use crate::tuple::Tuple;
+
+    /// Runs `plan.execute()` — there is one executor. Remove together
+    /// with its caller (`benchmark/src/workloads/derive.rs`, which this
+    /// crate's PRs may not touch) in the follow-up `benchmark` issue
+    /// recorded in ROADMAP.md ("drop the two forwards").
+    #[doc(hidden)]
+    pub fn execute_batch(plan: &LogicalPlan) -> Result<crate::plan::Executed> {
+        plan.execute()
+    }
 }
 
 pub use prelude::*;

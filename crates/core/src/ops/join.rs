@@ -18,25 +18,26 @@ use std::time::Instant;
 use crate::error::{CoreError, Result};
 use crate::item::Item;
 use crate::ops::{cartesian_items, class_holds, resolve_conflicts_fixpoint};
-use crate::parallel;
 use crate::relation::HRelation;
 use crate::schema::{Attribute, Schema};
 use crate::stats;
 use crate::truth::Truth;
 use crate::tuple::Tuple;
 
-/// Natural join of two hierarchical relations.
-///
-/// The membership intersections (`maximal_intersection`) run over the
-/// shared subset-closure cache, and the per-candidate truth evaluation —
-/// two binding-graph lookups per candidate — fans out across threads.
-pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
-    let mut span = hrdm_obs::span!("core.join");
-    let start = Instant::now();
-    let ls = left.schema();
-    let rs = right.schema();
+/// How a natural join lays out its output schema: all left attributes,
+/// then the right-only ones, with the shared pairs recorded. The one
+/// definition of the layout — [`join`] builds its result with it and
+/// [`LogicalPlan::output_schema`](crate::plan::LogicalPlan::output_schema)
+/// and the select-pushdown rewrite read it.
+pub(crate) struct JoinParts {
+    pub(crate) schema: Arc<Schema>,
+    /// `(left position, right position)` of attributes shared by name.
+    pub(crate) shared: Vec<(usize, usize)>,
+    /// Right positions not shared with the left, in output order.
+    pub(crate) right_only: Vec<usize>,
+}
 
-    // Pair up shared attributes by name; validate shared domains.
+pub(crate) fn join_parts(ls: &Schema, rs: &Schema) -> Result<JoinParts> {
     let mut shared: Vec<(usize, usize)> = Vec::new();
     for (i, la) in ls.attributes().iter().enumerate() {
         if let Ok(j) = rs.index_of(la.name()) {
@@ -52,8 +53,6 @@ pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
     let right_only: Vec<usize> = (0..rs.arity())
         .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
         .collect();
-
-    // Result schema: all of left's attributes, then right's non-shared.
     let mut attrs: Vec<Attribute> = ls
         .attributes()
         .iter()
@@ -63,7 +62,28 @@ pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
         let a = rs.attribute(j);
         attrs.push(Attribute::new(a.name(), a.domain().clone()));
     }
-    let out_schema = Arc::new(Schema::new(attrs));
+    Ok(JoinParts {
+        schema: Arc::new(Schema::new(attrs)),
+        shared,
+        right_only,
+    })
+}
+
+/// Natural join of two hierarchical relations.
+///
+/// The membership intersections (`maximal_intersection`) run over the
+/// shared subset-closure cache; the per-candidate truth evaluation is
+/// two binding-graph lookups per candidate.
+pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
+    let mut span = hrdm_obs::span!("core.join");
+    let start = Instant::now();
+    let ls = left.schema();
+    let rs = right.schema();
+    let JoinParts {
+        schema: out_schema,
+        shared,
+        right_only,
+    } = join_parts(ls, rs)?;
 
     // Projections of a result item back onto the argument schemas.
     let left_arity = ls.arity();
@@ -114,11 +134,10 @@ pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
         Ok(Truth::from_bool(l && r))
     };
 
-    let candidates: Vec<Item> = candidates.into_iter().collect();
-    let truths = parallel::par_map(&candidates, truth_of);
     let mut result = HRelation::with_preemption(out_schema, left.preemption());
-    for (item, t) in candidates.into_iter().zip(truths) {
-        result.insert(Tuple::new(item, t?))?;
+    for item in candidates {
+        let truth = truth_of(&item)?;
+        result.insert(Tuple::new(item, truth))?;
     }
     resolve_conflicts_fixpoint(&mut result, truth_of)?;
     stats::record_join(start.elapsed());

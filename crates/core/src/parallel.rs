@@ -1,236 +1,10 @@
-//! Scoped-thread parallel execution for the embarrassingly parallel
-//! stages of the engine.
-//!
-//! Subsumption-graph edge construction, explicate's per-tuple descendant
-//! fan-out, conflict-candidate evaluation, and the join's per-candidate
-//! truth evaluation are all independent per index. [`par_map_indexed`]
-//! chunks such an index range over `std::thread::scope` workers — no
-//! external dependency, no work stealing — and reassembles the results
-//! **in index order**, so serial and parallel execution produce
-//! byte-identical output (proven by the parity property tests in
-//! `tests/properties.rs`).
-//!
-//! The execution mode can be forced per closure ([`run_serial`] /
-//! [`with_mode`], thread-local so concurrent test threads do not race)
-//! or process-wide ([`set_global_mode`]). Inputs below
-//! [`PAR_THRESHOLD`] always run serially: thread spawn costs more than
-//! the work itself on the paper-sized examples.
+//! Every stage of the engine executes on the calling thread; this module
+//! holds one name, kept for `benchmark/src/workloads/derive.rs`, which
+//! this crate's PRs may not touch.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread;
-
-/// How [`par_map_indexed`] executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Single-threaded, in the calling thread.
-    Serial,
-    /// Chunked across scoped threads when the input is large enough.
-    #[default]
-    Parallel,
-}
-
-/// Inputs smaller than this run serially even in [`ExecMode::Parallel`].
-pub const PAR_THRESHOLD: usize = 32;
-
-static GLOBAL_SERIAL: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    static MODE_OVERRIDE: Cell<Option<ExecMode>> = const { Cell::new(None) };
-}
-
-/// Set the process-wide default execution mode.
-pub fn set_global_mode(mode: ExecMode) {
-    GLOBAL_SERIAL.store(mode == ExecMode::Serial, Ordering::Relaxed);
-}
-
-/// The mode [`par_map_indexed`] would use right now on this thread:
-/// the thread-local override if one is active, else the global default.
-pub fn current_mode() -> ExecMode {
-    MODE_OVERRIDE.with(|m| m.get()).unwrap_or({
-        if GLOBAL_SERIAL.load(Ordering::Relaxed) {
-            ExecMode::Serial
-        } else {
-            ExecMode::Parallel
-        }
-    })
-}
-
-/// Run `f` with the execution mode overridden on this thread only; the
-/// previous override is restored afterwards (also on panic).
-pub fn with_mode<R>(mode: ExecMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<ExecMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|m| m.set(self.0));
-        }
-    }
-    let _restore = Restore(MODE_OVERRIDE.with(|m| m.replace(Some(mode))));
-    f()
-}
-
-/// Run `f` with parallelism disabled on this thread — the serial
-/// reference path the parity property tests compare against.
+/// Runs `f`. Remove together with its caller in the follow-up
+/// `benchmark` issue recorded in ROADMAP.md ("drop the two forwards").
+#[doc(hidden)]
 pub fn run_serial<R>(f: impl FnOnce() -> R) -> R {
-    with_mode(ExecMode::Serial, f)
-}
-
-fn fanout_counter() -> &'static hrdm_obs::metrics::Counter {
-    static C: std::sync::OnceLock<hrdm_obs::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| hrdm_obs::metrics::counter("core.parallel.fanouts"))
-}
-
-fn worker_count(n: usize) -> usize {
-    if n < PAR_THRESHOLD || current_mode() == ExecMode::Serial {
-        return 1;
-    }
-    let cores = thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    cores.min(n.div_ceil(PAR_THRESHOLD / 2)).max(1)
-}
-
-/// Map `f` over `0..n`, preserving index order in the output.
-///
-/// Runs on scoped worker threads over contiguous chunks when the mode is
-/// [`ExecMode::Parallel`] and `n` clears [`PAR_THRESHOLD`]; otherwise in
-/// the calling thread. Either way the result is `[f(0), f(1), …,
-/// f(n-1)]` — chunking is an implementation detail, never visible in
-/// the output.
-pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = worker_count(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    fanout_counter().incr();
-    // Workers run on fresh scoped threads whose span stacks are empty,
-    // so each per-chunk span links to the spawning operator's span
-    // explicitly — fan-out stays attached to the query trace.
-    let parent = hrdm_obs::span::current_span();
-    let chunk = n.div_ceil(workers);
-    let chunks: Vec<Vec<T>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
-                    let mut span = hrdm_obs::span::span_with_parent("parallel.chunk", parent);
-                    if span.is_active() {
-                        span.field_u64("worker", w as u64);
-                        span.field_u64("lo", lo as u64);
-                        span.field_u64("hi", hi as u64);
-                    }
-                    (lo..hi).map(f).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for c in chunks {
-        out.extend(c);
-    }
-    out
-}
-
-/// Map `f` over a slice, preserving element order in the output.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn output_is_index_ordered_above_threshold() {
-        let n = PAR_THRESHOLD * 8;
-        let out = par_map_indexed(n, |i| i * i);
-        assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        let n = PAR_THRESHOLD * 4 + 7;
-        let f = |i: usize| (i, i.wrapping_mul(0x9E37_79B9));
-        let par = with_mode(ExecMode::Parallel, || par_map_indexed(n, f));
-        let ser = run_serial(|| par_map_indexed(n, f));
-        assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn mode_override_restores() {
-        let before = current_mode();
-        run_serial(|| assert_eq!(current_mode(), ExecMode::Serial));
-        assert_eq!(current_mode(), before);
-    }
-
-    #[test]
-    fn par_map_over_slice() {
-        let items: Vec<usize> = (0..100).collect();
-        assert_eq!(
-            par_map(&items, |&x| x + 1),
-            (1..=100).collect::<Vec<usize>>()
-        );
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        assert!(par_map_indexed(0, |i| i).is_empty());
-        assert_eq!(par_map_indexed(1, |i| i), vec![0]);
-    }
-
-    #[test]
-    fn chunk_spans_link_to_the_spawning_span() {
-        let n = PAR_THRESHOLD * 4;
-        let workers = with_mode(ExecMode::Parallel, || worker_count(n));
-        if workers <= 1 {
-            // Single-core machine: no fan-out to trace.
-            return;
-        }
-        let (out, trace) = hrdm_obs::trace::capture("test.parallel.root", || {
-            with_mode(ExecMode::Parallel, || par_map_indexed(n, |i| i * 2))
-        });
-        assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
-        let root = trace.root.as_ref().expect("trace recorded");
-        let chunks: Vec<_> = root
-            .children
-            .iter()
-            .filter(|c| c.name == "parallel.chunk")
-            .collect();
-        assert_eq!(
-            chunks.len(),
-            workers,
-            "every worker records one chunk span under the spawning span"
-        );
-        // The chunks partition 0..n.
-        let mut ranges: Vec<(u64, u64)> = chunks
-            .iter()
-            .map(|c| {
-                (
-                    c.field_u64("lo").expect("lo field"),
-                    c.field_u64("hi").expect("hi field"),
-                )
-            })
-            .collect();
-        ranges.sort_unstable();
-        assert_eq!(ranges.first().map(|r| r.0), Some(0));
-        assert_eq!(ranges.last().map(|r| r.1), Some(n as u64));
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "chunks must be contiguous");
-        }
-    }
+    f()
 }

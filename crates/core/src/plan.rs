@@ -8,11 +8,11 @@
 //! can prune its fan-out *before* the expansion is materialized
 //! (§3.3.2's enumeration only ever visits tuples intersecting the
 //! region). This module turns those laws into a small rule-based
-//! optimizer over a [`LogicalPlan`] IR, plus an executor that lowers
-//! plans onto the existing operator functions in [`crate::ops`],
-//! [`crate::consolidate`] and [`crate::explicate`] — so plan execution
-//! transparently reuses the [`crate::parallel`] thresholds and the
-//! shared closure/subsumption caches those operators already sit on.
+//! optimizer over a [`LogicalPlan`] IR, plus the executor — the only
+//! one — which lowers plans onto the operator functions in
+//! [`crate::ops`], [`crate::consolidate`] and [`crate::explicate`] on
+//! the calling thread, over the shared closure/subsumption caches those
+//! operators already sit on.
 //!
 //! # Canonical output
 //!
@@ -26,8 +26,9 @@
 //! in one evaluation order and not the other, but both orders agree on
 //! the flat model, and §3.3.1's unique-minimum theorem then guarantees
 //! the consolidated results are identical. Callers who need a specific
-//! *non*-minimal physical form (a fully explicated table, say) should
-//! apply [`crate::explicate::explicate`] to the canonical result.
+//! *non*-minimal physical form (a fully explicated table, say) put the
+//! `Explicate` node at the root and run [`LogicalPlan::execute_raw`],
+//! the same evaluation without the final consolidate.
 //!
 //! Each executed node opens an `hrdm-obs` span (named by
 //! [`LogicalPlan::kind`]) carrying its output rows, own-operator wall
@@ -47,6 +48,7 @@ use hrdm_obs::trace::QueryTrace;
 use crate::error::{CoreError, Result};
 use crate::item::Item;
 use crate::ops;
+use crate::ops::join::join_parts;
 use crate::relation::HRelation;
 use crate::schema::{Attribute, Schema};
 use crate::stats;
@@ -255,50 +257,6 @@ impl LogicalPlan {
             | LogicalPlan::Diff { left, .. } => left.output_schema(),
         }
     }
-}
-
-/// How a natural join lays out its output schema: all left attributes,
-/// then the right-only ones, with the shared pairs recorded. Shared
-/// with the batch executor and the cost model, which must agree with
-/// the tuple operator on the layout byte for byte.
-pub(crate) struct JoinParts {
-    pub(crate) schema: Arc<Schema>,
-    /// `(left position, right position)` of attributes shared by name.
-    pub(crate) shared: Vec<(usize, usize)>,
-    /// Right positions not shared with the left, in output order.
-    pub(crate) right_only: Vec<usize>,
-}
-
-pub(crate) fn join_parts(ls: &Schema, rs: &Schema) -> Result<JoinParts> {
-    let mut shared: Vec<(usize, usize)> = Vec::new();
-    for (i, la) in ls.attributes().iter().enumerate() {
-        if let Ok(j) = rs.index_of(la.name()) {
-            if !Arc::ptr_eq(la.domain(), rs.attribute(j).domain()) {
-                return Err(CoreError::SchemaMismatch);
-            }
-            shared.push((i, j));
-        }
-    }
-    if shared.is_empty() {
-        return Err(CoreError::NoJoinAttributes);
-    }
-    let right_only: Vec<usize> = (0..rs.arity())
-        .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
-        .collect();
-    let mut attrs: Vec<Attribute> = ls
-        .attributes()
-        .iter()
-        .map(|a| Attribute::new(a.name(), a.domain().clone()))
-        .collect();
-    for &j in &right_only {
-        let a = rs.attribute(j);
-        attrs.push(Attribute::new(a.name(), a.domain().clone()));
-    }
-    Ok(JoinParts {
-        schema: Arc::new(Schema::new(attrs)),
-        shared,
-        right_only,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -568,7 +526,7 @@ pub struct Executed {
     /// `own_ns` and per-node cache-attribution fields), plus a
     /// `Canonicalize` node for the root consolidate, plus whatever the
     /// operators themselves opened underneath (closure builds,
-    /// subsumption-core builds, parallel chunks).
+    /// subsumption-core builds).
     pub trace: QueryTrace,
     /// Tuples removed by the final canonicalizing consolidate.
     pub canonicalized_away: usize,
@@ -584,20 +542,29 @@ impl LogicalPlan {
     /// byte-identical relations (property-tested in
     /// `crates/core/tests/properties.rs`).
     pub fn execute(&self) -> Result<Executed> {
+        self.run(true)
+    }
+
+    /// Execute this plan as written and return the root node's output
+    /// *without* the canonicalizing consolidate — for plans whose whole
+    /// point is a non-minimal form (a top-level `Explicate`). The twin
+    /// of [`MaterializedPlan::new_raw`](crate::differential::MaterializedPlan::new_raw).
+    pub fn execute_raw(&self) -> Result<Executed> {
+        self.run(false)
+    }
+
+    fn run(&self, canonical: bool) -> Result<Executed> {
         let (result, trace) = hrdm_obs::trace::capture("plan.execute", || -> Result<_> {
-            let raw = self.eval()?;
-            let mut span = hrdm_obs::span!("Canonicalize");
-            let before = attrib::snapshot();
-            let start = Instant::now();
-            let canonical = crate::consolidate::consolidate(&raw);
-            let own_ns = start.elapsed().as_nanos() as u64;
-            if span.is_active() {
-                span.field_u64("rows", canonical.relation.len() as u64);
-                span.field_u64("eliminated", canonical.removed.len() as u64);
-                annotate_attrib(&mut span, &attrib::since(&before));
-                span.field_u64("own_ns", own_ns);
+            let mut outputs = Vec::new();
+            self.eval_into(&mut outputs)?;
+            let raw = outputs.pop().expect("a plan has at least one node");
+            // Only the root's output leaves; free the rest first.
+            drop(outputs);
+            if canonical {
+                Ok(canonicalize(&raw))
+            } else {
+                Ok((Arc::try_unwrap(raw).unwrap_or_else(|r| (*r).clone()), 0))
             }
-            Ok((canonical.relation, canonical.removed.len()))
         });
         let (relation, canonicalized_away) = result?;
         stats::record_plan_exec();
@@ -608,85 +575,69 @@ impl LogicalPlan {
         })
     }
 
-    fn eval(&self) -> Result<HRelation> {
+    /// Evaluate every node bottom-up on the calling thread, pushing each
+    /// node's output onto `outputs` in post-order (this node's last).
+    /// This is the only plan walker: [`execute`](LogicalPlan::execute)
+    /// keeps the last output, a
+    /// [`MaterializedPlan`](crate::differential::MaterializedPlan) keeps
+    /// all of them as its node caches.
+    pub(crate) fn eval_into(&self, outputs: &mut Vec<Arc<HRelation>>) -> Result<()> {
         // The node's span opens before its children evaluate, so child
-        // spans (and anything the operators open — closure builds,
-        // parallel chunks) parent under it; own-op time and cache
-        // attribution are measured around this node's operator only.
+        // spans (and anything the operators open — closure builds)
+        // parent under it; own-op time and cache attribution are
+        // measured around this node's operator only.
         let mut span = hrdm_obs::span!(self.kind());
         if span.is_active() {
             self.annotate(&mut span);
         }
-        let inputs: Vec<HRelation> = self
-            .children()
-            .iter()
-            .map(|c| c.eval())
-            .collect::<Result<_>>()?;
+        let mut child_idx = Vec::new();
+        for child in self.children() {
+            child.eval_into(outputs)?;
+            child_idx.push(outputs.len() - 1);
+        }
+        let inputs: Vec<&HRelation> = child_idx.iter().map(|&i| &*outputs[i]).collect();
         let before = attrib::snapshot();
         let start = Instant::now();
-        let (out, extras) = self.apply(inputs)?;
+        let out = self.apply(&inputs)?;
         let own_ns = start.elapsed().as_nanos() as u64;
         stats::record_plan_node(out.len(), own_ns);
         if span.is_active() {
             span.field_u64("rows", out.len() as u64);
-            for (key, v) in extras {
-                span.field_u64(key, v);
+            if let LogicalPlan::Consolidate { .. } = self {
+                // Consolidation only ever removes tuples.
+                span.field_u64("eliminated", (inputs[0].len() - out.len()) as u64);
             }
             annotate_attrib(&mut span, &attrib::since(&before));
             span.field_u64("own_ns", own_ns);
         }
-        Ok(out)
+        outputs.push(out);
+        Ok(())
     }
 
-    /// Run this node's own operator over its already-evaluated inputs,
-    /// returning the result plus any extra trace fields. Also the entry
-    /// point for [`crate::differential`]'s node-local recomputation.
-    pub(crate) fn apply(
-        &self,
-        mut inputs: Vec<HRelation>,
-    ) -> Result<(HRelation, Vec<(&'static str, u64)>)> {
-        let mut take = || inputs.remove(0);
-        match self {
-            LogicalPlan::Scan { relation, .. } => Ok(((**relation).clone(), vec![])),
-            LogicalPlan::Select { region, .. } => Ok((ops::select(&take(), region)?, vec![])),
+    /// Run this node's own operator over its already-evaluated inputs
+    /// (one per child, in order). Also the entry point for
+    /// [`crate::differential`]'s node-local recomputation.
+    pub(crate) fn apply(&self, inputs: &[&HRelation]) -> Result<Arc<HRelation>> {
+        let out = match self {
+            // A scan shares the plan's snapshot instead of copying it.
+            LogicalPlan::Scan { relation, .. } => return Ok(Arc::clone(relation)),
+            LogicalPlan::Select { region, .. } => ops::select(inputs[0], region)?,
             LogicalPlan::SelectEq { attr, value, .. } => {
-                let child = take();
-                let schema = child.schema();
+                let schema = inputs[0].schema();
                 let i = schema.index_of(attr)?;
                 let node = schema.domain(i).node(value)?;
                 let region = schema.universal_item().with_component(i, node);
-                Ok((ops::select(&child, &region)?, vec![]))
+                ops::select(inputs[0], &region)?
             }
-            LogicalPlan::Project { attrs, .. } => Ok((ops::project(&take(), attrs)?, vec![])),
-            LogicalPlan::Join { .. } => {
-                let l = take();
-                let r = take();
-                Ok((ops::join(&l, &r)?, vec![]))
-            }
-            LogicalPlan::Union { .. } => {
-                let l = take();
-                let r = take();
-                Ok((ops::union(&l, &r)?, vec![]))
-            }
-            LogicalPlan::Intersect { .. } => {
-                let l = take();
-                let r = take();
-                Ok((ops::intersection(&l, &r)?, vec![]))
-            }
-            LogicalPlan::Diff { .. } => {
-                let l = take();
-                let r = take();
-                Ok((ops::difference(&l, &r)?, vec![]))
-            }
-            LogicalPlan::Consolidate { .. } => {
-                let out = crate::consolidate::consolidate(&take());
-                let eliminated = out.removed.len() as u64;
-                Ok((out.relation, vec![("eliminated", eliminated)]))
-            }
-            LogicalPlan::Explicate { attrs, .. } => {
-                Ok((crate::explicate::explicate(&take(), attrs)?, vec![]))
-            }
-        }
+            LogicalPlan::Project { attrs, .. } => ops::project(inputs[0], attrs)?,
+            LogicalPlan::Join { .. } => ops::join(inputs[0], inputs[1])?,
+            LogicalPlan::Union { .. } => ops::union(inputs[0], inputs[1])?,
+            LogicalPlan::Intersect { .. } => ops::intersection(inputs[0], inputs[1])?,
+            LogicalPlan::Diff { .. } => ops::difference(inputs[0], inputs[1])?,
+            LogicalPlan::Consolidate { .. } => crate::consolidate::consolidate(inputs[0]).relation,
+            LogicalPlan::Explicate { attrs, .. } => crate::explicate::explicate(inputs[0], attrs)?,
+        };
+        Ok(Arc::new(out))
     }
 
     /// Stable, schema-derived span fields for this node (no row counts
@@ -727,6 +678,24 @@ fn annotate_attrib(span: &mut hrdm_obs::SpanGuard, delta: &attrib::AttribSnapsho
             span.field_u64(field, v);
         }
     }
+}
+
+/// The root consolidate that turns a plan's output into the unique
+/// minimal form of its flat model, under a `Canonicalize` span. Returns
+/// the canonical relation and how many tuples it eliminated.
+pub(crate) fn canonicalize(raw: &HRelation) -> (HRelation, usize) {
+    let mut span = hrdm_obs::span!("Canonicalize");
+    let before = attrib::snapshot();
+    let start = Instant::now();
+    let canonical = crate::consolidate::consolidate(raw);
+    let own_ns = start.elapsed().as_nanos() as u64;
+    if span.is_active() {
+        span.field_u64("rows", canonical.relation.len() as u64);
+        span.field_u64("eliminated", canonical.removed.len() as u64);
+        annotate_attrib(&mut span, &attrib::since(&before));
+        span.field_u64("own_ns", own_ns);
+    }
+    (canonical.relation, canonical.removed.len())
 }
 
 // ---------------------------------------------------------------------
@@ -833,28 +802,25 @@ impl LogicalPlan {
         }
     }
 
-    /// Optimize this plan and render the result with rewrite and
-    /// cost-model annotations — the body of the HQL `EXPLAIN`
-    /// statement.
-    ///
-    /// The cost section uses the *fixed* default calibration so the
-    /// rendering is deterministic (golden-snapshot safe); measured
-    /// histogram quantiles feed only runtime planning through
-    /// [`crate::cost::optimize_with_cost`].
+    /// Optimize this plan and render the result with its rewrite log —
+    /// the plan [`optimize`](LogicalPlan::optimize) hands the executor,
+    /// and nothing else.
     pub fn explain(&self) -> String {
         let (optimized, rewrites) = self.optimize();
-        let mut out = optimized.render();
-        if rewrites.is_empty() {
-            out.push_str("no rewrites applied\n");
-        } else {
-            out.push_str("rewrites applied:\n");
-            for (k, rw) in rewrites.iter().enumerate() {
-                let _ = writeln!(out, "  {}. {} — {}", k + 1, rw.rule, rw.detail);
-            }
-        }
-        out.push_str(&crate::cost::explain_costs(&optimized));
-        out
+        optimized.render() + &render_rewrites(&rewrites)
     }
+}
+
+/// The `rewrites applied:` trailer of `EXPLAIN` and `TRACE` output.
+pub fn render_rewrites(rewrites: &[Rewrite]) -> String {
+    if rewrites.is_empty() {
+        return "no rewrites applied\n".into();
+    }
+    let mut out = String::from("rewrites applied:\n");
+    for (k, rw) in rewrites.iter().enumerate() {
+        let _ = writeln!(out, "  {}. {} — {}", k + 1, rw.rule, rw.detail);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -888,6 +854,19 @@ mod tests {
         let scan = out.trace.find("Scan").expect("scan node in trace");
         assert_eq!(scan.field_u64("rows"), Some(r.len() as u64));
         assert_eq!(scan.field("rel"), Some("Flying"));
+    }
+
+    #[test]
+    fn execute_raw_skips_the_root_consolidate() {
+        let (plan, r) = flying_plan();
+        let raw = plan.explicate(vec![0]).execute_raw().unwrap();
+        assert_eq!(
+            tuples_of(&raw.relation),
+            tuples_of(&crate::explicate::explicate(&r, &[0]).unwrap())
+        );
+        assert_eq!(raw.canonicalized_away, 0);
+        assert!(raw.trace.find("Explicate").is_some());
+        assert!(raw.trace.find("Canonicalize").is_none());
     }
 
     #[test]

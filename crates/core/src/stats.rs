@@ -3,8 +3,7 @@
 //! The counters themselves now live in the shared `hrdm-obs` registry
 //! (`core.*` namespace here, `hierarchy.closure.*` for the closure
 //! cache, `storage.heap.*` in the storage crate), so recording stays a
-//! relaxed atomic op that is safe from the parallel workers in
-//! [`crate::parallel`] — but resets, exports (Prometheus text,
+//! relaxed atomic op — but resets, exports (Prometheus text,
 //! `BENCH_obs.json`) and latency quantiles come from one place instead
 //! of per-crate static sets.
 //!

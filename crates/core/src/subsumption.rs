@@ -27,7 +27,6 @@ use hrdm_obs::attrib::{self, AttribKey};
 
 use crate::binding::path_avoiding;
 use crate::item::Item;
-use crate::parallel;
 use crate::preemption::Preemption;
 use crate::relation::HRelation;
 use crate::stats;
@@ -299,10 +298,8 @@ fn collect_nodes(
     (items, truths, extra)
 }
 
-/// Closed-form edge construction over the collected nodes. Each node's
-/// successor row is independent of every other row, so rows are built in
-/// parallel (index-ordered, hence byte-identical to the serial sweep)
-/// and the predecessor lists are derived in one sequential pass.
+/// Closed-form edge construction over the collected nodes: one successor
+/// row per node, then the predecessor lists in one pass over the rows.
 fn build_core(relation: &HRelation, items: Vec<Item>, truths: Vec<Truth>) -> SubsumptionCore {
     let product = relation.schema().product();
     let preemption = relation.preemption();
@@ -312,7 +309,7 @@ fn build_core(relation: &HRelation, items: Vec<Item>, truths: Vec<Truth>) -> Sub
         |a: usize, b: usize| product.reaches(items_ref[a].components(), items_ref[b].components());
 
     // Edges among real nodes (indexes 1..n), one row per source.
-    let mut children: Vec<Vec<usize>> = parallel::par_map_indexed(n, |x| {
+    let row_of = |x: usize| {
         let mut row = Vec::new();
         if x == SubsumptionGraph::UNIVERSAL {
             return row;
@@ -340,7 +337,8 @@ fn build_core(relation: &HRelation, items: Vec<Item>, truths: Vec<Truth>) -> Sub
             }
         }
         row
-    });
+    };
+    let mut children: Vec<Vec<usize>> = (0..n).map(row_of).collect();
     let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (x, row) in children.iter().enumerate().skip(1) {
         for &y in row {

@@ -2,9 +2,9 @@
 //! [`MaterializedPlan`] maintained step-by-step under random mutation
 //! scripts versus full recomputation of the same plan from scratch.
 //!
-//! The correctness claim mirrors `batch_parity`'s oracle discipline —
-//! **byte identity**, not semantic equivalence: after every committed
-//! mutation the maintained relation must have the exact tuple sequence,
+//! The correctness claim is **byte identity**, not semantic
+//! equivalence: after every committed mutation the maintained relation
+//! must have the exact tuple sequence,
 //! the same eliminated-tuple report, and the same `render_table` bytes
 //! as executing the plan over the mutated bases from nothing. Steps
 //! whose recomputation fails must fail identically on the differential
@@ -53,7 +53,7 @@ fn make_consistent(r: &mut HRelation) {
 
 /// A pool of consistent base relations over one shared single-attribute
 /// schema (so joins are always well-formed) — same shape as
-/// `batch_parity`.
+/// `properties.rs`'s.
 fn plan_bases(gseed: u64, t1: u64, t2: u64) -> (Arc<Schema>, Vec<HRelation>) {
     let layers = 1 + (gseed % 3) as usize;
     let width = 2 + (gseed / 3 % 3) as usize;

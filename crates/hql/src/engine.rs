@@ -679,13 +679,11 @@ fn exec_let(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::Let { name, derivation } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let derived = txn.world.derive(&derivation)?;
-    let tuples = txn.world.store_derived(&name, derived)?;
-    // The fresh binding becomes a live view: from now on the writer
+    // The fresh binding is a live view: from now on the writer
     // maintains it per-delta at commit. Its own birth is deliberately
     // not recorded in the delta — nothing can depend on it yet, and a
     // row entry under its name would read as a direct write (detach).
-    txn.world.register_view(&name, derivation)?;
+    let tuples = txn.world.define_view(&name, derivation)?;
     txn.checkpoint()?;
     Ok(Response::Ok(format!(
         "relation {name} defined ({tuples} tuples)"
@@ -962,26 +960,17 @@ fn exec_explain(world: &World, stmt: Statement) -> Result<Response> {
     let Statement::Explain { derivation } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let plan = world.plan_of(&derivation)?;
-    Ok(Response::Plan(plan.explain()))
+    Ok(Response::Plan(world.plan(&derivation)?.explain()))
 }
 
 fn exec_trace(world: &World, stmt: Statement) -> Result<Response> {
     let Statement::Trace { derivation } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let plan = world.plan_of(&derivation)?;
-    let (optimized, rewrites) = plan.optimize();
-    let executed = optimized.execute()?;
+    let planned = world.plan(&derivation)?;
+    let executed = planned.execute()?;
     let mut out = executed.trace.render();
-    if rewrites.is_empty() {
-        out.push_str("no rewrites applied\n");
-    } else {
-        out.push_str("rewrites applied:\n");
-        for (k, rw) in rewrites.iter().enumerate() {
-            out.push_str(&format!("  {}. {} — {}\n", k + 1, rw.rule, rw.detail));
-        }
-    }
+    out.push_str(&planned.rewrites());
     out.push_str(&format!(
         "result: {} stored tuple(s), {} canonicalized away\n",
         executed.relation.len(),

@@ -23,24 +23,58 @@ use std::sync::Arc;
 use hrdm_core::delta::{Delta, RelationChange, RelationDelta};
 use hrdm_core::differential::MaterializedPlan;
 use hrdm_core::mutation::CatalogMutation;
-use hrdm_core::plan::LogicalPlan;
+use hrdm_core::plan::{render_rewrites, Executed, LogicalPlan, Rewrite};
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 
 use crate::ast::{Derivation, Source, ValueRef};
 use crate::error::{HqlError, Result};
 
-/// How a registered view is kept current.
-#[derive(Clone)]
-enum ViewMode {
-    /// Maintained per-delta through the differential plan evaluator.
-    Incremental(MaterializedPlan),
-    /// Re-derived in full on every relevant delta. Used for top-level
-    /// `EXPLICATE` over a *derived* source, whose evaluation order
-    /// (consolidate the inner result, then explicate) the plan IR does
-    /// not express — and as the landing mode when a materialization
-    /// cannot be (re)built.
-    Recompute,
+/// A derivation as the engine runs it — the one plan `EXPLAIN` prints,
+/// `TRACE` executes, `LET` materializes and view maintenance rebuilds
+/// from. Built by [`World::plan`] and nowhere else.
+pub(crate) struct Planned {
+    /// The rule-optimized plan.
+    plan: LogicalPlan,
+    /// The rewrites [`LogicalPlan::optimize`] applied, in order.
+    rewrites: Vec<Rewrite>,
+    /// Whether the result is the root node's output as written rather
+    /// than its canonical (consolidated, §3.3.1) form: true exactly for
+    /// a top-level `EXPLICATE`, whose whole point is the explicit,
+    /// non-minimal form the root consolidate would collapse straight
+    /// back.
+    raw: bool,
+}
+
+impl Planned {
+    /// The `EXPLAIN` body: the plan tree and the rewrite log.
+    pub(crate) fn explain(&self) -> String {
+        self.plan.render() + &self.rewrites()
+    }
+
+    /// The `rewrites applied:` trailer.
+    pub(crate) fn rewrites(&self) -> String {
+        render_rewrites(&self.rewrites)
+    }
+
+    /// Run the plan once, keeping its span tree (`TRACE`).
+    pub(crate) fn execute(&self) -> Result<Executed> {
+        Ok(if self.raw {
+            self.plan.execute_raw()?
+        } else {
+            self.plan.execute()?
+        })
+    }
+
+    /// Run the plan once, keeping every node's output so the result can
+    /// be maintained under deltas (`LET` and the recompute fallback).
+    fn materialize(self) -> Result<MaterializedPlan> {
+        Ok(if self.raw {
+            MaterializedPlan::new_raw(self.plan)?
+        } else {
+            MaterializedPlan::new(self.plan)?
+        })
+    }
 }
 
 /// One live `LET` view: its defining derivation plus the machinery to
@@ -56,10 +90,10 @@ struct ViewDef {
     /// Domains those base relations are over: an edit to any of them
     /// changes subsumption itself (and re-shares the schema `Arc`s the
     /// cached node outputs were built against), so the differential
-    /// path does not apply and the view falls back to recomputation.
+    /// path does not apply and the view is re-planned and rebuilt.
     dep_domains: BTreeSet<String>,
-    /// Maintenance machinery.
-    mode: ViewMode,
+    /// The materialized plan; its root cache *is* the stored relation.
+    mat: MaterializedPlan,
 }
 
 /// What one [`World::maintain_views`] pass did, for the engine's
@@ -275,15 +309,6 @@ impl World {
         Ok(tuples)
     }
 
-    /// Store a derived relation under a fresh name; returns its stored
-    /// tuple count.
-    pub(crate) fn store_derived(&mut self, name: &str, relation: HRelation) -> Result<usize> {
-        self.require_fresh_relation(name)?;
-        let tuples = relation.len();
-        self.catalog.add_relation(name, relation);
-        Ok(tuples)
-    }
-
     /// Names of the relations currently live as maintained views.
     pub fn view_names(&self) -> impl Iterator<Item = &str> {
         self.views.iter().map(|v| v.name.as_str())
@@ -294,53 +319,33 @@ impl World {
         self.views.iter().any(|v| v.name == name)
     }
 
-    /// Build the maintenance machinery for a derivation against the
-    /// current world. A top-level `EXPLICATE` over a *derived* source
-    /// is pinned to recompute mode (see [`ViewMode::Recompute`]); every
-    /// other shape gets a materialized plan — `new_raw` for a top-level
-    /// `EXPLICATE` over a named relation (its point is the non-minimal
-    /// form the canonicalizing root consolidate would collapse),
-    /// canonical otherwise, matching [`World::derive`]'s two paths.
-    fn view_mode_of(&self, derivation: &Derivation) -> ViewMode {
-        let built = match derivation {
-            Derivation::Explicated(Source::Derived(_), _) => None,
-            Derivation::Explicated(Source::Named(_), _) => self
-                .plan_of(derivation)
-                .ok()
-                .and_then(|p| MaterializedPlan::new_raw(p).ok()),
-            _ => self
-                .plan_of(derivation)
-                .ok()
-                .and_then(|p| MaterializedPlan::new(p).ok()),
-        };
-        match built {
-            Some(mat) => ViewMode::Incremental(mat),
-            None => ViewMode::Recompute,
-        }
-    }
-
-    /// Register a freshly `LET`-bound relation as a live view. Called
-    /// after [`World::store_derived`]; from here on the single writer
-    /// keeps the stored relation identical to re-deriving `derivation`
-    /// from scratch at every epoch.
-    pub(crate) fn register_view(&mut self, name: &str, derivation: Derivation) -> Result<()> {
-        let plan = self.plan_of(&derivation)?;
-        let deps = hrdm_core::differential::scan_names(&plan);
+    /// `LET name = derivation`: plan the derivation, run it **once**
+    /// as a materialized plan, store the plan's root output under the
+    /// fresh `name` (shared, not copied) and keep the plan as the live
+    /// view's maintenance state. Returns the stored tuple count. From
+    /// here on the single writer keeps the stored relation identical to
+    /// re-deriving `derivation` from scratch at every epoch.
+    pub(crate) fn define_view(&mut self, name: &str, derivation: Derivation) -> Result<usize> {
+        let planned = self.plan(&derivation)?;
+        let deps = hrdm_core::differential::scan_names(&planned.plan);
+        let mat = planned.materialize()?;
+        self.require_fresh_relation(name)?;
         let mut dep_domains = BTreeSet::new();
         for dep in &deps {
             if let Ok(relation) = self.relation(dep) {
                 dep_domains.extend(signature(relation).into_iter().map(|(_, dom)| dom));
             }
         }
-        let mode = self.view_mode_of(&derivation);
+        let tuples = mat.relation().len();
+        self.catalog.add_relation(name, mat.relation_arc());
         self.views.push(Arc::new(ViewDef {
             name: name.to_string(),
             derivation,
             deps,
             dep_domains,
-            mode,
+            mat,
         }));
-        Ok(())
+        Ok(tuples)
     }
 
     /// Bring every registered view up to date with one committed
@@ -353,9 +358,10 @@ impl World {
     ///   **detaches** and its relation stays a plain relation;
     /// * row-level deltas only — differential maintenance through the
     ///   materialized plan;
-    /// * a dependency was reset, a dependency's domain was edited, the
-    ///   view is recompute-mode, or the differential path errored —
-    ///   full recomputation via [`World::derive`].
+    /// * a dependency was reset, a dependency's domain was edited, or
+    ///   the differential path errored — the derivation is planned and
+    ///   materialized afresh ([`World::plan`], the same function `LET`
+    ///   used).
     ///
     /// Either way the view's output delta is recorded into `delta`
     /// under the view's name, so cascaded views (and the published
@@ -396,46 +402,40 @@ impl World {
 
             let mut incremental = None;
             if !domain_hit && !dep_reset {
-                if let ViewMode::Incremental(mat) = &view.mode {
-                    // Post-write base relations, shared so the plan's
-                    // scan caches alias them instead of copying.
-                    let mut bases: BTreeMap<String, Arc<HRelation>> = BTreeMap::new();
-                    for dep in rows.keys() {
-                        if let Ok(base) = self.relation_arc(dep) {
-                            bases.insert(dep.clone(), base.clone());
-                        }
-                    }
-                    // Any differential error falls through to the full
-                    // recomputation below.
-                    if let Ok((next, out_delta, _)) = mat.apply_with_bases(&rows, &bases) {
-                        incremental = Some((next, out_delta));
+                // Post-write base relations, shared so the plan's scan
+                // caches alias them instead of copying.
+                let mut bases: BTreeMap<String, Arc<HRelation>> = BTreeMap::new();
+                for dep in rows.keys() {
+                    if let Ok(base) = self.relation_arc(dep) {
+                        bases.insert(dep.clone(), base.clone());
                     }
                 }
+                // Any differential error falls through to the rebuild
+                // below.
+                if let Ok((next, out_delta, _)) = view.mat.apply_with_bases(&rows, &bases) {
+                    incremental = Some((next, out_delta));
+                }
             }
-            let old_preemption = self.relation(&view.name)?.preemption();
-            let (relation, out_delta, mode) = match incremental {
-                Some((next, out_delta)) => {
+            let old = self.relation(&view.name)?;
+            let (mat, out_delta) = match incremental {
+                Some(maintained) => {
                     summary.maintained += 1;
-                    // Share the plan's root cache — no per-write copy
-                    // of the view's tuples.
-                    let rel = next.relation_arc();
-                    (rel, out_delta, ViewMode::Incremental(next))
+                    maintained
                 }
                 None => {
                     summary.fallback += 1;
-                    let derived = self.derive(&view.derivation)?;
-                    let old = self.relation(&view.name)?;
-                    let out_delta = RelationDelta::diff(old, &derived);
-                    let mode = {
-                        // Rebuild against the post-write world so later
-                        // epochs can go differential again.
-                        self.view_mode_of(&view.derivation)
-                    };
-                    (Arc::new(derived), out_delta, mode)
+                    // Re-plan against the post-write world, so later
+                    // epochs can go differential again.
+                    let mat = self.plan(&view.derivation)?.materialize()?;
+                    let out_delta = RelationDelta::diff(old, mat.relation());
+                    (mat, out_delta)
                 }
             };
-            let mode_changed = relation.preemption() != old_preemption;
-            self.catalog.add_relation(view.name.as_str(), relation);
+            let mode_changed = mat.relation().preemption() != old.preemption();
+            // Share the plan's root cache — no per-write copy of the
+            // view's tuples.
+            self.catalog
+                .add_relation(view.name.as_str(), mat.relation_arc());
             if mode_changed {
                 // A preemption-mode flip is invisible to a row diff but
                 // changes downstream semantics; cascade it as a reset so
@@ -453,7 +453,7 @@ impl World {
                 derivation: view.derivation.clone(),
                 deps: view.deps.clone(),
                 dep_domains: view.dep_domains.clone(),
-                mode,
+                mat,
             }));
         }
         self.views = kept;
@@ -471,50 +471,48 @@ impl World {
         World::from(image.into_catalog())
     }
 
-    /// Evaluate a derivation by building a [`LogicalPlan`], optimizing
-    /// it, and executing the optimized form. Plan execution returns the
-    /// *canonical* (consolidated, §3.3.1) relation of the query's flat
-    /// model, so one exception applies: a top-level `EXPLICATE` is
-    /// lowered directly — its whole point is the explicit, non-minimal
-    /// form, which the final consolidate would collapse straight back.
-    ///
-    /// Physical execution is batch-at-a-time
-    /// ([`hrdm_core::batch::execute_batch`]) over a plan reordered by
-    /// the measured cost model
-    /// ([`hrdm_core::cost::optimize_with_cost`] with
-    /// [`hrdm_core::cost::CostModel::from_registry`]); both are proven
-    /// byte-identical to
-    /// the tuple path by the core parity suites, so HQL semantics are
-    /// untouched.
-    pub(crate) fn derive(&self, derivation: &Derivation) -> Result<HRelation> {
-        if let Derivation::Explicated(src, attrs) = derivation {
-            let input = self.source_relation(src)?;
-            let indexes = attr_indexes(&input, attrs)?;
-            return Ok(hrdm_core::explicate::explicate(&input, &indexes)?);
-        }
-        let model = hrdm_core::cost::CostModel::from_registry();
-        let (optimized, _rewrites) =
-            hrdm_core::cost::optimize_with_cost(&self.plan_of(derivation)?, &model);
-        Ok(hrdm_core::batch::execute_batch(&optimized)?.relation)
+    /// The plan that runs for `derivation`: [`World::plan_of`], rule-
+    /// optimized. Plan execution returns the *canonical* (consolidated,
+    /// §3.3.1) relation of the query's flat model, with one exception
+    /// handled here and nowhere else: a top-level `EXPLICATE` is run
+    /// raw. Its operand is explicated as the user would see it bound —
+    /// a named relation as stored, a nested derivation in its canonical
+    /// form (an explicit `Consolidate` node, unless that derivation is
+    /// itself a raw `EXPLICATE`).
+    pub(crate) fn plan(&self, derivation: &Derivation) -> Result<Planned> {
+        let (written, raw) = self.written(derivation)?;
+        let (plan, rewrites) = written.optimize();
+        Ok(Planned {
+            plan,
+            rewrites,
+            raw,
+        })
     }
 
-    /// Materialize an operand: a named relation is cloned as-is; a
-    /// nested derivation is evaluated like any `LET` right-hand side.
-    fn source_relation(&self, src: &Source) -> Result<HRelation> {
-        match src {
-            Source::Named(name) => Ok(self.relation(name)?.clone()),
-            Source::Derived(inner) => self.derive(inner),
-        }
+    /// `derivation` as an unoptimized plan, and whether it runs raw.
+    fn written(&self, derivation: &Derivation) -> Result<(LogicalPlan, bool)> {
+        let Derivation::Explicated(src, attrs) = derivation else {
+            return Ok((self.plan_of(derivation)?, false));
+        };
+        let operand = match src {
+            Source::Named(_) => self.source_plan(src)?,
+            Source::Derived(inner) => match self.written(inner)? {
+                (plan, true) => plan,
+                (plan, false) => plan.consolidate(),
+            },
+        };
+        Ok((explicate_plan(operand, attrs)?, true))
     }
 
-    /// An operand as a plan node: scans stay leaves, nested derivations
-    /// inline into the surrounding tree so rewrites can cross them.
+    /// An operand as a plan node: scans stay leaves (sharing the stored
+    /// relation, not copying it), nested derivations inline into the
+    /// surrounding tree so rewrites can cross them.
     fn source_plan(&self, src: &Source) -> Result<LogicalPlan> {
         match src {
-            Source::Named(name) => Ok(LogicalPlan::scan(
-                name.clone(),
-                self.relation(name)?.clone(),
-            )),
+            Source::Named(name) => Ok(LogicalPlan::Scan {
+                name: name.clone(),
+                relation: Arc::clone(self.relation_arc(name)?),
+            }),
             Source::Derived(inner) => self.plan_of(inner),
         }
     }
@@ -523,7 +521,7 @@ impl World {
     /// names resolve against the plan's inferred output schema, so
     /// projections and explications over nested derivations see the
     /// composed layout (e.g. a join's merged attribute list).
-    pub(crate) fn plan_of(&self, derivation: &Derivation) -> Result<LogicalPlan> {
+    fn plan_of(&self, derivation: &Derivation) -> Result<LogicalPlan> {
         Ok(match derivation {
             Derivation::Union(a, b) => self.source_plan(a)?.union(self.source_plan(b)?),
             Derivation::Intersect(a, b) => self.source_plan(a)?.intersect(self.source_plan(b)?),
@@ -546,21 +544,23 @@ impl World {
                 p
             }
             Derivation::Consolidated(a) => self.source_plan(a)?.consolidate(),
-            Derivation::Explicated(a, attrs) => {
-                let p = self.source_plan(a)?;
-                let schema = p.output_schema()?;
-                let indexes = if attrs.is_empty() {
-                    (0..schema.arity()).collect()
-                } else {
-                    attrs
-                        .iter()
-                        .map(|n| Ok(schema.index_of(n)?))
-                        .collect::<Result<Vec<_>>>()?
-                };
-                p.explicate(indexes)
-            }
+            Derivation::Explicated(a, attrs) => explicate_plan(self.source_plan(a)?, attrs)?,
         })
     }
+}
+
+/// `EXPLICATE operand ON attrs` as a plan node; no attributes means all.
+fn explicate_plan(operand: LogicalPlan, attrs: &[String]) -> Result<LogicalPlan> {
+    let schema = operand.output_schema()?;
+    let indexes = if attrs.is_empty() {
+        (0..schema.arity()).collect()
+    } else {
+        attrs
+            .iter()
+            .map(|n| Ok(schema.index_of(n)?))
+            .collect::<Result<Vec<_>>>()?
+    };
+    Ok(operand.explicate(indexes))
 }
 
 #[cfg(test)]

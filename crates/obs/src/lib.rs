@@ -8,16 +8,14 @@
 //! * [`metrics`] — a typed registry of named counters, gauges and
 //!   log-scaled latency histograms (p50/p95/p99). Handles are cached
 //!   `Arc`s over relaxed atomics, so recording costs a few nanoseconds
-//!   and is safe from parallel workers. [`metrics::reset_all`] zeroes
+//!   and is safe from any thread. [`metrics::reset_all`] zeroes
 //!   *every* registered metric in one sweep under the registry lock, so
 //!   benchmark harnesses get an atomic reset instead of chasing
 //!   per-crate counter sets.
 //! * [`mod@span`] — `span!("consolidate", rel = name)` guards with
 //!   monotonic timing, thread id, and parent linkage. Parenting uses a
-//!   thread-local stack; scoped worker threads link to their spawner
-//!   explicitly ([`span::span_with_parent`]), so fan-out stages stay
-//!   attached to the query that spawned them. When no capture is
-//!   active, a guard is fully inert — one relaxed atomic load.
+//!   thread-local stack. When no capture is active, a guard is fully
+//!   inert — one relaxed atomic load.
 //! * [`trace`] — per-query execution traces:
 //!   [`trace::capture`] records every span closed during a closure and
 //!   assembles the ones reachable from the capture root into a

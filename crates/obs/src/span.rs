@@ -9,10 +9,7 @@
 //!
 //! Parenting is a thread-local stack: the span open at the top of the
 //! current thread's stack becomes the parent of the next span opened on
-//! that thread. Scoped worker threads (see `core::parallel`) have empty
-//! stacks of their own, so they link to the spawning thread's span
-//! *explicitly* via [`span_with_parent`], keeping fan-out chunks
-//! attached to the query that spawned them.
+//! that thread.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,10 +176,12 @@ impl Drop for SpanGuard {
     }
 }
 
-fn open(name: &'static str, parent: Option<SpanId>) -> SpanGuard {
+/// Open a span parented to the span currently open on this thread.
+pub fn span(name: &'static str) -> SpanGuard {
     if !recording_active() {
         return SpanGuard { active: None };
     }
+    let parent = current_span();
     let id = next_id();
     STACK.with(|s| s.borrow_mut().push(id));
     SpanGuard {
@@ -194,26 +193,6 @@ fn open(name: &'static str, parent: Option<SpanId>) -> SpanGuard {
             fields: Vec::new(),
         }),
     }
-}
-
-/// Open a span parented to the span currently open on this thread.
-pub fn span(name: &'static str) -> SpanGuard {
-    let parent = if recording_active() {
-        current_span()
-    } else {
-        None
-    };
-    open(name, parent)
-}
-
-/// Open a span with an explicit parent — the cross-thread form.
-///
-/// `core::parallel` captures [`current_span`] *before* spawning scoped
-/// workers and hands it to each worker, so per-chunk spans stay linked
-/// to the operator that fanned out even though the workers' own
-/// thread-local stacks start empty.
-pub fn span_with_parent(name: &'static str, parent: Option<SpanId>) -> SpanGuard {
-    open(name, parent)
 }
 
 #[cfg(all(test, feature = "obs"))]
@@ -267,30 +246,5 @@ pub(crate) mod tests {
             .expect("root recorded");
         assert!(root.start_ns <= child.start_ns);
         assert!(root.end_ns >= child.end_ns);
-    }
-
-    #[test]
-    fn explicit_parent_crosses_threads() {
-        let _capturing = capture_lock();
-        let start = begin_recording();
-        let root_id;
-        {
-            let root = span("test.span.xroot");
-            root_id = root.id();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _w = span_with_parent("test.span.worker", root_id);
-                    assert_eq!(thread_open_depth(), 1);
-                });
-            });
-        }
-        let events = end_recording(start);
-        let worker = events
-            .iter()
-            .find(|e| e.name == "test.span.worker")
-            .expect("worker recorded");
-        assert_eq!(worker.parent, root_id);
-        let root = events.iter().find(|e| Some(e.id) == root_id).unwrap();
-        assert_ne!(worker.thread, root.thread);
     }
 }

@@ -98,14 +98,6 @@ impl Table {
             .map(move |(_, bytes)| decode(bytes, self.arity).expect("rows written by us"))
     }
 
-    /// Scan all live rows together with their record ids (index
-    /// builders and batch gathers want both).
-    pub fn scan_with_ids(&self) -> impl Iterator<Item = (RecordId, Row)> + '_ {
-        self.heap
-            .scan()
-            .map(move |(rid, bytes)| (rid, decode(bytes, self.arity).expect("rows written by us")))
-    }
-
     /// Rows whose `col` equals `value`, via index when available,
     /// falling back to a scan.
     pub fn lookup(&self, col: usize, value: u32) -> Vec<Row> {

@@ -22,10 +22,6 @@
 //! * [`index`] — hash indexes,
 //! * [`exec`] — volcano-style iterators (scan, filter, project, hash
 //!   join),
-//! * [`batch`] — batch-at-a-time columnar operators over the same
-//!   tables (1 k-row column slices),
-//! * [`sorted`] — static sorted indexes for class-id-keyed membership
-//!   probes and range gathers,
 //! * [`catalog`] — named tables,
 //! * [`membership`] — the footnote-1 encoding: a membership table per
 //!   domain plus the integrity constraint that it matches the hierarchy.
@@ -35,7 +31,6 @@
 //! hardware, and an in-memory engine keeps the comparison apples to
 //! apples with the in-memory hierarchical core.
 
-pub mod batch;
 pub mod catalog;
 pub mod error;
 pub mod exec;
@@ -44,12 +39,9 @@ pub mod index;
 pub mod membership;
 pub mod page;
 pub mod row;
-pub mod sorted;
 
-pub use batch::RowBatch;
 pub use catalog::{Database, Table};
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, PAGE_SIZE};
 pub use row::Row;
-pub use sorted::SortedIndex;

@@ -2,8 +2,8 @@
 """Validate and gate benchmark artifacts in CI.
 
 Usage:
-    validate_bench.py BENCH_columnar.json [--schema path/to.schema.json]
-    validate_bench.py BENCH_ivm.json
+    validate_bench.py BENCH_ivm.json [--schema path/to.schema.json]
+    validate_bench.py BENCH_server.json
 
 Two layers of checking, dispatched on the artifact's "label" field:
 
@@ -13,10 +13,6 @@ Two layers of checking, dispatched on the artifact's "label" field:
    properties, additionalProperties, enum, const, minimum, oneOf).
 2. Gates, per label:
 
-   * columnar — the batch-at-a-time executor must not be slower than
-     the tuple-at-a-time executor on any figure (batch_ns <= tuple_ns
-     for B2-B4), and the measured cost model must have chosen at least
-     one index-backed access path.
    * ivm — a maintained view's one-row update must beat re-deriving the
      view from scratch on the large-catalog fixture, and growing the
      catalog must inflate the incremental cost strictly less than it
@@ -42,35 +38,10 @@ import sys
 
 from validate_obs import check
 
-COLUMNAR_FIGURES = ("B2", "B3", "B4")
-
 # The incremental figure is a committed engine write: one asserted row
 # plus the view's maintained row. Anything larger means maintenance
 # stopped being row-level.
 IVM_MAX_DELTA_ROWS = 8
-
-
-def gate_columnar(path, doc):
-    ok = True
-    for name in COLUMNAR_FIGURES:
-        fig = doc["figures"][name]
-        tuple_ns, batch_ns = fig["tuple_ns"], fig["batch_ns"]
-        if batch_ns > tuple_ns:
-            print(
-                f"{path}: {name}: batch executor is slower than tuple "
-                f"({batch_ns} ns > {tuple_ns} ns)",
-                file=sys.stderr,
-            )
-            ok = False
-        else:
-            print(f"{path}: {name}: ok ({tuple_ns / batch_ns:.2f}x, {fig['access_path']})")
-    if doc["cost_model"]["index_choices"] < 1:
-        print(f"{path}: cost model never chose an index access path", file=sys.stderr)
-        ok = False
-    if not doc["cost_model"]["measured"]:
-        print(f"{path}: cost model was not measured from the obs registry", file=sys.stderr)
-        ok = False
-    return ok
 
 
 def gate_ivm(path, doc):
@@ -236,7 +207,7 @@ def gate_server(path, doc):
     return ok
 
 
-GATES = {"columnar": gate_columnar, "ivm": gate_ivm, "server": gate_server}
+GATES = {"ivm": gate_ivm, "server": gate_server}
 
 
 def validate(path, schema_path):
