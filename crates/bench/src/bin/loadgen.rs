@@ -3,7 +3,7 @@
 //!
 //! Starts an in-process `hrdm-server` over the Fig. 1 bootstrap world,
 //! then drives it over real sockets with M concurrent [`Client`]s in
-//! three phases:
+//! four phases:
 //!
 //! 1. **writes** — one client replays the deterministic serving write
 //!    mix (snapshot publications through the single writer);
@@ -18,15 +18,6 @@
 //!    throughput. Each sweep point reports total requests, burst
 //!    round-trip percentiles, and throughput; the validator requires
 //!    deep pipelining (depth >= 8) to beat depth 1 on throughput.
-//! 5. **sharded_1 / sharded_4** — one closed-loop client drives a
-//!    fixed serving mix (a committed write every 50 reads) against the
-//!    in-process `ShardedEngine` coordinator over a serving-scale
-//!    catalog, through the same trait. The statement sequence is
-//!    byte-identical at both shard counts; every committed write
-//!    publishes a copy-on-write clone of the owning engine's catalog
-//!    maps, so partitioning divides the per-write publication cost by
-//!    the shard count. The validator requires the 4-shard point to
-//!    beat the 1-shard baseline on read throughput.
 //!
 //! Each phase reports throughput and exact (sorted-sample) p50/p95/p99
 //! latency; the trailer reports the server-side counter deltas — the
@@ -44,7 +35,7 @@ use std::time::{Duration, Instant};
 use hrdm_bench::fixtures::{
     clear_shared_caches, serving_bootstrap, serving_queries, serving_writes,
 };
-use hrdm_hql::{Engine, ExecutorHandle, ShardedEngine};
+use hrdm_hql::Engine;
 use hrdm_server::{Client, MetricsFormat, Reply, Request, Server, ServerConfig};
 
 /// The pipelining sweep: depth 1 is the closed-loop baseline on the
@@ -258,104 +249,6 @@ fn run_pipeline(
     }
 }
 
-/// Catalog size for the sharded phase. Every committed write publishes
-/// a copy-on-write clone of the owning engine's catalog maps, so the
-/// per-write publication cost is O(relations on that shard) — the
-/// serving-scale cost that hash-partitioning divides by the shard
-/// count.
-const SHARDED_RELATIONS: usize = 4800;
-
-/// Relations the read mix touches (spread across shards by the hash).
-const SHARDED_READ_SPAN: usize = 8;
-
-/// The serving mix: one committed write per this many reads, all
-/// driven closed-loop from a single client. The same statement
-/// sequence runs at every shard count; only the per-write publication
-/// cost changes with the partitioning.
-const SHARDED_WRITE_EVERY: usize = 50;
-
-/// Reads per shard count (writes = reads / SHARDED_WRITE_EVERY).
-const SHARDED_READS: usize = 100_000;
-
-/// The serving world plus a serving-scale catalog of hash-distributed
-/// relations (domain DDL broadcasts; each relation lands on one shard).
-fn sharded_world() -> String {
-    let mut script = String::from(serving_bootstrap());
-    for r in 0..SHARDED_RELATIONS {
-        script.push_str(&format!("CREATE RELATION Part{r} (Creature: Animal);\n"));
-    }
-    script
-}
-
-/// Cheap single-statement reads over the distributed relations.
-fn sharded_queries() -> Vec<String> {
-    let mut out = Vec::new();
-    for r in 0..SHARDED_READ_SPAN {
-        out.push(format!("HOLDS Part{r} (Tweety);"));
-        out.push(format!("COUNT Part{r};"));
-        out.push(format!("HOLDS Part{r} (Paul);"));
-        out.push(format!("CHECK Part{r};"));
-    }
-    out
-}
-
-/// Sharded phase: one closed-loop client drives a fixed serving mix —
-/// [`SHARDED_READS`] single-statement reads with a committed write
-/// every [`SHARDED_WRITE_EVERY`]th request — against the in-process
-/// `ShardedEngine` coordinator (the single-process sharded serving
-/// tier), entirely through [`ExecutorHandle`]. The statement sequence
-/// is byte-identical at every shard count, so the phase isolates what
-/// partitioning changes: each committed write publishes a
-/// copy-on-write clone of the owning engine's catalog maps, and
-/// sharding shrinks that clone from the whole catalog to the owning
-/// shard's slice. The phase reports read throughput over the run's
-/// wall clock (write time included — that is the cost being measured);
-/// the 1-shard run of the identical workload is the baseline the
-/// validator gates the 4-shard point against. The driver is
-/// single-threaded on purpose: no pacing or scheduler fairness is
-/// involved, so the comparison is deterministic. (The socket tier is
-/// exercised by the other phases; this one isolates the coordinator.)
-fn run_sharded(name: &'static str, shards: usize) -> Phase {
-    let coordinator = ShardedEngine::new(shards);
-    ExecutorHandle::execute(&coordinator, &sharded_world()).expect("sharded bootstrap");
-    // Sanity: the read span really is spread over the shards (FNV over
-    // the Part names covers every shard at 4).
-    let owners: std::collections::BTreeSet<usize> = (0..SHARDED_READ_SPAN)
-        .map(|r| coordinator.owner_of(&format!("Part{r}")))
-        .collect();
-    assert!(
-        shards == 1 || owners.len() > 1,
-        "read span landed on one shard; widen SHARDED_READ_SPAN"
-    );
-    let queries = sharded_queries();
-    let mut latencies = Vec::with_capacity(SHARDED_READS);
-    let mut writes = 0u64;
-    let started = Instant::now();
-    for k in 0..SHARDED_READS {
-        if k % SHARDED_WRITE_EVERY == 0 {
-            // The write walks the catalog in assert/retract cycles so
-            // every shard keeps taking publications.
-            let rel = (writes / 2) as usize % SHARDED_RELATIONS;
-            let script = if writes.is_multiple_of(2) {
-                format!("ASSERT Part{rel} (Tweety);")
-            } else {
-                format!("RETRACT Part{rel} (Tweety);")
-            };
-            ExecutorHandle::execute(&coordinator, &script).expect("serving write lands");
-            writes += 1;
-        }
-        let script = &queries[k % queries.len()];
-        let t = Instant::now();
-        let out = coordinator
-            .execute_read(script, 0)
-            .expect("read round-trips");
-        latencies.push(t.elapsed().as_nanos() as u64);
-        assert_eq!(out.len(), 1, "one response per read");
-    }
-    let wall = started.elapsed();
-    Phase::new(name, latencies, 0, wall)
-}
-
 /// Phase 1: replay the serving write mix through one connection.
 fn run_writes(addr: std::net::SocketAddr) -> Phase {
     let mut client = Client::connect(addr).expect("writer connects");
@@ -486,8 +379,6 @@ fn main() {
         .iter()
         .map(|&depth| run_pipeline(addr, args.clients, args.requests, depth))
         .collect();
-    let sharded_1 = run_sharded("sharded_1", 1);
-    let sharded_4 = run_sharded("sharded_4", 4);
 
     // Drive the telemetry verbs over the wire as part of the workload:
     // obs builds must serve them, obs-off builds must refuse them with
@@ -527,7 +418,7 @@ fn main() {
         "\n{:>7} {:>9} {:>7} {:>12} {:>11} {:>11} {:>11}",
         "phase", "requests", "errors", "rps", "p50", "p95", "p99"
     );
-    for p in [&writes, &closed, &rate, &sharded_1, &sharded_4] {
+    for p in [&writes, &closed, &rate] {
         println!(
             "{:>7} {:>9} {:>7} {:>12.1} {:>11} {:>11} {:>11}",
             p.name,
@@ -570,7 +461,7 @@ fn main() {
         cfg!(feature = "obs"),
     ));
     json.push_str("  \"phases\": {\n");
-    let phases = [&writes, &closed, &rate, &sharded_1, &sharded_4];
+    let phases = [&writes, &closed, &rate];
     for (k, p) in phases.iter().enumerate() {
         json.push_str(&format!(
             "    \"{}\": {}{}\n",

@@ -1,4 +1,4 @@
-//! Print the B1–B9 experiment tables (DESIGN.md §3).
+//! Print the B1–B10 experiment tables (DESIGN.md §3).
 //!
 //! Run with `cargo run -p hrdm-bench --release --bin tables`. Each
 //! section measures one quantitative claim from the paper's prose
@@ -47,6 +47,7 @@ fn main() {
     b7_conflict_detection();
     b8_discovery();
     b9_datalog();
+    b10_write_split();
     println!("\nDone. See EXPERIMENTS.md for the paper-vs-measured record.");
 }
 
@@ -297,4 +298,69 @@ fn b9_datalog() {
         println!("{:>8} | {:>10} | {:>14}", n, out["path"].len(), ns);
     }
     println!("shape: |path| = n(n-1)/2; semi-naive evaluation scales with the output.");
+}
+
+/// B10 — §3.1: the single-tuple update is the unit of change. Where a
+/// committed `ASSERT`/`RETRACT` spends its time under the writer lock
+/// (the `engine.write.*` stage histograms), against the size of the
+/// written relation and of the catalog around it.
+fn b10_write_split() {
+    const STAGES: [&str; 6] = [
+        "engine.write.clone",
+        "engine.write.apply",
+        "engine.write.journal",
+        "engine.write.net_delta",
+        "engine.write.maintain",
+        "engine.write.publish",
+    ];
+    const INSTANCES: usize = 12_000;
+    const WRITES: usize = 20_000;
+    heading("B10 — One tuple written: where the write's time goes (§3.1)");
+    print!("{:>8} {:>10} |", "tuples", "relations");
+    for stage in STAGES {
+        print!(" {:>9}", stage.trim_start_matches("engine.write."));
+    }
+    println!(" | {:>9}", "sum ns");
+    let stage_sums = || STAGES.map(|name| hrdm_obs::metrics::histogram(name).sum_ns());
+    for (tuples, relations) in [(430usize, 256usize), (10_000, 256), (430, 4_096)] {
+        let engine = hrdm_hql::Engine::new();
+        let mut world = String::from("CREATE DOMAIN D;");
+        for c in 0..64 {
+            world += &format!("CREATE CLASS c{c} UNDER D;");
+        }
+        for i in 0..INSTANCES {
+            world += &format!("CREATE INSTANCE i{i} OF c{};", i % 64);
+        }
+        for r in 0..relations {
+            world += &format!("CREATE RELATION R{r} (x: D);");
+        }
+        for i in 0..tuples {
+            world += &format!("ASSERT R0 (i{i});");
+        }
+        engine.execute(&world).expect("world builds");
+        // Retract a stored tuple, assert an absent one, in turn: the
+        // relation keeps its size and every write changes it.
+        let mut script = String::new();
+        for k in 0..WRITES / 2 {
+            let gone = (k * 7919) % tuples;
+            script += &format!("RETRACT R0 (i{gone}); ASSERT R0 (i{gone});");
+        }
+        let statements = hrdm_hql::parser::parse(&script).expect("writes parse");
+        let before = stage_sums();
+        for statement in statements {
+            engine.execute_statement(statement).expect("write lands");
+        }
+        let after = stage_sums();
+        print!("{tuples:>8} {relations:>10} |");
+        let mut sum = 0;
+        for (after, before) in after.iter().zip(before) {
+            let mean = (after - before) / WRITES as u64;
+            sum += mean;
+            print!(" {mean:>9}");
+        }
+        println!(" | {sum:>9}");
+    }
+    println!("shape: no stage grows with the written relation or with the catalog —");
+    println!("a write copies one path of each map (mean ns per write; no store is open,");
+    println!("so `journal` is 0; all zeros means the `obs` feature is off).");
 }

@@ -6,8 +6,7 @@
 //! a semantic net" (§1). [`Catalog`] is that back-end surface and the
 //! **only** container of named state in the workspace: named domain
 //! hierarchies and named relations, both held through `Arc` so that
-//! relations over the same domain join naturally and a `clone()` of the
-//! whole catalog is a handful of pointer bumps. The HQL `World`, the
+//! relations over the same domain join naturally. The HQL `World`, the
 //! persistence `Image` and the durable store all wrap or exchange this
 //! one type; the Datalog layer (`hrdm-datalog`) resolves its EDB
 //! predicates against it.
@@ -15,32 +14,46 @@
 //! [`Catalog::apply_mutation`] is likewise the only interpreter of the
 //! [`CatalogMutation`] vocabulary: live HQL writes, crash recovery and
 //! WAL-fed replicas all change named state through it, so the code that
-//! replays a log is the code that produced it. It mutates through
-//! [`Arc::make_mut`] — in place when the catalog uniquely owns the
-//! graph or relation (recovery), copy-on-write when a published
-//! snapshot still shares it (live writes).
+//! replays a log is the code that produced it.
+//!
+//! # What a clone and a write copy
+//!
+//! The two name maps are persistent ([`PMap`]), and so is each
+//! relation's tuple map. `clone()` is therefore two `Arc` bumps
+//! whatever the catalog holds: no name, graph or tuple is copied. A
+//! mutation then goes through [`Arc::make_mut`] at every level it
+//! descends — name-map node, relation, tuple-map node — which edits in
+//! place what this catalog alone holds (recovery) and copies first what
+//! a clone still shares (a live write against a published snapshot). A
+//! single-tuple write to a shared catalog thus copies one root-to-leaf
+//! path of the relation map (a few nodes of `Arc` handles), the
+//! relation's three-word header, and one root-to-leaf path of its tuple
+//! map (at most [`pmap::FANOUT`](crate::pmap::FANOUT) items per node);
+//! everything else stays shared with the snapshot. An `Assert` of what
+//! is already stored writes no tuple, so the relation's tuple tree stays
+//! the snapshot's; the copy stops at the relation's header.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hrdm_hierarchy::{cache, HierarchyGraph, NodeKind};
 
 use crate::error::{CoreError, Result};
 use crate::mutation::CatalogMutation;
+use crate::pmap::PMap;
 use crate::relation::HRelation;
 use crate::render::render_table;
 use crate::schema::{Attribute, Schema};
 use crate::stats::{self, EngineStats};
-use crate::tuple::Tuple;
 
 /// Named domains and relations.
 ///
-/// `Clone` is shallow: it copies the two name maps and bumps the `Arc`s
-/// they hold, never a graph or a tuple.
+/// `Clone` is two `Arc` bumps: the clone shares both name maps, and
+/// through them every graph and tuple, until one side is mutated. Names
+/// are `Arc<str>` so that copying a name-map node allocates nothing.
 #[derive(Clone, Default)]
 pub struct Catalog {
-    domains: BTreeMap<String, Arc<HierarchyGraph>>,
-    relations: BTreeMap<String, Arc<HRelation>>,
+    domains: PMap<Arc<str>, Arc<HierarchyGraph>>,
+    relations: PMap<Arc<str>, Arc<HRelation>>,
 }
 
 fn not_found(kind: &'static str, name: &str) -> CoreError {
@@ -48,6 +61,11 @@ fn not_found(kind: &'static str, name: &str) -> CoreError {
         kind,
         name: name.to_string(),
     }
+}
+
+/// A name as the maps key it.
+fn key(name: impl Into<String>) -> Arc<str> {
+    Arc::from(Into::<String>::into(name))
 }
 
 /// Does any attribute of `relation` range over exactly this graph?
@@ -82,7 +100,7 @@ impl Catalog {
         name: impl Into<String>,
         graph: Arc<HierarchyGraph>,
     ) -> Arc<HierarchyGraph> {
-        self.domains.insert(name.into(), graph.clone());
+        self.domains.insert(key(name), graph.clone());
         graph
     }
 
@@ -96,7 +114,7 @@ impl Catalog {
     /// Register a relation under a name (replacing any previous one).
     /// Takes the relation owned or already shared.
     pub fn add_relation(&mut self, name: impl Into<String>, relation: impl Into<Arc<HRelation>>) {
-        self.relations.insert(name.into(), relation.into());
+        self.relations.insert(key(name), relation.into());
     }
 
     /// Look up a relation.
@@ -113,8 +131,9 @@ impl Catalog {
     }
 
     /// Mutable access to a relation: in place when this catalog is the
-    /// only holder, copy-on-write when a clone of it still shares the
-    /// tuples.
+    /// only holder; when a clone still shares it, the path to it in the
+    /// name map and the relation's header are copied (its tuples stay
+    /// shared until one is written).
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut HRelation> {
         self.relations
             .get_mut(name)
@@ -124,23 +143,23 @@ impl Catalog {
 
     /// Iterate relation names in order.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(|s| s.as_str())
+        self.relations.keys().map(|s| &**s)
     }
 
     /// Iterate domain names in order.
     pub fn domain_names(&self) -> impl Iterator<Item = &str> {
-        self.domains.keys().map(|s| s.as_str())
+        self.domains.keys().map(|s| &**s)
     }
 
     /// Iterate `(name, shared handle)` over the domains, in name order.
     pub fn domains(&self) -> impl Iterator<Item = (&str, &Arc<HierarchyGraph>)> {
-        self.domains.iter().map(|(n, g)| (n.as_str(), g))
+        self.domains.iter().map(|(n, g)| (&**n, g))
     }
 
     /// Iterate `(name, shared handle)` over the relations, in name
     /// order.
     pub fn relations(&self) -> impl Iterator<Item = (&str, &Arc<HRelation>)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+        self.relations.iter().map(|(n, r)| (&**n, r))
     }
 
     /// Names of the relations with an attribute over the domain
@@ -151,7 +170,7 @@ impl Catalog {
         self.relations
             .iter()
             .filter(move |(_, r)| graph.is_some_and(|g| is_over(r, g)))
-            .map(|(n, _)| n.as_str())
+            .map(|(n, _)| &**n)
     }
 
     /// Snapshot the engine counters (closure cache, subsumption cache,
@@ -222,7 +241,7 @@ impl Catalog {
     pub fn apply_mutation(&mut self, m: &CatalogMutation) -> Result<()> {
         match m {
             CatalogMutation::CreateDomain { name } => {
-                if self.domains.contains_key(name) {
+                if self.domains.contains_key(name.as_str()) {
                     return Err(CoreError::DuplicateName {
                         kind: "domain",
                         name: name.clone(),
@@ -274,7 +293,7 @@ impl Catalog {
                 hrdm_hierarchy::preference::prefer(g, s, w)
             }),
             CatalogMutation::CreateRelation { name, attributes } => {
-                if self.relations.contains_key(name) {
+                if self.relations.contains_key(name.as_str()) {
                     return Err(CoreError::DuplicateName {
                         kind: "relation",
                         name: name.clone(),
@@ -323,9 +342,12 @@ impl Catalog {
     /// orphans the old cached closures). A shared one — a relation
     /// schema or a published snapshot still holds it — is cloned,
     /// edited, and re-bound into every relation that held the old
-    /// handle; node ids are append-only, so stored items stay valid on
-    /// the grown graph. `f` runs before anything is replaced, so a
-    /// failed mutation leaves even the `Arc` identities untouched.
+    /// handle — each gets a new schema over its *same* tuple tree
+    /// ([`HRelation::rebased`]; node ids are append-only, so stored
+    /// items stay valid on the grown graph), so the edit costs one graph
+    /// copy plus a header per relation over the domain, never a tuple.
+    /// `f` runs before anything is replaced, so a failed mutation leaves
+    /// even the `Arc` identities untouched.
     fn mutate_domain_resharing(
         &mut self,
         domain: &str,
@@ -342,7 +364,17 @@ impl Catalog {
         f(&mut grown).map_err(CoreError::Hierarchy)?;
         let new = Arc::new(grown);
         let old = std::mem::replace(slot, new.clone());
-        for rel in self.relations.values_mut().filter(|r| is_over(r, &old)) {
+        let over_old: Vec<Arc<str>> = self
+            .relations
+            .iter()
+            .filter(|(_, r)| is_over(r, &old))
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in over_old {
+            let rel = self
+                .relations
+                .get_mut(&*name)
+                .expect("listed from this map a moment ago");
             let attrs: Vec<Attribute> = rel
                 .schema()
                 .attributes()
@@ -355,14 +387,7 @@ impl Catalog {
                     }
                 })
                 .collect();
-            let schema = Arc::new(Schema::new(attrs));
-            let mut rebuilt = HRelation::with_preemption(schema, rel.preemption());
-            for (item, truth) in rel.iter() {
-                rebuilt
-                    .insert(Tuple::new(item.clone(), truth))
-                    .expect("node ids are stable across domain growth");
-            }
-            *rel = Arc::new(rebuilt);
+            *rel = Arc::new(rel.rebased(Arc::new(Schema::new(attrs))));
         }
         Ok(())
     }

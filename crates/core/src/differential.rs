@@ -412,15 +412,14 @@ fn maintain_consolidate(
 
     // Ancestor-closure of the cone: every stored item that reaches an
     // affected item (the cone itself included).
-    let closure: BTreeMap<Item, crate::truth::Truth> = child_new
-        .iter()
-        .filter(|(u, _)| affected.iter().any(|a| below(u, a)))
-        .map(|(u, t)| (u.clone(), t))
-        .collect();
-
     let mut restricted =
         HRelation::with_preemption(child_new.schema().clone(), child_new.preemption());
-    restricted.replace_tuples(closure);
+    restricted.replace_tuples(
+        child_new
+            .iter()
+            .filter(|(u, _)| affected.iter().any(|a| below(u, a)))
+            .map(|(u, t)| (u.clone(), t)),
+    );
     let cons = consolidate::consolidate(&restricted);
 
     // Splice in place: start from the cached output and touch only the

@@ -9,66 +9,127 @@ use std::fmt;
 
 use hrdm_hierarchy::NodeId;
 
+/// Components an item holds in place. Items of up to this arity — every
+/// relation in the paper, and all but the widest joins — are cloned,
+/// compared and hashed without touching the heap, which is what makes
+/// copying a tuple-map node (a write's copy-on-write step) a `memcpy`.
+const INLINE: usize = 4;
+
+#[derive(Clone)]
+enum Repr {
+    /// `nodes[..len]` are the components; the rest is padding.
+    Inline { len: u8, nodes: [NodeId; INLINE] },
+    /// More than [`INLINE`] components.
+    Heap(Box<[NodeId]>),
+}
+
 /// One node of the product item hierarchy: a `NodeId` per attribute.
 ///
 /// `Item` is ordered (`Ord`) so relations can store tuples in a
-/// deterministic `BTreeMap`; the order is lexicographic over per-graph
+/// deterministic ordered map; the order is lexicographic over per-graph
 /// node ids and carries no semantic meaning.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Item(Vec<NodeId>);
+#[derive(Clone)]
+pub struct Item(Repr);
 
 impl Item {
     /// Build an item from per-attribute nodes.
     pub fn new(components: Vec<NodeId>) -> Item {
-        Item(components)
+        if components.len() > INLINE {
+            return Item(Repr::Heap(components.into_boxed_slice()));
+        }
+        let mut nodes = [NodeId::ROOT; INLINE];
+        nodes[..components.len()].copy_from_slice(&components);
+        Item(Repr::Inline {
+            len: components.len() as u8,
+            nodes,
+        })
     }
 
     /// The arity of the item (number of attributes).
     #[inline]
     pub fn arity(&self) -> usize {
-        self.0.len()
+        self.components().len()
     }
 
     /// The per-attribute nodes.
     #[inline]
     pub fn components(&self) -> &[NodeId] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, nodes } => &nodes[..*len as usize],
+            Repr::Heap(nodes) => nodes,
+        }
     }
 
     /// One component.
     #[inline]
     pub fn component(&self, i: usize) -> NodeId {
-        self.0[i]
+        self.components()[i]
     }
 
     /// A copy with component `i` replaced.
     pub fn with_component(&self, i: usize, node: NodeId) -> Item {
-        let mut c = self.0.clone();
-        c[i] = node;
-        Item(c)
+        let mut copy = self.clone();
+        match &mut copy.0 {
+            Repr::Inline { len, nodes } => nodes[..*len as usize][i] = node,
+            Repr::Heap(nodes) => nodes[i] = node,
+        }
+        copy
     }
 
     /// Keep only the listed components, in the listed order (used by
     /// projection).
     pub fn select_components(&self, indexes: &[usize]) -> Item {
-        Item(indexes.iter().map(|&i| self.0[i]).collect())
+        let components = self.components();
+        Item::new(indexes.iter().map(|&i| components[i]).collect())
     }
 
     /// Consume into the underlying vector.
     pub fn into_components(self) -> Vec<NodeId> {
-        self.0
+        match self.0 {
+            Repr::Inline { len, nodes } => nodes[..len as usize].to_vec(),
+            Repr::Heap(nodes) => nodes.into_vec(),
+        }
+    }
+}
+
+// Equality, order and hash are those of the component slice, whichever
+// way it is stored.
+
+impl PartialEq for Item {
+    fn eq(&self, other: &Item) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for Item {}
+
+impl PartialOrd for Item {
+    fn partial_cmp(&self, other: &Item) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Item {
+    fn cmp(&self, other: &Item) -> std::cmp::Ordering {
+        self.components().cmp(other.components())
+    }
+}
+
+impl std::hash::Hash for Item {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.components().hash(state);
     }
 }
 
 impl From<Vec<NodeId>> for Item {
     fn from(v: Vec<NodeId>) -> Item {
-        Item(v)
+        Item::new(v)
     }
 }
 
 impl AsRef<[NodeId]> for Item {
     fn as_ref(&self) -> &[NodeId] {
-        &self.0
+        self.components()
     }
 }
 
@@ -76,13 +137,13 @@ impl std::ops::Index<usize> for Item {
     type Output = NodeId;
 
     fn index(&self, i: usize) -> &NodeId {
-        &self.0[i]
+        &self.components()[i]
     }
 }
 
 impl fmt::Debug for Item {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Item{:?}", self.0)
+        write!(f, "Item{:?}", self.components())
     }
 }
 
@@ -123,6 +184,29 @@ mod tests {
         assert!(Item::new(vec![n(1), n(5)]) < Item::new(vec![n(2), n(0)]));
         assert!(Item::new(vec![n(1), n(1)]) < Item::new(vec![n(1), n(2)]));
         assert_eq!(Item::new(vec![n(1)]), Item::from(vec![n(1)]));
+    }
+
+    #[test]
+    fn wide_items_behave_like_narrow_ones() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |item: &Item| {
+            let mut h = DefaultHasher::new();
+            item.hash(&mut h);
+            h.finish()
+        };
+        // One past the in-place capacity, and at it.
+        let wide = Item::new((1..=INLINE + 1).map(n).collect());
+        let full = Item::new((1..=INLINE).map(n).collect());
+        assert_eq!(wide.arity(), INLINE + 1);
+        assert_eq!(wide.select_components(&[0, 1, 2, 3]), full);
+        assert_eq!(hash(&wide.select_components(&[0, 1, 2, 3])), hash(&full));
+        assert!(full < wide, "a prefix sorts first");
+        assert!(wide < full.with_component(0, n(2)));
+        assert_eq!(wide.with_component(INLINE, n(9))[INLINE], n(9));
+        assert_eq!(wide.clone().into_components().len(), INLINE + 1);
+        assert_eq!(format!("{:?}", Item::new(vec![n(1), n(2)])), "Item[n1, n2]");
+        assert!(std::mem::size_of::<Item>() <= std::mem::size_of::<Vec<NodeId>>());
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub mod ops;
 #[doc(hidden)]
 pub mod parallel;
 pub mod plan;
+pub mod pmap;
 pub mod preemption;
 pub mod relation;
 pub mod render;

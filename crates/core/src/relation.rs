@@ -5,19 +5,25 @@
 //! each of which represents many ordered sets of attribute-value
 //! mappings that satisfy the predicate."
 //!
-//! A [`HRelation`] stores tuples in a `BTreeMap<Item, Truth>`:
+//! A [`HRelation`] stores tuples in a [`PMap<Item, Truth>`](PMap):
 //! set semantics (duplicate elimination exactly as in flat relations,
 //! §3.2) with deterministic iteration order. An item may carry only one
 //! truth value at a time — asserting the opposite truth for the *same*
 //! item is a contradiction, rejected by [`HRelation::assert_item`]
 //! (use [`HRelation::insert`] to overwrite deliberately).
+//!
+//! The map is persistent, so `clone` copies no tuple — the clone and
+//! the original share the whole tuple tree — and a single-tuple update
+//! (§3.1's unit of change) on a relation a published snapshot still
+//! shares copies one root-to-leaf path, not the relation. A write that
+//! would store what is already stored touches nothing.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::binding::{bind, Binding};
 use crate::error::{CoreError, Result};
 use crate::item::Item;
+use crate::pmap::PMap;
 use crate::preemption::Preemption;
 use crate::schema::Schema;
 use crate::truth::Truth;
@@ -28,7 +34,7 @@ use crate::tuple::Tuple;
 #[derive(Clone)]
 pub struct HRelation {
     schema: Arc<Schema>,
-    tuples: BTreeMap<Item, Truth>,
+    tuples: PMap<Item, Truth>,
     preemption: Preemption,
 }
 
@@ -42,7 +48,7 @@ impl HRelation {
     pub fn with_preemption(schema: Arc<Schema>, preemption: Preemption) -> HRelation {
         HRelation {
             schema,
-            tuples: BTreeMap::new(),
+            tuples: PMap::new(),
             preemption,
         }
     }
@@ -91,12 +97,14 @@ impl HRelation {
     }
 
     /// Insert a tuple, rejecting a contradictory re-assertion of the
-    /// same item (idempotent for identical assertions).
+    /// same item (idempotent for identical assertions, which leave the
+    /// tuple tree untouched).
     pub fn assert_item(&mut self, item: Item, truth: Truth) -> Result<()> {
         self.schema.check_item(&item)?;
         match self.tuples.get(&item) {
             Some(&t) if t != truth => Err(CoreError::ContradictoryAssertion(item)),
-            _ => {
+            Some(_) => Ok(()),
+            None => {
                 self.tuples.insert(item, truth);
                 Ok(())
             }
@@ -161,12 +169,58 @@ impl HRelation {
     }
 
     /// Replace the entire tuple set (used by the physical operators —
-    /// consolidate/explicate — which rewrite a relation's form).
-    pub(crate) fn replace_tuples(&mut self, tuples: BTreeMap<Item, Truth>) {
-        self.tuples = tuples;
+    /// explicate, project — which rewrite a relation's form), built in
+    /// one pass when `tuples` arrive in item order.
+    pub(crate) fn replace_tuples(&mut self, tuples: impl IntoIterator<Item = (Item, Truth)>) {
+        self.tuples = tuples.into_iter().collect();
     }
 
-    /// Build a relation from parts, checking every item.
+    /// The same tuples under `schema` — the old schema with one or more
+    /// domain graphs replaced by grown versions of themselves (a class,
+    /// instance or preference edge was added). The tuple tree is shared,
+    /// not rebuilt: node ids are append-only, so every stored item
+    /// means the same nodes in the grown graphs.
+    pub fn rebased(&self, schema: Arc<Schema>) -> HRelation {
+        debug_assert!(
+            self.items().all(|item| schema.check_item(item).is_ok()),
+            "a rebased relation's items must be valid in the new schema"
+        );
+        HRelation {
+            schema,
+            tuples: self.tuples.clone(),
+            preemption: self.preemption,
+        }
+    }
+
+    /// Do the two relations share one tuple tree — not merely equal
+    /// tuples? True for a clone (or a [`rebased`](HRelation::rebased)
+    /// copy) until either side's tuples change.
+    pub fn shares_tuples_with(&self, other: &HRelation) -> bool {
+        self.tuples.ptr_eq(&other.tuples)
+    }
+
+    /// Build a relation from stored tuples in one pass — what a
+    /// persisted image decodes into. Every item is checked against the
+    /// schema; a later tuple for the same item replaces an earlier one,
+    /// as repeated [`insert`](HRelation::insert) would.
+    pub fn from_stored(
+        schema: Arc<Schema>,
+        preemption: Preemption,
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) -> Result<HRelation> {
+        let tuples = tuples
+            .into_iter()
+            .map(|t| schema.check_item(&t.item).map(|()| (t.item, t.truth)))
+            .collect::<Result<PMap<Item, Truth>>>()?;
+        Ok(HRelation {
+            schema,
+            tuples,
+            preemption,
+        })
+    }
+
+    /// Build a relation from parts, checking every item and rejecting
+    /// contradictory duplicates.
     pub fn from_tuples(
         schema: Arc<Schema>,
         preemption: Preemption,

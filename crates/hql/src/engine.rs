@@ -9,10 +9,14 @@
 //!   arbitrarily many can run in parallel, and each sees a state that
 //!   equals the state after some serial prefix of the write history.
 //! * **Mutating statements** funnel through the single writer: a
-//!   `Mutex` serializes them, each clones the world copy-on-write,
-//!   applies its change, journals it through the write-ahead log of the
-//!   `OPEN`ed store (if any), and publishes the fresh world as the next
-//!   **epoch**. A failed statement publishes nothing, so errors are
+//!   `Mutex` serializes them, each clones the world (constant work: the
+//!   catalog's maps are persistent), applies its change — copying the
+//!   one path of each map it walks, nothing else — journals it through
+//!   the write-ahead log of the `OPEN`ed store (if any), and publishes
+//!   the fresh world as the next **epoch**. Where that time goes is
+//!   recorded per write in the `engine.write.{clone, apply, journal,
+//!   net_delta, maintain, publish}` histograms, six stages that add up
+//!   to the time under the lock. A failed statement publishes nothing, so errors are
 //!   atomic — readers can never observe a half-applied write. A
 //!   statement in the WAL vocabulary resolves to one
 //!   [`CatalogMutation`], and that one value is both applied (through
@@ -29,7 +33,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hrdm_core::delta::{Delta, RelationChange};
 use hrdm_core::justify::justify;
@@ -102,7 +106,28 @@ struct WriteObs {
     contended: Counter,
     /// Wall time spent waiting for the writer mutex.
     wait: Histogram,
+    /// Where a committed write's time under the lock went, one
+    /// observation per write in each: `engine.write.clone` (snapshot
+    /// load + world clone), `.apply` (the statement handler — name
+    /// resolution, the catalog interpreter with whatever it copies on
+    /// write, reply formatting — minus the journal time inside it),
+    /// `.journal` (WAL appends, incl. a group fsync that falls due),
+    /// `.net_delta`, `.maintain` (live views, incl. their implicit
+    /// checkpoint), `.publish` (epoch swap, delta hand-over, release of
+    /// the previous epoch's world). The six are differences of
+    /// consecutive readings of one clock, so per write they add up to
+    /// the time from lock acquisition to publication exactly. A refused
+    /// write observes nothing.
+    stages: [Histogram; 6],
 }
+
+/// Indexes into [`WriteObs::stages`].
+const CLONE: usize = 0;
+const APPLY: usize = 1;
+const JOURNAL: usize = 2;
+const NET_DELTA: usize = 3;
+const MAINTAIN: usize = 4;
+const PUBLISH: usize = 5;
 
 fn write_obs() -> &'static WriteObs {
     static M: OnceLock<WriteObs> = OnceLock::new();
@@ -111,7 +136,22 @@ fn write_obs() -> &'static WriteObs {
         epoch_lag: metrics::gauge("engine.epoch_lag"),
         contended: metrics::counter("engine.write_contended"),
         wait: metrics::histogram("engine.write_wait"),
+        stages: [
+            metrics::histogram("engine.write.clone"),
+            metrics::histogram("engine.write.apply"),
+            metrics::histogram("engine.write.journal"),
+            metrics::histogram("engine.write.net_delta"),
+            metrics::histogram("engine.write.maintain"),
+            metrics::histogram("engine.write.publish"),
+        ],
     })
+}
+
+/// Close the write stage that began at `*boundary` and open the next:
+/// one clock reading serves as both ends.
+fn lap(boundary: &mut Instant) -> Duration {
+    let now = Instant::now();
+    now - std::mem::replace(boundary, now)
 }
 
 /// Decrements the write-queue count on drop, so error paths out of a
@@ -147,6 +187,8 @@ pub struct WriteTxn<'a> {
     /// alongside the new epoch.
     pub delta: Delta,
     journal: &'a mut Option<Journal>,
+    /// Time this write has spent appending to the WAL so far.
+    journal_time: Duration,
 }
 
 /// Rewrite the row-level entries of a write's `delta` as their net
@@ -210,7 +252,9 @@ impl WriteTxn<'_> {
         }
         self.world.apply(&m)?;
         if let Some(j) = self.journal.as_mut() {
+            let started = Instant::now();
             j.record(&m)?;
+            self.journal_time += started.elapsed();
         }
         Ok(())
     }
@@ -408,8 +452,8 @@ impl Engine {
     /// history to: an optional checkpoint image to start over from
     /// (`base`), then `batch` in order. It is the write path of a
     /// mutating statement minus the parsing, run once for the lot: one
-    /// world clone (each touched relation is copied once, then edited
-    /// in place), one view-maintenance pass, one published epoch, one
+    /// world clone (each map node a mutation walks is copied once, then
+    /// edited in place), one view-maintenance pass, one published epoch, one
     /// net [`Delta`]. All or nothing: if any mutation is refused the
     /// engine publishes nothing and stays on the epoch it had. If a
     /// store is `OPEN` the mutations are journaled (and a `base`
@@ -438,8 +482,9 @@ impl Engine {
         let _queue_guard = QueueGuard(&self.inner.write_queue);
         let wait_started = Instant::now();
         let mut writer = self.inner.writer.lock().expect("writer lock poisoned");
+        let mut boundary = Instant::now();
         wobs.wait
-            .observe_ns(wait_started.elapsed().as_nanos() as u64);
+            .observe_ns((boundary - wait_started).as_nanos() as u64);
         // Fresh load at acquisition: this writer plus anyone who queued
         // behind it while it waited.
         wobs.queue_depth
@@ -456,8 +501,13 @@ impl Engine {
             world: (*snap).clone(),
             delta: Delta::new(),
             journal: &mut writer.journal,
+            journal_time: Duration::ZERO,
         };
+        let mut spent = [Duration::ZERO; 6];
+        spent[CLONE] = lap(&mut boundary);
         let response = f(&mut txn)?;
+        spent[JOURNAL] = txn.journal_time;
+        spent[APPLY] = lap(&mut boundary).saturating_sub(txn.journal_time);
         // Bring live views up to date with this write's delta before
         // anything publishes: a maintenance failure (the fallback
         // recomputation erroring) fails the write atomically, so
@@ -465,6 +515,7 @@ impl Engine {
         // definitions.
         let mut delta = std::mem::take(&mut txn.delta);
         net_rows(&mut delta, &snap, &txn.world);
+        spent[NET_DELTA] = lap(&mut boundary);
         let summary = txn.world.maintain_views(&mut delta)?;
         if summary.changed() {
             // View relations changed outside the WAL mutation
@@ -475,9 +526,17 @@ impl Engine {
         m.maintained.add(summary.maintained as u64);
         m.fallback.add(summary.fallback as u64);
         m.detached.add(summary.detached as u64);
+        spent[MAINTAIN] = lap(&mut boundary);
         let epoch = self.inner.state.publish(Arc::new(txn.world));
         *self.inner.last_delta.lock().expect("delta lock poisoned") =
             Some((epoch, Arc::new(delta)));
+        // Usually the last handle on the previous epoch's world: freeing
+        // the nodes this write copied out of it is this write's cost.
+        drop(snap);
+        spent[PUBLISH] = lap(&mut boundary);
+        for (histogram, spent) in wobs.stages.iter().zip(spent) {
+            histogram.observe_ns(spent.as_nanos() as u64);
+        }
         Ok(response)
     }
 

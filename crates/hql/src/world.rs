@@ -6,10 +6,14 @@
 //! the registry of live `LET` views over it. It is the unit the
 //! concurrent [`Engine`](crate::engine::Engine) publishes through a
 //! [`SnapshotCell`]: readers hold an `Arc<World>` and never lock; the
-//! single writer clones the world (cheap — the catalog's maps and the
-//! view registry hold `Arc`s, so a clone is a handful of pointer
-//! bumps), mutates its private copy, and publishes it as the next
-//! epoch.
+//! single writer clones the world, mutates its private copy, and
+//! publishes it as the next epoch. The clone is constant-size work
+//! whatever the world holds — the catalog's two name maps are
+//! persistent (one `Arc` bump each) and the view registry is a short
+//! vector of `Arc`s — and the mutation then copies only the path it
+//! walks: a few name-map nodes, the written relation's header, one
+//! root-to-leaf path of its tuple map. Everything else in the published
+//! world is the previous epoch's, shared.
 //!
 //! Named state changes in exactly one place:
 //! [`Catalog::apply_mutation`], which the world forwards to for every
@@ -120,11 +124,11 @@ impl MaintainSummary {
 
 /// The complete state an HQL statement executes against.
 ///
-/// `Clone` is the copy-on-write entry point: it clones the catalog's
-/// two maps of `Arc`s (plus the view registry's `Arc`s), never a graph
-/// or a tuple. Mutation then goes through [`Arc::make_mut`] inside the
-/// catalog, so the original world — possibly still held by concurrent
-/// readers — is untouched.
+/// `Clone` is the copy-on-write entry point: two `Arc` bumps for the
+/// catalog's persistent name maps plus one per registered view — never
+/// a name, a graph or a tuple. Mutation then goes through
+/// [`Arc::make_mut`] at every level inside the catalog, so the original
+/// world — possibly still held by concurrent readers — is untouched.
 #[derive(Clone, Default)]
 pub struct World {
     /// Every named domain and relation.

@@ -295,8 +295,8 @@ impl Image {
                 attrs.push(Attribute::new(attr_name, graph.clone()));
             }
             let schema = Arc::new(Schema::new(attrs));
-            let mut relation = HRelation::with_preemption(schema.clone(), preemption);
             let tuple_count = checked_count(read_u32(r)?, "tuple")?;
+            let mut tuples = Vec::new();
             for _ in 0..tuple_count {
                 let truth = match read_u8(r)? {
                     0 => Truth::Negative,
@@ -309,11 +309,12 @@ impl Image {
                 for _ in 0..schema.arity() {
                     components.push(NodeId::from_index(read_u32(r)? as usize));
                 }
-                let item = Item::new(components);
-                relation
-                    .insert(Tuple::new(item, truth))
-                    .map_err(|e| PersistError::Corrupt(format!("bad tuple: {e}")))?;
+                tuples.push(Tuple::new(Item::new(components), truth));
             }
+            // An image is written in item order, so this packs the tuple
+            // map in one pass (any other order is sorted first).
+            let relation = HRelation::from_stored(schema, preemption, tuples)
+                .map_err(|e| PersistError::Corrupt(format!("bad tuple: {e}")))?;
             relations.push((rel_name, Arc::new(relation)));
         }
 

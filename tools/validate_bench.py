@@ -23,10 +23,9 @@ Two layers of checking, dispatched on the artifact's "label" field:
      every phase with zero errors, percentiles are ordered and nonzero
      (p50 <= p95 <= p99), throughput is positive, the server-side
      counters moved (queries served, bytes in both directions, epochs
-     published by the write phase), request pipelining pays (the
+     published by the write phase), and request pipelining pays (the
      deepest sweep point at depth >= 8 must beat the depth-1 point on
-     throughput), and sharding pays: the 4-shard closed-loop phase
-     must beat the 1-shard baseline on read throughput.
+     throughput).
 
 A regression in either layer fails CI here rather than silently
 shipping a slower engine.
@@ -89,12 +88,7 @@ def gate_ivm(path, doc):
     return ok
 
 
-SERVER_PHASES = ("writes", "closed", "rate", "sharded_1", "sharded_4")
-
-# Phases that ran against the telemetered main server (the sharded
-# phases run against their own per-shard servers, whose counters are
-# not in the trailer).
-MAIN_SERVER_PHASES = ("writes", "closed", "rate")
+SERVER_PHASES = ("writes", "closed", "rate")
 
 
 def gate_server(path, doc):
@@ -173,22 +167,8 @@ def gate_server(path, doc):
             f"{deep['throughput_rps']:.0f} rps, "
             f"{deep['throughput_rps'] / shallow['throughput_rps']:.2f}x depth 1)"
         )
-    one, four = doc["phases"]["sharded_1"], doc["phases"]["sharded_4"]
-    if four["throughput_rps"] <= one["throughput_rps"]:
-        print(
-            f"{path}: sharding does not pay: 4 shards reached "
-            f"{four['throughput_rps']:.0f} rps <= 1 shard at "
-            f"{one['throughput_rps']:.0f} rps",
-            file=sys.stderr,
-        )
-        ok = False
-    else:
-        print(
-            f"{path}: sharded: ok (4 shards at {four['throughput_rps']:.0f} rps, "
-            f"{four['throughput_rps'] / one['throughput_rps']:.2f}x 1 shard)"
-        )
     server = doc["server"]
-    total = sum(doc["phases"][n]["requests"] for n in MAIN_SERVER_PHASES) + sum(
+    total = sum(doc["phases"][n]["requests"] for n in SERVER_PHASES) + sum(
         p["requests"] for p in pipeline
     )
     if server["queries"] < total:
