@@ -35,7 +35,7 @@
 
 use std::sync::Arc;
 
-use hrdm_hierarchy::{cache, HierarchyGraph, NodeKind};
+use hrdm_hierarchy::{HierarchyGraph, NodeKind};
 
 use crate::error::{CoreError, Result};
 use crate::mutation::CatalogMutation;
@@ -173,14 +173,14 @@ impl Catalog {
             .map(|(n, _)| &**n)
     }
 
-    /// Snapshot the engine counters (closure cache, subsumption cache,
-    /// operator wall times). The counters are process-wide; the catalog
-    /// fronts them because it owns the graphs the caches are keyed by.
+    /// Snapshot the engine counters (closure memo, subsumption cache,
+    /// operator wall times). The counters are process-wide.
     pub fn engine_stats(&self) -> EngineStats {
         stats::snapshot()
     }
 
-    /// Zero the engine counters (resident cache entries are kept).
+    /// Zero the engine counters (memoized closures and cached
+    /// subsumption cores are kept).
     pub fn reset_engine_stats(&self) {
         stats::reset();
     }
@@ -189,30 +189,27 @@ impl Catalog {
     /// over it pays no build latency.
     pub fn warm_domain(&self, name: &str) -> Result<()> {
         let g = self.domain(name)?;
-        cache::closure(g);
-        cache::subset_closure(g);
+        g.closure();
+        g.subset_closure();
         Ok(())
     }
 
-    /// Unregister a domain and drop its cached closures. Relations still
-    /// holding the `Arc` keep working; only the shared cache entries are
-    /// reclaimed deterministically.
+    /// Unregister a domain, returning its shared handle. Relations
+    /// still holding the `Arc` keep working; the graph and its closures
+    /// are freed with the last holder.
     pub fn drop_domain(&mut self, name: &str) -> Result<Arc<HierarchyGraph>> {
-        let g = self
-            .domains
+        self.domains
             .remove(name)
-            .ok_or_else(|| not_found("domain", name))?;
-        cache::invalidate_graph(g.graph_id());
-        Ok(g)
+            .ok_or_else(|| not_found("domain", name))
     }
 
     /// Mutate a registered domain through copy-on-write.
     ///
-    /// If the graph is uniquely owned it is mutated in place and its
-    /// generation bump orphans the old cached closures; if shared (a
-    /// relation schema still holds it), the catalog's copy diverges onto
-    /// a fresh graph id and existing relations keep the old version —
-    /// either way no cached closure can ever serve stale reachability.
+    /// If the graph is uniquely owned it is mutated in place and the
+    /// edit clears its memoized closures; if shared (a relation schema
+    /// still holds it), the edit lands on the catalog's copy and
+    /// existing relations keep the old version with its closures —
+    /// either way no closure can ever serve stale reachability.
     pub fn update_domain<T>(
         &mut self,
         name: &str,
@@ -338,8 +335,8 @@ impl Catalog {
     /// domain map does, so join compatibility and a checkpoint image's
     /// by-identity domain table both survive the edit.
     ///
-    /// A uniquely owned graph is edited in place (its generation bump
-    /// orphans the old cached closures). A shared one — a relation
+    /// A uniquely owned graph is edited in place (the edit clears its
+    /// memoized closures). A shared one — a relation
     /// schema or a published snapshot still holds it — is cloned,
     /// edited, and re-bound into every relation that held the old
     /// handle — each gets a new schema over its *same* tuple tree
@@ -504,10 +501,9 @@ mod tests {
         assert_eq!(cat.relation_names().collect::<Vec<_>>(), vec!["Flies"]);
     }
 
-    // The two cache tests assert on the identity of the `Arc` the closure
-    // cache hands out, not on the process-wide hit/miss counters that
-    // concurrently running tests also bump.
-
+    // Asserts on the identity of the `Arc` the graph hands out, not on
+    // the process-wide hit/miss counters that concurrently running
+    // tests also bump.
     #[test]
     fn warm_domain_prebuilds_closures() {
         let mut cat = Catalog::new();
@@ -515,26 +511,26 @@ mod tests {
         cat.warm_domain("Animal").unwrap();
         // Both closure kinds are resident: repeated lookups share one
         // allocation instead of rebuilding.
-        assert!(Arc::ptr_eq(&cache::closure(&g), &cache::closure(&g)));
-        assert!(Arc::ptr_eq(
-            &cache::subset_closure(&g),
-            &cache::subset_closure(&g)
-        ));
+        assert!(Arc::ptr_eq(&g.closure(), &g.closure()));
+        assert!(Arc::ptr_eq(&g.subset_closure(), &g.subset_closure()));
         assert!(cat.warm_domain("Nope").is_err());
     }
 
     #[test]
-    fn drop_domain_evicts_cache_entries() {
+    fn drop_domain_frees_the_closures_with_the_last_holder() {
         let mut cat = Catalog::new();
         let g = cat.add_domain("Animal", sample_graph());
         cat.warm_domain("Animal").unwrap();
-        let resident = cache::closure(&g);
+        let resident = Arc::downgrade(&g.closure());
         let dropped = cat.drop_domain("Animal").unwrap();
         assert!(Arc::ptr_eq(&g, &dropped));
         assert!(cat.domain("Animal").is_err());
         assert!(cat.drop_domain("Animal").is_err());
-        // The dropped graph's entries are gone: touching it rebuilds.
-        assert!(!Arc::ptr_eq(&resident, &cache::closure(&g)));
+        // Outside holders keep the graph — and its closure — alive.
+        drop(dropped);
+        assert!(Arc::ptr_eq(&resident.upgrade().unwrap(), &g.closure()));
+        drop(g);
+        assert!(resident.upgrade().is_none());
     }
 
     #[test]
@@ -725,7 +721,7 @@ mod tests {
         let shared = cat.add_domain("Animal", sample_graph());
         let old_version = shared.version();
         // `shared` is still held outside, so make_mut must clone: the
-        // catalog copy gets a fresh graph id, the reader keeps the old.
+        // edit stamps the catalog's copy, the reader keeps the old.
         let woody = cat
             .update_domain("Animal", |g| {
                 let bird = g.node("Bird")?;
@@ -736,9 +732,9 @@ mod tests {
         assert!(shared.node("Woody").is_err());
         let updated = cat.domain("Animal").unwrap();
         assert_eq!(updated.node("Woody").unwrap(), woody);
-        assert_ne!(updated.version().0, old_version.0);
+        assert_ne!(updated.version(), old_version);
 
-        // Uniquely owned now: in-place mutation bumps the generation.
+        // Uniquely owned now: an in-place edit takes a fresh stamp too.
         drop(shared);
         let mid = cat.domain("Animal").unwrap().version();
         cat.update_domain("Animal", |g| {
@@ -747,8 +743,7 @@ mod tests {
         })
         .unwrap();
         let end = cat.domain("Animal").unwrap().version();
-        assert_eq!(end.0, mid.0);
-        assert!(end.1 > mid.1);
+        assert_ne!(end, mid);
 
         // Hierarchy errors surface as CoreError::Hierarchy.
         let err = cat.update_domain("Animal", |g| {

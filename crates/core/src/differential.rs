@@ -53,40 +53,12 @@ use crate::item::Item;
 use crate::plan::LogicalPlan;
 use crate::relation::HRelation;
 
-/// Default cone-affected tuple count above which the localized
-/// consolidate path stops paying for itself (the closure sweep
-/// approaches a full rebuild) and the node recomputes instead.
-pub const DEFAULT_CONE_LIMIT: usize = 256;
-
-/// Process-global cone limit, initialized from the `HRDM_CONE_LIMIT`
-/// environment variable on first use (falling back to
-/// [`DEFAULT_CONE_LIMIT`] when unset or unparsable).
-fn cone_limit_cell() -> &'static std::sync::atomic::AtomicUsize {
-    static CELL: OnceLock<std::sync::atomic::AtomicUsize> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let initial = std::env::var("HRDM_CONE_LIMIT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CONE_LIMIT);
-        std::sync::atomic::AtomicUsize::new(initial)
-    })
-}
-
-/// The current cone-localization threshold: deltas touching more than
-/// this many cone-affected tuples make a consolidate node recompute
-/// instead of sweeping. Both sides of the cutoff are byte-identical by
-/// construction (the localized path is proven equal to recomputation),
-/// so this is purely a cost knob.
-pub fn cone_limit() -> usize {
-    cone_limit_cell().load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Override the cone-localization threshold for the whole process
-/// (e.g. from an engine configuration layer). `0` forces every
-/// consolidate node to recompute; `usize::MAX` always localizes.
-pub fn set_cone_limit(limit: usize) {
-    cone_limit_cell().store(limit, std::sync::atomic::Ordering::Relaxed);
-}
+/// Cone-affected tuple count above which the localized consolidate
+/// path stops paying for itself (the closure sweep approaches a full
+/// rebuild) and the node recomputes instead. Both sides of the cutoff
+/// are byte-identical by construction (each is proven equal to fresh
+/// re-derivation), so this is purely a cost threshold.
+pub const CONE_LIMIT: usize = 256;
 
 struct IvmMetrics {
     delta_rows: Counter,
@@ -406,7 +378,7 @@ fn maintain_consolidate(
     let in_cone = |t: &Item| roots.iter().any(|r| below(r, t));
 
     let affected: Vec<Item> = child_new.items().filter(|t| in_cone(t)).cloned().collect();
-    if affected.len() > cone_limit() {
+    if affected.len() > CONE_LIMIT {
         return None;
     }
 

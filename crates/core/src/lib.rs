@@ -99,9 +99,7 @@ pub mod prelude {
     pub use crate::binding::Binding;
     pub use crate::catalog::Catalog;
     pub use crate::delta::{Delta, RelationChange, RelationDelta};
-    pub use crate::differential::{
-        cone_limit, set_cone_limit, MaintainReport, MaterializedPlan, DEFAULT_CONE_LIMIT,
-    };
+    pub use crate::differential::{MaintainReport, MaterializedPlan};
     pub use crate::error::{CoreError, Result};
     pub use crate::item::Item;
     pub use crate::mutation::CatalogMutation;

@@ -72,7 +72,7 @@ pub(crate) fn join_parts(ls: &Schema, rs: &Schema) -> Result<JoinParts> {
 /// Natural join of two hierarchical relations.
 ///
 /// The membership intersections (`maximal_intersection`) run over the
-/// shared subset-closure cache; the per-candidate truth evaluation is
+/// graphs' memoized subset closures; the per-candidate truth evaluation is
 /// two binding-graph lookups per candidate.
 pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
     let mut span = hrdm_obs::span!("core.join");

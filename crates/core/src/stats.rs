@@ -2,7 +2,7 @@
 //!
 //! The counters themselves now live in the shared `hrdm-obs` registry
 //! (`core.*` namespace here, `hierarchy.closure.*` for the closure
-//! cache, `storage.heap.*` in the storage crate), so recording stays a
+//! memo, `storage.heap.*` in the storage crate), so recording stays a
 //! relaxed atomic op — but resets, exports (Prometheus text,
 //! `BENCH_obs.json`) and latency quantiles come from one place instead
 //! of per-crate static sets.
@@ -76,16 +76,12 @@ fn obs() -> &'static CoreMetrics {
 /// A point-in-time snapshot of every engine counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Closure-cache lookups served without a rebuild.
+    /// Closure requests served from a graph's memo.
     pub closure_hits: u64,
-    /// Closure-cache lookups that built a reachability matrix.
+    /// Closure requests that built a reachability matrix.
     pub closure_misses: u64,
-    /// Closure-cache entries evicted by the FIFO capacity bound.
-    pub closure_evictions: u64,
     /// Total closure build wall time, nanoseconds.
     pub closure_build_ns: u64,
-    /// Closures currently resident in the hierarchy cache.
-    pub closure_entries: usize,
     /// Subsumption-graph cache lookups served from cache.
     pub subsumption_hits: u64,
     /// Subsumption-graph cache lookups that built the graph.
@@ -123,7 +119,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Closure-cache hit rate in `[0, 1]`; `None` before any lookup.
+    /// Closure-memo hit rate in `[0, 1]`; `None` before any lookup.
     pub fn closure_hit_rate(&self) -> Option<f64> {
         let total = self.closure_hits + self.closure_misses;
         (total > 0).then(|| self.closure_hits as f64 / total as f64)
@@ -139,8 +135,7 @@ impl EngineStats {
     /// totals — one per line. This is what golden snapshots and figure
     /// reports embed: re-running the engine gives byte-identical output
     /// as long as the *work* is identical, no matter how fast the
-    /// machine is. (Resident-entry gauges are also elided: they depend
-    /// on whatever else shares the process-wide caches.)
+    /// machine is.
     pub fn render_stable(&self) -> String {
         fn rate(hits: u64, misses: u64) -> String {
             let total = hits + misses;
@@ -152,11 +147,10 @@ impl EngineStats {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "closure cache     {} hits / {} misses ({} hit rate), {} evictions\n",
+            "closure memo      {} hits / {} misses ({} hit rate)\n",
             self.closure_hits,
             self.closure_misses,
             rate(self.closure_hits, self.closure_misses),
-            self.closure_evictions,
         ));
         out.push_str(&format!(
             "subsumption cache {} hits / {} misses ({} hit rate)\n",
@@ -210,12 +204,10 @@ impl fmt::Display for EngineStats {
         }
         writeln!(
             f,
-            "closure cache     {} hits / {} misses ({} hit rate), {} evicted, {} resident, {} building",
+            "closure memo      {} hits / {} misses ({} hit rate), {} building",
             self.closure_hits,
             self.closure_misses,
             rate(self.closure_hits, self.closure_misses),
-            self.closure_evictions,
-            self.closure_entries,
             fmt_ns(self.closure_build_ns),
         )?;
         writeln!(
@@ -263,17 +255,15 @@ impl fmt::Display for EngineStats {
     }
 }
 
-/// Snapshot every counter, merging the hierarchy crate's closure-cache
-/// stats with the core-side operator counters.
+/// Snapshot every counter, merging the hierarchy crate's closure
+/// counters with the core-side operator counters.
 pub fn snapshot() -> EngineStats {
-    let closure = hrdm_hierarchy::cache::stats();
+    let closure = hrdm_hierarchy::closure_stats();
     let m = obs();
     EngineStats {
         closure_hits: closure.hits,
         closure_misses: closure.misses,
-        closure_evictions: closure.evictions,
         closure_build_ns: closure.build_ns,
-        closure_entries: closure.entries,
         subsumption_hits: m.subsumption_hits.get(),
         subsumption_misses: m.subsumption_misses.get(),
         subsumption_build_ns: m.subsumption_build_ns.get(),
@@ -297,10 +287,10 @@ pub fn snapshot() -> EngineStats {
 /// Zero every counter — atomically, across all crates.
 ///
 /// This is one sweep over the shared metrics registry under its lock,
-/// so there is no window where (say) the closure-cache counters read
+/// so there is no window where (say) the closure counters read
 /// zero but the consolidate wall-time accumulator still holds the
 /// previous run: either a reader sees the old totals or the new zeros.
-/// Resident cache entries are kept.
+/// Memoized closures and cached subsumption cores are kept.
 pub fn reset() {
     metrics::reset_all();
 }
@@ -390,7 +380,7 @@ mod tests {
         let s = snapshot();
         let text = s.to_string();
         for needle in [
-            "closure cache",
+            "closure memo",
             "subsumption",
             "consolidate",
             "explicate",
@@ -414,8 +404,8 @@ mod tests {
         let stable = s.render_stable();
         assert!(stable.contains("3 hits / 1 misses"), "{stable}");
         assert!(stable.contains("9 tuples eliminated"), "{stable}");
-        // "evictions"/"misses" contain the letters "ns"/"s", so probe
-        // for the actual fmt_ns output forms instead.
+        // "misses" contains the letter "s", so probe for the actual
+        // fmt_ns output forms instead.
         for timing in [" ns", "µs", " ms", "building", "123", "987"] {
             assert!(
                 !stable.contains(timing),

@@ -45,14 +45,14 @@ struct SubsumptionCore {
 /// Upper bound on cached subsumption cores, FIFO-evicted.
 const MAX_CACHED: usize = 64;
 
-/// Cache key: per-attribute domain versions (see
+/// Cache key: per-attribute domain stamps (see
 /// [`hrdm_hierarchy::graph::HierarchyGraph::version`]), the preemption
 /// mode (it changes the edge set), and a fingerprint of the tuple set.
 /// A hit additionally verifies the stored items/truths byte-for-byte,
 /// so a fingerprint collision can never alias two relations.
 #[derive(PartialEq, Eq, Hash, Clone)]
 struct CacheKey {
-    domains: Vec<(u64, u64)>,
+    domains: Vec<u64>,
     preemption: Preemption,
     fingerprint: u64,
 }

@@ -21,11 +21,12 @@ use std::sync::Arc;
 
 use hrdm_core::conflict::find_conflicts;
 use hrdm_core::delta::RelationDelta;
-use hrdm_core::differential::MaterializedPlan;
+use hrdm_core::differential::{MaterializedPlan, CONE_LIMIT};
 use hrdm_core::plan::LogicalPlan;
 use hrdm_core::prelude::*;
 use hrdm_core::render::render_table;
 use hrdm_hierarchy::gen::{layered_dag, sample_nodes};
+use hrdm_hierarchy::HierarchyGraph;
 
 fn tuples_of(r: &HRelation) -> Vec<(Item, Truth)> {
     r.iter().map(|(i, t)| (i.clone(), t)).collect()
@@ -300,5 +301,53 @@ fn consolidate_tower_stays_identical_under_growth() {
                 f.is_ok()
             ),
         }
+    }
+}
+
+/// Both sides of the consolidate cutoff, each held to the oracle: a
+/// delta whose cone is exactly `CONE_LIMIT` tuples is swept locally, one
+/// tuple more and the node recomputes — and either way the maintained
+/// relation is byte-identical to fresh re-derivation.
+#[test]
+fn both_sides_of_the_cone_limit_match_recomputation() {
+    let mut g = HierarchyGraph::new("D");
+    // Asserting a class puts the class and its stored instances in the
+    // cone: `At` yields CONE_LIMIT tuples, `Over` one more.
+    for (class, members) in [("At", CONE_LIMIT - 1), ("Over", CONE_LIMIT)] {
+        let c = g.add_class(class, g.root()).unwrap();
+        for k in 0..members {
+            g.add_instance(format!("{class}{k}"), c).unwrap();
+        }
+    }
+    let schema = Arc::new(Schema::single("D", Arc::new(g)));
+    let mut base = HRelation::new(schema.clone());
+    for id in schema.domain(0).instances() {
+        base.insert(Tuple::positive(Item::new(vec![id]))).unwrap();
+    }
+    let plan_of = |r: &HRelation| LogicalPlan::scan("R", r.clone());
+    let mut mat = MaterializedPlan::new(plan_of(&base)).unwrap();
+
+    for (class, localized, recomputed) in [("At", 2, 0), ("Over", 1, 1)] {
+        let mut delta = RelationDelta::new();
+        let item = Item::new(vec![schema.domain(0).expect(class)]);
+        delta.added.push((item, Truth::Positive));
+        delta.apply_to(&mut base);
+        let deltas = BTreeMap::from([("R".to_string(), delta)]);
+        let (next, _, report) = mat.apply(&deltas).unwrap();
+        // The scan applies its rows in place either way; the canonical
+        // consolidate above it is the node the limit decides.
+        assert_eq!(
+            (report.localized, report.recomputed),
+            (localized, recomputed),
+            "asserting {class}"
+        );
+        let fresh = plan_of(&base).execute().unwrap();
+        assert_eq!(tuples_of(next.relation()), tuples_of(&fresh.relation));
+        assert_eq!(next.canonicalized_away(), fresh.canonicalized_away);
+        assert_eq!(
+            render_table(next.relation()).into_bytes(),
+            render_table(&fresh.relation).into_bytes()
+        );
+        mat = next;
     }
 }

@@ -15,16 +15,58 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+use hrdm_obs::attrib::{self, AttribKey};
+use hrdm_obs::metrics::{self, Counter};
 
 use crate::error::{HierarchyError, Result};
 use crate::node::{NodeId, NodeName};
+use crate::reach::{ClosureKind, Reachability};
 
-/// Source of process-unique graph identities (see
-/// [`HierarchyGraph::graph_id`]).
-static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(1);
+/// Source of structural stamps (see [`HierarchyGraph::version`]).
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
-fn fresh_graph_id() -> u64 {
-    NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed)
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+struct ClosureMetrics {
+    hits: Counter,
+    misses: Counter,
+    build_ns: Counter,
+}
+
+fn obs() -> &'static ClosureMetrics {
+    static M: OnceLock<ClosureMetrics> = OnceLock::new();
+    M.get_or_init(|| ClosureMetrics {
+        hits: metrics::counter("hierarchy.closure.hits"),
+        misses: metrics::counter("hierarchy.closure.misses"),
+        build_ns: metrics::counter("hierarchy.closure.build_ns"),
+    })
+}
+
+/// Process-wide counters of closure requests (see
+/// [`HierarchyGraph::closure`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClosureStats {
+    /// Requests served from a graph's memo.
+    pub hits: u64,
+    /// Requests that found the memo slot empty.
+    pub misses: u64,
+    /// Total wall time spent building closures, in nanoseconds.
+    pub build_ns: u64,
+}
+
+/// Snapshot of the closure hit/miss/build-time counters.
+pub fn closure_stats() -> ClosureStats {
+    let m = obs();
+    ClosureStats {
+        hits: m.hits.get(),
+        misses: m.misses.get(),
+        build_ns: m.build_ns.get(),
+    }
 }
 
 /// What a node stands for in the taxonomy.
@@ -75,30 +117,21 @@ struct NodeData {
 /// the Appendix uses them to switch between off-path and on-path
 /// preemption — but [`crate::reach::redundant_edge_list`] detects them and
 /// [`crate::reach::transitive_reduction`] removes them.
+///
+/// A clone is the same structure: it keeps the source's
+/// [`version`](HierarchyGraph::version) stamp and shares its memoized
+/// closures until its first structural edit, which touches only the
+/// clone.
+#[derive(Clone)]
 pub struct HierarchyGraph {
     nodes: Vec<NodeData>,
     by_name: HashMap<NodeName, NodeId>,
     edge_count: usize,
-    /// Process-unique identity; see [`HierarchyGraph::graph_id`].
-    graph_id: u64,
-    /// Bumped on every structural mutation; see
-    /// [`HierarchyGraph::generation`].
-    generation: u64,
-}
-
-/// Cloning takes a *fresh* [`graph_id`](HierarchyGraph::graph_id): the
-/// clone may diverge from the original, so derived results cached under
-/// the original's identity must never be served for the clone.
-impl Clone for HierarchyGraph {
-    fn clone(&self) -> HierarchyGraph {
-        HierarchyGraph {
-            nodes: self.nodes.clone(),
-            by_name: self.by_name.clone(),
-            edge_count: self.edge_count,
-            graph_id: fresh_graph_id(),
-            generation: self.generation,
-        }
-    }
+    /// Structural stamp; see [`HierarchyGraph::version`].
+    stamp: u64,
+    /// The memoized closures, one slot per [`ClosureKind`]; see
+    /// [`HierarchyGraph::closure`].
+    closures: [OnceLock<Arc<Reachability>>; 2],
 }
 
 impl HierarchyGraph {
@@ -116,35 +149,63 @@ impl HierarchyGraph {
             }],
             by_name,
             edge_count: 0,
-            graph_id: fresh_graph_id(),
-            generation: 0,
+            stamp: fresh_stamp(),
+            closures: Default::default(),
         }
     }
 
-    /// A process-unique identity for this graph *value*.
+    /// The structural stamp: drawn fresh from a process-wide counter at
+    /// construction and at every structural edit (node added, edge
+    /// added or removed), and kept by [`Clone`]. Two graphs with equal
+    /// stamps are therefore structurally equal, which is what lets a
+    /// content-keyed cache of derived structures (the subsumption
+    /// cores) use it as the graph's part of a key.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.stamp
+    }
+
+    /// A structural edit happened: the closures describe the old
+    /// structure and no graph with the old stamp may equal this one.
+    fn edited(&mut self) {
+        self.stamp = fresh_stamp();
+        self.closures = Default::default();
+    }
+
+    /// The transitive closure of this graph over both edge kinds.
     ///
-    /// Together with [`generation`](HierarchyGraph::generation) it forms
-    /// the version key `(graph_id, generation)` under which derived
-    /// structures (reachability closures, subsumption cores) are cached:
-    /// ids are never reused within a process and every [`Clone`] takes a
-    /// fresh one, so a key can never alias a structurally different graph.
-    #[inline]
-    pub fn graph_id(&self) -> u64 {
-        self.graph_id
+    /// Built on first request and memoized in the graph itself, so it
+    /// is shared by every holder of the graph (and by its clones) and
+    /// freed with the last of them; a structural edit clears it.
+    pub fn closure(&self) -> Arc<Reachability> {
+        self.memoized(ClosureKind::Both)
     }
 
-    /// A counter bumped on every structural mutation (node added, edge
-    /// added or removed). A cached result keyed by
-    /// `(graph_id, generation)` is valid iff both still match.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// The subset-edge-only closure (membership queries), memoized like
+    /// [`closure`](HierarchyGraph::closure).
+    pub fn subset_closure(&self) -> Arc<Reachability> {
+        self.memoized(ClosureKind::SubsetOnly)
     }
 
-    /// The full cache-version key: `(graph_id, generation)`.
-    #[inline]
-    pub fn version(&self) -> (u64, u64) {
-        (self.graph_id, self.generation)
+    fn memoized(&self, kind: ClosureKind) -> Arc<Reachability> {
+        let slot = &self.closures[kind as usize];
+        if let Some(hit) = slot.get() {
+            obs().hits.incr();
+            attrib::bump(AttribKey::ClosureHit);
+            return Arc::clone(hit);
+        }
+        obs().misses.incr();
+        attrib::bump(AttribKey::ClosureMiss);
+        Arc::clone(slot.get_or_init(|| {
+            let mut span = hrdm_obs::span!("hierarchy.closure.build");
+            span.field_u64("nodes", self.len() as u64);
+            let start = Instant::now();
+            let built = Arc::new(Reachability::build(self, kind));
+            let elapsed = start.elapsed().as_nanos() as u64;
+            obs().build_ns.add(elapsed);
+            span.field_u64("build_ns", elapsed);
+            built
+        }))
     }
 
     /// The root node (the domain).
@@ -206,7 +267,7 @@ impl HierarchyGraph {
             self.nodes[id.index()].parents.push((p, EdgeKind::Subset));
             self.edge_count += 1;
         }
-        self.generation += 1;
+        self.edited();
         Ok(id)
     }
 
@@ -263,7 +324,7 @@ impl HierarchyGraph {
         self.nodes[from.index()].children.push((to, kind));
         self.nodes[to.index()].parents.push((from, kind));
         self.edge_count += 1;
-        self.generation += 1;
+        self.edited();
         Ok(())
     }
 
@@ -295,7 +356,7 @@ impl HierarchyGraph {
         }
         self.nodes[to.index()].parents.retain(|&(p, _)| p != from);
         self.edge_count -= 1;
-        self.generation += 1;
+        self.edited();
         Ok(())
     }
 
@@ -516,9 +577,9 @@ impl HierarchyGraph {
     pub fn provably_intersect(&self, a: NodeId, b: NodeId) -> bool {
         // Comparable nodes share the more specific endpoint; incomparable
         // ones need a common defined descendant. Both cases reduce to a
-        // non-empty AND of the cached subset-closure rows (reflexivity
+        // non-empty AND of the memoized subset-closure rows (reflexivity
         // puts the specific endpoint of a comparable pair in both rows).
-        crate::cache::subset_closure(self).reaches_common(a, b)
+        self.subset_closure().reaches_common(a, b)
     }
 
     /// The common descendants of `a` and `b` (instances and classes).
@@ -526,7 +587,7 @@ impl HierarchyGraph {
     /// These are the candidate members of the *complete conflict
     /// resolution set* of §3.1.
     pub fn common_descendants(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let r = crate::cache::subset_closure(self);
+        let r = self.subset_closure();
         r.common_reachable(a, b)
             .into_iter()
             .filter(|&id| id != a && id != b)
@@ -542,7 +603,7 @@ impl HierarchyGraph {
     ///
     /// [`common_descendants`]: HierarchyGraph::common_descendants
     pub fn intersection_candidates(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        crate::cache::subset_closure(self).common_reachable(a, b)
+        self.subset_closure().common_reachable(a, b)
     }
 
     /// The maximal elements of [`intersection_candidates`]: the coarsest
@@ -552,7 +613,7 @@ impl HierarchyGraph {
     ///
     /// [`intersection_candidates`]: HierarchyGraph::intersection_candidates
     pub fn maximal_intersection(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let r = crate::cache::subset_closure(self);
+        let r = self.subset_closure();
         let cands = r.common_reachable(a, b);
         cands
             .iter()

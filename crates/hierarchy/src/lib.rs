@@ -39,7 +39,6 @@
 //! assert!(!g.is_descendant(bird, penguin));
 //! ```
 
-pub mod cache;
 pub mod dot;
 pub mod elim;
 pub mod error;
@@ -54,6 +53,6 @@ pub mod topo;
 pub mod validate;
 
 pub use error::{HierarchyError, Result};
-pub use graph::{EdgeKind, HierarchyGraph, NodeKind};
+pub use graph::{closure_stats, ClosureStats, EdgeKind, HierarchyGraph, NodeKind};
 pub use node::{NodeId, NodeName};
 pub use product::{ProductHierarchy, ProductNode};

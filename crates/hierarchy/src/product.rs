@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use crate::cache;
 use crate::error::Result;
 use crate::graph::{EdgeKind, HierarchyGraph};
 use crate::node::NodeId;
@@ -41,16 +40,13 @@ pub struct ProductHierarchy {
 impl ProductHierarchy {
     /// Build from shared component graphs.
     ///
-    /// The per-component closures come from the process-wide version
-    /// cache ([`crate::cache`]), so constructing many products over the
-    /// same domains — as the relational operators do for every derived
-    /// schema — builds each closure once.
+    /// The per-component closures come from each graph's own memo
+    /// ([`HierarchyGraph::closure`]), so constructing many products over
+    /// the same domains — as the relational operators do for every
+    /// derived schema — builds each closure once.
     pub fn new(components: Vec<Arc<HierarchyGraph>>) -> ProductHierarchy {
-        let reach = components.iter().map(|g| cache::closure(g)).collect();
-        let subset_reach = components
-            .iter()
-            .map(|g| cache::subset_closure(g))
-            .collect();
+        let reach = components.iter().map(|g| g.closure()).collect();
+        let subset_reach = components.iter().map(|g| g.subset_closure()).collect();
         ProductHierarchy {
             components,
             reach,

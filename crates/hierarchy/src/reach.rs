@@ -151,7 +151,7 @@ impl Reachability {
 /// The transitive-closure edge list of `g`: every pair `(i, j)`, `i ≠ j`,
 /// with a path `i → j`.
 pub fn transitive_closure_edges(g: &HierarchyGraph) -> Vec<(NodeId, NodeId)> {
-    let r = crate::cache::closure(g);
+    let r = g.closure();
     let mut out = Vec::new();
     for i in g.node_ids() {
         for j in r.reachable_set(i) {
@@ -170,8 +170,8 @@ pub fn transitive_closure_edges(g: &HierarchyGraph) -> Vec<(NodeId, NodeId)> {
 /// behaviour, so the paper's default semantics require none.
 pub fn redundant_edge_list(g: &HierarchyGraph) -> Vec<(NodeId, NodeId)> {
     // One shared closure replaces a DFS per (edge, sibling) pair; repeated
-    // calls on an unchanged graph reuse it via the version cache.
-    let r = crate::cache::closure(g);
+    // calls on an unchanged graph reuse the graph's memo.
+    let r = g.closure();
     let mut out = Vec::new();
     for u in g.node_ids() {
         for v in g.children(u) {

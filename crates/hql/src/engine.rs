@@ -556,22 +556,6 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// The incremental-view-maintenance cone-localization threshold:
-    /// deltas touching more than this many cone-affected tuples make a
-    /// consolidate node recompute instead of sweeping locally. Both
-    /// sides of the cutoff are byte-identical; this is a cost knob.
-    pub fn cone_limit(&self) -> usize {
-        hrdm_core::differential::cone_limit()
-    }
-
-    /// Override the cone-localization threshold. The setting is
-    /// process-global (it also honors the `HRDM_CONE_LIMIT` environment
-    /// variable at first use), so it applies to every engine — and
-    /// every shard — in the process.
-    pub fn set_cone_limit(&self, limit: usize) {
-        hrdm_core::differential::set_cone_limit(limit);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1153,23 +1137,30 @@ mod tests {
         assert!(b.snapshot().domain("D").is_ok());
     }
 
-    /// `DROP DOMAIN` goes through the catalog's interpreter, which
-    /// reclaims the dropped graph's closure-cache entries.
+    /// A closure lives in its graph, so it is freed when the last
+    /// holder of the graph goes: the snapshot that `DROP DOMAIN`
+    /// supersedes for one domain, the engine itself for the rest.
     #[test]
-    fn drop_domain_drops_the_graphs_cached_closures() {
-        use hrdm_hierarchy::cache;
+    fn closures_die_with_drop_domain_and_with_the_engine() {
         let engine = Engine::new();
         engine
-            .execute("CREATE DOMAIN D; CREATE CLASS A UNDER D;")
+            .execute(
+                "CREATE DOMAIN D; CREATE CLASS A UNDER D; \
+                 CREATE DOMAIN E; CREATE INSTANCE e OF E; \
+                 CREATE RELATION R (x: E); ASSERT R (e);",
+            )
             .unwrap();
-        let graph = engine.snapshot().domain("D").unwrap().clone();
-        let resident = cache::closure(&graph);
-        assert!(Arc::ptr_eq(&resident, &cache::closure(&graph)));
+        let closure_of = |domain: &str| {
+            let closure = engine.snapshot().domain(domain).unwrap().closure();
+            Arc::downgrade(&closure)
+        };
+        let (d, e) = (closure_of("D"), closure_of("E"));
+        assert!(d.upgrade().is_some() && e.upgrade().is_some());
         engine.execute("DROP DOMAIN D;").unwrap();
-        assert!(
-            !Arc::ptr_eq(&resident, &cache::closure(&graph)),
-            "the dropped graph's closure was still cached"
-        );
+        assert!(d.upgrade().is_none(), "D's closure outlived DROP DOMAIN");
+        assert!(e.upgrade().is_some());
+        drop(engine);
+        assert!(e.upgrade().is_none(), "E's closure outlived the engine");
     }
 
     /// One interpreter, one failure: a relation over a missing domain

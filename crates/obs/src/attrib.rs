@@ -2,7 +2,7 @@
 //!
 //! The global metrics registry answers "how much cache traffic did the
 //! whole process generate", but a plan node wants to report *its own*
-//! closure-cache hits — and under `cargo test` or parallel workers the
+//! closure hits — and under `cargo test` or parallel workers the
 //! global counters are polluted by whatever else is running. These
 //! slots are per-thread: an operator snapshots them, does its work, and
 //! takes the delta, which is deterministic no matter what other threads
@@ -17,9 +17,9 @@ use std::cell::Cell;
 /// The attribution slots an operator can charge work to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum AttribKey {
-    /// Closure-cache hit in `hierarchy::cache`.
+    /// A closure served from its graph's memo.
     ClosureHit,
-    /// Closure-cache miss (a reachability closure was built).
+    /// Closure-memo miss (a reachability closure was built).
     ClosureMiss,
     /// Subsumption-core reuse from the shared core cache.
     SubsumptionHit,

@@ -26,9 +26,9 @@
 //!   report *its own* cache traffic deterministically even while other
 //!   threads hammer the shared caches.
 //! * [`chrome`] — `chrome://tracing`-loadable JSON export of a trace.
-//! * [`slowlog`] — a process-global bounded buffer of the N slowest
-//!   requests (wall time, epoch, rendered trace tree) that the serving
-//!   layer feeds and exposes over the wire via its `SLOWLOG` verb.
+//! * [`slowlog`] — a bounded buffer of the N slowest requests (wall
+//!   time, epoch, rendered trace tree); each server owns one, feeds it
+//!   and exposes it over the wire via its `SLOWLOG` verb.
 //!
 //! # Feature gating
 //!

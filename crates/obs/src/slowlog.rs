@@ -1,23 +1,20 @@
-//! The process-global slow-query log: a bounded buffer holding the N
-//! slowest requests seen so far, each with its rendered
+//! The slow-query log: a bounded buffer holding the N slowest requests
+//! a server has seen so far, each with its rendered
 //! [`QueryTrace`](crate::trace::QueryTrace) tree.
 //!
-//! The serving layer decides *what* counts as slow (its
-//! `--slowlog-ms` threshold) and only then calls [`record`], so the
-//! mutex here is taken once per slow request plus once per `SLOWLOG`
-//! read — never on the fast path. With the `obs` feature off the whole
-//! module is inert: [`record`] drops the entry and [`entries`] is
-//! always empty.
+//! A [`SlowLog`] is a plain value; each server owns one, so two servers
+//! in a process neither see nor evict each other's requests. The
+//! serving layer decides *what* counts as slow (its `--slowlog-ms`
+//! threshold) and only then calls [`SlowLog::record`], so the owner's
+//! lock is taken once per slow request plus once per `SLOWLOG` read —
+//! never on the fast path. With the `obs` feature off the log is inert:
+//! `record` drops the entry and `entries` is always empty.
 //!
 //! Admission keeps the *slowest* requests, not the most recent: while
 //! the buffer is below capacity every entry is admitted; at capacity a
 //! new entry evicts the current fastest resident only if it is slower.
-//! [`clear`] is wired into the bench fixtures' shared-cache reset so
-//! back-to-back runs cannot leak each other's outliers.
 
-use std::sync::{Mutex, OnceLock};
-
-/// Default bound on resident entries ([`set_capacity`] overrides).
+/// Default bound on resident entries.
 pub const DEFAULT_CAPACITY: usize = 32;
 
 /// Longest script preview stored per entry; the rest is elided.
@@ -34,39 +31,19 @@ pub struct SlowEntry {
     pub wall_ns: u64,
     /// Engine epoch when the request completed.
     pub epoch: u64,
-    /// Admission order (process-global, monotone): ties in `wall_ns`
+    /// Admission order within its log (monotone): ties in `wall_ns`
     /// sort by earliest admission.
     pub seq: u64,
     /// The rendered `QueryTrace` tree of the request.
     pub trace: String,
 }
 
-struct SlowLog {
+/// A bounded log of the slowest requests offered to it.
+#[derive(Debug)]
+pub struct SlowLog {
     capacity: usize,
     next_seq: u64,
     entries: Vec<SlowEntry>,
-}
-
-fn log() -> &'static Mutex<SlowLog> {
-    static LOG: OnceLock<Mutex<SlowLog>> = OnceLock::new();
-    LOG.get_or_init(|| {
-        Mutex::new(SlowLog {
-            capacity: DEFAULT_CAPACITY,
-            next_seq: 0,
-            entries: Vec::new(),
-        })
-    })
-}
-
-/// Bound the buffer to `n` entries (at least 1). Shrinking evicts the
-/// fastest residents first.
-pub fn set_capacity(n: usize) {
-    let mut l = log().lock().unwrap();
-    l.capacity = n.max(1);
-    while l.entries.len() > l.capacity {
-        let fastest = fastest_index(&l.entries);
-        l.entries.swap_remove(fastest);
-    }
 }
 
 fn fastest_index(entries: &[SlowEntry]) -> usize {
@@ -78,117 +55,119 @@ fn fastest_index(entries: &[SlowEntry]) -> usize {
         .expect("non-empty")
 }
 
-/// Offer one request to the log. Returns `true` if it was admitted
-/// (the buffer had room, or the request is slower than the current
-/// fastest resident). A no-op returning `false` with the `obs` feature
-/// off.
-pub fn record(verb: &str, script: &str, wall_ns: u64, epoch: u64, trace: String) -> bool {
-    if !cfg!(feature = "obs") {
-        return false;
-    }
-    let preview: String = {
-        let mut p: String = script.trim().chars().take(PREVIEW_LIMIT).collect();
-        if script.trim().chars().count() > PREVIEW_LIMIT {
-            p.push('…');
+impl SlowLog {
+    /// An empty log bounded to `capacity` entries (at least 1).
+    pub fn new(capacity: usize) -> SlowLog {
+        SlowLog {
+            capacity: capacity.max(1),
+            next_seq: 0,
+            entries: Vec::new(),
         }
-        p
-    };
-    let mut l = log().lock().unwrap();
-    let seq = l.next_seq;
-    l.next_seq += 1;
-    let entry = SlowEntry {
-        verb: verb.to_string(),
-        preview,
-        wall_ns,
-        epoch,
-        seq,
-        trace,
-    };
-    if l.entries.len() < l.capacity {
-        l.entries.push(entry);
-        return true;
     }
-    let fastest = fastest_index(&l.entries);
-    if l.entries[fastest].wall_ns < wall_ns {
-        l.entries[fastest] = entry;
-        return true;
+
+    /// Offer one request to the log. Returns `true` if it was admitted
+    /// (the buffer had room, or the request is slower than the current
+    /// fastest resident). A no-op returning `false` with the `obs`
+    /// feature off.
+    pub fn record(
+        &mut self,
+        verb: &str,
+        script: &str,
+        wall_ns: u64,
+        epoch: u64,
+        trace: String,
+    ) -> bool {
+        if !cfg!(feature = "obs") {
+            return false;
+        }
+        let preview: String = {
+            let mut p: String = script.trim().chars().take(PREVIEW_LIMIT).collect();
+            if script.trim().chars().count() > PREVIEW_LIMIT {
+                p.push('…');
+            }
+            p
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = SlowEntry {
+            verb: verb.to_string(),
+            preview,
+            wall_ns,
+            epoch,
+            seq,
+            trace,
+        };
+        if self.entries.len() < self.capacity {
+            self.entries.push(entry);
+            return true;
+        }
+        let fastest = fastest_index(&self.entries);
+        if self.entries[fastest].wall_ns < wall_ns {
+            self.entries[fastest] = entry;
+            return true;
+        }
+        false
     }
-    false
-}
 
-/// Snapshot of the resident entries, slowest first (ties by earliest
-/// admission). Empty with the `obs` feature off.
-pub fn entries() -> Vec<SlowEntry> {
-    let l = log().lock().unwrap();
-    let mut out = l.entries.clone();
-    out.sort_by_key(|e| (u64::MAX - e.wall_ns, e.seq));
-    out
-}
+    /// Snapshot of the resident entries, slowest first (ties by
+    /// earliest admission). Empty with the `obs` feature off.
+    pub fn entries(&self) -> Vec<SlowEntry> {
+        let mut out = self.entries.clone();
+        out.sort_by_key(|e| (u64::MAX - e.wall_ns, e.seq));
+        out
+    }
 
-/// Number of resident entries.
-pub fn len() -> usize {
-    log().lock().unwrap().entries.len()
-}
+    /// Number of resident entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
 
-/// Drop every resident entry (capacity is kept). Part of the bench
-/// fixtures' shared-cache reset.
-pub fn clear() {
-    log().lock().unwrap().entries.clear();
+    /// True when nothing has been admitted.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex as TestMutex, MutexGuard};
-
-    /// The log is process-global; tests here serialize so one test's
-    /// clear cannot race another's admission checks.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: TestMutex<()> = TestMutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     #[cfg(feature = "obs")]
     #[test]
     fn keeps_the_slowest_entries_at_capacity() {
-        let _guard = exclusive();
-        clear();
-        set_capacity(3);
+        let mut log = SlowLog::new(3);
         for (i, wall) in [10u64, 50, 30, 5, 70, 40].into_iter().enumerate() {
-            record("QUERY", &format!("q{i}"), wall, i as u64, String::new());
+            log.record("QUERY", &format!("q{i}"), wall, i as u64, String::new());
         }
-        let got = entries();
-        assert_eq!(got.len(), 3);
+        let got = log.entries();
+        assert_eq!(log.len(), 3);
         let walls: Vec<u64> = got.iter().map(|e| e.wall_ns).collect();
         assert_eq!(walls, vec![70, 50, 40], "slowest three, slowest first");
-        clear();
-        assert_eq!(len(), 0);
-        set_capacity(DEFAULT_CAPACITY);
+        let seqs: Vec<u64> = got.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![4, 1, 5], "seq counts offers to this log");
     }
 
     #[cfg(feature = "obs")]
     #[test]
     fn previews_truncate_and_traces_ride_along() {
-        let _guard = exclusive();
-        clear();
-        set_capacity(DEFAULT_CAPACITY);
+        let mut log = SlowLog::new(DEFAULT_CAPACITY);
         let long = "x".repeat(PREVIEW_LIMIT + 40);
-        assert!(record("TRACE", &long, 9, 2, "server.query\n".into()));
-        let got = entries();
-        let e = got.iter().find(|e| e.verb == "TRACE").expect("admitted");
+        assert!(log.record("TRACE", &long, 9, 2, "server.query\n".into()));
+        let got = log.entries();
+        let e = &got[0];
+        assert_eq!(e.verb, "TRACE");
         assert!(e.preview.chars().count() <= PREVIEW_LIMIT + 1, "truncated");
         assert!(e.preview.ends_with('…'));
         assert_eq!(e.trace, "server.query\n");
         assert_eq!(e.epoch, 2);
-        clear();
     }
 
     #[cfg(not(feature = "obs"))]
     #[test]
     fn inert_without_the_feature() {
-        let _guard = exclusive();
-        assert!(!record("QUERY", "SHOW R;", 1_000_000, 1, String::new()));
-        assert_eq!(len(), 0);
-        assert!(entries().is_empty());
+        let mut log = SlowLog::new(DEFAULT_CAPACITY);
+        assert!(!log.record("QUERY", "SHOW R;", 1_000_000, 1, String::new()));
+        assert!(log.is_empty());
+        assert!(log.entries().is_empty());
     }
 }

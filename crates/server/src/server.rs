@@ -95,13 +95,14 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hrdm::hql::{self, parser, Statement};
 use hrdm::prelude::{Engine, ReadView};
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
+use hrdm_obs::slowlog::SlowLog;
 use hrdm_obs::trace::fmt_ns;
 
 use crate::proto::{encode_frame, FrameReader, MetricsFormat, Reply, Request, PROTOCOL_VERSION};
@@ -121,7 +122,7 @@ pub struct ServerConfig {
     /// not reset the clock.
     pub read_timeout: Duration,
     /// `QUERY`/`TRACE` requests at least this slow are captured into
-    /// the process-global slow-query log with their rendered trace
+    /// this server's slow-query log with their rendered trace
     /// trees (`Duration::ZERO` captures every request). Only servers
     /// built with the `obs` feature capture anything.
     pub slowlog_threshold: Duration,
@@ -350,6 +351,13 @@ struct Shared {
     stats: ServerStats,
     wake: WakePipe,
     completions: Mutex<Vec<Completion>>,
+    slowlog: Mutex<SlowLog>,
+}
+
+impl Shared {
+    fn slowlog(&self) -> MutexGuard<'_, SlowLog> {
+        self.slowlog.lock().expect("slowlog lock poisoned")
+    }
 }
 
 /// The server factory; see [`Server::start`].
@@ -368,7 +376,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        hrdm_obs::slowlog::set_capacity(config.slowlog_capacity);
+        let slowlog = Mutex::new(SlowLog::new(config.slowlog_capacity));
         let shared = Arc::new(Shared {
             engine,
             config,
@@ -378,6 +386,7 @@ impl Server {
             stats: ServerStats::default(),
             wake: WakePipe::new()?,
             completions: Mutex::new(Vec::new()),
+            slowlog,
         });
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -574,13 +583,13 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
     }
     if cfg!(feature = "obs") && wall >= shared.config.slowlog_threshold {
         let verb = if traced { "TRACE" } else { "QUERY" };
-        if hrdm_obs::slowlog::record(
-            verb,
-            &text,
-            wall.as_nanos() as u64,
-            shared.engine.epoch(),
-            trace.render(),
-        ) {
+        // Render before taking the log's lock, not under it.
+        let (epoch, rendered) = (shared.engine.epoch(), trace.render());
+        let wall_ns = wall.as_nanos() as u64;
+        if shared
+            .slowlog()
+            .record(verb, &text, wall_ns, epoch, rendered)
+        {
             obs.slow_recorded.incr();
         }
     }
@@ -1206,7 +1215,7 @@ impl EventLoop {
                     self.complete_inline(token, seq, &reply);
                 }
                 Request::Slowlog(limit) => {
-                    let reply = run_slowlog(limit);
+                    let reply = run_slowlog(&self.shared, limit);
                     obs.requests.incr();
                     obs.lat_slowlog
                         .observe_ns(started.elapsed().as_nanos() as u64);
@@ -1485,11 +1494,11 @@ fn run_metrics(format: MetricsFormat) -> Reply {
     Reply::Ok(vec![body])
 }
 
-fn run_slowlog(limit: Option<u32>) -> Reply {
+fn run_slowlog(shared: &Shared, limit: Option<u32>) -> Reply {
     if !cfg!(feature = "obs") {
         return unsupported("SLOWLOG");
     }
-    let mut entries = hrdm_obs::slowlog::entries();
+    let mut entries = shared.slowlog().entries();
     if let Some(n) = limit {
         entries.truncate(n as usize);
     }
@@ -1528,7 +1537,7 @@ fn render_stats(shared: &Shared) -> String {
         shared.stats.protocol_errors.load(Ordering::Relaxed),
         shared.stats.bytes_in.load(Ordering::Relaxed),
         shared.stats.bytes_out.load(Ordering::Relaxed),
-        hrdm_obs::slowlog::len(),
+        shared.slowlog().len(),
         shared.config.slowlog_threshold.as_millis(),
         shared.config.effective_workers(),
         shared.config.backpressure_depth,

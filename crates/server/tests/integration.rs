@@ -369,8 +369,6 @@ fn slowlog_captures_slow_requests_with_their_trace_trees() {
         ..ServerConfig::default()
     });
     let mut client = Client::connect(handle.addr()).unwrap();
-    // A distinctive marker so this test finds its own entry even while
-    // parallel tests share the process-global log.
     let marker = "SlowlogMarkerDomain";
     client.query(&format!("CREATE DOMAIN {marker};")).unwrap();
     let parts = match client.slowlog(None).unwrap() {
@@ -391,6 +389,62 @@ fn slowlog_captures_slow_requests_with_their_trace_trees() {
     assert_eq!(client.slowlog(Some(0)).unwrap(), Reply::Ok(vec![]));
     client.quit().unwrap();
     handle.shutdown();
+}
+
+/// Each server owns its slow log: a second server in the process
+/// neither resizes the first's log nor shows up in it.
+#[cfg(feature = "obs")]
+#[test]
+fn two_servers_keep_separate_slowlogs() {
+    let start_capped = |slowlog_capacity| {
+        start_with(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            slowlog_threshold: Duration::ZERO,
+            slowlog_capacity,
+            ..ServerConfig::default()
+        })
+    };
+    let listed = |client: &mut Client| match client.slowlog(None).unwrap() {
+        Reply::Ok(parts) => parts,
+        other => panic!("expected OK, got {other:?}"),
+    };
+    let entries_line = |client: &mut Client| match client.stats().unwrap() {
+        Reply::Ok(parts) => parts[0]
+            .lines()
+            .find(|l| l.starts_with("slowlog-entries: "))
+            .expect("STATS reports slowlog-entries")
+            .to_string(),
+        other => panic!("expected OK, got {other:?}"),
+    };
+
+    let first = start_capped(4);
+    let mut to_first = Client::connect(first.addr()).unwrap();
+    for k in 0..3 {
+        to_first.query(&format!("CREATE DOMAIN First{k};")).unwrap();
+    }
+    let second = start_capped(1);
+    let mut to_second = Client::connect(second.addr()).unwrap();
+    for k in 0..2 {
+        to_second
+            .query(&format!("CREATE DOMAIN Second{k};"))
+            .unwrap();
+    }
+    to_first.query("CREATE DOMAIN First3;").unwrap();
+
+    let (a, b) = (listed(&mut to_first), listed(&mut to_second));
+    assert_eq!(a.len(), 4, "the first server keeps capacity 4: {a:?}");
+    assert!(a
+        .iter()
+        .all(|e| e.contains("First") && !e.contains("Second")));
+    assert_eq!(b.len(), 1, "the second server keeps capacity 1: {b:?}");
+    assert!(b[0].contains("Second") && !b[0].contains("First"));
+    assert_eq!(entries_line(&mut to_first), "slowlog-entries: 4");
+    assert_eq!(entries_line(&mut to_second), "slowlog-entries: 1");
+
+    to_first.quit().unwrap();
+    to_second.quit().unwrap();
+    first.shutdown();
+    second.shutdown();
 }
 
 /// Without the obs feature the new verbs answer a stable
