@@ -3,12 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrdm_bench::fixtures::{class_probe, export_obs_json, print_engine_stats};
-use hrdm_bench::workloads::{class_workload, explicated_table, footnote1_baseline};
+use hrdm_bench::workloads::{class_workload, explicated_table, footnote1_baseline, B2_EXCEPTIONS};
 
 fn bench_point_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("b2_point_query");
     for members in [100usize, 1_000, 10_000] {
-        let w = class_workload(members, members / 100);
+        let w = class_workload(members, B2_EXCEPTIONS);
         let baseline = footnote1_baseline(&w);
         let flat = explicated_table(&w);
         let (probe_item, probe_id) = class_probe(&w);
@@ -32,7 +32,7 @@ fn bench_listing_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("b2_listing");
     group.sample_size(10);
     for members in [100usize, 1_000, 10_000] {
-        let w = class_workload(members, members / 100);
+        let w = class_workload(members, B2_EXCEPTIONS);
         let baseline = footnote1_baseline(&w);
         group.bench_with_input(
             BenchmarkId::new("hierarchical_flatten", members),

@@ -190,60 +190,6 @@ pub fn fig11_enclosures(animals: &Arc<HierarchyGraph>) -> (Arc<HierarchyGraph>, 
     (e, r)
 }
 
-/// The Fig. 1 world as an HQL bootstrap script for serving workloads
-/// (`hrdm-serve --bootstrap`, server soak tests). Plain text so callers
-/// need no dependency on the HQL crate.
-pub fn serving_bootstrap() -> &'static str {
-    r#"
-    CREATE DOMAIN Animal;
-    CREATE CLASS Bird UNDER Animal;
-    CREATE CLASS Canary UNDER Bird;
-    CREATE CLASS Penguin UNDER Bird;
-    CREATE CLASS "Galapagos Penguin" UNDER Penguin;
-    CREATE CLASS "Amazing Flying Penguin" UNDER Penguin;
-    CREATE INSTANCE Tweety OF Canary;
-    CREATE INSTANCE Paul OF "Galapagos Penguin";
-    CREATE INSTANCE Patricia OF "Galapagos Penguin", "Amazing Flying Penguin";
-    CREATE INSTANCE Pamela OF "Amazing Flying Penguin";
-    CREATE INSTANCE Peter OF "Amazing Flying Penguin";
-    CREATE RELATION Flies (Creature: Animal);
-    ASSERT Flies (ALL Bird);
-    ASSERT NOT Flies (ALL Penguin);
-    ASSERT Flies (ALL "Amazing Flying Penguin");
-    ASSERT Flies (Peter);
-    "#
-}
-
-/// Deterministic read-only statement mix for serving soak tests, each a
-/// complete HQL statement against the [`serving_bootstrap`] world. Some
-/// name instances created only by [`serving_writes`], so a soak run
-/// exercises the existence transition too.
-pub fn serving_queries() -> Vec<&'static str> {
-    vec![
-        "HOLDS Flies (Tweety);",
-        "HOLDS Flies (Paul);",
-        "HOLDS Flies (Patricia);",
-        "COUNT Flies;",
-        "CHECK Flies;",
-        "SHOW Flies;",
-        "HOLDS Flies (P0);",
-        "HOLDS Flies (P4);",
-        "HOLDS Flies (P9);",
-        "COUNT Flies BY Creature;",
-    ]
-}
-
-/// Deterministic write mix for serving soak tests: single-statement
-/// mutations, one snapshot publication each.
-pub fn serving_writes() -> Vec<String> {
-    let mut out = Vec::new();
-    for i in 0..10 {
-        out.push(format!("CREATE INSTANCE P{i} OF Penguin;"));
-        out.push(format!("ASSERT Flies (P{i});"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

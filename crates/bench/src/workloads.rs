@@ -24,6 +24,11 @@ pub struct ClassWorkload {
     pub exceptions: usize,
 }
 
+/// B2's exception count, the same at every class size: a binding lookup
+/// scans the stored tuples, so the sweep holds them at
+/// `B2_EXCEPTIONS + 1` while the extension grows.
+pub const B2_EXCEPTIONS: usize = 10;
+
 /// Build the §1 storage scenario: "one can store the class membership
 /// once, and use a single tuple with the class name to substitute for
 /// many tuples with its constituent elements."

@@ -32,8 +32,10 @@
 //!   cone-localized.
 //!
 //! The cone argument for consolidate (and the scan short-circuit) is
-//! what makes per-update cost scale with `|delta|`, not `|catalog|`:
-//! see `BENCH_ivm.json`. Correctness is anchored by an oracle: the
+//! what keeps the consolidation a write pays to the delta's cone, not
+//! the catalog; finding the cone still probes every stored tuple with
+//! `reaches` (table B11 of the `tables` bench binary measures both).
+//! Correctness is anchored by an oracle: the
 //! `differential_parity` harness proves the
 //! maintained relation byte-identical to full recomputation over
 //! thousands of random mutation scripts, and any error raised on the

@@ -14,8 +14,10 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::serving_bootstrap;
 use hrdm::prelude::Engine;
-use hrdm_bench::fixtures::serving_bootstrap;
 use hrdm_server::proto::read_frame;
 use hrdm_server::sys::raise_nofile_limit;
 use hrdm_server::{Client, FrameReader, Reply, Request, Server, ServerConfig, ServerHandle};

@@ -10,8 +10,10 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+mod common;
+
+use common::{serial_reply, serving_bootstrap};
 use hrdm::prelude::Engine;
-use hrdm_bench::fixtures::serving_bootstrap;
 use hrdm_server::{Client, Reply, Request, Server, ServerConfig};
 
 /// A deliberately stateful burst against the Fig. 1 serving world:
@@ -34,18 +36,6 @@ fn burst() -> Vec<String> {
         "COUNT Flies BY Creature;".into(),
         "SHOW Flies;".into(),
     ]
-}
-
-/// The reply a serial engine gives, rendered the way the server
-/// renders it on the wire.
-fn serial_reply(engine: &Engine, statement: &str) -> Reply {
-    match engine.execute(statement) {
-        Ok(responses) => Reply::Ok(responses.iter().map(ToString::to_string).collect()),
-        Err(e) => Reply::Err {
-            kind: e.kind().to_string(),
-            message: e.to_string(),
-        },
-    }
 }
 
 fn start_server() -> hrdm_server::ServerHandle {

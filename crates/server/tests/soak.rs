@@ -12,8 +12,10 @@ use std::io::BufRead;
 use std::path::PathBuf;
 use std::time::Duration;
 
+mod common;
+
+use common::{serial_reply, serving_bootstrap, serving_queries, serving_writes};
 use hrdm::prelude::Engine;
-use hrdm_bench::fixtures::{serving_bootstrap, serving_queries, serving_writes};
 use hrdm_server::{Client, Reply, Server, ServerConfig};
 
 const CLIENTS: usize = 8;
@@ -23,18 +25,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hrdm_soak_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// The reply a serial engine gives `statement`, rendered exactly the
-/// way the server renders it on the wire.
-fn serial_reply(engine: &Engine, statement: &str) -> Reply {
-    match engine.execute(statement) {
-        Ok(responses) => Reply::Ok(responses.iter().map(ToString::to_string).collect()),
-        Err(e) => Reply::Err {
-            kind: e.kind().to_string(),
-            message: e.to_string(),
-        },
-    }
 }
 
 /// `expected[i][q]` = the reply to query `q` after the bootstrap plus
