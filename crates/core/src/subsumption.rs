@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use hrdm_hierarchy::topo::kahn_order;
 use hrdm_obs::attrib::{self, AttribKey};
 
 use crate::binding::path_avoiding;
@@ -222,36 +223,11 @@ impl SubsumptionGraph {
         self.extra
     }
 
-    /// Real (non-virtual) node indexes in a topological order of the
-    /// graph (general before specific), deterministic.
+    /// Real (non-virtual) node indexes in the hierarchy crate's one
+    /// topological order ([`kahn_order`]: general before specific, the
+    /// smallest free index first).
     pub fn topo_order(&self) -> Vec<usize> {
-        let n = self.node_count();
-        let mut indeg = vec![0usize; n];
-        for x in 0..n {
-            for &y in &self.core.children[x] {
-                indeg[y] += 1;
-            }
-        }
-        let mut frontier: Vec<usize> = (0..n).filter(|&x| indeg[x] == 0).collect();
-        frontier.sort_unstable();
-        let mut order = Vec::with_capacity(n);
-        let mut next = 0;
-        while next < frontier.len() {
-            let x = frontier[next];
-            next += 1;
-            order.push(x);
-            let mut freed: Vec<usize> = Vec::new();
-            for &y in &self.core.children[x] {
-                indeg[y] -= 1;
-                if indeg[y] == 0 {
-                    freed.push(y);
-                }
-            }
-            freed.sort_unstable();
-            frontier.extend(freed);
-            frontier[next..].sort_unstable();
-        }
-        debug_assert_eq!(order.len(), n, "subsumption graphs are acyclic");
+        let mut order = kahn_order(self.node_count(), |x| self.core.children[x].iter().copied());
         order.retain(|&x| x != Self::UNIVERSAL);
         order
     }

@@ -20,6 +20,7 @@ use hrdm_core::flat::{equivalent, flatten, flatten_via_binding};
 use hrdm_core::ops::{difference, intersection, join, project, select, union};
 use hrdm_core::plan::LogicalPlan;
 use hrdm_core::prelude::*;
+use hrdm_core::subsumption::SubsumptionGraph;
 use hrdm_hierarchy::elim::{EliminationGraph, EliminationMode};
 use hrdm_hierarchy::gen::{layered_dag, sample_nodes};
 use hrdm_hierarchy::HierarchyGraph;
@@ -331,6 +332,34 @@ proptest! {
         closed.dedup();
 
         prop_assert_eq!(closed, literal, "mode {:?}, query {:?}", mode, q);
+    }
+
+    /// The subsumption graph's order is the hierarchy crate's one order:
+    /// repeatedly the smallest-index node whose parents are all placed,
+    /// the virtual universal node then left out.
+    #[test]
+    fn subsumption_topo_order_is_the_smallest_free_index_order(
+        r in arb_relation2(),
+        mode in prop::sample::select(vec![
+            Preemption::OffPath,
+            Preemption::OnPath,
+            Preemption::NoPreemption,
+        ]),
+    ) {
+        let mut r = r;
+        r.set_preemption(mode);
+        let g = SubsumptionGraph::build(&r);
+        let mut placed = vec![false; g.node_count()];
+        let mut naive = Vec::new();
+        while let Some(next) = (0..g.node_count())
+            .find(|&x| !placed[x] && g.parents(x).iter().all(|&p| placed[p]))
+        {
+            placed[next] = true;
+            naive.push(next);
+        }
+        prop_assert_eq!(naive.len(), g.node_count());
+        naive.retain(|&x| x != SubsumptionGraph::UNIVERSAL);
+        prop_assert_eq!(g.topo_order(), naive, "mode {:?}", mode);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 
 use crate::graph::HierarchyGraph;
 use crate::node::NodeId;
-use crate::reach::Reachability;
 use crate::topo::topological_ranks;
 
 /// Which preemption semantics drive edge re-insertion during elimination.
@@ -86,7 +85,7 @@ impl EliminationGraph {
     /// question".
     pub fn from_closure(g: &HierarchyGraph) -> EliminationGraph {
         let n = g.len();
-        let r = Reachability::new(g);
+        let r = g.closure();
         let mut children = vec![Vec::new(); n];
         let mut parents = vec![Vec::new(); n];
         for id in g.node_ids() {

@@ -12,7 +12,8 @@
 //! On top of the DAG itself the crate provides every graph-level operation
 //! the paper's model needs:
 //!
-//! * topological and reverse-topological orders ([`topo`]),
+//! * the one topological order, over hierarchy graphs and any DAG on
+//!   `usize` ids ([`topo`]),
 //! * reachability, transitive closure, and transitive reduction ([`reach`]),
 //! * the paper's **node-elimination procedure** ([`elim`]), including the
 //!   off-path and on-path variants from the paper's Appendix,

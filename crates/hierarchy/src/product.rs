@@ -72,12 +72,6 @@ impl ProductHierarchy {
         &self.components[i]
     }
 
-    /// Cached binding reachability for one component.
-    #[inline]
-    pub fn component_reach(&self, i: usize) -> &Reachability {
-        &self.reach[i]
-    }
-
     /// Total number of product nodes (may overflow for huge components;
     /// saturates).
     pub fn node_count(&self) -> u128 {
@@ -130,12 +124,6 @@ impl ProductHierarchy {
             .zip(b)
             .zip(&self.subset_reach)
             .all(|((&x, &y), r)| r.reaches(x, y))
-    }
-
-    /// Cached subset-only (membership) reachability for one component.
-    #[inline]
-    pub fn component_subset_reach(&self, i: usize) -> &Reachability {
-        &self.subset_reach[i]
     }
 
     /// Is there a *direct* product edge `a → b`, and of what kind?

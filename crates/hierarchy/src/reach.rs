@@ -25,7 +25,8 @@ pub enum ClosureKind {
 /// A dense reachability matrix over a graph's nodes.
 ///
 /// `reach(i, j)` answers "is there a path i → j?" in O(1) after an
-/// O(V·E/64) bitset construction. Rows are 64-bit packed.
+/// O((V+E) log V + E·V/64) construction: one topological order, then
+/// one row OR per edge. Rows are 64-bit packed.
 #[derive(Clone)]
 pub struct Reachability {
     n: usize,

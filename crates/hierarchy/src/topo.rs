@@ -1,62 +1,67 @@
-//! Topological orders over hierarchy graphs and arbitrary sub-DAGs.
+//! Topological orders over hierarchy graphs and any other DAG on `usize`
+//! ids.
 //!
 //! The paper's node-elimination procedure (§2.1) and consolidation
 //! (§3.3.1) both require traversals "in topologically sorted order" and
 //! "in reverse topological order". A topological order here follows the
 //! paper's footnote 5: if there is an edge from node *i* to node *j*, then
 //! *i* precedes *j* (general before specific).
+//!
+//! There is one order and one implementation of it, [`kahn_order`]:
+//! Kahn's algorithm that always places the *smallest* free id next. It
+//! is deterministic (consolidation results are stable) and costs
+//! O((V+E) log V), the free set being a binary min-heap. The hierarchy
+//! closure ([`crate::reach::Reachability::build`]) and the core crate's
+//! subsumption graphs both order their nodes through it.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::graph::HierarchyGraph;
 use crate::node::NodeId;
 
-/// A topological order of all nodes of `g` (general before specific).
+/// The topological order of the DAG on ids `0..n` whose edges are
+/// `x → c` for every `c` in `children(x)`: of the nodes whose parents
+/// are all placed, the smallest id goes next.
 ///
-/// Deterministic: ties are broken by node id, so repeated calls (and
-/// therefore consolidation results) are stable.
-pub fn topological_order(g: &HierarchyGraph) -> Vec<NodeId> {
-    let n = g.len();
+/// `children` is called twice per node (once to count in-degrees, once
+/// when the node is placed). The graph must be acyclic; a cycle's nodes
+/// are left out of the order (a debug assertion).
+pub fn kahn_order<I>(n: usize, children: impl Fn(usize) -> I) -> Vec<usize>
+where
+    I: IntoIterator<Item = usize>,
+{
     let mut indegree = vec![0usize; n];
-    for id in g.node_ids() {
-        for c in g.children(id) {
-            indegree[c.index()] += 1;
+    for x in 0..n {
+        for c in children(x) {
+            indegree[c] += 1;
         }
     }
-    // Kahn's algorithm with an id-ordered frontier for determinism. The
-    // frontier is kept as a sorted stack (pop smallest via binary-heap-free
-    // trick: maintain ascending Vec, take from front index).
-    let mut frontier: Vec<NodeId> = g
-        .node_ids()
-        .filter(|id| indegree[id.index()] == 0)
-        .collect();
-    frontier.sort_unstable();
+    let mut free: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&x| indegree[x] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    let mut next = 0usize;
-    while next < frontier.len() {
-        let id = frontier[next];
-        next += 1;
-        order.push(id);
-        let mut newly_free: Vec<NodeId> = Vec::new();
-        for c in g.children(id) {
-            let d = &mut indegree[c.index()];
-            *d -= 1;
-            if *d == 0 {
-                newly_free.push(c);
+    while let Some(Reverse(x)) = free.pop() {
+        order.push(x);
+        for c in children(x) {
+            indegree[c] -= 1;
+            if indegree[c] == 0 {
+                free.push(Reverse(c));
             }
         }
-        newly_free.sort_unstable();
-        frontier.extend(newly_free);
-        // Keep the unprocessed tail sorted so the order is deterministic.
-        frontier[next..].sort_unstable();
     }
-    debug_assert_eq!(order.len(), n, "graph invariant guarantees acyclicity");
+    debug_assert_eq!(order.len(), n, "topological order of a cyclic graph");
     order
 }
 
-/// Reverse topological order (specific before general).
-pub fn reverse_topological_order(g: &HierarchyGraph) -> Vec<NodeId> {
-    let mut order = topological_order(g);
-    order.reverse();
-    order
+/// The topological order of all nodes of `g` (general before specific),
+/// over both edge kinds; see [`kahn_order`].
+pub fn topological_order(g: &HierarchyGraph) -> Vec<NodeId> {
+    kahn_order(g.len(), |x| {
+        g.children(NodeId::from_index(x)).map(NodeId::index)
+    })
+    .into_iter()
+    .map(NodeId::from_index)
+    .collect()
 }
 
 /// Positions of each node in a topological order, indexed by node id.
@@ -69,19 +74,6 @@ pub fn topological_ranks(g: &HierarchyGraph) -> Vec<usize> {
         rank[id.index()] = pos;
     }
     rank
-}
-
-/// Topologically sort an explicit node subset of `g`.
-///
-/// The subset inherits the order induced by `g`'s edges; nodes outside
-/// `subset` merely transmit ordering (a path through outside nodes still
-/// orders two subset nodes). Used to order subsumption-graph nodes during
-/// consolidation without materializing the subgraph.
-pub fn sort_subset_topologically(g: &HierarchyGraph, subset: &[NodeId]) -> Vec<NodeId> {
-    let rank = topological_ranks(g);
-    let mut out = subset.to_vec();
-    out.sort_unstable_by_key(|id| (rank[id.index()], *id));
-    out
 }
 
 #[cfg(test)]
@@ -117,14 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_order_is_reversed() {
-        let g = diamond();
-        let mut fwd = topological_order(&g);
-        fwd.reverse();
-        assert_eq!(fwd, reverse_topological_order(&g));
-    }
-
-    #[test]
     fn order_is_deterministic() {
         let g = diamond();
         assert_eq!(topological_order(&g), topological_order(&g));
@@ -141,17 +125,21 @@ mod tests {
     }
 
     #[test]
-    fn subset_sorting_uses_graph_order() {
+    fn flat_fringe_is_ids_ascending_and_closed_over() {
+        // One class over 20 000 instances: the shape on which a
+        // frontier re-sorted per placed node is quadratic in the fringe.
         let mut g = HierarchyGraph::new("D");
-        let a = g.add_class("A", g.root()).unwrap();
-        let b = g.add_class("B", a).unwrap();
-        let c = g.add_class("C", b).unwrap();
-        // Pass the subset in scrambled order; path a -> b -> c must order
-        // a before c even if we exclude b.
-        let sorted = sort_subset_topologically(&g, &[c, a]);
-        assert_eq!(sorted, vec![a, c]);
-        let sorted = sort_subset_topologically(&g, &[c, b, a]);
-        assert_eq!(sorted, vec![a, b, c]);
+        let class = g.add_class("C", g.root()).unwrap();
+        for i in 0..20_000 {
+            g.add_instance(format!("i{i}"), class).unwrap();
+        }
+        let order = topological_order(&g);
+        assert!(order.iter().map(|id| id.index()).eq(0..g.len()));
+        let closure = g.closure();
+        for id in g.node_ids() {
+            assert!(closure.reaches(g.root(), id));
+            assert_eq!(closure.reaches(id, class), id.index() <= class.index());
+        }
     }
 
     #[test]

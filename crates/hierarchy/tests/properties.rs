@@ -43,8 +43,46 @@ fn arb_dag() -> impl Strategy<Value = HierarchyGraph> {
     )
 }
 
+/// Strategy: [`arb_dag`] plus a few random preference edges (rejections
+/// ignored, as for the extra subset edges).
+fn arb_dag_with_preferences() -> impl Strategy<Value = HierarchyGraph> {
+    (arb_dag(), any::<u64>(), 0usize..6).prop_map(|(mut g, seed, extra)| {
+        let n = g.len() as u64;
+        let mut s = seed;
+        for _ in 0..extra {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let a = NodeId::from_index(((s >> 33) % n) as usize);
+            let b = NodeId::from_index(((s >> 13) % n) as usize);
+            let _ = g.add_preference_edge(a, b);
+        }
+        g
+    })
+}
+
+/// The order spelled out: repeatedly place the smallest-id node whose
+/// parents are all placed.
+fn naive_smallest_first_order(g: &HierarchyGraph) -> Vec<NodeId> {
+    let mut placed = vec![false; g.len()];
+    let mut order = Vec::with_capacity(g.len());
+    while let Some(next) = g
+        .node_ids()
+        .find(|&x| !placed[x.index()] && g.parents(x).all(|p| placed[p.index()]))
+    {
+        placed[next.index()] = true;
+        order.push(next);
+    }
+    order
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn topological_order_is_the_smallest_free_id_order(g in arb_dag_with_preferences()) {
+        prop_assert_eq!(topological_order(&g), naive_smallest_first_order(&g));
+    }
 
     #[test]
     fn generated_dags_have_no_cycles(g in arb_dag()) {
