@@ -38,6 +38,7 @@ use std::sync::Arc;
 use hrdm_hierarchy::{HierarchyGraph, NodeKind};
 
 use crate::error::{CoreError, Result};
+use crate::item::Item;
 use crate::mutation::CatalogMutation;
 use crate::pmap::PMap;
 use crate::relation::HRelation;
@@ -235,7 +236,14 @@ impl Catalog {
     ///
     /// Validation happens before any state changes, so a failed
     /// mutation leaves the catalog untouched.
-    pub fn apply_mutation(&mut self, m: &CatalogMutation) -> Result<()> {
+    ///
+    /// An `Assert` or `Retract` returns the item its value names
+    /// resolved to — the one resolution of that tuple a write, a replay
+    /// or a replica's catch-up makes; callers build deltas and replies
+    /// from it. On a catalog that holds its relation alone, a resolution
+    /// and an edit that fits its tuple-map leaf allocate nothing. Every
+    /// other mutation returns `None`.
+    pub fn apply_mutation(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
         match m {
             CatalogMutation::CreateDomain { name } => {
                 if self.domains.contains_key(name.as_str()) {
@@ -245,7 +253,7 @@ impl Catalog {
                     });
                 }
                 self.add_domain(name.clone(), HierarchyGraph::new(name.as_str()));
-                Ok(())
+                Ok(None)
             }
             CatalogMutation::DropDomain { name } => {
                 self.domain(name)?;
@@ -256,39 +264,45 @@ impl Catalog {
                         by: by.to_string(),
                     });
                 }
-                self.drop_domain(name).map(|_| ())
+                self.drop_domain(name).map(|_| None)
             }
             CatalogMutation::AddClass {
                 domain,
                 name,
                 parents,
-            } => self.mutate_domain_resharing(domain, |g| {
-                let ids = parents
-                    .iter()
-                    .map(|p| g.node(p))
-                    .collect::<hrdm_hierarchy::Result<Vec<_>>>()?;
-                g.add_class_multi(name.as_str(), &ids).map(|_| ())
-            }),
+            } => self
+                .mutate_domain_resharing(domain, |g| {
+                    let ids = parents
+                        .iter()
+                        .map(|p| g.node(p))
+                        .collect::<hrdm_hierarchy::Result<Vec<_>>>()?;
+                    g.add_class_multi(name.as_str(), &ids).map(|_| ())
+                })
+                .map(|()| None),
             CatalogMutation::AddInstance {
                 domain,
                 name,
                 parents,
-            } => self.mutate_domain_resharing(domain, |g| {
-                let ids = parents
-                    .iter()
-                    .map(|p| g.node(p))
-                    .collect::<hrdm_hierarchy::Result<Vec<_>>>()?;
-                g.add_instance_multi(name.as_str(), &ids).map(|_| ())
-            }),
+            } => self
+                .mutate_domain_resharing(domain, |g| {
+                    let ids = parents
+                        .iter()
+                        .map(|p| g.node(p))
+                        .collect::<hrdm_hierarchy::Result<Vec<_>>>()?;
+                    g.add_instance_multi(name.as_str(), &ids).map(|_| ())
+                })
+                .map(|()| None),
             CatalogMutation::Prefer {
                 domain,
                 stronger,
                 weaker,
-            } => self.mutate_domain_resharing(domain, |g| {
-                let s = g.node(stronger)?;
-                let w = g.node(weaker)?;
-                hrdm_hierarchy::preference::prefer(g, s, w)
-            }),
+            } => self
+                .mutate_domain_resharing(domain, |g| {
+                    let s = g.node(stronger)?;
+                    let w = g.node(weaker)?;
+                    hrdm_hierarchy::preference::prefer(g, s, w)
+                })
+                .map(|()| None),
             CatalogMutation::CreateRelation { name, attributes } => {
                 if self.relations.contains_key(name.as_str()) {
                     return Err(CoreError::DuplicateName {
@@ -302,30 +316,30 @@ impl Catalog {
                     .collect();
                 let schema = self.schema(&pairs)?;
                 self.add_relation(name.clone(), HRelation::new(schema));
-                Ok(())
+                Ok(None)
             }
-            CatalogMutation::DropRelation { name } => self.drop_relation(name).map(|_| ()),
+            CatalogMutation::DropRelation { name } => self.drop_relation(name).map(|_| None),
             CatalogMutation::Assert {
                 relation,
                 values,
                 truth,
             } => {
                 let rel = self.relation_mut(relation)?;
-                let names: Vec<&str> = values.iter().map(String::as_str).collect();
-                rel.assert_fact(&names, *truth)
+                let item = rel.item(values)?;
+                rel.assert_item(item.clone(), *truth)?;
+                Ok(Some(item))
             }
             CatalogMutation::Retract { relation, values } => {
                 let rel = self.relation_mut(relation)?;
-                let names: Vec<&str> = values.iter().map(String::as_str).collect();
-                let item = rel.item(&names)?;
+                let item = rel.item(values)?;
                 match rel.remove(&item) {
-                    Some(_) => Ok(()),
+                    Some(_) => Ok(Some(item)),
                     None => Err(not_found("tuple", &rel.schema().display_item(&item))),
                 }
             }
             CatalogMutation::SetPreemption { relation, mode } => {
                 self.relation_mut(relation)?.set_preemption(*mode);
-                Ok(())
+                Ok(None)
             }
         }
     }
@@ -679,6 +693,32 @@ mod tests {
             assert!(cat.apply_mutation(&m).is_err(), "{m} should fail");
             assert_eq!(cat.render_stable(), before, "{m} must not change state");
         }
+    }
+
+    #[test]
+    fn tuple_mutations_return_the_item_they_resolved() {
+        let mut cat = Catalog::new();
+        for m in fig1_script() {
+            cat.apply_mutation(&m).unwrap();
+        }
+        let paul = cat.relation("Flies").unwrap().item(&["Paul"]).unwrap();
+        let values = vec!["Paul".to_string()];
+        let assert = CatalogMutation::Assert {
+            relation: "Flies".into(),
+            values: values.clone(),
+            truth: Truth::Positive,
+        };
+        assert_eq!(cat.apply_mutation(&assert), Ok(Some(paul.clone())));
+        let retract = CatalogMutation::Retract {
+            relation: "Flies".into(),
+            values,
+        };
+        assert_eq!(cat.apply_mutation(&retract), Ok(Some(paul)));
+        let mode = CatalogMutation::SetPreemption {
+            relation: "Flies".into(),
+            mode: Preemption::OnPath,
+        };
+        assert_eq!(cat.apply_mutation(&mode), Ok(None));
     }
 
     #[test]

@@ -159,27 +159,33 @@ impl Delta {
             .sum()
     }
 
+    /// The row delta of `relation`, created empty on its first row (the
+    /// one time its name is copied into a key); `None` once the
+    /// relation is reset.
+    fn rows_mut(&mut self, relation: &str) -> Option<&mut RelationDelta> {
+        if !self.relations.contains_key(relation) {
+            self.relations.insert(
+                relation.to_string(),
+                RelationChange::Rows(RelationDelta::new()),
+            );
+        }
+        match self.relations.get_mut(relation) {
+            Some(RelationChange::Rows(d)) => Some(d),
+            _ => None,
+        }
+    }
+
     /// Record one asserted (or truth-overwritten) row.
     pub fn record_added(&mut self, relation: &str, item: Item, truth: Truth) {
-        match self
-            .relations
-            .entry(relation.to_string())
-            .or_insert_with(|| RelationChange::Rows(RelationDelta::new()))
-        {
-            RelationChange::Rows(d) => d.added.push((item, truth)),
-            RelationChange::Reset => {}
+        if let Some(d) = self.rows_mut(relation) {
+            d.added.push((item, truth));
         }
     }
 
     /// Record one retracted row.
     pub fn record_removed(&mut self, relation: &str, item: Item) {
-        match self
-            .relations
-            .entry(relation.to_string())
-            .or_insert_with(|| RelationChange::Rows(RelationDelta::new()))
-        {
-            RelationChange::Rows(d) => d.removed.push(item),
-            RelationChange::Reset => {}
+        if let Some(d) = self.rows_mut(relation) {
+            d.removed.push(item);
         }
     }
 

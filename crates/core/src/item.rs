@@ -45,6 +45,29 @@ impl Item {
         })
     }
 
+    /// Build an item of `arity` components, the `i`-th being `f(i)`,
+    /// stopping at the first error. Up to four components are written
+    /// in place, so a resolution that succeeds allocates nothing.
+    pub(crate) fn try_from_fn<E>(
+        arity: usize,
+        mut f: impl FnMut(usize) -> Result<NodeId, E>,
+    ) -> Result<Item, E> {
+        if arity > INLINE {
+            return (0..arity)
+                .map(f)
+                .collect::<Result<Vec<_>, E>>()
+                .map(Item::new);
+        }
+        let mut nodes = [NodeId::ROOT; INLINE];
+        for (i, slot) in nodes[..arity].iter_mut().enumerate() {
+            *slot = f(i)?;
+        }
+        Ok(Item(Repr::Inline {
+            len: arity as u8,
+            nodes,
+        }))
+    }
+
     /// The arity of the item (number of attributes).
     #[inline]
     pub fn arity(&self) -> usize {
@@ -207,6 +230,24 @@ mod tests {
         assert_eq!(wide.clone().into_components().len(), INLINE + 1);
         assert_eq!(format!("{:?}", Item::new(vec![n(1), n(2)])), "Item[n1, n2]");
         assert!(std::mem::size_of::<Item>() <= std::mem::size_of::<Vec<NodeId>>());
+    }
+
+    #[test]
+    fn try_from_fn_builds_either_layout_and_stops_at_an_error() {
+        for arity in [0, 2, INLINE, INLINE + 1] {
+            let built = Item::try_from_fn(arity, |i| Ok::<_, ()>(n(i + 1))).unwrap();
+            assert_eq!(built, Item::new((1..=arity).map(n).collect()));
+        }
+        let mut called = 0;
+        let failed = Item::try_from_fn(3, |i| {
+            called += 1;
+            if i == 1 {
+                Err(i)
+            } else {
+                Ok(n(i))
+            }
+        });
+        assert_eq!((failed, called), (Err(1), 2));
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl HRelation {
 
     /// Resolve per-attribute node names into an item (see
     /// [`Schema::item`]).
-    pub fn item(&self, names: &[&str]) -> Result<Item> {
+    pub fn item<S: AsRef<str>>(&self, names: &[S]) -> Result<Item> {
         self.schema.item(names)
     }
 

@@ -109,18 +109,19 @@ impl Schema {
     /// Resolve per-attribute node *names* into an [`Item`].
     ///
     /// The `i`-th name is looked up in the `i`-th attribute's domain.
-    pub fn item(&self, names: &[&str]) -> Result<Item> {
+    /// The names are taken as given (`&[&str]`, `&[String]`, …); for an
+    /// arity of at most four a resolution that succeeds allocates
+    /// nothing.
+    pub fn item<S: AsRef<str>>(&self, names: &[S]) -> Result<Item> {
         if names.len() != self.arity() {
             return Err(CoreError::ArityMismatch {
                 expected: self.arity(),
                 got: names.len(),
             });
         }
-        let mut components = Vec::with_capacity(names.len());
-        for (name, attr) in names.iter().zip(&self.attributes) {
-            components.push(attr.domain.node(name)?);
-        }
-        Ok(Item::new(components))
+        Item::try_from_fn(names.len(), |i| {
+            Ok(self.attributes[i].domain.node(names[i].as_ref())?)
+        })
     }
 
     /// Validate that an item has the right arity and that every

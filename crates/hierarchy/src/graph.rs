@@ -378,11 +378,11 @@ impl HierarchyGraph {
         self.kind(id) == NodeKind::Instance
     }
 
-    /// Look a node up by name.
+    /// Look a node up by name. A hit allocates nothing.
     pub fn node(&self, name: impl AsRef<str>) -> Result<NodeId> {
         let name = name.as_ref();
         self.by_name
-            .get(&NodeName::new(name))
+            .get(name)
             .copied()
             .ok_or_else(|| HierarchyError::UnknownName(NodeName::new(name)))
     }

@@ -95,6 +95,14 @@ impl AsRef<str> for NodeName {
     }
 }
 
+/// Equality, order and hash are those of the string, so a name-keyed
+/// map can be probed with a `&str` and no `NodeName` built for it.
+impl std::borrow::Borrow<str> for NodeName {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
 impl From<&str> for NodeName {
     fn from(s: &str) -> NodeName {
         NodeName::new(s)

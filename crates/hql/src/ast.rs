@@ -12,6 +12,14 @@ pub struct ValueRef {
     pub all: bool,
 }
 
+/// A written value resolves by its name alone (see
+/// [`Schema::item`](hrdm_core::prelude::Schema::item)).
+impl AsRef<str> for ValueRef {
+    fn as_ref(&self) -> &str {
+        &self.name
+    }
+}
+
 /// One parsed HQL statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Statement {

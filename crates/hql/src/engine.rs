@@ -47,7 +47,7 @@ use crate::ast::{names, Statement, ValueRef, STATEMENT_KINDS};
 use crate::error::{HqlError, Result};
 use crate::exec::Response;
 use crate::parser::parse;
-use crate::world::{resolve_item, signature, World};
+use crate::world::{signature, World};
 
 /// A shared, thread-safe HQL engine.
 ///
@@ -206,57 +206,57 @@ fn net_rows(delta: &mut Delta, pre: &World, post: &World) {
     }
 }
 
-/// Resolve a tuple-level mutation's value names against `relation` as
-/// it stands in `world`; the relation comes back too, for rendering.
-fn written_item<'w>(
-    world: &'w World,
-    relation: &str,
-    values: &[String],
-) -> Result<(&'w HRelation, Item)> {
-    let rel = world.relation(relation)?;
-    let names: Vec<&str> = values.iter().map(String::as_str).collect();
-    let item = rel.item(&names)?;
-    Ok((rel, item))
-}
-
 impl WriteTxn<'_> {
-    /// Apply one WAL-vocabulary mutation: record its effect in the
-    /// write's delta (resolved against the pre-image), apply it to the
-    /// private world through the catalog's interpreter, and append it
-    /// to the open store's WAL (skipped when detached) — the value that
-    /// is applied is the value that is logged.
-    fn apply(&mut self, m: CatalogMutation) -> Result<()> {
+    /// Apply one WAL-vocabulary mutation: apply it to the private world
+    /// through the catalog's interpreter, record its effect in the
+    /// write's delta, and append it to the open store's WAL (skipped
+    /// when detached) — the value that is applied is the value that is
+    /// logged. An `Assert`/`Retract` is resolved once, by the
+    /// interpreter; its delta row is that item, and so is the return
+    /// value (`None` for every other mutation).
+    fn apply(&mut self, m: CatalogMutation) -> Result<Option<Item>> {
         use CatalogMutation::*;
-        match &m {
-            CreateDomain { name } | DropDomain { name } => self.delta.record_domain(name),
-            AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. } => {
+        let resolved = self.world.apply(&m)?;
+        match (&m, &resolved) {
+            (CreateDomain { name } | DropDomain { name }, _) => self.delta.record_domain(name),
+            (AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. }, _) => {
                 self.delta.record_domain(domain)
             }
             // Dropping resets too: any view depending on the dropped
             // relation fails its maintenance pass — and therefore this
             // write — atomically.
-            CreateRelation { name, .. } | DropRelation { name } => self.delta.record_reset(name),
-            SetPreemption { relation, .. } => self.delta.record_reset(relation),
-            Assert {
-                relation,
-                values,
-                truth,
-            } => {
-                let (_, item) = written_item(&self.world, relation, values)?;
-                self.delta.record_added(relation, item, *truth);
+            (CreateRelation { name, .. } | DropRelation { name }, _) => {
+                self.delta.record_reset(name)
             }
-            Retract { relation, values } => {
-                let (_, item) = written_item(&self.world, relation, values)?;
-                self.delta.record_removed(relation, item);
+            (SetPreemption { relation, .. }, _) => self.delta.record_reset(relation),
+            (
+                Assert {
+                    relation, truth, ..
+                },
+                Some(item),
+            ) => self.delta.record_added(relation, item.clone(), *truth),
+            (Retract { relation, .. }, Some(item)) => {
+                self.delta.record_removed(relation, item.clone())
+            }
+            (Assert { .. } | Retract { .. }, None) => {
+                unreachable!("the interpreter returns the item of every tuple mutation")
             }
         }
-        self.world.apply(&m)?;
         if let Some(j) = self.journal.as_mut() {
             let started = Instant::now();
             j.record(&m)?;
             self.journal_time += started.elapsed();
         }
-        Ok(())
+        Ok(resolved)
+    }
+
+    /// Apply a tuple mutation of `relation` and render the item it
+    /// wrote, the way its reply names it.
+    fn apply_tuple(&mut self, relation: &str, m: CatalogMutation) -> Result<String> {
+        let item = self
+            .apply(m)?
+            .expect("the interpreter returns the item of every tuple mutation");
+        Ok(self.world.relation(relation)?.schema().display_item(&item))
     }
 
     /// Replace the whole world (`LOAD`, `OPEN`, a shipped checkpoint
@@ -468,7 +468,7 @@ impl Engine {
                 txn.replace_world(World::from_image(image));
                 txn.checkpoint()?;
             }
-            batch.into_iter().try_for_each(|m| txn.apply(m))
+            batch.into_iter().try_for_each(|m| txn.apply(m).map(drop))
         })
     }
 
@@ -641,13 +641,14 @@ fn exec_assert(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
         Truth::Positive
     };
     let values: Vec<String> = values.into_iter().map(|v| v.name).collect();
-    let (rel, item) = written_item(&txn.world, &relation, &values)?;
-    let rendered = rel.schema().display_item(&item);
-    txn.apply(CatalogMutation::Assert {
-        relation: relation.clone(),
-        values,
-        truth,
-    })?;
+    let rendered = txn.apply_tuple(
+        &relation,
+        CatalogMutation::Assert {
+            relation: relation.clone(),
+            values,
+            truth,
+        },
+    )?;
     Ok(Response::Ok(format!(
         "asserted {} {rendered} in {relation}",
         truth.sign()
@@ -659,12 +660,13 @@ fn exec_retract(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
         unreachable!("dispatched by kind")
     };
     let values: Vec<String> = values.into_iter().map(|v| v.name).collect();
-    let (rel, item) = written_item(&txn.world, &relation, &values)?;
-    let rendered = rel.schema().display_item(&item);
-    txn.apply(CatalogMutation::Retract {
-        relation: relation.clone(),
-        values,
-    })?;
+    let rendered = txn.apply_tuple(
+        &relation,
+        CatalogMutation::Retract {
+            relation: relation.clone(),
+            values,
+        },
+    )?;
     Ok(Response::Ok(format!(
         "retracted {rendered} from {relation}"
     )))
@@ -827,7 +829,7 @@ fn exec_holds(world: &World, stmt: Statement) -> Result<Response> {
         unreachable!("dispatched by kind")
     };
     let rel = world.relation(&relation)?;
-    let item = resolve_item(rel, &values)?;
+    let item = rel.item(&values)?;
     let rendered = rel.schema().display_item(&item);
     let value = match rel.bind(&item) {
         hrdm_core::Binding::Conflict { .. } => None,
@@ -844,7 +846,7 @@ fn exec_holds3(world: &World, stmt: Statement) -> Result<Response> {
         unreachable!("dispatched by kind")
     };
     let rel = world.relation(&relation)?;
-    let item = resolve_item(rel, &values)?;
+    let item = rel.item(&values)?;
     let rendered = rel.schema().display_item(&item);
     let verdict = match hrdm_core::three_valued::holds3(rel, &item) {
         hrdm_core::three_valued::Truth3::True => "true",
@@ -859,7 +861,7 @@ fn exec_why(world: &World, stmt: Statement) -> Result<Response> {
         unreachable!("dispatched by kind")
     };
     let rel = world.relation(&relation)?;
-    let item = resolve_item(rel, &values)?;
+    let item = rel.item(&values)?;
     let j = justify(rel, &item);
     let mut out = format!(
         "{}: {:?}\napplicable:\n",

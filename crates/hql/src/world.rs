@@ -31,7 +31,7 @@ use hrdm_core::plan::{render_rewrites, Executed, LogicalPlan, Rewrite};
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 
-use crate::ast::{Derivation, Source, ValueRef};
+use crate::ast::{Derivation, Source};
 use crate::error::{HqlError, Result};
 
 /// A derivation as the engine runs it — the one plan `EXPLAIN` prints,
@@ -151,12 +151,6 @@ impl From<Catalog> for World {
     }
 }
 
-/// Resolve a written tuple into an item against a relation's schema.
-pub(crate) fn resolve_item(relation: &HRelation, values: &[ValueRef]) -> Result<Item> {
-    let names: Vec<&str> = values.iter().map(|v| v.name.as_str()).collect();
-    Ok(relation.item(&names)?)
-}
-
 /// Resolve attribute names to schema indexes; an empty list means all.
 pub(crate) fn attr_indexes(rel: &HRelation, attrs: &[String]) -> Result<Vec<usize>> {
     if attrs.is_empty() {
@@ -251,15 +245,17 @@ impl World {
     /// Dropping a relation that was a live view takes the view's
     /// definition with it; views *depending* on it fail on their next
     /// maintenance pass (the write records a reset delta, so that pass
-    /// is this very statement and the failure is atomic).
-    pub(crate) fn apply(&mut self, m: &CatalogMutation) -> Result<()> {
-        self.catalog
+    /// is this very statement and the failure is atomic). Returns the
+    /// item an `Assert`/`Retract` resolved, as the interpreter does.
+    pub(crate) fn apply(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
+        let item = self
+            .catalog
             .apply_mutation(m)
             .map_err(HqlError::from_catalog)?;
         if let CatalogMutation::DropRelation { name } = m {
             self.views.retain(|v| v.name != *name);
         }
-        Ok(())
+        Ok(item)
     }
 
     /// Names of the relations whose schema references `domain`, in name

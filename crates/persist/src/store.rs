@@ -13,9 +13,10 @@
 //! checkpoint, replays its WAL tail, and stops cleanly at the first
 //! torn or corrupt record — yielding exactly a prefix of the committed
 //! history. Taking a checkpoint writes the new image tmp-file-then-
-//! rename, starts a fresh WAL bound to it, and only then deletes the
-//! older generation, so a crash at *any* point leaves at least one
-//! recoverable generation on disk.
+//! rename, starts a fresh WAL bound to it, fsyncs the directory so both
+//! names are durable, and only then deletes the older generation, so a
+//! crash at *any* point leaves at least one recoverable generation on
+//! disk.
 //!
 //! Recovery invariants (tested by `crash_recovery.rs`):
 //!
@@ -37,7 +38,7 @@ use hrdm_core::prelude::Catalog;
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{WalFile, WalReader, WalRecord};
+use crate::wal::{journal_obs, WalFile, WalReader, WalRecord};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -75,7 +76,7 @@ pub fn write_checkpoint(dir: &Path, lsn: u64, image: &Image) -> Result<PathBuf> 
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
-    hrdm_obs::metrics::counter("persist.checkpoints").incr();
+    journal_obs().checkpoints.incr();
     Ok(final_path)
 }
 
@@ -229,7 +230,7 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
                         }
                     }
                     Ok(Some(WalRecord::Mutation(m))) => match catalog.apply_mutation(&m) {
-                        Ok(()) => records_replayed += 1,
+                        Ok(_) => records_replayed += 1,
                         Err(e) => {
                             // Intact frame, inapplicable content: same
                             // clean stop, but the record is charged to
@@ -276,12 +277,18 @@ pub struct Journal {
 
 impl Journal {
     /// Start a fresh generation at `lsn`: write the checkpoint image,
-    /// open a new WAL bound to it, then garbage-collect older
-    /// generations. `group` is the group-commit width (fsync every
-    /// `group` appends; 1 = every append).
+    /// open a new WAL bound to it, fsync the directory, then
+    /// garbage-collect older generations. `group` is the group-commit
+    /// width (fsync every `group` appends; 1 = every append).
+    ///
+    /// The image and the log each fsync their own data, but their names
+    /// — the checkpoint's rename, the log's creation — are entries of
+    /// the directory, and only its fsync makes them durable. Without it
+    /// a crash after the old generation's deletion could leave neither.
     pub fn begin(dir: &Path, lsn: u64, image: &Image, group: usize) -> Result<Journal> {
         write_checkpoint(dir, lsn, image)?;
         let wal = WalFile::create(wal_path(dir, lsn), lsn, group)?;
+        File::open(dir)?.sync_all()?;
         let journal = Journal {
             dir: dir.to_path_buf(),
             wal,

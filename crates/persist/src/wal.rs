@@ -39,10 +39,12 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::preemption::Preemption;
 use hrdm_core::truth::Truth;
+use hrdm_obs::metrics::{self, Counter};
 
 use crate::codec::{
     crc32, read_str, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
@@ -59,6 +61,27 @@ pub const WAL_HEADER_LEN: u64 = WAL_MAGIC.len() as u64 + 4;
 /// Upper bound on one record's payload. Catalog mutations are names
 /// and small lists; anything larger is a corrupt length prefix.
 pub const RECORD_CAP: usize = 1 << 20;
+
+/// The journal's counters, registered once rather than looked up in
+/// the registry (under its lock) on every append.
+pub(crate) struct JournalObs {
+    /// `wal.appends`: mutation records appended.
+    appends: Counter,
+    /// `wal.fsyncs`: WAL data fsyncs (a store directory's fsync is not
+    /// one, so `persist.fsyncs_per_write` counts the log alone).
+    fsyncs: Counter,
+    /// `persist.checkpoints`: checkpoint images written.
+    pub(crate) checkpoints: Counter,
+}
+
+pub(crate) fn journal_obs() -> &'static JournalObs {
+    static M: OnceLock<JournalObs> = OnceLock::new();
+    M.get_or_init(|| JournalObs {
+        appends: metrics::counter("wal.appends"),
+        fsyncs: metrics::counter("wal.fsyncs"),
+        checkpoints: metrics::counter("persist.checkpoints"),
+    })
+}
 
 /// One record in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,87 +150,94 @@ fn read_names(r: &mut impl Read) -> Result<Vec<String>> {
 /// Encode a record's payload (tag + fields, no framing).
 pub fn encode_payload(record: &WalRecord) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
-    let w = &mut buf;
     match record {
         WalRecord::Checkpoint { lsn } => {
-            write_u8(w, 0)?;
-            write_u64(w, *lsn)?;
+            write_u8(&mut buf, 0)?;
+            write_u64(&mut buf, *lsn)?;
         }
-        WalRecord::Mutation(m) => match m {
-            CatalogMutation::CreateDomain { name } => {
-                write_u8(w, 1)?;
-                write_str(w, name)?;
-            }
-            CatalogMutation::DropDomain { name } => {
-                write_u8(w, 2)?;
-                write_str(w, name)?;
-            }
-            CatalogMutation::AddClass {
-                domain,
-                name,
-                parents,
-            } => {
-                write_u8(w, 3)?;
-                write_str(w, domain)?;
-                write_str(w, name)?;
-                write_names(w, parents)?;
-            }
-            CatalogMutation::AddInstance {
-                domain,
-                name,
-                parents,
-            } => {
-                write_u8(w, 4)?;
-                write_str(w, domain)?;
-                write_str(w, name)?;
-                write_names(w, parents)?;
-            }
-            CatalogMutation::Prefer {
-                domain,
-                stronger,
-                weaker,
-            } => {
-                write_u8(w, 5)?;
-                write_str(w, domain)?;
-                write_str(w, stronger)?;
-                write_str(w, weaker)?;
-            }
-            CatalogMutation::CreateRelation { name, attributes } => {
-                write_u8(w, 6)?;
-                write_str(w, name)?;
-                write_u32(w, attributes.len() as u32)?;
-                for (attr, dom) in attributes {
-                    write_str(w, attr)?;
-                    write_str(w, dom)?;
-                }
-            }
-            CatalogMutation::DropRelation { name } => {
-                write_u8(w, 7)?;
-                write_str(w, name)?;
-            }
-            CatalogMutation::Assert {
-                relation,
-                values,
-                truth,
-            } => {
-                write_u8(w, 8)?;
-                write_str(w, relation)?;
-                write_u8(w, truth_tag(*truth))?;
-                write_names(w, values)?;
-            }
-            CatalogMutation::Retract { relation, values } => {
-                write_u8(w, 9)?;
-                write_str(w, relation)?;
-                write_names(w, values)?;
-            }
-            CatalogMutation::SetPreemption { relation, mode } => {
-                write_u8(w, 10)?;
-                write_str(w, relation)?;
-                write_u8(w, preemption_tag(*mode))?;
-            }
-        },
+        WalRecord::Mutation(m) => encode_mutation(&mut buf, m)?,
     }
     Ok(buf)
+}
+
+/// Encode a mutation record's payload onto `w` — what
+/// [`encode_payload`] yields for `WalRecord::Mutation(m.clone())`,
+/// without the clone.
+fn encode_mutation(w: &mut impl Write, m: &CatalogMutation) -> Result<()> {
+    match m {
+        CatalogMutation::CreateDomain { name } => {
+            write_u8(w, 1)?;
+            write_str(w, name)?;
+        }
+        CatalogMutation::DropDomain { name } => {
+            write_u8(w, 2)?;
+            write_str(w, name)?;
+        }
+        CatalogMutation::AddClass {
+            domain,
+            name,
+            parents,
+        } => {
+            write_u8(w, 3)?;
+            write_str(w, domain)?;
+            write_str(w, name)?;
+            write_names(w, parents)?;
+        }
+        CatalogMutation::AddInstance {
+            domain,
+            name,
+            parents,
+        } => {
+            write_u8(w, 4)?;
+            write_str(w, domain)?;
+            write_str(w, name)?;
+            write_names(w, parents)?;
+        }
+        CatalogMutation::Prefer {
+            domain,
+            stronger,
+            weaker,
+        } => {
+            write_u8(w, 5)?;
+            write_str(w, domain)?;
+            write_str(w, stronger)?;
+            write_str(w, weaker)?;
+        }
+        CatalogMutation::CreateRelation { name, attributes } => {
+            write_u8(w, 6)?;
+            write_str(w, name)?;
+            write_u32(w, attributes.len() as u32)?;
+            for (attr, dom) in attributes {
+                write_str(w, attr)?;
+                write_str(w, dom)?;
+            }
+        }
+        CatalogMutation::DropRelation { name } => {
+            write_u8(w, 7)?;
+            write_str(w, name)?;
+        }
+        CatalogMutation::Assert {
+            relation,
+            values,
+            truth,
+        } => {
+            write_u8(w, 8)?;
+            write_str(w, relation)?;
+            write_u8(w, truth_tag(*truth))?;
+            write_names(w, values)?;
+        }
+        CatalogMutation::Retract { relation, values } => {
+            write_u8(w, 9)?;
+            write_str(w, relation)?;
+            write_names(w, values)?;
+        }
+        CatalogMutation::SetPreemption { relation, mode } => {
+            write_u8(w, 10)?;
+            write_str(w, relation)?;
+            write_u8(w, preemption_tag(*mode))?;
+        }
+    }
+    Ok(())
 }
 
 /// Decode a record payload. Trailing bytes after the decoded fields
@@ -312,10 +342,14 @@ pub fn read_header(r: &mut impl Read) -> Result<()> {
 
 /// Frame and write one record: varint length, CRC-32, payload.
 pub fn write_record(w: &mut impl Write, record: &WalRecord) -> Result<()> {
-    let payload = encode_payload(record)?;
+    write_frame(w, &encode_payload(record)?)
+}
+
+/// Write one encoded payload with its frame.
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
     write_varint(w, payload.len() as u64)?;
-    write_u32(w, crc32(&payload))?;
-    w.write_all(&payload)?;
+    write_u32(w, crc32(payload))?;
+    w.write_all(payload)?;
     Ok(())
 }
 
@@ -537,6 +571,9 @@ pub struct WalFile {
     group: usize,
     pending: usize,
     appended: u64,
+    /// The record being appended, encoded (reused across appends, so
+    /// one no larger than an earlier one allocates nothing).
+    payload: Vec<u8>,
 }
 
 impl WalFile {
@@ -555,6 +592,7 @@ impl WalFile {
             group: group.max(1),
             pending: 0,
             appended: 0,
+            payload: Vec::new(),
         };
         write_header(&mut wal.w)?;
         write_record(
@@ -583,11 +621,15 @@ impl WalFile {
         self.pending
     }
 
-    /// Append one mutation record; fsyncs when the group fills.
+    /// Append one mutation record; fsyncs when the group fills. The
+    /// record is encoded straight from `m` into a buffer this file
+    /// keeps, so an append allocates only to outgrow it.
     pub fn append(&mut self, m: &CatalogMutation) -> Result<()> {
         let _g = hrdm_obs::span!("wal.append", kind = m.kind());
-        write_record(&mut self.w, &WalRecord::Mutation(m.clone()))?;
-        hrdm_obs::metrics::counter("wal.appends").incr();
+        self.payload.clear();
+        encode_mutation(&mut self.payload, m)?;
+        write_frame(&mut self.w, &self.payload)?;
+        journal_obs().appends.incr();
         self.appended += 1;
         self.pending += 1;
         if self.pending >= self.group {
@@ -601,7 +643,7 @@ impl WalFile {
         let _g = hrdm_obs::span!("wal.fsync", pending = self.pending);
         self.w.flush()?;
         self.w.get_ref().sync_data()?;
-        hrdm_obs::metrics::counter("wal.fsyncs").incr();
+        journal_obs().fsyncs.incr();
         self.pending = 0;
         Ok(())
     }
