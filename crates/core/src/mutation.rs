@@ -106,6 +106,16 @@ pub enum CatalogMutation {
     },
 }
 
+/// An empty `CreateDomain`, holding no heap storage: the blank a log
+/// reader decodes records into.
+impl Default for CatalogMutation {
+    fn default() -> CatalogMutation {
+        CatalogMutation::CreateDomain {
+            name: String::new(),
+        }
+    }
+}
+
 impl CatalogMutation {
     /// Short tag for metrics/trace labels (`"assert"`, `"add-class"`, …).
     pub fn kind(&self) -> &'static str {

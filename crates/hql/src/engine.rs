@@ -214,10 +214,10 @@ impl WriteTxn<'_> {
     /// logged. An `Assert`/`Retract` is resolved once, by the
     /// interpreter; its delta row is that item, and so is the return
     /// value (`None` for every other mutation).
-    fn apply(&mut self, m: CatalogMutation) -> Result<Option<Item>> {
+    fn apply(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
         use CatalogMutation::*;
-        let resolved = self.world.apply(&m)?;
-        match (&m, &resolved) {
+        let resolved = self.world.apply(m)?;
+        match (m, &resolved) {
             (CreateDomain { name } | DropDomain { name }, _) => self.delta.record_domain(name),
             (AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. }, _) => {
                 self.delta.record_domain(domain)
@@ -244,7 +244,7 @@ impl WriteTxn<'_> {
         }
         if let Some(j) = self.journal.as_mut() {
             let started = Instant::now();
-            j.record(&m)?;
+            j.record(m)?;
             self.journal_time += started.elapsed();
         }
         Ok(resolved)
@@ -252,7 +252,7 @@ impl WriteTxn<'_> {
 
     /// Apply a tuple mutation of `relation` and render the item it
     /// wrote, the way its reply names it.
-    fn apply_tuple(&mut self, relation: &str, m: CatalogMutation) -> Result<String> {
+    fn apply_tuple(&mut self, relation: &str, m: &CatalogMutation) -> Result<String> {
         let item = self
             .apply(m)?
             .expect("the interpreter returns the item of every tuple mutation");
@@ -450,7 +450,7 @@ impl Engine {
     /// Apply a batch of logical mutations as **one** write — the entry
     /// a WAL-fed [`Replica`](crate::Replica) feeds each poll of shipped
     /// history to: an optional checkpoint image to start over from
-    /// (`base`), then `batch` in order. It is the write path of a
+    /// (`base`), then the batch in order. It is the write path of a
     /// mutating statement minus the parsing, run once for the lot: one
     /// world clone (each map node a mutation walks is copied once, then
     /// edited in place), one view-maintenance pass, one published epoch, one
@@ -458,17 +458,23 @@ impl Engine {
     /// engine publishes nothing and stays on the epoch it had. If a
     /// store is `OPEN` the mutations are journaled (and a `base`
     /// checkpointed, as `LOAD` is).
+    ///
+    /// `batch` is handed the function that applies one mutation and
+    /// calls it on each, in order, passing on its first error. Each
+    /// mutation is only lent for its own call, so a replica decodes its
+    /// batch one record at a time into the record its `ShipBatch` keeps;
+    /// a slice is `|apply| mutations.iter().try_for_each(apply)`.
     pub fn apply_mutations(
         &self,
         base: Option<Image>,
-        batch: impl IntoIterator<Item = CatalogMutation>,
+        batch: impl FnOnce(&mut dyn FnMut(&CatalogMutation) -> Result<()>) -> Result<()>,
     ) -> Result<()> {
         self.write(|txn| {
             if let Some(image) = base {
                 txn.replace_world(World::from_image(image));
                 txn.checkpoint()?;
             }
-            batch.into_iter().try_for_each(|m| txn.apply(m).map(drop))
+            batch(&mut |m| txn.apply(m).map(drop))
         })
     }
 
@@ -566,7 +572,7 @@ fn exec_create_domain(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respons
     let Statement::CreateDomain { name } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.apply(CatalogMutation::CreateDomain { name: name.clone() })?;
+    txn.apply(&CatalogMutation::CreateDomain { name: name.clone() })?;
     Ok(Response::Ok(format!("domain {name} created")))
 }
 
@@ -575,7 +581,7 @@ fn exec_create_class(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response
         unreachable!("dispatched by kind")
     };
     let domain = txn.world.domain_containing(&parents)?;
-    txn.apply(CatalogMutation::AddClass {
+    txn.apply(&CatalogMutation::AddClass {
         domain: domain.clone(),
         name: name.clone(),
         parents,
@@ -588,7 +594,7 @@ fn exec_create_instance(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respo
         unreachable!("dispatched by kind")
     };
     let domain = txn.world.domain_containing(&parents)?;
-    txn.apply(CatalogMutation::AddInstance {
+    txn.apply(&CatalogMutation::AddInstance {
         domain: domain.clone(),
         name: name.clone(),
         parents,
@@ -605,7 +611,7 @@ fn exec_prefer(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     else {
         unreachable!("dispatched by kind")
     };
-    txn.apply(CatalogMutation::Prefer {
+    txn.apply(&CatalogMutation::Prefer {
         domain: domain.clone(),
         stronger: stronger.clone(),
         weaker: weaker.clone(),
@@ -619,7 +625,7 @@ fn exec_create_relation(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respo
     let Statement::CreateRelation { name, attributes } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.apply(CatalogMutation::CreateRelation {
+    txn.apply(&CatalogMutation::CreateRelation {
         name: name.clone(),
         attributes,
     })?;
@@ -643,7 +649,7 @@ fn exec_assert(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let values: Vec<String> = values.into_iter().map(|v| v.name).collect();
     let rendered = txn.apply_tuple(
         &relation,
-        CatalogMutation::Assert {
+        &CatalogMutation::Assert {
             relation: relation.clone(),
             values,
             truth,
@@ -662,7 +668,7 @@ fn exec_retract(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let values: Vec<String> = values.into_iter().map(|v| v.name).collect();
     let rendered = txn.apply_tuple(
         &relation,
-        CatalogMutation::Retract {
+        &CatalogMutation::Retract {
             relation: relation.clone(),
             values,
         },
@@ -711,7 +717,7 @@ fn exec_set_preemption(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respon
             })
         }
     };
-    txn.apply(CatalogMutation::SetPreemption {
+    txn.apply(&CatalogMutation::SetPreemption {
         relation: relation.clone(),
         mode: preemption,
     })?;
@@ -793,7 +799,7 @@ fn exec_drop_domain(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response>
     let Statement::DropDomain { name } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.apply(CatalogMutation::DropDomain { name: name.clone() })?;
+    txn.apply(&CatalogMutation::DropDomain { name: name.clone() })?;
     Ok(Response::Ok(format!("domain {name} dropped")))
 }
 
@@ -801,7 +807,7 @@ fn exec_drop_relation(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respons
     let Statement::DropRelation { name } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.apply(CatalogMutation::DropRelation { name: name.clone() })?;
+    txn.apply(&CatalogMutation::DropRelation { name: name.clone() })?;
     Ok(Response::Ok(format!("relation {name} dropped")))
 }
 
@@ -1187,7 +1193,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(live, HqlError::from_catalog(replayed));
         assert_eq!(live.to_string(), "unknown domain \"Nope\"");
-        assert_eq!(Engine::new().apply_mutations(None, [m]).unwrap_err(), live);
+        assert_eq!(
+            Engine::new()
+                .apply_mutations(None, |apply| apply(&m))
+                .unwrap_err(),
+            live
+        );
     }
 
     /// [`Engine::apply_mutations`] is the statement write path minus the
@@ -1202,24 +1213,23 @@ mod tests {
             truth,
         };
         let engine = Engine::new();
-        engine
-            .apply_mutations(
-                None,
-                [
-                    CatalogMutation::CreateDomain { name: "D".into() },
-                    CatalogMutation::AddClass {
-                        domain: "D".into(),
-                        name: "A".into(),
-                        parents: vec!["D".into()],
-                    },
-                    CatalogMutation::CreateRelation {
-                        name: "R".into(),
-                        attributes: vec![("V".into(), "D".into())],
-                    },
-                    assert("D", Truth::Negative),
-                ],
-            )
-            .unwrap();
+        let apply_all = |batch: &[CatalogMutation]| {
+            engine.apply_mutations(None, |apply| batch.iter().try_for_each(apply))
+        };
+        apply_all(&[
+            CatalogMutation::CreateDomain { name: "D".into() },
+            CatalogMutation::AddClass {
+                domain: "D".into(),
+                name: "A".into(),
+                parents: vec!["D".into()],
+            },
+            CatalogMutation::CreateRelation {
+                name: "R".into(),
+                attributes: vec![("V".into(), "D".into())],
+            },
+            assert("D", Truth::Negative),
+        ])
+        .unwrap();
         assert_eq!(engine.epoch(), 1, "one epoch for the whole batch");
         let (epoch, delta) = engine.last_delta().unwrap();
         assert_eq!(epoch, 1);
@@ -1231,34 +1241,26 @@ mod tests {
 
         // Assert-then-retract nets to nothing; a row that stays is one
         // row, and the batch is still one epoch.
-        engine
-            .apply_mutations(
-                None,
-                [
-                    assert("A", Truth::Positive),
-                    CatalogMutation::Retract {
-                        relation: "R".into(),
-                        values: vec!["A".into()],
-                    },
-                    assert("A", Truth::Positive),
-                    assert("D", Truth::Negative),
-                ],
-            )
-            .unwrap();
+        apply_all(&[
+            assert("A", Truth::Positive),
+            CatalogMutation::Retract {
+                relation: "R".into(),
+                values: vec!["A".into()],
+            },
+            assert("A", Truth::Positive),
+            assert("D", Truth::Negative),
+        ])
+        .unwrap();
         let (epoch, delta) = engine.last_delta().unwrap();
         assert_eq!((epoch, engine.epoch(), delta.row_count()), (2, 2, 1));
 
         // A refused record takes the whole batch with it.
         let before = engine.execute_read("SHOW R;", 0).unwrap();
-        assert!(engine
-            .apply_mutations(
-                None,
-                [
-                    assert("A", Truth::Positive),
-                    CatalogMutation::DropDomain { name: "D".into() },
-                ],
-            )
-            .is_err());
+        assert!(apply_all(&[
+            assert("A", Truth::Positive),
+            CatalogMutation::DropDomain { name: "D".into() },
+        ])
+        .is_err());
         assert_eq!(engine.epoch(), 2, "a refused batch publishes nothing");
         assert_eq!(engine.execute_read("SHOW R;", 0).unwrap(), before);
 

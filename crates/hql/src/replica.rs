@@ -47,7 +47,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
-use hrdm_persist::ship::{ShipEvent, WalTailer};
+use hrdm_persist::ship::{ShipBatch, WalTailer};
 
 use crate::engine::Engine;
 use crate::error::HqlError;
@@ -118,29 +118,29 @@ impl Replica {
     /// from there (see the module docs).
     pub fn sync(&self) -> ExecResult<u64> {
         let mut feed = self.feed.lock().expect("feed lock poisoned");
+        let tailer = &mut feed.tailer;
+        // Every poll of this sync refills the same batch, so a catch-up
+        // allocates nothing per record; it is dropped when the sync
+        // ends, so a replica keeps no log bytes between syncs.
+        let mut batch = ShipBatch::new();
         let mut records = 0u64;
         let outcome = loop {
-            let batch_start = feed.tailer.cursor();
-            let events = match feed.tailer.poll_at_most(SYNC_BATCH) {
-                Ok(events) if events.is_empty() => break Ok(()),
-                Ok(events) => events,
+            let batch_start = tailer.cursor();
+            match tailer.poll_into(&mut batch, SYNC_BATCH) {
+                Ok(()) if batch.is_empty() => break Ok(()),
+                Ok(()) => {}
                 Err(e) => break Err(ExecError::from(HqlError::from(e))),
-            };
-            let mut base = None;
-            let mut batch = Vec::with_capacity(events.len());
-            for event in events {
-                match event {
-                    ShipEvent::Rollover { image, .. } => base = Some(image),
-                    ShipEvent::Mutation { mutation, .. } => batch.push(mutation),
-                }
             }
-            let applied = batch.len() as u64;
-            if let Err(e) = self.engine.apply_mutations(base, batch) {
-                feed.tailer.rewind(batch_start);
+            let base = batch.take_rollover().map(|(_, image)| image);
+            let applied = self
+                .engine
+                .apply_mutations(base, |apply| batch.try_for_each(apply));
+            if let Err(e) = applied {
+                tailer.rewind(batch_start);
                 obs().apply_errors.incr();
                 break Err(e.into());
             }
-            records += applied;
+            records += batch.len() as u64;
         };
         let lsn = feed.tailer.shipped_lsn();
         obs().applied_lsn.set(lsn);

@@ -126,7 +126,9 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
         for m in &bootstrap {
             mirror.apply_mutation(m).unwrap();
         }
-        engine.apply_mutations(None, bootstrap).unwrap();
+        engine
+            .apply_mutations(None, |apply| bootstrap.iter().try_for_each(apply))
+            .unwrap();
 
         for round in 0..BATCHES {
             let context = format!("seed {seed:#x} batch {round}");
@@ -156,7 +158,9 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
                 continue;
             }
             let pre = engine.snapshot();
-            engine.apply_mutations(None, batch.clone()).unwrap();
+            engine
+                .apply_mutations(None, |apply| batch.iter().try_for_each(apply))
+                .unwrap();
             let post = engine.snapshot();
             let (epoch, delta) = engine.last_delta().expect("the batch published");
             assert_eq!(

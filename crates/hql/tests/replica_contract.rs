@@ -75,7 +75,9 @@ const READS: &str = "SHOW DOMAIN D; SHOW R; COUNT R;";
 fn primary_at(script: &[CatalogMutation], lsn: u64) -> Vec<String> {
     let primary = Engine::new();
     primary
-        .apply_mutations(None, script[..lsn as usize].iter().cloned())
+        .apply_mutations(None, |apply| {
+            script[..lsn as usize].iter().try_for_each(apply)
+        })
         .unwrap();
     primary.execute_read(READS, 0).unwrap()
 }

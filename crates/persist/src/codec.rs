@@ -172,6 +172,28 @@ pub fn read_str(r: &mut impl Read) -> Result<String> {
     String::from_utf8(buf).map_err(|_| PersistError::Corrupt("invalid UTF-8".into()))
 }
 
+/// Read a length-prefixed UTF-8 string off the front of a payload into
+/// `into`'s storage (cleared first), and hand that storage back: a
+/// string no longer than what it held allocates nothing. A length
+/// longer than what is left of the payload is
+/// [`PersistError::Corrupt`] before anything is allocated.
+pub fn read_str_into(r: &mut &[u8], mut into: String) -> Result<String> {
+    let len = read_u32(r)? as usize;
+    if len > r.len() {
+        return Err(PersistError::Corrupt(format!(
+            "string length {len} exceeds the {} byte(s) left",
+            r.len()
+        )));
+    }
+    let (body, rest) = r.split_at(len);
+    let body =
+        std::str::from_utf8(body).map_err(|_| PersistError::Corrupt("invalid UTF-8".into()))?;
+    into.clear();
+    into.push_str(body);
+    *r = rest;
+    Ok(into)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +384,37 @@ mod tests {
         assert!(matches!(
             read_str(&mut &buf[..]),
             Err(PersistError::Corrupt(msg)) if msg.contains("sanity cap")
+        ));
+    }
+
+    /// The payload reader keeps the storage it is handed, and judges a
+    /// length against the bytes left, not against [`LEN_CAP`].
+    #[test]
+    fn payload_strings_reuse_storage_and_are_bounded_by_what_is_left() {
+        let mut buf = Vec::new();
+        assert!(matches!(write_str(&mut buf, "Bird"), Ok(())));
+        buf.push(0xAB);
+        let mut r = &buf[..];
+        let kept = String::with_capacity(16);
+        let at = kept.as_ptr();
+        let s = read_str_into(&mut r, kept).unwrap();
+        assert_eq!((s.as_str(), s.as_ptr(), r), ("Bird", at, &[0xABu8][..]));
+
+        for claimed in [5u32, LEN_CAP as u32, u32::MAX] {
+            buf.clear();
+            assert!(matches!(write_u32(&mut buf, claimed), Ok(())));
+            buf.extend_from_slice(b"abcd");
+            assert!(matches!(
+                read_str_into(&mut &buf[..], String::new()),
+                Err(PersistError::Corrupt(msg)) if msg.contains("4 byte(s) left")
+            ));
+        }
+        buf.clear();
+        assert!(matches!(write_u32(&mut buf, 2), Ok(())));
+        buf.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(matches!(
+            read_str_into(&mut &buf[..], String::new()),
+            Err(PersistError::Corrupt(msg)) if msg.contains("UTF-8")
         ));
     }
 

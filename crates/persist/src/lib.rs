@@ -63,6 +63,6 @@ pub mod wal;
 pub use error::{PersistError, Result};
 pub use faultfs::{Fault, FaultFs};
 pub use image::Image;
-pub use ship::{ShipCursor, ShipEvent, WalTailer};
+pub use ship::{ShipBatch, ShipCursor, ShipEvent, WalTailer};
 pub use store::{recover, DurableCatalog, Journal, Recovered, RecoveryReport};
-pub use wal::{FrameError, WalFile, WalReader, WalRecord};
+pub use wal::{Frame, FrameError, WalFile, WalReader, WalRecord};

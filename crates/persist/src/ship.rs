@@ -18,7 +18,10 @@
 //! boundary it verified up to — decides "same generation" from the
 //! newest checkpoint's file name (an image is loaded and checksummed
 //! only when that name changed), seeks to the offset and decodes from
-//! there. The offset only ever moves past intact frames.
+//! there. The offset only ever moves past intact frames. A consumer
+//! that polls over and over ([`poll_into`](WalTailer::poll_into)) hands
+//! back the same [`ShipBatch`] each time, and the poll refills the
+//! buffers it already holds.
 //!
 //! The tailer is strictly **read-only**, and every delivered record
 //! was CRC-verified. What it does at a frame it cannot deliver depends
@@ -54,7 +57,7 @@ use hrdm_obs::metrics::{self, Counter};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
 use crate::store::{checkpoint_lsns, newest_intact_checkpoint, wal_path};
-use crate::wal::{FrameError, WalReader, WalRecord, WAL_HEADER_LEN};
+use crate::wal::{decode_into, Frame, FrameError, WalReader, WAL_HEADER_LEN};
 
 /// One unit of shipped history.
 pub enum ShipEvent {
@@ -74,6 +77,78 @@ pub enum ShipEvent {
         /// The mutation itself.
         mutation: CatalogMutation,
     },
+}
+
+/// What one poll delivered — at most one rollover, then mutation records
+/// in LSN order — held in a batch the consumer keeps and hands back to
+/// every [`poll_into`](WalTailer::poll_into).
+///
+/// The batch keeps each delivered record as its verified payload, back
+/// to back in one buffer, and one [`CatalogMutation`] that every payload
+/// is decoded into ([`crate::wal::decode_into`]): by the poll, which
+/// must decode a frame to know it is valid, and again by
+/// [`try_for_each`](ShipBatch::try_for_each) when the consumer applies
+/// it. Once its buffers have grown to a poll's size, a poll and its
+/// application allocate nothing, and what the batch keeps between polls
+/// is the log's own bytes, not a record per frame.
+///
+/// A batch keeps the capacity of the largest poll it received (at most
+/// `max` payloads of at most [`crate::wal::RECORD_CAP`] bytes, and one
+/// `usize` each) and one record; drop it when polls are far apart.
+#[derive(Default)]
+pub struct ShipBatch {
+    rollover: Option<(u64, Image)>,
+    /// The delivered records' payloads, back to back.
+    payloads: Vec<u8>,
+    /// Where each delivered record's payload ends in `payloads`.
+    ends: Vec<usize>,
+    /// The record each payload is decoded into.
+    record: CatalogMutation,
+}
+
+impl ShipBatch {
+    /// An empty batch.
+    pub fn new() -> ShipBatch {
+        ShipBatch::default()
+    }
+
+    /// Nothing was delivered: no rollover, no mutation.
+    pub fn is_empty(&self) -> bool {
+        self.rollover.is_none() && self.ends.is_empty()
+    }
+
+    /// Mutation records the last poll delivered.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The rollover the last poll delivered, if any: the checkpoint LSN
+    /// of the new generation and its image, taken out of the batch.
+    pub fn take_rollover(&mut self) -> Option<(u64, Image)> {
+        self.rollover.take()
+    }
+
+    /// Hand each delivered mutation to `f`, in LSN order, each decoded
+    /// into the one record the batch keeps; stops at the first `Err`.
+    pub fn try_for_each<E>(
+        &mut self,
+        mut f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let mut start = 0;
+        for &end in &self.ends {
+            decode_into(&self.payloads[start..end], &mut self.record)
+                .expect("a delivered payload decoded when it was polled");
+            f(&self.record)?;
+            start = end;
+        }
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.rollover = None;
+        self.payloads.clear();
+        self.ends.clear();
+    }
 }
 
 struct ShipObs {
@@ -169,22 +244,42 @@ impl WalTailer {
     /// before it has been delivered. IO failures (other than files
     /// legitimately missing mid-rollover) propagate.
     pub fn poll(&mut self) -> Result<Vec<ShipEvent>> {
-        self.poll_at_most(usize::MAX)
+        let mut batch = ShipBatch::new();
+        self.poll_into(&mut batch, usize::MAX)?;
+        let mut events = Vec::with_capacity(1 + batch.len());
+        if let Some((lsn, image)) = batch.take_rollover() {
+            events.push(ShipEvent::Rollover { lsn, image });
+        }
+        let mut lsn = self.shipped_lsn() - batch.len() as u64;
+        let Ok(()) = batch.try_for_each(|mutation| {
+            lsn += 1;
+            events.push(ShipEvent::Mutation {
+                lsn,
+                mutation: mutation.clone(),
+            });
+            Ok::<_, std::convert::Infallible>(())
+        });
+        Ok(events)
     }
 
-    /// [`poll`](WalTailer::poll), stopping after `max` mutation records:
-    /// the cursor stays on the frame boundary and the next poll carries
-    /// on from it, so a long log can be drained in bounded pieces.
-    pub fn poll_at_most(&mut self, max: usize) -> Result<Vec<ShipEvent>> {
+    /// [`poll`](WalTailer::poll) into a batch the caller keeps, stopping
+    /// after `max` mutation records: the cursor stays on the frame
+    /// boundary and the next poll carries on from it, so a long log can
+    /// be drained in bounded pieces. Whatever `batch` held is replaced;
+    /// on `Err` it holds nothing.
+    pub fn poll_into(&mut self, batch: &mut ShipBatch, max: usize) -> Result<()> {
         let _g = hrdm_obs::span!("ship.poll", dir = self.dir.display());
+        batch.clear();
         let mut cursor = self.cursor;
-        let mut events = Vec::new();
-        match self.advance(&mut cursor, &mut events, max) {
+        match self.advance(&mut cursor, batch, max) {
             // A failed read says nothing about the log: deliver nothing
             // and leave the cursor where it was.
-            Err(PersistError::Io(e)) => Err(PersistError::Io(e)),
+            Err(PersistError::Io(e)) => {
+                batch.clear();
+                Err(PersistError::Io(e))
+            }
             // Damage, with nothing intact before it.
-            Err(e) if events.is_empty() => {
+            Err(e) if batch.is_empty() => {
                 obs().corrupt_records.incr();
                 Err(e)
             }
@@ -192,20 +287,15 @@ impl WalTailer {
             // first in line and reports it.
             Err(_) | Ok(()) => {
                 self.cursor = cursor;
-                Ok(events)
+                Ok(())
             }
         }
     }
 
-    /// Move `cursor` forward over what is new, pushing what it passes
-    /// onto `events`. On `Err` the cursor stands on the last frame
+    /// Move `cursor` forward over what is new, delivering what it passes
+    /// into `batch`. On `Err` the cursor stands on the last frame
     /// boundary before the failure.
-    fn advance(
-        &self,
-        cursor: &mut ShipCursor,
-        events: &mut Vec<ShipEvent>,
-        max: usize,
-    ) -> Result<()> {
+    fn advance(&self, cursor: &mut ShipCursor, batch: &mut ShipBatch, max: usize) -> Result<()> {
         let obs = obs();
 
         // 0. A WAL shorter than what was already verified, or gone, is
@@ -250,7 +340,7 @@ impl WalTailer {
                     delivered: 0,
                     offset: 0,
                 };
-                events.push(ShipEvent::Rollover { lsn, image });
+                batch.rollover = Some((lsn, image));
                 obs.rollovers.incr();
             }
         }
@@ -281,23 +371,21 @@ impl WalTailer {
         let delivered_before = cursor.delivered;
         let mut outcome = Ok(());
         while ((cursor.delivered - delivered_before) as usize) < max {
-            match reader.next_frame() {
+            match reader.next_into(&mut batch.record) {
                 // A clean end, or a tail still being written.
                 Ok(None) | Err(FrameError::Short(_)) => break,
-                Ok(Some(WalRecord::Checkpoint { lsn })) if lsn == generation => {}
-                Ok(Some(WalRecord::Checkpoint { lsn })) => {
+                Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => {}
+                Ok(Some(Frame::Checkpoint { lsn })) => {
                     outcome = Err(corrupt(
                         cursor.offset,
                         format!("wal names checkpoint {lsn}, expected {generation}"),
                     ));
                     break;
                 }
-                Ok(Some(WalRecord::Mutation(mutation))) => {
+                Ok(Some(Frame::Mutation)) => {
                     cursor.delivered += 1;
-                    events.push(ShipEvent::Mutation {
-                        lsn: generation + cursor.delivered,
-                        mutation,
-                    });
+                    batch.payloads.extend_from_slice(reader.payload());
+                    batch.ends.push(batch.payloads.len());
                 }
                 Err(FrameError::Io(e)) => {
                     outcome = Err(e.into());
@@ -442,6 +530,30 @@ mod tests {
             .collect()
     }
 
+    /// Poll at most `max` records into the kept `batch`; the LSNs it
+    /// then holds, the rollover's first, and its mutations.
+    fn poll_lsns(
+        tailer: &mut WalTailer,
+        batch: &mut ShipBatch,
+        max: usize,
+    ) -> (Vec<u64>, Vec<CatalogMutation>) {
+        tailer.poll_into(batch, max).unwrap();
+        let last = tailer.shipped_lsn();
+        let rollover = batch.take_rollover().map(|(lsn, _)| lsn);
+        let lsns = rollover
+            .into_iter()
+            .chain(last + 1 - batch.len() as u64..=last)
+            .collect();
+        let mut mutations = Vec::new();
+        batch
+            .try_for_each(|m| {
+                mutations.push(m.clone());
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+        (lsns, mutations)
+    }
+
     #[test]
     fn bounded_polls_stop_on_frame_boundaries_and_a_rewind_redelivers() {
         let dir = temp_dir("bounded");
@@ -450,13 +562,25 @@ mod tests {
             store.mutate(m).unwrap();
         }
         let mut tailer = WalTailer::attach(&dir);
+        let mut batch = ShipBatch::new();
         let attached = tailer.cursor();
         // The rollover does not count against the bound.
-        assert_eq!(lsns(&tailer.poll_at_most(1).unwrap()), [0, 1]);
+        let all = mutations();
+        assert_eq!(
+            poll_lsns(&mut tailer, &mut batch, 1),
+            (vec![0, 1], all[..1].to_vec())
+        );
         let after_one = tailer.cursor();
-        assert_eq!(lsns(&tailer.poll_at_most(2).unwrap()), [2, 3]);
-        assert_eq!(lsns(&tailer.poll_at_most(2).unwrap()), [4]);
-        assert!(tailer.poll_at_most(2).unwrap().is_empty());
+        assert_eq!(
+            poll_lsns(&mut tailer, &mut batch, 2),
+            (vec![2, 3], all[1..3].to_vec())
+        );
+        assert_eq!(
+            poll_lsns(&mut tailer, &mut batch, 2),
+            (vec![4], all[3..].to_vec())
+        );
+        tailer.poll_into(&mut batch, 2).unwrap();
+        assert!(batch.is_empty());
 
         tailer.rewind(after_one);
         assert_eq!(tailer.shipped_lsn(), 1);

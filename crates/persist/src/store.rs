@@ -29,7 +29,7 @@
 //!    the same directory yields identical catalogs and reports.
 
 use std::fs::{self, File};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use hrdm_core::mutation::CatalogMutation;
@@ -38,7 +38,7 @@ use hrdm_core::prelude::Catalog;
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{journal_obs, WalFile, WalReader, WalRecord};
+use crate::wal::{journal_obs, Frame, FrameError, WalFile, WalReader};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -81,8 +81,13 @@ pub fn write_checkpoint(dir: &Path, lsn: u64, image: &Image) -> Result<PathBuf> 
 }
 
 /// Load and verify one checkpoint file, returning its LSN and image.
+/// The payload length in the header is believed only as far as the file
+/// bears it out: a claim longer than the bytes left is
+/// [`PersistError::Corrupt`] before anything is allocated.
 pub fn load_checkpoint(path: &Path) -> Result<(u64, Image)> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     std::io::Read::read_exact(&mut r, &mut magic).map_err(|_| PersistError::BadMagic)?;
     if &magic != CHECKPOINT_MAGIC {
@@ -96,6 +101,12 @@ pub fn load_checkpoint(path: &Path) -> Result<(u64, Image)> {
         )));
     }
     let expected_crc = read_u32(&mut r)?;
+    let left = file_len.saturating_sub(r.stream_position()?);
+    if len > left {
+        return Err(PersistError::Corrupt(format!(
+            "checkpoint image length {len} exceeds the {left} byte(s) left in the file"
+        )));
+    }
     let mut payload = vec![0u8; len as usize];
     std::io::Read::read_exact(&mut r, &mut payload)
         .map_err(|_| PersistError::Corrupt("torn checkpoint payload".into()))?;
@@ -193,6 +204,7 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
     //    crash mid-rename (or a damaged newest image) falls back to the
     //    previous generation.
     let (base, checkpoints_skipped) = if dir.is_dir() {
+        let _g = hrdm_obs::span!("recover.load_checkpoint");
         newest_intact_checkpoint(dir, &checkpoint_lsns(dir)?)
     } else {
         (None, 0)
@@ -203,7 +215,9 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
     };
 
     // 2. Replay the WAL bound to that checkpoint, stopping cleanly at
-    //    the first record that is torn, corrupt, or inapplicable.
+    //    the first record that is torn, corrupt, or inapplicable. Every
+    //    record is decoded into the same `record`, so replay holds one
+    //    payload and one record however long the log.
     let mut records_replayed = 0u64;
     let mut truncated_bytes = 0u64;
     let path = wal_path(dir, checkpoint_lsn);
@@ -218,35 +232,37 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
                 // Torn header: the whole file is discarded tail.
                 truncated_bytes = file_len;
             }
-            Ok(mut reader) => loop {
-                let committed = reader.good_pos();
-                match reader.next() {
-                    Ok(None) => break,
-                    Ok(Some(WalRecord::Checkpoint { lsn })) => {
-                        if lsn != checkpoint_lsn {
-                            return Err(PersistError::Corrupt(format!(
-                                "wal names checkpoint {lsn}, expected {checkpoint_lsn}"
-                            )));
+            Ok(mut reader) => {
+                let mut record = CatalogMutation::default();
+                loop {
+                    let committed = reader.good_pos();
+                    match reader.next_into(&mut record) {
+                        Ok(None) => break,
+                        Ok(Some(Frame::Checkpoint { lsn })) => {
+                            if lsn != checkpoint_lsn {
+                                return Err(PersistError::Corrupt(format!(
+                                    "wal names checkpoint {lsn}, expected {checkpoint_lsn}"
+                                )));
+                            }
                         }
-                    }
-                    Ok(Some(WalRecord::Mutation(m))) => match catalog.apply_mutation(&m) {
-                        Ok(_) => records_replayed += 1,
-                        Err(e) => {
-                            // Intact frame, inapplicable content: same
-                            // clean stop, but the record is charged to
-                            // the discarded tail.
-                            let _ = e;
-                            truncated_bytes = file_len - committed;
+                        Ok(Some(Frame::Mutation)) => match catalog.apply_mutation(&record) {
+                            Ok(_) => records_replayed += 1,
+                            Err(_) => {
+                                // Intact frame, inapplicable content: same
+                                // clean stop, but the record is charged to
+                                // the discarded tail.
+                                truncated_bytes = file_len - committed;
+                                break;
+                            }
+                        },
+                        Err(FrameError::Io(e)) => return Err(PersistError::Io(e)),
+                        Err(FrameError::Short(_) | FrameError::Invalid(_)) => {
+                            truncated_bytes = file_len - reader.good_pos();
                             break;
                         }
-                    },
-                    Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
-                    Err(_) => {
-                        truncated_bytes = file_len - reader.good_pos();
-                        break;
                     }
                 }
-            },
+            }
         }
     }
 

@@ -30,11 +30,21 @@
 //! yields exactly a prefix of the history.
 //!
 //! A reader of a *live* log ([`crate::ship::WalTailer`]) cannot treat
-//! the two alike, so [`WalReader::next_frame`] keeps them apart as a
+//! the two alike, so [`WalReader::next_into`] keeps them apart as a
 //! [`FrameError`]: end-of-file inside a frame is a tail still being
 //! written ([`FrameError::Short`] — come back later), a complete frame
 //! that fails verification is damage ([`FrameError::Invalid`] — no
 //! amount of waiting repairs it).
+//!
+//! # Decoding in place
+//!
+//! Replay decodes thousands of small records in a row, so the reader
+//! streams: one payload buffer (≤ [`RECORD_CAP`]) is reused for every
+//! frame, and [`WalReader::next_into`] decodes each mutation into a
+//! record the caller keeps ([`decode_into`]), whose strings and name
+//! list are overwritten rather than built anew. A reader therefore holds
+//! one payload plus one record, however long the log; an `Assert` or
+//! `Retract` no longer than the record before it allocates nothing.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -47,7 +57,7 @@ use hrdm_core::truth::Truth;
 use hrdm_obs::metrics::{self, Counter};
 
 use crate::codec::{
-    crc32, read_str, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
+    crc32, read_str_into, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
     write_varint,
 };
 use crate::error::{PersistError, Result};
@@ -137,14 +147,32 @@ fn write_names(w: &mut impl Write, names: &[String]) -> Result<()> {
     Ok(())
 }
 
-fn read_names(r: &mut impl Read) -> Result<Vec<String>> {
+/// A count of items that each take at least `min_bytes` of what is left
+/// of the payload: one claiming more than fits is corrupt before any
+/// item is read or allocated.
+fn read_count(r: &mut &[u8], min_bytes: usize, what: &str) -> Result<usize> {
     let n = read_u32(r)? as usize;
-    if n > RECORD_CAP {
+    if n > r.len() / min_bytes {
         return Err(PersistError::Corrupt(format!(
-            "name count {n} exceeds record cap"
+            "{what} count {n} exceeds the {} byte(s) left",
+            r.len()
         )));
     }
-    (0..n).map(|_| read_str(r)).collect()
+    Ok(n)
+}
+
+/// Read a name list into `names`' storage, reusing the strings it
+/// already holds, and hand it back.
+fn read_names_into(r: &mut &[u8], mut names: Vec<String>) -> Result<Vec<String>> {
+    let n = read_count(r, 4, "name")?;
+    names.truncate(n);
+    for name in names.iter_mut() {
+        *name = read_str_into(r, std::mem::take(name))?;
+    }
+    for _ in names.len()..n {
+        names.push(read_str_into(r, String::new())?);
+    }
+    Ok(names)
 }
 
 /// Encode a record's payload (tag + fields, no framing).
@@ -240,73 +268,57 @@ fn encode_mutation(w: &mut impl Write, m: &CatalogMutation) -> Result<()> {
     Ok(())
 }
 
-/// Decode a record payload. Trailing bytes after the decoded fields
-/// are [`PersistError::Corrupt`]: a frame carries exactly one record.
+/// What a frame held, once [`decode_into`] has put its mutation (if it
+/// was one) into the record the caller keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// The log's header record: the log extends the checkpoint at `lsn`.
+    /// The caller's record is left as it was.
+    Checkpoint {
+        /// LSN of the checkpoint image this log follows.
+        lsn: u64,
+    },
+    /// A mutation record, now in the caller's record.
+    Mutation,
+}
+
+impl Frame {
+    /// The owned [`WalRecord`] this frame is, given the record it was
+    /// decoded into.
+    fn into_record(self, decoded: CatalogMutation) -> WalRecord {
+        match self {
+            Frame::Checkpoint { lsn } => WalRecord::Checkpoint { lsn },
+            Frame::Mutation => WalRecord::Mutation(decoded),
+        }
+    }
+}
+
+/// Decode a record payload into a fresh record. Trailing bytes after
+/// the decoded fields are [`PersistError::Corrupt`]: a frame carries
+/// exactly one record.
 pub fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
+    let mut record = CatalogMutation::default();
+    Ok(decode_into(payload, &mut record)?.into_record(record))
+}
+
+/// Decode a record payload into `record`, a record the caller keeps
+/// from frame to frame: its strings and name list are overwritten in
+/// place (cleared, then refilled) and move to the new record when the
+/// kind changes, so an `Assert` or `Retract` no longer than the one
+/// before allocates nothing. Checks are those of [`decode_payload`],
+/// which is this on a fresh record. `record` is the decoded mutation
+/// only after `Ok(Frame::Mutation)`: a checkpoint frame leaves it as it
+/// was, and after an `Err` it may hold the previous record, a blank one,
+/// or the fields of a payload that had trailing bytes.
+pub fn decode_into(payload: &[u8], record: &mut CatalogMutation) -> Result<Frame> {
     let mut r = payload;
-    let record = match read_u8(&mut r)? {
-        0 => WalRecord::Checkpoint {
+    let frame = match read_u8(&mut r)? {
+        0 => Frame::Checkpoint {
             lsn: read_u64(&mut r)?,
         },
-        1 => WalRecord::Mutation(CatalogMutation::CreateDomain {
-            name: read_str(&mut r)?,
-        }),
-        2 => WalRecord::Mutation(CatalogMutation::DropDomain {
-            name: read_str(&mut r)?,
-        }),
-        3 => WalRecord::Mutation(CatalogMutation::AddClass {
-            domain: read_str(&mut r)?,
-            name: read_str(&mut r)?,
-            parents: read_names(&mut r)?,
-        }),
-        4 => WalRecord::Mutation(CatalogMutation::AddInstance {
-            domain: read_str(&mut r)?,
-            name: read_str(&mut r)?,
-            parents: read_names(&mut r)?,
-        }),
-        5 => WalRecord::Mutation(CatalogMutation::Prefer {
-            domain: read_str(&mut r)?,
-            stronger: read_str(&mut r)?,
-            weaker: read_str(&mut r)?,
-        }),
-        6 => {
-            let name = read_str(&mut r)?;
-            let n = read_u32(&mut r)? as usize;
-            if n > RECORD_CAP {
-                return Err(PersistError::Corrupt(format!(
-                    "attribute count {n} exceeds record cap"
-                )));
-            }
-            let attributes = (0..n)
-                .map(|_| Ok((read_str(&mut r)?, read_str(&mut r)?)))
-                .collect::<Result<Vec<_>>>()?;
-            WalRecord::Mutation(CatalogMutation::CreateRelation { name, attributes })
-        }
-        7 => WalRecord::Mutation(CatalogMutation::DropRelation {
-            name: read_str(&mut r)?,
-        }),
-        8 => {
-            let relation = read_str(&mut r)?;
-            let truth = truth_from(read_u8(&mut r)?)?;
-            let values = read_names(&mut r)?;
-            WalRecord::Mutation(CatalogMutation::Assert {
-                relation,
-                values,
-                truth,
-            })
-        }
-        9 => WalRecord::Mutation(CatalogMutation::Retract {
-            relation: read_str(&mut r)?,
-            values: read_names(&mut r)?,
-        }),
-        10 => WalRecord::Mutation(CatalogMutation::SetPreemption {
-            relation: read_str(&mut r)?,
-            mode: preemption_from(read_u8(&mut r)?)?,
-        }),
-        other => {
-            return Err(PersistError::Corrupt(format!(
-                "unknown WAL record tag {other}"
-            )))
+        tag => {
+            decode_mutation(tag, &mut r, record)?;
+            Frame::Mutation
         }
     };
     if !r.is_empty() {
@@ -315,7 +327,86 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
             r.len()
         )));
     }
-    Ok(record)
+    Ok(frame)
+}
+
+/// Decode the fields of a mutation record with tag `tag` into `m`,
+/// reusing the first string and the name list `m` held.
+fn decode_mutation(tag: u8, r: &mut &[u8], m: &mut CatalogMutation) -> Result<()> {
+    use CatalogMutation::*;
+    let (s, names) = match std::mem::take(m) {
+        Assert {
+            relation, values, ..
+        }
+        | Retract { relation, values } => (relation, values),
+        AddClass { name, parents, .. } | AddInstance { name, parents, .. } => (name, parents),
+        CreateDomain { name }
+        | DropDomain { name }
+        | DropRelation { name }
+        | CreateRelation { name, .. }
+        | Prefer { domain: name, .. }
+        | SetPreemption { relation: name, .. } => (name, Vec::new()),
+    };
+    // Struct fields are evaluated in the order written: the wire order.
+    *m = match tag {
+        1 => CreateDomain {
+            name: read_str_into(r, s)?,
+        },
+        2 => DropDomain {
+            name: read_str_into(r, s)?,
+        },
+        3 => AddClass {
+            domain: read_str_into(r, s)?,
+            name: read_str_into(r, String::new())?,
+            parents: read_names_into(r, names)?,
+        },
+        4 => AddInstance {
+            domain: read_str_into(r, s)?,
+            name: read_str_into(r, String::new())?,
+            parents: read_names_into(r, names)?,
+        },
+        5 => Prefer {
+            domain: read_str_into(r, s)?,
+            stronger: read_str_into(r, String::new())?,
+            weaker: read_str_into(r, String::new())?,
+        },
+        6 => {
+            let name = read_str_into(r, s)?;
+            // An attribute is two strings, each at least a length prefix.
+            let n = read_count(r, 8, "attribute")?;
+            let attributes = (0..n)
+                .map(|_| {
+                    Ok((
+                        read_str_into(r, String::new())?,
+                        read_str_into(r, String::new())?,
+                    ))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            CreateRelation { name, attributes }
+        }
+        7 => DropRelation {
+            name: read_str_into(r, s)?,
+        },
+        8 => Assert {
+            relation: read_str_into(r, s)?,
+            truth: truth_from(read_u8(r)?)?,
+            values: read_names_into(r, names)?,
+        },
+        9 => Retract {
+            relation: read_str_into(r, s)?,
+            values: read_names_into(r, names)?,
+        },
+        10 => SetPreemption {
+            relation: read_str_into(r, s)?,
+            mode: preemption_from(read_u8(r)?)?,
+        },
+        other => {
+            return Err(PersistError::Corrupt(format!(
+                "unknown WAL record tag {other}"
+            )))
+        }
+    };
+    Ok(())
 }
 
 /// Write the WAL file header (magic + version).
@@ -353,7 +444,7 @@ fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Why [`WalReader::next_frame`] produced no record.
+/// Why [`WalReader::next_into`] produced no record.
 #[derive(Debug)]
 pub enum FrameError {
     /// The underlying read failed (with anything but end-of-file).
@@ -463,24 +554,42 @@ impl<R: Read> WalReader<R> {
         self.r.pos
     }
 
-    /// Read the next record. After the first error the reader is
-    /// poisoned: further calls return `Ok(None)` (a torn tail has no
-    /// decodable continuation).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<WalRecord>> {
-        Ok(self.next_frame()?)
+    /// The payload of the last frame [`next_into`](WalReader::next_into)
+    /// returned.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
     }
 
-    /// [`next`](WalReader::next) with the failure classified: a frame
-    /// cut short by end-of-file versus a complete frame that is wrong.
-    pub fn next_frame(&mut self) -> std::result::Result<Option<WalRecord>, FrameError> {
+    /// Read the next record into a fresh owned value. After the first
+    /// error the reader is poisoned: further calls return `Ok(None)` (a
+    /// torn tail has no decodable continuation).
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<WalRecord>> {
+        let mut record = CatalogMutation::default();
+        Ok(self
+            .next_into(&mut record)?
+            .map(|frame| frame.into_record(record)))
+    }
+
+    /// Read the next frame, decoding a mutation into `record` — a record
+    /// the caller keeps across frames, overwritten in place (see
+    /// [`decode_into`]) — with the failure classified: a frame cut
+    /// short by end-of-file versus a complete frame that is wrong.
+    /// `record` is this frame's mutation only after
+    /// `Ok(Some(Frame::Mutation))`; after anything else it may still
+    /// hold the previous frame's record, or a blank one, and must not be
+    /// applied.
+    pub fn next_into(
+        &mut self,
+        record: &mut CatalogMutation,
+    ) -> std::result::Result<Option<Frame>, FrameError> {
         if self.poisoned {
             return Ok(None);
         }
-        match self.read_one() {
-            Ok(Some(record)) => {
+        match self.read_one(record) {
+            Ok(Some(frame)) => {
                 self.good_pos = self.r.pos;
-                Ok(Some(record))
+                Ok(Some(frame))
             }
             Ok(None) => Ok(None),
             Err(e) => {
@@ -490,7 +599,10 @@ impl<R: Read> WalReader<R> {
         }
     }
 
-    fn read_one(&mut self) -> std::result::Result<Option<WalRecord>, FrameError> {
+    fn read_one(
+        &mut self,
+        record: &mut CatalogMutation,
+    ) -> std::result::Result<Option<Frame>, FrameError> {
         // Distinguish clean EOF (no bytes at all) from a torn frame.
         let mut first = [0u8; 1];
         match self.r.read(&mut first) {
@@ -534,27 +646,27 @@ impl<R: Read> WalReader<R> {
         if crc32(&self.payload) != u32::from_le_bytes(crc) {
             return Err(FrameError::Invalid("record checksum mismatch".into()));
         }
-        let record = decode_payload(&self.payload).map_err(|e| {
+        let frame = decode_into(&self.payload, record).map_err(|e| {
             FrameError::Invalid(match e {
                 PersistError::Corrupt(msg) => msg,
                 other => other.to_string(),
             })
         })?;
-        match (&record, self.seen_checkpoint) {
-            (WalRecord::Checkpoint { .. }, true) => {
+        match (frame, self.seen_checkpoint) {
+            (Frame::Checkpoint { .. }, true) => {
                 return Err(FrameError::Invalid(
                     "duplicate checkpoint record mid-log".into(),
                 ))
             }
-            (WalRecord::Checkpoint { .. }, false) => self.seen_checkpoint = true,
-            (WalRecord::Mutation(_), false) => {
+            (Frame::Checkpoint { .. }, false) => self.seen_checkpoint = true,
+            (Frame::Mutation, false) => {
                 return Err(FrameError::Invalid(
                     "log does not start with a checkpoint record".into(),
                 ))
             }
-            (WalRecord::Mutation(_), true) => {}
+            (Frame::Mutation, true) => {}
         }
-        Ok(Some(record))
+        Ok(Some(frame))
     }
 }
 
@@ -731,6 +843,58 @@ mod tests {
         );
     }
 
+    /// A record the reader keeps decodes every kind exactly as a fresh
+    /// one does, whichever of the ten kinds it held before — and an
+    /// `Assert`/`Retract` into one that held an `Assert`/`Retract`
+    /// keeps its storage.
+    #[test]
+    fn decoding_into_a_kept_record_equals_a_fresh_decode() {
+        let samples = sample_mutations();
+        let mut kinds: Vec<&str> = samples.iter().map(CatalogMutation::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 10, "the samples cover every kind");
+        // More values than any sample: a kept list must shrink to fit.
+        let wide = CatalogMutation::Retract {
+            relation: "Flies".into(),
+            values: vec!["Tweety".into(), "Sky".into(), "Noon".into()],
+        };
+        for next in &samples {
+            let payload = encode_payload(&WalRecord::Mutation(next.clone())).unwrap();
+            let fresh = decode_payload(&payload).unwrap();
+            for before in samples.iter().chain([&wide]) {
+                let mut kept = before.clone();
+                assert_eq!(decode_into(&payload, &mut kept).unwrap(), Frame::Mutation);
+                assert_eq!(
+                    WalRecord::Mutation(kept),
+                    fresh,
+                    "{next} decoded into a record holding {before}"
+                );
+            }
+            // A checkpoint leaves the kept record as it was.
+            let mut kept = next.clone();
+            let checkpoint = encode_payload(&WalRecord::Checkpoint { lsn: 9 }).unwrap();
+            assert_eq!(
+                decode_into(&checkpoint, &mut kept).unwrap(),
+                Frame::Checkpoint { lsn: 9 }
+            );
+            assert_eq!(&kept, next);
+        }
+
+        let retract = &samples[7];
+        let mut kept = samples[6].clone();
+        let CatalogMutation::Assert { relation, .. } = &kept else {
+            unreachable!("sample 6 is an assert")
+        };
+        let at = relation.as_ptr();
+        let payload = encode_payload(&WalRecord::Mutation(retract.clone())).unwrap();
+        decode_into(&payload, &mut kept).unwrap();
+        let CatalogMutation::Retract { relation, .. } = &kept else {
+            panic!("decoded {kept}")
+        };
+        assert_eq!(relation.as_ptr(), at, "the relation name kept its storage");
+    }
+
     #[test]
     fn log_reads_back_in_order() {
         let bytes = sample_log();
@@ -781,10 +945,11 @@ mod tests {
             boundaries.push(reader.good_pos() as usize);
         }
         let (start, end) = (boundaries[3], boundaries[4]);
+        let mut record = CatalogMutation::default();
         for cut in start + 1..end {
             let mut reader = WalReader::resume(&bytes[start..cut], start as u64);
             assert!(
-                matches!(reader.next_frame(), Err(FrameError::Short(_))),
+                matches!(reader.next_into(&mut record), Err(FrameError::Short(_))),
                 "cut at byte {cut}"
             );
             assert_eq!(reader.good_pos(), start as u64);
@@ -794,7 +959,7 @@ mod tests {
         flipped[end - 1] ^= 1;
         let mut reader = WalReader::resume(&flipped[start..], start as u64);
         assert!(matches!(
-            reader.next_frame(),
+            reader.next_into(&mut record),
             Err(FrameError::Invalid(msg)) if msg.contains("checksum")
         ));
 

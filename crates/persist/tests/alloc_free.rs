@@ -14,41 +14,56 @@
 //! * `Catalog::apply_mutation` of paired `Assert`/`Retract` records on a
 //!   catalog that holds its relation alone, whose leaf never empties;
 //! * `WalFile::append` after its first record — no clone of the
-//!   mutation, no fresh payload buffer.
+//!   mutation, no fresh payload buffer;
+//! * recovery's step: `WalReader::next_into` over a real log, decoding
+//!   into the one record replay keeps, then `Catalog::apply_mutation`;
+//! * a `WalTailer` poll into a `ShipBatch` the caller keeps, and
+//!   applying it: a poll of 2 000 records allocates what a poll of 2
+//!   does.
+//!
+//! The same allocator records the largest single allocation, which
+//! holds a checkpoint's claimed length to what its file bears out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fs::File;
+use std::io::BufReader;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
-use hrdm_persist::WalFile;
+use hrdm_persist::codec::{write_u32, write_u64, write_varint};
+use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
+use hrdm_persist::{recover, Frame, Image, ShipBatch, WalFile, WalReader, WalTailer};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// counting touches only a const-initialised thread-local `Cell`.
+// counting touches only const-initialised thread-local `Cell`s.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -65,6 +80,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What `f` returns, and the largest single allocation it made on this
+/// thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 /// How many times each step runs while counted.
@@ -119,8 +142,9 @@ fn item_resolution_allocates_nothing_up_to_arity_four() {
     assert!(wide > 0, "an arity-5 item is heap-backed");
 }
 
-#[test]
-fn paired_tuple_mutations_on_an_owned_catalog_allocate_nothing() {
+/// A catalog holding relation `R` alone, and an `Assert`/`Retract` pair
+/// of one item in it that can be applied over and over.
+fn owned_catalog_and_pair() -> (Catalog, CatalogMutation, CatalogMutation) {
     use CatalogMutation::*;
     let mut catalog = Catalog::new();
     let setup = [
@@ -158,6 +182,12 @@ fn paired_tuple_mutations_on_an_owned_catalog_allocate_nothing() {
         relation: "R".into(),
         values: vec!["x".into()],
     };
+    (catalog, assert, retract)
+}
+
+#[test]
+fn paired_tuple_mutations_on_an_owned_catalog_allocate_nothing() {
+    let (mut catalog, assert, retract) = owned_catalog_and_pair();
     let x = catalog.relation("R").unwrap().item(&["x"]).unwrap();
     let mut round = || {
         assert_eq!(catalog.apply_mutation(&assert), Ok(Some(x.clone())));
@@ -194,5 +224,121 @@ fn wal_append_allocates_nothing_after_its_first_record() {
     assert_eq!(n, 0, "WalFile::append allocated");
     assert_eq!(wal.appended(), 1 + 2 * ROUNDS as u64);
     drop(wal);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fresh temporary directory for one test.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hrdm_alloc_free_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Append `pairs` `Assert`/`Retract` pairs to a fresh log at `path`.
+fn write_pairs(path: &Path, pairs: usize, assert: &CatalogMutation, retract: &CatalogMutation) {
+    let mut wal = WalFile::create(path, 0, usize::MAX).unwrap();
+    for _ in 0..pairs {
+        wal.append(assert).unwrap();
+        wal.append(retract).unwrap();
+    }
+    wal.sync().unwrap();
+}
+
+#[test]
+fn replaying_a_log_into_the_kept_record_allocates_nothing() {
+    let dir = temp_dir("replay");
+    let path = dir.join("wal-test.log");
+    let (mut catalog, assert, retract) = owned_catalog_and_pair();
+    write_pairs(&path, 1 + ROUNDS, &assert, &retract);
+
+    let mut reader = WalReader::new(BufReader::new(File::open(&path).unwrap())).unwrap();
+    let mut record = CatalogMutation::default();
+    assert_eq!(
+        reader.next_into(&mut record).unwrap(),
+        Some(Frame::Checkpoint { lsn: 0 })
+    );
+    let mut step = || {
+        assert_eq!(
+            reader.next_into(&mut record).unwrap(),
+            Some(Frame::Mutation)
+        );
+        catalog.apply_mutation(&record).unwrap();
+    };
+    step();
+    step();
+    let n = allocations(|| (0..2 * ROUNDS).for_each(|_| step()));
+    assert_eq!(n, 0, "a replayed record allocated");
+    assert_eq!(reader.next_into(&mut record).unwrap(), None);
+    assert_eq!(record, retract);
+    assert_eq!(catalog.relation("R").unwrap().len(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_tailer_poll_and_its_application_allocate_nothing_per_record() {
+    let dir = temp_dir("tail");
+    let (mut catalog, assert, retract) = owned_catalog_and_pair();
+    write_checkpoint(&dir, 0, &Image::from_catalog(&catalog)).unwrap();
+    write_pairs(&wal_path(&dir, 0), 1 + ROUNDS, &assert, &retract);
+
+    let mut tailer = WalTailer::attach(&dir);
+    let mut batch = ShipBatch::new();
+    tailer.poll_into(&mut batch, 2).unwrap();
+    assert!(batch.take_rollover().is_some());
+    let start = tailer.cursor();
+    // Poll up to `max` records past the first pair into the kept batch
+    // and apply them, as a replica's sync does.
+    let mut catch_up = |max: usize| {
+        tailer.rewind(start);
+        tailer.poll_into(&mut batch, max).unwrap();
+        batch
+            .try_for_each(|m| catalog.apply_mutation(m).map(drop))
+            .unwrap();
+        (tailer.shipped_lsn(), batch.len())
+    };
+    // Warm: the batch's buffers grow to the long poll's size once.
+    catch_up(2 * ROUNDS);
+    let mut delivered = (0, 0);
+    let short = allocations(|| delivered = catch_up(2));
+    assert_eq!(delivered, (4, 2));
+    let long = allocations(|| delivered = catch_up(2 * ROUNDS));
+    assert_eq!(delivered, (2 + 2 * ROUNDS as u64, 2 * ROUNDS));
+    assert_eq!(
+        long,
+        short,
+        "a poll of {} records allocated more than a poll of 2",
+        2 * ROUNDS
+    );
+    assert_eq!(catalog.relation("R").unwrap().len(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose header claims a payload its file does not hold is
+/// skipped without allocating the claim: recovery falls back to the
+/// previous generation, and no allocation is larger than the forged
+/// file.
+#[test]
+fn a_forged_checkpoint_length_is_refused_before_it_is_allocated() {
+    let dir = temp_dir("forged");
+    let (catalog, _, _) = owned_catalog_and_pair();
+    write_checkpoint(&dir, 5, &Image::from_catalog(&catalog)).unwrap();
+    let mut forged = Vec::new();
+    forged.extend_from_slice(hrdm_persist::store::CHECKPOINT_MAGIC);
+    write_u64(&mut forged, 9).unwrap();
+    write_varint(&mut forged, (1 << 30) - 1).unwrap();
+    write_u32(&mut forged, 0).unwrap();
+    forged.resize(forged.len() + (64 << 10), 0x5A);
+    std::fs::write(checkpoint_path(&dir, 9), &forged).unwrap();
+
+    let (recovered, largest) = largest_allocation(|| recover(&dir).unwrap());
+    assert_eq!(recovered.report.checkpoint_lsn, 5);
+    assert_eq!(recovered.report.checkpoints_skipped, 1);
+    assert_eq!(recovered.catalog.render_stable(), catalog.render_stable());
+    assert!(
+        largest <= forged.len(),
+        "recovery allocated {largest} bytes at once for a {}-byte file",
+        forged.len()
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,12 +6,15 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
-use hrdm_persist::wal::{write_header, write_record, RECORD_CAP};
-use hrdm_persist::{Image, PersistError, WalReader, WalRecord};
+use hrdm_persist::wal::{
+    decode_into, decode_payload, encode_payload, write_header, write_record, RECORD_CAP,
+};
+use hrdm_persist::{Frame, Image, PersistError, WalReader, WalRecord};
 
 fn sample_bytes() -> Vec<u8> {
     let mut g = HierarchyGraph::new("Animal");
@@ -136,6 +139,75 @@ fn read_all(bytes: &[u8]) -> Result<Vec<WalRecord>, PersistError> {
     Ok(out)
 }
 
+/// What a kept record may hold before a decode: every kind the sample
+/// log holds, one with more values than any of them, and the blank.
+fn kept_seeds() -> Vec<CatalogMutation> {
+    let mut seeds = sample_wal_mutations();
+    seeds.push(CatalogMutation::Assert {
+        relation: "Swims".into(),
+        values: vec!["Fish".into(), "Sea".into()],
+        truth: Truth::Negative,
+    });
+    seeds.push(CatalogMutation::default());
+    seeds
+}
+
+/// A frame as an owned record, given the record it was decoded into.
+fn owned(frame: Frame, decoded: &CatalogMutation) -> WalRecord {
+    match frame {
+        Frame::Checkpoint { lsn } => WalRecord::Checkpoint { lsn },
+        Frame::Mutation => WalRecord::Mutation(decoded.clone()),
+    }
+}
+
+/// Replay `bytes` the way recovery does — decoding into one record kept
+/// from frame to frame, which holds `seed` to begin with — and report
+/// what was applied (a record is applied only when the reader says it
+/// decoded) and how the replay ended.
+fn replay_into(bytes: &[u8], seed: CatalogMutation) -> (Vec<WalRecord>, Result<(), String>) {
+    let mut applied = Vec::new();
+    let mut reader = match WalReader::new(bytes) {
+        Ok(reader) => reader,
+        Err(e) => return (applied, Err(e.to_string())),
+    };
+    let mut record = seed;
+    loop {
+        match reader.next_into(&mut record) {
+            Ok(None) => return (applied, Ok(())),
+            Ok(Some(frame)) => applied.push(owned(frame, &record)),
+            Err(e) => return (applied, Err(PersistError::from(e).to_string())),
+        }
+    }
+}
+
+/// The same replay through fresh owned records.
+fn replay_fresh(bytes: &[u8]) -> (Vec<WalRecord>, Result<(), String>) {
+    let mut applied = Vec::new();
+    let mut reader = match WalReader::new(bytes) {
+        Ok(reader) => reader,
+        Err(e) => return (applied, Err(e.to_string())),
+    };
+    loop {
+        match reader.next() {
+            Ok(None) => return (applied, Ok(())),
+            Ok(Some(record)) => applied.push(record),
+            Err(e) => return (applied, Err(e.to_string())),
+        }
+    }
+}
+
+/// Decoding into a kept record, whatever it held, applies exactly what a
+/// fresh decode does and fails exactly where and how it fails: a failed
+/// decode is never applied.
+fn assert_kept_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let fresh = replay_fresh(bytes);
+    for seed in kept_seeds() {
+        let kept = replay_into(bytes, seed.clone());
+        prop_assert_eq!(&kept, &fresh, "kept record seeded with {}", seed);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -143,6 +215,7 @@ proptest! {
     fn wal_truncated_tail_is_corrupt(cut in 0usize..1000) {
         let (bytes, boundaries) = sample_wal();
         let cut = cut.min(bytes.len());
+        assert_kept_parity(&bytes[..cut])?;
         match read_all(&bytes[..cut]) {
             // EOF exactly on a frame boundary is a clean (shorter) log.
             Ok(records) => {
@@ -163,6 +236,7 @@ proptest! {
         let (mut bytes, _) = sample_wal();
         let pos = pos % bytes.len();
         bytes[pos] ^= xor;
+        assert_kept_parity(&bytes)?;
         match read_all(&bytes) {
             // CRC-32 catches every single-byte corruption inside a
             // payload; flips in framing fields surface as Corrupt or a
@@ -226,6 +300,7 @@ proptest! {
         let mut bytes = Vec::new();
         write_header(&mut bytes).unwrap();
         bytes.extend(tail);
+        assert_kept_parity(&bytes)?;
         // Anything but a leaked Io error is fine, as long as it didn't panic.
         if let Err(PersistError::Io(e)) = read_all(&bytes) {
             prop_assert!(false, "io error leaked: {e}");
@@ -235,5 +310,38 @@ proptest! {
     #[test]
     fn wal_random_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = read_all(&bytes); // must not panic
+        assert_kept_parity(&bytes)?;
+    }
+
+    /// One payload — intact, damaged (a byte flipped, the end cut off,
+    /// or both), or garbage behind a tag: decoded into a kept record it
+    /// is what a fresh decode makes of it, success or error.
+    #[test]
+    fn damaged_payloads_decode_alike_into_a_kept_record(
+        sample in 0usize..5,
+        pos in 0usize..64,
+        xor in 0u8..=255,
+        cut in 0usize..64,
+        tag in 0u8..12,
+        garbage in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let intact =
+            encode_payload(&WalRecord::Mutation(sample_wal_mutations()[sample].clone())).unwrap();
+        let mut damaged = intact.clone();
+        let at = pos % damaged.len();
+        damaged[at] ^= xor;
+        damaged.truncate(damaged.len() - cut.min(damaged.len()));
+        let mut tagged = vec![tag];
+        tagged.extend(garbage);
+        for payload in [intact, damaged, tagged] {
+            let fresh = decode_payload(&payload).map_err(|e| e.to_string());
+            for seed in kept_seeds() {
+                let mut kept = seed.clone();
+                let got = decode_into(&payload, &mut kept)
+                    .map(|frame| owned(frame, &kept))
+                    .map_err(|e| e.to_string());
+                prop_assert_eq!(&got, &fresh, "kept record seeded with {}", seed);
+            }
+        }
     }
 }

@@ -68,6 +68,13 @@ fn recovery_emits_spans_and_counters() {
         .find("recover.replay")
         .expect("recover.replay span must appear in the trace");
     assert_eq!(span.field("dir"), Some(dir.display().to_string().as_str()));
+    // The image load is its own stage of a restart, inside the replay.
+    assert!(
+        span.children
+            .iter()
+            .any(|child| child.name == "recover.load_checkpoint"),
+        "recover.load_checkpoint must be a child of recover.replay"
+    );
     assert_eq!(rec.report.records_replayed, script.len() as u64 - 1);
     assert!(rec.report.truncated_bytes > 0);
     assert_eq!(
