@@ -1,6 +1,6 @@
 //! The paper's running examples as reusable fixtures, plus the shared
-//! harness helpers (probe construction, cache clearing, stats trailers)
-//! the benchmarks used to copy-paste.
+//! harness helpers (probe construction, cache clearing, the metrics
+//! export) the `tables` and `figures` binaries use.
 
 use std::sync::Arc;
 
@@ -10,11 +10,12 @@ use hrdm_hierarchy::HierarchyGraph;
 use crate::workloads::ClassWorkload;
 
 /// Drop the one shared cross-operator cache (the subsumption-core
-/// cache) and reset the metrics registry with it. Cold-cache bench
-/// ablations call this per iteration so each run pays the full
-/// subsumption-graph construction. Reachability closures are not a
-/// shared cache: each lives in its graph, so a fixture relation keeps
-/// its closures for as long as it exists.
+/// cache) and reset the metrics registry with it. The `tables` B3 and
+/// B4 `cold ns` columns call this before each timed repetition, outside
+/// the timed region, so each repetition pays the full subsumption-graph
+/// construction; the tests below pin what it clears. Reachability
+/// closures are not a shared cache: each lives in its graph, so a
+/// fixture relation keeps its closures for as long as it exists.
 ///
 /// The reset goes through [`hrdm_core::stats::reset`], which zeroes the
 /// whole registry under its lock: the old per-static-counter stores
@@ -31,21 +32,9 @@ pub fn clear_shared_caches() {
     hrdm_core::stats::reset();
 }
 
-/// The engine-stats trailer every bench prints after its groups finish,
-/// so runs can be compared on operator counters as well as wall time.
-/// Rendered through the stable-field renderer — counters only, no wall
-/// times — so trailers diff cleanly between runs.
-pub fn print_engine_stats(label: &str) {
-    println!(
-        "\nengine stats after {label}:\n{}",
-        hrdm_core::stats::snapshot().render_stable()
-    );
-}
-
-/// Serialize the whole metrics registry as `BENCH_obs.json` next to the
-/// current directory (or at `path` when given). Benches call this after
-/// their groups finish so operator counters and latency quantiles ride
-/// along with the wall-time numbers.
+/// Serialize the whole metrics registry (the `BENCH_obs.json` format)
+/// to `path`; the `figures` binary's `--obs-json` writes it after the
+/// report so operator counters and latency quantiles ride along.
 pub fn export_obs_json(label: &str, path: &str) -> std::io::Result<()> {
     std::fs::write(path, hrdm_obs::metrics::export_json(label))
 }
@@ -262,9 +251,7 @@ mod tests {
         lat.observe_ns(1_234);
         metrics::counter("server.requests").incr();
         metrics::gauge("server.active_connections").set(7);
-        if cfg!(feature = "obs") {
-            assert!(lat.count() >= 1);
-        }
+        assert!(lat.count() >= 1);
 
         clear_shared_caches();
 
@@ -278,7 +265,6 @@ mod tests {
     /// operator over a built fixture rebuilds its subsumption core and
     /// requests no closure (the fixture's schema resolved them when it
     /// was built); the warm run reuses the core.
-    #[cfg(feature = "obs")]
     #[test]
     fn a_cold_iteration_rebuilds_the_core_and_requests_no_closure() {
         use hrdm_obs::attrib::{self, AttribKey};

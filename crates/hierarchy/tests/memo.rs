@@ -42,10 +42,8 @@ fn the_two_kinds_have_their_own_slots() {
     assert!(!subset.reaches(a, b2), "but is not membership");
     let _ = closures(&g);
     let after = closure_stats();
-    if cfg!(feature = "obs") {
-        assert!(after.misses >= before.misses + 2, "one build per kind");
-        assert!(after.hits >= before.hits + 2, "then one hit per kind");
-    }
+    assert!(after.misses >= before.misses + 2, "one build per kind");
+    assert!(after.hits >= before.hits + 2, "then one hit per kind");
 }
 
 #[test]

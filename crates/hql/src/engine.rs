@@ -395,9 +395,8 @@ impl Engine {
     ///
     /// This is the live admission-control signal behind the
     /// `engine.write_queue_depth` gauge: unlike the gauge (which is
-    /// sampled at lock acquisition and compiles out without the `obs`
-    /// feature), this reads the atomic directly, so backpressure
-    /// policies can act on it in any build.
+    /// sampled at lock acquisition), this reads the atomic directly, so
+    /// backpressure policies see the depth at the moment they act.
     pub fn write_queue_depth(&self) -> u64 {
         self.inner.write_queue.load(Ordering::SeqCst)
     }
@@ -1330,7 +1329,6 @@ mod tests {
     /// depth. Contention is inherently timing-dependent, so the test
     /// retries rounds of parallel writers until the counter moves
     /// (with a generous deadline) instead of asserting on one race.
-    #[cfg(feature = "obs")]
     #[test]
     fn write_contention_telemetry_moves_under_concurrent_writers() {
         let wobs = write_obs();

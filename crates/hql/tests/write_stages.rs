@@ -5,8 +5,6 @@
 //! test runs. Cargo runs each file under `tests/` as its own process;
 //! this one holds a single test.
 
-#![cfg(feature = "obs")]
-
 use std::time::{Duration, Instant};
 
 use hrdm_hql::parser::parse;

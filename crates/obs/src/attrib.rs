@@ -64,13 +64,11 @@ thread_local! {
 /// Add `n` to this thread's slot for `key`.
 #[inline]
 pub fn add(key: AttribKey, n: u64) {
-    if cfg!(feature = "obs") {
-        SLOTS.with(|s| {
-            let mut v = s.get();
-            v[key.slot()] += n;
-            s.set(v);
-        });
-    }
+    SLOTS.with(|s| {
+        let mut v = s.get();
+        v[key.slot()] += n;
+        s.set(v);
+    });
 }
 
 /// Increment this thread's slot for `key` by one.
@@ -107,11 +105,7 @@ impl AttribSnapshot {
 
 /// Copy this thread's current slots.
 pub fn snapshot() -> AttribSnapshot {
-    if cfg!(feature = "obs") {
-        AttribSnapshot(SLOTS.with(|s| s.get()))
-    } else {
-        AttribSnapshot::default()
-    }
+    AttribSnapshot(SLOTS.with(|s| s.get()))
 }
 
 /// Delta of this thread's slots since `earlier`.
@@ -123,7 +117,6 @@ pub fn since(earlier: &AttribSnapshot) -> AttribSnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "obs")]
     #[test]
     fn deltas_attribute_per_thread() {
         let before = snapshot();
@@ -144,13 +137,6 @@ mod tests {
             });
         });
         assert!(since(&before).is_zero());
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn slots_are_inert_without_the_feature() {
-        bump(AttribKey::ClosureHit);
-        assert!(snapshot().is_zero());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn render_many(traces: &[&QueryTrace]) -> String {
     out
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::capture;
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_empty_event_list() {
-        let json = render(&QueryTrace::empty());
+        let json = render(&QueryTrace::default());
         assert_eq!(json, "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
     }
 }

@@ -30,12 +30,9 @@
 //!   time, epoch, rendered trace tree); each server owns one, feeds it
 //!   and exposes it over the wire via its `SLOWLOG` verb.
 //!
-//! # Feature gating
-//!
-//! Everything is behind the `obs` feature (on by default). With
-//! `--no-default-features` the same API compiles to no-ops: guards are
-//! zero-variant, counters don't register, captures run the closure and
-//! return an empty trace. Instrumented crates therefore carry no cfg.
+//! The instrumentation is always compiled in. Its cost outside a capture
+//! is a relaxed atomic per counter bump or histogram observation and one
+//! relaxed load per span guard.
 
 pub mod attrib;
 pub mod chrome;

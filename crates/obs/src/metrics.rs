@@ -30,10 +30,7 @@ impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "obs")]
         self.0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "obs"))]
-        let _ = n;
     }
 
     /// Increment by one.
@@ -61,10 +58,7 @@ impl Gauge {
     /// Set the gauge to `v`.
     #[inline]
     pub fn set(&self, v: u64) {
-        #[cfg(feature = "obs")]
         self.0.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "obs"))]
-        let _ = v;
     }
 
     /// Current value.
@@ -93,7 +87,6 @@ struct HistogramInner {
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
 fn bucket_of(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
@@ -111,14 +104,9 @@ impl Histogram {
     /// Record one observation of `ns` nanoseconds.
     #[inline]
     pub fn observe_ns(&self, ns: u64) {
-        #[cfg(feature = "obs")]
-        {
-            self.0.count.fetch_add(1, Ordering::Relaxed);
-            self.0.sum.fetch_add(ns, Ordering::Relaxed);
-            self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = ns;
+        self.0.count.fetch_add(1, Ordering::Relaxed);
+        self.0.sum.fetch_add(ns, Ordering::Relaxed);
+        self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one dimensionless observation (queue depths, batch
@@ -371,7 +359,6 @@ pub fn export_json(label: &str) -> String {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "obs")]
     #[test]
     fn counters_and_gauges_record() {
         let c = counter("test.metrics.counter");
@@ -388,7 +375,6 @@ mod tests {
         assert_eq!(g.get(), 42);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn histogram_quantiles_are_log_bounded() {
         let h = histogram("test.metrics.histo");
@@ -412,7 +398,6 @@ mod tests {
         assert_eq!(h.quantile_ns(0.5), None);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn reset_all_zeroes_everything_in_one_sweep() {
         let c = counter("test.metrics.reset");
@@ -425,7 +410,6 @@ mod tests {
         assert_eq!(h.sum_ns(), 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn exports_render() {
         let c = counter("test.metrics.export");
@@ -443,7 +427,6 @@ mod tests {
     /// a `# TYPE`, or a sample `name[{labels}] value`; metric names are
     /// legal; every sampled family is preceded by its own HELP and TYPE
     /// lines; label values are well-formed quoted strings.
-    #[cfg(feature = "obs")]
     #[test]
     fn prometheus_output_parses_against_the_exposition_format() {
         use std::collections::BTreeSet;
@@ -545,7 +528,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn label_values_escape_per_the_exposition_format() {
         assert_eq!(escape_label_value("plain"), "plain");

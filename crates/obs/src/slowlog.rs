@@ -7,8 +7,7 @@
 //! serving layer decides *what* counts as slow (its `--slowlog-ms`
 //! threshold) and only then calls [`SlowLog::record`], so the owner's
 //! lock is taken once per slow request plus once per `SLOWLOG` read —
-//! never on the fast path. With the `obs` feature off the log is inert:
-//! `record` drops the entry and `entries` is always empty.
+//! never on the fast path.
 //!
 //! Admission keeps the *slowest* requests, not the most recent: while
 //! the buffer is below capacity every entry is admitted; at capacity a
@@ -67,8 +66,7 @@ impl SlowLog {
 
     /// Offer one request to the log. Returns `true` if it was admitted
     /// (the buffer had room, or the request is slower than the current
-    /// fastest resident). A no-op returning `false` with the `obs`
-    /// feature off.
+    /// fastest resident).
     pub fn record(
         &mut self,
         verb: &str,
@@ -77,9 +75,6 @@ impl SlowLog {
         epoch: u64,
         trace: String,
     ) -> bool {
-        if !cfg!(feature = "obs") {
-            return false;
-        }
         let preview: String = {
             let mut p: String = script.trim().chars().take(PREVIEW_LIMIT).collect();
             if script.trim().chars().count() > PREVIEW_LIMIT {
@@ -110,7 +105,7 @@ impl SlowLog {
     }
 
     /// Snapshot of the resident entries, slowest first (ties by
-    /// earliest admission). Empty with the `obs` feature off.
+    /// earliest admission).
     pub fn entries(&self) -> Vec<SlowEntry> {
         let mut out = self.entries.clone();
         out.sort_by_key(|e| (u64::MAX - e.wall_ns, e.seq));
@@ -132,7 +127,6 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "obs")]
     #[test]
     fn keeps_the_slowest_entries_at_capacity() {
         let mut log = SlowLog::new(3);
@@ -147,7 +141,6 @@ mod tests {
         assert_eq!(seqs, vec![4, 1, 5], "seq counts offers to this log");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn previews_truncate_and_traces_ride_along() {
         let mut log = SlowLog::new(DEFAULT_CAPACITY);
@@ -160,14 +153,5 @@ mod tests {
         assert!(e.preview.ends_with('…'));
         assert_eq!(e.trace, "server.query\n");
         assert_eq!(e.epoch, 2);
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn inert_without_the_feature() {
-        let mut log = SlowLog::new(DEFAULT_CAPACITY);
-        assert!(!log.record("QUERY", "SHOW R;", 1_000_000, 1, String::new()));
-        assert!(log.is_empty());
-        assert!(log.entries().is_empty());
     }
 }

@@ -66,15 +66,12 @@ thread_local! {
 /// Is any capture currently recording spans?
 #[inline]
 pub fn recording_active() -> bool {
-    cfg!(feature = "obs") && CAPTURES.load(Ordering::Relaxed) > 0
+    CAPTURES.load(Ordering::Relaxed) > 0
 }
 
 /// Refcount a capture in. Returns the buffer index at which this
 /// capture's events will start.
 pub(crate) fn begin_recording() -> usize {
-    if !cfg!(feature = "obs") {
-        return 0;
-    }
     // Hold the buffer lock across the refcount bump so the start index
     // is consistent with concurrent appends.
     let buf = buffer().lock().unwrap();
@@ -85,9 +82,6 @@ pub(crate) fn begin_recording() -> usize {
 /// Copy out the events recorded since `start`, then refcount the
 /// capture out; the last capture to end clears the buffer.
 pub(crate) fn end_recording(start: usize) -> Vec<SpanEvent> {
-    if !cfg!(feature = "obs") {
-        return Vec::new();
-    }
     let mut buf = buffer().lock().unwrap();
     let events = buf.get(start..).unwrap_or(&[]).to_vec();
     if CAPTURES.fetch_sub(1, Ordering::Relaxed) == 1 {
@@ -195,7 +189,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 pub(crate) mod tests {
     use super::*;
 

@@ -47,12 +47,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// A trace with nothing in it (what captures return with the `obs`
-    /// feature off).
-    pub fn empty() -> Self {
-        QueryTrace::default()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.root.is_none()
     }
@@ -192,8 +186,7 @@ pub fn fmt_ns(ns: u64) -> String {
 ///
 /// Captures nest: an inner capture copies out its slice of the shared
 /// buffer without disturbing the outer capture, and the buffer is
-/// cleared only when the last capture ends. With the `obs` feature off
-/// this runs `f` and returns [`QueryTrace::empty`].
+/// cleared only when the last capture ends.
 pub fn capture<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, QueryTrace) {
     let start = span::begin_recording();
     let (out, root_id) = {
@@ -209,7 +202,6 @@ pub fn capture<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, QueryTrace) 
 mod tests {
     use super::*;
 
-    #[cfg(feature = "obs")]
     #[test]
     fn capture_assembles_a_tree() {
         let _capturing = crate::span::tests::capture_lock();
@@ -229,7 +221,6 @@ mod tests {
         assert_eq!(trace.nodes().len(), 3);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn nested_captures_do_not_disturb_each_other() {
         let _capturing = crate::span::tests::capture_lock();
@@ -247,7 +238,6 @@ mod tests {
         assert_eq!(root.children[0].children[0].name, "test.trace.leaf");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn stable_render_elides_times() {
         let _capturing = crate::span::tests::capture_lock();
@@ -263,15 +253,6 @@ mod tests {
         assert!(!stable.contains('['), "{stable}");
         assert!(!stable.contains("own_ns"), "{stable}");
         assert!(stable.contains("rows=9"), "{stable}");
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn capture_is_a_no_op_without_the_feature() {
-        let (v, trace) = capture("test.trace.off", || 7);
-        assert_eq!(v, 7);
-        assert!(trace.is_empty());
-        assert_eq!(trace.render_stable(), "(empty trace)\n");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! recovers or journals while the test runs. Cargo runs each file
 //! under `tests/` as its own process; this one holds a single test.
 
-#![cfg(feature = "obs")]
-
 use std::path::PathBuf;
 
 use hrdm_core::mutation::CatalogMutation;

@@ -17,7 +17,7 @@
 //! * `--timeout-ms N` — per-connection read timeout.
 //! * `--slowlog-ms N` — requests at least this slow are captured (with
 //!   their trace trees) into the slow-query log served by `SLOWLOG`
-//!   (default 100; `0` captures everything; obs builds only).
+//!   (default 100; `0` captures everything).
 //! * `--slowlog-cap N` — keep the N slowest requests (default 32).
 //! * `--workers N` — query-execution worker threads (default 0 =
 //!   sized from the machine's available parallelism).

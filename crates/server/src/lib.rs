@@ -35,8 +35,7 @@
 //! text or JSON) and summarized by `STATS`. Requests slower than
 //! [`ServerConfig::slowlog_threshold`] are captured — with their
 //! rendered `QueryTrace` trees — into a bounded slow-query log served
-//! by the `SLOWLOG` verb. All of it compiles to no-ops (the two verbs
-//! answer `ERR unsupported`) when the `obs` feature is off.
+//! by the `SLOWLOG` verb.
 //!
 //! The `hrdm-serve` binary wires both to a command line:
 //!

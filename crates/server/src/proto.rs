@@ -24,9 +24,6 @@
 //! | `QUIT`     | —            | close this connection                  |
 //! | `SHUTDOWN` | —            | stop the whole server gracefully       |
 //!
-//! `METRICS` and `SLOWLOG` require a server built with the `obs`
-//! feature; without it they return a stable `ERR unsupported` reply.
-//!
 //! # Replies
 //!
 //! * `OK\n<body>` — success. For `QUERY`, the body is the rendered
@@ -573,14 +570,13 @@ impl Client {
         self.request(&Request::Stats)
     }
 
-    /// Fetch the whole metrics registry (`ERR unsupported` from a
-    /// server built without the `obs` feature).
+    /// Fetch the whole metrics registry.
     pub fn metrics(&mut self, format: MetricsFormat) -> io::Result<Reply> {
         self.request(&Request::Metrics(format))
     }
 
     /// Fetch the slow-query log, optionally limited to the `limit`
-    /// slowest entries (`ERR unsupported` without the `obs` feature).
+    /// slowest entries.
     pub fn slowlog(&mut self, limit: Option<u32>) -> io::Result<Reply> {
         self.request(&Request::Slowlog(limit))
     }

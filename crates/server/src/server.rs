@@ -123,8 +123,7 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// `QUERY`/`TRACE` requests at least this slow are captured into
     /// this server's slow-query log with their rendered trace
-    /// trees (`Duration::ZERO` captures every request). Only servers
-    /// built with the `obs` feature capture anything.
+    /// trees (`Duration::ZERO` captures every request).
     pub slowlog_threshold: Duration,
     /// Bound on resident slow-log entries; the log keeps the N
     /// *slowest* requests, not the N most recent.
@@ -535,9 +534,8 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
         traced,
         parsed,
     } = script;
-    // Capture spans whenever the trace can be consumed: always for
-    // TRACE, and for QUERY when an obs build may feed the slow log.
-    let capture = traced || cfg!(feature = "obs");
+    // Spans are captured for every script: TRACE replies with the tree,
+    // and a slow QUERY hands it to the slow log.
     let run = || {
         let statements = match parsed.unwrap_or_else(|| parser::parse(&text)) {
             Ok(statements) => statements,
@@ -556,11 +554,7 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
             .collect();
         (responses, false, false)
     };
-    let ((result, shared_view, shed), trace) = if capture {
-        hrdm_obs::trace::capture("server.query", run)
-    } else {
-        (run(), hrdm_obs::QueryTrace::empty())
-    };
+    let ((result, shared_view, shed), trace) = hrdm_obs::trace::capture("server.query", run);
     obs.requests.incr();
     obs.write_queue_depth.set(shared.engine.write_queue_depth());
     let wall = started.elapsed();
@@ -581,7 +575,7 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
     if shared_view {
         obs.snapshot_shared_read.incr();
     }
-    if cfg!(feature = "obs") && wall >= shared.config.slowlog_threshold {
+    if wall >= shared.config.slowlog_threshold {
         let verb = if traced { "TRACE" } else { "QUERY" };
         // Render before taking the log's lock, not under it.
         let (epoch, rendered) = (shared.engine.epoch(), trace.render());
@@ -1476,17 +1470,7 @@ impl EventLoop {
 // Inline verbs
 // ---------------------------------------------------------------------
 
-fn unsupported(verb: &str) -> Reply {
-    Reply::Err {
-        kind: "unsupported".into(),
-        message: format!("{verb} requires a server built with the obs feature"),
-    }
-}
-
 fn run_metrics(format: MetricsFormat) -> Reply {
-    if !cfg!(feature = "obs") {
-        return unsupported("METRICS");
-    }
     let body = match format {
         MetricsFormat::Prometheus => metrics::render_prometheus(),
         MetricsFormat::Json => metrics::export_json("server"),
@@ -1495,9 +1479,6 @@ fn run_metrics(format: MetricsFormat) -> Reply {
 }
 
 fn run_slowlog(shared: &Shared, limit: Option<u32>) -> Reply {
-    if !cfg!(feature = "obs") {
-        return unsupported("SLOWLOG");
-    }
     let mut entries = shared.slowlog().entries();
     if let Some(n) = limit {
         entries.truncate(n as usize);

@@ -100,21 +100,11 @@ fn trace_replies_carry_the_span_tree() {
     match client.trace("CHECK R;").unwrap() {
         Reply::Ok(parts) => {
             assert!(parts.len() >= 2, "response parts plus the trace");
-            if cfg!(feature = "obs") {
-                assert!(
-                    parts.last().unwrap().contains("server.query"),
-                    "trace names the root span: {:?}",
-                    parts.last().unwrap()
-                );
-            } else {
-                // Without obs the capture is inert: the trace part is
-                // present (the verb's contract) but carries no spans.
-                assert!(
-                    parts.last().unwrap().contains("(empty trace)"),
-                    "{:?}",
-                    parts.last().unwrap()
-                );
-            }
+            assert!(
+                parts.last().unwrap().contains("server.query"),
+                "trace names the root span: {:?}",
+                parts.last().unwrap()
+            );
         }
         other => panic!("expected OK, got {other:?}"),
     }
@@ -133,8 +123,8 @@ fn stats_report_epoch_and_counters() {
             assert!(body.contains("epoch: 1"), "one write published: {body}");
             assert!(body.contains("queries: 1"), "{body}");
             assert!(body.contains("active: 1"), "{body}");
-            // The enriched telemetry lines are always present, even in
-            // obs-off builds (they come from per-server atomics).
+            // The enriched telemetry lines are always present (they
+            // come from per-server atomics, not the metrics registry).
             for line in [
                 "timeouts: ",
                 "protocol-errors: ",
@@ -283,7 +273,6 @@ fn unknown_verbs_are_protocol_errors_but_keep_the_connection() {
 /// Pull one counter's value out of the `METRICS JSON` body without a
 /// JSON parser: the exporter's layout is stable
 /// (`"name":{"type":"counter","value":N}`).
-#[cfg(feature = "obs")]
 fn json_counter(body: &str, name: &str) -> u64 {
     let needle = format!("\"{name}\":{{\"type\":\"counter\",\"value\":");
     let at = body
@@ -302,7 +291,6 @@ fn json_counter(body: &str, name: &str) -> u64 {
 /// across a scripted session. The registry is process-global and other
 /// tests run in parallel, so assertions are monotone (`after >= before
 /// + n`), never exact.
-#[cfg(feature = "obs")]
 #[test]
 fn metrics_over_the_wire_reflect_requests_actually_served() {
     use hrdm_server::MetricsFormat;
@@ -359,7 +347,6 @@ fn metrics_over_the_wire_reflect_requests_actually_served() {
     handle.shutdown();
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn slowlog_captures_slow_requests_with_their_trace_trees() {
     let handle = start_with(ServerConfig {
@@ -393,7 +380,6 @@ fn slowlog_captures_slow_requests_with_their_trace_trees() {
 
 /// Each server owns its slow log: a second server in the process
 /// neither resizes the first's log nor shows up in it.
-#[cfg(feature = "obs")]
 #[test]
 fn two_servers_keep_separate_slowlogs() {
     let start_capped = |slowlog_capacity| {
@@ -445,34 +431,6 @@ fn two_servers_keep_separate_slowlogs() {
     to_second.quit().unwrap();
     first.shutdown();
     second.shutdown();
-}
-
-/// Without the obs feature the new verbs answer a stable
-/// `ERR unsupported` — and the connection keeps serving queries.
-#[cfg(not(feature = "obs"))]
-#[test]
-fn metrics_and_slowlog_are_cleanly_unsupported_without_obs() {
-    use hrdm_server::MetricsFormat;
-
-    let handle = start(8, Duration::from_secs(5));
-    let mut client = Client::connect(handle.addr()).unwrap();
-    match client.metrics(MetricsFormat::Prometheus).unwrap() {
-        Reply::Err { kind, message } => {
-            assert_eq!(kind, "unsupported");
-            assert!(message.contains("obs"), "{message}");
-        }
-        other => panic!("expected ERR unsupported, got {other:?}"),
-    }
-    match client.slowlog(None).unwrap() {
-        Reply::Err { kind, .. } => assert_eq!(kind, "unsupported"),
-        other => panic!("expected ERR unsupported, got {other:?}"),
-    }
-    assert!(
-        client.query("CREATE DOMAIN D;").unwrap().is_ok(),
-        "the connection keeps serving"
-    );
-    client.quit().unwrap();
-    handle.shutdown();
 }
 
 #[test]
