@@ -65,26 +65,13 @@ impl Binding {
     }
 }
 
-/// All stored tuples applicable to `q`: those whose item reaches `q` in
-/// the (binding) item hierarchy, including a tuple on `q` itself.
-/// Returned in deterministic stored order.
-pub fn applicable(relation: &HRelation, q: &Item) -> Vec<(Item, Truth)> {
-    let product = relation.schema().product();
-    relation
-        .iter()
-        .filter(|(x, _)| product.reaches(x.components(), q.components()))
-        .map(|(x, t)| (x.clone(), t))
-        .collect()
-}
-
 /// The item's strongest binders: its immediate predecessors in the
 /// tuple-binding graph, under the relation's preemption semantics.
 ///
 /// Assumes no tuple is stored on `q` itself (callers check that first);
 /// if one is, it would preempt everything anyway.
 pub fn strongest_binders(relation: &HRelation, q: &Item) -> Vec<(Item, Truth)> {
-    let candidates = applicable(relation, q);
-    immediate_among(relation, q, &candidates)
+    immediate_among(relation, q, &relation.above(q))
 }
 
 /// Of `candidates` (applicable tuples), those binding immediately to `q`.
@@ -169,12 +156,16 @@ pub(crate) fn path_avoiding(
     false
 }
 
-/// Determine the truth value binding of `q` in `relation` (§2.1).
-pub fn bind(relation: &HRelation, q: &Item) -> Binding {
-    if let Some(t) = relation.stored(q) {
-        return Binding::Explicit(t);
+/// Determine the truth value binding of `q` in `relation` (§2.1) from
+/// `applicable`: the stored tuples that reach `q`, in item order, as
+/// [`HRelation::above`] lists them. [`HRelation::bind`] finds them
+/// itself; `WHY` ([`crate::justify::justify`]) binds from the list it
+/// also prints.
+pub fn bind(relation: &HRelation, q: &Item, applicable: &[(Item, Truth)]) -> Binding {
+    if let Ok(i) = applicable.binary_search_by(|(x, _)| x.cmp(q)) {
+        return Binding::Explicit(applicable[i].1);
     }
-    let binders = strongest_binders(relation, q);
+    let binders = immediate_among(relation, q, applicable);
     if binders.is_empty() {
         return Binding::Unspecified;
     }
@@ -315,7 +306,7 @@ mod tests {
     fn applicable_lists_all_reaching_tuples() {
         let r = flying();
         let patricia = r.item(&["Patricia"]).unwrap();
-        let app = applicable(&r, &patricia);
+        let app = r.above(&patricia);
         // Bird, Penguin, AFP apply; Peter does not.
         assert_eq!(app.len(), 3);
         assert!(!app.iter().any(|(i, _)| *i == r.item(&["Peter"]).unwrap()));

@@ -33,8 +33,10 @@
 //!
 //! The cone argument for consolidate (and the scan short-circuit) is
 //! what keeps the consolidation a write pays to the delta's cone, not
-//! the catalog; finding the cone still probes every stored tuple with
-//! `reaches` (table B11 of the `tables` bench binary measures both).
+//! the catalog. Finding the cone still probes every stored tuple with
+//! `reaches` once; its ancestor-closure is found upwards from the cone
+//! with [`HRelation::above`] (table B11 of the `tables` bench binary
+//! measures both).
 //! Correctness is anchored by an oracle: the
 //! `differential_parity` harness proves the
 //! maintained relation byte-identical to full recomputation over
@@ -385,15 +387,13 @@ fn maintain_consolidate(
     }
 
     // Ancestor-closure of the cone: every stored item that reaches an
-    // affected item (the cone itself included).
+    // affected item (the cone itself included), found upwards from each
+    // affected item instead of by testing every stored tuple against
+    // every affected one.
+    let closure: BTreeMap<_, _> = affected.iter().flat_map(|a| child_new.above(a)).collect();
     let mut restricted =
         HRelation::with_preemption(child_new.schema().clone(), child_new.preemption());
-    restricted.replace_tuples(
-        child_new
-            .iter()
-            .filter(|(u, _)| affected.iter().any(|a| below(u, a)))
-            .map(|(u, t)| (u.clone(), t)),
-    );
+    restricted.replace_tuples(closure);
     let cons = consolidate::consolidate(&restricted);
 
     // Splice in place: start from the cached output and touch only the

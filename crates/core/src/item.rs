@@ -92,11 +92,16 @@ impl Item {
     /// A copy with component `i` replaced.
     pub fn with_component(&self, i: usize, node: NodeId) -> Item {
         let mut copy = self.clone();
-        match &mut copy.0 {
+        copy.set_component(i, node);
+        copy
+    }
+
+    /// Replace component `i` in place.
+    pub(crate) fn set_component(&mut self, i: usize, node: NodeId) {
+        match &mut self.0 {
             Repr::Inline { len, nodes } => nodes[..*len as usize][i] = node,
             Repr::Heap(nodes) => nodes[i] = node,
         }
-        copy
     }
 
     /// Keep only the listed components, in the listed order (used by

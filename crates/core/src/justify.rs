@@ -6,7 +6,7 @@
 //! model, not only obtain the result of a selection, but also find out
 //! which tuples in the relation were applicable."
 
-use crate::binding::{applicable, Binding};
+use crate::binding::{bind, Binding};
 use crate::item::Item;
 use crate::relation::HRelation;
 use crate::truth::Truth;
@@ -30,11 +30,12 @@ pub struct Justification {
 
 /// Explain the binding of `item` in `relation`.
 pub fn justify(relation: &HRelation, item: &Item) -> Justification {
-    let applicable: Vec<Tuple> = applicable(relation, item)
+    let applicable = relation.above(item);
+    let binding = bind(relation, item, &applicable);
+    let applicable: Vec<Tuple> = applicable
         .into_iter()
         .map(|(i, t)| Tuple::new(i, t))
         .collect();
-    let binding = relation.bind(item);
     let decisive = match &binding {
         Binding::Explicit(t) => vec![Tuple::new(item.clone(), *t)],
         Binding::Inherited(t, binders) => {

@@ -20,6 +20,8 @@
 
 use std::sync::Arc;
 
+use hrdm_hierarchy::NodeId;
+
 use crate::binding::{bind, Binding};
 use crate::error::{CoreError, Result};
 use crate::item::Item;
@@ -28,6 +30,12 @@ use crate::preemption::Preemption;
 use crate::schema::Schema;
 use crate::truth::Truth;
 use crate::tuple::Tuple;
+
+/// What one tuple-map probe costs, in stored tuples scanned with
+/// `reaches`: [`HRelation::above`] walks `q`'s ancestors only while
+/// ∏ |ancestors| × `PROBE_COST` < [`HRelation::len`]. A constant, not a
+/// setting; DESIGN.md §6.3 has the measurement behind the value.
+pub const PROBE_COST: usize = 8;
 
 /// A hierarchical relation: a set of truth-valued tuples over a shared
 /// schema, evaluated under a chosen [`Preemption`] semantics.
@@ -156,7 +164,10 @@ impl HRelation {
     /// conflict, or unspecified. This is the paper's tuple-binding-graph
     /// lookup (§2.1).
     pub fn bind(&self, item: &Item) -> Binding {
-        bind(self, item)
+        match self.stored(item) {
+            Some(t) => Binding::Explicit(t),
+            None => bind(self, item, &self.above(item)),
+        }
     }
 
     /// Does the relation hold for `item`?
@@ -166,6 +177,69 @@ impl HRelation {
     /// [`crate::three_valued::holds3`] for the §4 three-valued reading.
     pub fn holds(&self, item: &Item) -> bool {
         self.bind(item).truth() == Some(Truth::Positive)
+    }
+
+    /// The stored tuples whose item reaches `q` in binding reachability
+    /// (subset and preference edges): `q`'s own tuple and every tuple
+    /// that can bind it (§2.1), in stored (item) order.
+    ///
+    /// Each call takes the cheaper of two ways to the same list. While
+    /// the product of `q`'s per-component ancestor counts
+    /// ([`binding_ancestors`](hrdm_hierarchy::HierarchyGraph::binding_ancestors))
+    /// times [`PROBE_COST`] stays below [`len`](HRelation::len), it
+    /// probes the tuple map once per combination of ancestors.
+    /// Otherwise it scans every stored tuple with
+    /// [`reaches`](hrdm_hierarchy::ProductHierarchy::reaches).
+    pub fn above(&self, q: &Item) -> Vec<(Item, Truth)> {
+        match self.ancestor_axes(q) {
+            Some(axes) => {
+                let mut hits = Vec::new();
+                self.probe_each(&mut q.clone(), &axes, &mut hits);
+                hits
+            }
+            None => {
+                let product = self.schema.product();
+                self.iter()
+                    .filter(|(x, _)| product.reaches(x.components(), q.components()))
+                    .map(|(x, t)| (x.clone(), t))
+                    .collect()
+            }
+        }
+    }
+
+    /// `q`'s binding ancestors, one sorted list per component, or `None`
+    /// as soon as probing every combination would cost as much as the
+    /// scan.
+    fn ancestor_axes(&self, q: &Item) -> Option<Vec<Vec<NodeId>>> {
+        // The largest product of list lengths the walk may reach.
+        let mut budget = self.len().checked_sub(1)? / PROBE_COST;
+        q.components()
+            .iter()
+            .zip(self.schema.product().components())
+            .map(|(&x, g)| {
+                let axis = g.binding_ancestors(x, budget)?;
+                budget /= axis.len();
+                Some(axis)
+            })
+            .collect()
+    }
+
+    /// Probe the tuple map at every combination of `axes` from
+    /// component `key.arity() - axes.len()` on, the last component
+    /// varying fastest. Each axis is sorted, so the hits come out in
+    /// item order, as the scan lists them.
+    fn probe_each(&self, key: &mut Item, axes: &[Vec<NodeId>], hits: &mut Vec<(Item, Truth)>) {
+        let Some((axis, rest)) = axes.split_first() else {
+            if let Some(&t) = self.tuples.get(key) {
+                hits.push((key.clone(), t));
+            }
+            return;
+        };
+        let i = key.arity() - axes.len();
+        for &node in axis {
+            key.set_component(i, node);
+            self.probe_each(key, rest, hits);
+        }
     }
 
     /// Replace the entire tuple set (used by the physical operators —
