@@ -44,7 +44,6 @@ use crate::pmap::PMap;
 use crate::relation::HRelation;
 use crate::render::render_table;
 use crate::schema::{Attribute, Schema};
-use crate::stats::{self, EngineStats};
 
 /// Named domains and relations.
 ///
@@ -172,18 +171,6 @@ impl Catalog {
             .iter()
             .filter(move |(_, r)| graph.is_some_and(|g| is_over(r, g)))
             .map(|(n, _)| &**n)
-    }
-
-    /// Snapshot the engine counters (closure memo, subsumption cache,
-    /// operator wall times). The counters are process-wide.
-    pub fn engine_stats(&self) -> EngineStats {
-        stats::snapshot()
-    }
-
-    /// Zero the engine counters (memoized closures and cached
-    /// subsumption cores are kept).
-    pub fn reset_engine_stats(&self) {
-        stats::reset();
     }
 
     /// Pre-build both closure kinds for a domain so the first operator

@@ -29,7 +29,12 @@ pub fn to_dot(g: &HierarchyGraph, name: &str) -> String {
         );
     }
     for id in g.node_ids() {
-        for &(c, kind) in g.children_with_kind(id) {
+        // In child order, not in the order the edges were added: a graph
+        // decoded from an image adds a node's extra parents and its
+        // preference edges after the rest, and must render the same.
+        let mut children = g.children_with_kind(id).to_vec();
+        children.sort_unstable_by_key(|&(c, kind)| (c.index(), kind == EdgeKind::Preference));
+        for (c, kind) in children {
             let style = match kind {
                 EdgeKind::Subset => "solid",
                 EdgeKind::Preference => "dashed",
@@ -94,6 +99,19 @@ mod tests {
         g.add_preference_edge(a, b).unwrap();
         let dot = to_dot(&g, "pref");
         assert!(dot.contains("style=dashed"));
+    }
+
+    #[test]
+    fn edges_render_in_child_order_not_insertion_order() {
+        let mut g = HierarchyGraph::new("D");
+        let a = g.add_class("A", g.root()).unwrap();
+        let b = g.add_class("B", g.root()).unwrap();
+        let x = g.add_class("X", b).unwrap();
+        g.add_preference_edge(b, a).unwrap();
+        let dot = to_dot(&g, "order");
+        let pref = dot.find(&format!("{} -> {} [style=dashed]", b.index(), a.index()));
+        let subset = dot.find(&format!("{} -> {} [style=solid]", b.index(), x.index()));
+        assert!(pref.is_some() && pref < subset, "{dot}");
     }
 
     #[test]

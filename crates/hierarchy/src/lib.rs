@@ -46,7 +46,6 @@ pub mod error;
 pub mod gen;
 pub mod graph;
 pub mod node;
-pub mod outline;
 pub mod preference;
 pub mod product;
 pub mod reach;

@@ -42,13 +42,6 @@ impl Reachability {
         Reachability::build(g, ClosureKind::Both)
     }
 
-    /// Build the subset-edge-only closure of `g`: `reaches(b, a)` then
-    /// answers the membership question `a ⊆ b` exactly as
-    /// [`HierarchyGraph::is_descendant`] does, in O(1).
-    pub fn subset_only(g: &HierarchyGraph) -> Reachability {
-        Reachability::build(g, ClosureKind::SubsetOnly)
-    }
-
     /// Build the closure over the given edge kinds.
     pub fn build(g: &HierarchyGraph, kind: ClosureKind) -> Reachability {
         let n = g.len();

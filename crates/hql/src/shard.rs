@@ -139,11 +139,6 @@ impl<H: ExecutorHandle> Router<H> {
         &self.shards
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard currently owning `relation`: its routing-table entry
     /// if the coordinator placed it, the name hash otherwise.
     pub fn owner_of(&self, relation: &str) -> usize {

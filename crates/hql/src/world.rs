@@ -309,11 +309,6 @@ impl World {
         Ok(tuples)
     }
 
-    /// Names of the relations currently live as maintained views.
-    pub fn view_names(&self) -> impl Iterator<Item = &str> {
-        self.views.iter().map(|v| v.name.as_str())
-    }
-
     /// Whether `name` is a maintained view.
     pub fn is_view(&self, name: &str) -> bool {
         self.views.iter().any(|v| v.name == name)

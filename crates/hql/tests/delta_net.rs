@@ -5,99 +5,29 @@
 //!
 //! Randomized multi-mutation transactions go through
 //! [`Engine::apply_mutations`] (what a replica feeds a poll of shipped
-//! records to); a mirror [`Catalog`] filters the generated mutations
-//! down to ones that apply, so every batch commits. The generator
-//! leans on the orders that used to go wrong — assert-then-retract and
-//! retract-then-assert of one item inside one batch.
+//! records to). Their mutations come from `hrdm-testkit`'s seeded
+//! model, so every batch commits (a mirror [`Catalog`] applies each one
+//! as well); a third of a batch's steps are the orders that used to go
+//! wrong — assert-then-retract and retract-then-assert of one item
+//! ([`Model::same_item_pair`]).
 
 use std::collections::BTreeSet;
 
 use hrdm_core::delta::RelationChange;
 use hrdm_core::mutation::CatalogMutation;
-use hrdm_core::prelude::{Catalog, HRelation, Item, Preemption, Truth};
+use hrdm_core::prelude::{Catalog, HRelation, Item, Truth};
 use hrdm_hql::Engine;
+use hrdm_testkit::Model;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SEEDS: [u64; 4] = [0xA11CE, 0xB0B, 0x5EED_CAFE, 0xD15C0];
 const BATCHES: usize = 150;
+/// The share of a batch's steps that write one item twice.
+const PAIR_SHARE: f64 = 0.3;
 
 fn rows(relation: &HRelation) -> Vec<(Item, Truth)> {
     relation.iter().map(|(i, t)| (i.clone(), t)).collect()
-}
-
-/// Node names and relation names the generator draws from; both grow.
-struct Names {
-    nodes: Vec<String>,
-    relations: Vec<String>,
-    counter: usize,
-}
-
-impl Names {
-    fn node(&self, rng: &mut SmallRng) -> String {
-        self.nodes[rng.gen_range(0..self.nodes.len())].clone()
-    }
-
-    fn relation(&self, rng: &mut SmallRng) -> String {
-        self.relations[rng.gen_range(0..self.relations.len())].clone()
-    }
-
-    /// A few mutations to try next; some will not apply, which the
-    /// caller's mirror catalog finds out.
-    fn candidates(&mut self, rng: &mut SmallRng) -> Vec<CatalogMutation> {
-        let relation = self.relation(rng);
-        let values = vec![self.node(rng)];
-        let truth = if rng.gen_bool(0.3) {
-            Truth::Negative
-        } else {
-            Truth::Positive
-        };
-        let assert = CatalogMutation::Assert {
-            relation: relation.clone(),
-            values: values.clone(),
-            truth,
-        };
-        let retract = CatalogMutation::Retract {
-            relation: relation.clone(),
-            values,
-        };
-        match rng.gen_range(0u32..100) {
-            0..=29 => vec![assert],
-            30..=49 => vec![retract],
-            // One item, both orders, within the batch.
-            50..=64 => vec![assert, retract],
-            65..=79 => vec![retract, assert],
-            80..=84 => {
-                self.counter += 1;
-                let name = format!("n{}", self.counter);
-                let parent = self.node(rng);
-                self.nodes.push(name.clone());
-                vec![CatalogMutation::AddClass {
-                    domain: "D".into(),
-                    name,
-                    parents: vec![parent],
-                }]
-            }
-            85..=89 => {
-                let mode = [
-                    Preemption::OffPath,
-                    Preemption::OnPath,
-                    Preemption::NoPreemption,
-                ][rng.gen_range(0..3usize)];
-                vec![CatalogMutation::SetPreemption { relation, mode }]
-            }
-            90..=94 => {
-                self.counter += 1;
-                let name = format!("R{}", self.counter);
-                self.relations.push(name.clone());
-                vec![CatalogMutation::CreateRelation {
-                    name,
-                    attributes: vec![("V".into(), "D".into())],
-                }]
-            }
-            _ => vec![CatalogMutation::DropRelation { name: relation }],
-        }
-    }
 }
 
 #[test]
@@ -105,62 +35,46 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
     let mut net_to_nothing = 0usize;
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut names = Names {
-            nodes: vec!["D".into()],
-            relations: vec!["R0".into(), "R1".into()],
-            counter: 1,
-        };
-        let bootstrap = [
-            CatalogMutation::CreateDomain { name: "D".into() },
-            CatalogMutation::CreateRelation {
-                name: "R0".into(),
-                attributes: vec![("V".into(), "D".into())],
-            },
-            CatalogMutation::CreateRelation {
-                name: "R1".into(),
-                attributes: vec![("V".into(), "D".into())],
-            },
-        ];
+        let mut model = Model::default();
         let engine = Engine::new();
         let mut mirror = Catalog::new();
-        for m in &bootstrap {
-            mirror.apply_mutation(m).unwrap();
-        }
-        engine
-            .apply_mutations(None, |apply| bootstrap.iter().try_for_each(apply))
-            .unwrap();
 
         for round in 0..BATCHES {
             let context = format!("seed {seed:#x} batch {round}");
             let mut batch = Vec::new();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let pair = if rng.gen_bool(PAIR_SHARE) {
+                    model.same_item_pair(&mut rng)
+                } else {
+                    None
+                };
+                match pair {
+                    Some(pair) => batch.extend(pair),
+                    None => batch.push(model.mutation(&mut rng)),
+                }
+            }
             // Relations the batch creates, drops or re-modes: the ones
             // whose change is wholesale.
             let mut wholesale = BTreeSet::new();
-            for _ in 0..rng.gen_range(1..=6usize) {
-                for m in names.candidates(&mut rng) {
-                    if mirror.apply_mutation(&m).is_err() {
-                        continue;
+            for m in &batch {
+                mirror
+                    .apply_mutation(m)
+                    .unwrap_or_else(|e| panic!("{context}: {m}: {e}"));
+                match m {
+                    CatalogMutation::CreateRelation { name, .. }
+                    | CatalogMutation::DropRelation { name } => {
+                        wholesale.insert(name.clone());
                     }
-                    match &m {
-                        CatalogMutation::CreateRelation { name, .. }
-                        | CatalogMutation::DropRelation { name } => {
-                            wholesale.insert(name.clone());
-                        }
-                        CatalogMutation::SetPreemption { relation, .. } => {
-                            wholesale.insert(relation.clone());
-                        }
-                        _ => {}
+                    CatalogMutation::SetPreemption { relation, .. } => {
+                        wholesale.insert(relation.clone());
                     }
-                    batch.push(m);
+                    _ => {}
                 }
-            }
-            if batch.is_empty() {
-                continue;
             }
             let pre = engine.snapshot();
             engine
                 .apply_mutations(None, |apply| batch.iter().try_for_each(apply))
-                .unwrap();
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
             let post = engine.snapshot();
             let (epoch, delta) = engine.last_delta().expect("the batch published");
             assert_eq!(

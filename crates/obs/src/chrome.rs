@@ -46,20 +46,6 @@ pub fn render(trace: &QueryTrace) -> String {
     out
 }
 
-/// Render several traces into one chrome-trace file (events from every
-/// trace share the timeline; the per-trace root names tell them apart).
-pub fn render_many(traces: &[&QueryTrace]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for t in traces {
-        if let Some(root) = &t.root {
-            write_event(root, &mut out, &mut first);
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -227,11 +227,6 @@ pub fn reset_all() {
     }
 }
 
-/// Names currently registered, in sorted order.
-pub fn metric_names() -> Vec<&'static str> {
-    registry().lock().unwrap().keys().copied().collect()
-}
-
 fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("hrdm_");

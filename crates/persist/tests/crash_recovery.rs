@@ -1,8 +1,8 @@
 //! Deterministic fault-injection crash-recovery harness.
 //!
-//! A seeded generator produces a mutation script (≥ 200 operations,
-//! every mutation kind) that is guaranteed to apply cleanly. The
-//! harness then:
+//! `hrdm-testkit`'s seeded model produces a mutation script (220
+//! operations, all ten mutation kinds — asserted) that is guaranteed
+//! to apply cleanly. The harness then:
 //!
 //! 1. applies the script to a live catalog, snapshotting
 //!    `render_stable()` after every prefix — the reference states;
@@ -28,289 +28,27 @@
 //! follower reaches is a reference prefix; damage is an error or a
 //! prefix, never a wrong record and never a quiet stall.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use hrdm_core::mutation::CatalogMutation;
-use hrdm_core::prelude::{Catalog, Preemption, Truth};
+use hrdm_core::prelude::Catalog;
 use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
 use hrdm_persist::wal::{write_header, write_record};
 use hrdm_persist::{
     recover, DurableCatalog, Fault, FaultFs, Image, PersistError, ShipEvent, WalRecord, WalTailer,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 const SCRIPT_LEN: usize = 220;
 const SEED: u64 = 0x5EED_CAFE;
 
-/// Generator state mirroring what the catalog will accept, so every
-/// generated mutation is guaranteed to apply.
-#[derive(Default)]
-struct Model {
-    counter: usize,
-    /// Live domains: name → (parent candidates, all nodes, root classes).
-    domains: BTreeMap<String, DomainModel>,
-    /// Live relations: name → per-column value candidates + stored rows.
-    relations: BTreeMap<String, RelModel>,
-}
-
-struct DomainModel {
-    /// Valid parents for new nodes: the root plus every class.
-    parents: Vec<String>,
-    /// Every node name (item-value candidates at relation creation).
-    nodes: Vec<String>,
-    /// Classes directly under the root, in creation order — preference
-    /// edges only go from a later root class to an earlier one, which
-    /// keeps the preference graph acyclic by construction.
-    root_classes: Vec<String>,
-    prefs: std::collections::BTreeSet<(String, String)>,
-}
-
-struct RelModel {
-    /// Snapshot of each column's domain nodes at creation time (a
-    /// conservative candidate set — the schema re-shares later node
-    /// additions, but creation-time nodes are always resolvable).
-    columns: Vec<Vec<String>>,
-    /// Domains the schema references (blocks `DropDomain` on them).
-    domains_used: Vec<String>,
-    stored: BTreeMap<Vec<String>, Truth>,
-}
-
-impl Model {
-    fn fresh(&mut self, prefix: &str) -> String {
-        self.counter += 1;
-        format!("{prefix}{}", self.counter)
-    }
-
-    fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
-        &items[rng.gen_range(0..items.len())]
-    }
-
-    fn gen_one(&mut self, rng: &mut SmallRng) -> CatalogMutation {
-        for _ in 0..64 {
-            let roll = rng.gen_range(0u32..100);
-            let m = match roll {
-                0..=4 => self.gen_create_domain(),
-                5..=29 => self.gen_add_class(rng),
-                30..=44 => self.gen_add_instance(rng),
-                45..=52 => self.gen_prefer(rng),
-                53..=62 => self.gen_create_relation(rng),
-                63..=87 => self.gen_assert(rng),
-                88..=92 => self.gen_retract(rng),
-                93..=96 => self.gen_set_preemption(rng),
-                97..=98 => self.gen_drop_relation(rng),
-                _ => self.gen_drop_domain(rng),
-            };
-            if let Some(m) = m {
-                return m;
-            }
-        }
-        // Always satisfiable fallback.
-        self.gen_create_domain()
-            .expect("create-domain always applies")
-    }
-
-    fn gen_create_domain(&mut self) -> Option<CatalogMutation> {
-        let name = self.fresh("D");
-        self.domains.insert(
-            name.clone(),
-            DomainModel {
-                parents: vec![name.clone()],
-                nodes: vec![name.clone()],
-                root_classes: Vec::new(),
-                prefs: Default::default(),
-            },
-        );
-        Some(CatalogMutation::CreateDomain { name })
-    }
-
-    fn pick_domain(&self, rng: &mut SmallRng) -> Option<String> {
-        if self.domains.is_empty() {
-            return None;
-        }
-        let names: Vec<&String> = self.domains.keys().collect();
-        Some((*Self::pick(rng, &names)).clone())
-    }
-
-    fn gen_add_class(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let domain = self.pick_domain(rng)?;
-        let name = self.fresh("C");
-        let dm = self.domains.get_mut(&domain).unwrap();
-        let mut parents = vec![Self::pick(rng, &dm.parents).clone()];
-        if dm.parents.len() >= 2 && rng.gen_bool(0.2) {
-            let second = Self::pick(rng, &dm.parents).clone();
-            if second != parents[0] {
-                parents.push(second);
-            }
-        }
-        if parents == [domain.clone()] {
-            dm.root_classes.push(name.clone());
-        }
-        dm.parents.push(name.clone());
-        dm.nodes.push(name.clone());
-        Some(CatalogMutation::AddClass {
-            domain,
-            name,
-            parents,
-        })
-    }
-
-    fn gen_add_instance(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let domain = self.pick_domain(rng)?;
-        let name = self.fresh("I");
-        let dm = self.domains.get_mut(&domain).unwrap();
-        let parents = vec![Self::pick(rng, &dm.parents).clone()];
-        dm.nodes.push(name.clone());
-        Some(CatalogMutation::AddInstance {
-            domain,
-            name,
-            parents,
-        })
-    }
-
-    fn gen_prefer(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let domain = self.pick_domain(rng)?;
-        let dm = self.domains.get_mut(&domain).unwrap();
-        if dm.root_classes.len() < 2 {
-            return None;
-        }
-        let wi = rng.gen_range(1..dm.root_classes.len());
-        let si = rng.gen_range(0..wi);
-        let stronger = dm.root_classes[si].clone();
-        let weaker = dm.root_classes[wi].clone();
-        let pair = (stronger.clone(), weaker.clone());
-        if !dm.prefs.insert(pair) {
-            return None;
-        }
-        Some(CatalogMutation::Prefer {
-            domain,
-            stronger,
-            weaker,
-        })
-    }
-
-    fn gen_create_relation(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let arity = if rng.gen_bool(0.3) { 2 } else { 1 };
-        let mut attributes = Vec::new();
-        let mut columns = Vec::new();
-        for k in 0..arity {
-            let domain = self.pick_domain(rng)?;
-            let dm = &self.domains[&domain];
-            columns.push(dm.nodes.clone());
-            attributes.push((format!("a{k}"), domain));
-        }
-        let name = self.fresh("R");
-        self.relations.insert(
-            name.clone(),
-            RelModel {
-                columns,
-                domains_used: attributes.iter().map(|(_, d)| d.clone()).collect(),
-                stored: BTreeMap::new(),
-            },
-        );
-        Some(CatalogMutation::CreateRelation { name, attributes })
-    }
-
-    fn pick_relation(&self, rng: &mut SmallRng) -> Option<String> {
-        if self.relations.is_empty() {
-            return None;
-        }
-        let names: Vec<&String> = self.relations.keys().collect();
-        Some((*Self::pick(rng, &names)).clone())
-    }
-
-    fn gen_assert(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let relation = self.pick_relation(rng)?;
-        let rm = self.relations.get_mut(&relation).unwrap();
-        let truth = if rng.gen_bool(0.3) {
-            Truth::Negative
-        } else {
-            Truth::Positive
-        };
-        for _ in 0..8 {
-            let values: Vec<String> = rm
-                .columns
-                .iter()
-                .map(|col| Self::pick(rng, col).clone())
-                .collect();
-            if !rm.stored.contains_key(&values) {
-                rm.stored.insert(values.clone(), truth);
-                return Some(CatalogMutation::Assert {
-                    relation,
-                    values,
-                    truth,
-                });
-            }
-        }
-        None
-    }
-
-    fn gen_retract(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let relation = self.pick_relation(rng)?;
-        let rm = self.relations.get_mut(&relation).unwrap();
-        if rm.stored.is_empty() {
-            return None;
-        }
-        let keys: Vec<Vec<String>> = rm.stored.keys().cloned().collect();
-        let values = Self::pick(rng, &keys).clone();
-        rm.stored.remove(&values);
-        Some(CatalogMutation::Retract { relation, values })
-    }
-
-    fn gen_set_preemption(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let relation = self.pick_relation(rng)?;
-        let mode = *Self::pick(
-            rng,
-            &[
-                Preemption::OffPath,
-                Preemption::OnPath,
-                Preemption::NoPreemption,
-            ],
-        );
-        Some(CatalogMutation::SetPreemption { relation, mode })
-    }
-
-    fn gen_drop_relation(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        if self.relations.len() < 4 {
-            return None;
-        }
-        let name = self.pick_relation(rng)?;
-        self.relations.remove(&name);
-        Some(CatalogMutation::DropRelation { name })
-    }
-
-    fn gen_drop_domain(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        if self.domains.len() < 4 {
-            return None;
-        }
-        // Referential integrity: a domain with relations over it
-        // cannot be dropped.
-        let referenced: std::collections::BTreeSet<&String> = self
-            .relations
-            .values()
-            .flat_map(|r| r.domains_used.iter())
-            .collect();
-        let free: Vec<String> = self
-            .domains
-            .keys()
-            .filter(|d| !referenced.contains(d))
-            .cloned()
-            .collect();
-        if free.is_empty() {
-            return None;
-        }
-        let name = Self::pick(rng, &free).clone();
-        self.domains.remove(&name);
-        Some(CatalogMutation::DropDomain { name })
-    }
-}
-
-fn gen_script(seed: u64, n: usize) -> Vec<CatalogMutation> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut model = Model::default();
-    (0..n).map(|_| model.gen_one(&mut rng)).collect()
+/// The model's script for `seed`, held to this suite's coverage floor.
+fn gen_script(seed: u64) -> Vec<CatalogMutation> {
+    let script = hrdm_testkit::script(seed, SCRIPT_LEN);
+    let kinds: BTreeSet<&str> = script.iter().map(CatalogMutation::kind).collect();
+    assert_eq!(kinds.len(), 10, "seed {seed:#x}: only {kinds:?}");
+    script
 }
 
 /// `render_stable()` after each prefix of the script: `refs[k]` is the
@@ -321,7 +59,7 @@ fn reference_prefixes(script: &[CatalogMutation]) -> Vec<String> {
     for m in script {
         catalog
             .apply_mutation(m)
-            .unwrap_or_else(|e| panic!("generated mutation must apply: {m}: {e}"));
+            .unwrap_or_else(|e| panic!("seed {SEED:#x}: generated mutation must apply: {m}: {e}"));
         refs.push(catalog.render_stable());
     }
     refs
@@ -385,8 +123,7 @@ fn kill_points(total: usize, boundaries: &[u64]) -> Vec<usize> {
 
 #[test]
 fn every_kill_point_recovers_a_prefix() {
-    let script = gen_script(SEED, SCRIPT_LEN);
-    assert!(script.len() >= 200);
+    let script = gen_script(SEED);
     let refs = reference_prefixes(&script);
     let (bytes, boundaries) = wal_stream(&script);
     let dir = temp_dir("killpoints");
@@ -407,16 +144,16 @@ fn every_kill_point_recovers_a_prefix() {
         let expect_truncated = cut as u64 - last_good;
         assert_eq!(
             rec.report.records_replayed, expect_replayed,
-            "cut at byte {cut}: wrong replay count"
+            "seed {SEED:#x} cut at byte {cut}: wrong replay count"
         );
         assert_eq!(
             rec.report.truncated_bytes, expect_truncated,
-            "cut at byte {cut}: wrong truncation accounting"
+            "seed {SEED:#x} cut at byte {cut}: wrong truncation accounting"
         );
         assert_eq!(
             rec.catalog.render_stable(),
             refs[expect_replayed as usize],
-            "cut at byte {cut}: recovered state is not the claimed prefix"
+            "seed {SEED:#x} cut at byte {cut}: recovered state is not the claimed prefix"
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -424,7 +161,7 @@ fn every_kill_point_recovers_a_prefix() {
 
 #[test]
 fn every_bit_flip_recovers_a_prefix() {
-    let script = gen_script(SEED, SCRIPT_LEN);
+    let script = gen_script(SEED);
     let refs = reference_prefixes(&script);
     let (bytes, _) = wal_stream(&script);
     let dir = temp_dir("bitflips");
@@ -441,7 +178,7 @@ fn every_bit_flip_recovers_a_prefix() {
                 assert_eq!(
                     rec.catalog.render_stable(),
                     refs[claimed],
-                    "flip at byte {at}: recovered state is not the claimed prefix"
+                    "seed {SEED:#x} flip at byte {at}: recovered state is not the claimed prefix"
                 );
                 assert!(claimed <= script.len());
             }
@@ -450,10 +187,10 @@ fn every_bit_flip_recovers_a_prefix() {
             Err(hrdm_persist::PersistError::UnsupportedVersion(_)) => {
                 assert!(
                     (8..12).contains(&at),
-                    "flip at byte {at}: bad version error"
+                    "seed {SEED:#x} flip at byte {at}: bad version error"
                 );
             }
-            Err(e) => panic!("flip at byte {at}: recovery failed: {e}"),
+            Err(e) => panic!("seed {SEED:#x} flip at byte {at}: recovery failed: {e}"),
         }
         flipped[at] ^= bit; // restore
     }
@@ -478,7 +215,7 @@ fn stream_through(script: &[CatalogMutation], fault: Option<(u64, Fault)>) -> Ve
 
 #[test]
 fn faultfs_drop_truncate_bitflip_all_recover_prefixes() {
-    let script = gen_script(SEED, SCRIPT_LEN);
+    let script = gen_script(SEED);
     let refs = reference_prefixes(&script);
     let dir = temp_dir("faultfs");
 
@@ -503,14 +240,14 @@ fn faultfs_drop_truncate_bitflip_all_recover_prefixes() {
                     assert_eq!(
                         rec.catalog.render_stable(),
                         refs[claimed],
-                        "fault {fault:?} at write {trigger}: not the claimed prefix"
+                        "seed {SEED:#x} fault {fault:?} at write {trigger}: not the claimed prefix"
                     );
                 }
                 Err(hrdm_persist::PersistError::UnsupportedVersion(_)) => {
                     // BitFlip landing in the header's version word.
                     assert!(matches!(fault, Fault::BitFlip(_)) && trigger <= 1);
                 }
-                Err(e) => panic!("fault {fault:?} at write {trigger}: {e}"),
+                Err(e) => panic!("seed {SEED:#x} fault {fault:?} at write {trigger}: {e}"),
             }
         }
     }
@@ -519,7 +256,7 @@ fn faultfs_drop_truncate_bitflip_all_recover_prefixes() {
 
 #[test]
 fn durable_catalog_end_to_end_with_crash_snapshots() {
-    let script = gen_script(SEED ^ 0xF00D, SCRIPT_LEN);
+    let script = gen_script(SEED ^ 0xF00D);
     let refs = reference_prefixes(&script);
     let dir = temp_dir("endtoend");
 
@@ -641,7 +378,7 @@ fn records_within(cut: usize, boundaries: &[u64]) -> u64 {
 /// and has seen every record exactly once, in LSN order, at the end.
 #[test]
 fn a_tailer_split_at_every_offset_delivers_every_record_exactly_once() {
-    let script = gen_script(SEED, SCRIPT_LEN);
+    let script = gen_script(SEED);
     let refs = reference_prefixes(&script);
     let mid = script.len() / 2;
     let (first, first_bounds) = wal_stream_at(0, &script[..mid]);
@@ -671,7 +408,7 @@ fn a_tailer_split_at_every_offset_delivers_every_record_exactly_once() {
 
     // Split inside the generation the follower attached to.
     for cut in kill_points(first.len(), &first_bounds) {
-        let context = format!("generation 0 cut at byte {cut}");
+        let context = format!("seed {SEED:#x} generation 0 cut at byte {cut}");
         undo_roll_over();
         std::fs::write(wal_path(&dir, 0), &first[..cut]).unwrap();
         let mut follower = Follower::attach(&dir);
@@ -696,7 +433,7 @@ fn a_tailer_split_at_every_offset_delivers_every_record_exactly_once() {
     // Split inside the generation the rollover brings.
     std::fs::write(wal_path(&dir, 0), &first).unwrap();
     for cut in kill_points(second.len(), &second_bounds) {
-        let context = format!("generation {mid} cut at byte {cut}");
+        let context = format!("seed {SEED:#x} generation {mid} cut at byte {cut}");
         undo_roll_over();
         let mut follower = Follower::attach(&dir);
         follower.poll().unwrap();
@@ -732,7 +469,7 @@ fn a_tailer_split_at_every_offset_delivers_every_record_exactly_once() {
 /// having first delivered the intact records before it.
 #[test]
 fn every_bit_flip_under_a_tailer_is_an_error_or_a_prefix() {
-    let script = gen_script(SEED, SCRIPT_LEN);
+    let script = gen_script(SEED);
     let refs = reference_prefixes(&script);
     let (bytes, boundaries) = wal_stream(&script);
     let dir = temp_dir("tailflips");
@@ -763,21 +500,24 @@ fn every_bit_flip_under_a_tailer_is_an_error_or_a_prefix() {
         let mut follower = Follower::attach(&dir);
         // Intact records first, then the damage, then the damage again.
         let outcomes = [follower.poll(), follower.poll(), follower.poll()];
-        follower.assert_on_a_prefix(&refs, 0, &format!("flip at byte {at}"));
-        assert_eq!(outcomes[1], outcomes[2], "flip at byte {at}: not stable");
+        follower.assert_on_a_prefix(&refs, 0, &format!("seed {SEED:#x} flip at byte {at}"));
+        assert_eq!(
+            outcomes[1], outcomes[2],
+            "seed {SEED:#x} flip at byte {at}: not stable"
+        );
         match frame_of(at) {
             // In a mutation frame's checksum or payload.
             Some((lsn, start, true)) if lsn >= 1 => {
                 let expected = format!("at byte {start}:");
                 assert!(
                     matches!(&outcomes[2], Err(PersistError::Corrupt(msg)) if msg.contains(&expected)),
-                    "flip at byte {at}: expected corrupt {expected}, got {:?}",
+                    "seed {SEED:#x} flip at byte {at}: expected corrupt {expected}, got {:?}",
                     outcomes[2]
                 );
                 assert_eq!(
                     follower.tailer.shipped_lsn(),
                     lsn - 1,
-                    "flip at byte {at}: the records before the damaged frame are delivered"
+                    "seed {SEED:#x} flip at byte {at}: the records before the damaged frame are delivered"
                 );
                 loud += 1;
             }
@@ -785,7 +525,7 @@ fn every_bit_flip_under_a_tailer_is_an_error_or_a_prefix() {
             // an error, or a frame that now reads as cut short.
             _ => assert!(
                 !matches!(outcomes[2], Err(PersistError::Io(_))),
-                "flip at byte {at}: {:?}",
+                "seed {SEED:#x} flip at byte {at}: {:?}",
                 outcomes[2]
             ),
         }

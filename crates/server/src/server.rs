@@ -432,12 +432,6 @@ impl ServerHandle {
         self.shared.active.load(Ordering::SeqCst)
     }
 
-    /// Has a shutdown been requested (via [`ServerHandle::shutdown`] or
-    /// the `SHUTDOWN` verb)?
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Request a graceful shutdown and wait for the loop and every
     /// worker to finish.
     pub fn shutdown(mut self) {
