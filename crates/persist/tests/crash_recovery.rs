@@ -197,20 +197,16 @@ fn every_bit_flip_recovers_a_prefix() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Replay the WAL-writing workload through a [`FaultFs`], return the
-/// bytes that "reached disk".
-fn stream_through(script: &[CatalogMutation], fault: Option<(u64, Fault)>) -> Vec<u8> {
-    let mut w = match fault {
-        Some((t, f)) => FaultFs::with_fault(Vec::new(), t, f),
-        None => FaultFs::counting(Vec::new()),
-    };
+/// Replay the WAL-writing workload through `w`, a [`FaultFs`]; its
+/// inner buffer is the bytes that "reached disk".
+fn stream_through(script: &[CatalogMutation], mut w: FaultFs<Vec<u8>>) -> FaultFs<Vec<u8>> {
     write_header(&mut w).unwrap();
     write_record(&mut w, &WalRecord::Checkpoint { lsn: 0 }).unwrap();
     for m in script {
         write_record(&mut w, &WalRecord::Mutation(m.clone())).unwrap();
     }
     w.flush().unwrap();
-    w.into_inner()
+    w
 }
 
 #[test]
@@ -220,19 +216,14 @@ fn faultfs_drop_truncate_bitflip_all_recover_prefixes() {
     let dir = temp_dir("faultfs");
 
     // Counting pass: how many write calls does the workload make?
-    let mut counter = FaultFs::counting(Vec::new());
-    write_header(&mut counter).unwrap();
-    write_record(&mut counter, &WalRecord::Checkpoint { lsn: 0 }).unwrap();
-    for m in &script {
-        write_record(&mut counter, &WalRecord::Mutation(m.clone())).unwrap();
-    }
-    let total_writes = counter.writes();
+    let total_writes = stream_through(&script, FaultFs::counting(Vec::new())).writes();
     assert!(total_writes > script.len() as u64, "multiple writes/record");
 
     let step = if cfg!(debug_assertions) { 13 } else { 1 };
     for trigger in (0..total_writes).step_by(step) {
         for fault in [Fault::Drop, Fault::Truncate(1), Fault::BitFlip(5)] {
-            let stream = stream_through(&script, Some((trigger, fault)));
+            let stream = stream_through(&script, FaultFs::with_fault(Vec::new(), trigger, fault))
+                .into_inner();
             std::fs::write(wal_path(&dir, 0), &stream).unwrap();
             match recover(&dir) {
                 Ok(rec) => {

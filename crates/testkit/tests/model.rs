@@ -15,63 +15,36 @@ use rand::{Rng, SeedableRng};
 /// The seeds the suites draw their histories from.
 const SEEDS: [u64; 5] = [0xA11CE, 0xB0B, 0x5EED_CAFE, 0x5EED_CAFE ^ 0xF00D, 0xD15C0];
 
-/// Mutations, same-item pairs and rollovers, as HQL, the way the
-/// replica and net-delta suites mix them.
-fn mixed_history(seed: u64, steps: usize) -> Vec<String> {
+/// `steps` steps of mutations and same-item pairs, the way the net-delta
+/// suite mixes them, each applied to a mirror catalog as it is emitted.
+fn mirrored_history(seed: u64, steps: usize) -> Vec<CatalogMutation> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut model = Model::default();
-    let mut out = Vec::new();
-    for _ in 0..steps {
-        match rng.gen_range(0u32..10) {
-            0 => out.push(model.rollover(&mut rng)),
-            1..=3 => match model.same_item_pair(&mut rng) {
-                Some(pair) => out.extend(pair.iter().map(|m| model.hql(m))),
-                None => out.push("-".to_string()),
-            },
-            _ => {
-                let m = model.mutation(&mut rng);
-                out.push(model.hql(&m));
-            }
+    let mut mirror = Catalog::new();
+    let mut history = Vec::new();
+    for step in 0..steps {
+        let pair = if rng.gen_bool(0.3) {
+            model.same_item_pair(&mut rng)
+        } else {
+            None
+        };
+        for m in pair.map_or_else(|| vec![model.mutation(&mut rng)], Vec::from) {
+            mirror
+                .apply_mutation(&m)
+                .unwrap_or_else(|e| panic!("seed {seed:#x} step {step}: {m}: {e}"));
+            history.push(m);
         }
     }
-    out
+    history
 }
 
 #[test]
-fn a_seed_names_one_history() {
+fn a_seed_names_one_history_and_every_mutation_of_it_applies() {
     for seed in SEEDS {
-        assert_eq!(script(seed, 300), script(seed, 300), "seed {seed:#x}");
-        assert_eq!(
-            mixed_history(seed, 300),
-            mixed_history(seed, 300),
-            "seed {seed:#x}"
-        );
+        let history = mirrored_history(seed, 1_000);
+        assert!(history.len() > 1_100, "seed {seed:#x}: few pairs");
+        assert_eq!(history, mirrored_history(seed, 1_000), "seed {seed:#x}");
         assert_ne!(script(seed, 50), script(seed ^ 1, 50), "seed {seed:#x}");
-    }
-}
-
-#[test]
-fn every_mutation_and_pair_applies_to_a_mirror_catalog() {
-    for seed in SEEDS {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut model = Model::default();
-        let mut mirror = Catalog::new();
-        let mut pairs = 0;
-        for step in 0..1_000 {
-            let batch = if rng.gen_bool(0.3) {
-                model.same_item_pair(&mut rng).map(Vec::from)
-            } else {
-                None
-            };
-            pairs += usize::from(batch.is_some());
-            let batch = batch.unwrap_or_else(|| vec![model.mutation(&mut rng)]);
-            for m in batch {
-                mirror
-                    .apply_mutation(&m)
-                    .unwrap_or_else(|e| panic!("seed {seed:#x} step {step}: {m}: {e}"));
-            }
-        }
-        assert!(pairs > 100, "seed {seed:#x}: only {pairs} pairs");
     }
 }
 
