@@ -11,13 +11,15 @@
 //! * **Mutating statements** funnel through the single writer: a
 //!   `Mutex` serializes them, each clones the world (constant work: the
 //!   catalog's maps are persistent), applies its change — copying the
-//!   one path of each map it walks, nothing else — journals it through
-//!   the write-ahead log of the `OPEN`ed store (if any), and publishes
+//!   one path of each map it walks, nothing else — stages it on the
+//!   write-ahead log of the `OPEN`ed store (if any), appends what it
+//!   staged once view maintenance has accepted the write, and publishes
 //!   the fresh world as the next **epoch**. Where that time goes is
 //!   recorded per write in the `engine.write.{clone, apply, journal,
 //!   net_delta, maintain, publish}` histograms, six stages that add up
-//!   to the time under the lock. A failed statement publishes nothing, so errors are
-//!   atomic — readers can never observe a half-applied write. A
+//!   to the time under the lock. A failed statement publishes nothing
+//!   and journals nothing, so errors are atomic — neither readers nor
+//!   a restart can observe a half-applied or refused write. A
 //!   statement in the WAL vocabulary resolves to one
 //!   [`CatalogMutation`], and that one value is both applied (through
 //!   [`Catalog::apply_mutation`], the interpreter recovery replays
@@ -41,7 +43,7 @@ use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
 use hrdm_core::render::render_table;
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
-use hrdm_persist::{Image, Journal};
+use hrdm_persist::{Image, Journal, LsnMarks};
 
 use crate::ast::{names, Statement, ValueRef, STATEMENT_KINDS};
 use crate::error::{HqlError, Result};
@@ -74,6 +76,10 @@ struct EngineInner {
     /// acquisition, so the gauge reports contention a writer actually
     /// observed rather than a racy instantaneous count.
     write_queue: AtomicU64,
+    /// The open store's LSN marks, readable without the writer lock
+    /// (the server's `STATS` answers on its event loop); replaced when
+    /// `OPEN` attaches a journal.
+    marks: Mutex<Option<Arc<LsnMarks>>>,
 }
 
 struct IvmMetrics {
@@ -111,7 +117,8 @@ struct WriteObs {
     /// load + world clone), `.apply` (the statement handler — name
     /// resolution, the catalog interpreter with whatever it copies on
     /// write, reply formatting — minus the journal time inside it),
-    /// `.journal` (WAL appends, incl. a group fsync that falls due),
+    /// `.journal` (staging the WAL records, then appending them at
+    /// commit, incl. any wait for the syncer the loss bound imposes),
     /// `.net_delta`, `.maintain` (live views, incl. their implicit
     /// checkpoint), `.publish` (epoch swap, delta hand-over, release of
     /// the previous epoch's world). The six are differences of
@@ -187,7 +194,8 @@ pub struct WriteTxn<'a> {
     /// alongside the new epoch.
     pub delta: Delta,
     journal: &'a mut Option<Journal>,
-    /// Time this write has spent appending to the WAL so far.
+    marks: &'a Mutex<Option<Arc<LsnMarks>>>,
+    /// Time this write has spent staging WAL records so far.
     journal_time: Duration,
 }
 
@@ -209,11 +217,11 @@ fn net_rows(delta: &mut Delta, pre: &World, post: &World) {
 impl WriteTxn<'_> {
     /// Apply one WAL-vocabulary mutation: apply it to the private world
     /// through the catalog's interpreter, record its effect in the
-    /// write's delta, and append it to the open store's WAL (skipped
+    /// write's delta, and stage it on the open store's WAL (skipped
     /// when detached) — the value that is applied is the value that is
-    /// logged. An `Assert`/`Retract` is resolved once, by the
-    /// interpreter; its delta row is that item, and so is the return
-    /// value (`None` for every other mutation).
+    /// logged, once the write commits. An `Assert`/`Retract` is
+    /// resolved once, by the interpreter; its delta row is that item,
+    /// and so is the return value (`None` for every other mutation).
     fn apply(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
         use CatalogMutation::*;
         let resolved = self.world.apply(m)?;
@@ -244,10 +252,23 @@ impl WriteTxn<'_> {
         }
         if let Some(j) = self.journal.as_mut() {
             let started = Instant::now();
-            j.record(m)?;
+            j.stage(m)?;
             self.journal_time += started.elapsed();
         }
         Ok(resolved)
+    }
+
+    /// Drop the mutations this write staged: it was refused.
+    fn discard_staged(&mut self) {
+        if let Some(j) = self.journal.as_mut() {
+            j.discard();
+        }
+    }
+
+    /// Make `journal` the open store's, and publish its LSN marks.
+    fn attach(&mut self, journal: Journal) {
+        *self.marks.lock().expect("marks lock poisoned") = Some(Arc::clone(journal.marks()));
+        *self.journal = Some(journal);
     }
 
     /// Apply a tuple mutation of `relation` and render the item it
@@ -506,12 +527,12 @@ impl Engine {
             world: (*snap).clone(),
             delta: Delta::new(),
             journal: &mut writer.journal,
+            marks: &self.inner.marks,
             journal_time: Duration::ZERO,
         };
         let mut spent = [Duration::ZERO; 6];
         spent[CLONE] = lap(&mut boundary);
-        let response = f(&mut txn)?;
-        spent[JOURNAL] = txn.journal_time;
+        let response = f(&mut txn).inspect_err(|_| txn.discard_staged())?;
         spent[APPLY] = lap(&mut boundary).saturating_sub(txn.journal_time);
         // Bring live views up to date with this write's delta before
         // anything publishes: a maintenance failure (the fallback
@@ -521,7 +542,19 @@ impl Engine {
         let mut delta = std::mem::take(&mut txn.delta);
         net_rows(&mut delta, &snap, &txn.world);
         spent[NET_DELTA] = lap(&mut boundary);
-        let summary = txn.world.maintain_views(&mut delta)?;
+        let summary = txn
+            .world
+            .maintain_views(&mut delta)
+            .inspect_err(|_| txn.discard_staged())?;
+        // The write can no longer be refused: its staged mutations reach
+        // the log — before the implicit checkpoint, whose image holds
+        // them, and before publication.
+        spent[JOURNAL] = txn.journal_time;
+        if let Some(j) = txn.journal.as_mut() {
+            spent[MAINTAIN] = lap(&mut boundary);
+            j.commit()?;
+            spent[JOURNAL] += lap(&mut boundary);
+        }
         if summary.changed() {
             // View relations changed outside the WAL mutation
             // vocabulary; only an image carries them.
@@ -531,7 +564,7 @@ impl Engine {
         m.maintained.add(summary.maintained as u64);
         m.fallback.add(summary.fallback as u64);
         m.detached.add(summary.detached as u64);
-        spent[MAINTAIN] = lap(&mut boundary);
+        spent[MAINTAIN] += lap(&mut boundary);
         let epoch = self.inner.state.publish(Arc::new(txn.world));
         *self.inner.last_delta.lock().expect("delta lock poisoned") =
             Some((epoch, Arc::new(delta)));
@@ -545,15 +578,43 @@ impl Engine {
         Ok(response)
     }
 
-    /// LSN of the attached store, if one is `OPEN` (= mutations recorded
-    /// since the store's birth).
-    pub fn journal_lsn(&self) -> Option<u64> {
-        let writer = self.inner.writer.lock().expect("writer lock poisoned");
-        writer.journal.as_ref().map(Journal::next_lsn)
+    /// The open store's LSN marks, if a store is `OPEN`.
+    fn marks(&self) -> Option<Arc<LsnMarks>> {
+        self.inner
+            .marks
+            .lock()
+            .expect("marks lock poisoned")
+            .clone()
     }
 
-    /// Flush and fsync any buffered WAL records of the open store.
-    /// A no-op when no store is attached.
+    /// LSN of the attached store, if one is `OPEN` (= mutations recorded
+    /// since the store's birth). Read without the writer lock.
+    pub fn journal_lsn(&self) -> Option<u64> {
+        self.marks().map(|m| m.next())
+    }
+
+    /// Mutations of the attached store a completed `fdatasync` covers,
+    /// if one is `OPEN`: under `SYNC EVERY n`, every acknowledged write's
+    /// LSN is below `durable_lsn + n`. Read without the writer lock.
+    pub fn durable_lsn(&self) -> Option<u64> {
+        self.marks().map(|m| m.durable())
+    }
+
+    /// `journal-lsn: …` and `durable-lsn: …` lines for a probe or the
+    /// server's `STATS`, if a store is `OPEN`. The durable LSN is read
+    /// first, so it never exceeds the journal LSN beside it.
+    pub fn lsn_probe(&self) -> Option<String> {
+        let marks = self.marks()?;
+        let durable = marks.durable();
+        Some(format!(
+            "journal-lsn: {}\ndurable-lsn: {durable}",
+            marks.next()
+        ))
+    }
+
+    /// Return once every WAL record of the open store is durable
+    /// (`durable_lsn == journal_lsn`). A no-op when no store is
+    /// attached.
     pub fn sync(&self) -> Result<()> {
         let mut writer = self.inner.writer.lock().expect("writer lock poisoned");
         if let Some(j) = writer.journal.as_mut() {
@@ -769,7 +830,7 @@ fn exec_open(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     // re-crash cannot regress.
     let journal = Journal::begin(path, r.next_lsn(), &world.to_image(), group)?;
     txn.replace_world(world);
-    *txn.journal = Some(journal);
+    txn.attach(journal);
     Ok(Response::Ok(format!(
         "store {dir} open at lsn {} ({} domain(s), {} relation(s); \
          {} record(s) replayed, {} byte(s) truncated)",

@@ -166,11 +166,16 @@ impl ExecutorHandle for Engine {
     }
 
     fn probe(&self) -> ExecResult<String> {
-        Ok(format!(
+        let mut out = format!(
             "epoch: {}\nwrite-queue-depth: {}",
             self.epoch(),
             self.write_queue_depth()
-        ))
+        );
+        if let Some(lsns) = self.lsn_probe() {
+            out.push('\n');
+            out.push_str(&lsns);
+        }
+        Ok(out)
     }
 
     fn execute_statement(&self, stmt: Statement) -> ExecResult<String> {
@@ -194,10 +199,44 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], "domain D created");
         assert_eq!(handle.last_epoch().unwrap(), 2);
-        assert!(handle.probe().unwrap().starts_with("epoch: 2"));
+        assert_eq!(
+            handle.probe().unwrap(),
+            "epoch: 2\nwrite-queue-depth: 0",
+            "no store open, no LSN lines"
+        );
         // Rendered output through the handle equals the embedded render.
         let direct = render(&engine.execute("SHOW DOMAIN D;").unwrap());
         assert_eq!(handle.execute_read("SHOW DOMAIN D;", 2).unwrap(), direct);
+    }
+
+    #[test]
+    fn probe_reports_the_open_stores_lsns() {
+        let dir = std::env::temp_dir().join(format!("hrdm_probe_lsns_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::new();
+        engine
+            .execute(&format!("OPEN \"{}\" SYNC EVERY 4;", dir.display()))
+            .unwrap();
+        let lsn_line = |name: &str| -> u64 {
+            let probe = engine.probe().unwrap();
+            let line = probe.lines().find_map(|l| l.strip_prefix(name));
+            line.unwrap_or_else(|| panic!("no {name:?} in {probe}"))
+                .parse()
+                .unwrap()
+        };
+        for k in 1..=10u64 {
+            engine.execute(&format!("CREATE DOMAIN D{k};")).unwrap();
+            assert_eq!(lsn_line("journal-lsn: "), k);
+            assert!(k - lsn_line("durable-lsn: ") < 4, "SYNC EVERY 4");
+        }
+        engine.sync().unwrap();
+        assert!(engine
+            .probe()
+            .unwrap()
+            .ends_with("\njournal-lsn: 10\ndurable-lsn: 10"));
+        engine.execute("CHECKPOINT;").unwrap();
+        assert_eq!(engine.durable_lsn(), Some(10));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

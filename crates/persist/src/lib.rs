@@ -65,4 +65,4 @@ pub use faultfs::{Fault, FaultFs};
 pub use image::Image;
 pub use ship::{ShipBatch, ShipCursor, ShipEvent, WalTailer};
 pub use store::{recover, DurableCatalog, Journal, Recovered, RecoveryReport};
-pub use wal::{Frame, FrameError, WalFile, WalReader, WalRecord};
+pub use wal::{Frame, FrameError, LsnMarks, WalFile, WalReader, WalRecord};

@@ -31,6 +31,7 @@
 use std::fs::{self, File};
 use std::io::{BufReader, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::Catalog;
@@ -38,7 +39,7 @@ use hrdm_core::prelude::Catalog;
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{journal_obs, Frame, FrameError, WalFile, WalReader};
+use crate::wal::{journal_obs, Frame, FrameError, LsnMarks, WalFile, WalReader};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -287,29 +288,41 @@ pub struct Journal {
     dir: PathBuf,
     wal: WalFile,
     checkpoint_lsn: u64,
-    next_lsn: u64,
     group: usize,
 }
 
 impl Journal {
     /// Start a fresh generation at `lsn`: write the checkpoint image,
     /// open a new WAL bound to it, fsync the directory, then
-    /// garbage-collect older generations. `group` is the group-commit
-    /// width (fsync every `group` appends; 1 = every append).
+    /// garbage-collect older generations. `group` is `SYNC EVERY n`'s
+    /// `n`: fewer than `group` committed records may be non-durable
+    /// at any acknowledgement (1 = every record is durable before its
+    /// commit returns).
     ///
     /// The image and the log each fsync their own data, but their names
     /// — the checkpoint's rename, the log's creation — are entries of
     /// the directory, and only its fsync makes them durable. Without it
     /// a crash after the old generation's deletion could leave neither.
     pub fn begin(dir: &Path, lsn: u64, image: &Image, group: usize) -> Result<Journal> {
+        Journal::start(dir, lsn, image, group, Arc::default())
+    }
+
+    /// [`begin`](Self::begin), publishing into `marks` (which a
+    /// checkpoint carries over to the next generation).
+    fn start(
+        dir: &Path,
+        lsn: u64,
+        image: &Image,
+        group: usize,
+        marks: Arc<LsnMarks>,
+    ) -> Result<Journal> {
         write_checkpoint(dir, lsn, image)?;
-        let wal = WalFile::create(wal_path(dir, lsn), lsn, group)?;
+        let wal = WalFile::create_marked(wal_path(dir, lsn), lsn, group, marks)?;
         File::open(dir)?.sync_all()?;
         let journal = Journal {
             dir: dir.to_path_buf(),
             wal,
             checkpoint_lsn: lsn,
-            next_lsn: lsn,
             group,
         };
         journal.collect_garbage()?;
@@ -354,29 +367,59 @@ impl Journal {
     /// LSN the next recorded mutation will get (= mutations recorded so
     /// far, across all generations).
     pub fn next_lsn(&self) -> u64 {
-        self.next_lsn
+        self.checkpoint_lsn + self.wal.appended()
     }
 
-    /// Append one mutation to the WAL (group-commit fsync policy
-    /// applies).
+    /// Mutations a completed `fdatasync` (or checkpoint) covers, across
+    /// all generations: `next_lsn() − durable_lsn() < group` whenever a
+    /// record or commit returns.
+    pub fn durable_lsn(&self) -> u64 {
+        self.wal.marks().durable()
+    }
+
+    /// The journal's LSNs, readable without it; the same marks across
+    /// every checkpoint.
+    pub fn marks(&self) -> &Arc<LsnMarks> {
+        self.wal.marks()
+    }
+
+    /// Append one mutation to the WAL (stage and commit it).
     pub fn record(&mut self, m: &CatalogMutation) -> Result<()> {
-        self.wal.append(m)?;
-        self.next_lsn += 1;
-        Ok(())
+        self.wal.append(m)
     }
 
-    /// Flush and fsync any buffered records.
+    /// Stage one mutation of the write in progress; it reaches the log
+    /// with [`commit`](Self::commit), or never after
+    /// [`discard`](Self::discard).
+    pub fn stage(&mut self, m: &CatalogMutation) -> Result<()> {
+        self.wal.stage(m)
+    }
+
+    /// Append the staged mutations: their write was accepted.
+    pub fn commit(&mut self) -> Result<()> {
+        self.wal.commit()
+    }
+
+    /// Drop the staged mutations: their write was refused.
+    pub fn discard(&mut self) {
+        self.wal.discard()
+    }
+
+    /// Return once every recorded mutation is durable.
     pub fn sync(&mut self) -> Result<()> {
         self.wal.sync()
     }
 
     /// Take a checkpoint of `image` (which must reflect every recorded
-    /// mutation): rolls the journal over to a fresh generation and
+    /// and staged mutation): commits the staged ones, makes the log
+    /// durable, rolls the journal over to a fresh generation and
     /// truncates the old log. Returns the new checkpoint LSN.
     pub fn checkpoint(&mut self, image: &Image) -> Result<u64> {
+        self.wal.commit()?;
         self.wal.sync()?;
-        let lsn = self.next_lsn;
-        *self = Journal::begin(&self.dir, lsn, image, self.group)?;
+        let lsn = self.next_lsn();
+        let marks = Arc::clone(self.wal.marks());
+        *self = Journal::start(&self.dir, lsn, image, self.group, marks)?;
         Ok(lsn)
     }
 }
@@ -446,7 +489,7 @@ impl DurableCatalog {
         self.journal.record(&m)
     }
 
-    /// Fsync any buffered WAL records.
+    /// Return once every journaled mutation is durable.
     pub fn sync(&mut self) -> Result<()> {
         self.journal.sync()
     }
@@ -613,6 +656,55 @@ mod tests {
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.report.next_lsn(), before);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn acknowledged_records_stay_within_the_loss_bound() {
+        use CatalogMutation::{Assert, Retract};
+        let dir = temp_dir("bound");
+        for n in [1usize, 2, 32] {
+            let mut store = DurableCatalog::open_with_group(&dir, n).unwrap();
+            let marks = Arc::clone(store.journal.marks());
+            for m in script() {
+                store.mutate(m).unwrap();
+            }
+            for i in 0..100 {
+                let values = vec!["Tweety".to_string()];
+                store
+                    .mutate(match i % 2 {
+                        0 => Assert {
+                            relation: "Flies".into(),
+                            values,
+                            truth: Truth::Negative,
+                        },
+                        _ => Retract {
+                            relation: "Flies".into(),
+                            values,
+                        },
+                    })
+                    .unwrap();
+                assert!(
+                    store.lsn() - store.journal.durable_lsn() < n as u64,
+                    "SYNC EVERY {n}"
+                );
+            }
+            store.sync().unwrap();
+            assert_eq!(
+                store.journal.durable_lsn(),
+                store.lsn(),
+                "sync makes every record durable"
+            );
+            store.mutate(script()[0].clone()).unwrap_err();
+            let lsn = store.checkpoint().unwrap();
+            assert_eq!((store.journal.durable_lsn(), store.lsn()), (lsn, lsn));
+            assert!(
+                Arc::ptr_eq(&marks, store.journal.marks()),
+                "a checkpoint keeps the journal's marks"
+            );
+            assert_eq!((marks.next(), marks.durable()), (lsn, lsn));
+            drop(store);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -49,12 +49,15 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::preemption::Preemption;
 use hrdm_core::truth::Truth;
-use hrdm_obs::metrics::{self, Counter};
+use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
 
 use crate::codec::{
     crc32, read_str_into, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
@@ -80,6 +83,14 @@ pub(crate) struct JournalObs {
     /// `wal.fsyncs`: WAL data fsyncs (a store directory's fsync is not
     /// one, so `persist.fsyncs_per_write` counts the log alone).
     fsyncs: Counter,
+    /// `wal.sync_wait`: ns a writer was held up by the loss bound or a
+    /// `sync` — blocked on the syncer's sync, or running one itself when
+    /// none was in flight (one observation per wait; a commit that did
+    /// not wait observes nothing).
+    sync_wait: Histogram,
+    /// `persist.durable_lsn`: the LSN the last completed sync made
+    /// durable.
+    durable_lsn: Gauge,
     /// `persist.checkpoints`: checkpoint images written.
     pub(crate) checkpoints: Counter,
 }
@@ -89,6 +100,8 @@ pub(crate) fn journal_obs() -> &'static JournalObs {
     M.get_or_init(|| JournalObs {
         appends: metrics::counter("wal.appends"),
         fsyncs: metrics::counter("wal.fsyncs"),
+        sync_wait: metrics::histogram("wal.sync_wait"),
+        durable_lsn: metrics::gauge("persist.durable_lsn"),
         checkpoints: metrics::counter("persist.checkpoints"),
     })
 }
@@ -670,51 +683,305 @@ impl<R: Read> WalReader<R> {
     }
 }
 
-/// An open, appendable WAL file with group-commit fsync batching.
+/// A journal's two LSNs, readable without its writer: `next`, the LSN
+/// the next committed record gets (= records committed since the
+/// store's birth), and `durable`, the records a completed `fdatasync`
+/// covers. A `Journal` keeps one across its generations, so a reader
+/// that holds it (an engine's `STATS`) follows every checkpoint.
+#[derive(Debug, Default)]
+pub struct LsnMarks {
+    next: AtomicU64,
+    durable: AtomicU64,
+}
+
+impl LsnMarks {
+    /// LSN the next committed record will get.
+    pub fn next(&self) -> u64 {
+        self.next.load(Ordering::Acquire)
+    }
+
+    /// Records covered by a completed `fdatasync`: every LSN below it
+    /// survives a crash.
+    pub fn durable(&self) -> u64 {
+        self.durable.load(Ordering::Acquire)
+    }
+}
+
+/// What the writer and the syncer thread share.
+struct Syncer {
+    state: Mutex<SyncState>,
+    /// Signalled when the writer hands over records and when a sync
+    /// completes or fails — each only if the other side is waiting, and
+    /// at most one side waits at a time.
+    changed: Condvar,
+    /// Set with [`SyncState::failed`]; read by every commit, so a
+    /// poisoned file refuses the next one without taking the lock.
+    poisoned: AtomicBool,
+    /// The handle every `fdatasync` of this log goes through (a
+    /// `try_clone` of the writer's).
+    file: File,
+    /// LSN of the checkpoint this log extends: record `k` is LSN
+    /// `base_lsn + k`.
+    base_lsn: u64,
+    marks: Arc<LsnMarks>,
+    /// Moving average of how long a sync takes, in ns (updated by the
+    /// one sync in flight; the writer's hand-off rule reads it, and it
+    /// publishes nothing else).
+    sync_ns: AtomicU64,
+}
+
+/// A moving average over about the last eight samples (the first
+/// sample starts it). A sync's latency on one disk spreads widely (the
+/// median and the 90th percentile of one `fdatasync` can be 90 and
+/// 230 µs); deciding on the last sample alone flipped the hand-off rule
+/// with every slow sync.
+fn smooth(avg: u64, sample: u64) -> u64 {
+    match avg {
+        0 => sample,
+        _ => avg - avg / 8 + sample / 8,
+    }
+}
+
+#[derive(Default)]
+struct SyncState {
+    /// Records flushed to the file and handed to the syncer.
+    flushed: u64,
+    /// Records covered by a completed `fdatasync`.
+    durable: u64,
+    /// An `fdatasync` is in flight (on either thread).
+    syncing: bool,
+    /// The error of the `fdatasync` (or write) that poisoned the file.
+    failed: Option<(std::io::ErrorKind, String)>,
+    /// Set by `Drop`: the syncer exits once its sync in flight ends.
+    stop: bool,
+    /// The syncer is waiting for records (the writer must wake it).
+    syncer_idle: bool,
+    /// The writer is waiting for a sync (the syncer must wake it).
+    writer_blocked: bool,
+}
+
+impl Syncer {
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().expect("wal syncer lock poisoned")
+    }
+
+    /// Record `e` as the file's failure: this and every later commit or
+    /// sync returns it.
+    fn poison(&self, state: &mut SyncState, e: &std::io::Error) {
+        state
+            .failed
+            .get_or_insert_with(|| (e.kind(), e.to_string()));
+        self.poisoned.store(true, Ordering::Release);
+        self.changed.notify_all();
+    }
+
+    fn failure(state: &SyncState) -> Option<PersistError> {
+        state.failed.as_ref().map(|(kind, msg)| {
+            PersistError::Io(std::io::Error::new(
+                *kind,
+                format!("write-ahead log poisoned: {msg}"),
+            ))
+        })
+    }
+
+    /// Sync everything flushed so far, on the calling thread: the one
+    /// place an `fdatasync` of the log runs once it exists. Takes the
+    /// lock with no sync in flight and `flushed > durable`, and returns
+    /// it with `durable` advanced (or the file poisoned).
+    fn sync_flushed<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, SyncState>,
+    ) -> MutexGuard<'a, SyncState> {
+        let target = state.flushed;
+        let records = target - state.durable;
+        state.syncing = true;
+        drop(state);
+        let started = Instant::now();
+        let synced = {
+            let _g = hrdm_obs::span!("wal.fsync", records = records);
+            self.file.sync_data()
+        };
+        let took = started.elapsed().as_nanos() as u64;
+        let avg = self.sync_ns.load(Ordering::Relaxed);
+        self.sync_ns.store(smooth(avg, took), Ordering::Relaxed);
+        let mut state = self.lock();
+        state.syncing = false;
+        match synced {
+            Ok(()) => {
+                state.durable = target;
+                let lsn = self.base_lsn + target;
+                self.marks.durable.store(lsn, Ordering::Release);
+                let obs = journal_obs();
+                obs.fsyncs.incr();
+                obs.durable_lsn.set(lsn);
+                if state.writer_blocked {
+                    self.changed.notify_one();
+                }
+            }
+            Err(e) => self.poison(&mut state, &e),
+        }
+        state
+    }
+
+    /// The syncer thread: sync everything flushed by the time each sync
+    /// starts, and stop at the first failure.
+    fn run(&self) {
+        let mut state = self.lock();
+        while !state.stop && state.failed.is_none() {
+            if state.syncing || state.flushed == state.durable {
+                state.syncer_idle = true;
+                state = self.changed.wait(state).expect("wal syncer lock poisoned");
+                state.syncer_idle = false;
+            } else {
+                state = self.sync_flushed(state);
+            }
+        }
+    }
+}
+
+/// An open, appendable WAL file whose `fdatasync`s run behind the
+/// writer, on a syncer thread of its own.
 ///
-/// `append` buffers the framed record and fsyncs once every `group`
-/// appends (`group == 1` is synchronous durability; larger groups
-/// amortize the fsync across a batch, the classic group-commit
-/// trade: at most `group - 1` acknowledged records can be lost to a
-/// crash).
+/// `group` is `SYNC EVERY n`'s `n`. The writer encodes and buffers each
+/// record, and every ⌈n/2⌉ records flushes the buffer and wakes the
+/// syncer, which syncs everything flushed by the time it starts and
+/// publishes the result as `durable` — as long as a sync takes less
+/// time than the writer needs for a whole group (moving averages of
+/// both are kept), so that the sync of one half group overlaps the
+/// writing of the next. On a disk slower than that, overlapping would
+/// cost two syncs a group and save no wait, so the writer hands over
+/// nothing at the half group and syncs the whole group when the bound
+/// makes it wait. A commit returns — the write is
+/// acknowledged — only while `appended − durable < n`, waiting when it
+/// would not be: at most `n − 1` acknowledged records can be lost to a
+/// crash, and `n = 1` acknowledges only durable ones. A writer that
+/// must wait while no sync is in flight runs that sync itself rather
+/// than wake the syncer and sleep, so `SYNC EVERY 1` pays no hand-off
+/// between threads. A failed `fdatasync` poisons the file:
+/// no retry, and every later commit or sync returns the error. Dropping
+/// the file flushes its buffer into the file without syncing it, and
+/// joins the syncer after the sync it has in flight.
+///
+/// An engine write stages its records while it runs (through
+/// [`Journal::stage`](crate::Journal::stage)) and appends them once it
+/// can no longer be refused, or drops them: only writes the engine
+/// published reach the log.
 pub struct WalFile {
     w: BufWriter<File>,
     path: PathBuf,
-    group: usize,
-    pending: usize,
+    /// `n`: fewer than this many appended records may be non-durable
+    /// when a commit returns.
+    group: u64,
+    /// ⌈n/2⌉: the writer hands records to the syncer this often, so a
+    /// sync of the first half of a group overlaps the writing of the
+    /// second.
+    wake_every: u64,
+    /// `appended` at the next half-group boundary.
+    next_half: u64,
+    /// When the writer began its current half group (reset after every
+    /// wait, so it times writing alone).
+    half_started: Instant,
+    /// Moving average of how long the writer takes to write a half
+    /// group, in ns.
+    half_ns: u64,
     appended: u64,
-    /// The record being appended, encoded (reused across appends, so
+    /// Records handed to the syncer (the writer's copy).
+    flushed: u64,
+    /// The writer's last reading of the durable count (a lower bound).
+    durable: u64,
+    /// The record being staged, encoded (reused across records, so
     /// one no larger than an earlier one allocates nothing).
     payload: Vec<u8>,
+    /// Framed records of the write in progress, not yet appended.
+    staged: Vec<u8>,
+    staged_records: u64,
+    syncer: Arc<Syncer>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl WalFile {
     /// Create (truncate) a WAL at `path`, writing the header and the
-    /// binding checkpoint record, then fsyncing.
+    /// binding checkpoint record, then fsyncing, and start its syncer.
     pub fn create(path: impl Into<PathBuf>, checkpoint_lsn: u64, group: usize) -> Result<WalFile> {
-        let path = path.into();
+        WalFile::create_marked(path.into(), checkpoint_lsn, group, Arc::default())
+    }
+
+    /// [`create`](Self::create), publishing its LSNs into `marks`.
+    pub(crate) fn create_marked(
+        path: PathBuf,
+        checkpoint_lsn: u64,
+        group: usize,
+        marks: Arc<LsnMarks>,
+    ) -> Result<WalFile> {
         let file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)?;
-        let mut wal = WalFile {
-            w: BufWriter::new(file),
-            path,
-            group: group.max(1),
-            pending: 0,
-            appended: 0,
-            payload: Vec::new(),
-        };
-        write_header(&mut wal.w)?;
+        let mut w = BufWriter::new(file);
+        write_header(&mut w)?;
         write_record(
-            &mut wal.w,
+            &mut w,
             &WalRecord::Checkpoint {
                 lsn: checkpoint_lsn,
             },
         )?;
-        wal.sync()?;
-        Ok(wal)
+        w.flush()?;
+        {
+            let _g = hrdm_obs::span!("wal.fsync", records = 0);
+            w.get_ref().sync_data()?;
+        }
+        journal_obs().fsyncs.incr();
+        journal_obs().durable_lsn.set(checkpoint_lsn);
+        marks.next.store(checkpoint_lsn, Ordering::Release);
+        marks.durable.store(checkpoint_lsn, Ordering::Release);
+        let sync_handle = w.get_ref().try_clone()?;
+        WalFile::start(w, sync_handle, path, checkpoint_lsn, group, marks)
+    }
+
+    /// Wrap an open log whose header is durable, with a syncer thread;
+    /// every sync of the log goes through `sync_handle`.
+    fn start(
+        w: BufWriter<File>,
+        sync_handle: File,
+        path: PathBuf,
+        base_lsn: u64,
+        group: usize,
+        marks: Arc<LsnMarks>,
+    ) -> Result<WalFile> {
+        let group = group.max(1) as u64;
+        let syncer = Arc::new(Syncer {
+            state: Mutex::new(SyncState::default()),
+            changed: Condvar::new(),
+            poisoned: AtomicBool::new(false),
+            file: sync_handle,
+            base_lsn,
+            marks,
+            sync_ns: AtomicU64::new(0),
+        });
+        let thread = {
+            let syncer = Arc::clone(&syncer);
+            std::thread::Builder::new()
+                .name("wal-syncer".into())
+                .spawn(move || syncer.run())?
+        };
+        Ok(WalFile {
+            w,
+            path,
+            group,
+            wake_every: group.div_ceil(2),
+            next_half: group.div_ceil(2),
+            half_started: Instant::now(),
+            half_ns: 0,
+            appended: 0,
+            flushed: 0,
+            durable: 0,
+            payload: Vec::new(),
+            staged: Vec::new(),
+            staged_records: 0,
+            syncer,
+            thread: Some(thread),
+        })
     }
 
     /// The file this WAL writes to.
@@ -723,41 +990,176 @@ impl WalFile {
     }
 
     /// Mutation records appended so far (excludes the checkpoint
-    /// record).
+    /// record and anything still staged).
     pub fn appended(&self) -> u64 {
         self.appended
     }
 
-    /// Records buffered since the last fsync.
-    pub fn pending(&self) -> usize {
-        self.pending
+    /// Mutation records a completed `fdatasync` covers.
+    pub fn durable(&self) -> u64 {
+        self.syncer.lock().durable
     }
 
-    /// Append one mutation record; fsyncs when the group fills. The
-    /// record is encoded straight from `m` into a buffer this file
-    /// keeps, so an append allocates only to outgrow it.
+    /// The LSNs this file publishes.
+    pub(crate) fn marks(&self) -> &Arc<LsnMarks> {
+        &self.syncer.marks
+    }
+
+    /// Append one mutation record: stage it, then commit it.
     pub fn append(&mut self, m: &CatalogMutation) -> Result<()> {
+        self.stage(m)?;
+        self.commit()
+    }
+
+    /// Encode one mutation record onto the staged tail. The record is
+    /// encoded straight from `m` into buffers this file keeps, so
+    /// staging allocates only to outgrow them.
+    pub(crate) fn stage(&mut self, m: &CatalogMutation) -> Result<()> {
         let _g = hrdm_obs::span!("wal.append", kind = m.kind());
         self.payload.clear();
         encode_mutation(&mut self.payload, m)?;
-        write_frame(&mut self.w, &self.payload)?;
-        journal_obs().appends.incr();
-        self.appended += 1;
-        self.pending += 1;
-        if self.pending >= self.group {
-            self.sync()?;
+        write_frame(&mut self.staged, &self.payload)?;
+        self.staged_records += 1;
+        Ok(())
+    }
+
+    /// Drop the staged tail: its write was refused.
+    pub(crate) fn discard(&mut self) {
+        self.staged.clear();
+        self.staged_records = 0;
+    }
+
+    /// Append the staged tail, hand records to the syncer every ⌈n/2⌉,
+    /// and return once acknowledging them keeps `appended − durable <
+    /// n`.
+    pub(crate) fn commit(&mut self) -> Result<()> {
+        let records = std::mem::take(&mut self.staged_records);
+        if records == 0 {
+            return Ok(());
+        }
+        self.check_poisoned()?;
+        let written = self.w.write_all(&self.staged);
+        self.staged.clear();
+        self.io(written)?;
+        self.appended += records;
+        journal_obs().appends.add(records);
+        self.syncer
+            .marks
+            .next
+            .store(self.syncer.base_lsn + self.appended, Ordering::Release);
+        let mut hand_off = false;
+        if self.appended >= self.next_half {
+            // Overlap pays while a sync ends before the writer has
+            // written a whole group (two half groups).
+            let now = Instant::now();
+            let half = now.duration_since(self.half_started).as_nanos() as u64;
+            self.half_ns = smooth(self.half_ns, half);
+            self.half_started = now;
+            self.next_half = self.appended + self.wake_every;
+            hand_off = self.syncer.sync_ns.load(Ordering::Relaxed) < self.half_ns.saturating_mul(2);
+        }
+        if hand_off || self.appended - self.durable >= self.group {
+            self.wait_durable(self.appended.saturating_sub(self.group - 1), hand_off)?;
         }
         Ok(())
     }
 
-    /// Flush buffered records and fsync the file.
+    /// Return once every appended record is durable.
     pub fn sync(&mut self) -> Result<()> {
-        let _g = hrdm_obs::span!("wal.fsync", pending = self.pending);
-        self.w.flush()?;
-        self.w.get_ref().sync_data()?;
-        journal_obs().fsyncs.incr();
-        self.pending = 0;
+        self.check_poisoned()?;
+        if self.durable < self.appended {
+            self.wait_durable(self.appended, true)?;
+        }
         Ok(())
+    }
+
+    fn check_poisoned(&self) -> Result<()> {
+        if self.syncer.poisoned.load(Ordering::Acquire) {
+            if let Some(e) = Syncer::failure(&self.syncer.lock()) {
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Pass a write or flush result through, poisoning the file on an
+    /// error: the log's tail is unknown after one.
+    fn io(&self, result: std::io::Result<()>) -> Result<()> {
+        result.map_err(|e| {
+            self.syncer.poison(&mut self.syncer.lock(), &e);
+            PersistError::Io(e)
+        })
+    }
+
+    /// Hand every appended record to the syncer first (flushing the
+    /// buffer) if `hand_off`, or if the records waited for are not
+    /// flushed yet; then return once at least `target` records are
+    /// durable. While it must wait, the writer syncs on its
+    /// own thread if no sync is in flight, and otherwise blocks; either
+    /// way the time is observed in `wal.sync_wait`.
+    fn wait_durable(&mut self, target: u64, hand_off: bool) -> Result<()> {
+        if hand_off || self.flushed < target {
+            let flushed = self.w.flush();
+            self.io(flushed)?;
+            self.flushed = self.appended;
+        }
+        let mut state = self.syncer.lock();
+        state.flushed = self.flushed;
+        let mut waited = None;
+        loop {
+            if let Some(e) = Syncer::failure(&state) {
+                return Err(e);
+            }
+            if state.durable >= target {
+                break;
+            }
+            waited.get_or_insert_with(Instant::now);
+            if !state.syncing {
+                state = self.syncer.sync_flushed(state);
+                continue;
+            }
+            state.writer_blocked = true;
+            state = self
+                .syncer
+                .changed
+                .wait(state)
+                .expect("wal syncer lock poisoned");
+            state.writer_blocked = false;
+        }
+        self.durable = state.durable;
+        let wake = state.syncer_idle && state.flushed > state.durable;
+        drop(state);
+        if wake {
+            self.syncer.changed.notify_one();
+        }
+        if let Some(started) = waited {
+            let now = Instant::now();
+            journal_obs()
+                .sync_wait
+                .observe_ns(now.duration_since(started).as_nanos() as u64);
+            self.half_started = now;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for WalFile {
+    fn drop(&mut self) {
+        // Setting a flag leaves the state valid whatever a panicking
+        // holder left half done, and a drop must not panic.
+        let mut state = self
+            .syncer
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.stop = true;
+        drop(state);
+        self.syncer.changed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // The syncer panics only on a lock a panicking writer
+            // poisoned, and that panic is already propagating.
+            let _ = thread.join();
+        }
     }
 }
 
@@ -1053,29 +1455,139 @@ mod tests {
         ));
     }
 
+    /// A fresh directory for one test.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hrdm_wal_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Every record in the log at `path`, checkpoint record first.
+    fn read_log(path: &Path) -> Vec<WalRecord> {
+        let file = std::fs::File::open(path).unwrap();
+        let mut reader = WalReader::new(std::io::BufReader::new(file)).unwrap();
+        std::iter::from_fn(|| reader.next().unwrap()).collect()
+    }
+
     #[test]
     fn wal_file_appends_and_group_commits() {
-        let dir = std::env::temp_dir().join(format!("hrdm_wal_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("group");
         let path = dir.join("wal-test.log");
         let mut wal = WalFile::create(&path, 0, 4).unwrap();
-        for m in &sample_mutations()[..3] {
+        for m in &sample_mutations()[..4] {
+            wal.append(m).unwrap();
+            assert!(
+                wal.appended() - wal.durable() < 4,
+                "an acknowledged append keeps fewer than 4 records non-durable"
+            );
+        }
+        assert_eq!(wal.appended(), 4);
+        wal.sync().unwrap();
+        assert_eq!(wal.durable(), 4, "sync leaves every record durable");
+        drop(wal);
+        assert_eq!(read_log(&path).len(), 1 + 4, "checkpoint + four mutations");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_acknowledged_append_keeps_the_loss_bound() {
+        let dir = temp_dir("bound");
+        let m = &sample_mutations()[5];
+        for n in [1usize, 2, 32] {
+            let path = dir.join(format!("wal-{n}.log"));
+            let mut wal = WalFile::create(&path, 7, n).unwrap();
+            for _ in 0..200 {
+                wal.append(m).unwrap();
+                let marks = wal.marks();
+                assert!(wal.appended() - wal.durable() < n as u64, "SYNC EVERY {n}");
+                assert!(marks.next() - marks.durable() < n as u64, "SYNC EVERY {n}");
+                assert_eq!(marks.next(), 7 + wal.appended());
+            }
+            wal.sync().unwrap();
+            assert_eq!(wal.durable(), 200);
+            assert_eq!(wal.marks().durable(), 7 + 200);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_discarded_tail_never_reaches_the_log() {
+        let dir = temp_dir("staged");
+        let path = dir.join("wal-test.log");
+        let mutations = sample_mutations();
+        let mut wal = WalFile::create(&path, 0, 1).unwrap();
+        wal.stage(&mutations[0]).unwrap();
+        wal.stage(&mutations[1]).unwrap();
+        assert_eq!(wal.appended(), 0, "staged records are not appended");
+        wal.discard();
+        wal.stage(&mutations[2]).unwrap();
+        wal.commit().unwrap();
+        assert_eq!((wal.appended(), wal.durable()), (1, 1));
+        drop(wal);
+        assert_eq!(
+            read_log(&path),
+            [
+                WalRecord::Checkpoint { lsn: 0 },
+                WalRecord::Mutation(mutations[2].clone())
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_file() {
+        let dir = temp_dir("poison");
+        let file = std::fs::File::create(dir.join("wal-test.log")).unwrap();
+        // `fdatasync` of /dev/null fails with EINVAL.
+        let null = std::fs::File::open("/dev/null").unwrap();
+        let mut wal = WalFile::start(
+            BufWriter::new(file),
+            null,
+            dir.join("wal-test.log"),
+            0,
+            1,
+            Arc::default(),
+        )
+        .unwrap();
+        let m = &sample_mutations()[0];
+        let first = wal.append(m).unwrap_err();
+        assert!(
+            matches!(&first, PersistError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{first}"
+        );
+        assert_eq!(
+            wal.appended(),
+            1,
+            "the record was written, never acknowledged"
+        );
+        assert_eq!(wal.durable(), 0);
+        // No retry: every later append or sync returns the same error.
+        for _ in 0..3 {
+            assert_eq!(wal.append(m).unwrap_err().to_string(), first.to_string());
+            assert_eq!(wal.sync().unwrap_err().to_string(), first.to_string());
+        }
+        assert_eq!(wal.appended(), 1, "a poisoned file appends nothing");
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_file_joins_its_syncer() {
+        let dir = temp_dir("join");
+        let mut wal = WalFile::create(dir.join("wal-test.log"), 0, 32).unwrap();
+        for m in &sample_mutations() {
             wal.append(m).unwrap();
         }
-        assert_eq!(wal.appended(), 3);
-        assert_eq!(wal.pending(), 3, "group of 4 not yet full");
-        wal.append(&sample_mutations()[3]).unwrap();
-        assert_eq!(wal.pending(), 0, "group commit fired");
-        wal.sync().unwrap();
+        let syncer = Arc::downgrade(&wal.syncer);
         drop(wal);
-
-        let file = std::fs::File::open(&path).unwrap();
-        let mut reader = WalReader::new(std::io::BufReader::new(file)).unwrap();
-        let mut n = 0;
-        while reader.next().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 1 + 4, "checkpoint + four mutations");
+        // The thread held the other handle until it returned.
+        assert!(syncer.upgrade().is_none(), "the syncer outlived its file");
+        // Dropping flushes, so a reader sees every appended record.
+        assert_eq!(
+            read_log(&dir.join("wal-test.log")).len(),
+            1 + sample_mutations().len()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

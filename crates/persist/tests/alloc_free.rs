@@ -14,7 +14,8 @@
 //! * `Catalog::apply_mutation` of paired `Assert`/`Retract` records on a
 //!   catalog that holds its relation alone, whose leaf never empties;
 //! * `WalFile::append` after its first record — no clone of the
-//!   mutation, no fresh payload buffer;
+//!   mutation, no fresh payload buffer — whether it only buffers the
+//!   record, wakes the syncer thread or waits for an `fdatasync`;
 //! * recovery's step: `WalReader::next_into` over a real log, decoding
 //!   into the one record replay keeps, then `Catalog::apply_mutation`;
 //! * a `WalTailer` poll into a `ShipBatch` the caller keeps, and
@@ -224,6 +225,31 @@ fn wal_append_allocates_nothing_after_its_first_record() {
     assert_eq!(n, 0, "WalFile::append allocated");
     assert_eq!(wal.appended(), 1 + 2 * ROUNDS as u64);
     drop(wal);
+
+    // Groups that fall due. A new file hands its first half group to
+    // the syncer thread and wakes it (no sync has been timed yet), and
+    // at `SYNC EVERY 1024` a half group takes this writer longer than a
+    // sync, so it goes on doing so. At the narrower groups a sync takes
+    // longer than a whole group, so the writer waits at each group and
+    // syncs it on its own thread — at `SYNC EVERY 1` every append does.
+    let waits = hrdm_obs::metrics::histogram("wal.sync_wait");
+    let waited = waits.count();
+    for group in [1024, 8, 2, 1] {
+        let mut wal = WalFile::create(dir.join(format!("wal-{group}.log")), 0, group).unwrap();
+        wal.append(&assert).unwrap();
+        let n = allocations(|| {
+            for _ in 0..ROUNDS {
+                wal.append(&retract).unwrap();
+                wal.append(&assert).unwrap();
+            }
+        });
+        assert_eq!(n, 0, "WalFile::append allocated at SYNC EVERY {group}");
+        assert!(wal.appended() - wal.durable() < group as u64);
+        if group == 1 {
+            assert_eq!(wal.durable(), wal.appended());
+        }
+    }
+    assert!(waits.count() > waited, "no append waited for a sync");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

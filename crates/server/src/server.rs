@@ -1497,8 +1497,15 @@ fn run_slowlog(shared: &Shared, limit: Option<u32>) -> Reply {
 }
 
 fn render_stats(shared: &Shared) -> String {
+    // The open store's LSNs sit under the epoch (read off atomics: the
+    // loop never waits on the writer lock).
+    let lsns = shared
+        .engine
+        .lsn_probe()
+        .map(|lines| format!("\n{lines}"))
+        .unwrap_or_default();
     format!(
-        "epoch: {}\naccepted: {}\nactive: {}\nbusy-rejected: {}\nqueries: {}\nerrors: {}\n\
+        "epoch: {}{lsns}\naccepted: {}\nactive: {}\nbusy-rejected: {}\nqueries: {}\nerrors: {}\n\
          timeouts: {}\nprotocol-errors: {}\nbytes-in: {}\nbytes-out: {}\n\
          slowlog-entries: {}\nslowlog-threshold-ms: {}\nworkers: {}\n\
          backpressure-depth: {}\nshed-writes: {}\ninline-reads: {}\ndispatched: {}",

@@ -159,6 +159,35 @@ fn stats_report_epoch_and_counters() {
 }
 
 #[test]
+fn stats_report_the_open_stores_lsns() {
+    let handle = start(8, Duration::from_secs(5));
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stats = |client: &mut Client| match client.stats().unwrap() {
+        Reply::Ok(parts) => parts.join("\n"),
+        other => panic!("expected OK, got {other:?}"),
+    };
+    assert!(!stats(&mut client).contains("lsn"), "no store open yet");
+    let dir = std::env::temp_dir().join(format!("hrdm_stats_lsns_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let script = format!(
+        "OPEN \"{}\" SYNC EVERY 1; CREATE DOMAIN D; CREATE CLASS A UNDER D;",
+        dir.display()
+    );
+    assert!(matches!(client.query(&script).unwrap(), Reply::Ok(_)));
+    // SYNC EVERY 1: every acknowledged write is durable. The LSNs sit
+    // under the epoch line, and where requests ran still comes last.
+    let body = stats(&mut client);
+    assert!(
+        body.starts_with("epoch: 3\njournal-lsn: 2\ndurable-lsn: 2\naccepted: "),
+        "{body}"
+    );
+    assert!(body.ends_with("inline-reads: 0\ndispatched: 1"), "{body}");
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn connections_past_the_cap_get_busy() {
     let handle = start(1, Duration::from_secs(5));
     let first = Client::connect(handle.addr()).unwrap();
