@@ -556,13 +556,7 @@ fn b10_write_split() {
             Some(_) => format!("OPEN \"{}\" SYNC EVERY 32;", store.display()),
             None => String::new(),
         };
-        world += "CREATE DOMAIN D;";
-        for c in 0..64 {
-            world += &format!("CREATE CLASS c{c} UNDER D;");
-        }
-        for i in 0..INSTANCES {
-            world += &format!("CREATE INSTANCE i{i} OF c{};", i % 64);
-        }
+        world += &b10_domain(INSTANCES);
         for r in 0..relations {
             world += &format!("CREATE RELATION R{r} (x: D);");
         }
@@ -612,6 +606,7 @@ fn b10_write_split() {
         drop(engine);
         let _ = std::fs::remove_dir_all(&store);
     }
+    b10_catch_up_batch(&STAGES, INSTANCES);
     println!("shape: no stage grows with the written relation or with the catalog —");
     println!("a write copies one path of each map (mean ns per write; every stage is");
     println!("observed once per write, asserted). Without a store `journal` is 0; with");
@@ -619,7 +614,97 @@ fn b10_write_split() {
     println!("fdatasync: at SYNC EVERY n a write waits only when n records would");
     println!("otherwise be non-durable (the bound is asserted after each row), so at");
     println!("32 most writes leave the lock without touching the disk, and at 1 `wait`");
-    println!("is nearly all of `journal`.");
+    println!("is nearly all of `journal`. The catch-up batch is one write of 5 000");
+    println!("records (µs per batch; its delta is asserted to hold all 5 000 rows):");
+    println!("`net_delta` diffs each touched relation's tuple tree along the paths the");
+    println!("batch copied, and `apply` records only which relations the batch touched.");
+}
+
+/// B10's catch-up row: what a replica's sync costs under the writer
+/// lock — one `Engine::apply_mutations` of 5 000 shipped `Assert`/
+/// `Retract` records over a 16-relation catalog of 430-tuple relations,
+/// each record retracting a relation's oldest tuple or asserting a
+/// fresh one, so every relation keeps its size and every record is a
+/// row of the batch's delta.
+fn b10_catch_up_batch(stages: &[&'static str; 6], instances: usize) {
+    use hrdm_core::mutation::CatalogMutation;
+    const RECORDS: usize = 5_000;
+    const BATCHES: usize = 16;
+    const RELATIONS: usize = 16;
+    const TUPLES: usize = 430;
+    let engine = hrdm_hql::Engine::new();
+    let mut world = b10_domain(instances);
+    for r in 0..RELATIONS {
+        world += &format!("CREATE RELATION R{r} (x: D);");
+        for i in 0..TUPLES {
+            world += &format!("ASSERT R{r} (i{i});");
+        }
+    }
+    engine.execute(&world).expect("world builds");
+    // Relation r stores i{oldest[r]}..i{oldest[r] + TUPLES}.
+    let mut oldest = [0usize; RELATIONS];
+    let histograms = stages.map(hrdm_obs::metrics::histogram);
+    let sums = || histograms.each_ref().map(|h| h.sum_ns());
+    let counts = || histograms.each_ref().map(|h| h.count());
+    let (sums_before, counts_before) = (sums(), counts());
+    for _ in 0..BATCHES {
+        let batch: Vec<CatalogMutation> = (0..RECORDS)
+            .map(|k| {
+                let r = (k / 2) % RELATIONS;
+                let relation = format!("R{r}");
+                if k % 2 == 0 {
+                    oldest[r] += 1;
+                    let values = vec![format!("i{}", oldest[r] - 1)];
+                    CatalogMutation::Retract { relation, values }
+                } else {
+                    let values = vec![format!("i{}", oldest[r] + TUPLES - 1)];
+                    CatalogMutation::Assert {
+                        relation,
+                        values,
+                        truth: Truth::Positive,
+                    }
+                }
+            })
+            .collect();
+        engine
+            .apply_mutations(None, |apply| batch.iter().try_for_each(apply))
+            .expect("batch lands");
+        let (_, delta) = engine.last_delta().expect("batch published");
+        assert_eq!(delta.row_count(), RECORDS, "every record is a net row");
+    }
+    let (sums_after, counts_after) = (sums(), counts());
+    for ((stage, after), before) in stages.iter().zip(counts_after).zip(counts_before) {
+        assert_eq!(
+            after - before,
+            BATCHES as u64,
+            "{stage}: one observation per batch"
+        );
+    }
+    println!(
+        "catch-up batch: {RECORDS} records over {RELATIONS} relations x {TUPLES} tuples, \
+         one apply_mutations (µs per batch)"
+    );
+    print!("{:>25} |", "");
+    let mut sum = 0.0;
+    for (after, before) in sums_after.into_iter().zip(sums_before) {
+        let us = (after - before) as f64 / BATCHES as f64 / 1_000.0;
+        sum += us;
+        print!(" {us:>9.1}");
+    }
+    println!(" | {sum:>9.1}");
+}
+
+/// B10's domain: 64 classes under `D`, `instances` instances `i0`… spread
+/// over them.
+fn b10_domain(instances: usize) -> String {
+    let mut script = String::from("CREATE DOMAIN D;");
+    for c in 0..64 {
+        script += &format!("CREATE CLASS c{c} UNDER D;");
+    }
+    for i in 0..instances {
+        script += &format!("CREATE INSTANCE i{i} OF c{};", i % 64);
+    }
+    script
 }
 
 /// B11 — §3.3.1: a tuple's redundancy depends only on its ancestors,

@@ -6,6 +6,9 @@
 //! both fresh inserts and truth overwrites) and rows no longer stored.
 //! A [`Delta`] aggregates one write's effect across the whole catalog:
 //! per-relation changes plus the names of any mutated domain graphs.
+//! A write records *which* relations it touched ([`Delta::record_rows`]),
+//! not the rows: at commit those are [`RelationDelta::diff`] of each
+//! touched relation before and after the write.
 //!
 //! Deltas are what incremental view maintenance
 //! ([`crate::differential`]) consumes: row changes flow through the
@@ -16,6 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::item::Item;
+use crate::pmap::PMap;
 use crate::relation::HRelation;
 use crate::truth::Truth;
 
@@ -52,46 +56,26 @@ impl RelationDelta {
         self.added.iter().map(|(i, _)| i).chain(self.removed.iter())
     }
 
-    /// Compute the exact row delta between two relations over the same
-    /// schema: `diff(old, new)` applied to `old` yields `new`.
+    /// The exact row delta between two relations over the same schema:
+    /// `diff(old, new)` applied to `old` yields `new`. Fresh rows and
+    /// truth overwrites go in `added` (with the new truth), dropped rows
+    /// in `removed`, both in item order.
+    ///
+    /// It is one [`PMap::diff`] of the two tuple trees: a tree `new`
+    /// shares with `old` — a write's copy of a published relation — is
+    /// compared along the paths the write copied, two unrelated trees in
+    /// one linear merge.
     pub fn diff(old: &HRelation, new: &HRelation) -> RelationDelta {
         let mut delta = RelationDelta::new();
-        for (item, truth) in new.iter() {
-            if old.stored(item) != Some(truth) {
-                delta.added.push((item.clone(), truth));
-            }
-        }
-        for (item, _) in old.iter() {
-            if new.stored(item).is_none() {
-                delta.removed.push(item.clone());
-            }
-        }
+        PMap::diff(
+            old.tuple_map(),
+            new.tuple_map(),
+            |item, _, after| match after {
+                Some(&truth) => delta.added.push((item.clone(), truth)),
+                None => delta.removed.push(item.clone()),
+            },
+        );
         delta
-    }
-
-    /// Rewrite this delta as the *net* change to the items it touches
-    /// between `pre` and `post`, the relation before and after the
-    /// write that recorded it. Edits are recorded in two unordered
-    /// lists, so a write that asserts and then retracts one item (or
-    /// re-asserts what is stored) would otherwise apply as something it
-    /// did not do; afterwards `apply_to(pre)` yields `post`, and every
-    /// listed row is a real difference.
-    pub fn normalise(&mut self, pre: &HRelation, post: &HRelation) {
-        let mut touched: Vec<Item> = self
-            .added
-            .drain(..)
-            .map(|(item, _)| item)
-            .chain(self.removed.drain(..))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for item in touched {
-            match (pre.stored(&item), post.stored(&item)) {
-                (before, after) if before == after => {}
-                (_, Some(truth)) => self.added.push((item, truth)),
-                (_, None) => self.removed.push(item),
-            }
-        }
     }
 
     /// Apply this delta to `relation` in place: removals first, then
@@ -159,33 +143,17 @@ impl Delta {
             .sum()
     }
 
-    /// The row delta of `relation`, created empty on its first row (the
-    /// one time its name is copied into a key); `None` once the
-    /// relation is reset.
-    fn rows_mut(&mut self, relation: &str) -> Option<&mut RelationDelta> {
+    /// Record that a write asserted or retracted rows of `relation`.
+    /// The rows themselves are not recorded: at commit they are the
+    /// [`RelationDelta::diff`] of the relation before and after the
+    /// write. The name is copied into a key the first time a write
+    /// touches the relation; a relation already reset stays reset.
+    pub fn record_rows(&mut self, relation: &str) {
         if !self.relations.contains_key(relation) {
             self.relations.insert(
                 relation.to_string(),
                 RelationChange::Rows(RelationDelta::new()),
             );
-        }
-        match self.relations.get_mut(relation) {
-            Some(RelationChange::Rows(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Record one asserted (or truth-overwritten) row.
-    pub fn record_added(&mut self, relation: &str, item: Item, truth: Truth) {
-        if let Some(d) = self.rows_mut(relation) {
-            d.added.push((item, truth));
-        }
-    }
-
-    /// Record one retracted row.
-    pub fn record_removed(&mut self, relation: &str, item: Item) {
-        if let Some(d) = self.rows_mut(relation) {
-            d.removed.push(item);
         }
     }
 
@@ -256,27 +224,23 @@ mod tests {
         );
     }
 
-    /// Edits recorded in an order the two lists cannot express come out
-    /// as the difference that is actually there.
+    /// A write that edits one item more than once diffs to the change
+    /// that is actually there: x retracted then re-asserted negative,
+    /// y asserted then retracted, A re-asserted as stored.
     #[test]
-    fn normalise_keeps_only_net_changes() {
+    fn diff_keeps_only_net_changes() {
         let s = schema();
-        let mut pre = HRelation::new(s.clone());
+        let mut pre = HRelation::new(s);
         pre.assert_fact(&["x"], Truth::Positive).unwrap();
-        let mut post = HRelation::new(s);
-        post.assert_fact(&["x"], Truth::Negative).unwrap();
+        pre.assert_fact(&["A"], Truth::Positive).unwrap();
         let item = |name: &str| pre.item(&[name]).unwrap();
-        // x retracted then re-asserted negative, y asserted then
-        // retracted, A re-asserted as stored (absent before and after).
-        let mut d = RelationDelta {
-            added: vec![
-                (item("x"), Truth::Negative),
-                (item("y"), Truth::Positive),
-                (item("A"), Truth::Positive),
-            ],
-            removed: vec![item("x"), item("y"), item("A")],
-        };
-        d.normalise(&pre, &post);
+        let mut post = pre.clone();
+        post.remove(&item("x"));
+        post.assert_item(item("x"), Truth::Negative).unwrap();
+        post.assert_item(item("y"), Truth::Positive).unwrap();
+        post.remove(&item("y"));
+        post.assert_item(item("A"), Truth::Positive).unwrap();
+        let d = RelationDelta::diff(&pre, &post);
         assert_eq!(d.added, [(item("x"), Truth::Negative)]);
         assert!(d.removed.is_empty());
         let mut patched = pre.clone();
@@ -285,21 +249,26 @@ mod tests {
             patched.iter().collect::<Vec<_>>(),
             post.iter().collect::<Vec<_>>()
         );
+        // An assert-then-retract of one item nets to nothing.
+        let mut undone = pre.clone();
+        undone.assert_item(item("y"), Truth::Positive).unwrap();
+        undone.remove(&item("y"));
+        assert!(RelationDelta::diff(&pre, &undone).is_empty());
     }
 
+    /// A touched relation is recorded with no rows until commit, and a
+    /// reset absorbs it, before or after.
     #[test]
-    fn reset_absorbs_row_changes() {
-        let s = schema();
-        let item = {
-            let mut r = HRelation::new(s);
-            r.assert_fact(&["x"], Truth::Positive).unwrap();
-            let x = r.items().next().unwrap().clone();
-            x
-        };
+    fn reset_absorbs_touched_rows() {
         let mut delta = Delta::new();
-        delta.record_added("R", item.clone(), Truth::Positive);
+        delta.record_rows("R");
+        assert_eq!(
+            delta.relations["R"],
+            RelationChange::Rows(RelationDelta::new())
+        );
+        assert!(!delta.is_empty(), "a touched relation is a change");
         delta.record_reset("R");
-        delta.record_added("R", item, Truth::Negative);
+        delta.record_rows("R");
         assert_eq!(delta.relations["R"], RelationChange::Reset);
         assert_eq!(delta.row_count(), 0);
         assert!(!delta.is_empty());

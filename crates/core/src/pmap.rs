@@ -109,6 +109,25 @@ impl<K, V> Node<K, V> {
         }
     }
 
+    /// Nodes on a path from this one down to a leaf (1 for a leaf).
+    fn height(&self) -> usize {
+        let mut height = 1;
+        let mut node = self;
+        while let Node::Branch { children, .. } = node {
+            height += 1;
+            node = &children[0];
+        }
+        height
+    }
+
+    /// The least key under this node, which is not empty.
+    fn first_key(&self) -> &K {
+        match self {
+            Node::Leaf(entries) => &entries[0].0,
+            Node::Branch { children, .. } => children[0].first_key(),
+        }
+    }
+
     fn is_full(&self) -> bool {
         match self {
             Node::Leaf(entries) => entries.len() == FANOUT,
@@ -270,16 +289,36 @@ impl<K, V> PMap<K, V> {
         Arc::ptr_eq(&self.root, &other.root)
     }
 
+    /// Every key whose entry differs between `before` and `after`,
+    /// reported to `f` in ascending order with its value on each side
+    /// (`None` on the side that does not store it). Entries stored on
+    /// both sides with equal values are not reported.
+    ///
+    /// The walk costs what the two trees do not share: a subtree both
+    /// hold (`Arc::ptr_eq`) is skipped whole, so two versions of one
+    /// map — a published snapshot and the write that edited a clone of
+    /// it — are compared along the paths the write copied. Two branches
+    /// are compared child by child while their children stay in step
+    /// (each pair shared, or under the same two separators), two leaves
+    /// merged entry by entry in place; where a split or a collapse
+    /// changed the shape, the rest is opened level by level, still
+    /// skipping what the two share. Two maps that share nothing cost
+    /// one linear merge.
+    pub fn diff<'a>(
+        before: &'a PMap<K, V>,
+        after: &'a PMap<K, V>,
+        mut f: impl FnMut(&'a K, Option<&'a V>, Option<&'a V>),
+    ) where
+        K: Ord,
+        V: PartialEq,
+    {
+        Node::diff(&before.root, &after.root, &mut f);
+    }
+
     /// Nodes on a root-to-leaf path (1 for a map that fits one leaf):
     /// the most nodes one edit can copy.
     pub fn depth(&self) -> usize {
-        let mut depth = 1;
-        let mut node = &*self.root;
-        while let Node::Branch { children, .. } = node {
-            depth += 1;
-            node = &children[0];
-        }
-        depth
+        self.root.height()
     }
 
     /// How many of this map's nodes `other` does not hold too — what an
@@ -488,6 +527,239 @@ impl<K: Ord + Clone, V> FromIterator<(K, V)> for PMap<K, V> {
         }
         let (_, root) = level.pop().expect("a non-empty map has a root");
         PMap { root, len }
+    }
+}
+
+impl<K: Ord, V: PartialEq> Node<K, V> {
+    /// [`PMap::diff`] of two subtrees that each hold every key their map
+    /// has in one range.
+    fn diff<'a>(
+        old: &'a Arc<Self>,
+        new: &'a Arc<Self>,
+        f: &mut impl FnMut(&'a K, Option<&'a V>, Option<&'a V>),
+    ) {
+        if Arc::ptr_eq(old, new) {
+            return;
+        }
+        match (&**old, &**new) {
+            (Node::Leaf(a), Node::Leaf(b)) => {
+                let (mut a, mut b) = (a.as_slice(), b.as_slice());
+                merge_leaves(&mut a, &mut b, f);
+                a.iter().for_each(|(k, v)| f(k, Some(v), None));
+                b.iter().for_each(|(k, v)| f(k, None, Some(v)));
+            }
+            (
+                Node::Branch {
+                    keys: a,
+                    children: x,
+                },
+                Node::Branch {
+                    keys: b,
+                    children: y,
+                },
+            ) => {
+                // Children in step: a shared pair is skipped, and a pair
+                // under the same two separators holds the same range.
+                // From the first pair that is neither, the rest of both
+                // levels is merged.
+                let paired = x.len().min(y.len());
+                for i in 0..paired {
+                    if Arc::ptr_eq(&x[i], &y[i]) {
+                        continue;
+                    }
+                    if a.get(i) != b.get(i) || (i > 0 && a[i - 1] != b[i - 1]) {
+                        return merge_subtrees(&x[i..], &y[i..], f);
+                    }
+                    Self::diff(&x[i], &y[i], f);
+                }
+                if x.len() != y.len() {
+                    merge_subtrees(&x[paired..], &y[paired..], f);
+                }
+            }
+            _ => merge_subtrees(std::slice::from_ref(old), std::slice::from_ref(new), f),
+        }
+    }
+}
+
+/// [`PMap::diff`] of two runs of sibling subtrees whose shapes differ:
+/// one cursor on each side, each step skipping a shared subtree,
+/// opening a subtree, or reporting the lesser entry.
+fn merge_subtrees<'a, K: Ord, V: PartialEq>(
+    old: &'a [Arc<Node<K, V>>],
+    new: &'a [Arc<Node<K, V>>],
+    f: &mut impl FnMut(&'a K, Option<&'a V>, Option<&'a V>),
+) {
+    use std::cmp::Ordering::{Greater, Less};
+    let (mut old, mut new) = (Cursor::new(old), Cursor::new(new));
+    loop {
+        match (old.front(), new.front()) {
+            (None, None) => return,
+            (Some(Front::Node(x, _)), Some(Front::Node(y, _))) if Arc::ptr_eq(x, y) => {
+                old.skip();
+                new.skip();
+            }
+            (Some(Front::Entry(..)), Some(Front::Entry(..))) => {
+                merge_leaves(old.leaf(), new.leaf(), f)
+            }
+            // Opening a subtree is always sound; opening the taller (or
+            // both, at one height) lines the two sides up on shared
+            // nodes again.
+            (Some(Front::Node(_, a)), Some(Front::Node(_, b))) => match a.cmp(&b) {
+                Greater => old.open(),
+                Less => new.open(),
+                _ => {
+                    old.open();
+                    new.open();
+                }
+            },
+            // An entry against a subtree: the entry goes first if it is
+            // below the subtree's least key; otherwise the subtree opens.
+            (Some(Front::Entry(key, value)), Some(Front::Node(node, _))) => {
+                if key < node.first_key() {
+                    f(key, Some(value), None);
+                    old.skip();
+                } else {
+                    new.open();
+                }
+            }
+            (Some(Front::Node(node, _)), Some(Front::Entry(key, value))) => {
+                if key < node.first_key() {
+                    f(key, None, Some(value));
+                    new.skip();
+                } else {
+                    old.open();
+                }
+            }
+            (Some(_), None) => old.take(|k, v| f(k, Some(v), None)),
+            (None, Some(_)) => new.take(|k, v| f(k, None, Some(v))),
+        }
+    }
+}
+
+/// One side of a [`merge_subtrees`]: the part of its subtrees not yet
+/// visited, as one run of siblings per level opened so far, the deepest
+/// last.
+struct Cursor<'a, K, V> {
+    levels: Vec<Level<'a, K, V>>,
+}
+
+/// The siblings still to visit on one level.
+enum Level<'a, K, V> {
+    /// Subtrees of this height (1 for leaves).
+    Nodes(usize, &'a [Arc<Node<K, V>>]),
+    Entries(&'a [(K, V)]),
+}
+
+/// What a [`Cursor`] visits next: a subtree (with its height) or an
+/// entry.
+enum Front<'a, K, V> {
+    Node(&'a Arc<Node<K, V>>, usize),
+    Entry(&'a K, &'a V),
+}
+
+impl<'a, K, V> Cursor<'a, K, V> {
+    /// A cursor over `nodes`, siblings of one height; the root leaf of
+    /// an empty map counts as none.
+    fn new(nodes: &'a [Arc<Node<K, V>>]) -> Cursor<'a, K, V> {
+        let mut levels = Vec::new();
+        if let Some(first) = nodes.first().filter(|node| !node.is_empty()) {
+            let height = first.height();
+            levels.reserve_exact(height + 1);
+            levels.push(Level::Nodes(height, nodes));
+        }
+        Cursor { levels }
+    }
+
+    /// The next subtree or entry, dropping the levels used up.
+    fn front(&mut self) -> Option<Front<'a, K, V>> {
+        loop {
+            match *self.levels.last()? {
+                Level::Nodes(height, nodes) => {
+                    if let Some(node) = nodes.first() {
+                        return Some(Front::Node(node, height));
+                    }
+                }
+                Level::Entries(entries) => {
+                    if let Some((key, value)) = entries.first() {
+                        return Some(Front::Entry(key, value));
+                    }
+                }
+            }
+            self.levels.pop();
+        }
+    }
+
+    /// Step over the front, unvisited: a subtree the other side shares,
+    /// or an entry reported already.
+    fn skip(&mut self) {
+        match self.levels.last_mut() {
+            Some(Level::Nodes(_, nodes)) => *nodes = &nodes[1..],
+            Some(Level::Entries(entries)) => *entries = &entries[1..],
+            None => {}
+        }
+    }
+
+    /// Replace the front subtree by its children (or its entries).
+    fn open(&mut self) {
+        let Some(Front::Node(node, height)) = self.front() else {
+            unreachable!("only a subtree is opened")
+        };
+        self.skip();
+        self.levels.push(match &**node {
+            Node::Leaf(entries) => Level::Entries(entries),
+            Node::Branch { children, .. } => Level::Nodes(height - 1, children),
+        });
+    }
+
+    /// The other side is used up: report the front if it is an entry,
+    /// open it if it is a subtree.
+    fn take(&mut self, report: impl FnOnce(&'a K, &'a V)) {
+        match self.front() {
+            Some(Front::Entry(key, value)) => {
+                report(key, value);
+                self.skip();
+            }
+            Some(Front::Node(..)) => self.open(),
+            None => {}
+        }
+    }
+
+    /// The run of entries the front is the first of.
+    fn leaf(&mut self) -> &mut &'a [(K, V)] {
+        match self.levels.last_mut() {
+            Some(Level::Entries(entries)) => entries,
+            _ => unreachable!("the front is an entry"),
+        }
+    }
+}
+
+/// Merge two runs of leaf entries until either is used up, reporting
+/// every key whose entry differs: the step of a [`PMap::diff`] that
+/// meets two leaves, without allocating.
+fn merge_leaves<'a, K: Ord, V: PartialEq>(
+    old: &mut &'a [(K, V)],
+    new: &mut &'a [(K, V)],
+    f: &mut impl FnMut(&'a K, Option<&'a V>, Option<&'a V>),
+) {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    while let ([(a, va), ..], [(b, vb), ..]) = (*old, *new) {
+        match a.cmp(b) {
+            Less => {
+                f(a, Some(va), None);
+                *old = &old[1..];
+            }
+            Greater => {
+                f(b, None, Some(vb));
+                *new = &new[1..];
+            }
+            Equal => {
+                if va != vb {
+                    f(a, Some(va), Some(vb));
+                }
+                *old = &old[1..];
+                *new = &new[1..];
+            }
+        }
     }
 }
 

@@ -266,6 +266,11 @@ impl HRelation {
         }
     }
 
+    /// The tuple tree itself, for [`RelationDelta::diff`](crate::delta::RelationDelta::diff).
+    pub(crate) fn tuple_map(&self) -> &PMap<Item, Truth> {
+        &self.tuples
+    }
+
     /// Do the two relations share one tuple tree — not merely equal
     /// tuples? True for a clone (or a [`rebased`](HRelation::rebased)
     /// copy) until either side's tuples change.

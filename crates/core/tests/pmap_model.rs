@@ -1,7 +1,8 @@
 //! `PMap` against `BTreeMap` as the model: random edit histories must
 //! leave the two indistinguishable through the map's public surface, a
-//! retained clone must never see a later edit, and an edit must copy no
-//! more than one root-to-leaf path.
+//! retained clone must never see a later edit, an edit must copy no
+//! more than one root-to-leaf path, and `PMap::diff` between any two
+//! versions must report exactly the models' difference.
 
 use std::collections::BTreeMap;
 
@@ -156,6 +157,132 @@ proptest! {
         let mut probed = base.clone();
         probed.get_mut(&wide_key);
         prop_assert!(probed.nodes_not_shared_with(&base) <= depth);
+    }
+}
+
+/// A key's values on each side of a difference.
+type Change = (Key, Option<u32>, Option<u32>);
+
+/// What `PMap::diff(before, after)` reports, collected.
+fn diff_of(before: &PMap<Key, u32>, after: &PMap<Key, u32>) -> Vec<Change> {
+    let mut out = Vec::new();
+    PMap::diff(before, after, |k, a, b| {
+        out.push((k.clone(), a.copied(), b.copied()))
+    });
+    out
+}
+
+/// The two models' difference, in ascending key order: every key stored
+/// on either side whose values are not equal.
+fn model_diff(before: &BTreeMap<Key, u32>, after: &BTreeMap<Key, u32>) -> Vec<Change> {
+    let mut keys: Vec<&Key> = before.keys().chain(after.keys()).collect();
+    keys.sort();
+    keys.dedup();
+    keys.into_iter()
+        .map(|k| (k.clone(), before.get(k).copied(), after.get(k).copied()))
+        .filter(|(_, a, b)| a != b)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `diff(pinned, current)` is the models' difference — the same
+    /// keys, both sides' values, ascending — for every clone pinned
+    /// along a random history, whatever the history copied, split or
+    /// collapsed in between; so is the diff the other way round, and
+    /// between two pinned clones. A map against its own clone, or
+    /// against a rebuild of its contents that shares no node, differs
+    /// nowhere.
+    #[test]
+    fn diff_matches_the_models_difference(
+        seed in proptest::collection::vec((arb_key(), any::<u32>()), 0..300),
+        ops in proptest::collection::vec(arb_op(), 1..400),
+    ) {
+        let mut map: PMap<Key, u32> = seed.iter().cloned().collect();
+        let mut model: BTreeMap<Key, u32> = seed.into_iter().collect();
+        let mut pinned = vec![(map.clone(), model.clone())];
+        for op in ops {
+            match op {
+                Op::Insert(k, v) => {
+                    map.insert(k.clone(), v);
+                    model.insert(k, v);
+                }
+                Op::Remove(k) => {
+                    map.remove(&k);
+                    model.remove(&k);
+                }
+                Op::Bump(k) => {
+                    if let (Some(a), Some(b)) = (map.get_mut(&k), model.get_mut(&k)) {
+                        *a = a.wrapping_add(1);
+                        *b = b.wrapping_add(1);
+                    }
+                }
+                Op::Pin => pinned.push((map.clone(), model.clone())),
+            }
+        }
+        prop_assert!(diff_of(&map, &map.clone()).is_empty());
+        let rebuilt: PMap<Key, u32> = model.clone().into_iter().collect();
+        prop_assert!(!rebuilt.ptr_eq(&map));
+        prop_assert!(diff_of(&map, &rebuilt).is_empty());
+        prop_assert!(diff_of(&rebuilt, &map).is_empty());
+        for (old, old_model) in &pinned {
+            prop_assert_eq!(diff_of(old, &map), model_diff(old_model, &model));
+            prop_assert_eq!(diff_of(&map, old), model_diff(&model, old_model));
+        }
+        for pair in pinned.windows(2) {
+            let [(a, a_model), (b, b_model)] = pair else { unreachable!() };
+            prop_assert_eq!(diff_of(a, b), model_diff(a_model, b_model));
+        }
+    }
+}
+
+/// Histories that grow the root by splits and then shrink it back by
+/// collapses still diff to the models' difference against every
+/// version pinned on the way: the two sides of a diff then differ in
+/// depth, not only along one path.
+#[test]
+fn diff_across_root_splits_and_collapses() {
+    let key = |i: u32| vec![(i / 12) as u16, (i % 12) as u16];
+    let n = (FANOUT * FANOUT * 3) as u32;
+    let mut map: PMap<Key, u32> = PMap::new();
+    let mut model: BTreeMap<Key, u32> = BTreeMap::new();
+    let mut pinned = Vec::new();
+    let mut depths = Vec::new();
+    // Grow one key at a time (every root split on the way), then drain
+    // in an interleaved order (pruned nodes and root collapses).
+    let grow = (0..n).map(|i| (i * 7) % n);
+    let drain = (0..n)
+        .filter(|i| i % 3 != 0)
+        .chain((0..n).filter(|i| i % 3 == 0));
+    for (step, (i, insert)) in grow
+        .map(|i| (i, true))
+        .chain(drain.map(|i| (i, false)))
+        .enumerate()
+    {
+        if insert {
+            map.insert(key(i), i);
+            model.insert(key(i), i);
+        } else {
+            map.remove(&key(i));
+            model.remove(&key(i));
+        }
+        if step % 97 == 0 {
+            depths.push(map.depth());
+            pinned.push((map.clone(), model.clone()));
+        }
+    }
+    assert!(
+        depths.iter().any(|&d| d >= 3),
+        "the history grew the root: {depths:?}"
+    );
+    assert_eq!(map.depth(), 1, "and collapsed it again");
+    pinned.push((map.clone(), model.clone()));
+    for (i, (a, a_model)) in pinned.iter().enumerate() {
+        for (b, b_model) in &pinned[i..] {
+            assert_eq!(diff_of(a, b), model_diff(a_model, b_model));
+            assert_eq!(diff_of(b, a), model_diff(b_model, a_model));
+        }
     }
 }
 

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use hrdm_core::delta::{Delta, RelationChange};
+use hrdm_core::delta::{Delta, RelationChange, RelationDelta};
 use hrdm_core::justify::justify;
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
@@ -188,10 +188,11 @@ struct Writer {
 pub struct WriteTxn<'a> {
     /// The private world copy this transaction mutates.
     pub world: World,
-    /// The structured effect of this write: asserted/retracted rows per
-    /// relation, resets, and domain-graph edits. Handlers record into
-    /// it; the engine feeds it to view maintenance and publishes it
-    /// alongside the new epoch.
+    /// The structured effect of this write: the relations it asserted
+    /// into or retracted from (their rows are diffed in at commit),
+    /// resets, and domain-graph edits. Handlers record into it; the
+    /// engine feeds it to view maintenance and publishes it alongside
+    /// the new epoch.
     pub delta: Delta,
     journal: &'a mut Option<Journal>,
     marks: &'a Mutex<Option<Arc<LsnMarks>>>,
@@ -199,15 +200,16 @@ pub struct WriteTxn<'a> {
     journal_time: Duration,
 }
 
-/// Rewrite the row-level entries of a write's `delta` as their net
-/// effect between the world before and after it: handlers record row
-/// edits in statement order into unordered lists, and a write may touch
-/// one item more than once.
+/// Fill in the row-level entries of a write's `delta`: each relation
+/// the write asserted into or retracted from gets the
+/// [`RelationDelta::diff`] of its tuples before and after — the net
+/// effect, however many times the write touched an item, found by
+/// comparing the paths the write copied.
 fn net_rows(delta: &mut Delta, pre: &World, post: &World) {
     for (name, change) in &mut delta.relations {
         if let RelationChange::Rows(rows) = change {
             match (pre.relation(name), post.relation(name)) {
-                (Ok(pre), Ok(post)) => rows.normalise(pre, post),
+                (Ok(pre), Ok(post)) => *rows = RelationDelta::diff(pre, post),
                 _ => *change = RelationChange::Reset,
             }
         }
@@ -216,39 +218,27 @@ fn net_rows(delta: &mut Delta, pre: &World, post: &World) {
 
 impl WriteTxn<'_> {
     /// Apply one WAL-vocabulary mutation: apply it to the private world
-    /// through the catalog's interpreter, record its effect in the
+    /// through the catalog's interpreter, record what it touched in the
     /// write's delta, and stage it on the open store's WAL (skipped
     /// when detached) — the value that is applied is the value that is
-    /// logged, once the write commits. An `Assert`/`Retract` is
-    /// resolved once, by the interpreter; its delta row is that item,
-    /// and so is the return value (`None` for every other mutation).
+    /// logged, once the write commits. An `Assert`/`Retract` records
+    /// only its relation (its rows are diffed at commit); the item the
+    /// interpreter resolved is the return value (`None` for every other
+    /// mutation).
     fn apply(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
         use CatalogMutation::*;
         let resolved = self.world.apply(m)?;
-        match (m, &resolved) {
-            (CreateDomain { name } | DropDomain { name }, _) => self.delta.record_domain(name),
-            (AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. }, _) => {
+        match m {
+            CreateDomain { name } | DropDomain { name } => self.delta.record_domain(name),
+            AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. } => {
                 self.delta.record_domain(domain)
             }
             // Dropping resets too: any view depending on the dropped
             // relation fails its maintenance pass — and therefore this
             // write — atomically.
-            (CreateRelation { name, .. } | DropRelation { name }, _) => {
-                self.delta.record_reset(name)
-            }
-            (SetPreemption { relation, .. }, _) => self.delta.record_reset(relation),
-            (
-                Assert {
-                    relation, truth, ..
-                },
-                Some(item),
-            ) => self.delta.record_added(relation, item.clone(), *truth),
-            (Retract { relation, .. }, Some(item)) => {
-                self.delta.record_removed(relation, item.clone())
-            }
-            (Assert { .. } | Retract { .. }, None) => {
-                unreachable!("the interpreter returns the item of every tuple mutation")
-            }
+            CreateRelation { name, .. } | DropRelation { name } => self.delta.record_reset(name),
+            SetPreemption { relation, .. } => self.delta.record_reset(relation),
+            Assert { relation, .. } | Retract { relation, .. } => self.delta.record_rows(relation),
         }
         if let Some(j) = self.journal.as_mut() {
             let started = Instant::now();
@@ -281,11 +271,13 @@ impl WriteTxn<'_> {
     }
 
     /// Replace the whole world (`LOAD`, `OPEN`, a shipped checkpoint
-    /// image): every relation of the new world resets, and live views
-    /// are gone — images carry relations, not view definitions.
+    /// image): every relation of the world replaced and of the new one
+    /// resets — one the new world lacks is gone, as if dropped — and
+    /// live views are gone: images carry relations, not view
+    /// definitions.
     fn replace_world(&mut self, world: World) {
-        self.world = world;
-        for name in self.world.relation_names() {
+        let replaced = std::mem::replace(&mut self.world, world);
+        for name in replaced.relation_names().chain(self.world.relation_names()) {
             self.delta.record_reset(name);
         }
     }

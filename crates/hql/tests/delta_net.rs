@@ -136,3 +136,76 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
          (got {net_to_nothing})"
     );
 }
+
+/// The names of the relations a delta resets, and whether it resets
+/// every relation it names.
+fn resets(engine: &Engine) -> (Vec<String>, bool) {
+    let (_, delta) = engine.last_delta().expect("the write published");
+    let names = delta.relations.keys().cloned().collect();
+    let all = delta
+        .relations
+        .values()
+        .all(|c| *c == RelationChange::Reset);
+    (names, all)
+}
+
+/// A write that replaces the world — `LOAD`, and a replica's shipped
+/// rollover (`apply_mutations` with a base image) — resets every
+/// relation of the world it replaced as well as of the new one: a
+/// relation the new world lacks is gone, and the delta names it, as
+/// `DROP RELATION` would.
+#[test]
+fn a_replaced_world_resets_the_relations_it_removed() {
+    let dir = std::env::temp_dir().join(format!("hrdm_delta_net_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = dir.join("a.img");
+    let engine = Engine::new();
+    engine
+        .execute(&format!(
+            "CREATE DOMAIN D; CREATE INSTANCE x OF D; CREATE RELATION A (v: D); \
+             ASSERT A (x); SAVE \"{}\";",
+            image.display()
+        ))
+        .unwrap();
+    let base = engine.snapshot().to_image();
+    engine
+        .execute("CREATE RELATION B (v: D); ASSERT B (x);")
+        .unwrap();
+    engine
+        .execute(&format!("LOAD \"{}\";", image.display()))
+        .unwrap();
+    let names: Vec<String> = engine
+        .snapshot()
+        .relation_names()
+        .map(String::from)
+        .collect();
+    assert_eq!(names, ["A"]);
+    assert_eq!(
+        resets(&engine),
+        (vec!["A".into(), "B".into()], true),
+        "LOAD"
+    );
+
+    engine
+        .execute("CREATE RELATION C (v: D); ASSERT C (x);")
+        .unwrap();
+    let batch = [CatalogMutation::CreateRelation {
+        name: "E".into(),
+        attributes: vec![("v".into(), "D".into())],
+    }];
+    engine
+        .apply_mutations(Some(base), |apply| batch.iter().try_for_each(apply))
+        .unwrap();
+    let names: Vec<String> = engine
+        .snapshot()
+        .relation_names()
+        .map(String::from)
+        .collect();
+    assert_eq!(names, ["A", "E"]);
+    assert_eq!(
+        resets(&engine),
+        (vec!["A".into(), "C".into(), "E".into()], true),
+        "a rollover"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
