@@ -607,6 +607,8 @@ fn b10_write_split() {
         let _ = std::fs::remove_dir_all(&store);
     }
     b10_catch_up_batch(&STAGES, INSTANCES);
+    b10_restart();
+    b10_lookups(INSTANCES);
     println!("shape: no stage grows with the written relation or with the catalog —");
     println!("a write copies one path of each map (mean ns per write; every stage is");
     println!("observed once per write, asserted). Without a store `journal` is 0; with");
@@ -618,6 +620,227 @@ fn b10_write_split() {
     println!("records (µs per batch; its delta is asserted to hold all 5 000 rows):");
     println!("`net_delta` diffs each touched relation's tuple tree along the paths the");
     println!("batch copied, and `apply` records only which relations the batch touched.");
+    println!("The restart row splits one OPEN into its stages, each timed on its own");
+    println!("(ms, median of 9; the replayed count and the reopened catalog, equal to");
+    println!("the live one, are asserted); `apply` is two map descents per record —");
+    println!("the relation by name, then its item — which is what the lookup line prices.");
+}
+
+/// Median wall time of `f` over `reps` runs, each after an untimed
+/// `setup` whose result `f` takes, in nanoseconds. What `f` returns is
+/// dropped outside the timed region.
+fn time_with_setup<S, T>(
+    reps: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> u128 {
+    median(
+        (0..reps)
+            .map(|_| {
+                let input = setup();
+                let t = Instant::now();
+                let kept = f(input);
+                let ns = t.elapsed().as_nanos();
+                drop(kept);
+                ns
+            })
+            .collect(),
+    )
+}
+
+/// Copy the files of store `from` into a fresh directory `to`.
+fn copy_store(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("create the copy");
+    for entry in std::fs::read_dir(from).expect("list the store") {
+        let entry = entry.expect("store entry");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy a store file");
+    }
+}
+
+/// B10's restart row: one `OPEN` of a store whose log holds 20 000
+/// records over 256 relations, 16 of them holding 430 tuples, and a
+/// domain of ~2 000 nodes — the shape of the benchmark's
+/// `durable_restart` — and the same work stage
+/// by stage: the checkpoint load (read, verify, decode into a catalog),
+/// the WAL read + CRC + decode, the apply of the pre-decoded records to
+/// the checkpoint's catalog, and `Journal::begin` writing the next
+/// generation.
+fn b10_restart() {
+    use hrdm_core::mutation::CatalogMutation;
+    use hrdm_persist::{store, Frame, Image, Journal, WalReader};
+    const RELATIONS: usize = 256;
+    const POPULATED: usize = 16;
+    const TUPLES: usize = 430;
+    const RECORDS: usize = 20_000;
+    const REPS: usize = 9;
+    const INSTANCES: usize = 2_000;
+    let dir = std::env::temp_dir().join(format!("hrdm_b10_restart_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store");
+    let live = hrdm_hql::Engine::new();
+    let mut world = format!("OPEN \"{}\" SYNC EVERY 32;", store.display());
+    world += &b10_domain(INSTANCES);
+    for r in 0..RELATIONS {
+        world += &format!("CREATE RELATION R{r} (x: D);");
+        if r < POPULATED {
+            for i in 0..TUPLES {
+                world += &format!("ASSERT R{r} (i{i});");
+            }
+        }
+    }
+    world += "CHECKPOINT;";
+    // The log: each populated relation in turn loses its oldest tuple
+    // and gains a fresh one, so every record changes the catalog.
+    let mut oldest = [0usize; POPULATED];
+    for k in 0..RECORDS {
+        let r = (k / 2) % POPULATED;
+        if k % 2 == 0 {
+            oldest[r] += 1;
+            world += &format!("RETRACT R{r} (i{});", oldest[r] - 1);
+        } else {
+            world += &format!("ASSERT R{r} (i{});", oldest[r] + TUPLES - 1);
+        }
+    }
+    live.execute(&world).expect("store builds");
+    live.sync().expect("log flushed");
+    let live_state = live.snapshot().to_image().into_catalog().render_stable();
+
+    let report = hrdm_persist::recover(&store)
+        .expect("store recovers")
+        .report;
+    assert_eq!(report.records_replayed, RECORDS as u64, "one generation");
+    let (lsn, next_lsn) = (report.checkpoint_lsn, report.next_lsn());
+    let checkpoint = store::checkpoint_path(&store, lsn);
+    let load = || {
+        let (_, image) = store::load_checkpoint(&checkpoint).expect("checkpoint loads");
+        image.into_catalog()
+    };
+    /// Read the log back as recovery does, into one kept record,
+    /// handing each mutation to `each`.
+    fn read_log(path: &std::path::Path, mut each: impl FnMut(&CatalogMutation)) {
+        let file = std::fs::File::open(path).expect("log opens");
+        let mut reader = WalReader::new(std::io::BufReader::new(file)).expect("log header");
+        let mut record = CatalogMutation::default();
+        let mut records = 0;
+        while let Some(frame) = reader.next_into(&mut record).expect("intact log") {
+            if let Frame::Mutation = frame {
+                each(&record);
+                records += 1;
+            }
+        }
+        assert_eq!(records, RECORDS, "every record read back");
+    }
+    let log = store::wal_path(&store, lsn);
+    let mut records = Vec::with_capacity(RECORDS);
+    read_log(&log, |r| records.push(r.clone()));
+
+    let load_ns = time_with_setup(REPS, || (), |()| load());
+    let decode_ns = time_with_setup(REPS, || (), |()| read_log(&log, |_| {}));
+    let apply_ns = time_with_setup(REPS, load, |mut catalog| {
+        for record in &records {
+            catalog.apply_mutation(record).expect("record applies");
+        }
+        catalog
+    });
+    let mut replayed = load();
+    records.iter().for_each(|r| {
+        replayed.apply_mutation(r).expect("record applies");
+    });
+    assert_eq!(
+        replayed.render_stable(),
+        live_state,
+        "the log replays the live state"
+    );
+    let copy = dir.join("copy");
+    let begin_ns = time_with_setup(
+        REPS,
+        || copy_store(&store, &copy),
+        |()| Journal::begin(&copy, next_lsn, &Image::from_catalog(&replayed), 32).expect("begins"),
+    );
+    let open_ns = time_with_setup(
+        REPS,
+        || {
+            copy_store(&store, &copy);
+            hrdm_hql::Engine::new()
+        },
+        |engine| {
+            let open = format!("OPEN \"{}\" SYNC EVERY 32;", copy.display());
+            let reply = engine.execute(&open).expect("store opens");
+            let reply = reply[0].to_string();
+            assert!(
+                reply.contains(&format!(" {RECORDS} record(s) replayed")),
+                "{reply}"
+            );
+            engine
+        },
+    );
+    let reopened = hrdm_hql::Engine::new();
+    reopened
+        .execute(&format!("OPEN \"{}\" SYNC EVERY 32;", copy.display()))
+        .expect("store reopens");
+    let reopened_state = reopened
+        .snapshot()
+        .to_image()
+        .into_catalog()
+        .render_stable();
+    assert_eq!(reopened_state, live_state, "OPEN restores the live state");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    println!(
+        "restart: one OPEN of {RECORDS} records over {RELATIONS} relations \
+         ({POPULATED} x {TUPLES} tuples), ms"
+    );
+    let ms = |ns: u128| format!("{:>9.2}", ns as f64 / 1e6);
+    println!(
+        "{:>9} {:>9} {:>9} {:>9} | {:>9} | {:>9}",
+        "load", "decode", "apply", "begin", "sum", "OPEN"
+    );
+    println!(
+        "{} {} {} {} | {} | {}",
+        ms(load_ns),
+        ms(decode_ns),
+        ms(apply_ns),
+        ms(begin_ns),
+        ms(load_ns + decode_ns + apply_ns + begin_ns),
+        ms(open_ns)
+    );
+}
+
+/// B10's lookup line: ns per `Catalog::relation` (a name map's descent)
+/// and per `HRelation::stored` (a tuple map's), probed in a scattered
+/// order, at two sizes each.
+fn b10_lookups(instances: usize) {
+    const CALLS: usize = 100_000;
+    let mut line = String::from("lookup ns:");
+    for (relations, tuples) in [(256usize, 430usize), (4_096, 10_000)] {
+        let engine = hrdm_hql::Engine::new();
+        let mut world = b10_domain(instances);
+        for r in 0..relations {
+            world += &format!("CREATE RELATION R{r} (x: D);");
+        }
+        for i in 0..tuples {
+            world += &format!("ASSERT R0 (i{i});");
+        }
+        engine.execute(&world).expect("world builds");
+        let catalog = engine.snapshot().to_image().into_catalog();
+        let names: Vec<String> = (0..relations).map(|r| format!("R{r}")).collect();
+        let relation = catalog.relation("R0").expect("R0 exists");
+        let items: Vec<Item> = relation.iter().map(|(item, _)| item.clone()).collect();
+        assert_eq!(items.len(), tuples);
+        let mut k = 0;
+        let by_name = mean_ns(CALLS, || {
+            k = (k + 7_919) % relations;
+            catalog.relation(&names[k]).expect("named relation")
+        });
+        let by_item = mean_ns(CALLS, || {
+            k = (k + 7_919) % tuples;
+            relation.stored(&items[k]).expect("stored tuple")
+        });
+        line += &format!(" relation@{relations} {by_name}, stored@{tuples} {by_item};");
+    }
+    println!("{line}");
 }
 
 /// B10's catch-up row: what a replica's sync costs under the writer

@@ -9,6 +9,8 @@ use std::fmt;
 
 use hrdm_hierarchy::NodeId;
 
+use crate::pmap::Head;
+
 /// Components an item holds in place. Items of up to this arity — every
 /// relation in the paper, and all but the widest joins — are cloned,
 /// compared and hashed without touching the heap, which is what makes
@@ -17,7 +19,8 @@ const INLINE: usize = 4;
 
 #[derive(Clone)]
 enum Repr {
-    /// `nodes[..len]` are the components; the rest is padding.
+    /// `nodes[..len]` are the components; the rest is `NodeId::ROOT`
+    /// padding, which `Head for Item` relies on.
     Inline { len: u8, nodes: [NodeId; INLINE] },
     /// More than [`INLINE`] components.
     Heap(Box<[NodeId]>),
@@ -140,6 +143,24 @@ impl PartialOrd for Item {
 impl Ord for Item {
     fn cmp(&self, other: &Item) -> std::cmp::Ordering {
         self.components().cmp(other.components())
+    }
+}
+
+/// The first two components, packed high then low; an absent one packs
+/// as 0, `NodeId::ROOT`, the least id. Items order lexicographically
+/// and a prefix sorts first, so a lesser item never packs higher. An
+/// item of arity ≤ 2 — every relation in the paper but the joins — is
+/// told apart from every other by its head alone.
+impl Head for Item {
+    #[inline]
+    fn head(&self) -> u64 {
+        let pack = |a: NodeId, b: NodeId| (a.index() as u64) << 32 | b.index() as u64;
+        match &self.0 {
+            // The padding past `len` is `NodeId::ROOT`, so an inline item
+            // packs its first two slots without looking at its arity.
+            Repr::Inline { nodes, .. } => pack(nodes[0], nodes[1]),
+            Repr::Heap(nodes) => pack(nodes[0], nodes[1]),
+        }
     }
 }
 

@@ -20,6 +20,11 @@
 //!   A caller that wants "no change, no copy" asks [`PMap::get`] first,
 //!   as `HRelation::assert_item` does for an identical re-assertion.
 //!
+//! Every node keeps the [`Head`] of each of its keys in a fixed array
+//! beside them (B-tree "poor man's normalized keys", Graefe, *Modern
+//! B-Tree Techniques*, 2011): a search compares `u64`s and compares
+//! whole keys only where a head ties with the one it looks for.
+//!
 //! # Invariants
 //!
 //! * Entries live only in leaves, each leaf a sorted `Vec<(K, V)>` of at
@@ -29,6 +34,8 @@
 //!   greater than every key under `children[i]` and not greater than any
 //!   key under `children[i + 1]`. A separator is a *bound*, not
 //!   necessarily a stored key.
+//! * The `i`-th head of a node is the [`Head`] of its `i`-th key (entry
+//!   or separator).
 //! * No node other than the root leaf of an empty map is empty.
 //!
 //! There is deliberately **no** minimum fill: `remove` never merges or
@@ -40,16 +47,177 @@
 //! largest size the map ever had.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Maximum entries per leaf and children per branch. A constant, not a
 /// setting; DESIGN.md §10.5 has the measurement behind the value.
 pub const FANOUT: usize = 16;
 
+/// An order-preserving `u64` prefix of a key: what a [`PMap`] node
+/// compares before it compares keys.
+///
+/// Every implementation keeps this contract:
+///
+/// * `a < b` implies `a.head() <= b.head()`, so equal keys have equal
+///   heads;
+/// * a borrowed form has its owner's head: if `K: Borrow<Q>`, then
+///   `k.head() == k.borrow().head()` (`Arc<str>` and `str` agree).
+///
+/// A search skips every key whose head is below the sought one's and
+/// stops at the first whose head is above it; only keys with an equal
+/// head are compared whole. A head that tells more keys apart spares
+/// more comparisons; a coarse one (even a constant) is still correct.
+pub trait Head {
+    /// This key's head.
+    fn head(&self) -> u64;
+}
+
+impl Head for u32 {
+    #[inline]
+    fn head(&self) -> u64 {
+        u64::from(*self)
+    }
+}
+
+/// The first 8 bytes, big-endian, zero-padded: `str` orders by bytes,
+/// and a string shorter than 8 bytes pads with the least byte.
+impl Head for str {
+    #[inline]
+    fn head(&self) -> u64 {
+        let bytes = self.as_bytes();
+        let mut prefix = [0u8; 8];
+        let n = bytes.len().min(8);
+        prefix[..n].copy_from_slice(&bytes[..n]);
+        u64::from_be_bytes(prefix)
+    }
+}
+
+impl Head for Arc<str> {
+    #[inline]
+    fn head(&self) -> u64 {
+        (**self).head()
+    }
+}
+
+/// A node's sorted keys — a leaf's entries or a branch's separators —
+/// with the [`Head`] of each: `heads[i]` belongs to `items[i]`. The heads
+/// are an array inside the node, so a node copy is still one `Vec` copy;
+/// every edit of `items` goes through a method that edits `heads` with it.
+struct Run<T> {
+    heads: [u64; FANOUT],
+    items: Vec<T>,
+}
+
+impl<T> Run<T> {
+    /// A run that allocates nothing until it is given an item.
+    fn empty() -> Run<T> {
+        Run {
+            heads: [0; FANOUT],
+            items: Vec::new(),
+        }
+    }
+
+    /// Up to [`FANOUT`] items in ascending key order, with room for a
+    /// full node.
+    fn new(items: impl Iterator<Item = T>, head: impl Fn(&T) -> u64) -> Run<T> {
+        let mut run = Run {
+            heads: [0; FANOUT],
+            items: Vec::with_capacity(FANOUT),
+        };
+        for item in items {
+            run.push(head(&item), item);
+        }
+        run
+    }
+
+    /// The heads of the items, in order.
+    fn heads(&self) -> &[u64] {
+        &self.heads[..self.items.len()]
+    }
+
+    /// Where the item whose key has head `head` is (`Ok`) or belongs
+    /// (`Err`); `cmp` orders an item's key against the key sought.
+    ///
+    /// Heads ascend with the keys, so every item whose head is below
+    /// `head` is below the key: counting them is a branch-free pass over
+    /// one contiguous array of at most [`FANOUT`] `u64`s. Whole keys are
+    /// compared only from there on, while the heads tie.
+    #[inline]
+    fn search(&self, head: u64, mut cmp: impl FnMut(&T) -> Ordering) -> Result<usize, usize> {
+        let heads = self.heads();
+        let mut i = heads.iter().filter(|&&h| h < head).count();
+        while heads.get(i) == Some(&head) {
+            match cmp(&self.items[i]) {
+                Ordering::Less => i += 1,
+                Ordering::Equal => return Ok(i),
+                Ordering::Greater => return Err(i),
+            }
+        }
+        Err(i)
+    }
+
+    fn push(&mut self, head: u64, item: T) {
+        self.heads[self.items.len()] = head;
+        self.items.push(item);
+    }
+
+    fn insert(&mut self, i: usize, head: u64, item: T) {
+        self.heads.copy_within(i..self.items.len(), i + 1);
+        self.heads[i] = head;
+        self.items.insert(i, item);
+    }
+
+    fn remove(&mut self, i: usize) -> T {
+        self.heads.copy_within(i + 1..self.items.len(), i);
+        self.items.remove(i)
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.items.pop()
+    }
+
+    /// Move the items from `at` on, with their heads, into a new run.
+    fn split_off(&mut self, at: usize) -> Run<T> {
+        let mut right = Run {
+            heads: [0; FANOUT],
+            items: roomy(self.items.drain(at..)),
+        };
+        let moved = right.items.len();
+        right.heads[..moved].copy_from_slice(&self.heads[at..at + moved]);
+        right
+    }
+}
+
+impl<K, V> Run<(K, V)> {
+    /// The value of the `i`-th entry; its key, and so its head, stays.
+    fn value_mut(&mut self, i: usize) -> &mut V {
+        &mut self.items[i].1
+    }
+}
+
+/// Reads see the items as a slice; only the methods above edit them.
+impl<T> std::ops::Deref for Run<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items
+    }
+}
+
+impl<T: Clone> Clone for Run<T> {
+    fn clone(&self) -> Run<T> {
+        Run {
+            heads: self.heads,
+            items: roomy(self.items.iter().cloned()),
+        }
+    }
+}
+
 enum Node<K, V> {
-    Leaf(Vec<(K, V)>),
+    Leaf(Run<(K, V)>),
     Branch {
-        keys: Vec<K>,
+        keys: Run<K>,
         children: Vec<Arc<Node<K, V>>>,
     },
 }
@@ -64,12 +232,12 @@ fn roomy<T>(items: impl Iterator<Item = T>) -> Vec<T> {
 
 impl<K: Clone, V: Clone> Clone for Node<K, V> {
     /// The copy half of copy-on-write ([`Arc::make_mut`] on a shared
-    /// node): entries are cloned, children are `Arc` bumps.
+    /// node): entries and heads are copied, children are `Arc` bumps.
     fn clone(&self) -> Node<K, V> {
         match self {
-            Node::Leaf(entries) => Node::Leaf(roomy(entries.iter().cloned())),
+            Node::Leaf(entries) => Node::Leaf(entries.clone()),
             Node::Branch { keys, children } => Node::Branch {
-                keys: roomy(keys.iter().cloned()),
+                keys: keys.clone(),
                 children: roomy(children.iter().cloned()),
             },
         }
@@ -95,7 +263,7 @@ impl<K, V> Clone for PMap<K, V> {
 impl<K, V> Default for PMap<K, V> {
     fn default() -> PMap<K, V> {
         PMap {
-            root: Arc::new(Node::Leaf(Vec::new())),
+            root: Arc::new(Node::Leaf(Run::empty())),
             len: 0,
         }
     }
@@ -135,35 +303,32 @@ impl<K, V> Node<K, V> {
         }
     }
 
-    /// Which child of a branch with these separators holds `key`.
-    fn child_index<Q>(keys: &[K], key: &Q) -> usize
+    /// Which child of a branch with these separators holds `key`, whose
+    /// head is `head`: the child before the first separator above `key`.
+    fn child_index<Q>(keys: &Run<K>, head: u64, key: &Q) -> usize
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        keys.iter()
-            .position(|k| k.borrow() > key)
-            .unwrap_or(keys.len())
+        // A separator equal to `key` bounds the child after it from below.
+        match keys.search(head, |k| k.borrow().cmp(key)) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        }
     }
 
-    /// Where `key` is (`Ok`) or belongs (`Err`) in a leaf. Like
-    /// `child_index` a linear scan: a node is at most [`FANOUT`] entries,
-    /// and a predictable walk over independent loads beats a binary
-    /// search's chain of dependent, unpredictable ones — measured on the
-    /// replay path, binary search was 40 % slower per record.
-    fn position<Q>(entries: &[(K, V)], key: &Q) -> Result<usize, usize>
+    /// Where `key`, whose head is `head`, is (`Ok`) or belongs (`Err`) in
+    /// a leaf. Like `child_index` a linear scan of the heads
+    /// ([`Run::search`]): a node is at most [`FANOUT`] keys, and a
+    /// predictable pass over one array beats a binary search's chain of
+    /// dependent, unpredictable loads — measured on the replay path,
+    /// binary search over whole keys was 40 % slower per record.
+    fn position<Q>(entries: &Run<(K, V)>, head: u64, key: &Q) -> Result<usize, usize>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        for (i, (k, _)) in entries.iter().enumerate() {
-            match k.borrow().cmp(key) {
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => return Ok(i),
-                std::cmp::Ordering::Greater => return Err(i),
-            }
-        }
-        Err(entries.len())
+        entries.search(head, |(k, _)| k.borrow().cmp(key))
     }
 }
 
@@ -174,13 +339,13 @@ impl<K: Ord + Clone, V: Clone> Node<K, V> {
         debug_assert!(self.is_full());
         match self {
             Node::Leaf(entries) => {
-                let right = roomy(entries.drain(FANOUT / 2..));
+                let right = entries.split_off(FANOUT / 2);
                 (right[0].0.clone(), Arc::new(Node::Leaf(right)))
             }
             Node::Branch { keys, children } => {
                 let right = Node::Branch {
                     children: roomy(children.drain(FANOUT / 2..)),
-                    keys: roomy(keys.drain(FANOUT / 2..)),
+                    keys: keys.split_off(FANOUT / 2),
                 };
                 let up = keys.pop().expect("a full branch has separators");
                 (up, Arc::new(right))
@@ -188,21 +353,21 @@ impl<K: Ord + Clone, V: Clone> Node<K, V> {
         }
     }
 
-    /// Remove `key` below `node`, copying the path, and prune the child
-    /// it emptied, if any.
-    fn remove<Q>(node: &mut Arc<Self>, key: &Q) -> Option<V>
+    /// Remove `key` (whose head is `head`) below `node`, copying the
+    /// path, and prune the child it emptied, if any.
+    fn remove<Q>(node: &mut Arc<Self>, head: u64, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
         match Arc::make_mut(node) {
             Node::Leaf(entries) => {
-                let i = Self::position(entries, key).ok()?;
+                let i = Self::position(entries, head, key).ok()?;
                 Some(entries.remove(i).1)
             }
             Node::Branch { keys, children } => {
-                let i = Self::child_index(keys, key);
-                let value = Self::remove(&mut children[i], key)?;
+                let i = Self::child_index(keys, head, key);
+                let value = Self::remove(&mut children[i], head, key)?;
                 if children[i].is_empty() {
                     children.remove(i);
                     // Either neighbouring separator bounds what is left.
@@ -238,16 +403,19 @@ impl<K, V> PMap<K, V> {
     pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
-        Q: Ord + ?Sized,
+        Q: Ord + Head + ?Sized,
     {
+        let head = key.head();
         let mut node = &*self.root;
         loop {
             match node {
                 Node::Leaf(entries) => {
-                    return Node::position(entries, key).ok().map(|i| &entries[i].1)
+                    return Node::position(entries, head, key)
+                        .ok()
+                        .map(|i| &entries[i].1)
                 }
                 Node::Branch { keys, children } => {
-                    node = &*children[Node::<K, V>::child_index(keys, key)]
+                    node = &*children[Node::<K, V>::child_index(keys, head, key)]
                 }
             }
         }
@@ -257,7 +425,7 @@ impl<K, V> PMap<K, V> {
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where
         K: Borrow<Q>,
-        Q: Ord + ?Sized,
+        Q: Ord + Head + ?Sized,
     {
         self.get(key).is_some()
     }
@@ -346,11 +514,11 @@ impl<K, V> PMap<K, V> {
     /// diagnostic for the model tests; it walks the whole tree.
     pub fn check_invariants(&self)
     where
-        K: Ord,
+        K: Ord + Head,
     {
         /// Checks the subtree, whose keys must lie in `[low, high)`;
         /// returns its entry count and its height.
-        fn check<K: Ord, V>(
+        fn check<K: Ord + Head, V>(
             node: &Node<K, V>,
             low: Option<&K>,
             high: Option<&K>,
@@ -361,6 +529,13 @@ impl<K, V> PMap<K, V> {
                     assert!(entries.len() <= FANOUT, "overfull leaf");
                     assert!(is_root || !entries.is_empty(), "empty leaf below the root");
                     assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted leaf");
+                    assert!(
+                        entries
+                            .iter()
+                            .map(|(k, _)| k.head())
+                            .eq(entries.heads().iter().copied()),
+                        "a leaf head out of step with its key"
+                    );
                     assert!(entries
                         .iter()
                         .all(|(k, _)| low.is_none_or(|l| l <= k) && high.is_none_or(|h| k < h)));
@@ -370,6 +545,10 @@ impl<K, V> PMap<K, V> {
                     assert!(children.len() <= FANOUT, "overfull branch");
                     assert!(!children.is_empty(), "empty branch");
                     assert_eq!(keys.len(), children.len() - 1);
+                    assert!(
+                        keys.iter().map(K::head).eq(keys.heads().iter().copied()),
+                        "a branch head out of step with its separator"
+                    );
                     let mut entries = 0;
                     let mut height = None;
                     for (i, child) in children.iter().enumerate() {
@@ -389,7 +568,7 @@ impl<K, V> PMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> PMap<K, V> {
+impl<K: Ord + Clone + Head, V: Clone> PMap<K, V> {
     /// Insert or overwrite; returns the value previously stored.
     ///
     /// One pass down: a full node met on the way is split before it is
@@ -400,33 +579,34 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             let (separator, right) = Arc::make_mut(&mut self.root).split();
             let left = self.root.clone();
             self.root = Arc::new(Node::Branch {
-                keys: roomy([separator].into_iter()),
+                keys: Run::new([separator].into_iter(), K::head),
                 children: roomy([left, right].into_iter()),
             });
         }
+        let head = key.head();
         let mut node = &mut self.root;
         loop {
             match Arc::make_mut(node) {
                 Node::Leaf(entries) => {
-                    return match Node::position(entries, &key) {
-                        Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
+                    return match Node::position(entries, head, &key) {
+                        Ok(i) => Some(std::mem::replace(entries.value_mut(i), value)),
                         Err(i) => {
                             debug_assert!(
                                 entries.len() < FANOUT,
                                 "full nodes split on the way down"
                             );
-                            entries.insert(i, (key, value));
+                            entries.insert(i, head, (key, value));
                             self.len += 1;
                             None
                         }
                     }
                 }
                 Node::Branch { keys, children } => {
-                    let mut i = Node::<K, V>::child_index(keys, &key);
+                    let mut i = Node::<K, V>::child_index(keys, head, &key);
                     if children[i].is_full() {
                         let (separator, right) = Arc::make_mut(&mut children[i]).split();
                         let goes_right = key >= separator;
-                        keys.insert(i, separator);
+                        keys.insert(i, separator.head(), separator);
                         children.insert(i + 1, right);
                         i += usize::from(goes_right);
                     }
@@ -440,14 +620,14 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
-        Q: Ord + ?Sized,
+        Q: Ord + Head + ?Sized,
     {
-        let value = Node::remove(&mut self.root, key)?;
+        let value = Node::remove(&mut self.root, key.head(), key)?;
         self.len -= 1;
         // A root left with one child hands the tree to it.
         while let Node::Branch { children, .. } = &*self.root {
             match children.len() {
-                0 => self.root = Arc::new(Node::Leaf(Vec::new())),
+                0 => self.root = Arc::new(Node::Leaf(Run::empty())),
                 1 => self.root = children[0].clone(),
                 _ => break,
             }
@@ -460,17 +640,18 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: Borrow<Q>,
-        Q: Ord + ?Sized,
+        Q: Ord + Head + ?Sized,
     {
+        let head = key.head();
         let mut node = &mut self.root;
         loop {
             match Arc::make_mut(node) {
                 Node::Leaf(entries) => {
-                    let i = Node::position(entries, key).ok()?;
-                    return Some(&mut entries[i].1);
+                    let i = Node::position(entries, head, key).ok()?;
+                    return Some(entries.value_mut(i));
                 }
                 Node::Branch { keys, children } => {
-                    node = &mut children[Node::<K, V>::child_index(keys, key)];
+                    node = &mut children[Node::<K, V>::child_index(keys, head, key)];
                 }
             }
         }
@@ -482,7 +663,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
 /// drained) are packed straight into full leaves. Anything else is
 /// sorted first, a later entry replacing an earlier one with the same
 /// key, as `BTreeMap`'s `FromIterator` does.
-impl<K: Ord + Clone, V> FromIterator<(K, V)> for PMap<K, V> {
+impl<K: Ord + Clone + Head, V> FromIterator<(K, V)> for PMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> PMap<K, V> {
         let mut entries: Vec<(K, V)> = iter.into_iter().collect();
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
@@ -504,11 +685,8 @@ impl<K: Ord + Clone, V> FromIterator<(K, V)> for PMap<K, V> {
         // separator its parent files it under).
         let mut level: Vec<(K, Arc<Node<K, V>>)> = Vec::with_capacity(len.div_ceil(FANOUT));
         let mut entries = entries.into_iter();
-        loop {
-            let leaf: Vec<(K, V)> = entries.by_ref().take(FANOUT).collect();
-            if leaf.is_empty() {
-                break;
-            }
+        while entries.len() > 0 {
+            let leaf = Run::new(entries.by_ref().take(FANOUT), |(k, _)| k.head());
             level.push((leaf[0].0.clone(), Arc::new(Node::Leaf(leaf))));
         }
         while level.len() > 1 {
@@ -516,9 +694,9 @@ impl<K: Ord + Clone, V> FromIterator<(K, V)> for PMap<K, V> {
             let mut nodes = level.into_iter();
             while let Some((least, first)) = nodes.next() {
                 let mut children = vec![first];
-                let mut keys = Vec::new();
+                let mut keys = Run::empty();
                 for (key, child) in nodes.by_ref().take(FANOUT - 1) {
-                    keys.push(key);
+                    keys.push(key.head(), key);
                     children.push(child);
                 }
                 parents.push((least, Arc::new(Node::Branch { keys, children })));
@@ -543,7 +721,7 @@ impl<K: Ord, V: PartialEq> Node<K, V> {
         }
         match (&**old, &**new) {
             (Node::Leaf(a), Node::Leaf(b)) => {
-                let (mut a, mut b) = (a.as_slice(), b.as_slice());
+                let (mut a, mut b) = (&a[..], &b[..]);
                 merge_leaves(&mut a, &mut b, f);
                 a.iter().for_each(|(k, v)| f(k, Some(v), None));
                 b.iter().for_each(|(k, v)| f(k, None, Some(v)));

@@ -319,6 +319,14 @@ impl<H: ExecutorHandle> Router<H> {
             Statement::Let { name, derivation } => {
                 let _ddl = self.ddl_lock();
                 let k = self.single_shard_of(derivation)?;
+                // The view lands with its sources; shard `k` refuses a
+                // name it holds, but only the name's owner can refuse
+                // one held elsewhere.
+                let home = self.owner_of(name);
+                if home != k && self.listed(home)?.iter().any(|n| n == name) {
+                    let (kind, name) = ("relation", name.clone());
+                    return Err(HqlError::Duplicate { kind, name }.into());
+                }
                 self.reroute(k, &stmt, None, Some(name))
             }
             Statement::Explain { derivation } | Statement::Trace { derivation } => {
@@ -346,11 +354,24 @@ impl<H: ExecutorHandle> Router<H> {
     fn gather(&self, listing: &Statement) -> ExecResult<Vec<String>> {
         let mut names = BTreeSet::new();
         for body in self.broadcast(listing)? {
-            let listed = lex(&body)?;
-            names.extend(listed.iter().filter_map(|t| t.as_name().map(String::from)));
+            names.extend(listed_names(&body)?);
         }
         Ok(names.into_iter().collect())
     }
+
+    /// The relations shard `k` holds.
+    fn listed(&self, k: usize) -> ExecResult<Vec<String>> {
+        let body = self.shards[k].execute_statement(Statement::ShowRelations { over: None })?;
+        listed_names(&body)
+    }
+}
+
+/// The names in a `SHOW RELATIONS` response.
+fn listed_names(body: &str) -> ExecResult<Vec<String>> {
+    Ok(lex(body)?
+        .iter()
+        .filter_map(|t| t.as_name().map(String::from))
+        .collect())
 }
 
 impl<H: ExecutorHandle> ExecutorHandle for Router<H> {

@@ -237,6 +237,58 @@ fn a_name_placed_off_its_hash_is_still_one_name() {
     );
 }
 
+/// `LET x = …` runs where its sources are, so `x` may already be held
+/// by another shard. The router refuses it as one engine does, with
+/// kind `duplicate`, and leaves every shard and route as it was.
+/// (Unchecked, the sources' shard would hold a second `N1` and the
+/// original on its hash shard would be orphaned.)
+#[test]
+fn a_let_naming_a_relation_on_another_shard_is_refused() {
+    assert_eq!((default_shard("N1", 2), default_shard("N0", 2)), (0, 1));
+    let setup = "CREATE DOMAIN D; CREATE CLASS C UNDER D; CREATE INSTANCE a OF C; \
+                 CREATE RELATION N1 (v: D); ASSERT N1 (a); \
+                 CREATE RELATION N0 (v: D); ASSERT N0 (ALL C);";
+    let shadow = "LET N1 = CONSOLIDATE N0;";
+    let single = Engine::new();
+    single.execute(setup).unwrap();
+    let refused = ExecutorHandle::execute(&single, shadow).unwrap_err();
+    assert_eq!(refused.kind(), "duplicate");
+
+    let sharded = ShardedEngine::new(2);
+    sharded.execute(setup).unwrap();
+    let state = |sharded: &ShardedEngine| {
+        let listings = sharded
+            .shards()
+            .iter()
+            .map(|shard| shard.execute_read("SHOW RELATIONS; SHOW N1; SHOW N0;", 0));
+        let reads = sharded.execute_read("SHOW N1; SHOW N0;", 0).unwrap();
+        (
+            listings
+                .map(|l| l.map_err(|e| e.kind().to_string()))
+                .collect::<Vec<_>>(),
+            reads,
+        )
+    };
+    let before = state(&sharded);
+    let epoch = sharded.last_epoch().unwrap();
+    let e = sharded.execute(shadow).unwrap_err();
+    assert_eq!(e.kind(), refused.kind(), "{e}");
+    assert_eq!(e.message(), refused.message());
+    assert_eq!(state(&sharded), before);
+    assert_eq!(
+        sharded.last_epoch().unwrap(),
+        epoch,
+        "no shard took a write"
+    );
+    assert_eq!(
+        (sharded.route_of("N1"), sharded.route_of("N0")),
+        (Some(0), Some(1))
+    );
+    // A fresh name with the same sources is still placed with them.
+    sharded.execute("LET N2 = CONSOLIDATE N0;").unwrap();
+    assert_eq!(sharded.route_of("N2"), Some(1));
+}
+
 /// `probe` reads each shard's epoch once: its `epoch:` line is the sum
 /// of the `shard-k-epoch:` lines under it even while a writer moves
 /// them. (Two reads per shard, as before, tear within a few rounds.)
