@@ -609,6 +609,7 @@ fn b10_write_split() {
     b10_catch_up_batch(&STAGES, INSTANCES);
     b10_restart();
     b10_lookups(INSTANCES);
+    b10_point_read();
     println!("shape: no stage grows with the written relation or with the catalog —");
     println!("a write copies one path of each map (mean ns per write; every stage is");
     println!("observed once per write, asserted). Without a store `journal` is 0; with");
@@ -624,6 +625,10 @@ fn b10_write_split() {
     println!("(ms, median of 9; the replayed count and the reopened catalog, equal to");
     println!("the live one, are asserted); `apply` is two map descents per record —");
     println!("the relation by name, then its item — which is what the lookup line prices.");
+    println!("The point-read line splits one `HOLDS` through a 2-shard router into its");
+    println!("layers (mean ns; every verdict is asserted equal to `bind()`'s): parse the");
+    println!("text, route the relation, bind (relation lookup, item resolution, verdict)");
+    println!("and render the reply; `read` is the whole `execute_read`.");
 }
 
 /// Median wall time of `f` over `reps` runs, each after an untimed
@@ -841,6 +846,161 @@ fn b10_lookups(instances: usize) {
         line += &format!(" relation@{relations} {by_name}, stored@{tuples} {by_item};");
     }
     println!("{line}");
+}
+
+/// B10's point-read line: ns per `HOLDS` through a 2-shard router, on
+/// the shape of the benchmark's `sharded_mixed` — 2 000 relations, 16
+/// of them holding 430 tuples, over a ~2 000-node taxonomy whose
+/// instances are a tenth diamonds — split into the layers a read
+/// crosses: parse, route, bind (the owning shard's relation, the item,
+/// the verdict) and render. Each stage is timed alone over the same
+/// reads, and every verdict is checked against `bind()`.
+fn b10_point_read() {
+    use hrdm_core::binding::Verdict;
+    use hrdm_hql::{parser::parse, ExecutorHandle, Response, ShardedEngine, Statement};
+    const RELATIONS: usize = 2_000;
+    const POPULATED: usize = 16;
+    const FANOUT: usize = 8;
+    const LEAVES: usize = FANOUT * FANOUT * 4;
+    const INSTANCES: usize = 1_664;
+    const READS: usize = 1_024;
+    const CALLS: usize = 100_000;
+    let leaf = |n: usize| format!("l{n}");
+    let mut world = String::from("CREATE DOMAIN T;");
+    for a in 0..FANOUT {
+        world += &format!("CREATE CLASS a{a} UNDER T;");
+    }
+    for b in 0..FANOUT * FANOUT {
+        world += &format!("CREATE CLASS b{b} UNDER a{};", b / FANOUT);
+    }
+    for n in 0..LEAVES {
+        world += &format!("CREATE CLASS {} UNDER b{};", leaf(n), n / 4);
+    }
+    for i in 0..INSTANCES {
+        let home = i % LEAVES;
+        world += &match i % 10 {
+            // A diamond: two sibling leaves, like Patricia's two kinds
+            // of penguin.
+            0 => format!(
+                "CREATE INSTANCE i{i} OF {}, {};",
+                leaf(home),
+                leaf(home ^ 1)
+            ),
+            _ => format!("CREATE INSTANCE i{i} OF {};", leaf(home)),
+        };
+    }
+    for r in 0..RELATIONS {
+        world += &format!("CREATE RELATION R{r} (x: T);");
+    }
+    // 8 + 64 + 256 class tuples and 102 instance exceptions: 430.
+    for r in 0..POPULATED {
+        let sign = |k: usize| {
+            if (k + r).is_multiple_of(3) {
+                "NOT "
+            } else {
+                ""
+            }
+        };
+        for a in 0..FANOUT {
+            world += &format!("ASSERT {}R{r} (ALL a{a});", sign(a));
+        }
+        for b in 0..FANOUT * FANOUT {
+            world += &format!("ASSERT {}R{r} (ALL b{b});", sign(b + 1));
+        }
+        for n in 0..LEAVES {
+            world += &format!("ASSERT {}R{r} (ALL {});", sign(n + 2), leaf(n));
+        }
+        for i in (0..INSTANCES).step_by(INSTANCES / 102).take(102) {
+            world += &format!("ASSERT {}R{r} (i{i});", sign(i));
+        }
+    }
+    let router = ShardedEngine::new(2);
+    router.execute(&world).expect("world builds");
+    let texts: Vec<String> = (0..READS)
+        .map(|k| {
+            let i = (k * 7_919) % INSTANCES;
+            format!("HOLDS R{} (i{i});", k % POPULATED)
+        })
+        .collect();
+    // Each read's pieces, as the router and the owning shard see them.
+    struct Read {
+        relation: String,
+        values: Vec<hrdm_hql::ast::ValueRef>,
+        shard: usize,
+    }
+    let reads: Vec<Read> = texts
+        .iter()
+        .map(|text| match parse(text).expect("read parses").remove(0) {
+            Statement::Holds { relation, values } => Read {
+                shard: router.owner_of(&relation),
+                relation,
+                values,
+            },
+            other => panic!("not a HOLDS: {other}"),
+        })
+        .collect();
+    let shards: Vec<_> = router.shards().iter().map(|e| e.snapshot()).collect();
+    // Every read's schema and item, and how many reads of each kind
+    // (stored, inherited, conflict, unspecified) there are.
+    let (mut items, mut kinds) = (Vec::new(), [0usize; 4]);
+    for (read, text) in reads.iter().zip(&texts) {
+        let rel = shards[read.shard]
+            .relation(&read.relation)
+            .expect("relation");
+        assert_eq!(rel.len(), 430, "{}", read.relation);
+        let item = rel.item(&read.values).expect("item resolves");
+        let verdict = rel.verdict(&item);
+        assert_eq!(verdict, rel.bind(&item).verdict(), "{text}");
+        kinds[match verdict {
+            _ if rel.stored(&item).is_some() => 0,
+            Verdict::Truth(_) => 1,
+            Verdict::Conflict => 2,
+            Verdict::Unspecified => 3,
+        }] += 1;
+        let reply = Response::Truth {
+            item: rel.schema().display_item(&item),
+            value: (!verdict.is_conflict()).then(|| verdict.truth() == Some(Truth::Positive)),
+        };
+        assert_eq!(
+            router.execute_read(text, 0).expect("read answers"),
+            [reply.to_string()]
+        );
+        items.push((rel.schema().clone(), item));
+    }
+    assert!(kinds[..3].iter().all(|&n| n > 0), "verdict kinds {kinds:?}");
+    let mut k = 0;
+    let mut next = || {
+        k = (k + 1) % READS;
+        k
+    };
+    let parse_ns = mean_ns(CALLS, || parse(&texts[next()]).expect("parses"));
+    let route_ns = mean_ns(CALLS, || router.owner_of(&reads[next()].relation));
+    let bind_ns = mean_ns(CALLS, || {
+        let read = &reads[next()];
+        let rel = shards[read.shard]
+            .relation(&read.relation)
+            .expect("relation");
+        rel.verdict(&rel.item(&read.values).expect("item resolves"))
+    });
+    let render_ns = mean_ns(CALLS, || {
+        let (schema, item) = &items[next()];
+        let reply = Response::Truth {
+            item: schema.display_item_with_room(item, Response::VERDICT_ROOM),
+            value: Some(true),
+        };
+        reply.into_text()
+    });
+    let read_ns = mean_ns(CALLS, || {
+        router
+            .execute_read(&texts[next()], 0)
+            .expect("read answers")
+    });
+    println!(
+        "point read ns ({RELATIONS} relations on 2 shards, {POPULATED} x 430 tuples, \
+         {INSTANCES} instances): parse {parse_ns}, route {route_ns}, bind {bind_ns}, \
+         render {render_ns} = {}; read {read_ns}",
+        parse_ns + route_ns + bind_ns + render_ns
+    );
 }
 
 /// B10's catch-up row: what a replica's sync costs under the writer

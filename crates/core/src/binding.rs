@@ -23,6 +23,10 @@
 //!   avoids every other applicable tuple;
 //! * **no-preemption**: every applicable tuple is immediate.
 
+use std::borrow::Borrow;
+
+use hrdm_hierarchy::ProductHierarchy;
+
 use crate::item::Item;
 use crate::preemption::Preemption;
 use crate::relation::HRelation;
@@ -52,16 +56,51 @@ pub enum Binding {
 impl Binding {
     /// The determined truth value, if unambiguous.
     pub fn truth(&self) -> Option<Truth> {
-        match self {
-            Binding::Explicit(t) => Some(*t),
-            Binding::Inherited(t, _) => Some(*t),
-            Binding::Conflict { .. } | Binding::Unspecified => None,
-        }
+        self.verdict().truth()
     }
 
     /// Is this binding a conflict?
     pub fn is_conflict(&self) -> bool {
         matches!(self, Binding::Conflict { .. })
+    }
+
+    /// The binding without its binders.
+    pub fn verdict(&self) -> Verdict {
+        match self {
+            Binding::Explicit(t) | Binding::Inherited(t, _) => Verdict::Truth(*t),
+            Binding::Conflict { .. } => Verdict::Conflict,
+            Binding::Unspecified => Verdict::Unspecified,
+        }
+    }
+}
+
+/// What a point query answers: the item's truth, without the binders
+/// that decided it or whether it was stored. [`HRelation::verdict`]
+/// finds it without building a list; [`Binding`] names the binders
+/// too, for `WHY`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The item's stored tuple, or every strongest binder, has this
+    /// truth value.
+    Truth(Truth),
+    /// The strongest binders disagree.
+    Conflict,
+    /// No stored tuple reaches the item.
+    Unspecified,
+}
+
+impl Verdict {
+    /// The determined truth value, if unambiguous.
+    pub fn truth(self) -> Option<Truth> {
+        match self {
+            Verdict::Truth(t) => Some(t),
+            Verdict::Conflict | Verdict::Unspecified => None,
+        }
+    }
+
+    /// Is this a conflict?
+    pub fn is_conflict(self) -> bool {
+        self == Verdict::Conflict
     }
 }
 
@@ -71,60 +110,59 @@ impl Binding {
 /// Assumes no tuple is stored on `q` itself (callers check that first);
 /// if one is, it would preempt everything anyway.
 pub fn strongest_binders(relation: &HRelation, q: &Item) -> Vec<(Item, Truth)> {
-    immediate_among(relation, q, &relation.above(q))
+    let candidates = relation.candidates(q);
+    candidates
+        .iter()
+        .filter(|(x, _)| binds_immediately(relation, q, x, &candidates))
+        .map(|&(x, t)| (x.clone(), t))
+        .collect()
 }
 
-/// Of `candidates` (applicable tuples), those binding immediately to `q`.
-fn immediate_among(
+/// Does `x`, one of the `candidates` (the stored tuples that reach `q`),
+/// bind `q` immediately — is it `q`'s predecessor in the tuple-binding
+/// graph under the relation's preemption semantics? This is the one
+/// place the three semantics differ: [`verdict`] and [`bind`] both ask
+/// it of each candidate.
+fn binds_immediately<I: Borrow<Item>>(
     relation: &HRelation,
     q: &Item,
-    candidates: &[(Item, Truth)],
-) -> Vec<(Item, Truth)> {
+    x: &Item,
+    candidates: &[(I, Truth)],
+) -> bool {
+    if x == q {
+        return false;
+    }
     let product = relation.schema().product();
     match relation.preemption() {
-        Preemption::NoPreemption => candidates.iter().filter(|(x, _)| x != q).cloned().collect(),
-        Preemption::OffPath => candidates
-            .iter()
-            .filter(|(x, _)| {
-                if x == q {
-                    return false;
-                }
-                if product
-                    .direct_edge(x.components(), q.components())
-                    .is_some()
-                {
-                    return true;
-                }
-                !candidates.iter().any(|(z, _)| {
+        Preemption::NoPreemption => true,
+        Preemption::OffPath => {
+            product
+                .direct_edge(x.components(), q.components())
+                .is_some()
+                || !candidates.iter().any(|(z, _)| {
+                    let z = z.borrow();
                     z != x
                         && z != q
                         && product.reaches(x.components(), z.components())
                         && product.reaches(z.components(), q.components())
                 })
-            })
-            .cloned()
-            .collect(),
-        Preemption::OnPath => {
-            let kept: Vec<&Item> = candidates.iter().map(|(x, _)| x).collect();
-            candidates
-                .iter()
-                .filter(|(x, _)| x != q && path_avoiding(product, x, q, &kept))
-                .cloned()
-                .collect()
         }
+        Preemption::OnPath => path_avoiding(product, x, q, |node| {
+            candidates.iter().any(|(k, _)| k.borrow() == node)
+        }),
     }
 }
 
 /// Is there a hierarchy path `from → to` whose *interior* nodes avoid
-/// every item in `kept`? (On-path preemption's immediacy test.)
+/// every item `kept` accepts? (On-path preemption's immediacy test.)
 ///
 /// BFS over product children, pruned to the interval `[to, from]` via
 /// reachability, so only nodes that could lie on a path are expanded.
 pub(crate) fn path_avoiding(
-    product: &hrdm_hierarchy::ProductHierarchy,
+    product: &ProductHierarchy,
     from: &Item,
     to: &Item,
-    kept: &[&Item],
+    kept: impl Fn(&Item) -> bool,
 ) -> bool {
     if from == to {
         return true;
@@ -146,7 +184,7 @@ pub(crate) fn path_avoiding(
                 continue;
             }
             // Interior nodes may not be kept tuples.
-            if kept.iter().any(|&k| *k == child) {
+            if kept(&child) {
                 continue;
             }
             seen.insert(child.clone());
@@ -156,33 +194,70 @@ pub(crate) fn path_avoiding(
     false
 }
 
+/// The truth `q` receives in `relation` (§2.1), from `applicable`: the
+/// stored tuples that reach `q`, in item order, as
+/// [`HRelation::above`] lists them. It asks each of them whether it
+/// binds `q` immediately and keeps only whether one that holds and one
+/// that does not were found, so it allocates nothing where that
+/// question does not (off-path and no-preemption semantics).
+/// [`HRelation::verdict`] finds `applicable` itself.
+pub fn verdict<I: Borrow<Item>>(
+    relation: &HRelation,
+    q: &Item,
+    applicable: &[(I, Truth)],
+) -> Verdict {
+    if let Ok(i) = applicable.binary_search_by(|(x, _)| x.borrow().cmp(q)) {
+        return Verdict::Truth(applicable[i].1);
+    }
+    let (mut positive, mut negative) = (false, false);
+    for (x, t) in applicable {
+        // A binder of a truth already found cannot change the answer.
+        let found = if t.holds() {
+            &mut positive
+        } else {
+            &mut negative
+        };
+        if !*found && binds_immediately(relation, q, x.borrow(), applicable) {
+            *found = true;
+            if positive && negative {
+                return Verdict::Conflict;
+            }
+        }
+    }
+    match (positive, negative) {
+        (false, false) => Verdict::Unspecified,
+        (true, false) => Verdict::Truth(Truth::Positive),
+        (false, true) => Verdict::Truth(Truth::Negative),
+        (true, true) => Verdict::Conflict,
+    }
+}
+
 /// Determine the truth value binding of `q` in `relation` (§2.1) from
-/// `applicable`: the stored tuples that reach `q`, in item order, as
-/// [`HRelation::above`] lists them. [`HRelation::bind`] finds them
-/// itself; `WHY` ([`crate::justify::justify`]) binds from the list it
-/// also prints.
-pub fn bind(relation: &HRelation, q: &Item, applicable: &[(Item, Truth)]) -> Binding {
-    if let Ok(i) = applicable.binary_search_by(|(x, _)| x.cmp(q)) {
+/// `applicable`, as [`verdict`] does, naming the binders: the
+/// immediate ones, split by truth. [`HRelation::bind`] finds
+/// `applicable` itself; `WHY` ([`crate::justify::justify`]) binds from
+/// the list it also prints.
+pub fn bind<I: Borrow<Item>>(relation: &HRelation, q: &Item, applicable: &[(I, Truth)]) -> Binding {
+    if let Ok(i) = applicable.binary_search_by(|(x, _)| x.borrow().cmp(q)) {
         return Binding::Explicit(applicable[i].1);
     }
-    let binders = immediate_among(relation, q, applicable);
-    if binders.is_empty() {
-        return Binding::Unspecified;
+    let (mut positive, mut negative) = (Vec::new(), Vec::new());
+    for (x, t) in applicable {
+        let x = x.borrow();
+        if binds_immediately(relation, q, x, applicable) {
+            if t.holds() {
+                &mut positive
+            } else {
+                &mut negative
+            }
+            .push(x.clone());
+        }
     }
-    let (positive, negative): (Vec<_>, Vec<_>) = binders.into_iter().partition(|(_, t)| t.holds());
     match (positive.is_empty(), negative.is_empty()) {
-        (false, true) => Binding::Inherited(
-            Truth::Positive,
-            positive.into_iter().map(|(i, _)| i).collect(),
-        ),
-        (true, false) => Binding::Inherited(
-            Truth::Negative,
-            negative.into_iter().map(|(i, _)| i).collect(),
-        ),
-        _ => Binding::Conflict {
-            positive: positive.into_iter().map(|(i, _)| i).collect(),
-            negative: negative.into_iter().map(|(i, _)| i).collect(),
-        },
+        (true, true) => Binding::Unspecified,
+        (false, true) => Binding::Inherited(Truth::Positive, positive),
+        (true, false) => Binding::Inherited(Truth::Negative, negative),
+        (false, false) => Binding::Conflict { positive, negative },
     }
 }
 

@@ -130,7 +130,7 @@ pub fn is_consistent(relation: &HRelation) -> bool {
     }
     let consistent = !candidates
         .iter()
-        .any(|item| relation.bind(item).is_conflict());
+        .any(|item| relation.verdict(item).is_conflict());
     stats::record_conflict(start.elapsed());
     consistent
 }

@@ -96,7 +96,7 @@ pub mod tuple;
 
 /// One-stop imports for the common API surface.
 pub mod prelude {
-    pub use crate::binding::Binding;
+    pub use crate::binding::{Binding, Verdict};
     pub use crate::catalog::Catalog;
     pub use crate::delta::{Delta, RelationChange, RelationDelta};
     pub use crate::differential::{MaintainReport, MaterializedPlan};

@@ -28,7 +28,7 @@ pub use project::{project, project_names, rename};
 pub use select::{select, select_eq};
 pub use set_ops::{difference, intersection, union};
 
-use crate::binding::Binding;
+use crate::binding::Verdict;
 use crate::conflict::find_conflicts;
 use crate::error::{CoreError, Result};
 use crate::item::Item;
@@ -39,10 +39,10 @@ use crate::truth::Truth;
 /// positive binding → `true`; negative or unspecified → `false`;
 /// conflict → the input violates its ambiguity constraint.
 pub(crate) fn class_holds(relation: &HRelation, item: &Item) -> Result<bool> {
-    match relation.bind(item) {
-        Binding::Explicit(t) | Binding::Inherited(t, _) => Ok(t.holds()),
-        Binding::Unspecified => Ok(false),
-        Binding::Conflict { .. } => Err(CoreError::InputInconsistent(vec![item.clone()])),
+    match relation.verdict(item) {
+        Verdict::Truth(t) => Ok(t.holds()),
+        Verdict::Unspecified => Ok(false),
+        Verdict::Conflict => Err(CoreError::InputInconsistent(vec![item.clone()])),
     }
 }
 

@@ -405,14 +405,24 @@ impl<K, V> PMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + Head + ?Sized,
     {
+        self.get_key_value(key).map(|(_, v)| v)
+    }
+
+    /// The stored key equal to `key`, and its value.
+    pub fn get_key_value<Q>(&self, key: &Q) -> Option<(&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + Head + ?Sized,
+    {
         let head = key.head();
         let mut node = &*self.root;
         loop {
             match node {
                 Node::Leaf(entries) => {
-                    return Node::position(entries, head, key)
-                        .ok()
-                        .map(|i| &entries[i].1)
+                    return Node::position(entries, head, key).ok().map(|i| {
+                        let (k, v) = &entries[i];
+                        (k, v)
+                    })
                 }
                 Node::Branch { keys, children } => {
                     node = &*children[Node::<K, V>::child_index(keys, head, key)]

@@ -20,9 +20,9 @@
 
 use std::sync::Arc;
 
-use hrdm_hierarchy::NodeId;
+use hrdm_hierarchy::{NodeId, SpillVec, ANCESTORS_INLINE};
 
-use crate::binding::{bind, Binding};
+use crate::binding::{bind, verdict, Binding, Verdict};
 use crate::error::{CoreError, Result};
 use crate::item::Item;
 use crate::pmap::PMap;
@@ -36,6 +36,31 @@ use crate::tuple::Tuple;
 /// ∏ |ancestors| × `PROBE_COST` < [`HRelation::len`]. A constant, not a
 /// setting; DESIGN.md §6.3 has the measurement behind the value.
 pub const PROBE_COST: usize = 8;
+
+/// Stored tuples reaching a point that [`HRelation::candidates`] holds
+/// in place before it moves to the heap.
+const CANDIDATES_INLINE: usize = 16;
+
+/// The stored tuples that reach a point, borrowed from the relation, in
+/// item order: what [`HRelation::candidates`] returns.
+pub(crate) type Candidates<'r> = SpillVec<(&'r Item, Truth), CANDIDATES_INLINE>;
+
+/// A point's binding ancestors, one sorted run per component, back to
+/// back in one list held in place while it fits.
+struct Axes {
+    nodes: SpillVec<NodeId, ANCESTORS_INLINE>,
+    /// Where each component's run ends in `nodes`; in place up to the
+    /// arity an `Item` holds in place.
+    ends: SpillVec<usize, 4>,
+}
+
+impl Axes {
+    /// Component `i`'s binding ancestors.
+    fn axis(&self, i: usize) -> &[NodeId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.nodes[start..self.ends[i]]
+    }
+}
 
 /// A hierarchical relation: a set of truth-valued tuples over a shared
 /// schema, evaluated under a chosen [`Preemption`] semantics.
@@ -162,11 +187,24 @@ impl HRelation {
     /// The truth value `item` receives under inheritance with
     /// exceptions: explicit tuple, strongest-binding inherited tuple(s),
     /// conflict, or unspecified. This is the paper's tuple-binding-graph
-    /// lookup (§2.1).
+    /// lookup (§2.1), naming the binders; [`HRelation::verdict`] is the
+    /// same lookup without them.
     pub fn bind(&self, item: &Item) -> Binding {
         match self.stored(item) {
             Some(t) => Binding::Explicit(t),
-            None => bind(self, item, &self.above(item)),
+            None => bind(self, item, &self.candidates(item)),
+        }
+    }
+
+    /// [`bind`](HRelation::bind) without the binders: the truth `item`
+    /// receives (stored or inherited), a conflict, or unspecified. What
+    /// a point query answers; with off-path or no preemption, for a
+    /// point with at most [`ANCESTORS_INLINE`] binding ancestors of
+    /// which at most 16 are stored, it allocates nothing.
+    pub fn verdict(&self, item: &Item) -> Verdict {
+        match self.stored(item) {
+            Some(t) => Verdict::Truth(t),
+            None => verdict(self, item, &self.candidates(item)),
         }
     }
 
@@ -176,7 +214,7 @@ impl HRelation {
     /// conflicting, or unspecified → `false`. Use
     /// [`crate::three_valued::holds3`] for the §4 three-valued reading.
     pub fn holds(&self, item: &Item) -> bool {
-        self.bind(item).truth() == Some(Truth::Positive)
+        self.verdict(item).truth() == Some(Truth::Positive)
     }
 
     /// The stored tuples whose item reaches `q` in binding reachability
@@ -189,56 +227,75 @@ impl HRelation {
     /// times [`PROBE_COST`] stays below [`len`](HRelation::len), it
     /// probes the tuple map once per combination of ancestors.
     /// Otherwise it scans every stored tuple with
-    /// [`reaches`](hrdm_hierarchy::ProductHierarchy::reaches).
+    /// [`reaches`](hrdm_hierarchy::ProductHierarchy::reaches). Either
+    /// way the list is found borrowed and held in place, as
+    /// [`verdict`](HRelation::verdict) uses it, and copied out here.
     pub fn above(&self, q: &Item) -> Vec<(Item, Truth)> {
-        match self.ancestor_axes(q) {
-            Some(axes) => {
-                let mut hits = Vec::new();
-                self.probe_each(&mut q.clone(), &axes, &mut hits);
-                hits
-            }
-            None => {
-                let product = self.schema.product();
-                self.iter()
-                    .filter(|(x, _)| product.reaches(x.components(), q.components()))
-                    .map(|(x, t)| (x.clone(), t))
-                    .collect()
-            }
-        }
-    }
-
-    /// `q`'s binding ancestors, one sorted list per component, or `None`
-    /// as soon as probing every combination would cost as much as the
-    /// scan.
-    fn ancestor_axes(&self, q: &Item) -> Option<Vec<Vec<NodeId>>> {
-        // The largest product of list lengths the walk may reach.
-        let mut budget = self.len().checked_sub(1)? / PROBE_COST;
-        q.components()
+        self.candidates(q)
             .iter()
-            .zip(self.schema.product().components())
-            .map(|(&x, g)| {
-                let axis = g.binding_ancestors(x, budget)?;
-                budget /= axis.len();
-                Some(axis)
-            })
+            .map(|&(x, t)| (x.clone(), t))
             .collect()
     }
 
+    /// [`above`](HRelation::above)`(q)`, borrowed from the relation and
+    /// held in place while it fits: the one walk (or scan) behind
+    /// `above`, [`bind`](HRelation::bind) and
+    /// [`verdict`](HRelation::verdict).
+    pub(crate) fn candidates(&self, q: &Item) -> Candidates<'_> {
+        let mut hits = Candidates::new();
+        match self.ancestor_axes(q) {
+            Some(axes) => self.probe_each(&mut q.clone(), &axes, 0, &mut hits),
+            None => {
+                let product = self.schema.product();
+                for (x, t) in self.iter() {
+                    if product.reaches(x.components(), q.components()) {
+                        hits.push((x, t));
+                    }
+                }
+            }
+        }
+        hits
+    }
+
+    /// `q`'s binding ancestors, one sorted run per component, or `None`
+    /// as soon as probing every combination would cost as much as the
+    /// scan.
+    fn ancestor_axes(&self, q: &Item) -> Option<Axes> {
+        // The largest product of run lengths the walk may reach.
+        let mut budget = self.len().checked_sub(1)? / PROBE_COST;
+        let mut axes = Axes {
+            nodes: SpillVec::new(),
+            ends: SpillVec::new(),
+        };
+        for (&x, g) in q
+            .components()
+            .iter()
+            .zip(self.schema.product().components())
+        {
+            let start = axes.nodes.len();
+            if !g.binding_ancestors_into(x, budget, &mut axes.nodes) {
+                return None;
+            }
+            budget /= axes.nodes.len() - start;
+            axes.ends.push(axes.nodes.len());
+        }
+        Some(axes)
+    }
+
     /// Probe the tuple map at every combination of `axes` from
-    /// component `key.arity() - axes.len()` on, the last component
-    /// varying fastest. Each axis is sorted, so the hits come out in
-    /// item order, as the scan lists them.
-    fn probe_each(&self, key: &mut Item, axes: &[Vec<NodeId>], hits: &mut Vec<(Item, Truth)>) {
-        let Some((axis, rest)) = axes.split_first() else {
-            if let Some(&t) = self.tuples.get(key) {
-                hits.push((key.clone(), t));
+    /// component `i` on, the last component varying fastest. Each run
+    /// is sorted, so the hits come out in item order, as the scan lists
+    /// them.
+    fn probe_each<'r>(&'r self, key: &mut Item, axes: &Axes, i: usize, hits: &mut Candidates<'r>) {
+        if i == axes.ends.len() {
+            if let Some((x, &t)) = self.tuples.get_key_value(key) {
+                hits.push((x, t));
             }
             return;
-        };
-        let i = key.arity() - axes.len();
-        for &node in axis {
+        }
+        for &node in axes.axis(i) {
             key.set_component(i, node);
-            self.probe_each(key, rest, hits);
+            self.probe_each(key, axes, i + 1, hits);
         }
     }
 

@@ -153,23 +153,46 @@ impl Schema {
     /// `(∀Obsequious Student, John)`. Classes get the paper's `∀`
     /// prefix; instances print bare.
     pub fn display_item(&self, item: &Item) -> String {
-        let parts: Vec<String> = item
-            .components()
-            .iter()
-            .zip(&self.attributes)
-            .map(|(&n, a)| {
-                if a.domain.is_instance(n) {
-                    a.domain.name(n).to_string()
-                } else {
-                    format!("∀{}", a.domain.name(n))
-                }
-            })
-            .collect();
-        if parts.len() == 1 {
-            parts.into_iter().next().expect("arity checked")
+        self.display_item_with_room(item, 0)
+    }
+
+    /// [`display_item`](Schema::display_item), in a string with room
+    /// for `extra` more bytes: the one allocation of a reply that
+    /// appends to the item, such as `HOLDS`'s `: true`.
+    pub fn display_item_with_room(&self, item: &Item, extra: usize) -> String {
+        const FORALL: &str = "∀";
+        let parts = || {
+            item.components()
+                .iter()
+                .zip(&self.attributes)
+                .map(|(&n, a)| (!a.domain.is_instance(n), a.domain.name(n).as_str()))
+        };
+        let arity = item.arity();
+        let framing = if arity == 1 {
+            0
         } else {
-            format!("({})", parts.join(", "))
+            2 + 2 * arity.saturating_sub(1)
+        };
+        let len = parts()
+            .map(|(class, name)| name.len() + if class { FORALL.len() } else { 0 })
+            .sum::<usize>();
+        let mut out = String::with_capacity(len + framing + extra);
+        if arity != 1 {
+            out.push('(');
         }
+        for (i, (class, name)) in parts().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            if class {
+                out.push_str(FORALL);
+            }
+            out.push_str(name);
+        }
+        if arity != 1 {
+            out.push(')');
+        }
+        out
     }
 
     /// Are two schemas compatible (same names, same shared graphs)?

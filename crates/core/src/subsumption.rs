@@ -303,9 +303,9 @@ fn build_core(relation: &HRelation, items: Vec<Item>, truths: Vec<Truth>) -> Sub
                         || !(1..n).any(|z| z != x && z != y && reaches(x, z) && reaches(z, y))
                 }
                 Preemption::OnPath => {
-                    let kept: Vec<&Item> =
-                        (1..n).filter(|&z| z != y).map(|z| &items_ref[z]).collect();
-                    path_avoiding(product, &items_ref[x], &items_ref[y], &kept)
+                    path_avoiding(product, &items_ref[x], &items_ref[y], |node| {
+                        (1..n).any(|z| z != y && items_ref[z] == *node)
+                    })
                 }
             };
             if edge {

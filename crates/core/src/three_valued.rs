@@ -15,7 +15,6 @@
 //!   class item's atomic extension, each returning [`Truth3`] so that
 //!   "unknown" propagates instead of defaulting to false.
 
-use crate::binding::Binding;
 use crate::item::Item;
 use crate::relation::HRelation;
 use crate::truth::Truth;
@@ -76,10 +75,10 @@ impl From<Truth> for Truth3 {
 /// The three-valued truth of `item`: the binding without the
 /// closed-world default.
 pub fn holds3(relation: &HRelation, item: &Item) -> Truth3 {
-    match relation.bind(item) {
-        Binding::Explicit(t) | Binding::Inherited(t, _) => t.into(),
-        Binding::Conflict { .. } | Binding::Unspecified => Truth3::Unknown,
-    }
+    relation
+        .verdict(item)
+        .truth()
+        .map_or(Truth3::Unknown, Truth3::from)
 }
 
 /// Existential query: does the relation hold for *some* atom in the

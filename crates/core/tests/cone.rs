@@ -3,7 +3,9 @@
 //! map, or scans the stored tuples when the walk would cost as much.
 //! Either way it must list exactly the tuples a `reaches` scan finds, in
 //! the same order, and binding through it must agree with binding
-//! through the scan in every preemption mode.
+//! through the scan in every preemption mode. The truth-only kernel a
+//! point read asks (`HRelation::verdict`) must answer what `bind`
+//! reports for every item, on both sides of the switch.
 //!
 //! The hierarchies are random layered DAGs with multi-parent nodes and
 //! random preference edges (binding reachability follows both kinds).
@@ -13,7 +15,7 @@
 
 use std::sync::Arc;
 
-use hrdm_core::binding::bind;
+use hrdm_core::binding::{bind, verdict};
 use hrdm_core::justify::justify;
 use hrdm_core::prelude::*;
 use hrdm_core::relation::PROBE_COST;
@@ -23,6 +25,8 @@ use hrdm_hierarchy::{HierarchyGraph, NodeId};
 const CASES: u64 = 160;
 const QUERIES: usize = 40;
 const MAX_TUPLES: usize = 400;
+/// The first cases, whose every item the verdict kernel is held to.
+const VERDICT_CASES: u64 = 48;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -89,24 +93,43 @@ fn walks(r: &HRelation, q: &Item) -> bool {
     probes * PROBE_COST < r.len()
 }
 
+const MODES: [Preemption; 3] = [
+    Preemption::OffPath,
+    Preemption::OnPath,
+    Preemption::NoPreemption,
+];
+
+/// Case `case`'s random relation (off-path), every item of its product
+/// hierarchy, and the generator state after drawing them.
+fn random_relation(case: u64) -> (HRelation, Vec<Item>, u64) {
+    let mut state = case;
+    let arity = 1 + below(&mut state, 3);
+    let schema = Arc::new(Schema::new(
+        (0..arity)
+            .map(|i| Attribute::new(format!("A{i}"), Arc::new(graph(&mut state))))
+            .collect(),
+    ));
+    let items = all_items(&schema);
+    let mut r = HRelation::new(schema);
+    for _ in 0..1 + below(&mut state, items.len().min(MAX_TUPLES)) {
+        let truth = if splitmix(&mut state) & 1 == 1 {
+            Truth::Positive
+        } else {
+            Truth::Negative
+        };
+        let item = items[below(&mut state, items.len())].clone();
+        r.insert(Tuple::new(item, truth)).unwrap();
+    }
+    (r, items, state)
+}
+
 #[test]
 fn above_and_bind_match_the_scan_on_both_sides_of_the_switch() {
-    let modes = [
-        Preemption::OffPath,
-        Preemption::OnPath,
-        Preemption::NoPreemption,
-    ];
     let (mut walked, mut scanned) = (0, 0);
     for case in 0..CASES {
-        let mut state = case;
-        let arity = 1 + below(&mut state, 3);
-        let schema = Arc::new(Schema::new(
-            (0..arity)
-                .map(|i| Attribute::new(format!("A{i}"), Arc::new(graph(&mut state))))
-                .collect(),
-        ));
+        let (mut r, items, mut state) = random_relation(case);
         // The walk itself, against the closure it stands in for.
-        for g in schema.product().components() {
+        for g in r.schema().product().components() {
             let closure = g.closure();
             for x in g.node_ids() {
                 let reaching: Vec<NodeId> =
@@ -119,17 +142,6 @@ fn above_and_bind_match_the_scan_on_both_sides_of_the_switch() {
                 );
                 assert_eq!(g.binding_ancestors(x, cap), None, "case {case}");
             }
-        }
-        let items = all_items(&schema);
-        let mut r = HRelation::new(schema.clone());
-        for _ in 0..1 + below(&mut state, items.len().min(MAX_TUPLES)) {
-            let truth = if splitmix(&mut state) & 1 == 1 {
-                Truth::Positive
-            } else {
-                Truth::Negative
-            };
-            let item = items[below(&mut state, items.len())].clone();
-            r.insert(Tuple::new(item, truth)).unwrap();
         }
         for _ in 0..QUERIES {
             let q = &items[below(&mut state, items.len())];
@@ -146,13 +158,50 @@ fn above_and_bind_match_the_scan_on_both_sides_of_the_switch() {
                 .map(|t| (t.item, t.truth))
                 .collect();
             assert_eq!(listed, want, "case {case}: WHY lists above({q:?})");
-            for mode in modes {
+            for mode in MODES {
                 r.set_preemption(mode);
                 assert_eq!(
                     r.bind(q),
                     bind(&r, q, &want),
                     "case {case}: {mode} bind({q:?})"
                 );
+            }
+        }
+    }
+    assert!(
+        walked > 0 && scanned > 0,
+        "walked {walked}, scanned {scanned}"
+    );
+}
+
+/// The truth-only kernel a point read asks (`HRelation::verdict`, the
+/// `verdict` of a listed `above`) answers what `bind` reports — the
+/// truth, a conflict, or nothing — for every item of every relation,
+/// in all three preemption modes, whether the item's binders were
+/// found by the walk or by the scan. `holds`, `holds3` and the
+/// operators' `class_holds` all read it.
+#[test]
+fn the_verdict_kernel_answers_what_bind_reports() {
+    let (mut walked, mut scanned) = (0, 0);
+    for case in 0..VERDICT_CASES {
+        let (mut r, items, _) = random_relation(case);
+        for mode in MODES {
+            r.set_preemption(mode);
+            for q in &items {
+                let bound = r.bind(q);
+                let got = r.verdict(q);
+                assert_eq!(got, bound.verdict(), "case {case}: {mode} verdict({q:?})");
+                assert_eq!(got.truth(), bound.truth(), "case {case}");
+                assert_eq!(got.is_conflict(), bound.is_conflict(), "case {case}");
+                assert_eq!(verdict(&r, q, &scan(&r, q)), got, "case {case}: {mode}");
+                assert_eq!(r.holds(q), bound.truth() == Some(Truth::Positive));
+                if mode == Preemption::OffPath {
+                    if walks(&r, q) {
+                        walked += 1;
+                    } else {
+                        scanned += 1;
+                    }
+                }
             }
         }
     }

@@ -24,6 +24,7 @@ use hrdm_obs::metrics::{self, Counter};
 use crate::error::{HierarchyError, Result};
 use crate::node::{NodeId, NodeName};
 use crate::reach::{ClosureKind, Reachability};
+use crate::spill::SpillVec;
 
 /// Source of structural stamps (see [`HierarchyGraph::version`]).
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
@@ -101,9 +102,16 @@ struct NodeData {
     parents: Vec<(NodeId, EdgeKind)>,
 }
 
-/// How many nodes [`HierarchyGraph::binding_ancestors`] finds before it
-/// stops checking repeats against its list and builds a bitmap.
+/// How many nodes [`HierarchyGraph::binding_ancestors_into`] finds
+/// before it stops checking repeats against its list and builds a
+/// bitmap.
 const LINEAR_SEEN: usize = 32;
+
+/// Binding ancestors a list holds in place before it moves to the heap:
+/// [`HierarchyGraph::binding_ancestors`]' working list, and a point
+/// read's walk in `hrdm-core`, which holds every component's ancestors
+/// in one list of this capacity.
+pub const ANCESTORS_INLINE: usize = 32;
 
 /// A rooted DAG of classes with instances at the leaves.
 ///
@@ -545,47 +553,68 @@ impl HierarchyGraph {
     /// reachability ([`ProductHierarchy::reaches`](crate::ProductHierarchy::reaches))
     /// follows preference edges too, so this is not
     /// [`ancestors`](HierarchyGraph::ancestors), which is subset-only
-    /// and leaves `id` out. The walk visits each node it finds once and
-    /// gives up as soon as it finds more than `max`, so it costs
-    /// O(min(ancestors, `max`) + their parent edges): while it has found
-    /// at most 32 nodes it checks a parent against that list (the few
-    /// ancestors of a shallow hierarchy), past that against a bitmap
-    /// over the graph's nodes, which it fills once.
+    /// and leaves `id` out. The list is
+    /// [`binding_ancestors_into`](HierarchyGraph::binding_ancestors_into)'s,
+    /// copied out.
     pub fn binding_ancestors(&self, id: NodeId, max: usize) -> Option<Vec<NodeId>> {
+        let mut found = SpillVec::<NodeId, ANCESTORS_INLINE>::new();
+        self.binding_ancestors_into(id, max, &mut found)
+            .then(|| found.to_vec())
+    }
+
+    /// Append [`binding_ancestors`](HierarchyGraph::binding_ancestors)`(id,
+    /// max)` to `out`, in ascending id order after what `out` held, and
+    /// return `true`; or leave `out` as it was and return `false` if
+    /// there are more than `max`.
+    ///
+    /// The walk visits each node it finds once and gives up as soon as
+    /// it finds more than `max`, so it costs O(min(ancestors, `max`) +
+    /// their parent edges): while it has found at most 32 nodes it
+    /// checks a parent against the ones it appended (the few ancestors
+    /// of a shallow hierarchy), past that against a bitmap over the
+    /// graph's nodes, which it fills once. Into an `out` with room in
+    /// place for them all, it allocates nothing up to 32 ancestors.
+    pub fn binding_ancestors_into<const N: usize>(
+        &self,
+        id: NodeId,
+        max: usize,
+        out: &mut SpillVec<NodeId, N>,
+    ) -> bool {
         if max == 0 {
-            return None;
+            return false;
         }
-        let mut found = Vec::with_capacity(8);
-        found.push(id);
+        let start = out.len();
+        out.push(id);
         let mut seen = Vec::new();
-        let mut next = 0;
-        while let Some(&n) = found.get(next) {
+        let mut next = start;
+        while let Some(&n) = out.get(next) {
             next += 1;
             for p in self.parents(n) {
                 let repeat = if seen.is_empty() {
-                    found.contains(&p)
+                    out[start..].contains(&p)
                 } else {
                     seen[p.index()]
                 };
                 if repeat {
                     continue;
                 }
-                if found.len() == max {
-                    return None;
+                if out.len() - start == max {
+                    out.truncate(start);
+                    return false;
                 }
-                found.push(p);
+                out.push(p);
                 if !seen.is_empty() {
                     seen[p.index()] = true;
-                } else if found.len() > LINEAR_SEEN {
+                } else if out.len() - start > LINEAR_SEEN {
                     seen = vec![false; self.nodes.len()];
-                    for f in &found {
+                    for f in &out[start..] {
                         seen[f.index()] = true;
                     }
                 }
             }
         }
-        found.sort_unstable();
-        Some(found)
+        out[start..].sort_unstable();
+        true
     }
 
     /// All subset descendants of `id`, excluding `id` itself.
@@ -1001,6 +1030,29 @@ mod tests {
         assert_eq!(g.binding_ancestors(patricia, 7).map(|a| a.len()), Some(7));
         assert_eq!(g.binding_ancestors(patricia, 6), None);
         assert_eq!(g.binding_ancestors(patricia, 0), None);
+    }
+
+    #[test]
+    fn binding_ancestors_into_appends_in_place_or_leaves_the_list_alone() {
+        let g = birds();
+        let patricia = g.expect("Patricia");
+        let tweety = g.expect("Tweety");
+        let mut out = SpillVec::<NodeId, ANCESTORS_INLINE>::new();
+        assert!(g.binding_ancestors_into(tweety, usize::MAX, &mut out));
+        let first = out.len();
+        assert!(g.binding_ancestors_into(patricia, usize::MAX, &mut out));
+        assert!(!out.spilled());
+        assert_eq!(
+            out[..first],
+            g.binding_ancestors(tweety, usize::MAX).unwrap()
+        );
+        assert_eq!(
+            out[first..],
+            g.binding_ancestors(patricia, usize::MAX).unwrap()
+        );
+        let held = out.to_vec();
+        assert!(!g.binding_ancestors_into(patricia, 5, &mut out));
+        assert_eq!(out.to_vec(), held, "a refused walk leaves nothing behind");
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //!   denoting set inclusion ([`preference`]),
 //! * validation of the *type-irredundancy* constraint (acyclicity, §3.1)
 //!   and detection of redundant (transitive) edges ([`validate`]),
+//! * [`SpillVec`], the in-place list a point read's ancestor walk fills
+//!   ([`spill`]),
 //! * synthetic DAG generators used by the benchmark harness ([`gen`]),
 //! * Graphviz export used to regenerate the paper's figures ([`dot`]).
 //!
@@ -49,10 +51,14 @@ pub mod node;
 pub mod preference;
 pub mod product;
 pub mod reach;
+pub mod spill;
 pub mod topo;
 pub mod validate;
 
 pub use error::{HierarchyError, Result};
-pub use graph::{closure_stats, ClosureStats, EdgeKind, HierarchyGraph, NodeKind};
+pub use graph::{
+    closure_stats, ClosureStats, EdgeKind, HierarchyGraph, NodeKind, ANCESTORS_INLINE,
+};
 pub use node::{NodeId, NodeName};
 pub use product::{ProductHierarchy, ProductNode};
+pub use spill::SpillVec;

@@ -367,6 +367,17 @@ impl ReadView {
     /// writes elsewhere asks [`Statement::is_read_only`] first and sends
     /// such a script through [`Engine::execute_statement`] instead.
     pub fn execute(&self, statements: Vec<Statement>) -> Result<Vec<Response>> {
+        self.execute_each(statements, |r| r)
+    }
+
+    /// [`execute`](ReadView::execute), each response passed through
+    /// `reply` as it is made: a backend replying in text keeps no
+    /// response list.
+    pub(crate) fn execute_each<T>(
+        &self,
+        statements: Vec<Statement>,
+        reply: impl Fn(Response) -> T,
+    ) -> Result<Vec<T>> {
         if !statements.iter().all(Statement::is_read_only) {
             return Err(HqlError::Unsupported(
                 "a read view cannot run a mutating statement".into(),
@@ -378,7 +389,7 @@ impl ReadView {
                 let Handler::Read(h) = &DISPATCH[stmt.kind() as usize] else {
                     unreachable!("read-only statements dispatch to read handlers");
                 };
-                h(&self.snap, stmt)
+                h(&self.snap, stmt).map(&reply)
             })
             .collect()
     }
@@ -888,13 +899,14 @@ fn exec_holds(world: &World, stmt: Statement) -> Result<Response> {
     };
     let rel = world.relation(&relation)?;
     let item = rel.item(&values)?;
-    let rendered = rel.schema().display_item(&item);
-    let value = match rel.bind(&item) {
-        hrdm_core::Binding::Conflict { .. } => None,
-        b => Some(b.truth() == Some(Truth::Positive)),
+    let value = match rel.verdict(&item) {
+        Verdict::Conflict => None,
+        v => Some(v.truth() == Some(Truth::Positive)),
     };
     Ok(Response::Truth {
-        item: rendered,
+        item: rel
+            .schema()
+            .display_item_with_room(&item, Response::VERDICT_ROOM),
         value,
     })
 }
@@ -905,13 +917,15 @@ fn exec_holds3(world: &World, stmt: Statement) -> Result<Response> {
     };
     let rel = world.relation(&relation)?;
     let item = rel.item(&values)?;
-    let rendered = rel.schema().display_item(&item);
-    let verdict = match hrdm_core::three_valued::holds3(rel, &item) {
-        hrdm_core::three_valued::Truth3::True => "true",
-        hrdm_core::three_valued::Truth3::False => "false",
-        hrdm_core::three_valued::Truth3::Unknown => "unknown",
-    };
-    Ok(Response::Ok(format!("{rendered}: {verdict}")))
+    let mut reply = rel
+        .schema()
+        .display_item_with_room(&item, Response::VERDICT_ROOM);
+    reply.push_str(match hrdm_core::three_valued::holds3(rel, &item) {
+        hrdm_core::three_valued::Truth3::True => ": true",
+        hrdm_core::three_valued::Truth3::False => ": false",
+        hrdm_core::three_valued::Truth3::Unknown => ": unknown",
+    });
+    Ok(Response::Ok(reply))
 }
 
 fn exec_why(world: &World, stmt: Statement) -> Result<Response> {

@@ -39,15 +39,50 @@ pub enum Response {
     Script(String),
 }
 
+impl Response {
+    /// The longest text a point read appends to the item it names
+    /// (`: conflict`): the room [`Schema::display_item_with_room`]
+    /// leaves so that [`into_text`](Response::into_text) need not grow
+    /// the string.
+    ///
+    /// [`Schema::display_item_with_room`]: hrdm_core::Schema::display_item_with_room
+    pub const VERDICT_ROOM: usize = ": conflict".len();
+
+    /// The response's [`Display`](fmt::Display) text, reusing the
+    /// string it holds where there is one: what a backend replies.
+    pub fn into_text(self) -> String {
+        match self {
+            Response::Ok(s)
+            | Response::Table(s)
+            | Response::Justification(s)
+            | Response::Dot(s)
+            | Response::Plan(s)
+            | Response::Trace(s)
+            | Response::Script(s) => s,
+            Response::Truth { mut item, value } => {
+                item.push_str(verdict_suffix(value));
+                item
+            }
+            conflicts @ Response::Conflicts(_) => conflicts.to_string(),
+        }
+    }
+}
+
+/// What a `HOLDS` reply appends to the item it names.
+fn verdict_suffix(value: Option<bool>) -> &'static str {
+    match value {
+        Some(true) => ": true",
+        Some(false) => ": false",
+        None => ": conflict",
+    }
+}
+
 impl fmt::Display for Response {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Response::Ok(msg) => write!(f, "{msg}"),
             Response::Table(t) => write!(f, "{t}"),
-            Response::Truth { item, value } => match value {
-                Some(v) => write!(f, "{item}: {v}"),
-                None => write!(f, "{item}: conflict"),
-            },
+            Response::Truth { item, value } => write!(f, "{item}{}", verdict_suffix(*value)),
             Response::Justification(j) => write!(f, "{j}"),
             Response::Conflicts(items) if items.is_empty() => write!(f, "consistent"),
             Response::Conflicts(items) => {
@@ -98,6 +133,36 @@ mod tests {
         match s.execute(q).unwrap().remove(0) {
             Response::Truth { value, .. } => value,
             other => panic!("expected truth, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn into_text_is_the_display_text() {
+        let responses = [
+            Response::Ok("done".into()),
+            Response::Table("t".into()),
+            Response::Truth {
+                item: "Tweety".into(),
+                value: Some(true),
+            },
+            Response::Truth {
+                item: "(∀Bird, Grey)".into(),
+                value: Some(false),
+            },
+            Response::Truth {
+                item: "Patricia".into(),
+                value: None,
+            },
+            Response::Justification("j".into()),
+            Response::Conflicts(vec![]),
+            Response::Conflicts(vec!["a".into(), "b".into()]),
+            Response::Dot("d".into()),
+            Response::Plan("p".into()),
+            Response::Trace("t".into()),
+            Response::Script("s".into()),
+        ];
+        for r in responses {
+            assert_eq!(r.to_string(), r.clone().into_text());
         }
     }
 

@@ -136,7 +136,7 @@ pub trait ExecutorHandle: Send + Sync {
 impl ExecutorHandle for Engine {
     fn execute(&self, script: &str) -> ExecResult<Vec<String>> {
         Engine::execute(self, script)
-            .map(|rs| render(&rs))
+            .map(|rs| rs.into_iter().map(Response::into_text).collect())
             .map_err(ExecError::from)
     }
 
@@ -158,7 +158,7 @@ impl ExecutorHandle for Engine {
                 "script contains a mutating statement; route it through execute",
             ));
         }
-        Ok(render(&view.execute(statements)?))
+        Ok(view.execute_each(statements, Response::into_text)?)
     }
 
     fn last_epoch(&self) -> ExecResult<u64> {
@@ -180,7 +180,7 @@ impl ExecutorHandle for Engine {
 
     fn execute_statement(&self, stmt: Statement) -> ExecResult<String> {
         Engine::execute_statement(self, stmt)
-            .map(|r| r.to_string())
+            .map(Response::into_text)
             .map_err(ExecError::from)
     }
 }

@@ -2,39 +2,80 @@
 
 use crate::ast::{Derivation, Source, Statement, ValueRef};
 use crate::error::{HqlError, Result};
-use crate::lexer::{lex, Token};
+use crate::lexer::{Lexer, Token};
 
 /// Parse a script into statements (semicolon-separated; the final
 /// semicolon is optional).
+///
+/// Tokens are pulled from the [`Lexer`] as the parser needs them, so
+/// the only allocations are the statements' own. A lexical error
+/// anywhere in the script wins over a parse error before it: the rest
+/// of the script is still lexed when a statement fails to parse.
 pub fn parse(input: &str) -> Result<Vec<Statement>> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, at: 0 };
-    let mut out = Vec::new();
+    let mut p = Parser::new(input);
+    let parsed = p.script();
     while !p.done() {
-        // Tolerate stray semicolons.
-        if p.eat(&Token::Semicolon) {
-            continue;
-        }
-        out.push(p.statement()?);
-        if !p.done() {
-            p.expect(&Token::Semicolon, "';' between statements")?;
-        }
+        p.bump();
     }
-    Ok(out)
+    match p.lex_error {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    at: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The one token of lookahead; `None` at the end of the input or
+    /// at the first lexical error.
+    next: Option<Token<'a>>,
+    /// The script's first lexical error, once the lexer reached it.
+    lex_error: Option<HqlError>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            lexer: Lexer::new(input),
+            next: None,
+            lex_error: None,
+        };
+        p.bump();
+        p
+    }
+
+    fn script(&mut self) -> Result<Vec<Statement>> {
+        let mut out = Vec::new();
+        while !self.done() {
+            // Tolerate stray semicolons.
+            if self.eat(&Token::Semicolon) {
+                continue;
+            }
+            out.push(self.statement()?);
+            if !self.done() {
+                self.expect(&Token::Semicolon, "';' between statements")?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Move the lookahead to the next token.
+    fn bump(&mut self) {
+        self.next = match self.lexer.next() {
+            Some(Ok(t)) => Some(t),
+            Some(Err(e)) => {
+                self.lex_error = Some(e);
+                None
+            }
+            None => None,
+        };
+    }
+
     fn done(&self) -> bool {
-        self.at >= self.tokens.len()
+        self.next.is_none()
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.at)
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.next.as_ref()
     }
 
     fn err(&self, expected: &str) -> HqlError {
@@ -47,9 +88,9 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: &Token<'_>) -> bool {
         if self.peek() == Some(t) {
-            self.at += 1;
+            self.bump();
             true
         } else {
             false
@@ -58,14 +99,14 @@ impl Parser {
 
     fn eat_kw(&mut self, kw: &str) -> bool {
         if self.peek().is_some_and(|t| t.is_kw(kw)) {
-            self.at += 1;
+            self.bump();
             true
         } else {
             false
         }
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<()> {
+    fn expect(&mut self, t: &Token<'_>, what: &str) -> Result<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -82,13 +123,13 @@ impl Parser {
     }
 
     fn name(&mut self, what: &str) -> Result<String> {
-        match self.peek() {
-            Some(t) if t.as_name().is_some() => {
-                let n = t.as_name().expect("checked").to_string();
-                self.at += 1;
+        match self.peek().and_then(Token::as_name) {
+            Some(n) => {
+                let n = n.to_string();
+                self.bump();
                 Ok(n)
             }
-            _ => Err(self.err(what)),
+            None => Err(self.err(what)),
         }
     }
 
@@ -638,5 +679,37 @@ mod tests {
         assert!(e.to_string().contains("';'"));
         let e = parse("LET X = FROBNICATE A").unwrap_err();
         assert!(e.to_string().contains("UNION"));
+    }
+
+    #[test]
+    fn a_lexical_error_wins_over_an_earlier_parse_error() {
+        assert!(matches!(
+            parse("SHOW R CHECK R; SHOW @"),
+            Err(HqlError::Lex { .. })
+        ));
+        assert!(matches!(
+            parse("CREATE TABLE \"open"),
+            Err(HqlError::Lex { .. })
+        ));
+        assert!(matches!(parse("SHOW R; SHOW @"), Err(HqlError::Lex { .. })));
+        assert!(matches!(
+            parse("SHOW R CHECK R"),
+            Err(HqlError::Parse { .. })
+        ));
+    }
+
+    #[test]
+    fn non_ascii_names_round_trip() {
+        let stmts = parse("CREATE RELATION \"Ünits\" (x: D); SHOW \"東京\";").unwrap();
+        assert_eq!(
+            stmts[0],
+            Statement::CreateRelation {
+                name: "Ünits".into(),
+                attributes: vec![("x".into(), "D".into())],
+            }
+        );
+        for s in &stmts {
+            assert_eq!(parse(&s.to_string()).unwrap()[0], *s);
+        }
     }
 }

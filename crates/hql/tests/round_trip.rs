@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use hrdm_hql::ast::{Derivation, Source, Statement, ValueRef};
 use hrdm_hql::parser::parse;
 
-/// Names exercise bare words, digits-only words, hyphens, spaces, and
-/// quotes.
+/// Names exercise bare words, digits-only words, hyphens, spaces,
+/// quotes, and non-ASCII text.
 fn arb_name() -> impl Strategy<Value = String> {
     prop_oneof![
         "[A-Za-z][A-Za-z0-9_]{0,8}",
@@ -17,6 +17,10 @@ fn arb_name() -> impl Strategy<Value = String> {
         Just("Amazing Flying Penguin".to_string()),
         Just("say \"hi\"".to_string()),
         Just("ALL".to_string()), // keyword-looking name must be quoted
+        // Names are any UTF-8 text between quotes.
+        Just("Ünits".to_string()),
+        Just("Café au lait".to_string()),
+        Just("東京".to_string()),
     ]
 }
 

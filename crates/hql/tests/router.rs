@@ -325,3 +325,46 @@ fn probe_total_equals_the_sum_of_its_shard_lines_under_a_racing_writer() {
         }
     });
 }
+
+/// A name is any UTF-8 text between quotes. The router reads a shard's
+/// `SHOW RELATIONS` reply back to list the catalog and to guard
+/// `DROP DOMAIN`, so it must lex that reply as one engine lexes a
+/// script. (At the parent the lexer turned each byte of `Ü` into a
+/// `char`: one engine answered `relation Ã\u{9c}nits created`, the
+/// router listed that name mangled a second time, and its `DROP DOMAIN`
+/// error named a relation that existed nowhere.)
+#[test]
+fn non_ascii_names_cross_the_router_as_one_engine_reads_them() {
+    let script = r#"CREATE DOMAIN D; CREATE INSTANCE A OF D;
+        CREATE RELATION "Ünits" (x: D); CREATE RELATION "Café au lait" (x: D);
+        CREATE RELATION "東京" (x: D); ASSERT "Ünits" (A);"#;
+    let single = Engine::new();
+    let sharded = ShardedEngine::new(2);
+    let created = ExecutorHandle::execute(&single, script).unwrap();
+    assert_eq!(sharded.execute(script).unwrap(), created);
+    assert_eq!(created[2], "relation Ünits created");
+    let shards: Vec<usize> = ["Ünits", "Café au lait", "東京"]
+        .iter()
+        .map(|name| sharded.owner_of(name))
+        .collect();
+    assert!(shards.contains(&0) && shards.contains(&1), "{shards:?}");
+    for read in [
+        "SHOW RELATIONS;",
+        "SHOW RELATIONS OVER D;",
+        "HOLDS \"Ünits\" (A);",
+    ] {
+        assert_eq!(
+            sharded.execute_read(read, 0).unwrap(),
+            single.execute_read(read, 0).unwrap(),
+            "{read}"
+        );
+    }
+    assert_eq!(
+        single.execute_read("SHOW RELATIONS;", 0).unwrap(),
+        ["\"Café au lait\", \"Ünits\", \"東京\""]
+    );
+    let refused = |handle: &dyn ExecutorHandle| handle.execute("DROP DOMAIN D;").unwrap_err();
+    let (one, routed) = (refused(&single), refused(&sharded));
+    assert_eq!(routed, one);
+    assert!(one.message().contains("Café au lait"), "{one}");
+}

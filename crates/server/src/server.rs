@@ -99,7 +99,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hrdm::hql::{self, parser, Statement};
+use hrdm::hql::{self, parser, Response, Statement};
 use hrdm::prelude::{Engine, ReadView};
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
 use hrdm_obs::slowlog::SlowLog;
@@ -585,7 +585,7 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
         Ok(responses) => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
             obs.query.incr();
-            let mut parts: Vec<String> = responses.iter().map(ToString::to_string).collect();
+            let mut parts: Vec<String> = responses.into_iter().map(Response::into_text).collect();
             if traced {
                 parts.push(trace.render());
             }
