@@ -60,8 +60,10 @@ fn mean_ns<T>(calls: usize, mut f: impl FnMut() -> T) -> u128 {
 /// repetition is checked on this thread's attribution slots, so neither
 /// column can claim a cache state it did not measure: a cold one built
 /// exactly one subsumption core, a warm one reused it, and neither
-/// requested a closure.
+/// built or requested a closure. A closure is part of the fixture's
+/// graph, built by its first probe, so one untimed run builds it first.
 fn warm_and_cold_ns<T>(reps: usize, mut op: impl FnMut() -> T) -> (u128, u128) {
+    std::hint::black_box(op());
     let mut run = |cold: bool| {
         if cold {
             clear_shared_caches();
@@ -75,7 +77,11 @@ fn warm_and_cold_ns<T>(reps: usize, mut op: impl FnMut() -> T) -> (u128, u128) {
         let closures = [AttribKey::ClosureHit, AttribKey::ClosureMiss].map(|k| spent.get(k));
         let expected = if cold { [0, 1] } else { [1, 0] };
         assert_eq!(cores, expected, "cold={cold}: [cores reused, cores built]");
-        assert_eq!(closures, [0, 0], "cold={cold}: no closure requested");
+        assert_eq!(
+            closures,
+            [0, 0],
+            "cold={cold}: no closure built or requested"
+        );
         ns
     };
     // Cold first: the last cold repetition leaves the core cached.
@@ -610,6 +616,7 @@ fn b10_write_split() {
     b10_restart();
     b10_lookups(INSTANCES);
     b10_point_read();
+    b10_ddl();
     println!("shape: no stage grows with the written relation or with the catalog —");
     println!("a write copies one path of each map (mean ns per write; every stage is");
     println!("observed once per write, asserted). Without a store `journal` is 0; with");
@@ -629,6 +636,10 @@ fn b10_write_split() {
     println!("layers (mean ns; every verdict is asserted equal to `bind()`'s): parse the");
     println!("text, route the relation, bind (relation lookup, item resolution, verdict)");
     println!("and render the reply; `read` is the whole `execute_read`.");
+    println!("The DDL rows grow a domain of N instances under a one-tuple relation");
+    println!("over it: a statement copies the graph and rebases the relation, and");
+    println!("builds no closure (asserted); the first `HOLDS` after them builds the");
+    println!("one closure its scan probes (asserted), O(N²/64), until labels replace it.");
 }
 
 /// Median wall time of `f` over `reps` runs, each after an untimed
@@ -1075,6 +1086,55 @@ fn b10_catch_up_batch(stages: &[&'static str; 6], instances: usize) {
         print!(" {us:>9.1}");
     }
     println!(" | {sum:>9.1}");
+}
+
+/// B10's DDL rows: ms per single-statement `CREATE INSTANCE` (mean of
+/// 200) into a domain of `N` instances under one class, with a
+/// one-tuple relation `R (x: A)` over it, and the closures those
+/// statements build; then the first `HOLDS` after them, which builds
+/// the closure its scan of `R` probes.
+fn b10_ddl() {
+    use hrdm_hql::ExecutorHandle;
+    const STATEMENTS: u32 = 200;
+    let closures_built =
+        |before: &attrib::AttribSnapshot| attrib::since(before).get(AttribKey::ClosureMiss);
+    println!(
+        "\n{:>8} | {:>8} {:>12} | {:>14} {:>7}",
+        "N", "ddl ms", "builds/stmt", "first HOLDS ms", "builds"
+    );
+    for n in [1_000usize, 2_000, 4_000, 8_000] {
+        let mut world = String::from("CREATE DOMAIN A; CREATE CLASS C UNDER A;");
+        for i in 0..n {
+            world += &format!("CREATE INSTANCE i{i} OF C;");
+        }
+        world += "CREATE RELATION R (x: A); ASSERT R (C);";
+        let engine = hrdm_hql::Engine::new();
+        engine.execute(&world).expect("world builds");
+        let ddl: Vec<String> = (0..STATEMENTS)
+            .map(|k| format!("CREATE INSTANCE n{k} OF C;"))
+            .collect();
+        let before = attrib::snapshot();
+        let t = Instant::now();
+        for statement in &ddl {
+            engine.execute(statement).expect("DDL lands");
+        }
+        let ddl_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(STATEMENTS);
+        let built = closures_built(&before);
+        assert_eq!(built, 0, "N = {n}: a DDL statement built a closure");
+        let before = attrib::snapshot();
+        let t = Instant::now();
+        let reply = engine
+            .execute_read("HOLDS R (n0);", 0)
+            .expect("read answers");
+        let holds_ms = t.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(reply, ["n0: true"]);
+        let first = closures_built(&before);
+        assert_eq!(first, 1, "N = {n}: the first HOLDS builds one closure");
+        println!(
+            "{n:>8} | {ddl_ms:>8.2} {:>12} | {holds_ms:>14.2} {first:>7}",
+            built / u64::from(STATEMENTS)
+        );
+    }
 }
 
 /// B10's domain: 64 classes under `D`, `instances` instances `i0`… spread

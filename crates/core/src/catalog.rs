@@ -173,15 +173,6 @@ impl Catalog {
             .map(|(n, _)| &**n)
     }
 
-    /// Pre-build both closure kinds for a domain so the first operator
-    /// over it pays no build latency.
-    pub fn warm_domain(&self, name: &str) -> Result<()> {
-        let g = self.domain(name)?;
-        g.closure();
-        g.subset_closure();
-        Ok(())
-    }
-
     /// Unregister a domain, returning its shared handle. Relations
     /// still holding the `Arc` keep working; the graph and its closures
     /// are freed with the last holder.
@@ -502,26 +493,10 @@ mod tests {
         assert_eq!(cat.relation_names().collect::<Vec<_>>(), vec!["Flies"]);
     }
 
-    // Asserts on the identity of the `Arc` the graph hands out, not on
-    // the process-wide hit/miss counters that concurrently running
-    // tests also bump.
-    #[test]
-    fn warm_domain_prebuilds_closures() {
-        let mut cat = Catalog::new();
-        let g = cat.add_domain("Animal", sample_graph());
-        cat.warm_domain("Animal").unwrap();
-        // Both closure kinds are resident: repeated lookups share one
-        // allocation instead of rebuilding.
-        assert!(Arc::ptr_eq(&g.closure(), &g.closure()));
-        assert!(Arc::ptr_eq(&g.subset_closure(), &g.subset_closure()));
-        assert!(cat.warm_domain("Nope").is_err());
-    }
-
     #[test]
     fn drop_domain_frees_the_closures_with_the_last_holder() {
         let mut cat = Catalog::new();
         let g = cat.add_domain("Animal", sample_graph());
-        cat.warm_domain("Animal").unwrap();
         let resident = Arc::downgrade(&g.closure());
         let dropped = cat.drop_domain("Animal").unwrap();
         assert!(Arc::ptr_eq(&g, &dropped));

@@ -76,9 +76,10 @@ fn obs() -> &'static CoreMetrics {
 /// A point-in-time snapshot of every engine counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Closure requests served from a graph's memo.
+    /// Shared closure handles served from a graph's memo (a probe
+    /// borrows the matrix and is not counted).
     pub closure_hits: u64,
-    /// Closure requests that built a reachability matrix.
+    /// Reachability matrices built.
     pub closure_misses: u64,
     /// Total closure build wall time, nanoseconds.
     pub closure_build_ns: u64,

@@ -24,6 +24,7 @@
 
 use crate::graph::HierarchyGraph;
 use crate::node::NodeId;
+use crate::reach::ClosureKind;
 use crate::topo::topological_ranks;
 
 /// Which preemption semantics drive edge re-insertion during elimination.
@@ -85,7 +86,7 @@ impl EliminationGraph {
     /// question".
     pub fn from_closure(g: &HierarchyGraph) -> EliminationGraph {
         let n = g.len();
-        let r = g.closure();
+        let r = g.closure_ref(ClosureKind::Both);
         let mut children = vec![Vec::new(); n];
         let mut parents = vec![Vec::new(); n];
         for id in g.node_ids() {

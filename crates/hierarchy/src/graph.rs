@@ -48,13 +48,15 @@ fn obs() -> &'static ClosureMetrics {
     })
 }
 
-/// Process-wide counters of closure requests (see
-/// [`HierarchyGraph::closure`]).
+/// Process-wide counters of closure traffic (see
+/// [`HierarchyGraph::closure_ref`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClosureStats {
-    /// Requests served from a graph's memo.
+    /// Shared handles ([`HierarchyGraph::closure`]) served from a
+    /// graph's memo; a borrowing probe is not counted.
     pub hits: u64,
-    /// Requests that found the memo slot empty.
+    /// Closures built: one per graph version and kind that a probe or a
+    /// handle request found unbuilt.
     pub misses: u64,
     /// Total wall time spent building closures, in nanoseconds.
     pub build_ns: u64,
@@ -142,7 +144,7 @@ pub struct HierarchyGraph {
     /// Structural stamp; see [`HierarchyGraph::version`].
     stamp: u64,
     /// The memoized closures, one slot per [`ClosureKind`]; see
-    /// [`HierarchyGraph::closure`].
+    /// [`HierarchyGraph::closure_ref`].
     closures: [OnceLock<Arc<Reachability>>; 2],
 }
 
@@ -184,40 +186,66 @@ impl HierarchyGraph {
         self.closures = Default::default();
     }
 
-    /// The transitive closure of this graph over both edge kinds.
+    /// The transitive closure of this graph over both edge kinds, as a
+    /// shared handle.
     ///
     /// Built on first request and memoized in the graph itself, so it
     /// is shared by every holder of the graph (and by its clones) and
-    /// freed with the last of them; a structural edit clears it.
+    /// freed with the last of them; a structural edit clears it. A
+    /// handle served from the memo counts as a hit; probes that only
+    /// read the matrix borrow it through
+    /// [`closure_ref`](HierarchyGraph::closure_ref) instead.
     pub fn closure(&self) -> Arc<Reachability> {
-        self.memoized(ClosureKind::Both)
+        self.shared(ClosureKind::Both)
     }
 
     /// The subset-edge-only closure (membership queries), memoized like
     /// [`closure`](HierarchyGraph::closure).
     pub fn subset_closure(&self) -> Arc<Reachability> {
-        self.memoized(ClosureKind::SubsetOnly)
+        self.shared(ClosureKind::SubsetOnly)
     }
 
-    fn memoized(&self, kind: ClosureKind) -> Arc<Reachability> {
-        let slot = &self.closures[kind as usize];
-        if let Some(hit) = slot.get() {
+    fn shared(&self, kind: ClosureKind) -> Arc<Reachability> {
+        if let Some(hit) = self.closures[kind as usize].get() {
             obs().hits.incr();
             attrib::bump(AttribKey::ClosureHit);
             return Arc::clone(hit);
         }
+        Arc::clone(self.memo(kind))
+    }
+
+    /// The memoized closure of `kind`, borrowed from the graph.
+    ///
+    /// This is what every reachability probe reads — the product's
+    /// `reaches`/`subsumes`/`interval` and this graph's intersection
+    /// queries — so nothing builds a closure until the first probe
+    /// needs one. A memo hit is one acquire load: it clones no `Arc`
+    /// and bumps no counter. Only a build is counted.
+    #[inline]
+    pub fn closure_ref(&self, kind: ClosureKind) -> &Reachability {
+        self.memo(kind)
+    }
+
+    /// The memo slot of `kind`, filled on first use. The build is
+    /// counted inside the initializer, so readers racing an empty slot
+    /// count the one build that happens, not one each.
+    #[inline]
+    fn memo(&self, kind: ClosureKind) -> &Arc<Reachability> {
+        self.closures[kind as usize].get_or_init(|| self.build_closure(kind))
+    }
+
+    #[cold]
+    fn build_closure(&self, kind: ClosureKind) -> Arc<Reachability> {
         obs().misses.incr();
         attrib::bump(AttribKey::ClosureMiss);
-        Arc::clone(slot.get_or_init(|| {
-            let mut span = hrdm_obs::span!("hierarchy.closure.build");
-            span.field_u64("nodes", self.len() as u64);
-            let start = Instant::now();
-            let built = Arc::new(Reachability::build(self, kind));
-            let elapsed = start.elapsed().as_nanos() as u64;
-            obs().build_ns.add(elapsed);
-            span.field_u64("build_ns", elapsed);
-            built
-        }))
+        let mut span = hrdm_obs::span!("hierarchy.closure.build");
+        span.field_u64("nodes", self.len() as u64);
+        let start = Instant::now();
+        let built = Arc::new(Reachability::build(self, kind));
+        let elapsed = start.elapsed().as_nanos() as u64;
+        obs().build_ns.add(elapsed);
+        span.field_u64("build_ns", elapsed);
+        built
     }
 
     /// The root node (the domain).
@@ -663,7 +691,8 @@ impl HierarchyGraph {
         // ones need a common defined descendant. Both cases reduce to a
         // non-empty AND of the memoized subset-closure rows (reflexivity
         // puts the specific endpoint of a comparable pair in both rows).
-        self.subset_closure().reaches_common(a, b)
+        self.closure_ref(ClosureKind::SubsetOnly)
+            .reaches_common(a, b)
     }
 
     /// The common descendants of `a` and `b` (instances and classes).
@@ -671,8 +700,8 @@ impl HierarchyGraph {
     /// These are the candidate members of the *complete conflict
     /// resolution set* of §3.1.
     pub fn common_descendants(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let r = self.subset_closure();
-        r.common_reachable(a, b)
+        self.closure_ref(ClosureKind::SubsetOnly)
+            .common_reachable(a, b)
             .into_iter()
             .filter(|&id| id != a && id != b)
             .collect()
@@ -687,7 +716,8 @@ impl HierarchyGraph {
     ///
     /// [`common_descendants`]: HierarchyGraph::common_descendants
     pub fn intersection_candidates(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        self.subset_closure().common_reachable(a, b)
+        self.closure_ref(ClosureKind::SubsetOnly)
+            .common_reachable(a, b)
     }
 
     /// The maximal elements of [`intersection_candidates`]: the coarsest
@@ -697,7 +727,7 @@ impl HierarchyGraph {
     ///
     /// [`intersection_candidates`]: HierarchyGraph::intersection_candidates
     pub fn maximal_intersection(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let r = self.subset_closure();
+        let r = self.closure_ref(ClosureKind::SubsetOnly);
         let cands = r.common_reachable(a, b);
         cands
             .iter()

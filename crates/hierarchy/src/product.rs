@@ -20,38 +20,29 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::graph::{EdgeKind, HierarchyGraph};
 use crate::node::NodeId;
-use crate::reach::Reachability;
+use crate::reach::ClosureKind;
 
 /// A node of the product hierarchy: one node per attribute domain.
 pub type ProductNode = Vec<NodeId>;
 
 /// A lazy Cartesian product of per-attribute hierarchy graphs.
 ///
-/// Holds `Arc`s so a relation schema and its operators can share the
-/// component graphs without cloning, plus cached reachability matrices
-/// (binding reachability, over both edge kinds) per component.
+/// Holds only `Arc`s of the component graphs, so a relation schema and
+/// its operators share them without cloning. It holds no closure: a
+/// reachability probe borrows each component's matrix from that
+/// graph's own memo ([`HierarchyGraph::closure_ref`]), built by the
+/// first probe that needs it. Constructing a product — every schema,
+/// every rebased relation after a DDL edit, every decoded image —
+/// therefore builds nothing.
 #[derive(Clone)]
 pub struct ProductHierarchy {
     components: Vec<Arc<HierarchyGraph>>,
-    reach: Vec<Arc<Reachability>>,
-    subset_reach: Vec<Arc<Reachability>>,
 }
 
 impl ProductHierarchy {
     /// Build from shared component graphs.
-    ///
-    /// The per-component closures come from each graph's own memo
-    /// ([`HierarchyGraph::closure`]), so constructing many products over
-    /// the same domains — as the relational operators do for every
-    /// derived schema — builds each closure once.
     pub fn new(components: Vec<Arc<HierarchyGraph>>) -> ProductHierarchy {
-        let reach = components.iter().map(|g| g.closure()).collect();
-        let subset_reach = components.iter().map(|g| g.subset_closure()).collect();
-        ProductHierarchy {
-            components,
-            reach,
-            subset_reach,
-        }
+        ProductHierarchy { components }
     }
 
     /// Number of attribute domains (the arity).
@@ -111,19 +102,20 @@ impl ProductHierarchy {
     pub fn reaches(&self, a: &[NodeId], b: &[NodeId]) -> bool {
         debug_assert_eq!(a.len(), self.arity());
         debug_assert_eq!(b.len(), self.arity());
-        a.iter()
-            .zip(b)
-            .zip(&self.reach)
-            .all(|((&x, &y), r)| r.reaches(x, y))
+        self.componentwise(ClosureKind::Both, a, b)
     }
 
     /// Set inclusion `b ⊆ a` over subset edges only (ignores preference
     /// edges). Reflexive.
     pub fn subsumes(&self, a: &[NodeId], b: &[NodeId]) -> bool {
+        self.componentwise(ClosureKind::SubsetOnly, a, b)
+    }
+
+    fn componentwise(&self, kind: ClosureKind, a: &[NodeId], b: &[NodeId]) -> bool {
         a.iter()
             .zip(b)
-            .zip(&self.subset_reach)
-            .all(|((&x, &y), r)| r.reaches(x, y))
+            .zip(&self.components)
+            .all(|((&x, &y), g)| g.closure_ref(kind).reaches(x, y))
     }
 
     /// Is there a *direct* product edge `a → b`, and of what kind?
@@ -218,8 +210,9 @@ impl ProductHierarchy {
         let axes: Vec<Vec<NodeId>> = a
             .iter()
             .zip(b)
-            .zip(self.components.iter().zip(&self.reach))
-            .map(|((&x, &y), (g, r))| {
+            .zip(&self.components)
+            .map(|((&x, &y), g)| {
+                let r = g.closure_ref(ClosureKind::Both);
                 g.node_ids()
                     .filter(|&z| r.reaches(x, z) && r.reaches(z, y))
                     .collect()

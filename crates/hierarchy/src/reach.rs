@@ -145,7 +145,7 @@ impl Reachability {
 /// The transitive-closure edge list of `g`: every pair `(i, j)`, `i ≠ j`,
 /// with a path `i → j`.
 pub fn transitive_closure_edges(g: &HierarchyGraph) -> Vec<(NodeId, NodeId)> {
-    let r = g.closure();
+    let r = g.closure_ref(ClosureKind::Both);
     let mut out = Vec::new();
     for i in g.node_ids() {
         for j in r.reachable_set(i) {
@@ -165,7 +165,7 @@ pub fn transitive_closure_edges(g: &HierarchyGraph) -> Vec<(NodeId, NodeId)> {
 pub fn redundant_edge_list(g: &HierarchyGraph) -> Vec<(NodeId, NodeId)> {
     // One shared closure replaces a DFS per (edge, sibling) pair; repeated
     // calls on an unchanged graph reuse the graph's memo.
-    let r = g.closure();
+    let r = g.closure_ref(ClosureKind::Both);
     let mut out = Vec::new();
     for u in g.node_ids() {
         for v in g.children(u) {

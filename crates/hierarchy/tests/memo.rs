@@ -5,11 +5,14 @@
 //! ([`HierarchyGraph::version`]) never equates two different
 //! structures, which is what the subsumption-core cache's key needs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
+use hrdm_obs::attrib::{self, AttribKey};
 use proptest::prelude::*;
 
-use hrdm_hierarchy::reach::{redundant_edge_list, transitive_closure_edges, Reachability};
+use hrdm_hierarchy::reach::{
+    redundant_edge_list, transitive_closure_edges, ClosureKind, Reachability,
+};
 use hrdm_hierarchy::{closure_stats, EdgeKind, HierarchyGraph, NodeId, NodeKind, ProductHierarchy};
 
 fn chain() -> HierarchyGraph {
@@ -139,6 +142,78 @@ fn a_closure_is_freed_with_the_last_holder_of_its_graph() {
     );
     drop(product);
     assert!(weak.iter().all(|w| w.upgrade().is_none()));
+}
+
+/// Closures built on this thread while `f` runs: a delta of this
+/// thread's attribution slot, which other test threads cannot disturb.
+fn builds<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = attrib::snapshot();
+    let out = f();
+    (attrib::since(&before).get(AttribKey::ClosureMiss), out)
+}
+
+/// A product holds graphs, not matrices: building one builds nothing,
+/// and each kind is built by its first probe, once per graph version.
+#[test]
+fn the_first_probe_of_each_kind_builds_it_once_per_version() {
+    let mut g = Arc::new(chain());
+    let (root, c) = (g.root(), g.expect("C"));
+    let (built, product) = builds(|| ProductHierarchy::new(vec![Arc::clone(&g)]));
+    assert_eq!(built, 0, "ProductHierarchy::new");
+
+    assert_eq!(builds(|| product.reaches(&[root], &[c])), (1, true));
+    assert_eq!(builds(|| product.reaches(&[c], &[root])), (0, false));
+    assert_eq!(builds(|| product.interval(&[root], &[c]).len()), (0, 4));
+    assert!(std::ptr::eq(
+        g.closure_ref(ClosureKind::Both),
+        &*g.closure()
+    ));
+
+    assert_eq!(builds(|| product.subsumes(&[root], &[c])), (1, true));
+    assert_eq!(builds(|| g.provably_intersect(root, c)), (0, true));
+    assert_eq!(builds(|| g.maximal_intersection(root, c)), (0, vec![c]));
+    let subset = g.closure_ref(ClosureKind::SubsetOnly);
+    assert!(std::ptr::eq(subset, &*g.subset_closure()));
+
+    // A new version — the copy an edit under a live product makes —
+    // starts unbuilt; the old version keeps its closures.
+    let (built, ()) = builds(|| {
+        Arc::make_mut(&mut g).add_class("E", c).unwrap();
+    });
+    assert_eq!(built, 0, "an edit");
+    let edited = ProductHierarchy::new(vec![Arc::clone(&g)]);
+    assert_eq!(builds(|| edited.subsumes(&[root], &[c])), (1, true));
+    assert_eq!(builds(|| edited.reaches(&[root], &[c])), (1, true));
+    assert_eq!(builds(|| edited.reaches(&[root], &[c])), (0, true));
+    assert_eq!(builds(|| product.reaches(&[root], &[c])), (0, true));
+}
+
+/// Readers racing an empty slot build the closure once and count it
+/// once: the count sits inside the memo's initializer.
+#[test]
+fn racing_readers_of_an_unbuilt_graph_count_one_build() {
+    let mut g = HierarchyGraph::new("D");
+    let class = g.add_class("C", g.root()).unwrap();
+    for i in 0..4_000 {
+        g.add_instance(format!("i{i}"), class).unwrap();
+    }
+    let last = NodeId::from_index(g.len() - 1);
+    for _ in 0..8 {
+        let product = ProductHierarchy::new(vec![Arc::new(g.clone())]);
+        let start = Barrier::new(2);
+        let built: u64 = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        builds(|| product.reaches(&[class], &[last])).0
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        assert_eq!(built, 1, "two readers, one build");
+    }
 }
 
 /// Everything an edit can change, in node order.
