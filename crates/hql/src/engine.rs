@@ -336,16 +336,14 @@ const DISPATCH: [Handler; STATEMENT_KINDS] = [
     Handler::Read(exec_dump),             // Dump
 ];
 
-/// A pinned, shareable read-only view of the engine: one snapshot
-/// acquisition serving arbitrarily many read-only scripts.
+/// A pinned read-only view of the engine: one snapshot acquisition
+/// serving every statement of a read-only script.
 ///
-/// The serving tier's event loop acquires one `ReadView` per loop tick,
-/// answers that tick's point reads through it and hands clones of it
-/// to every worker executing a read-only script dispatched in that
-/// tick, so a batch of independent queries from many connections costs
-/// a **single** snapshot load instead of one per statement. Cloning is an `Arc` bump; the view keeps its world alive
-/// (and byte-stable) for as long as any clone exists, exactly like a
-/// reader inside [`Engine::execute`].
+/// The serving tier takes one `ReadView` per read-only script, when the
+/// script runs, so each statement of it reads the same state. Cloning
+/// is an `Arc` bump; the view keeps its world alive (and byte-stable)
+/// for as long as any clone exists, exactly like a reader inside
+/// [`Engine::execute`].
 #[derive(Clone)]
 pub struct ReadView {
     snap: Snapshot<World>,
@@ -406,9 +404,8 @@ impl Engine {
         self.inner.state.load()
     }
 
-    /// Pin a shareable [`ReadView`] of the current state — one snapshot
-    /// acquisition that can serve many read-only scripts (the serving
-    /// tier's per-tick read batch).
+    /// Pin a [`ReadView`] of the current state — one snapshot
+    /// acquisition for a read-only script.
     pub fn read_view(&self) -> ReadView {
         ReadView {
             snap: self.inner.state.load(),

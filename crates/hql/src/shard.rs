@@ -222,9 +222,11 @@ impl<H: ExecutorHandle> Router<H> {
     /// preemption mode, tuples — domains are already everywhere) is
     /// replayed on the destination, then the source is dropped. A
     /// failure before the source drop rolls the destination back, so
-    /// the old name stays intact; if the source drop itself fails, both
-    /// copies remain and the old name stays routed (never destroy what
-    /// may be the only copy).
+    /// the old name stays intact. If the source drop reports a failure,
+    /// the source is asked whether it still holds the old name: if not,
+    /// the drop applied and the rename completes; if so (or if it cannot
+    /// say), both copies remain and the old name stays routed (never
+    /// destroy what may be the only copy).
     fn rename(&self, stmt: &Statement, from: &str, to: &str) -> ExecResult<String> {
         let _ddl = self.ddl_lock();
         // The new name goes where it is routed (its hash, unless this
@@ -254,12 +256,16 @@ impl<H: ExecutorHandle> Router<H> {
                 return Err(diverged(dst, &format!("replay of `{step}`"), &e));
             }
         }
-        self.shards[src]
-            .execute_statement(drop_relation(from))
-            .map_err(|e| {
+        if let Err(e) = self.shards[src].execute_statement(drop_relation(from)) {
+            // The drop may have applied before its reply was lost.
+            let kept = self
+                .listed(src)
+                .map_or(true, |names| names.iter().any(|n| n == from));
+            if kept {
                 let dropping = format!("dropping {from:?} (shard {dst} now holds {to:?} too)");
-                diverged(src, &dropping, &e)
-            })?;
+                return Err(diverged(src, &dropping, &e));
+            }
+        }
         let mut routes = self.routes.write().expect("routes lock poisoned");
         routes.remove(from);
         routes.insert(to.to_string(), dst);

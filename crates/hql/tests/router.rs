@@ -1,10 +1,11 @@
 //! The coordinator over shards that are not plain engines: a fake
-//! shard that fails its k-th call pins what the caller sees and what
+//! shard that fails its k-th call, before or after applying it, pins
+//! what the caller sees and what
 //! state remains when a broadcast or a cross-shard rename breaks
 //! part-way (DESIGN.md §15.2 states the contract), and a racing writer
 //! checks that one `probe` reads each shard's epoch once.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use hrdm_hql::{default_shard, Engine, ExecResult, ExecutorHandle, Router, ShardedEngine};
 
@@ -25,13 +26,16 @@ const FLIES_TUPLES: usize = 3;
 
 /// An engine shard whose `fail_at`-th statement call (1-based, counted
 /// from the last [`Flaky::arm`]) fails with kind `"io"` instead of
-/// reaching the engine. It implements only the required methods, so
+/// reaching the engine — or, armed by [`Flaky::arm_applied`], after
+/// the engine applied it (a reply lost on its way back). It implements
+/// only the required methods, so
 /// every statement arrives through the trait's default
 /// `execute_statement`: rendered, then parsed again by the engine.
 struct Flaky {
     engine: Engine,
     calls: AtomicUsize,
     fail_at: AtomicUsize,
+    applies: AtomicBool,
 }
 
 impl Flaky {
@@ -40,12 +44,19 @@ impl Flaky {
             engine: Engine::new(),
             calls: AtomicUsize::new(0),
             fail_at: AtomicUsize::new(0),
+            applies: AtomicBool::new(false),
         }
     }
 
     fn arm(&self, fail_at: usize) {
         self.calls.store(0, Ordering::SeqCst);
         self.fail_at.store(fail_at, Ordering::SeqCst);
+        self.applies.store(false, Ordering::SeqCst);
+    }
+
+    fn arm_applied(&self, fail_at: usize) {
+        self.arm(fail_at);
+        self.applies.store(true, Ordering::SeqCst);
     }
 
     /// The shard's state as the engine sees it, without counting a call.
@@ -58,6 +69,9 @@ impl ExecutorHandle for Flaky {
     fn execute(&self, script: &str) -> ExecResult<Vec<String>> {
         let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
         if call == self.fail_at.load(Ordering::SeqCst) {
+            if self.applies.load(Ordering::SeqCst) {
+                let _ = ExecutorHandle::execute(&self.engine, script);
+            }
             return Err(hrdm_hql::ExecError::new("io", "injected failure"));
         }
         ExecutorHandle::execute(&self.engine, script)
@@ -108,6 +122,27 @@ fn a_broadcast_failing_on_shard_k_leaves_shards_before_k_mutated() {
         // the shards that took the write moved.
         let routes = |probe: &str| probe.lines().last().map(String::from);
         assert_eq!(routes(&router.probe().unwrap()), routes(&routed_before));
+    }
+}
+
+/// A broadcast that applies on shard k and then fails to answer
+/// leaves shards `0..=k` with the statement applied and the rest
+/// without: the router cannot tell an applied statement from a lost
+/// one.
+#[test]
+fn a_broadcast_applied_then_failing_on_shard_k_leaves_shards_through_k_mutated() {
+    const SHARDS: usize = 3;
+    for k in 0..SHARDS {
+        let router = flaky_router(SHARDS);
+        router.shards()[k].arm_applied(1);
+        let e = router
+            .execute("CREATE CLASS Canary UNDER Bird;")
+            .unwrap_err();
+        assert!(e.message().contains("injected failure"), "{e}");
+        for (j, shard) in router.shards().iter().enumerate() {
+            let has_class = shard.read("SHOW DOMAIN Animal;").unwrap()[0].contains("Canary");
+            assert_eq!(has_class, j <= k, "shard {j} after a failure on shard {k}");
+        }
     }
 }
 
@@ -203,6 +238,42 @@ fn a_cross_shard_rename_failing_at_any_step_keeps_the_source_intact() {
         .execute(&format!("DROP RELATION {to}; {rename}"))
         .unwrap();
     assert_eq!(router.execute_read(&copy, 0).unwrap(), renamed);
+}
+
+/// A source drop that applies but whose reply fails: the router asks
+/// the source, finds the old name gone and completes the rename, so
+/// the new name is routed to the copy and the old one is gone. (At the
+/// parent this reported `shard s diverged on dropping "Flies"` and
+/// left `Flies` routed to a shard that no longer held it.)
+#[test]
+fn a_cross_shard_rename_whose_source_drop_applied_completes() {
+    const SHARDS: usize = 2;
+    let src = default_shard("Flies", SHARDS);
+    let dst = 1 - src;
+    let to = (0..)
+        .map(|i| format!("Moved{i}"))
+        .find(|c| default_shard(c, SHARDS) == dst)
+        .unwrap();
+    let reads = "SHOW Flies; COUNT Flies; CHECK Flies; HOLDS Flies (Paul);";
+    let renamed = flaky_router(SHARDS)
+        .execute_read(reads, 0)
+        .unwrap()
+        .iter()
+        .map(|r| r.replace("Flies", &to))
+        .collect::<Vec<_>>();
+
+    let router = flaky_router(SHARDS);
+    // The source's calls: DUMP, then the DROP that applies and fails.
+    router.shards()[src].arm_applied(2);
+    router
+        .execute(&format!("RENAME RELATION Flies TO {to};"))
+        .unwrap();
+    assert_eq!(router.route_of("Flies"), None);
+    assert_eq!(router.route_of(&to), Some(dst));
+    let copy = reads.replace("Flies", &to);
+    assert_eq!(router.execute_read(&copy, 0).unwrap(), renamed);
+    let gone = router.execute_read("SHOW Flies;", 0).unwrap_err();
+    assert_eq!(gone.kind(), "unknown", "{gone}");
 }
 
 /// A view lands with its sources, which need not be where its own name

@@ -15,10 +15,9 @@
 //!
 //! * A `QUERY` whose script is a few **point reads** (`HOLDS`, `HOLDS3`,
 //!   `WHY` — [`StatementKind::is_point_read`]) runs to completion **on
-//!   the loop thread** against the tick's snapshot. Binding one item
-//!   costs a few microseconds whatever the relation's size; handing it
-//!   to another thread and waiting to be woken for the answer cost
-//!   twenty times that. So does a small script that fails to parse —
+//!   the loop thread**. Binding one item costs a few microseconds
+//!   whatever the relation's size; handing it to another thread and
+//!   waiting to be woken for the answer cost twenty times that. So does a small script that fails to parse —
 //!   there is nothing to run.
 //! * Everything else — `COUNT`, `SHOW`, `CHECK`, `DUMP`, every write,
 //!   every `TRACE`, any script too long to be one of the above — goes
@@ -27,40 +26,32 @@
 //!   reply frames back through a completion queue + wake pipe.
 //!
 //! Both sides build the reply with the same function (`answer`): same
-//! counters, same slow-log capture, same bytes.
+//! counters, same slow-log capture, same bytes. A read-only script
+//! loads the engine's current snapshot ([`Engine::read_view`]) once,
+//! when it runs; a script containing mutations goes statement by
+//! statement through [`Engine::execute_statement`] and serializes
+//! through the single writer.
 //!
 //! [`StatementKind::is_point_read`]: hrdm::hql::StatementKind::is_point_read
 //!
-//! # Pipelining
+//! # One request at a time per connection
 //!
 //! A connection may have many requests in flight (up to
-//! [`ServerConfig::max_pipeline`]): requests execute **in order** and
-//! replies return **in order**, so the k-th reply answers the k-th
-//! request. A connection's queue is consumed from its head only, by the
-//! loop, and only while none of its requests is with a worker — so a
-//! point read behind a write waits for that write, and a pipelined
-//! burst answers byte-identically to the same requests issued
-//! sequentially. Past the pipeline cap the loop simply stops reading
-//! from that connection, letting TCP flow control push back on the
-//! client.
+//! [`ServerConfig::max_pipeline`]) but runs them one at a time, in
+//! arrival order: the loop pops its queue's head only while none of its
+//! requests is with a worker. Each reply is encoded onto the write
+//! buffer when it is made, so the k-th reply answers the k-th request,
+//! and each request sees its connection's earlier writes (a worker's
+//! write is published before its reply). A protocol error found when a
+//! frame is parsed is queued like a request and answered in its turn.
+//! Past the pipeline cap the loop stops reading from the connection,
+//! letting TCP flow control push back on the client.
 //!
 //! The loop answers at most `LOOP_REQUESTS_PER_TICK` requests per
 //! connection per tick; what is left runs next tick (which does not
 //! sleep in `poll`), after every other connection's turn. What the
 //! loop answered for a connection in a tick is flushed once, so a burst
 //! of k point reads is one `read` and one `write`.
-//!
-//! # Snapshot batching
-//!
-//! Read-only scripts handled within one loop tick share a **single**
-//! snapshot acquisition ([`Engine::read_view`]): the loop pins one
-//! `ReadView` per tick, reads through it itself and attaches it to
-//! every job. A connection that committed a write since the view was
-//! pinned (the read-your-writes floor, the engine epoch after its last
-//! worker-run request) makes the loop pin a fresh one first. Scripts
-//! containing mutations go statement by statement through
-//! [`Engine::execute_statement`] and serialize through the single
-//! writer as always.
 //!
 //! # Admission control and backpressure
 //!
@@ -78,19 +69,20 @@
 //! `METRICS`/`SLOWLOG` verbs and the slow-query log), plus the loop's
 //! own series: `server.loop.tick` / `server.loop.ready` (events per
 //! tick), `server.pipeline.depth` (queued requests at dispatch),
-//! `server.snapshot.batch` / `server.snapshot.shared_read` (tick views
-//! pinned / reads served from one), `server.read.inline` /
-//! `server.read.dispatched` (requests answered on the loop / handed to
-//! a worker; [`ServerStats`] carries the same pair per server),
-//! `server.stage.queue_wait` (dispatch to worker start, for the
-//! requests that still cross threads), and `server.backpressure.shed`.
+//! `server.read.inline` / `server.read.dispatched` (requests answered
+//! on the loop / handed to a worker; [`ServerStats`] carries the same
+//! pair per server), `server.stage.queue_wait` (dispatch to worker
+//! start, for the requests that still cross threads), and
+//! `server.backpressure.shed`.
 //!
 //! Shutdown is graceful: the flag flips, the wake pipe nudges the
-//! loop, in-flight requests complete and flush, every connection
-//! closes, the job channel drops, and the loop joins every worker
-//! before [`ServerHandle::wait`]/[`ServerHandle::shutdown`] return.
+//! loop, in-flight requests complete and flush with the protocol
+//! errors queued behind them (other queued requests are dropped),
+//! every connection closes, the job channel drops, and the loop joins
+//! every worker before [`ServerHandle::wait`]/[`ServerHandle::shutdown`]
+//! return.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -100,7 +92,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hrdm::hql::{self, parser, Response, Statement};
-use hrdm::prelude::{Engine, ReadView};
+use hrdm::prelude::Engine;
 use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
 use hrdm_obs::slowlog::SlowLog;
 use hrdm_obs::trace::fmt_ns;
@@ -219,8 +211,6 @@ struct ServerObs {
     loop_tick: Counter,
     loop_ready: Histogram,
     pipeline_depth: Histogram,
-    snapshot_batch: Counter,
-    snapshot_shared_read: Counter,
     shed: Counter,
     read_inline: Counter,
     read_dispatched: Counter,
@@ -255,8 +245,6 @@ fn server_obs() -> &'static ServerObs {
         loop_tick: metrics::counter("server.loop.tick"),
         loop_ready: metrics::histogram("server.loop.ready"),
         pipeline_depth: metrics::histogram("server.pipeline.depth"),
-        snapshot_batch: metrics::counter("server.snapshot.batch"),
-        snapshot_shared_read: metrics::counter("server.snapshot.shared_read"),
         shed: metrics::counter("server.backpressure.shed"),
         read_inline: metrics::counter("server.read.inline"),
         read_dispatched: metrics::counter("server.read.dispatched"),
@@ -320,12 +308,7 @@ impl Script {
 struct Job {
     conn: usize,
     generation: u64,
-    seq: u64,
     script: Script,
-    /// The loop-tick snapshot a read-only script executes on; the loop
-    /// only attaches one at least as fresh as the connection's
-    /// read-your-writes floor.
-    view: ReadView,
     /// When the loop sent the job, for `server.stage.queue_wait`.
     dispatched: Instant,
 }
@@ -334,11 +317,7 @@ struct Job {
 struct Completion {
     conn: usize,
     generation: u64,
-    seq: u64,
     frame: Vec<u8>,
-    /// Engine epoch after execution — advances the connection's
-    /// read-your-writes floor.
-    epoch: u64,
 }
 
 struct Shared {
@@ -485,13 +464,11 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
             .queue_wait
             .observe_ns(job.dispatched.elapsed().as_nanos() as u64);
         let mut frame = Vec::new();
-        encode_reply(&shared, &answer(&shared, job.script, &job.view), &mut frame);
+        encode_reply(&shared, &answer(&shared, job.script), &mut frame);
         let completion = Completion {
             conn: job.conn,
             generation: job.generation,
-            seq: job.seq,
             frame,
-            epoch: shared.engine.epoch(),
         };
         match shared.completions.lock() {
             Ok(mut q) => q.push(completion),
@@ -516,11 +493,12 @@ fn encode_reply(shared: &Shared, reply: &Reply, out: &mut Vec<u8>) {
 /// Answer one `QUERY`/`TRACE` script — on a worker, or on the loop
 /// thread for a script that [`Script::runs_on_loop`]; the reply, the
 /// counters and the slow-log capture are the same either way. A
-/// read-only script executes on `view`; one that mutates is shed under
-/// write backpressure or else takes the engine's serialized writer,
-/// statement by statement. The wall time recorded starts here, so it
-/// leaves out the loop's parse of a small script.
-fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
+/// read-only script executes on the snapshot current when it runs; one
+/// that mutates is shed under write backpressure or else takes the
+/// engine's serialized writer, statement by statement. The wall time
+/// recorded starts here, so it leaves out the loop's parse of a small
+/// script.
+fn answer(shared: &Shared, script: Script) -> Reply {
     let obs = server_obs();
     let started = Instant::now();
     let Script {
@@ -533,22 +511,22 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
     let run = || {
         let statements = match parsed.unwrap_or_else(|| parser::parse(&text)) {
             Ok(statements) => statements,
-            Err(e) => return (Err(e), false, false),
+            Err(e) => return (Err(e), false),
         };
         if statements.iter().all(Statement::is_read_only) {
-            return (view.execute(statements), true, false);
+            return (shared.engine.read_view().execute(statements), false);
         }
         let limit = shared.config.backpressure_depth;
         if limit > 0 && shared.engine.write_queue_depth() >= limit {
-            return (Ok(Vec::new()), false, true);
+            return (Ok(Vec::new()), true);
         }
         let responses = statements
             .into_iter()
             .map(|stmt| shared.engine.execute_statement(stmt))
             .collect();
-        (responses, false, false)
+        (responses, false)
     };
-    let ((result, shared_view, shed), trace) = hrdm_obs::trace::capture("server.query", run);
+    let ((result, shed), trace) = hrdm_obs::trace::capture("server.query", run);
     obs.requests.incr();
     obs.write_queue_depth.set(shared.engine.write_queue_depth());
     let wall = started.elapsed();
@@ -565,9 +543,6 @@ fn answer(shared: &Shared, script: Script, view: &ReadView) -> Reply {
             "write backpressure: writer queue depth >= {}; retry later",
             shared.config.backpressure_depth
         ));
-    }
-    if shared_view {
-        obs.snapshot_shared_read.incr();
     }
     if wall >= shared.config.slowlog_threshold {
         let verb = if traced { "TRACE" } else { "QUERY" };
@@ -629,24 +604,18 @@ struct Conn {
     /// Idle deadline for this connection (the server read timeout, or
     /// the short busy-drain window for rejected connections).
     deadline: Duration,
-    /// Next sequence number a parsed request will get.
-    next_seq: u64,
-    /// Next sequence number the write path may flush.
-    next_write_seq: u64,
-    /// Completed reply frames waiting on in-order flush.
-    ready: BTreeMap<u64, Vec<u8>>,
+    /// Encoded replies, in request order, from `write_pos` on unsent.
     write_buf: Vec<u8>,
     write_pos: usize,
     /// A worker job is outstanding for this connection.
     inflight: bool,
-    /// Parsed requests not yet executed (pipelining backlog).
-    queue: VecDeque<(u64, Request)>,
+    /// Parsed frames not yet answered (pipelining backlog): a request,
+    /// or the reply its frame earned at parse time (`ERR protocol`,
+    /// `BUSY`), sent in its turn.
+    queue: VecDeque<Result<Request, Reply>>,
     /// Requests the loop has answered for this connection in the
     /// current tick, against [`LOOP_REQUESTS_PER_TICK`].
     loop_used: usize,
-    /// Read-your-writes floor (engine epoch after this connection's
-    /// last completed request).
-    min_epoch: u64,
     lifecycle: Lifecycle,
     /// Trigger a server shutdown once this connection's replies flush
     /// (the `SHUTDOWN` verb).
@@ -663,15 +632,11 @@ impl Conn {
             rejecting,
             last_activity: Instant::now(),
             deadline,
-            next_seq: 0,
-            next_write_seq: 0,
-            ready: BTreeMap::new(),
             write_buf: Vec::new(),
             write_pos: 0,
             inflight: false,
             queue: VecDeque::new(),
             loop_used: 0,
-            min_epoch: 0,
             lifecycle: Lifecycle::Open,
             shutdown_after: false,
         }
@@ -691,7 +656,7 @@ impl Conn {
     }
 
     fn has_pending_writes(&self) -> bool {
-        self.write_pos < self.write_buf.len() || self.ready.contains_key(&self.next_write_seq)
+        self.write_pos < self.write_buf.len()
     }
 
     /// Fully quiesced: nothing queued, nothing in flight, nothing to
@@ -738,9 +703,6 @@ struct EventLoop {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     generation: u64,
-    /// The tick-shared read snapshot (pinned lazily at first dispatch,
-    /// cleared every tick).
-    tick_view: Option<ReadView>,
     /// Connections whose slot must be closed at the end of the tick.
     doomed: Vec<usize>,
     shutdown_started: Option<Instant>,
@@ -769,7 +731,6 @@ impl EventLoop {
             conns: Vec::new(),
             free: Vec::new(),
             generation: 0,
-            tick_view: None,
             doomed: Vec::new(),
             shutdown_started: None,
         }
@@ -814,7 +775,6 @@ impl EventLoop {
             let ready = sys::poll_fds(&mut pollfds, timeout_ms).unwrap_or_default();
             obs.loop_tick.incr();
             obs.loop_ready.observe(ready as u64);
-            self.tick_view = None;
 
             // Readiness events first (their indexes match `targets`).
             for k in 0..pollfds.len() {
@@ -852,14 +812,15 @@ impl EventLoop {
                 }
             }
 
-            // Shutdown entry: stop accepting, stop reading, let
-            // in-flight work and queued replies drain.
+            // Shutdown entry: stop accepting, stop reading, drop the
+            // requests not yet started, and let in-flight work and the
+            // replies already decided drain.
             if self.shared.shutdown.load(Ordering::SeqCst) && self.shutdown_started.is_none() {
                 self.shutdown_started = Some(Instant::now());
                 for token in 0..self.conns.len() {
                     if let Some(conn) = self.conns[token].as_mut() {
                         conn.lifecycle = Lifecycle::Draining;
-                        conn.queue.clear();
+                        conn.queue.retain(Result::is_err);
                     }
                     self.try_finish_drain(token);
                 }
@@ -1008,8 +969,9 @@ impl EventLoop {
         }
     }
 
-    /// Parse buffered bytes into requests (respecting the pipeline
-    /// cap), start execution, and enqueue any immediate replies.
+    /// Parse buffered bytes into the connection's queue (respecting the
+    /// pipeline cap), then run what the queue allows. A frame that
+    /// earns a protocol error is queued as that reply.
     fn process_input(&mut self, token: usize) {
         let obs = server_obs();
         loop {
@@ -1024,29 +986,12 @@ impl EventLoop {
                 Ok(None) => break,
                 Err(e) => {
                     // Framing violation (oversized / non-UTF-8): tell
-                    // the client why, then close. Queued-but-undispatched
-                    // requests are discarded, so the reply takes over
-                    // the first abandoned sequence slot — the write
-                    // path flushes strictly in sequence order.
-                    self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs.protocol_error.incr();
-                    let seq = conn.queue.front().map_or(conn.next_seq, |(s, _)| *s);
-                    conn.next_seq = seq + 1;
+                    // the client why, after the requests before it,
+                    // then close.
                     conn.lifecycle = Lifecycle::Draining;
-                    conn.queue.clear();
-                    self.complete_inline(
-                        token,
-                        seq,
-                        &Reply::Err {
-                            kind: "protocol".into(),
-                            message: e.to_string(),
-                        },
-                    );
-                    break;
+                    let reply = protocol_error(&self.shared, e.to_string());
+                    conn.queue.push_back(Err(reply));
+                    continue;
                 }
             };
             let wire_len = 4 + frame.len() as u64;
@@ -1056,88 +1001,51 @@ impl EventLoop {
                 .fetch_add(wire_len, Ordering::Relaxed);
             obs.bytes_in.add(wire_len);
             obs.frame_bytes.observe(frame.len() as u64);
-            let conn = self.conns[token].as_mut().expect("checked above");
             conn.last_activity = Instant::now();
             if conn.rejecting {
                 // The client's opening frame has arrived; now a BUSY
                 // reply cannot be lost to a racing RST.
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
                 conn.lifecycle = Lifecycle::Draining;
-                self.complete_inline(
-                    token,
-                    seq,
-                    &Reply::Busy("server at connection capacity; retry later".into()),
-                );
-                break;
+                let reply = Reply::Busy("server at connection capacity; retry later".into());
+                conn.queue.push_back(Err(reply));
+                continue;
             }
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match Request::parse(&frame) {
-                Ok(request) => {
-                    // The handshake check runs at parse time so a
-                    // pipelined burst beginning with HELLO is valid
-                    // even before the HELLO executes.
-                    if matches!(request, Request::Hello) {
-                        conn.greeted = true;
-                    } else if !conn.greeted {
-                        // HELLO must come first; anything else is a
-                        // protocol error that closes the connection.
-                        self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        self.shared
-                            .stats
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        obs.protocol_error.incr();
-                        conn.lifecycle = Lifecycle::Draining;
-                        conn.queue.clear();
-                        self.complete_inline(
-                            token,
-                            seq,
-                            &Reply::Err {
-                                kind: "protocol".into(),
-                                message: "expected HELLO as the first request".into(),
-                            },
-                        );
-                        break;
-                    }
-                    conn.queue.push_back((seq, request));
+            let request = match Request::parse(&frame) {
+                // The handshake check runs at parse time so a
+                // pipelined burst beginning with HELLO is valid even
+                // before the HELLO executes.
+                Ok(Request::Hello) => {
+                    conn.greeted = true;
+                    Ok(Request::Hello)
                 }
-                Err(msg) => {
-                    // Unknown verb / malformed payload: answer in
-                    // sequence and keep serving the connection.
-                    self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs.protocol_error.incr();
-                    self.complete_inline(
-                        token,
-                        seq,
-                        &Reply::Err {
-                            kind: "protocol".into(),
-                            message: msg,
-                        },
-                    );
+                Ok(_) if !conn.greeted => {
+                    // HELLO must come first; anything else is a
+                    // protocol error that closes the connection.
+                    conn.lifecycle = Lifecycle::Draining;
+                    Err("expected HELLO as the first request".to_string())
                 }
-            }
+                // An unknown verb or malformed payload is answered in
+                // its turn, and the connection keeps serving.
+                parsed => parsed,
+            };
+            let turn = request.map_err(|msg| protocol_error(&self.shared, msg));
+            conn.queue.push_back(turn);
         }
         self.advance(token);
     }
 
-    /// Execute from the head of the connection's request queue, in
-    /// order: lightweight verbs and point-read `QUERY` scripts run to
-    /// completion here on the loop thread, every other `QUERY`/`TRACE`
-    /// goes to the worker pool (one in flight per connection, so
-    /// pipelined requests execute — and answer — in order whichever
-    /// side runs them). Stops at a dispatch, at an empty queue, or
-    /// after [`LOOP_REQUESTS_PER_TICK`] requests. Point-read replies
-    /// are queued, not flushed: every caller pumps once afterwards.
+    /// Answer from the head of the connection's queue, in order:
+    /// lightweight verbs, point-read `QUERY` scripts and queued protocol
+    /// errors are answered here on the loop thread, every other
+    /// `QUERY`/`TRACE` goes to the worker pool (one in flight per
+    /// connection, so requests run — and answer — in order whichever
+    /// side runs them). Stops at a dispatch, at an empty queue, or after
+    /// [`LOOP_REQUESTS_PER_TICK`] turns. Replies go onto the write
+    /// buffer, not the socket: every caller pumps once afterwards.
     fn advance(&mut self, token: usize) {
         let obs = server_obs();
         loop {
-            let (seq, request) = {
+            let turn = {
                 let Some(conn) = self.conns[token].as_mut() else {
                     return;
                 };
@@ -1150,8 +1058,15 @@ impl EventLoop {
                 conn.loop_used += 1;
                 head
             };
+            let request = match turn {
+                Ok(request) => request,
+                Err(reply) => {
+                    self.reply(token, &reply);
+                    continue;
+                }
+            };
             let started = Instant::now();
-            match request {
+            let reply = match request {
                 Request::Query(text) => {
                     let parsed = (text.len() <= LOOP_PARSE_BYTES).then(|| parser::parse(&text));
                     let script = Script {
@@ -1160,17 +1075,15 @@ impl EventLoop {
                         parsed,
                     };
                     if !script.runs_on_loop() {
-                        self.dispatch(token, seq, script);
+                        self.dispatch(token, script);
                         return;
                     }
-                    let view = self.view_for(token);
-                    let reply = answer(&self.shared, script, &view);
                     self.shared
                         .stats
                         .inline_reads
                         .fetch_add(1, Ordering::Relaxed);
                     obs.read_inline.incr();
-                    self.queue_reply(token, seq, &reply);
+                    answer(&self.shared, script)
                 }
                 Request::Trace(text) => {
                     // Parsed on the worker, inside the trace capture.
@@ -1179,35 +1092,35 @@ impl EventLoop {
                         traced: true,
                         parsed: None,
                     };
-                    self.dispatch(token, seq, script);
+                    self.dispatch(token, script);
                     return;
                 }
                 Request::Hello => {
                     obs.requests.incr();
                     obs.lat_hello
                         .observe_ns(started.elapsed().as_nanos() as u64);
-                    self.complete_inline(token, seq, &Reply::Ok(vec![PROTOCOL_VERSION.into()]));
+                    Reply::Ok(vec![PROTOCOL_VERSION.into()])
                 }
                 Request::Stats => {
                     let reply = Reply::Ok(vec![render_stats(&self.shared)]);
                     obs.requests.incr();
                     obs.lat_stats
                         .observe_ns(started.elapsed().as_nanos() as u64);
-                    self.complete_inline(token, seq, &reply);
+                    reply
                 }
                 Request::Metrics(format) => {
                     let reply = run_metrics(format);
                     obs.requests.incr();
                     obs.lat_metrics
                         .observe_ns(started.elapsed().as_nanos() as u64);
-                    self.complete_inline(token, seq, &reply);
+                    reply
                 }
                 Request::Slowlog(limit) => {
                     let reply = run_slowlog(&self.shared, limit);
                     obs.requests.incr();
                     obs.lat_slowlog
                         .observe_ns(started.elapsed().as_nanos() as u64);
-                    self.complete_inline(token, seq, &reply);
+                    reply
                 }
                 Request::Quit => {
                     obs.requests.incr();
@@ -1216,7 +1129,7 @@ impl EventLoop {
                         conn.lifecycle = Lifecycle::Draining;
                         conn.queue.clear();
                     }
-                    self.complete_inline(token, seq, &Reply::Ok(vec!["bye".into()]));
+                    Reply::Ok(vec!["bye".into()])
                 }
                 Request::Shutdown => {
                     obs.requests.incr();
@@ -1227,34 +1140,17 @@ impl EventLoop {
                         conn.queue.clear();
                         conn.shutdown_after = true;
                     }
-                    self.complete_inline(token, seq, &Reply::Ok(vec!["shutting down".into()]));
                     trigger_shutdown(&self.shared);
+                    Reply::Ok(vec!["shutting down".into()])
                 }
-            }
+            };
+            self.reply(token, &reply);
         }
     }
 
-    /// The tick's shared snapshot, as connection `token` may read it:
-    /// pinned at the first use in a tick, and pinned afresh when it is
-    /// older than the connection's read-your-writes floor (later users
-    /// in the tick get the fresher one too).
-    fn view_for(&mut self, token: usize) -> ReadView {
-        let floor = self.conns[token].as_ref().map_or(0, |c| c.min_epoch);
-        match &self.tick_view {
-            Some(view) if view.epoch() >= floor => view.clone(),
-            _ => {
-                let view = self.shared.engine.read_view();
-                server_obs().snapshot_batch.incr();
-                self.tick_view = Some(view.clone());
-                view
-            }
-        }
-    }
-
-    /// Hand one script to the worker pool with the tick's snapshot.
-    fn dispatch(&mut self, token: usize, seq: u64, script: Script) {
+    /// Hand one script to the worker pool.
+    fn dispatch(&mut self, token: usize, script: Script) {
         let obs = server_obs();
-        let view = self.view_for(token);
         let Some(conn) = self.conns[token].as_mut() else {
             return;
         };
@@ -1265,9 +1161,7 @@ impl EventLoop {
         let job = Job {
             conn: token,
             generation: conn.generation,
-            seq,
             script,
-            view,
             dispatched: Instant::now(),
         };
         if let Some(jobs) = &self.jobs {
@@ -1299,8 +1193,7 @@ impl EventLoop {
             }
             conn.inflight = false;
             conn.last_activity = Instant::now();
-            conn.min_epoch = conn.min_epoch.max(c.epoch);
-            conn.ready.insert(c.seq, c.frame);
+            conn.write_buf.extend_from_slice(&c.frame);
             // The pipeline may have buffered frames beyond the cap;
             // with a slot free, parse further and start the next
             // request before flushing.
@@ -1309,39 +1202,28 @@ impl EventLoop {
         }
     }
 
-    /// Render, encode, and enqueue a loop-thread reply in its sequence
-    /// slot, without touching the socket.
-    fn queue_reply(&mut self, token: usize, seq: u64, reply: &Reply) {
+    /// Encode a reply made on the loop thread onto the connection's
+    /// write buffer, after every reply before it, without touching the
+    /// socket.
+    fn reply(&mut self, token: usize, reply: &Reply) {
         let Some(conn) = self.conns[token].as_mut() else {
             return;
         };
-        let mut frame = Vec::new();
-        encode_reply(&self.shared, reply, &mut frame);
-        conn.ready.insert(seq, frame);
+        encode_reply(&self.shared, reply, &mut conn.write_buf);
         conn.last_activity = Instant::now();
-    }
-
-    /// [`queue_reply`](Self::queue_reply), then flush opportunistically.
-    fn complete_inline(&mut self, token: usize, seq: u64, reply: &Reply) {
-        self.queue_reply(token, seq, reply);
-        self.pump(token);
     }
 
     fn conn_writable(&mut self, token: usize) {
         self.pump(token);
     }
 
-    /// Move in-order completed replies into the write buffer and push
-    /// bytes to the socket until it would block (or everything sent).
+    /// Push the write buffer to the socket until it would block (or
+    /// everything is sent).
     fn pump(&mut self, token: usize) {
         let Some(conn) = self.conns[token].as_mut() else {
             return;
         };
         loop {
-            while let Some(frame) = conn.ready.remove(&conn.next_write_seq) {
-                conn.write_buf.extend_from_slice(&frame);
-                conn.next_write_seq += 1;
-            }
             if conn.write_pos == conn.write_buf.len() {
                 conn.write_buf.clear();
                 conn.write_pos = 0;
@@ -1399,14 +1281,12 @@ impl EventLoop {
                 // The opening frame never (fully) arrived; send BUSY
                 // anyway — matching the blocking server's behavior —
                 // and close.
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
                 conn.lifecycle = Lifecycle::Draining;
-                self.complete_inline(
+                self.reply(
                     token,
-                    seq,
                     &Reply::Busy("server at connection capacity; retry later".into()),
                 );
+                self.pump(token);
                 // Best-effort: if the socket still isn't writable the
                 // reply is lost, exactly like the old fire-and-forget.
                 self.doom(token);
@@ -1422,18 +1302,15 @@ impl EventLoop {
             self.shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             obs.timeout.incr();
             let timeout = conn.deadline;
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
             conn.lifecycle = Lifecycle::Draining;
-            conn.queue.clear();
-            self.complete_inline(
+            self.reply(
                 token,
-                seq,
                 &Reply::Err {
                     kind: "timeout".into(),
                     message: format!("no request within {timeout:?}; closing"),
                 },
             );
+            self.pump(token);
             // If the reply flushed, the pump already closed the slot;
             // otherwise the drain deadline will reap it.
         }
@@ -1463,6 +1340,17 @@ impl EventLoop {
 // ---------------------------------------------------------------------
 // Inline verbs
 // ---------------------------------------------------------------------
+
+/// Count a protocol violation and make its `ERR protocol` reply.
+fn protocol_error(shared: &Shared, message: String) -> Reply {
+    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    server_obs().protocol_error.incr();
+    Reply::Err {
+        kind: "protocol".into(),
+        message,
+    }
+}
 
 fn run_metrics(format: MetricsFormat) -> Reply {
     let body = match format {

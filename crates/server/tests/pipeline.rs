@@ -2,19 +2,22 @@
 //! connection must answer **byte-identically** to the same K scripts
 //! executed sequentially on an embedded engine — same replies, same
 //! order, reads observing every earlier write in the burst
-//! (read-your-writes survives the worker handoff and the tick-shared
-//! snapshots). Point-read scripts are answered on the loop thread and
+//! (read-your-writes survives the worker handoff, whatever another
+//! connection does meanwhile). Point-read scripts are answered on the loop thread and
 //! everything else on a worker, so the bursts here cross that boundary
 //! in both directions; `ServerHandle::stats` says which side ran what.
 
-use std::sync::atomic::Ordering;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 mod common;
 
 use common::{serial_reply, serving_bootstrap};
 use hrdm::prelude::Engine;
-use hrdm_server::{Client, Reply, Request, Server, ServerConfig};
+use hrdm_server::proto::encode_frame;
+use hrdm_server::{Client, FrameReader, Reply, Request, Server, ServerConfig};
 
 /// A deliberately stateful burst against the Fig. 1 serving world:
 /// writes interleaved with reads that only answer correctly if they
@@ -163,8 +166,8 @@ fn split(handle: &hrdm_server::ServerHandle) -> (u64, u64) {
 /// One burst that alternates between the two sides: each write and the
 /// `COUNT` run on a worker, each point read on the loop, and every
 /// point read only answers correctly if it sees the write just before
-/// it — the read-your-writes floor has to hold across the boundary, in
-/// order, with nothing overtaking.
+/// it — one request at a time per connection has to hold across the
+/// boundary, in order, with nothing overtaking.
 #[test]
 fn inline_and_dispatched_requests_interleave_in_order() {
     let scripts: Vec<String> = [
@@ -272,5 +275,120 @@ fn the_edges_of_the_inline_path_answer_like_the_engine() {
         "each request counted once, whichever side answered it"
     );
     client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// A burst of raw frames where unknown verbs sit between requests that
+/// run on both sides: each `ERR protocol` arrives in its own slot, in
+/// order, the connection keeps serving, and every other reply is the
+/// embedded engine's.
+#[test]
+fn protocol_errors_answer_in_their_turn_between_loop_and_worker_requests() {
+    let reference = Engine::new();
+    reference.execute(serving_bootstrap()).unwrap();
+    let handle = start_server();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = FrameReader::new();
+    let mut recv = |stream: &mut TcpStream| loop {
+        if let Some(frame) = reader.next_frame().unwrap() {
+            return Reply::parse(&frame).unwrap();
+        }
+        assert!(reader.read_from(stream).unwrap() > 0, "server closed");
+    };
+    for round in 0..20 {
+        let p = format!("E{round}");
+        let query = |script: &str| Request::Query(script.into()).render();
+        let explode = "EXPLODE\nnow".to_string();
+        let mut frames = vec![
+            query(&format!("CREATE INSTANCE {p} OF Penguin;")),
+            explode.clone(),
+            query(&format!("HOLDS Flies ({p});")),
+            query("COUNT Flies;"),
+            explode.clone(),
+            query(&format!("ASSERT Flies ({p});")),
+            explode,
+            query(&format!("HOLDS Flies ({p});")),
+        ];
+        if round == 0 {
+            frames.insert(0, Request::Hello.render());
+        }
+        let mut burst = Vec::new();
+        for frame in &frames {
+            encode_frame(frame, &mut burst);
+        }
+        stream.write_all(&burst).unwrap();
+        for (k, frame) in frames.iter().enumerate() {
+            let got = recv(&mut stream);
+            if let Some(script) = frame.strip_prefix("QUERY\n") {
+                assert_eq!(
+                    got,
+                    serial_reply(&reference, script),
+                    "round {round} slot {k}"
+                );
+            } else if frame.starts_with("EXPLODE") {
+                assert!(
+                    matches!(&got, Reply::Err { kind, .. } if kind == "protocol"),
+                    "round {round} slot {k}: {got:?}"
+                );
+            } else {
+                assert!(got.is_ok(), "HELLO: {got:?}");
+            }
+        }
+    }
+    // Still serving after sixty protocol errors.
+    let mut again = Vec::new();
+    encode_frame(&Request::Query("COUNT Flies;".into()).render(), &mut again);
+    stream.write_all(&again).unwrap();
+    assert_eq!(recv(&mut stream), serial_reply(&reference, "COUNT Flies;"));
+    assert_eq!(handle.stats().protocol_errors.load(Ordering::Relaxed), 60);
+    handle.shutdown();
+}
+
+/// Connection A alternates a worker-run write with a loop-run read of
+/// the same item while connection B keeps the loop busy with point-read
+/// bursts: every read of A reflects A's own write just before it.
+#[test]
+fn each_read_sees_its_connections_write_while_another_connection_reads() {
+    let reference = Engine::new();
+    reference.execute(serving_bootstrap()).unwrap();
+    let handle = start_server();
+    let mut a = Client::connect(handle.addr()).unwrap();
+    let create = "CREATE INSTANCE Z OF Penguin;";
+    assert_eq!(a.query(create).unwrap(), serial_reply(&reference, create));
+    let tweety = serial_reply(&reference, "HOLDS Flies (Tweety);");
+    let done = AtomicBool::new(false);
+    /// Stops B however A's loop ends, so a failing A cannot hang the
+    /// scope.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut b = Client::connect(handle.addr()).unwrap();
+            let reads = as_requests(&vec!["HOLDS Flies (Tweety);".to_string(); 16]);
+            while !done.load(Ordering::SeqCst) {
+                for reply in b.pipeline(&reads).unwrap() {
+                    assert_eq!(reply, tweety);
+                }
+            }
+            b.quit().unwrap();
+        });
+        let _stop = Stop(&done);
+        for round in 0..400 {
+            let write = ["ASSERT Flies (Z);", "RETRACT Flies (Z);"][round % 2];
+            let scripts = [write.to_string(), "HOLDS Flies (Z);".to_string()];
+            let expected: Vec<Reply> = scripts
+                .iter()
+                .map(|s| serial_reply(&reference, s))
+                .collect();
+            let replies = a.pipeline(&as_requests(&scripts)).unwrap();
+            assert_eq!(replies, expected, "round {round}: the read after `{write}`");
+        }
+    });
+    a.quit().unwrap();
     handle.shutdown();
 }
