@@ -182,25 +182,6 @@ impl Catalog {
             .ok_or_else(|| not_found("domain", name))
     }
 
-    /// Mutate a registered domain through copy-on-write.
-    ///
-    /// If the graph is uniquely owned it is mutated in place and the
-    /// edit clears its memoized closures; if shared (a relation schema
-    /// still holds it), the edit lands on the catalog's copy and
-    /// existing relations keep the old version with its closures —
-    /// either way no closure can ever serve stale reachability.
-    pub fn update_domain<T>(
-        &mut self,
-        name: &str,
-        f: impl FnOnce(&mut HierarchyGraph) -> hrdm_hierarchy::Result<T>,
-    ) -> Result<T> {
-        let arc = self
-            .domains
-            .get_mut(name)
-            .ok_or_else(|| not_found("domain", name))?;
-        f(Arc::make_mut(arc)).map_err(CoreError::Hierarchy)
-    }
-
     /// Unregister a relation, returning its shared handle.
     pub fn drop_relation(&mut self, name: &str) -> Result<Arc<HRelation>> {
         self.relations
@@ -715,44 +696,5 @@ mod tests {
         .unwrap();
         assert!(cat.domain("Animal").is_err());
         assert_eq!(cat.render_stable(), "");
-    }
-
-    #[test]
-    fn update_domain_bumps_version_and_preserves_shared_readers() {
-        let mut cat = Catalog::new();
-        let shared = cat.add_domain("Animal", sample_graph());
-        let old_version = shared.version();
-        // `shared` is still held outside, so make_mut must clone: the
-        // edit stamps the catalog's copy, the reader keeps the old.
-        let woody = cat
-            .update_domain("Animal", |g| {
-                let bird = g.node("Bird")?;
-                g.add_instance("Woody", bird)
-            })
-            .unwrap();
-        assert_eq!(shared.version(), old_version);
-        assert!(shared.node("Woody").is_err());
-        let updated = cat.domain("Animal").unwrap();
-        assert_eq!(updated.node("Woody").unwrap(), woody);
-        assert_ne!(updated.version(), old_version);
-
-        // Uniquely owned now: an in-place edit takes a fresh stamp too.
-        drop(shared);
-        let mid = cat.domain("Animal").unwrap().version();
-        cat.update_domain("Animal", |g| {
-            let bird = g.node("Bird")?;
-            g.add_instance("Buzz", bird)
-        })
-        .unwrap();
-        let end = cat.domain("Animal").unwrap().version();
-        assert_ne!(end, mid);
-
-        // Hierarchy errors surface as CoreError::Hierarchy.
-        let err = cat.update_domain("Animal", |g| {
-            let root = g.root();
-            g.add_instance("Woody", root) // duplicate name
-        });
-        assert!(matches!(err, Err(CoreError::Hierarchy(_))));
-        assert!(cat.update_domain("Nope", |_| Ok(())).is_err());
     }
 }

@@ -1,11 +1,5 @@
 //! Property test: every span opened during a random-plan execution is
 //! closed and parented correctly.
-//!
-//! This file deliberately holds a SINGLE test. Orphan counts compare a
-//! capture's buffer slice against the spans reachable from its root, so
-//! any other capture running concurrently in the same process leaks
-//! events into the slice; `cargo test` runs a binary's tests on
-//! concurrent threads, but a one-test binary cannot race itself.
 
 use std::sync::Arc;
 
@@ -14,6 +8,7 @@ use proptest::prelude::*;
 use hrdm_core::plan::LogicalPlan;
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::gen::layered_dag;
+use hrdm_obs::trace::TraceNode;
 
 /// A positive-only (hence always consistent) relation with a tuple at
 /// every node of a four-layer taxonomy.
@@ -36,11 +31,14 @@ proptest! {
         let r = big_relation(seed);
         let root_region = Item::new(vec![r.schema().domain(0).root()]);
         let scan = LogicalPlan::scan("R", r.clone());
-        let plan = match shape {
-            0 => scan,
-            1 => scan.explicate(vec![0]),
-            2 => scan.consolidate(),
-            _ => scan.explicate(vec![0]).select(root_region),
+        let (plan, kinds) = match shape {
+            0 => (scan, vec!["Scan"]),
+            1 => (scan.explicate(vec![0]), vec!["Explicate", "Scan"]),
+            2 => (scan.consolidate(), vec!["Consolidate", "Scan"]),
+            _ => (
+                scan.explicate(vec![0]).select(root_region),
+                vec!["Select", "Explicate", "Scan"],
+            ),
         };
 
         prop_assert_eq!(hrdm_obs::span::thread_open_depth(), 0);
@@ -51,12 +49,26 @@ proptest! {
         let trace = &executed.trace;
         let root = trace.root.as_ref().expect("execution recorded a trace");
         prop_assert_eq!(root.name, "plan.execute");
-        // Parented correctly: every recorded span is reachable from the
-        // root.
-        prop_assert_eq!(trace.orphans, 0);
+        // Parented correctly: the plan's nodes nest as the plan does,
+        // under the root and before the canonicalizing consolidate.
+        let names: Vec<_> = root.children.iter().map(|c| c.name).collect();
+        prop_assert_eq!(names, vec![kinds[0], "Canonicalize"]);
+        let plan_spans: Vec<_> = trace
+            .nodes()
+            .into_iter()
+            .map(|n| n.name)
+            .filter(|name| ["Scan", "Select", "Explicate", "Consolidate"].contains(name))
+            .collect();
+        prop_assert_eq!(plan_spans, kinds);
+        fn nested(n: &TraceNode) -> bool {
+            n.children.iter().all(|c| {
+                n.start_ns <= c.start_ns && c.end_ns <= n.end_ns && nested(c)
+            })
+        }
+        prop_assert!(nested(root), "a span outlives its parent");
         for node in trace.nodes() {
-            // Closed correctly: an event is only appended when its
-            // guard drops, and the monotonic clock orders start ≤ end.
+            // Closed correctly: a node is only appended when its guard
+            // drops, and the monotonic clock orders start ≤ end.
             prop_assert!(node.end_ns >= node.start_ns, "span {} never closed", node.name);
         }
     }

@@ -2,11 +2,10 @@
 //! plan, `TRACE` executes it, `LET` materializes it — once — and a live
 //! view is rebuilt from it.
 //!
-//! Span trees are read off [`hrdm_obs::trace::capture`]: a span's parent
-//! is whatever is open on the *calling thread*, and an embedded
-//! [`Engine`] runs a statement on the caller, so the tree under a
-//! capture's root holds exactly that statement's spans however many
-//! other tests capture concurrently.
+//! Span trees are read off [`hrdm_obs::trace::capture`]: a capture
+//! records only the spans opened on its own thread, and an embedded
+//! [`Engine`] runs a statement on the caller, so a capture's tree holds
+//! exactly that statement's spans, and the tests need no lock.
 
 use hrdm_core::render::render_table;
 use hrdm_hql::{Engine, Response};

@@ -1,9 +1,10 @@
 //! Chrome `chrome://tracing` JSON export.
 //!
 //! Each trace node becomes one complete ("X") event with microsecond
-//! timestamps; span fields ride along under `args`. The output is a
-//! single JSON object `{"traceEvents":[...]}` that loads directly in
-//! `chrome://tracing` or Perfetto.
+//! timestamps; span fields ride along under `args`. All of a trace's
+//! spans ran on the thread that captured it: every event has `tid` 1.
+//! The output is a single JSON object `{"traceEvents":[...]}` that
+//! loads directly in `chrome://tracing` or Perfetto.
 
 use crate::json::escape;
 use crate::trace::{QueryTrace, TraceNode};
@@ -19,9 +20,8 @@ fn write_event(n: &TraceNode, out: &mut String, first: &mut bool) {
     let _ = write!(
         out,
         "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\
-         \"pid\":1,\"tid\":{},\"args\":{{",
+         \"pid\":1,\"tid\":1,\"args\":{{",
         escape(n.name),
-        n.thread,
     );
     for (i, (k, v)) in n.fields.iter().enumerate() {
         if i > 0 {
@@ -53,7 +53,6 @@ mod tests {
 
     #[test]
     fn renders_one_event_per_span() {
-        let _capturing = crate::span::tests::capture_lock();
         let ((), trace) = capture("test.chrome.root", || {
             let _a = crate::span!("test.chrome.child", rows = 4);
         });

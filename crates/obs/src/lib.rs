@@ -13,14 +13,13 @@
 //!   benchmark harnesses get an atomic reset instead of chasing
 //!   per-crate counter sets.
 //! * [`mod@span`] — `span!("consolidate", rel = name)` guards with
-//!   monotonic timing, thread id, and parent linkage. Parenting uses a
-//!   thread-local stack. When no capture is active, a guard is fully
-//!   inert — one relaxed atomic load.
+//!   monotonic timing, recorded on a thread-local stack of open spans:
+//!   a closing guard hands its node to the span below it. A guard on a
+//!   thread with no capture open is inert — one thread-local read.
 //! * [`trace`] — per-query execution traces:
-//!   [`trace::capture`] records every span closed during a closure and
-//!   assembles the ones reachable from the capture root into a
-//!   [`trace::QueryTrace`] tree with per-node rows, wall time, and
-//!   cache-attribution fields.
+//!   [`trace::capture`] roots that stack and returns the spans the
+//!   closure opened on its thread as a [`trace::QueryTrace`] tree with
+//!   per-node rows, wall time, and cache-attribution fields.
 //! * [`attrib`] — thread-local attribution slots (closure and
 //!   subsumption cache hits/misses, heap I/O) that let a plan node
 //!   report *its own* cache traffic deterministically even while other
@@ -32,7 +31,7 @@
 //!
 //! The instrumentation is always compiled in. Its cost outside a capture
 //! is a relaxed atomic per counter bump or histogram observation and one
-//! relaxed load per span guard.
+//! thread-local read per span guard.
 
 pub mod attrib;
 pub mod chrome;
@@ -52,8 +51,8 @@ pub use trace::QueryTrace;
 /// let _g = hrdm_obs::span!("consolidate", rel = name);
 /// ```
 ///
-/// Fields are only rendered (and only allocate) when a capture is
-/// active; otherwise the guard is inert.
+/// Fields are only rendered (and only allocate) when a capture is open
+/// on this thread; otherwise the guard is inert.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

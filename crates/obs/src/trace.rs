@@ -1,14 +1,12 @@
-//! Per-query execution traces: capture the spans closed while a
-//! closure runs and assemble them into a tree.
+//! Per-query execution traces: the tree of spans a closure opens on
+//! the calling thread.
 
-use crate::span::{self, SpanEvent, SpanId};
-use std::collections::BTreeMap;
+use crate::span::SpanGuard;
 
-/// One node of an assembled trace tree.
+/// One node of a trace tree; its children are in open order.
 #[derive(Clone, Debug)]
 pub struct TraceNode {
     pub name: &'static str,
-    pub thread: u64,
     pub start_ns: u64,
     pub end_ns: u64,
     pub fields: Vec<(&'static str, String)>,
@@ -38,12 +36,8 @@ impl TraceNode {
 /// The tree of spans recorded during one [`capture`].
 #[derive(Clone, Debug, Default)]
 pub struct QueryTrace {
-    /// The capture's root span, with all reachable descendants.
+    /// The capture's root span, with every span closed under it.
     pub root: Option<TraceNode>,
-    /// Events recorded during the capture that were *not* reachable
-    /// from the root — zero unless another capture ran concurrently or
-    /// a span escaped its parent's lifetime.
-    pub orphans: usize,
 }
 
 impl QueryTrace {
@@ -69,63 +63,6 @@ impl QueryTrace {
     /// First node (pre-order) whose name matches.
     pub fn find(&self, name: &str) -> Option<&TraceNode> {
         self.nodes().into_iter().find(|n| n.name == name)
-    }
-
-    /// Build a trace tree out of a flat event list, rooted at
-    /// `root_id`. Children are ordered by `(start_ns, id)` so sibling
-    /// order is deterministic even when workers race.
-    pub fn assemble(events: &[SpanEvent], root_id: Option<SpanId>) -> Self {
-        let Some(root_id) = root_id else {
-            return QueryTrace::default();
-        };
-        let mut by_parent: BTreeMap<SpanId, Vec<&SpanEvent>> = BTreeMap::new();
-        let mut root_event = None;
-        for e in events {
-            if e.id == root_id {
-                root_event = Some(e);
-            } else if let Some(p) = e.parent {
-                by_parent.entry(p).or_default().push(e);
-            }
-        }
-        for kids in by_parent.values_mut() {
-            kids.sort_by_key(|e| (e.start_ns, e.id));
-        }
-        fn build(
-            e: &SpanEvent,
-            by_parent: &BTreeMap<SpanId, Vec<&SpanEvent>>,
-        ) -> (TraceNode, usize) {
-            let mut reached = 1;
-            let mut children = Vec::new();
-            for c in by_parent.get(&e.id).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let (node, n) = build(c, by_parent);
-                children.push(node);
-                reached += n;
-            }
-            (
-                TraceNode {
-                    name: e.name,
-                    thread: e.thread,
-                    start_ns: e.start_ns,
-                    end_ns: e.end_ns,
-                    fields: e.fields.clone(),
-                    children,
-                },
-                reached,
-            )
-        }
-        match root_event {
-            Some(r) => {
-                let (root, reached) = build(r, &by_parent);
-                QueryTrace {
-                    root: Some(root),
-                    orphans: events.len() - reached,
-                }
-            }
-            None => QueryTrace {
-                root: None,
-                orphans: events.len(),
-            },
-        }
     }
 
     /// Render the tree with wall times — the `TRACE` statement output.
@@ -181,21 +118,17 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Run `f` while recording spans; return its result plus the assembled
-/// [`QueryTrace`] rooted at a fresh span called `name`.
+/// Run `f` while recording the spans it opens on this thread; return
+/// its result plus the [`QueryTrace`] rooted at a fresh span called
+/// `name`.
 ///
-/// Captures nest: an inner capture copies out its slice of the shared
-/// buffer without disturbing the outer capture, and the buffer is
-/// cleared only when the last capture ends.
+/// Captures nest: an inner capture's tree is also a child of the span
+/// open around it. Spans still open when `f` returns are left out.
 pub fn capture<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, QueryTrace) {
-    let start = span::begin_recording();
-    let (out, root_id) = {
-        let root = span::span(name);
-        let id = root.id();
-        (f(), id)
-    };
-    let events = span::end_recording(start);
-    (out, QueryTrace::assemble(&events, root_id))
+    let mut root = SpanGuard::open(name, true);
+    let out = f();
+    let root = root.close(true);
+    (out, QueryTrace { root })
 }
 
 #[cfg(test)]
@@ -204,7 +137,6 @@ mod tests {
 
     #[test]
     fn capture_assembles_a_tree() {
-        let _capturing = crate::span::tests::capture_lock();
         let ((), trace) = capture("test.trace.root", || {
             let a = crate::span!("test.trace.a", rows = 3);
             drop(a);
@@ -213,17 +145,15 @@ mod tests {
         let root = trace.root.as_ref().expect("root");
         assert_eq!(root.name, "test.trace.root");
         assert_eq!(root.children.len(), 2);
-        // Sibling order is by start time: a before b.
+        // Siblings are in open order: a before b.
         assert_eq!(root.children[0].name, "test.trace.a");
         assert_eq!(root.children[0].field_u64("rows"), Some(3));
-        assert_eq!(trace.orphans, 0);
         assert!(trace.find("test.trace.b").is_some());
         assert_eq!(trace.nodes().len(), 3);
     }
 
     #[test]
     fn nested_captures_do_not_disturb_each_other() {
-        let _capturing = crate::span::tests::capture_lock();
         let ((), outer) = capture("test.trace.outer", || {
             let ((), inner) = capture("test.trace.inner", || {
                 let _x = crate::span!("test.trace.leaf");
@@ -239,8 +169,74 @@ mod tests {
     }
 
     #[test]
+    fn spans_left_open_are_left_out() {
+        let (escaped, trace) = capture("test.trace.open", || {
+            let _closed = crate::span!("test.trace.closed");
+            crate::span!("test.trace.escaped")
+        });
+        assert!(escaped.is_active());
+        assert_eq!(crate::span::thread_open_depth(), 0);
+        let names: Vec<_> = trace.nodes().iter().map(|n| n.name).collect();
+        assert_eq!(names, ["test.trace.open", "test.trace.closed"]);
+        drop(escaped);
+        assert_eq!(crate::span::thread_open_depth(), 0);
+    }
+
+    #[test]
+    fn a_capture_leaves_other_threads_inert() {
+        let open = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                capture("test.trace.a", || {
+                    let _own = crate::span!("test.trace.a.own", n = 1);
+                    open.wait();
+                    open.wait();
+                })
+                .1
+            });
+            open.wait();
+            let active = (0..1_000)
+                .filter(|i| crate::span!("test.trace.b", i = i).is_active())
+                .count();
+            open.wait();
+            let trace = a.join().unwrap();
+            assert_eq!(active, 0, "thread B's guards recorded with no capture");
+            let names: Vec<_> = trace.nodes().iter().map(|n| n.name).collect();
+            assert_eq!(names, ["test.trace.a", "test.trace.a.own"]);
+        });
+    }
+
+    /// Three steps, each with fields and a nested capture.
+    fn sample() -> String {
+        let ((), trace) = capture("test.trace.sample", || {
+            for i in 0..3u64 {
+                let mut step = crate::span!("test.trace.step", i = i);
+                step.field_u64("rows", i * 2);
+                capture("test.trace.inner", || {
+                    let _leaf = crate::span!("test.trace.leaf");
+                });
+            }
+        });
+        trace.render_stable()
+    }
+
+    #[test]
+    fn concurrent_captures_render_as_if_alone() {
+        let alone = sample();
+        assert_eq!(alone.lines().count(), 10, "{alone}");
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..500 {
+                        assert_eq!(sample(), alone);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn stable_render_elides_times() {
-        let _capturing = crate::span::tests::capture_lock();
         let ((), trace) = capture("test.trace.stable", || {
             let mut g = crate::span!("test.trace.op");
             g.field_u64("rows", 9);
