@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hrdm_bench::fixtures::{class_probe, clear_shared_caches};
+use hrdm_bench::fixtures::class_probe;
 use hrdm_bench::workloads::*;
 use hrdm_core::binding::bind;
 use hrdm_core::consolidate::consolidate;
@@ -54,40 +54,30 @@ fn mean_ns<T>(calls: usize, mut f: impl FnMut() -> T) -> u128 {
     time_ns(9, || (0..calls).map(|_| std::hint::black_box(f())).count()) / calls as u128
 }
 
-/// Median wall times of `op` over `reps` warm and `reps` cold
-/// repetitions, in nanoseconds. A cold repetition runs
-/// [`clear_shared_caches`] first, outside the timed region. Every
-/// repetition is checked on this thread's attribution slots, so neither
-/// column can claim a cache state it did not measure: a cold one built
-/// exactly one subsumption core, a warm one reused it, and neither
-/// built or requested a closure. A closure is part of the fixture's
+/// Median wall time of `op` over `reps` repetitions, in nanoseconds.
+/// Every repetition is checked on this thread's attribution slots, so
+/// the column cannot time work it did not do: each built exactly one
+/// subsumption graph and no closure. A closure is part of the fixture's
 /// graph, built by its first probe, so one untimed run builds it first.
-fn warm_and_cold_ns<T>(reps: usize, mut op: impl FnMut() -> T) -> (u128, u128) {
+fn one_graph_ns<T>(reps: usize, mut op: impl FnMut() -> T) -> u128 {
     std::hint::black_box(op());
-    let mut run = |cold: bool| {
-        if cold {
-            clear_shared_caches();
-        }
-        let before = attrib::snapshot();
-        let t = Instant::now();
-        std::hint::black_box(op());
-        let ns = t.elapsed().as_nanos();
-        let spent = attrib::since(&before);
-        let cores = [AttribKey::SubsumptionHit, AttribKey::SubsumptionMiss].map(|k| spent.get(k));
-        let closures = [AttribKey::ClosureHit, AttribKey::ClosureMiss].map(|k| spent.get(k));
-        let expected = if cold { [0, 1] } else { [1, 0] };
-        assert_eq!(cores, expected, "cold={cold}: [cores reused, cores built]");
-        assert_eq!(
-            closures,
-            [0, 0],
-            "cold={cold}: no closure built or requested"
-        );
-        ns
-    };
-    // Cold first: the last cold repetition leaves the core cached.
-    let cold = median((0..reps).map(|_| run(true)).collect());
-    let warm = median((0..reps).map(|_| run(false)).collect());
-    (warm, cold)
+    median(
+        (0..reps)
+            .map(|_| {
+                let before = attrib::snapshot();
+                let t = Instant::now();
+                std::hint::black_box(op());
+                let ns = t.elapsed().as_nanos();
+                let spent = attrib::since(&before);
+                assert_eq!(
+                    [AttribKey::SubsumptionBuild, AttribKey::ClosureMiss].map(|k| spent.get(k)),
+                    [1, 0],
+                    "[subsumption graphs built, closures built]"
+                );
+                ns
+            })
+            .collect(),
+    )
 }
 
 fn main() {
@@ -270,32 +260,24 @@ fn scan_above(r: &HRelation, q: &Item) -> Vec<(Item, Truth)> {
 fn b3_consolidate() {
     heading("B3 — Consolidate: cascading topological elimination (§3.3.1)");
     println!(
-        "{:>8} {:>10} | {:>8} {:>10} {:>8} {:>12} | {:>10} {:>10}",
-        "tuples",
-        "redundant",
-        "removed",
-        "first-pass",
-        "reverse",
-        "minimal size",
-        "warm ns",
-        "cold ns"
+        "{:>8} {:>10} | {:>8} {:>10} {:>8} {:>12} | {:>10}",
+        "tuples", "redundant", "removed", "first-pass", "reverse", "minimal size", "ns"
     );
     for (classes, redundant) in [(4usize, 2usize), (8, 4), (16, 8), (16, 16)] {
         let r = consolidation_workload(3, 4, classes, redundant);
         let first_pass = hrdm_core::consolidate::immediately_redundant(&r).len();
         let c = consolidate(&r);
         let rev = hrdm_core::consolidate::consolidate_reverse_order(&r);
-        let (warm, cold) = warm_and_cold_ns(5, || consolidate(&r).relation.len());
+        let ns = one_graph_ns(5, || consolidate(&r).relation.len());
         println!(
-            "{:>8} {:>10} | {:>8} {:>10} {:>8} {:>12} | {:>10} {:>10}",
+            "{:>8} {:>10} | {:>8} {:>10} {:>8} {:>12} | {:>10}",
             r.len(),
             classes * redundant,
             c.removed.len(),
             first_pass,
             rev.removed.len(),
             c.relation.len(),
-            warm,
-            cold
+            ns
         );
         assert!(
             c.removed.len() >= first_pass,
@@ -306,54 +288,50 @@ fn b3_consolidate() {
     }
     println!("shape: topological cascade (removed ≥ first-pass, ≥ reverse-order)");
     println!("reaches the unique minimum; extension always preserved either way.");
-    println!("warm reuses the shared subsumption core, cold rebuilds it (asserted per");
-    println!("repetition); cold − warm is the cost of that construction.");
+    println!("every repetition builds its one subsumption graph (asserted).");
 }
 
 /// B4 — §3.3.2: explication is linear in the extension.
 fn b4_explicate() {
     heading("B4 — Explicate: cost linear in the extension (§3.3.2)");
     println!(
-        "{:>10} {:>10} | {:>12} | {:>10} {:>10} {:>10}",
-        "fanout", "depth", "extension", "warm ns", "cold ns", "ns / atom"
+        "{:>10} {:>10} | {:>12} | {:>10} {:>10}",
+        "fanout", "depth", "extension", "ns", "ns / atom"
     );
     for (fanout, depth) in [(4usize, 3usize), (4, 4), (4, 5), (4, 6)] {
         let r = explication_workload(fanout, depth);
         let flat = explicate_all(&r);
-        let (warm, cold) = warm_and_cold_ns(5, || explicate_all(&r).len());
+        let ns = one_graph_ns(5, || explicate_all(&r).len());
         println!(
-            "{:>10} {:>10} | {:>12} | {:>10} {:>10} {:>10.1}",
+            "{:>10} {:>10} | {:>12} | {:>10} {:>10.1}",
             fanout,
             depth,
             flat.len(),
-            warm,
-            cold,
-            warm as f64 / flat.len().max(1) as f64
+            ns,
+            ns as f64 / flat.len().max(1) as f64
         );
     }
-    println!("shape: ns/atom (warm) roughly constant — explication is output-linear.");
+    println!("shape: ns/atom roughly constant — explication is output-linear.");
 
     println!("\ntuple-rich explication (many stored tuples, modest fan-out):");
     println!(
-        "{:>8} {:>10} | {:>12} | {:>10} {:>10}",
-        "tuples", "depth", "extension", "warm ns", "cold ns"
+        "{:>8} {:>10} | {:>12} | {:>10}",
+        "tuples", "depth", "extension", "ns"
     );
     for (depth, classes, redundant) in [(4usize, 8usize, 4usize), (4, 16, 8), (5, 32, 16)] {
         let r = consolidation_workload(3, depth, classes, redundant);
         let flat = explicate_all(&r);
-        let (warm, cold) = warm_and_cold_ns(5, || explicate_all(&r).len());
+        let ns = one_graph_ns(5, || explicate_all(&r).len());
         println!(
-            "{:>8} {:>10} | {:>12} | {:>10} {:>10}",
+            "{:>8} {:>10} | {:>12} | {:>10}",
             r.len(),
             depth,
             flat.len(),
-            warm,
-            cold
+            ns
         );
     }
-    println!("shape: here the O(t²) subsumption-core construction, not the expansion,");
-    println!("dominates: cold pays it on every repetition, warm reuses the cached core");
-    println!("(both asserted per repetition).");
+    println!("shape: every repetition builds the subsumption graph from each stored tuple's");
+    println!("cone (asserted); its share grows with the tuples, not with the extension.");
 }
 
 /// B5 — Appendix: preemption semantics ablation.

@@ -695,11 +695,11 @@ pub fn explain_report() -> String {
 
 /// Per-node execution traces of one worked query on BOTH engines — the
 /// hierarchical root-consolidate executor and the flat volcano lowering
-/// — in stable-field form (rows and cache attribution only, no wall
+/// — in stable-field form (rows and build attribution only, no wall
 /// times, so the output is golden-snapshot safe). Each engine runs
-/// against freshly built fixtures: fresh hierarchy graphs have fresh
-/// cache identities, which pins every hit/miss count regardless of what
-/// other tests did to the shared caches.
+/// against freshly built fixtures: fresh hierarchy graphs have no
+/// closures yet, which pins every build count regardless of what other
+/// tests ran first.
 ///
 /// The `figures` binary prints it and `tests/paper_scenarios.rs`
 /// snapshots it as `tests/golden/trace.txt`.

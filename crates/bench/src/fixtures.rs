@@ -1,6 +1,6 @@
 //! The paper's running examples as reusable fixtures, plus the shared
-//! harness helpers (probe construction, cache clearing, the metrics
-//! export) the `tables` and `figures` binaries use.
+//! harness helpers (probe construction, the metrics export) the
+//! `tables` and `figures` binaries use.
 
 use std::sync::Arc;
 
@@ -8,29 +8,6 @@ use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 
 use crate::workloads::ClassWorkload;
-
-/// Drop the one shared cross-operator cache (the subsumption-core
-/// cache) and reset the metrics registry with it. The `tables` B3 and
-/// B4 `cold ns` columns call this before each timed repetition, outside
-/// the timed region, so each repetition pays the full subsumption-graph
-/// construction; the tests below pin what it clears. Reachability
-/// closures are not a shared cache: each lives in its graph, so a
-/// fixture relation keeps its closures for as long as it exists.
-///
-/// The reset goes through [`hrdm_core::stats::reset`], which zeroes the
-/// whole registry under its lock: the old per-static-counter stores
-/// could interleave with a concurrent snapshot and report a hit count
-/// from before the reset next to a miss count from after it. The
-/// registry sweep also covers the incremental-maintenance family
-/// (`ivm.*` — delta rows, node reuse, fallbacks) introduced with live
-/// views and the serving-tier family (`server.*` — per-verb latency
-/// histograms, byte counters, admission counters); view registries,
-/// published deltas and slow-query logs are per-engine or per-server
-/// state with no global residue to clear.
-pub fn clear_shared_caches() {
-    hrdm_core::subsumption::clear_cache();
-    hrdm_core::stats::reset();
-}
 
 /// Serialize the whole metrics registry (the `BENCH_obs.json` format)
 /// to `path`; the `figures` binary's `--obs-json` writes it after the
@@ -208,8 +185,11 @@ mod tests {
         assert!(hrdm_core::conflict::is_consistent(&sizes));
     }
 
+    /// `hrdm_core::stats::reset` zeroes the whole registry under its
+    /// lock, so it also covers the incremental-maintenance family
+    /// (`ivm.*`), whose counters join the registry lazily.
     #[test]
-    fn clear_shared_caches_resets_ivm_counters() {
+    fn stats_reset_zeroes_ivm_counters() {
         use hrdm_obs::metrics;
 
         let _guard = audit_lock();
@@ -226,7 +206,7 @@ mod tests {
             metrics::counter(name).add(3);
         }
 
-        clear_shared_caches();
+        hrdm_core::stats::reset();
 
         for name in [
             "ivm.maintained",
@@ -238,11 +218,10 @@ mod tests {
         }
     }
 
-    /// PR-7's ivm-counter audit, extended to the serving tier: the
-    /// shared reset must also zero the server-side latency histograms
-    /// (they live in the same registry).
+    /// The same reset zeroes the serving tier's latency histograms,
+    /// counters and gauges (they live in the same registry).
     #[test]
-    fn clear_shared_caches_resets_server_histograms() {
+    fn stats_reset_zeroes_server_histograms() {
         use hrdm_obs::metrics;
 
         let _guard = audit_lock();
@@ -253,7 +232,7 @@ mod tests {
         metrics::gauge("server.active_connections").set(7);
         assert!(lat.count() >= 1);
 
-        clear_shared_caches();
+        hrdm_core::stats::reset();
 
         assert_eq!(lat.count(), 0, "server histogram survived the reset");
         assert_eq!(lat.sum_ns(), 0);
@@ -261,18 +240,15 @@ mod tests {
         assert_eq!(metrics::gauge("server.active_connections").get(), 0);
     }
 
-    /// What the B3/B4 `_cold` rows measure: after the shared reset an
-    /// operator over a built fixture rebuilds its subsumption core; the
-    /// warm run reuses it. A closure is not a shared cache but part of
-    /// its graph, built by the graph's first reachability probe: the
-    /// fixture's schema builds none, the first cold run builds exactly
-    /// the one it probes, and no later run — cold or warm, either
-    /// operator — builds or requests one.
+    /// What the B3/B4 rows measure: every run of an operator over a
+    /// built fixture builds its one subsumption graph. A closure is part
+    /// of its graph, built by the graph's first reachability probe: the
+    /// fixture's schema builds none, the first run builds exactly the
+    /// one it probes, and no later run of either operator builds one.
     #[test]
-    fn a_cold_iteration_rebuilds_the_core_and_only_the_first_probe_builds_a_closure() {
+    fn every_run_builds_one_core_and_only_the_first_probe_builds_a_closure() {
         use hrdm_obs::attrib::{self, AttribKey};
 
-        let _guard = audit_lock();
         let before = attrib::snapshot();
         let r = crate::workloads::consolidation_workload(3, 4, 4, 2);
         assert!(
@@ -283,27 +259,22 @@ mod tests {
             |r| drop(hrdm_core::consolidate::consolidate(r)),
             |r| drop(hrdm_core::explicate::explicate_all(r)),
         ];
-        let mut builds = Vec::new();
+        let mut closures = Vec::new();
         for op in ops {
-            let mut run = |cold: bool| {
-                if cold {
-                    clear_shared_caches();
-                }
+            for _ in 0..2 {
                 let before = attrib::snapshot();
                 op(&r);
-                let spent = attrib::snapshot().since(&before);
-                assert_eq!(spent.get(AttribKey::ClosureHit), 0);
-                builds.push(spent.get(AttribKey::ClosureMiss));
-                (
-                    spent.get(AttribKey::SubsumptionHit),
-                    spent.get(AttribKey::SubsumptionMiss),
-                )
-            };
-            assert_eq!(run(true), (0, 1), "cold: one core built");
-            assert_eq!(run(false), (1, 0), "warm: that core reused");
+                let spent = attrib::since(&before);
+                assert_eq!(
+                    spent.get(AttribKey::SubsumptionBuild),
+                    1,
+                    "one core per run"
+                );
+                closures.push(spent.get(AttribKey::ClosureMiss));
+            }
         }
-        // consolidate cold, warm; explicate cold, warm.
-        assert_eq!(builds, [1, 0, 0, 0], "closures built per run");
+        // consolidate twice, then explicate twice.
+        assert_eq!(closures, [1, 0, 0, 0], "closures built per run");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! This module computes just the *strongest binders* of one item — the
 //! item's immediate predecessors in its tuple-binding graph — without
-//! materializing the graph (see [`crate::subsumption`] for the full
-//! graphs used by consolidation and the figures). The three preemption
-//! semantics differ only here:
+//! materializing the graph; [`crate::subsumption`] builds the full
+//! graphs used by consolidation and the figures from the same
+//! predicate. The three preemption semantics differ only here:
 //!
 //! * **off-path**: an applicable tuple `x` is immediate iff the original
 //!   item hierarchy has a direct edge `x → q`, or no other applicable
@@ -121,9 +121,9 @@ pub fn strongest_binders(relation: &HRelation, q: &Item) -> Vec<(Item, Truth)> {
 /// Does `x`, one of the `candidates` (the stored tuples that reach `q`),
 /// bind `q` immediately — is it `q`'s predecessor in the tuple-binding
 /// graph under the relation's preemption semantics? This is the one
-/// place the three semantics differ: [`verdict`] and [`bind`] both ask
-/// it of each candidate.
-fn binds_immediately<I: Borrow<Item>>(
+/// place the three semantics differ: [`verdict`], [`bind`] and the
+/// subsumption graphs all ask it of each candidate.
+pub(crate) fn binds_immediately<I: Borrow<Item>>(
     relation: &HRelation,
     q: &Item,
     x: &Item,
@@ -158,7 +158,7 @@ fn binds_immediately<I: Borrow<Item>>(
 ///
 /// BFS over product children, pruned to the interval `[to, from]` via
 /// reachability, so only nodes that could lie on a path are expanded.
-pub(crate) fn path_avoiding(
+fn path_avoiding(
     product: &ProductHierarchy,
     from: &Item,
     to: &Item,

@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use crate::error::{CoreError, Result};
 use crate::item::Item;
+use crate::ops::cartesian_items;
 use crate::relation::HRelation;
 use crate::stats;
 use crate::subsumption::SubsumptionGraph;
@@ -74,8 +75,8 @@ pub fn explicate(relation: &HRelation, attrs: &[usize]) -> Result<HRelation> {
                 }
             })
             .collect();
-        for components in cartesian(&axes) {
-            out.entry(Item::new(components)).or_insert(truth);
+        for item in cartesian_items(&axes) {
+            out.entry(item).or_insert(truth);
         }
     }
 
@@ -94,30 +95,6 @@ pub fn explicate(relation: &HRelation, attrs: &[usize]) -> Result<HRelation> {
 pub fn explicate_all(relation: &HRelation) -> HRelation {
     let attrs: Vec<usize> = (0..relation.schema().arity()).collect();
     explicate(relation, &attrs).expect("all indexes are in range")
-}
-
-/// Odometer enumeration of the Cartesian product of the axes.
-fn cartesian(axes: &[Vec<hrdm_hierarchy::NodeId>]) -> Vec<Vec<hrdm_hierarchy::NodeId>> {
-    if axes.iter().any(|a| a.is_empty()) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut cursor = vec![0usize; axes.len()];
-    loop {
-        out.push(cursor.iter().zip(axes).map(|(&c, axis)| axis[c]).collect());
-        let mut pos = axes.len();
-        loop {
-            if pos == 0 {
-                return out;
-            }
-            pos -= 1;
-            cursor[pos] += 1;
-            if cursor[pos] < axes[pos].len() {
-                break;
-            }
-            cursor[pos] = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -306,15 +283,5 @@ mod tests {
         r.assert_fact(&["Empty"], Truth::Positive).unwrap();
         let flat = explicate_all(&r);
         assert!(flat.is_empty());
-    }
-
-    #[test]
-    fn cartesian_helper() {
-        use hrdm_hierarchy::NodeId;
-        let n = NodeId::from_index;
-        assert_eq!(cartesian(&[]).len(), 1, "nullary product has one element");
-        assert!(cartesian(&[vec![], vec![n(1)]]).is_empty());
-        let out = cartesian(&[vec![n(1), n(2)], vec![n(3)]]);
-        assert_eq!(out, vec![vec![n(1), n(3)], vec![n(2), n(3)]]);
     }
 }

@@ -229,8 +229,15 @@ mod tests {
     fn cartesian_items_shapes() {
         use hrdm_hierarchy::NodeId;
         let n = NodeId::from_index;
+        assert_eq!(
+            cartesian_items(&[]).len(),
+            1,
+            "nullary product has one element"
+        );
         assert!(cartesian_items(&[vec![], vec![n(0)]]).is_empty());
         let out = cartesian_items(&[vec![n(0), n(1)], vec![n(2), n(3)]]);
         assert_eq!(out.len(), 4);
+        let out = cartesian_items(&[vec![n(1), n(2)], vec![n(3)]]);
+        assert_eq!(out, [vec![n(1), n(3)], vec![n(2), n(3)]].map(Item::new));
     }
 }

@@ -11,7 +11,7 @@
 //! optimizer over a [`LogicalPlan`] IR, plus the executor — the only
 //! one — which lowers plans onto the operator functions in
 //! [`crate::ops`], [`crate::consolidate`] and [`crate::explicate`] on
-//! the calling thread, over the shared closure/subsumption caches those
+//! the calling thread, over the graphs' memoized closures those
 //! operators already sit on.
 //!
 //! # Canonical output
@@ -526,7 +526,7 @@ pub struct Executed {
     /// `own_ns` and per-node cache-attribution fields), plus a
     /// `Canonicalize` node for the root consolidate, plus whatever the
     /// operators themselves opened underneath (closure builds,
-    /// subsumption-core builds).
+    /// subsumption-graph builds).
     pub trace: QueryTrace,
     /// Tuples removed by the final canonicalizing consolidate.
     pub canonicalized_away: usize,
@@ -669,7 +669,7 @@ impl LogicalPlan {
     }
 }
 
-/// Attach the nonzero cache-attribution deltas as span fields, in
+/// Attach the nonzero attribution deltas as span fields, in
 /// [`attrib::ALL_KEYS`] order.
 fn annotate_attrib(span: &mut hrdm_obs::SpanGuard, delta: &attrib::AttribSnapshot) {
     for (key, field) in attrib::ALL_KEYS {
@@ -1051,15 +1051,12 @@ mod tests {
             }
         }
         // The select runs over a fresh graph's closure on this thread:
-        // cache attribution shows up on the node that did the work.
+        // the build shows up on the node that did the work.
         let attributed: u64 = out
             .trace
             .nodes()
             .iter()
-            .map(|n| {
-                n.field_u64("closure_hits").unwrap_or(0)
-                    + n.field_u64("closure_misses").unwrap_or(0)
-            })
+            .map(|n| n.field_u64("closure_misses").unwrap_or(0))
             .sum();
         assert!(attributed > 0, "no closure traffic attributed to any node");
     }

@@ -2,112 +2,45 @@
 //!
 //! "For a relation, a subsumption graph is obtained by eliminating all
 //! nodes in the hierarchy graph for which no tuples have been asserted."
-//! Because the (product) item hierarchy is exponential, we never run the
-//! elimination literally; instead the surviving edge set is computed in
-//! closed form, which the hierarchy crate property-tests against the
-//! literal node-elimination procedure:
-//!
-//! * **off-path**: edge `x → y` iff `x` reaches `y` and either the item
-//!   hierarchy has a *direct* edge `x → y`, or no other tuple item lies
-//!   strictly between;
-//! * **on-path**: edge `x → y` iff some hierarchy path `x → y` has no
-//!   tuple item in its interior;
-//! * **no-preemption**: edge `x → y` iff `x` reaches `y`.
+//! That elimination, seen from one stored tuple, leaves the tuple's
+//! immediate predecessors: exactly its strongest binders (§2.1). So
+//! the graph is built on the binding kernel, never by eliminating the
+//! exponential product hierarchy literally: a node's parents are the
+//! stored tuples above it ([`HRelation::candidates`]) that
+//! [`binds_immediately`] keeps, under the relation's preemption
+//! semantics. The core crate's tests hold every edge to the literal
+//! node-elimination procedure in all three modes.
 //!
 //! §3.3.1's **universal negated tuple** is included as a virtual node
 //! (index [`SubsumptionGraph::UNIVERSAL`]) "defined over D*", with an
 //! arc to every tuple node that has no other predecessor — this is what
 //! makes parentless negated tuples detectably redundant.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use hrdm_hierarchy::topo::kahn_order;
 use hrdm_obs::attrib::{self, AttribKey};
 
-use crate::binding::path_avoiding;
+use crate::binding::binds_immediately;
 use crate::item::Item;
-use crate::preemption::Preemption;
 use crate::relation::HRelation;
 use crate::stats;
 use crate::truth::Truth;
-
-/// The immutable node/edge data of a subsumption graph, shared via
-/// `Arc` between the cache and every [`SubsumptionGraph`] handle so a
-/// cache hit is a pointer copy, never a rebuild.
-struct SubsumptionCore {
-    items: Vec<Item>,
-    truths: Vec<Truth>,
-    children: Vec<Vec<usize>>,
-    parents: Vec<Vec<usize>>,
-}
-
-/// Upper bound on cached subsumption cores, FIFO-evicted.
-const MAX_CACHED: usize = 64;
-
-/// Cache key: per-attribute domain stamps (see
-/// [`hrdm_hierarchy::graph::HierarchyGraph::version`]), the preemption
-/// mode (it changes the edge set), and a fingerprint of the tuple set.
-/// A hit additionally verifies the stored items/truths byte-for-byte,
-/// so a fingerprint collision can never alias two relations.
-#[derive(PartialEq, Eq, Hash, Clone)]
-struct CacheKey {
-    domains: Vec<u64>,
-    preemption: Preemption,
-    fingerprint: u64,
-}
-
-#[derive(Default)]
-struct CacheStore {
-    map: HashMap<CacheKey, Arc<SubsumptionCore>>,
-    order: Vec<CacheKey>,
-}
-
-fn cache() -> &'static Mutex<CacheStore> {
-    static CACHE: OnceLock<Mutex<CacheStore>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(CacheStore::default()))
-}
-
-fn fingerprint(items: &[Item], truths: &[Truth]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for (item, truth) in items.iter().zip(truths) {
-        for &c in item.components() {
-            eat(c.index() as u64 + 1);
-        }
-        eat(matches!(truth, Truth::Positive) as u64 + 0x10);
-    }
-    eat(items.len() as u64);
-    h
-}
-
-/// Drop every cached subsumption core. Exposed so parity tests and
-/// benchmarks can measure cold builds deliberately.
-pub fn clear_cache() {
-    let mut s = cache().lock().unwrap();
-    s.map.clear();
-    s.order.clear();
-}
 
 /// The subsumption graph of a relation (optionally extended with one
 /// extra item, which turns it into that item's tuple-binding graph).
 ///
 /// Node indexes: 0 is the virtual universal negated tuple; `1..` are the
-/// relation's stored tuples in deterministic item order (plus the extra
-/// item, if any, at the returned position).
+/// relation's stored tuples in item order (plus the extra item, if any,
+/// last).
 ///
-/// Whole-relation graphs ([`SubsumptionGraph::build`]) are cached by
-/// (domain versions, preemption, tuple set): consolidate, explicate,
-/// and conflict detection over the same unchanged relation share one
-/// construction. Binding graphs
-/// ([`SubsumptionGraph::build_for_item`]) are query-specific and always
-/// built fresh.
+/// Every call builds its graph: consolidate, explicate and the figures
+/// each build the one they walk, and nothing is kept between calls.
 pub struct SubsumptionGraph {
-    core: Arc<SubsumptionCore>,
+    items: Vec<Item>,
+    truths: Vec<Truth>,
+    children: Vec<Vec<usize>>,
+    parents: Vec<Vec<usize>>,
     /// Index of the extra (query) item, when built as a tuple-binding
     /// graph for an item with no stored tuple.
     extra: Option<usize>,
@@ -117,48 +50,18 @@ impl SubsumptionGraph {
     /// Index of the virtual universal negated tuple.
     pub const UNIVERSAL: usize = 0;
 
-    /// Build the subsumption graph of `relation` (§3.3.1), reusing the
-    /// shared cache when the relation's domains, preemption mode, and
-    /// tuple set are unchanged.
+    /// Build the subsumption graph of `relation` (§3.3.1): every stored
+    /// tuple, each with its strongest binders as parents.
     pub fn build(relation: &HRelation) -> SubsumptionGraph {
-        let (items, truths, _) = collect_nodes(relation, None);
-        let key = CacheKey {
-            domains: (0..relation.schema().arity())
-                .map(|i| relation.schema().domain(i).version())
-                .collect(),
-            preemption: relation.preemption(),
-            fingerprint: fingerprint(&items, &truths),
-        };
-        if let Some(hit) = cache().lock().unwrap().map.get(&key) {
-            // Verify content, not just the fingerprint.
-            if hit.items == items && hit.truths == truths {
-                stats::record_subsumption_hit();
-                attrib::bump(AttribKey::SubsumptionHit);
-                return SubsumptionGraph {
-                    core: Arc::clone(hit),
-                    extra: None,
-                };
-            }
-        }
-        attrib::bump(AttribKey::SubsumptionMiss);
+        attrib::bump(AttribKey::SubsumptionBuild);
         let mut span = hrdm_obs::span!("core.subsumption.build");
         if span.is_active() {
-            span.field_u64("tuples", items.len() as u64);
+            span.field_u64("tuples", relation.len() as u64 + 1);
         }
         let start = Instant::now();
-        let core = Arc::new(build_core(relation, items, truths));
-        stats::record_subsumption_miss(start.elapsed());
-        drop(span);
-        let mut s = cache().lock().unwrap();
-        if !s.map.contains_key(&key) {
-            s.map.insert(key.clone(), Arc::clone(&core));
-            s.order.push(key);
-            while s.map.len() > MAX_CACHED {
-                let victim = s.order.remove(0);
-                s.map.remove(&victim);
-            }
-        }
-        SubsumptionGraph { core, extra: None }
+        let g = SubsumptionGraph::over(relation, relation.iter(), None);
+        stats::record_subsumption_build(start.elapsed());
+        g
     }
 
     /// Build the tuple-binding graph for `item` (§2.1): the subsumption
@@ -166,51 +69,100 @@ impl SubsumptionGraph {
     ///
     /// Returns the graph and the node index of `item`.
     pub fn build_for_item(relation: &HRelation, item: &Item) -> (SubsumptionGraph, usize) {
-        let (items, truths, extra) = collect_nodes(relation, Some(item));
-        let core = Arc::new(build_core(relation, items, truths));
-        let idx = core
-            .items
-            .iter()
-            .position(|i| i == item)
+        let above = relation.candidates(item);
+        let query = (!relation.contains(item)).then_some(item);
+        let g = SubsumptionGraph::over(relation, above.iter().copied(), query);
+        let idx = g
+            .extra
+            .or_else(|| g.index_of(item))
             .expect("query item always present");
-        (SubsumptionGraph { core, extra }, idx)
+        (g, idx)
     }
 
-    /// Whether two graphs share one cached core (observability hook for
-    /// the cache tests — `Arc` identity, not structural equality).
-    #[cfg(test)]
-    pub(crate) fn shares_core(&self, other: &SubsumptionGraph) -> bool {
-        Arc::ptr_eq(&self.core, &other.core)
+    /// The graph over the universal node, `tuples` (stored, in item
+    /// order, closed upward: every stored tuple reaching one of them is
+    /// among them) and `query`, appended last.
+    fn over<'r>(
+        relation: &HRelation,
+        tuples: impl Iterator<Item = (&'r Item, Truth)>,
+        query: Option<&Item>,
+    ) -> SubsumptionGraph {
+        let mut items = vec![relation.schema().universal_item()];
+        let mut truths = vec![Truth::Negative];
+        for (item, truth) in tuples {
+            items.push(item.clone());
+            truths.push(truth);
+        }
+        let stored = items.len();
+        let extra = query.map(|q| {
+            items.push(q.clone());
+            // Truth placeholder; the query node's truth is what the
+            // binding computes, not an assertion.
+            truths.push(Truth::Negative);
+            stored
+        });
+        let n = items.len();
+        let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (y, preds) in parents.iter_mut().enumerate().skip(1) {
+            let q = &items[y];
+            let candidates = relation.candidates(q);
+            *preds = candidates
+                .iter()
+                .filter(|(x, _)| binds_immediately(relation, q, x, &candidates))
+                .map(|(x, _)| {
+                    1 + items[1..stored]
+                        .binary_search(x)
+                        .expect("a stored tuple above a node is a node")
+                })
+                .collect();
+        }
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (y, preds) in parents.iter_mut().enumerate().skip(1) {
+            // Universal negated tuple: arc to every parentless real node.
+            if preds.is_empty() {
+                preds.push(SubsumptionGraph::UNIVERSAL);
+            }
+            for &x in preds.iter() {
+                children[x].push(y);
+            }
+        }
+        SubsumptionGraph {
+            items,
+            truths,
+            children,
+            parents,
+            extra,
+        }
     }
 
     /// Total nodes including the universal virtual node.
     pub fn node_count(&self) -> usize {
-        self.core.items.len()
+        self.items.len()
     }
 
     /// The item at a node (the universal node maps to `D*` itself).
     pub fn item(&self, i: usize) -> &Item {
-        &self.core.items[i]
+        &self.items[i]
     }
 
     /// The truth value at a node (the universal node is negative).
     pub fn truth(&self, i: usize) -> Truth {
-        self.core.truths[i]
+        self.truths[i]
     }
 
     /// Immediate successors.
     pub fn children(&self, i: usize) -> &[usize] {
-        &self.core.children[i]
+        &self.children[i]
     }
 
     /// Immediate predecessors.
     pub fn parents(&self, i: usize) -> &[usize] {
-        &self.core.parents[i]
+        &self.parents[i]
     }
 
     /// The node index of a stored item, if present.
     pub fn index_of(&self, item: &Item) -> Option<usize> {
-        self.core.items[1..]
+        self.items[1..]
             .iter()
             .position(|i| i == item)
             .map(|p| p + 1)
@@ -227,7 +179,7 @@ impl SubsumptionGraph {
     /// topological order ([`kahn_order`]: general before specific, the
     /// smallest free index first).
     pub fn topo_order(&self) -> Vec<usize> {
-        let mut order = kahn_order(self.node_count(), |x| self.core.children[x].iter().copied());
+        let mut order = kahn_order(self.node_count(), |x| self.children[x].iter().copied());
         order.retain(|&x| x != Self::UNIVERSAL);
         order
     }
@@ -235,106 +187,10 @@ impl SubsumptionGraph {
     /// Decompose into a mutable [`SmallDigraph`] for consolidation.
     pub(crate) fn to_digraph(&self) -> SmallDigraph {
         SmallDigraph {
-            children: self.core.children.clone(),
-            parents: self.core.parents.clone(),
+            children: self.children.clone(),
+            parents: self.parents.clone(),
             alive: vec![true; self.node_count()],
         }
-    }
-}
-
-/// Node set of the (binding-)graph: the universal virtual node + stored
-/// tuples (restricted to those reaching the query item when building a
-/// binding graph) + the query item itself.
-fn collect_nodes(
-    relation: &HRelation,
-    query: Option<&Item>,
-) -> (Vec<Item>, Vec<Truth>, Option<usize>) {
-    let product = relation.schema().product();
-    let mut items: Vec<Item> = vec![relation.schema().universal_item()];
-    let mut truths: Vec<Truth> = vec![Truth::Negative];
-    let mut extra = None;
-    for (i, t) in relation.iter() {
-        if let Some(q) = query {
-            if !product.reaches(i.components(), q.components()) {
-                continue;
-            }
-        }
-        items.push(i.clone());
-        truths.push(t);
-    }
-    if let Some(q) = query {
-        if !items[1..].contains(q) {
-            items.push(q.clone());
-            // Truth placeholder; the query node's truth is what the
-            // binding computes, not an assertion.
-            truths.push(Truth::Negative);
-            extra = Some(items.len() - 1);
-        }
-    }
-    (items, truths, extra)
-}
-
-/// Closed-form edge construction over the collected nodes: one successor
-/// row per node, then the predecessor lists in one pass over the rows.
-fn build_core(relation: &HRelation, items: Vec<Item>, truths: Vec<Truth>) -> SubsumptionCore {
-    let product = relation.schema().product();
-    let preemption = relation.preemption();
-    let n = items.len();
-    let items_ref = &items;
-    let reaches =
-        |a: usize, b: usize| product.reaches(items_ref[a].components(), items_ref[b].components());
-
-    // Edges among real nodes (indexes 1..n), one row per source.
-    let row_of = |x: usize| {
-        let mut row = Vec::new();
-        if x == SubsumptionGraph::UNIVERSAL {
-            return row;
-        }
-        for y in 1..n {
-            if x == y || !reaches(x, y) || items_ref[x] == items_ref[y] {
-                continue;
-            }
-            let edge = match preemption {
-                Preemption::NoPreemption => true,
-                Preemption::OffPath => {
-                    product
-                        .direct_edge(items_ref[x].components(), items_ref[y].components())
-                        .is_some()
-                        || !(1..n).any(|z| z != x && z != y && reaches(x, z) && reaches(z, y))
-                }
-                Preemption::OnPath => {
-                    path_avoiding(product, &items_ref[x], &items_ref[y], |node| {
-                        (1..n).any(|z| z != y && items_ref[z] == *node)
-                    })
-                }
-            };
-            if edge {
-                row.push(y);
-            }
-        }
-        row
-    };
-    let mut children: Vec<Vec<usize>> = (0..n).map(row_of).collect();
-    let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (x, row) in children.iter().enumerate().skip(1) {
-        for &y in row {
-            parents[y].push(x);
-        }
-    }
-
-    // Universal negated tuple: arc to every parentless real node.
-    for (y, preds) in parents.iter_mut().enumerate().skip(1) {
-        if preds.is_empty() {
-            children[SubsumptionGraph::UNIVERSAL].push(y);
-            preds.push(SubsumptionGraph::UNIVERSAL);
-        }
-    }
-
-    SubsumptionCore {
-        items,
-        truths,
-        children,
-        parents,
     }
 }
 
@@ -542,41 +398,5 @@ mod tests {
         d.eliminate(1);
         assert_eq!(d.children[0], vec![2]);
         assert_eq!(d.predecessors(3), &[2]);
-    }
-
-    #[test]
-    fn repeated_builds_share_one_cached_core() {
-        let mut r = flying();
-        let g1 = SubsumptionGraph::build(&r);
-        let g2 = SubsumptionGraph::build(&r);
-        assert!(g1.shares_core(&g2), "unchanged relation must hit");
-
-        // A tuple change invalidates (the fingerprint differs).
-        r.assert_fact(&["Pamela"], Truth::Negative).unwrap();
-        let g3 = SubsumptionGraph::build(&r);
-        assert!(!g3.shares_core(&g1));
-        assert!(g3.shares_core(&SubsumptionGraph::build(&r)));
-
-        // Preemption mode is part of the key.
-        r.set_preemption(crate::preemption::Preemption::OnPath);
-        let g4 = SubsumptionGraph::build(&r);
-        assert!(!g4.shares_core(&g3));
-
-        // Binding graphs are query-specific: never cached.
-        let peter = r.item(&["Peter"]).unwrap();
-        let (b1, _) = SubsumptionGraph::build_for_item(&r, &peter);
-        let (b2, _) = SubsumptionGraph::build_for_item(&r, &peter);
-        assert!(!b1.shares_core(&b2));
-    }
-
-    #[test]
-    fn identical_twin_relations_do_not_cross_hit() {
-        // Two structurally identical relations over *different* graph
-        // instances have different domain versions: no false sharing.
-        let r1 = flying();
-        let r2 = flying();
-        let g1 = SubsumptionGraph::build(&r1);
-        let g2 = SubsumptionGraph::build(&r2);
-        assert!(!g1.shares_core(&g2));
     }
 }

@@ -6,8 +6,9 @@
 //! The arity-1 agreement is property-tested in `properties.rs`; this
 //! suite materializes small two-attribute products (feasible only at
 //! test scale — that's the point of the closed form) and compares
-//! immediate-predecessor sets for every atomic item, in all three
-//! preemption modes.
+//! immediate-predecessor sets, in all three preemption modes: every
+//! stored tuple's parents in the subsumption graph, and every atomic
+//! item's strongest binders and parents in its tuple-binding graph.
 
 use std::sync::Arc;
 
@@ -15,6 +16,7 @@ use proptest::prelude::*;
 
 use hrdm_core::binding::strongest_binders;
 use hrdm_core::prelude::*;
+use hrdm_core::subsumption::SubsumptionGraph;
 use hrdm_hierarchy::elim::{EliminationGraph, EliminationMode};
 use hrdm_hierarchy::gen::{layered_dag, sample_nodes};
 use hrdm_hierarchy::{HierarchyGraph, NodeId, ProductHierarchy};
@@ -86,6 +88,44 @@ fn item_of(mapping: &[(Item, NodeId)], node: NodeId) -> &Item {
         .expect("every product node is mapped")
 }
 
+/// `v`'s predecessors in the materialized product once every node
+/// `kept` refuses is eliminated (§2.1/Appendix), as sorted items.
+fn literal(
+    materialized: &HierarchyGraph,
+    mapping: &[(Item, NodeId)],
+    mode: Preemption,
+    kept: impl Fn(NodeId) -> bool,
+    v: NodeId,
+) -> Vec<Item> {
+    let mut e = match mode {
+        Preemption::OffPath => EliminationGraph::new(materialized, EliminationMode::OffPath),
+        Preemption::OnPath => EliminationGraph::new(materialized, EliminationMode::OnPath),
+        Preemption::NoPreemption => EliminationGraph::from_closure(materialized),
+    };
+    e.retain(kept);
+    let mut preds: Vec<Item> = e
+        .predecessors(v)
+        .iter()
+        .map(|&p| item_of(mapping, p).clone())
+        .collect();
+    preds.sort();
+    preds.dedup();
+    preds
+}
+
+/// Node `v`'s parents in `g`, the universal node left out, as sorted
+/// items.
+fn parents(g: &SubsumptionGraph, v: usize) -> Vec<Item> {
+    let mut items: Vec<Item> = g
+        .parents(v)
+        .iter()
+        .filter(|&&p| p != SubsumptionGraph::UNIVERSAL)
+        .map(|&p| g.item(p).clone())
+        .collect();
+    items.sort();
+    items
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -117,32 +157,35 @@ proptest! {
             })
             .collect();
 
+        // Every stored tuple's parents in the subsumption graph.
+        let tuples_only = |n: NodeId| tuple_nodes.contains(&n);
+        let sub = SubsumptionGraph::build(&r);
+        for v in 1..sub.node_count() {
+            let vn = node_of(&mapping, sub.item(v));
+            prop_assert_eq!(
+                parents(&sub, v),
+                literal(&materialized, &mapping, mode, tuples_only, vn),
+                "mode {:?}, stored tuple {:?}",
+                mode,
+                r.schema().display_item(sub.item(v))
+            );
+        }
+
         for q in atoms {
+            let qn = node_of(&mapping, &q);
+            let with_query = |n: NodeId| n == qn || tuple_nodes.contains(&n);
+            let expected = literal(&materialized, &mapping, mode, with_query, qn);
+            let (tbg, qi) = SubsumptionGraph::build_for_item(&r, &q);
+            prop_assert_eq!(
+                parents(&tbg, qi),
+                expected.clone(),
+                "binding graph, mode {:?}, query {:?}",
+                mode,
+                r.schema().display_item(&q)
+            );
             if r.contains(&q) {
                 continue;
             }
-            let qn = node_of(&mapping, &q);
-
-            // Literal: eliminate every materialized product node that
-            // has no tuple (except the query), per §2.1/Appendix.
-            let mut e = match mode {
-                Preemption::OffPath => {
-                    EliminationGraph::new(&materialized, EliminationMode::OffPath)
-                }
-                Preemption::OnPath => {
-                    EliminationGraph::new(&materialized, EliminationMode::OnPath)
-                }
-                Preemption::NoPreemption => EliminationGraph::from_closure(&materialized),
-            };
-            e.retain(|n| n == qn || tuple_nodes.contains(&n));
-            let mut literal: Vec<Item> = e
-                .predecessors(qn)
-                .iter()
-                .filter(|p| tuple_nodes.contains(p))
-                .map(|&p| item_of(&mapping, p).clone())
-                .collect();
-            literal.sort();
-            literal.dedup();
 
             let mut closed: Vec<Item> = strongest_binders(&r, &q)
                 .into_iter()
@@ -153,7 +196,7 @@ proptest! {
 
             prop_assert_eq!(
                 closed,
-                literal,
+                expected,
                 "mode {:?}, query {:?}",
                 mode,
                 r.schema().display_item(&q)

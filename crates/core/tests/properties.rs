@@ -23,7 +23,7 @@ use hrdm_core::prelude::*;
 use hrdm_core::subsumption::SubsumptionGraph;
 use hrdm_hierarchy::elim::{EliminationGraph, EliminationMode};
 use hrdm_hierarchy::gen::{layered_dag, sample_nodes};
-use hrdm_hierarchy::HierarchyGraph;
+use hrdm_hierarchy::{HierarchyGraph, NodeId};
 
 /// Owned atom set of a relation's flat model (avoids borrow lifetimes in
 /// proptest macros).
@@ -279,9 +279,11 @@ proptest! {
         prop_assert_eq!(atoms_of(&p), expected);
     }
 
-    /// Paper-faithfulness: the closed-form strongest-binder computation
-    /// must agree with the literal node-elimination procedure on
-    /// single-attribute relations, in all three preemption modes.
+    /// Paper-faithfulness: the binding kernel must agree with the
+    /// literal node-elimination procedure on single-attribute relations,
+    /// in all three preemption modes — for a query item's strongest
+    /// binders, for its tuple-binding graph, and for every edge of the
+    /// subsumption graph.
     #[test]
     fn binding_matches_literal_elimination(
         r in arb_relation(),
@@ -298,40 +300,66 @@ proptest! {
         let q = sample_nodes(g, 1, qseed)
             .into_iter()
             .next()
-            .unwrap_or(hrdm_hierarchy::NodeId::ROOT);
+            .unwrap_or(NodeId::ROOT);
         let qitem = Item::new(vec![q]);
-        if r.contains(&qitem) {
-            return Ok(()); // explicit tuples preempt everything, trivially equal
+        let tuple_nodes: Vec<NodeId> = r.items().map(|i| i.component(0)).collect();
+        let sorted = |nodes: Vec<NodeId>| {
+            let mut nodes = nodes;
+            nodes.sort_unstable();
+            nodes.dedup();
+            nodes
+        };
+
+        // Literal: eliminate all hierarchy nodes without tuples, per
+        // §2.1, in the right elimination flavour. Only tuple nodes and
+        // (for the binding graph) the query survive, so every
+        // predecessor left is a binder.
+        let literal = |kept: &dyn Fn(NodeId) -> bool, v: NodeId| {
+            let mut e = match mode {
+                Preemption::OffPath => EliminationGraph::new(g, EliminationMode::OffPath),
+                Preemption::OnPath => EliminationGraph::new(g, EliminationMode::OnPath),
+                Preemption::NoPreemption => EliminationGraph::from_closure(g),
+            };
+            e.retain(kept);
+            sorted(e.predecessors(v).to_vec())
+        };
+        let parents = |sub: &SubsumptionGraph, v: usize| {
+            sorted(
+                sub.parents(v)
+                    .iter()
+                    .filter(|&&p| p != SubsumptionGraph::UNIVERSAL)
+                    .map(|&p| sub.item(p).component(0))
+                    .collect(),
+            )
+        };
+
+        // Every stored tuple's parents in the subsumption graph.
+        let sub = SubsumptionGraph::build(&r);
+        for v in 1..sub.node_count() {
+            let node = sub.item(v).component(0);
+            prop_assert_eq!(
+                parents(&sub, v),
+                literal(&|n| tuple_nodes.contains(&n), node),
+                "mode {:?}, stored tuple {:?}", mode, node
+            );
         }
 
-        // Literal: eliminate all hierarchy nodes without tuples (except
-        // the query node), per §2.1, in the right elimination flavour.
-        let tuple_nodes: Vec<hrdm_hierarchy::NodeId> =
-            r.items().map(|i| i.component(0)).collect();
-        let mut e = match mode {
-            Preemption::OffPath => EliminationGraph::new(g, EliminationMode::OffPath),
-            Preemption::OnPath => EliminationGraph::new(g, EliminationMode::OnPath),
-            Preemption::NoPreemption => EliminationGraph::from_closure(g),
-        };
-        e.retain(|n| n == q || tuple_nodes.contains(&n));
-        let mut literal: Vec<hrdm_hierarchy::NodeId> = e
-            .predecessors(q)
-            .iter()
-            .copied()
-            .filter(|p| tuple_nodes.contains(p)) // only tuple nodes bind
-            .collect();
-        literal.sort_unstable();
-        literal.dedup();
+        // The query node's parents in its tuple-binding graph.
+        let with_query = |n: NodeId| n == q || tuple_nodes.contains(&n);
+        let expected = literal(&with_query, q);
+        let (tbg, qi) = SubsumptionGraph::build_for_item(&r, &qitem);
+        prop_assert_eq!(parents(&tbg, qi), expected.clone(), "mode {:?}, query {:?}", mode, q);
 
-        let mut closed: Vec<hrdm_hierarchy::NodeId> =
+        if r.contains(&qitem) {
+            return Ok(()); // explicit tuples preempt everything
+        }
+        let closed = sorted(
             hrdm_core::binding::strongest_binders(&r, &qitem)
                 .into_iter()
                 .map(|(i, _)| i.component(0))
-                .collect();
-        closed.sort_unstable();
-        closed.dedup();
-
-        prop_assert_eq!(closed, literal, "mode {:?}, query {:?}", mode, q);
+                .collect(),
+        );
+        prop_assert_eq!(closed, expected, "mode {:?}, query {:?}", mode, q);
     }
 
     /// The subsumption graph's order is the hierarchy crate's one order:

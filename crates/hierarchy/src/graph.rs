@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -26,15 +25,7 @@ use crate::node::{NodeId, NodeName};
 use crate::reach::{ClosureKind, Reachability};
 use crate::spill::SpillVec;
 
-/// Source of structural stamps (see [`HierarchyGraph::version`]).
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_stamp() -> u64 {
-    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
-
 struct ClosureMetrics {
-    hits: Counter,
     misses: Counter,
     build_ns: Counter,
 }
@@ -42,33 +33,25 @@ struct ClosureMetrics {
 fn obs() -> &'static ClosureMetrics {
     static M: OnceLock<ClosureMetrics> = OnceLock::new();
     M.get_or_init(|| ClosureMetrics {
-        hits: metrics::counter("hierarchy.closure.hits"),
         misses: metrics::counter("hierarchy.closure.misses"),
         build_ns: metrics::counter("hierarchy.closure.build_ns"),
     })
 }
 
-/// Process-wide counters of closure traffic (see
+/// Process-wide counters of closure builds (see
 /// [`HierarchyGraph::closure_ref`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClosureStats {
-    /// Shared handles ([`HierarchyGraph::closure`]) served from a
-    /// graph's memo; a borrowing probe is not counted.
-    pub hits: u64,
     /// Closures built: one per graph version and kind that a probe or a
     /// handle request found unbuilt.
     pub misses: u64,
-    /// Total wall time spent building closures, in nanoseconds.
-    pub build_ns: u64,
 }
 
-/// Snapshot of the closure hit/miss/build-time counters.
+/// Snapshot of the closure build counter. The build time stays in the
+/// registry (`hierarchy.closure.build_ns`) for the exports.
 pub fn closure_stats() -> ClosureStats {
-    let m = obs();
     ClosureStats {
-        hits: m.hits.get(),
-        misses: m.misses.get(),
-        build_ns: m.build_ns.get(),
+        misses: obs().misses.get(),
     }
 }
 
@@ -132,8 +115,7 @@ pub const ANCESTORS_INLINE: usize = 32;
 /// preemption — but [`crate::reach::redundant_edge_list`] detects them and
 /// [`crate::reach::transitive_reduction`] removes them.
 ///
-/// A clone is the same structure: it keeps the source's
-/// [`version`](HierarchyGraph::version) stamp and shares its memoized
+/// A clone is the same structure: it shares the source's memoized
 /// closures until its first structural edit, which touches only the
 /// clone.
 #[derive(Clone)]
@@ -141,8 +123,6 @@ pub struct HierarchyGraph {
     nodes: Vec<NodeData>,
     by_name: HashMap<NodeName, NodeId>,
     edge_count: usize,
-    /// Structural stamp; see [`HierarchyGraph::version`].
-    stamp: u64,
     /// The memoized closures, one slot per [`ClosureKind`]; see
     /// [`HierarchyGraph::closure_ref`].
     closures: [OnceLock<Arc<Reachability>>; 2],
@@ -163,26 +143,13 @@ impl HierarchyGraph {
             }],
             by_name,
             edge_count: 0,
-            stamp: fresh_stamp(),
             closures: Default::default(),
         }
     }
 
-    /// The structural stamp: drawn fresh from a process-wide counter at
-    /// construction and at every structural edit (node added, edge
-    /// added or removed), and kept by [`Clone`]. Two graphs with equal
-    /// stamps are therefore structurally equal, which is what lets a
-    /// content-keyed cache of derived structures (the subsumption
-    /// cores) use it as the graph's part of a key.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.stamp
-    }
-
     /// A structural edit happened: the closures describe the old
-    /// structure and no graph with the old stamp may equal this one.
+    /// structure.
     fn edited(&mut self) {
-        self.stamp = fresh_stamp();
         self.closures = Default::default();
     }
 
@@ -191,27 +158,17 @@ impl HierarchyGraph {
     ///
     /// Built on first request and memoized in the graph itself, so it
     /// is shared by every holder of the graph (and by its clones) and
-    /// freed with the last of them; a structural edit clears it. A
-    /// handle served from the memo counts as a hit; probes that only
-    /// read the matrix borrow it through
+    /// freed with the last of them; a structural edit clears it.
+    /// Probes that only read the matrix borrow it through
     /// [`closure_ref`](HierarchyGraph::closure_ref) instead.
     pub fn closure(&self) -> Arc<Reachability> {
-        self.shared(ClosureKind::Both)
+        Arc::clone(self.memo(ClosureKind::Both))
     }
 
     /// The subset-edge-only closure (membership queries), memoized like
     /// [`closure`](HierarchyGraph::closure).
     pub fn subset_closure(&self) -> Arc<Reachability> {
-        self.shared(ClosureKind::SubsetOnly)
-    }
-
-    fn shared(&self, kind: ClosureKind) -> Arc<Reachability> {
-        if let Some(hit) = self.closures[kind as usize].get() {
-            obs().hits.incr();
-            attrib::bump(AttribKey::ClosureHit);
-            return Arc::clone(hit);
-        }
-        Arc::clone(self.memo(kind))
+        Arc::clone(self.memo(ClosureKind::SubsetOnly))
     }
 
     /// The memoized closure of `kind`, borrowed from the graph.
@@ -220,7 +177,8 @@ impl HierarchyGraph {
     /// `reaches`/`subsumes`/`interval` and this graph's intersection
     /// queries — so nothing builds a closure until the first probe
     /// needs one. A memo hit is one acquire load: it clones no `Arc`
-    /// and bumps no counter. Only a build is counted.
+    /// and bumps no counter. Only a build is counted, here and for a
+    /// shared handle alike.
     #[inline]
     pub fn closure_ref(&self, kind: ClosureKind) -> &Reachability {
         self.memo(kind)

@@ -1,9 +1,7 @@
 //! The closure memo protocol: a graph's closures live in the graph,
 //! are cleared by its three structural mutators and by nothing else,
 //! are shared with its clones until one of them is edited, and are
-//! freed with the last holder of the graph. The structural stamp
-//! ([`HierarchyGraph::version`]) never equates two different
-//! structures, which is what the subsumption-core cache's key needs.
+//! freed with the last holder of the graph.
 
 use std::sync::{Arc, Barrier};
 
@@ -13,7 +11,7 @@ use proptest::prelude::*;
 use hrdm_hierarchy::reach::{
     redundant_edge_list, transitive_closure_edges, ClosureKind, Reachability,
 };
-use hrdm_hierarchy::{closure_stats, EdgeKind, HierarchyGraph, NodeId, NodeKind, ProductHierarchy};
+use hrdm_hierarchy::{EdgeKind, HierarchyGraph, NodeId, NodeKind, ProductHierarchy};
 
 fn chain() -> HierarchyGraph {
     let mut g = HierarchyGraph::new("D");
@@ -37,16 +35,14 @@ fn the_two_kinds_have_their_own_slots() {
     let a = g.expect("A");
     let b2 = g.add_class("B2", g.root()).unwrap();
     g.add_preference_edge(a, b2).unwrap();
-    // Deltas, not absolutes: the counters are process-wide and other
-    // tests in this binary bump them concurrently.
-    let before = closure_stats();
-    let [both, subset] = closures(&g);
+    let (built, first) = builds(|| closures(&g));
+    let [both, subset] = &first;
     assert!(both.reaches(a, b2), "preference edge reaches");
     assert!(!subset.reaches(a, b2), "but is not membership");
-    let _ = closures(&g);
-    let after = closure_stats();
-    assert!(after.misses >= before.misses + 2, "one build per kind");
-    assert!(after.hits >= before.hits + 2, "then one hit per kind");
+    assert_eq!(built, 2, "one build per kind");
+    let (built, again) = builds(|| closures(&g));
+    assert_eq!(built, 0);
+    assert!(same(&first, &again), "then the memo serves both");
 }
 
 #[test]
@@ -54,10 +50,9 @@ fn only_the_three_mutators_clear_the_memo() {
     let mut g = chain();
     let (a, b, c) = (g.expect("A"), g.expect("B"), g.expect("C"));
     let before = closures(&g);
-    let stamp = g.version();
 
     // Everything that takes `&self` — and every refused edit — leaves
-    // the memo and the stamp alone.
+    // the memo alone.
     let _ = g.provably_intersect(a, b);
     let _ = g.common_descendants(a, b);
     let _ = g.intersection_candidates(a, b);
@@ -71,7 +66,6 @@ fn only_the_three_mutators_clear_the_memo() {
     assert!(g.add_edge(a, b).is_err(), "duplicate edge");
     assert!(g.remove_edge(a, c).is_err(), "absent edge");
     assert!(same(&before, &closures(&g)));
-    assert_eq!(g.version(), stamp);
 
     // add_node
     let e = g.add_class("E", g.root()).unwrap();
@@ -80,42 +74,35 @@ fn only_the_three_mutators_clear_the_memo() {
     assert!(!Arc::ptr_eq(&before[1], &after_node[1]));
     assert_eq!(after_node[0].len(), g.len());
     assert!(!after_node[0].reaches(e, c));
-    assert_ne!(g.version(), stamp);
 
     // add_edge_kind (both kinds go through it)
-    let stamp = g.version();
     g.add_edge(e, c).unwrap();
     let after_edge = closures(&g);
     assert!(!Arc::ptr_eq(&after_node[0], &after_edge[0]));
     assert!(!Arc::ptr_eq(&after_node[1], &after_edge[1]));
     assert!(after_edge[1].reaches(e, c));
-    assert_ne!(g.version(), stamp);
 
     // remove_edge
-    let stamp = g.version();
     g.remove_edge(e, c).unwrap();
     let after_remove = closures(&g);
     assert!(!Arc::ptr_eq(&after_edge[0], &after_remove[0]));
     assert!(!Arc::ptr_eq(&after_edge[1], &after_remove[1]));
     assert!(!after_remove[0].reaches(e, c));
-    assert_ne!(g.version(), stamp);
 }
 
 /// The copy-on-write path `Arc::make_mut` takes under a published
 /// snapshot: the copy is the same structure until it is edited, and the
 /// edit is invisible to the snapshot.
 #[test]
-fn a_clone_shares_stamp_and_closures_until_its_first_edit() {
+fn a_clone_shares_closures_until_its_first_edit() {
     let published = Arc::new(chain());
     let resident = closures(&published);
     let mut working = Arc::clone(&published);
 
     let copy = Arc::make_mut(&mut working);
-    assert_eq!(copy.version(), published.version());
     assert!(same(&resident, &closures(copy)));
 
     copy.add_class("X", copy.expect("C")).unwrap();
-    assert_ne!(copy.version(), published.version());
     let diverged = closures(copy);
     assert!(!Arc::ptr_eq(&resident[0], &diverged[0]));
     assert_eq!(diverged[0].len(), published.len() + 1);
@@ -126,7 +113,6 @@ fn a_clone_shares_stamp_and_closures_until_its_first_edit() {
     // other.
     let cold = chain();
     let twin = cold.clone();
-    assert_eq!(cold.version(), twin.version());
     assert!(!Arc::ptr_eq(&cold.closure(), &twin.closure()));
 }
 
@@ -234,23 +220,15 @@ fn structure(g: &HierarchyGraph) -> Structure {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random histories of clones and (possibly refused) edits over a
-    /// pool of graphs: equal stamps always mean equal structure, and a
-    /// refused edit changes neither.
+    /// Random edit histories: an applied edit clears the memo, and a
+    /// refused one changes neither the structure nor the memo.
     #[test]
-    fn equal_stamps_mean_equal_structure(
-        ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>(), any::<u32>()), 1..40),
+    fn a_refused_edit_changes_nothing(
+        ops in prop::collection::vec((1u8..6, any::<u32>(), any::<u32>()), 1..40),
     ) {
-        let mut pool = vec![HierarchyGraph::new("D")];
-        for (step, (op, which, x, y)) in ops.into_iter().enumerate() {
-            let k = which as usize % pool.len();
-            if op == 0 {
-                let copy = pool[k].clone();
-                pool.push(copy);
-                continue;
-            }
-            let g = &mut pool[k];
-            let (before, stamp) = (structure(g), g.version());
+        let mut g = HierarchyGraph::new("D");
+        for (step, (op, x, y)) in ops.into_iter().enumerate() {
+            let (before, memo) = (structure(&g), closures(&g));
             let a = NodeId::from_index(x as usize % g.len());
             let b = NodeId::from_index(y as usize % g.len());
             let applied = match op {
@@ -260,18 +238,9 @@ proptest! {
                 4 => g.add_preference_edge(a, b).is_ok(),
                 _ => g.remove_edge(a, b).is_ok(),
             };
-            if applied {
-                prop_assert_ne!(g.version(), stamp);
-            } else {
-                prop_assert_eq!(g.version(), stamp);
-                prop_assert_eq!(structure(g), before);
-            }
-            for (i, p) in pool.iter().enumerate() {
-                for q in &pool[i + 1..] {
-                    if p.version() == q.version() {
-                        prop_assert_eq!(structure(p), structure(q));
-                    }
-                }
+            prop_assert_eq!(same(&memo, &closures(&g)), !applied);
+            if !applied {
+                prop_assert_eq!(structure(&g), before);
             }
         }
     }

@@ -2,11 +2,11 @@
 //!
 //! The global metrics registry answers "how much cache traffic did the
 //! whole process generate", but a plan node wants to report *its own*
-//! closure hits — and under `cargo test` or parallel workers the
+//! closure builds — and under `cargo test` or parallel workers the
 //! global counters are polluted by whatever else is running. These
 //! slots are per-thread: an operator snapshots them, does its work, and
 //! takes the delta, which is deterministic no matter what other threads
-//! do to the shared caches.
+//! do.
 //!
 //! Instrumented code bumps both the registry metric *and* the matching
 //! attribution slot; the registry feeds exports, the slots feed trace
@@ -17,14 +17,10 @@ use std::cell::Cell;
 /// The attribution slots an operator can charge work to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum AttribKey {
-    /// A closure served from its graph's memo.
-    ClosureHit,
     /// Closure-memo miss (a reachability closure was built).
     ClosureMiss,
-    /// Subsumption-core reuse from the shared core cache.
-    SubsumptionHit,
-    /// Subsumption-core build (cache miss).
-    SubsumptionMiss,
+    /// A whole-relation subsumption graph was built.
+    SubsumptionBuild,
     /// Storage heap page reads.
     HeapRead,
     /// Storage heap page writes.
@@ -32,14 +28,12 @@ pub enum AttribKey {
 }
 
 /// Number of distinct [`AttribKey`] slots.
-pub const KEY_COUNT: usize = 6;
+pub const KEY_COUNT: usize = 4;
 
 /// Every key with its trace-field name, in slot order.
 pub const ALL_KEYS: [(AttribKey, &str); KEY_COUNT] = [
-    (AttribKey::ClosureHit, "closure_hits"),
     (AttribKey::ClosureMiss, "closure_misses"),
-    (AttribKey::SubsumptionHit, "subsumption_hits"),
-    (AttribKey::SubsumptionMiss, "subsumption_misses"),
+    (AttribKey::SubsumptionBuild, "subsumption_builds"),
     (AttribKey::HeapRead, "heap_reads"),
     (AttribKey::HeapWrite, "heap_writes"),
 ];
@@ -47,12 +41,10 @@ pub const ALL_KEYS: [(AttribKey, &str); KEY_COUNT] = [
 impl AttribKey {
     fn slot(self) -> usize {
         match self {
-            AttribKey::ClosureHit => 0,
-            AttribKey::ClosureMiss => 1,
-            AttribKey::SubsumptionHit => 2,
-            AttribKey::SubsumptionMiss => 3,
-            AttribKey::HeapRead => 4,
-            AttribKey::HeapWrite => 5,
+            AttribKey::ClosureMiss => 0,
+            AttribKey::SubsumptionBuild => 1,
+            AttribKey::HeapRead => 2,
+            AttribKey::HeapWrite => 3,
         }
     }
 }
@@ -120,12 +112,12 @@ mod tests {
     #[test]
     fn deltas_attribute_per_thread() {
         let before = snapshot();
-        bump(AttribKey::ClosureHit);
+        bump(AttribKey::ClosureMiss);
         add(AttribKey::HeapRead, 3);
         let delta = since(&before);
-        assert_eq!(delta.get(AttribKey::ClosureHit), 1);
+        assert_eq!(delta.get(AttribKey::ClosureMiss), 1);
         assert_eq!(delta.get(AttribKey::HeapRead), 3);
-        assert_eq!(delta.get(AttribKey::SubsumptionMiss), 0);
+        assert_eq!(delta.get(AttribKey::SubsumptionBuild), 0);
         assert!(!delta.is_zero());
 
         // Another thread's bumps never show up in this thread's delta.

@@ -21,9 +21,8 @@
 //!   closure opened on its thread as a [`trace::QueryTrace`] tree with
 //!   per-node rows, wall time, and cache-attribution fields.
 //! * [`attrib`] — thread-local attribution slots (closure and
-//!   subsumption cache hits/misses, heap I/O) that let a plan node
-//!   report *its own* cache traffic deterministically even while other
-//!   threads hammer the shared caches.
+//!   subsumption-graph builds, heap I/O) that let a plan node report
+//!   *its own* work deterministically even while other threads run.
 //! * [`chrome`] — `chrome://tracing`-loadable JSON export of a trace.
 //! * [`slowlog`] — a bounded buffer of the N slowest requests (wall
 //!   time, epoch, rendered trace tree); each server owns one, feeds it
