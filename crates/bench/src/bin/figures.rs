@@ -35,7 +35,7 @@ fn main() {
         }
     }
 
-    hrdm_core::stats::reset();
+    hrdm_obs::metrics::reset_all();
     let ((), trace) = hrdm_obs::trace::capture("figures", || {
         print!("{}", hrdm_bench::figures::report());
         print!("{}", hrdm_bench::figures::explain_report());

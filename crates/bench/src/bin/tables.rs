@@ -23,6 +23,7 @@ use hrdm_core::render::render_table;
 use hrdm_hierarchy::gen::balanced_tree;
 use hrdm_hierarchy::{NodeId, ProductHierarchy};
 use hrdm_obs::attrib::{self, AttribKey};
+use hrdm_obs::metrics::Registry;
 
 fn heading(title: &str) {
     println!("\n{}", "=".repeat(78));
@@ -499,14 +500,7 @@ fn b9_datalog() {
 /// WAL's share and `wait` (`wal.sync_wait`) the part of it the writer
 /// spent waiting for an `fdatasync` the loss bound required.
 fn b10_write_split() {
-    const STAGES: [&str; 6] = [
-        "engine.write.clone",
-        "engine.write.apply",
-        "engine.write.journal",
-        "engine.write.net_delta",
-        "engine.write.maintain",
-        "engine.write.publish",
-    ];
+    use hrdm_hql::engine::WRITE_STAGES as STAGES;
     const INSTANCES: usize = 12_000;
     heading("B10 — One tuple written: where the write's time goes (§3.1)");
     print!("{:>8} {:>10} {:>5} |", "tuples", "relations", "sync");
@@ -750,7 +744,10 @@ fn b10_restart() {
     let begin_ns = time_with_setup(
         REPS,
         || copy_store(&store, &copy),
-        |()| Journal::begin(&copy, next_lsn, &Image::from_catalog(&replayed), 32).expect("begins"),
+        |()| {
+            let image = Image::from_catalog(&replayed);
+            Journal::begin(&copy, next_lsn, &image, 32, Registry::global()).expect("begins")
+        },
     );
     let open_ns = time_with_setup(
         REPS,

@@ -160,13 +160,6 @@ pub fn fig11_enclosures(animals: &Arc<HierarchyGraph>) -> (Arc<HierarchyGraph>, 
 mod tests {
     use super::*;
 
-    /// The audit tests both sweep the process-global registry; run
-    /// them one at a time so neither clears the other's mid-test state.
-    fn audit_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn fixtures_build_and_are_consistent() {
         let tax = fig1_taxonomy();
@@ -185,55 +178,33 @@ mod tests {
         assert!(hrdm_core::conflict::is_consistent(&sizes));
     }
 
-    /// `hrdm_core::stats::reset` zeroes the whole registry under its
-    /// lock, so it also covers the incremental-maintenance family
-    /// (`ivm.*`), whose counters join the registry lazily.
+    /// `reset_all` zeroes the whole process registry in one sweep, so
+    /// it covers the families that register lazily too: `ivm.*` and
+    /// the serving tier's histograms, counters and gauges.
     #[test]
-    fn stats_reset_zeroes_ivm_counters() {
+    fn stats_reset_zeroes_every_family() {
         use hrdm_obs::metrics;
 
-        let _guard = audit_lock();
-
-        // Touch one counter from each family the reset must cover: the
-        // live-view maintenance counters and the differential-operator
-        // counters join the registry lazily, so register-and-bump first.
-        for name in [
+        let ivm = [
             "ivm.maintained",
             "ivm.fallback",
             "ivm.delta_rows",
             "ivm.nodes_localized",
-        ] {
+        ];
+        for name in ivm {
             metrics::counter(name).add(3);
         }
-
-        hrdm_core::stats::reset();
-
-        for name in [
-            "ivm.maintained",
-            "ivm.fallback",
-            "ivm.delta_rows",
-            "ivm.nodes_localized",
-        ] {
-            assert_eq!(metrics::counter(name).get(), 0, "{name} survived the reset");
-        }
-    }
-
-    /// The same reset zeroes the serving tier's latency histograms,
-    /// counters and gauges (they live in the same registry).
-    #[test]
-    fn stats_reset_zeroes_server_histograms() {
-        use hrdm_obs::metrics;
-
-        let _guard = audit_lock();
-
         let lat = metrics::histogram("server.latency.query");
         lat.observe_ns(1_234);
         metrics::counter("server.requests").incr();
         metrics::gauge("server.active_connections").set(7);
         assert!(lat.count() >= 1);
 
-        hrdm_core::stats::reset();
+        hrdm_obs::metrics::reset_all();
 
+        for name in ivm {
+            assert_eq!(metrics::counter(name).get(), 0, "{name} survived the reset");
+        }
         assert_eq!(lat.count(), 0, "server histogram survived the reset");
         assert_eq!(lat.sum_ns(), 0);
         assert_eq!(metrics::counter("server.requests").get(), 0);

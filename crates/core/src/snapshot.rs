@@ -70,11 +70,6 @@ fn clone_counter() -> &'static hrdm_obs::metrics::Counter {
     C.get_or_init(|| hrdm_obs::metrics::counter("engine.snapshot_clone"))
 }
 
-fn epoch_gauge() -> &'static hrdm_obs::metrics::Gauge {
-    static G: std::sync::OnceLock<hrdm_obs::metrics::Gauge> = std::sync::OnceLock::new();
-    G.get_or_init(|| hrdm_obs::metrics::gauge("engine.epoch"))
-}
-
 impl<T: Default> Default for SnapshotCell<T> {
     fn default() -> SnapshotCell<T> {
         SnapshotCell::new(T::default())
@@ -116,7 +111,6 @@ impl<T> SnapshotCell<T> {
         let mut slot = self.slot.write().expect("snapshot slot poisoned");
         slot.epoch += 1;
         slot.state = state;
-        epoch_gauge().set(slot.epoch);
         slot.epoch
     }
 }

@@ -1,21 +1,12 @@
-//! `EngineStats`: a typed view over the engine's metrics registry.
+//! `EngineStats`: a typed view over the process-wide `core.*` and
+//! `hierarchy.closure.*` metrics of the `hrdm-obs` registry.
 //!
-//! The counters themselves now live in the shared `hrdm-obs` registry
-//! (`core.*` namespace here, `hierarchy.closure.*` for the closure
-//! memo, `storage.heap.*` in the storage crate), so recording stays a
-//! relaxed atomic op — but resets, exports (Prometheus text,
-//! `BENCH_obs.json`) and latency quantiles come from one place instead
-//! of per-crate static sets.
-//!
-//! [`snapshot`] gathers the registry values into one [`EngineStats`]
-//! struct; [`reset`] is **atomic** across every registered metric
-//! ([`hrdm_obs::metrics::reset_all`] zeroes the whole registry in one
-//! sweep under the registry lock), which closes the old bench-harness
-//! race where caches were cleared while per-op wall-time accumulators
-//! kept the previous run's totals. [`EngineStats`] holds counts only —
-//! the wall-time counters and latency histograms stay in the registry
-//! for the exports — so [`EngineStats::render_stable`] can embed an
-//! engine-stats trailer without depending on wall-clock noise.
+//! [`snapshot`] gathers them into one [`EngineStats`];
+//! [`hrdm_obs::metrics::reset_all`] zeroes them, with the rest of the
+//! process registry, in one sweep. [`EngineStats`] holds counts only —
+//! wall times and latency quantiles stay in the registry for the
+//! exports — so [`EngineStats::render_stable`] is free of wall-clock
+//! noise.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -27,21 +18,13 @@ struct CoreMetrics {
     subsumption_build_ns: Counter,
     tuples_eliminated: Counter,
     tuples_expanded: Counter,
-    consolidate_calls: Counter,
-    consolidate_ns: Counter,
     consolidate_latency: Histogram,
-    explicate_calls: Counter,
-    explicate_ns: Counter,
     explicate_latency: Histogram,
     conflict_calls: Counter,
     conflict_ns: Counter,
-    join_calls: Counter,
-    join_ns: Counter,
     join_latency: Histogram,
     plan_execs: Counter,
-    plan_nodes: Counter,
     plan_rows: Counter,
-    plan_ns: Counter,
     plan_node_latency: Histogram,
 }
 
@@ -52,21 +35,13 @@ fn obs() -> &'static CoreMetrics {
         subsumption_build_ns: metrics::counter("core.subsumption.build_ns"),
         tuples_eliminated: metrics::counter("core.consolidate.eliminated"),
         tuples_expanded: metrics::counter("core.explicate.expanded"),
-        consolidate_calls: metrics::counter("core.consolidate.calls"),
-        consolidate_ns: metrics::counter("core.consolidate.ns"),
         consolidate_latency: metrics::histogram("core.consolidate.latency_ns"),
-        explicate_calls: metrics::counter("core.explicate.calls"),
-        explicate_ns: metrics::counter("core.explicate.ns"),
         explicate_latency: metrics::histogram("core.explicate.latency_ns"),
         conflict_calls: metrics::counter("core.conflict.calls"),
         conflict_ns: metrics::counter("core.conflict.ns"),
-        join_calls: metrics::counter("core.join.calls"),
-        join_ns: metrics::counter("core.join.ns"),
         join_latency: metrics::histogram("core.join.latency_ns"),
         plan_execs: metrics::counter("core.plan.execs"),
-        plan_nodes: metrics::counter("core.plan.nodes"),
         plan_rows: metrics::counter("core.plan.rows"),
-        plan_ns: metrics::counter("core.plan.ns"),
         plan_node_latency: metrics::histogram("core.plan.node_latency_ns"),
     })
 }
@@ -104,64 +79,48 @@ impl EngineStats {
     /// re-running the engine gives byte-identical output as long as the
     /// *work* is identical, no matter how fast the machine is.
     pub fn render_stable(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "closure memo      {} built\n",
-            self.closure_misses
-        ));
-        out.push_str(&format!(
-            "subsumption graph {} built\n",
-            self.subsumption_builds
-        ));
-        out.push_str(&format!(
-            "consolidate       {} calls, {} tuples eliminated\n",
-            self.consolidate_calls, self.tuples_eliminated,
-        ));
-        out.push_str(&format!(
-            "explicate         {} calls, {} tuples expanded\n",
-            self.explicate_calls, self.tuples_expanded,
-        ));
-        out.push_str(&format!(
-            "conflict check    {} calls\n",
-            self.conflict_calls
-        ));
-        out.push_str(&format!("join              {} calls\n", self.join_calls));
-        out.push_str(&format!(
-            "plan exec         {} plan(s), {} node(s), {} row(s)",
-            self.plan_execs, self.plan_nodes, self.plan_rows,
-        ));
-        out
+        format!(
+            "closure memo      {} built\n\
+             subsumption graph {} built\n\
+             consolidate       {} calls, {} tuples eliminated\n\
+             explicate         {} calls, {} tuples expanded\n\
+             conflict check    {} calls\n\
+             join              {} calls\n\
+             plan exec         {} plan(s), {} node(s), {} row(s)",
+            self.closure_misses,
+            self.subsumption_builds,
+            self.consolidate_calls,
+            self.tuples_eliminated,
+            self.explicate_calls,
+            self.tuples_expanded,
+            self.conflict_calls,
+            self.join_calls,
+            self.plan_execs,
+            self.plan_nodes,
+            self.plan_rows,
+        )
     }
 }
 
 /// Snapshot every counter, merging the hierarchy crate's closure
-/// counters with the core-side operator counters.
+/// counter with the core-side operator counters. An operator's calls
+/// (and the plan's nodes) are the observation counts of its latency
+/// histogram, recorded by the same call.
 pub fn snapshot() -> EngineStats {
     let m = obs();
     EngineStats {
-        closure_misses: hrdm_hierarchy::closure_stats().misses,
+        closure_misses: metrics::counter("hierarchy.closure.misses").get(),
         subsumption_builds: m.subsumption_builds.get(),
         tuples_eliminated: m.tuples_eliminated.get(),
         tuples_expanded: m.tuples_expanded.get(),
-        consolidate_calls: m.consolidate_calls.get(),
-        explicate_calls: m.explicate_calls.get(),
+        consolidate_calls: m.consolidate_latency.count(),
+        explicate_calls: m.explicate_latency.count(),
         conflict_calls: m.conflict_calls.get(),
-        join_calls: m.join_calls.get(),
+        join_calls: m.join_latency.count(),
         plan_execs: m.plan_execs.get(),
-        plan_nodes: m.plan_nodes.get(),
+        plan_nodes: m.plan_node_latency.count(),
         plan_rows: m.plan_rows.get(),
     }
-}
-
-/// Zero every counter — atomically, across all crates.
-///
-/// This is one sweep over the shared metrics registry under its lock,
-/// so there is no window where (say) the closure counters read
-/// zero but the consolidate wall-time accumulator still holds the
-/// previous run: either a reader sees the old totals or the new zeros.
-/// Memoized closures are kept.
-pub fn reset() {
-    metrics::reset_all();
 }
 
 pub(crate) fn record_subsumption_build(build: Duration) {
@@ -172,19 +131,13 @@ pub(crate) fn record_subsumption_build(build: Duration) {
 
 pub(crate) fn record_consolidate(elapsed: Duration, eliminated: usize) {
     let m = obs();
-    let ns = elapsed.as_nanos() as u64;
-    m.consolidate_calls.incr();
-    m.consolidate_ns.add(ns);
-    m.consolidate_latency.observe_ns(ns);
+    m.consolidate_latency.observe_ns(elapsed.as_nanos() as u64);
     m.tuples_eliminated.add(eliminated as u64);
 }
 
 pub(crate) fn record_explicate(elapsed: Duration, expanded: usize) {
     let m = obs();
-    let ns = elapsed.as_nanos() as u64;
-    m.explicate_calls.incr();
-    m.explicate_ns.add(ns);
-    m.explicate_latency.observe_ns(ns);
+    m.explicate_latency.observe_ns(elapsed.as_nanos() as u64);
     m.tuples_expanded.add(expanded as u64);
 }
 
@@ -195,11 +148,7 @@ pub(crate) fn record_conflict(elapsed: Duration) {
 }
 
 pub(crate) fn record_join(elapsed: Duration) {
-    let m = obs();
-    let ns = elapsed.as_nanos() as u64;
-    m.join_calls.incr();
-    m.join_ns.add(ns);
-    m.join_latency.observe_ns(ns);
+    obs().join_latency.observe_ns(elapsed.as_nanos() as u64);
 }
 
 pub(crate) fn record_plan_exec() {
@@ -208,9 +157,7 @@ pub(crate) fn record_plan_exec() {
 
 pub(crate) fn record_plan_node(rows: usize, wall_ns: u64) {
     let m = obs();
-    m.plan_nodes.incr();
     m.plan_rows.add(rows as u64);
-    m.plan_ns.add(wall_ns);
     m.plan_node_latency.observe_ns(wall_ns);
 }
 

@@ -6,8 +6,8 @@
 //! immediate predecessors: exactly its strongest binders (§2.1). So
 //! the graph is built on the binding kernel, never by eliminating the
 //! exponential product hierarchy literally: a node's parents are the
-//! stored tuples above it ([`HRelation::candidates`]) that
-//! [`binds_immediately`] keeps, under the relation's preemption
+//! stored tuples above it (`HRelation::candidates`) that
+//! `binding::binds_immediately` keeps, under the relation's preemption
 //! semantics. The core crate's tests hold every edge to the literal
 //! node-elimination procedure in all three modes.
 //!

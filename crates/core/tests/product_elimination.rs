@@ -6,13 +6,20 @@
 //! The arity-1 agreement is property-tested in `properties.rs`; this
 //! suite materializes small two-attribute products (feasible only at
 //! test scale — that's the point of the closed form) and compares
-//! immediate-predecessor sets, in all three preemption modes: every
-//! stored tuple's parents in the subsumption graph, and every atomic
-//! item's strongest binders and parents in its tuple-binding graph.
+//! immediate-predecessor sets, in all three preemption modes for every
+//! case: every stored tuple's parents in the subsumption graph, and
+//! every atomic item's strongest binders and parents in its
+//! tuple-binding graph.
+//!
+//! The cases are dense enough to hold an edge rule to the literal
+//! procedure on their own: class layers up to three deep and up to
+//! eight stored tuples make chains of three stored tuples common, which
+//! is where off-path preemption drops an edge that no-preemption keeps.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use hrdm_core::binding::strongest_binders;
 use hrdm_core::prelude::*;
@@ -30,14 +37,14 @@ fn setup(
     tseed: u64,
 ) -> (HRelation, HierarchyGraph, Vec<(Item, NodeId)>) {
     let g1 = Arc::new(layered_dag(
-        1 + (s1 % 2) as usize,
-        2 + (s1 / 2 % 2) as usize,
+        1 + (s1 % 3) as usize,
+        2 + (s1 / 3 % 2) as usize,
         2,
         s1,
     ));
     let g2 = Arc::new(layered_dag(
-        1 + (s2 % 2) as usize,
-        2 + (s2 / 2 % 2) as usize,
+        1 + (s2 % 3) as usize,
+        2 + (s2 / 3 % 2) as usize,
         2,
         s2,
     ));
@@ -127,80 +134,93 @@ fn parents(g: &SubsumptionGraph, v: usize) -> Vec<Item> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn binding_matches_literal_elimination_on_materialized_product(
         s1 in 0u64..1000,
         s2 in 0u64..1000,
-        ntuples in 1usize..5,
+        ntuples in 1usize..9,
         tseed in any::<u64>(),
-        mode in prop::sample::select(vec![
-            Preemption::OffPath,
-            Preemption::OnPath,
-            Preemption::NoPreemption,
-        ]),
     ) {
-        let (mut r, materialized, mapping) = setup(s1, s2, ntuples, tseed);
-        r.set_preemption(mode);
-
-        let tuple_nodes: Vec<NodeId> = r
-            .items()
-            .map(|i| node_of(&mapping, i))
-            .collect();
-
-        // Query every atomic item without a stored tuple.
-        let schema = r.schema().clone();
-        let atoms: Vec<Item> = schema.domain(0).instances()
-            .flat_map(|a| {
-                schema.domain(1).instances().map(move |b| Item::new(vec![a, b]))
-            })
-            .collect();
-
-        // Every stored tuple's parents in the subsumption graph.
-        let tuples_only = |n: NodeId| tuple_nodes.contains(&n);
-        let sub = SubsumptionGraph::build(&r);
-        for v in 1..sub.node_count() {
-            let vn = node_of(&mapping, sub.item(v));
-            prop_assert_eq!(
-                parents(&sub, v),
-                literal(&materialized, &mapping, mode, tuples_only, vn),
-                "mode {:?}, stored tuple {:?}",
-                mode,
-                r.schema().display_item(sub.item(v))
-            );
-        }
-
-        for q in atoms {
-            let qn = node_of(&mapping, &q);
-            let with_query = |n: NodeId| n == qn || tuple_nodes.contains(&n);
-            let expected = literal(&materialized, &mapping, mode, with_query, qn);
-            let (tbg, qi) = SubsumptionGraph::build_for_item(&r, &q);
-            prop_assert_eq!(
-                parents(&tbg, qi),
-                expected.clone(),
-                "binding graph, mode {:?}, query {:?}",
-                mode,
-                r.schema().display_item(&q)
-            );
-            if r.contains(&q) {
-                continue;
-            }
-
-            let mut closed: Vec<Item> = strongest_binders(&r, &q)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            closed.sort();
-            closed.dedup();
-
-            prop_assert_eq!(
-                closed,
-                expected,
-                "mode {:?}, query {:?}",
-                mode,
-                r.schema().display_item(&q)
-            );
+        for mode in [Preemption::OffPath, Preemption::OnPath, Preemption::NoPreemption] {
+            check(s1, s2, ntuples, tseed, mode)?;
         }
     }
+}
+
+/// Every stored tuple's subsumption-graph parents, and every atomic
+/// item's binding-graph parents and strongest binders, against the
+/// literal elimination on the materialized product, in `mode`.
+fn check(
+    s1: u64,
+    s2: u64,
+    ntuples: usize,
+    tseed: u64,
+    mode: Preemption,
+) -> Result<(), TestCaseError> {
+    let (mut r, materialized, mapping) = setup(s1, s2, ntuples, tseed);
+    r.set_preemption(mode);
+
+    let tuple_nodes: Vec<NodeId> = r.items().map(|i| node_of(&mapping, i)).collect();
+
+    // Query every atomic item without a stored tuple.
+    let schema = r.schema().clone();
+    let atoms: Vec<Item> = schema
+        .domain(0)
+        .instances()
+        .flat_map(|a| {
+            schema
+                .domain(1)
+                .instances()
+                .map(move |b| Item::new(vec![a, b]))
+        })
+        .collect();
+
+    // Every stored tuple's parents in the subsumption graph.
+    let tuples_only = |n: NodeId| tuple_nodes.contains(&n);
+    let sub = SubsumptionGraph::build(&r);
+    for v in 1..sub.node_count() {
+        let vn = node_of(&mapping, sub.item(v));
+        prop_assert_eq!(
+            parents(&sub, v),
+            literal(&materialized, &mapping, mode, tuples_only, vn),
+            "mode {:?}, stored tuple {:?}",
+            mode,
+            r.schema().display_item(sub.item(v))
+        );
+    }
+
+    for q in atoms {
+        let qn = node_of(&mapping, &q);
+        let with_query = |n: NodeId| n == qn || tuple_nodes.contains(&n);
+        let expected = literal(&materialized, &mapping, mode, with_query, qn);
+        let (tbg, qi) = SubsumptionGraph::build_for_item(&r, &q);
+        prop_assert_eq!(
+            parents(&tbg, qi),
+            expected.clone(),
+            "binding graph, mode {:?}, query {:?}",
+            mode,
+            r.schema().display_item(&q)
+        );
+        if r.contains(&q) {
+            continue;
+        }
+
+        let mut closed: Vec<Item> = strongest_binders(&r, &q)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        closed.sort();
+        closed.dedup();
+
+        prop_assert_eq!(
+            closed,
+            expected,
+            "mode {:?}, query {:?}",
+            mode,
+            r.schema().display_item(&q)
+        );
+    }
+    Ok(())
 }

@@ -38,23 +38,6 @@ fn obs() -> &'static ClosureMetrics {
     })
 }
 
-/// Process-wide counters of closure builds (see
-/// [`HierarchyGraph::closure_ref`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClosureStats {
-    /// Closures built: one per graph version and kind that a probe or a
-    /// handle request found unbuilt.
-    pub misses: u64,
-}
-
-/// Snapshot of the closure build counter. The build time stays in the
-/// registry (`hierarchy.closure.build_ns`) for the exports.
-pub fn closure_stats() -> ClosureStats {
-    ClosureStats {
-        misses: obs().misses.get(),
-    }
-}
-
 /// What a node stands for in the taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {

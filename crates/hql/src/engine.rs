@@ -34,7 +34,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hrdm_core::delta::{Delta, RelationChange, RelationDelta};
@@ -42,7 +42,7 @@ use hrdm_core::justify::justify;
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
 use hrdm_core::render::render_table;
-use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
+use hrdm_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use hrdm_persist::{Image, Journal, LsnMarks};
 
 use crate::ast::{names, Statement, ValueRef, STATEMENT_KINDS};
@@ -80,27 +80,15 @@ struct EngineInner {
     /// (the server's `STATS` answers on its event loop); replaced when
     /// `OPEN` attaches a journal.
     marks: Mutex<Option<Arc<LsnMarks>>>,
+    obs: EngineObs,
 }
 
-struct IvmMetrics {
-    maintained: Counter,
-    fallback: Counter,
-    detached: Counter,
-}
-
-fn ivm_obs() -> &'static IvmMetrics {
-    static M: OnceLock<IvmMetrics> = OnceLock::new();
-    M.get_or_init(|| IvmMetrics {
-        maintained: metrics::counter("ivm.maintained"),
-        fallback: metrics::counter("ivm.fallback"),
-        detached: metrics::counter("ivm.detached"),
-    })
-}
-
-/// Write-path contention telemetry, sampled at writer-lock
-/// acquisition (the `engine.epoch` gauge itself is maintained by the
-/// snapshot cell at publish time).
-struct WriteObs {
+/// The engine's own metrics scope ([`Engine::metrics`]) and the
+/// handles its writer records into, resolved when the engine is built.
+struct EngineObs {
+    metrics: Registry,
+    /// `engine.epoch`: the epoch this engine published last.
+    epoch: Gauge,
     /// Writers queued on or holding the writer mutex, as seen by the
     /// writer that just acquired it.
     queue_depth: Gauge,
@@ -126,9 +114,23 @@ struct WriteObs {
     /// the time from lock acquisition to publication exactly. A refused
     /// write observes nothing.
     stages: [Histogram; 6],
+    /// Live-view maintenance outcomes (`ivm.maintained`, `.fallback`,
+    /// `.detached`), one add each per write.
+    ivm: [Counter; 3],
 }
 
-/// Indexes into [`WriteObs::stages`].
+/// The names of the six write-stage histograms each engine keeps in its
+/// [`metrics`](Engine::metrics), in the order a write runs the stages.
+pub const WRITE_STAGES: [&str; 6] = [
+    "engine.write.clone",
+    "engine.write.apply",
+    "engine.write.journal",
+    "engine.write.net_delta",
+    "engine.write.maintain",
+    "engine.write.publish",
+];
+
+/// Indexes into `EngineObs::stages`.
 const CLONE: usize = 0;
 const APPLY: usize = 1;
 const JOURNAL: usize = 2;
@@ -136,22 +138,20 @@ const NET_DELTA: usize = 3;
 const MAINTAIN: usize = 4;
 const PUBLISH: usize = 5;
 
-fn write_obs() -> &'static WriteObs {
-    static M: OnceLock<WriteObs> = OnceLock::new();
-    M.get_or_init(|| WriteObs {
-        queue_depth: metrics::gauge("engine.write_queue_depth"),
-        epoch_lag: metrics::gauge("engine.epoch_lag"),
-        contended: metrics::counter("engine.write_contended"),
-        wait: metrics::histogram("engine.write_wait"),
-        stages: [
-            metrics::histogram("engine.write.clone"),
-            metrics::histogram("engine.write.apply"),
-            metrics::histogram("engine.write.journal"),
-            metrics::histogram("engine.write.net_delta"),
-            metrics::histogram("engine.write.maintain"),
-            metrics::histogram("engine.write.publish"),
-        ],
-    })
+impl Default for EngineObs {
+    fn default() -> EngineObs {
+        let metrics = Registry::scope();
+        EngineObs {
+            epoch: metrics.gauge("engine.epoch"),
+            queue_depth: metrics.gauge("engine.write_queue_depth"),
+            epoch_lag: metrics.gauge("engine.epoch_lag"),
+            contended: metrics.counter("engine.write_contended"),
+            wait: metrics.histogram("engine.write_wait"),
+            stages: WRITE_STAGES.map(|name| metrics.histogram(name)),
+            ivm: ["ivm.maintained", "ivm.fallback", "ivm.detached"].map(|n| metrics.counter(n)),
+            metrics,
+        }
+    }
 }
 
 /// Close the write stage that began at `*boundary` and open the next:
@@ -196,6 +196,8 @@ pub struct WriteTxn<'a> {
     pub delta: Delta,
     journal: &'a mut Option<Journal>,
     marks: &'a Mutex<Option<Arc<LsnMarks>>>,
+    /// The engine's registry, which a journal `OPEN` attaches counts into.
+    metrics: &'a Registry,
     /// Time this write has spent staging WAL records so far.
     journal_time: Duration,
 }
@@ -427,6 +429,13 @@ impl Engine {
         self.inner.state.epoch()
     }
 
+    /// This engine's own metrics scope: its writes (`engine.*`), live
+    /// views (`ivm.maintained`/`fallback`/`detached`), open journal
+    /// (`wal.*`, `persist.*`) and, for a replica, `replica.*`.
+    pub fn metrics(&self) -> &Registry {
+        &self.inner.obs.metrics
+    }
+
     /// The most recent committed write's structured [`Delta`], paired
     /// with the epoch it produced; `None` until the first write. Its
     /// row-level entries are *net*: applying one to the relation as it
@@ -502,7 +511,7 @@ impl Engine {
     /// clone of the published world, and publish the clone as the next
     /// epoch iff `f` (and view maintenance) succeed.
     fn write<T>(&self, f: impl FnOnce(&mut WriteTxn<'_>) -> Result<T>) -> Result<T> {
-        let wobs = write_obs();
+        let wobs = &self.inner.obs;
         let enqueue_epoch = self.inner.state.epoch();
         let queued = self.inner.write_queue.fetch_add(1, Ordering::SeqCst) + 1;
         let _queue_guard = QueueGuard(&self.inner.write_queue);
@@ -528,6 +537,7 @@ impl Engine {
             delta: Delta::new(),
             journal: &mut writer.journal,
             marks: &self.inner.marks,
+            metrics: &self.inner.obs.metrics,
             journal_time: Duration::ZERO,
         };
         let mut spent = [Duration::ZERO; 6];
@@ -560,12 +570,13 @@ impl Engine {
             // vocabulary; only an image carries them.
             txn.checkpoint()?;
         }
-        let m = ivm_obs();
-        m.maintained.add(summary.maintained as u64);
-        m.fallback.add(summary.fallback as u64);
-        m.detached.add(summary.detached as u64);
+        let [maintained, fallback, detached] = &wobs.ivm;
+        maintained.add(summary.maintained as u64);
+        fallback.add(summary.fallback as u64);
+        detached.add(summary.detached as u64);
         spent[MAINTAIN] += lap(&mut boundary);
         let epoch = self.inner.state.publish(Arc::new(txn.world));
+        wobs.epoch.set(epoch);
         *self.inner.last_delta.lock().expect("delta lock poisoned") =
             Some((epoch, Arc::new(delta)));
         // Usually the last handle on the previous epoch's world: freeing
@@ -828,7 +839,7 @@ fn exec_open(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     // Start a fresh generation at the recovered LSN: the checkpoint
     // makes the replayed tail durable and drops any torn bytes, so a
     // re-crash cannot regress.
-    let journal = Journal::begin(path, r.next_lsn(), &world.to_image(), group)?;
+    let journal = Journal::begin(path, r.next_lsn(), &world.to_image(), group, txn.metrics)?;
     txn.replace_world(world);
     txn.attach(journal);
     Ok(Response::Ok(format!(
@@ -1395,12 +1406,9 @@ mod tests {
     /// (with a generous deadline) instead of asserting on one race.
     #[test]
     fn write_contention_telemetry_moves_under_concurrent_writers() {
-        let wobs = write_obs();
-        let wait_before = wobs.wait.count();
-        let contended_before = wobs.contended.get();
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
         let mut round = 0u32;
-        while wobs.contended.get() == contended_before {
+        let engine = loop {
             assert!(
                 Instant::now() < deadline,
                 "no contended write-lock acquisition after {round} rounds"
@@ -1421,16 +1429,19 @@ mod tests {
             });
             assert_eq!(engine.epoch(), 1 + 4 * 50, "every write published");
             round += 1;
-        }
-        assert!(
-            wobs.wait.count() >= wait_before + 200,
-            "every write-lock wait is sampled"
-        );
+            // This engine's own scope: no other engine records into it.
+            if engine.inner.obs.contended.get() > 0 {
+                break engine;
+            }
+        };
+        let wobs = &engine.inner.obs;
+        assert_eq!(wobs.wait.count(), 1 + 4 * 50, "every lock wait is sampled");
         // The depth gauge was last set by some writer that held the
         // lock; whatever it saw, at least itself was queued.
         assert!(wobs.queue_depth.get() >= 1);
         // The lag gauge was set alongside it and is bounded by the
         // writes a round publishes.
         assert!(wobs.epoch_lag.get() <= 4 * 50);
+        assert_eq!(wobs.epoch.get(), engine.epoch());
     }
 }

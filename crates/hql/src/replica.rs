@@ -43,10 +43,10 @@
 //! [`Catalog::apply_mutation`]: hrdm_core::prelude::Catalog::apply_mutation
 
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
+use hrdm_obs::metrics::{Counter, Gauge, Histogram};
 use hrdm_persist::ship::{ShipBatch, WalTailer};
 
 use crate::engine::Engine;
@@ -57,24 +57,6 @@ use crate::executor::{ExecError, ExecResult, ExecutorHandle};
 /// [`sync`](Replica::sync) applies, and so the most a replica holds
 /// decoded at once however long the log it attached to.
 pub const SYNC_BATCH: usize = 8192;
-
-struct ReplicaObs {
-    /// LSN of the state the replica serves.
-    applied_lsn: Gauge,
-    /// Records each successful sync applied — how far behind it was.
-    sync_records: Histogram,
-    /// Syncs that failed applying a batch.
-    apply_errors: Counter,
-}
-
-fn obs() -> &'static ReplicaObs {
-    static M: OnceLock<ReplicaObs> = OnceLock::new();
-    M.get_or_init(|| ReplicaObs {
-        applied_lsn: metrics::gauge("replica.applied_lsn"),
-        sync_records: metrics::histogram("replica.sync_records"),
-        apply_errors: metrics::counter("replica.apply_errors"),
-    })
-}
 
 /// The shipping stream and what the last sync made of it.
 struct Feed {
@@ -87,6 +69,13 @@ struct Feed {
 pub struct Replica {
     engine: Engine,
     feed: Mutex<Feed>,
+    /// LSN of the state the replica serves (in its engine's scope, as
+    /// are the next two).
+    applied_lsn: Gauge,
+    /// Records each successful sync applied — how far behind it was.
+    sync_records: Histogram,
+    /// Syncs that failed applying a batch.
+    apply_errors: Counter,
 }
 
 impl Replica {
@@ -95,8 +84,13 @@ impl Replica {
     /// after the primary opens it catches up from the initial
     /// checkpoint.
     pub fn attach(dir: impl AsRef<Path>) -> Replica {
+        let engine = Engine::new();
+        let metrics = engine.metrics();
         Replica {
-            engine: Engine::new(),
+            applied_lsn: metrics.gauge("replica.applied_lsn"),
+            sync_records: metrics.histogram("replica.sync_records"),
+            apply_errors: metrics.counter("replica.apply_errors"),
+            engine,
             feed: Mutex::new(Feed {
                 tailer: WalTailer::attach(dir.as_ref()),
                 last_sync: None,
@@ -105,7 +99,8 @@ impl Replica {
     }
 
     /// The replica's engine — read it like any engine (snapshots, read
-    /// views); don't write to it.
+    /// views); don't write to it. Its [`metrics`](Engine::metrics) hold
+    /// the replica's `replica.*` series too.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -137,15 +132,15 @@ impl Replica {
                 .apply_mutations(base, |apply| batch.try_for_each(apply));
             if let Err(e) = applied {
                 tailer.rewind(batch_start);
-                obs().apply_errors.incr();
+                self.apply_errors.incr();
                 break Err(e.into());
             }
             records += batch.len() as u64;
         };
         let lsn = feed.tailer.shipped_lsn();
-        obs().applied_lsn.set(lsn);
+        self.applied_lsn.set(lsn);
         outcome?;
-        obs().sync_records.observe(records);
+        self.sync_records.observe(records);
         feed.last_sync = Some((records, Instant::now()));
         Ok(lsn)
     }

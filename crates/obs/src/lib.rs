@@ -5,13 +5,14 @@
 //! grew earlier — process-global `EngineStats` counters and the
 //! plan-local `NodeProfile` tree — with one layered subsystem:
 //!
-//! * [`metrics`] — a typed registry of named counters, gauges and
-//!   log-scaled latency histograms (p50/p95/p99). Handles are cached
-//!   `Arc`s over relaxed atomics, so recording costs a few nanoseconds
-//!   and is safe from any thread. [`metrics::reset_all`] zeroes
-//!   *every* registered metric in one sweep under the registry lock, so
-//!   benchmark harnesses get an atomic reset instead of chasing
-//!   per-crate counter sets.
+//! * [`metrics`] — typed registries of named counters, gauges and
+//!   log-scaled latency histograms (p50/p95/p99). Each engine, server
+//!   and WAL tailer owns a scope whose records also land in the process
+//!   registry. Handles are `Arc`s over relaxed atomics, so recording
+//!   costs a few nanoseconds and is safe from any thread.
+//!   [`metrics::reset_all`] zeroes every process metric in one sweep
+//!   under the registry lock, so benchmark harnesses get an atomic
+//!   reset instead of chasing per-crate counter sets.
 //! * [`mod@span`] — `span!("consolidate", rel = name)` guards with
 //!   monotonic timing, recorded on a thread-local stack of open spans:
 //!   a closing guard hands its node to the span below it. A guard on a

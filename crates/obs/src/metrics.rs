@@ -1,15 +1,22 @@
 //! The typed metrics registry: named counters, gauges, and log-scaled
 //! latency histograms.
 //!
-//! Handles returned by [`counter`], [`gauge`] and [`histogram`] are
-//! cheap clones of `Arc`-shared atomics; callers cache them in
-//! `OnceLock` statics so the registry lock is only taken once per name
-//! per process. Recording is a relaxed atomic op.
+//! [`Registry::global`] is the process registry; the free functions
+//! ([`counter`], [`reset_all`], [`render_prometheus`], …) forward to it.
+//! [`Registry::scope`] makes an instance's own registry, whose every
+//! metric also records into the process registry's metric of that name.
+//! Every `Engine`, `Server` and `WalTailer` owns a scope, so each count
+//! is recorded once, by its owner, and the process totals are the sums.
+//! Handles are `Arc`-shared atomics an owner resolves once; recording
+//! is a relaxed atomic op (two in a scope). What no owner reaches stays
+//! process-wide: `core.*`, core's `ivm.nodes_*`/`ivm.delta_rows`,
+//! `hierarchy.closure.*` and `storage.heap.*` ([`crate::attrib`]
+//! attributes them per thread), `recover.*` (a free function), and
+//! `engine.snapshot_clone` (a second add would slow every read).
 //!
-//! [`reset_all`] zeroes every registered metric in one sweep while
-//! holding the registry lock — the single reset point the bench
-//! fixtures use so back-to-back runs cannot leak accumulators into each
-//! other.
+//! [`reset_all`] zeroes the process registry in one sweep under its
+//! lock — the single reset point the bench fixtures use, so back-to-back
+//! runs cannot leak accumulators into each other. Scopes keep theirs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,15 +29,48 @@ use crate::json::escape;
 /// top bucket covers everything from ~2^46 ns (≈ 20 hours) up.
 pub const HISTOGRAM_BUCKETS: usize = 48;
 
+/// A metric's value and, for a scope's metric, the process registry's
+/// value of the same name (`total`), which every write reaches too.
+struct Linked<T> {
+    own: Arc<T>,
+    total: Option<Arc<T>>,
+}
+
+impl<T> Clone for Linked<T> {
+    fn clone(&self) -> Self {
+        let (own, total) = (self.own.clone(), self.total.clone());
+        Linked { own, total }
+    }
+}
+
+impl<T: Default> Linked<T> {
+    fn new(total: Option<&Linked<T>>) -> Linked<T> {
+        let (own, total) = (Arc::default(), total.map(|t| t.own.clone()));
+        Linked { own, total }
+    }
+
+    /// Apply the write `f` to the value and to the total (for a
+    /// process-wide metric, one predictable branch).
+    #[inline]
+    fn each(&self, f: impl Fn(&T)) {
+        f(&self.own);
+        if let Some(total) = &self.total {
+            f(total);
+        }
+    }
+}
+
 /// A monotonically increasing counter.
 #[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Linked<AtomicU64>);
 
 impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.each(|v| {
+            v.fetch_add(n, Ordering::Relaxed);
+        });
     }
 
     /// Increment by one.
@@ -42,33 +82,25 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn zero(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.0.own.load(Ordering::Relaxed)
     }
 }
 
 /// A settable gauge (current size, resident entries, …).
 #[derive(Clone)]
-pub struct Gauge(Arc<AtomicU64>);
+pub struct Gauge(Linked<AtomicU64>);
 
 impl Gauge {
     /// Set the gauge to `v`.
     #[inline]
     pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.each(|g| g.store(v, Ordering::Relaxed));
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn zero(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.0.own.load(Ordering::Relaxed)
     }
 }
 
@@ -78,6 +110,16 @@ struct HistogramInner {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
+impl Default for HistogramInner {
+    fn default() -> HistogramInner {
+        HistogramInner {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
 /// A log2-bucketed latency histogram over nanosecond observations.
 ///
 /// Quantile estimates return the *upper bound* of the bucket holding
@@ -85,7 +127,7 @@ struct HistogramInner {
 /// right resolution for latency regression tracking without any
 /// allocation on the record path.
 #[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
+pub struct Histogram(Linked<HistogramInner>);
 
 fn bucket_of(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
@@ -104,9 +146,11 @@ impl Histogram {
     /// Record one observation of `ns` nanoseconds.
     #[inline]
     pub fn observe_ns(&self, ns: u64) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(ns, Ordering::Relaxed);
-        self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.0.each(|h| {
+            h.count.fetch_add(1, Ordering::Relaxed);
+            h.sum.fetch_add(ns, Ordering::Relaxed);
+            h.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// Record one dimensionless observation (queue depths, batch
@@ -121,12 +165,12 @@ impl Histogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.own.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observations, nanoseconds.
     pub fn sum_ns(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+        self.0.own.sum.load(Ordering::Relaxed)
     }
 
     /// Estimated value at quantile `q` in `[0, 1]`; `None` before any
@@ -138,7 +182,7 @@ impl Histogram {
         }
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
+        for (i, b) in self.0.own.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
                 return Some(bucket_bound(i));
@@ -148,83 +192,237 @@ impl Histogram {
     }
 
     fn zero(&self) {
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.sum.store(0, Ordering::Relaxed);
-        for b in &self.0.buckets {
+        self.0.own.count.store(0, Ordering::Relaxed);
+        self.0.own.sum.store(0, Ordering::Relaxed);
+        for b in &self.0.own.buckets {
             b.store(0, Ordering::Relaxed);
         }
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
 }
 
-fn registry() -> &'static Mutex<BTreeMap<&'static str, Metric>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Get or register the counter called `name`.
-///
-/// Panics if `name` is already registered as a different metric type
-/// (a programming error, caught at the first lookup).
-pub fn counter(name: &'static str) -> Counter {
-    let mut r = registry().lock().unwrap();
-    match r
-        .entry(name)
-        .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-    {
-        Metric::Counter(c) => c.clone(),
-        _ => panic!("metric {name} already registered with a different type"),
-    }
-}
-
-/// Get or register the gauge called `name`.
-pub fn gauge(name: &'static str) -> Gauge {
-    let mut r = registry().lock().unwrap();
-    match r
-        .entry(name)
-        .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0)))))
-    {
-        Metric::Gauge(g) => g.clone(),
-        _ => panic!("metric {name} already registered with a different type"),
-    }
-}
-
-/// Get or register the histogram called `name`.
-pub fn histogram(name: &'static str) -> Histogram {
-    let mut r = registry().lock().unwrap();
-    match r.entry(name).or_insert_with(|| {
-        Metric::Histogram(Histogram(Arc::new(HistogramInner {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        })))
-    }) {
-        Metric::Histogram(h) => h.clone(),
-        _ => panic!("metric {name} already registered with a different type"),
-    }
-}
-
-/// Zero every registered metric in one sweep under the registry lock.
-///
-/// Cached handles stay valid — they share the same atomics. This is the
-/// engine's single reset point: counters, gauges, and histograms across
-/// all crates go back to zero together, so a bench harness cannot
-/// observe a half-reset state where caches were cleared but wall-time
-/// accumulators still carry the previous run.
-pub fn reset_all() {
-    let r = registry().lock().unwrap();
-    for m in r.values() {
-        match m {
-            Metric::Counter(c) => c.zero(),
-            Metric::Gauge(g) => g.zero(),
-            Metric::Histogram(h) => h.zero(),
+impl Metric {
+    /// A zeroed metric of this one's type that also records into it.
+    fn child(&self) -> Metric {
+        match self {
+            Metric::Counter(c) => Metric::Counter(Counter(Linked::new(Some(&c.0)))),
+            Metric::Gauge(g) => Metric::Gauge(Gauge(Linked::new(Some(&g.0)))),
+            Metric::Histogram(h) => Metric::Histogram(Histogram(Linked::new(Some(&h.0)))),
         }
     }
+}
+
+/// A name→metric map: the process registry or a scope. Cloning shares
+/// the map.
+#[derive(Clone)]
+pub struct Registry(Arc<RegistryInner>);
+
+#[derive(Default)]
+struct RegistryInner {
+    metrics: Mutex<BTreeMap<&'static str, Metric>>,
+    /// Every metric also records into the process registry's.
+    scoped: bool,
+}
+
+impl Registry {
+    /// The process registry.
+    pub fn global() -> &'static Registry {
+        static GLOBAL: OnceLock<Registry> = OnceLock::new();
+        GLOBAL.get_or_init(|| Registry(Arc::default()))
+    }
+
+    /// A fresh scope: every metric it hands out also records into the
+    /// process registry's metric of the same name.
+    pub fn scope() -> Registry {
+        let metrics = Mutex::default();
+        Registry(Arc::new(RegistryInner {
+            metrics,
+            scoped: true,
+        }))
+    }
+
+    /// The metric called `name`, registered as `fresh()` (in a scope: as
+    /// a child of the process registry's) if it is new. A scope takes the
+    /// process registry's lock only under its own, never the reverse.
+    fn metric(&self, name: &'static str, fresh: fn() -> Metric) -> Metric {
+        let mut metrics = self.0.metrics.lock().expect("metrics registry poisoned");
+        if let Some(m) = metrics.get(name) {
+            return m.clone();
+        }
+        let m = match self.0.scoped {
+            true => Registry::global().metric(name, fresh).child(),
+            false => fresh(),
+        };
+        metrics.insert(name, m.clone());
+        m
+    }
+
+    /// Get or register the counter called `name`.
+    ///
+    /// Panics if `name` is already registered as a different metric
+    /// type (a programming error, caught at the first lookup).
+    pub fn counter(&self, name: &'static str) -> Counter {
+        match self.metric(name, || Metric::Counter(Counter(Linked::new(None)))) {
+            Metric::Counter(c) => c,
+            _ => panic!("metric {name} already registered with a different type"),
+        }
+    }
+
+    /// Get or register the gauge called `name`.
+    pub fn gauge(&self, name: &'static str) -> Gauge {
+        match self.metric(name, || Metric::Gauge(Gauge(Linked::new(None)))) {
+            Metric::Gauge(g) => g,
+            _ => panic!("metric {name} already registered with a different type"),
+        }
+    }
+
+    /// Get or register the histogram called `name`.
+    pub fn histogram(&self, name: &'static str) -> Histogram {
+        match self.metric(name, || Metric::Histogram(Histogram(Linked::new(None)))) {
+            Metric::Histogram(h) => h,
+            _ => panic!("metric {name} already registered with a different type"),
+        }
+    }
+
+    /// Zero every metric of this registry in one sweep under its lock.
+    /// Cached handles stay valid — they share the same atomics. Zeroing
+    /// the process registry leaves the scopes alone, and the reverse.
+    pub fn reset(&self) {
+        let metrics = self.0.metrics.lock().expect("metrics registry poisoned");
+        for m in metrics.values() {
+            match m {
+                Metric::Counter(Counter(c)) | Metric::Gauge(Gauge(c)) => {
+                    c.own.store(0, Ordering::Relaxed)
+                }
+                Metric::Histogram(h) => h.zero(),
+            }
+        }
+    }
+
+    /// Render this registry as Prometheus text exposition.
+    ///
+    /// Every series gets a `# HELP` and a `# TYPE` line before its
+    /// samples. Counters and gauges become single samples; histograms
+    /// become a summary (`_count`, `_sum`, and `quantile` samples for
+    /// p50/p95/p99) whose label values are escaped per the exposition
+    /// format.
+    pub fn render_prometheus(&self) -> String {
+        use std::fmt::Write as _;
+        let r = self.0.metrics.lock().expect("metrics registry poisoned");
+        let mut out = String::new();
+        for (name, m) in r.iter() {
+            let p = prom_name(name);
+            let help = escape_text(name, false);
+            match m {
+                Metric::Counter(c) => {
+                    let _ = writeln!(out, "# HELP {p} hrdm counter {help}");
+                    let _ = writeln!(out, "# TYPE {p} counter");
+                    let _ = writeln!(out, "{p} {}", c.get());
+                }
+                Metric::Gauge(g) => {
+                    let _ = writeln!(out, "# HELP {p} hrdm gauge {help}");
+                    let _ = writeln!(out, "# TYPE {p} gauge");
+                    let _ = writeln!(out, "{p} {}", g.get());
+                }
+                Metric::Histogram(h) => {
+                    let _ = writeln!(out, "# HELP {p} hrdm latency histogram {help} (ns)");
+                    let _ = writeln!(out, "# TYPE {p} summary");
+                    for q in [0.5, 0.95, 0.99] {
+                        let v = h.quantile_ns(q).unwrap_or(0);
+                        let _ = writeln!(
+                            out,
+                            "{p}{{quantile=\"{}\"}} {v}",
+                            escape_label_value(&q.to_string())
+                        );
+                    }
+                    let _ = writeln!(out, "{p}_sum {}", h.sum_ns());
+                    let _ = writeln!(out, "{p}_count {}", h.count());
+                }
+            }
+        }
+        out
+    }
+
+    /// Render this registry as machine-readable JSON (the
+    /// `BENCH_obs.json` format):
+    /// `{"schema_version":1,"label":…,"metrics":{name:{…}}}`.
+    pub fn export_json(&self, label: &str) -> String {
+        use std::fmt::Write as _;
+        let r = self.0.metrics.lock().expect("metrics registry poisoned");
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"schema_version\":1,\"label\":\"{}\",\"metrics\":{{",
+            escape(label)
+        );
+        for (k, (name, m)) in r.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":", escape(name));
+            match m {
+                Metric::Counter(c) => {
+                    let _ = write!(out, "{{\"type\":\"counter\",\"value\":{}}}", c.get());
+                }
+                Metric::Gauge(g) => {
+                    let _ = write!(out, "{{\"type\":\"gauge\",\"value\":{}}}", g.get());
+                }
+                Metric::Histogram(h) => {
+                    let _ = write!(
+                        out,
+                        "{{\"type\":\"histogram\",\"count\":{},\"sum_ns\":{},\
+                         \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
+                        h.count(),
+                        h.sum_ns(),
+                        h.quantile_ns(0.5).unwrap_or(0),
+                        h.quantile_ns(0.95).unwrap_or(0),
+                        h.quantile_ns(0.99).unwrap_or(0),
+                    );
+                }
+            }
+        }
+        out.push_str("}}");
+        out
+    }
+}
+
+/// The process registry's counter called `name`.
+pub fn counter(name: &'static str) -> Counter {
+    Registry::global().counter(name)
+}
+
+/// The process registry's gauge called `name`.
+pub fn gauge(name: &'static str) -> Gauge {
+    Registry::global().gauge(name)
+}
+
+/// The process registry's histogram called `name`.
+pub fn histogram(name: &'static str) -> Histogram {
+    Registry::global().histogram(name)
+}
+
+/// Zero every process metric in one sweep under the registry lock:
+/// counters, gauges and histograms across all crates go back to zero
+/// together, so a bench harness never sees caches cleared while
+/// wall-time accumulators still carry the previous run.
+pub fn reset_all() {
+    Registry::global().reset();
+}
+
+/// [`Registry::render_prometheus`] of the process registry.
+pub fn render_prometheus() -> String {
+    Registry::global().render_prometheus()
+}
+
+/// [`Registry::export_json`] of the process registry.
+pub fn export_json(label: &str) -> String {
+    Registry::global().export_json(label)
 }
 
 fn prom_name(name: &str) -> String {
@@ -240,113 +438,21 @@ fn prom_name(name: &str) -> String {
 /// exposition format: backslash, double quote, and line feed must be
 /// escaped inside the surrounding quotes).
 pub fn escape_label_value(v: &str) -> String {
+    escape_text(v, true)
+}
+
+/// Escape backslash and line feed (a `# HELP` line's text), and the
+/// double quote too if `quoted`.
+fn escape_text(v: &str, quoted: bool) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
+            '"' if quoted => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
             c => out.push(c),
         }
     }
-    out
-}
-
-/// Escape a string for a `# HELP` line (backslash and line feed).
-fn escape_help(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the whole registry as Prometheus text exposition.
-///
-/// Every series gets a `# HELP` and a `# TYPE` line before its
-/// samples. Counters and gauges become single samples; histograms
-/// become a summary (`_count`, `_sum`, and `quantile` samples for
-/// p50/p95/p99) whose label values are escaped per the exposition
-/// format.
-pub fn render_prometheus() -> String {
-    use std::fmt::Write as _;
-    let r = registry().lock().unwrap();
-    let mut out = String::new();
-    for (name, m) in r.iter() {
-        let p = prom_name(name);
-        let help = escape_help(name);
-        match m {
-            Metric::Counter(c) => {
-                let _ = writeln!(out, "# HELP {p} hrdm counter {help}");
-                let _ = writeln!(out, "# TYPE {p} counter");
-                let _ = writeln!(out, "{p} {}", c.get());
-            }
-            Metric::Gauge(g) => {
-                let _ = writeln!(out, "# HELP {p} hrdm gauge {help}");
-                let _ = writeln!(out, "# TYPE {p} gauge");
-                let _ = writeln!(out, "{p} {}", g.get());
-            }
-            Metric::Histogram(h) => {
-                let _ = writeln!(out, "# HELP {p} hrdm latency histogram {help} (ns)");
-                let _ = writeln!(out, "# TYPE {p} summary");
-                for q in [0.5, 0.95, 0.99] {
-                    let v = h.quantile_ns(q).unwrap_or(0);
-                    let _ = writeln!(
-                        out,
-                        "{p}{{quantile=\"{}\"}} {v}",
-                        escape_label_value(&q.to_string())
-                    );
-                }
-                let _ = writeln!(out, "{p}_sum {}", h.sum_ns());
-                let _ = writeln!(out, "{p}_count {}", h.count());
-            }
-        }
-    }
-    out
-}
-
-/// Render the registry as machine-readable JSON (the `BENCH_obs.json`
-/// format): `{"schema_version":1,"label":…,"metrics":{name:{…}}}`.
-pub fn export_json(label: &str) -> String {
-    use std::fmt::Write as _;
-    let r = registry().lock().unwrap();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema_version\":1,\"label\":\"{}\",\"metrics\":{{",
-        escape(label)
-    );
-    for (k, (name, m)) in r.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":", escape(name));
-        match m {
-            Metric::Counter(c) => {
-                let _ = write!(out, "{{\"type\":\"counter\",\"value\":{}}}", c.get());
-            }
-            Metric::Gauge(g) => {
-                let _ = write!(out, "{{\"type\":\"gauge\",\"value\":{}}}", g.get());
-            }
-            Metric::Histogram(h) => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"histogram\",\"count\":{},\"sum_ns\":{},\
-                     \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-                    h.count(),
-                    h.sum_ns(),
-                    h.quantile_ns(0.5).unwrap_or(0),
-                    h.quantile_ns(0.95).unwrap_or(0),
-                    h.quantile_ns(0.99).unwrap_or(0),
-                );
-            }
-        }
-    }
-    out.push_str("}}");
     out
 }
 
@@ -403,6 +509,31 @@ mod tests {
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum_ns(), 0);
+    }
+
+    #[test]
+    fn a_scope_records_into_itself_and_the_process_registry() {
+        let (a, b) = (Registry::scope(), Registry::scope());
+        let (c, g, h) = ("test.scoped", "test.scoped_gauge", "test.scoped_histo");
+        let before = (counter(c).get(), histogram(h).count());
+        a.counter(c).add(2);
+        b.counter(c).add(5);
+        a.gauge(g).set(3);
+        b.gauge(g).set(9);
+        a.histogram(h).observe_ns(100);
+        assert_eq!((a.counter(c).get(), b.counter(c).get()), (2, 5));
+        assert_eq!(
+            (a.gauge(g).get(), gauge(g).get()),
+            (3, 9),
+            "a set sets both"
+        );
+        assert_eq!((a.histogram(h).count(), b.histogram(h).count()), (1, 0));
+        assert_eq!(
+            (counter(c).get(), histogram(h).count()),
+            (before.0 + 7, before.1 + 1)
+        );
+        a.reset();
+        assert_eq!((a.counter(c).get(), counter(c).get()), (0, before.0 + 7));
     }
 
     #[test]

@@ -49,10 +49,9 @@
 use std::fs::File;
 use std::io::{BufReader, ErrorKind, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use hrdm_core::mutation::CatalogMutation;
-use hrdm_obs::metrics::{self, Counter};
+use hrdm_obs::metrics::{Counter, Registry};
 
 use crate::error::{PersistError, Result};
 use crate::image::Image;
@@ -151,7 +150,9 @@ impl ShipBatch {
     }
 }
 
+/// A tailer's own metrics scope and its handles.
 struct ShipObs {
+    metrics: Registry,
     rollovers: Counter,
     mutations: Counter,
     /// WAL bytes consumed by polls, a partly read tail frame included.
@@ -164,16 +165,19 @@ struct ShipObs {
     resets: Counter,
 }
 
-fn obs() -> &'static ShipObs {
-    static M: OnceLock<ShipObs> = OnceLock::new();
-    M.get_or_init(|| ShipObs {
-        rollovers: metrics::counter("ship.rollovers"),
-        mutations: metrics::counter("ship.mutations"),
-        poll_bytes: metrics::counter("ship.poll_bytes"),
-        checkpoint_loads: metrics::counter("ship.checkpoint_loads"),
-        corrupt_records: metrics::counter("ship.corrupt_records"),
-        resets: metrics::counter("ship.resets"),
-    })
+impl ShipObs {
+    fn new() -> ShipObs {
+        let metrics = Registry::scope();
+        ShipObs {
+            rollovers: metrics.counter("ship.rollovers"),
+            mutations: metrics.counter("ship.mutations"),
+            poll_bytes: metrics.counter("ship.poll_bytes"),
+            checkpoint_loads: metrics.counter("ship.checkpoint_loads"),
+            corrupt_records: metrics.counter("ship.corrupt_records"),
+            resets: metrics.counter("ship.resets"),
+            metrics,
+        }
+    }
 }
 
 /// Where a [`WalTailer`] stands in the primary's history. Opaque: take
@@ -199,6 +203,7 @@ pub struct ShipCursor {
 pub struct WalTailer {
     dir: PathBuf,
     cursor: ShipCursor,
+    obs: ShipObs,
 }
 
 impl WalTailer {
@@ -209,7 +214,13 @@ impl WalTailer {
         WalTailer {
             dir: dir.into(),
             cursor: ShipCursor::default(),
+            obs: ShipObs::new(),
         }
+    }
+
+    /// This tailer's own metrics scope (`ship.*`).
+    pub fn metrics(&self) -> &Registry {
+        &self.obs.metrics
     }
 
     /// The store directory being tailed.
@@ -280,7 +291,7 @@ impl WalTailer {
             }
             // Damage, with nothing intact before it.
             Err(e) if batch.is_empty() => {
-                obs().corrupt_records.incr();
+                self.obs.corrupt_records.incr();
                 Err(e)
             }
             // Deliver what is intact; the next poll meets the damage
@@ -296,7 +307,7 @@ impl WalTailer {
     /// into `batch`. On `Err` the cursor stands on the last frame
     /// boundary before the failure.
     fn advance(&self, cursor: &mut ShipCursor, batch: &mut ShipBatch, max: usize) -> Result<()> {
-        let obs = obs();
+        let obs = &self.obs;
 
         // 0. A WAL shorter than what was already verified, or gone, is
         //    not the file the cursor points into: start over from the

@@ -35,11 +35,12 @@ use std::sync::Arc;
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::Catalog;
+use hrdm_obs::metrics::Registry;
 
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{journal_obs, Frame, FrameError, LsnMarks, WalFile, WalReader};
+use crate::wal::{Frame, FrameError, JournalObs, LsnMarks, WalFile, WalReader};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -77,7 +78,6 @@ pub fn write_checkpoint(dir: &Path, lsn: u64, image: &Image) -> Result<PathBuf> 
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
-    journal_obs().checkpoints.incr();
     Ok(final_path)
 }
 
@@ -289,6 +289,7 @@ pub struct Journal {
     wal: WalFile,
     checkpoint_lsn: u64,
     group: usize,
+    obs: Arc<JournalObs>,
 }
 
 impl Journal {
@@ -303,27 +304,39 @@ impl Journal {
     /// — the checkpoint's rename, the log's creation — are entries of
     /// the directory, and only its fsync makes them durable. Without it
     /// a crash after the old generation's deletion could leave neither.
-    pub fn begin(dir: &Path, lsn: u64, image: &Image, group: usize) -> Result<Journal> {
-        Journal::start(dir, lsn, image, group, Arc::default())
+    ///
+    /// Every generation counts `wal.*` and `persist.*` into `metrics`.
+    pub fn begin(
+        dir: &Path,
+        lsn: u64,
+        image: &Image,
+        group: usize,
+        metrics: &Registry,
+    ) -> Result<Journal> {
+        let obs = JournalObs::new(metrics);
+        Journal::start(dir, lsn, image, group, Arc::default(), obs)
     }
 
-    /// [`begin`](Self::begin), publishing into `marks` (which a
-    /// checkpoint carries over to the next generation).
+    /// [`begin`](Self::begin), publishing into `marks` and counting into
+    /// `obs` (which a checkpoint carries over to the next generation).
     fn start(
         dir: &Path,
         lsn: u64,
         image: &Image,
         group: usize,
         marks: Arc<LsnMarks>,
+        obs: Arc<JournalObs>,
     ) -> Result<Journal> {
         write_checkpoint(dir, lsn, image)?;
-        let wal = WalFile::create_marked(wal_path(dir, lsn), lsn, group, marks)?;
+        obs.checkpoints.incr();
+        let wal = WalFile::create_marked(wal_path(dir, lsn), lsn, group, marks, obs.clone())?;
         File::open(dir)?.sync_all()?;
         let journal = Journal {
             dir: dir.to_path_buf(),
             wal,
             checkpoint_lsn: lsn,
             group,
+            obs,
         };
         journal.collect_garbage()?;
         Ok(journal)
@@ -419,7 +432,8 @@ impl Journal {
         self.wal.sync()?;
         let lsn = self.next_lsn();
         let marks = Arc::clone(self.wal.marks());
-        *self = Journal::start(&self.dir, lsn, image, self.group, marks)?;
+        let obs = Arc::clone(&self.obs);
+        *self = Journal::start(&self.dir, lsn, image, self.group, marks, obs)?;
         Ok(lsn)
     }
 }
@@ -445,7 +459,7 @@ impl DurableCatalog {
     /// Recovery runs first; the recovered state is then immediately
     /// checkpointed so the store always restarts on a fresh generation
     /// (the torn tail of the previous one is garbage-collected, not
-    /// edited in place).
+    /// edited in place). The journal counts into a scope of its own.
     pub fn open_with_group(dir: &Path, group: usize) -> Result<DurableCatalog> {
         let Recovered { catalog, report } = recover(dir)?;
         let journal = Journal::begin(
@@ -453,6 +467,7 @@ impl DurableCatalog {
             report.next_lsn(),
             &Image::from_catalog(&catalog),
             group,
+            &Registry::scope(),
         )?;
         Ok(DurableCatalog {
             catalog,

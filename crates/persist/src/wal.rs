@@ -50,14 +50,14 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::preemption::Preemption;
 use hrdm_core::truth::Truth;
-use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
+use hrdm_obs::metrics::{Counter, Gauge, Histogram, Registry};
 
 use crate::codec::{
     crc32, read_str_into, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
@@ -75,8 +75,8 @@ pub const WAL_HEADER_LEN: u64 = WAL_MAGIC.len() as u64 + 4;
 /// and small lists; anything larger is a corrupt length prefix.
 pub const RECORD_CAP: usize = 1 << 20;
 
-/// The journal's counters, registered once rather than looked up in
-/// the registry (under its lock) on every append.
+/// The journal's metrics, resolved once from its owner's registry
+/// rather than looked up (under the registry's lock) on every append.
 pub(crate) struct JournalObs {
     /// `wal.appends`: mutation records appended.
     appends: Counter,
@@ -95,15 +95,16 @@ pub(crate) struct JournalObs {
     pub(crate) checkpoints: Counter,
 }
 
-pub(crate) fn journal_obs() -> &'static JournalObs {
-    static M: OnceLock<JournalObs> = OnceLock::new();
-    M.get_or_init(|| JournalObs {
-        appends: metrics::counter("wal.appends"),
-        fsyncs: metrics::counter("wal.fsyncs"),
-        sync_wait: metrics::histogram("wal.sync_wait"),
-        durable_lsn: metrics::gauge("persist.durable_lsn"),
-        checkpoints: metrics::counter("persist.checkpoints"),
-    })
+impl JournalObs {
+    pub(crate) fn new(metrics: &Registry) -> Arc<JournalObs> {
+        Arc::new(JournalObs {
+            appends: metrics.counter("wal.appends"),
+            fsyncs: metrics.counter("wal.fsyncs"),
+            sync_wait: metrics.histogram("wal.sync_wait"),
+            durable_lsn: metrics.gauge("persist.durable_lsn"),
+            checkpoints: metrics.counter("persist.checkpoints"),
+        })
+    }
 }
 
 /// One record in the log.
@@ -724,6 +725,7 @@ struct Syncer {
     /// `base_lsn + k`.
     base_lsn: u64,
     marks: Arc<LsnMarks>,
+    obs: Arc<JournalObs>,
     /// Moving average of how long a sync takes, in ns (updated by the
     /// one sync in flight; the writer's hand-off rule reads it, and it
     /// publishes nothing else).
@@ -811,9 +813,8 @@ impl Syncer {
                 state.durable = target;
                 let lsn = self.base_lsn + target;
                 self.marks.durable.store(lsn, Ordering::Release);
-                let obs = journal_obs();
-                obs.fsyncs.incr();
-                obs.durable_lsn.set(lsn);
+                self.obs.fsyncs.incr();
+                self.obs.durable_lsn.set(lsn);
                 if state.writer_blocked {
                     self.changed.notify_one();
                 }
@@ -902,16 +903,19 @@ pub struct WalFile {
 impl WalFile {
     /// Create (truncate) a WAL at `path`, writing the header and the
     /// binding checkpoint record, then fsyncing, and start its syncer.
+    /// It counts into the process registry.
     pub fn create(path: impl Into<PathBuf>, checkpoint_lsn: u64, group: usize) -> Result<WalFile> {
-        WalFile::create_marked(path.into(), checkpoint_lsn, group, Arc::default())
+        let obs = JournalObs::new(Registry::global());
+        WalFile::create_marked(path.into(), checkpoint_lsn, group, Arc::default(), obs)
     }
 
-    /// [`create`](Self::create), publishing its LSNs into `marks`.
+    /// [`create`](Self::create), publishing into `marks`, counting into `obs`.
     pub(crate) fn create_marked(
         path: PathBuf,
         checkpoint_lsn: u64,
         group: usize,
         marks: Arc<LsnMarks>,
+        obs: Arc<JournalObs>,
     ) -> Result<WalFile> {
         let file = OpenOptions::new()
             .write(true)
@@ -931,12 +935,12 @@ impl WalFile {
             let _g = hrdm_obs::span!("wal.fsync", records = 0);
             w.get_ref().sync_data()?;
         }
-        journal_obs().fsyncs.incr();
-        journal_obs().durable_lsn.set(checkpoint_lsn);
+        obs.fsyncs.incr();
+        obs.durable_lsn.set(checkpoint_lsn);
         marks.next.store(checkpoint_lsn, Ordering::Release);
         marks.durable.store(checkpoint_lsn, Ordering::Release);
         let sync_handle = w.get_ref().try_clone()?;
-        WalFile::start(w, sync_handle, path, checkpoint_lsn, group, marks)
+        WalFile::start(w, sync_handle, path, checkpoint_lsn, group, marks, obs)
     }
 
     /// Wrap an open log whose header is durable, with a syncer thread;
@@ -948,6 +952,7 @@ impl WalFile {
         base_lsn: u64,
         group: usize,
         marks: Arc<LsnMarks>,
+        obs: Arc<JournalObs>,
     ) -> Result<WalFile> {
         let group = group.max(1) as u64;
         let syncer = Arc::new(Syncer {
@@ -957,6 +962,7 @@ impl WalFile {
             file: sync_handle,
             base_lsn,
             marks,
+            obs,
             sync_ns: AtomicU64::new(0),
         });
         let thread = {
@@ -1042,7 +1048,7 @@ impl WalFile {
         self.staged.clear();
         self.io(written)?;
         self.appended += records;
-        journal_obs().appends.add(records);
+        self.syncer.obs.appends.add(records);
         self.syncer
             .marks
             .next
@@ -1134,7 +1140,8 @@ impl WalFile {
         }
         if let Some(started) = waited {
             let now = Instant::now();
-            journal_obs()
+            self.syncer
+                .obs
                 .sync_wait
                 .observe_ns(now.duration_since(started).as_nanos() as u64);
             self.half_started = now;
@@ -1548,6 +1555,7 @@ mod tests {
             0,
             1,
             Arc::default(),
+            JournalObs::new(Registry::global()),
         )
         .unwrap();
         let m = &sample_mutations()[0];

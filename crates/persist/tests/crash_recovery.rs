@@ -26,7 +26,8 @@
 //! resumes mid-file: split the stream anywhere, across a rollover, and
 //! every record is still delivered exactly once and every state a
 //! follower reaches is a reference prefix; damage is an error or a
-//! prefix, never a wrong record and never a quiet stall.
+//! prefix, never a wrong record and never a quiet stall. Last, the
+//! tailer's own counters: what a poll reads, loads and reports, exactly.
 
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -541,5 +542,150 @@ fn every_bit_flip_under_a_tailer_is_an_error_or_a_prefix() {
     follower.poll().unwrap();
     assert_eq!(follower.tailer.shipped_lsn(), total);
     assert_eq!(follower.catalog.render_stable(), refs[script.len()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// The tailer's telemetry, exact: each tailer counts into a scope of its
+// own, so the other tests of this binary, tailing stores beside it, do
+// not move its counters.
+
+/// Records of the telemetry test's log, polled in `STEPS` steps.
+const RECORDS: usize = 200;
+const STEPS: usize = 10;
+
+/// A flat script that applies cleanly: one domain, then `n - 1`
+/// classes under it.
+fn flat_classes(n: usize) -> Vec<CatalogMutation> {
+    let mut script = vec![CatalogMutation::CreateDomain { name: "D".into() }];
+    for k in 1..n {
+        script.push(CatalogMutation::AddClass {
+            domain: "D".into(),
+            name: format!("C{k}"),
+            parents: vec!["D".into()],
+        });
+    }
+    script
+}
+
+/// A tailer's own `ship.*` counters, read as one row.
+fn counters(tailer: &WalTailer) -> [u64; 6] {
+    [
+        "ship.poll_bytes",
+        "ship.checkpoint_loads",
+        "ship.rollovers",
+        "ship.mutations",
+        "ship.corrupt_records",
+        "ship.resets",
+    ]
+    .map(|name| tailer.metrics().counter(name).get())
+}
+
+fn since(tailer: &WalTailer, before: [u64; 6]) -> [u64; 6] {
+    let now = counters(tailer);
+    std::array::from_fn(|k| now[k] - before[k])
+}
+
+/// Polling costs what is new: a log polled in k steps is read once
+/// (plus at most one partial frame per step), and a generation's
+/// checkpoint image is opened once however often it is polled. Damage
+/// and a recreated directory each move their own counter.
+#[test]
+fn polling_reads_each_byte_once_and_counts_what_goes_wrong() {
+    let dir = temp_dir("ship_obs");
+    let script = flat_classes(RECORDS);
+    let (bytes, bounds) = wal_stream_at(0, &script);
+    let ends: Vec<usize> = bounds[2..].iter().map(|&b| b as usize).collect();
+    let wal_len = bytes.len() as u64;
+    let longest_frame = ends.windows(2).map(|w| w[1] - w[0]).max().unwrap() as u64;
+    write_checkpoint(&dir, 0, &Image::new()).unwrap();
+    let wal = wal_path(&dir, 0);
+
+    // k steps, each ending on a frame boundary: exactly the file, once.
+    let mut tailer = WalTailer::attach(&dir);
+    let before = counters(&tailer);
+    for step in 1..=STEPS {
+        std::fs::write(&wal, &bytes[..ends[step * RECORDS / STEPS - 1]]).unwrap();
+        assert_eq!(
+            tailer.poll().unwrap().len(),
+            RECORDS / STEPS + usize::from(step == 1),
+            "step {step}: its records, and the rollover with the first"
+        );
+    }
+    assert!(tailer.poll().unwrap().is_empty());
+    assert!(tailer.poll().unwrap().is_empty());
+    assert_eq!(
+        since(&tailer, before),
+        [wal_len, 1, 1, RECORDS as u64, 0, 0],
+        "bytes read, images loaded, rollovers, mutations, corrupt, resets"
+    );
+
+    // k steps, each ending three bytes into a frame: the partial frame
+    // is read again by the next step, and nothing else is.
+    let mut tailer = WalTailer::attach(&dir);
+    let before = counters(&tailer);
+    for step in 1..STEPS {
+        std::fs::write(&wal, &bytes[..ends[step * RECORDS / STEPS - 1] + 3]).unwrap();
+        tailer.poll().unwrap();
+    }
+    std::fs::write(&wal, &bytes).unwrap();
+    tailer.poll().unwrap();
+    let [read, loads, rollovers, shipped, ..] = since(&tailer, before);
+    assert!(
+        (wal_len..=wal_len + STEPS as u64 * longest_frame).contains(&read),
+        "read {read} bytes of a {wal_len}-byte log in {STEPS} steps"
+    );
+    assert_eq!([loads, rollovers, shipped], [1, 1, RECORDS as u64]);
+
+    // A complete frame that fails its checksum: the poll that finds it
+    // first in line fails and is counted, every time.
+    let mut damaged = bytes.clone();
+    damaged[ends[99] + 6] ^= 0x10;
+    std::fs::write(&wal, &damaged).unwrap();
+    let mut tailer = WalTailer::attach(&dir);
+    let before = counters(&tailer);
+    assert_eq!(tailer.poll().unwrap().len(), 1 + 100);
+    for _ in 0..2 {
+        let expected = format!("at byte {}:", ends[99]);
+        assert!(matches!(
+            tailer.poll(),
+            Err(PersistError::Corrupt(msg)) if msg.contains(&expected)
+        ));
+    }
+    assert_eq!(tailer.shipped_lsn(), 100);
+    let [_, loads, rollovers, shipped, corrupt, resets] = since(&tailer, before);
+    assert_eq!(
+        [loads, rollovers, shipped, corrupt, resets],
+        [1, 1, 100, 2, 0]
+    );
+
+    // A checkpoint supersedes the damage: one more image, no re-read.
+    let mut all = Catalog::new();
+    for m in &script {
+        all.apply_mutation(m).unwrap();
+    }
+    write_checkpoint(&dir, RECORDS as u64, &Image::from_catalog(&all)).unwrap();
+    let before = counters(&tailer);
+    assert_eq!(tailer.poll().unwrap().len(), 1);
+    assert!(tailer.poll().unwrap().is_empty());
+    assert_eq!(tailer.shipped_lsn(), RECORDS as u64);
+    assert_eq!(since(&tailer, before), [0, 1, 1, 0, 0, 0]);
+
+    // The directory recreated under the tailer: the WAL it points into
+    // is now shorter than its cursor, so it starts over from the
+    // checkpoint instead of seeking past the end.
+    let generation = RECORDS as u64;
+    let (longer, _) = wal_stream_at(generation, &script[..2]);
+    let (shorter, _) = wal_stream_at(generation, &[]);
+    std::fs::write(wal_path(&dir, generation), &longer).unwrap();
+    assert_eq!(tailer.poll().unwrap().len(), 2);
+    std::fs::write(wal_path(&dir, generation), &shorter).unwrap();
+    let before = counters(&tailer);
+    assert_eq!(tailer.poll().unwrap().len(), 1, "the rollover again");
+    assert_eq!(tailer.shipped_lsn(), generation);
+    assert_eq!(
+        since(&tailer, before),
+        [shorter.len() as u64, 1, 1, 0, 0, 1]
+    );
+
     std::fs::remove_dir_all(&dir).unwrap();
 }

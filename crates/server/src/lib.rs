@@ -49,5 +49,5 @@ pub mod shard;
 pub mod sys;
 
 pub use proto::{Client, FrameReader, MetricsFormat, Reply, Request};
-pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use shard::WireRouter;

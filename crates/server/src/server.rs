@@ -70,10 +70,11 @@
 //! own series: `server.loop.tick` / `server.loop.ready` (events per
 //! tick), `server.pipeline.depth` (queued requests at dispatch),
 //! `server.read.inline` / `server.read.dispatched` (requests answered
-//! on the loop / handed to a worker; [`ServerStats`] carries the same
-//! pair per server), `server.stage.queue_wait` (dispatch to worker
-//! start, for the requests that still cross threads), and
-//! `server.backpressure.shed`.
+//! on the loop / handed to a worker), `server.stage.queue_wait`
+//! (dispatch to worker start, for the requests that still cross
+//! threads), and `server.backpressure.shed`. Each server records into a
+//! scope of its own ([`ServerHandle::metrics`]), which `STATS` renders;
+//! `METRICS` renders the process totals.
 //!
 //! Shutdown is graceful: the flag flips, the wake pipe nudges the
 //! loop, in-flight requests complete and flush with the protocol
@@ -85,15 +86,15 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hrdm::hql::{self, parser, Response, Statement};
 use hrdm::prelude::Engine;
-use hrdm_obs::metrics::{self, Counter, Gauge, Histogram};
+use hrdm_obs::metrics::{self, Counter, Gauge, Histogram, Registry};
 use hrdm_obs::slowlog::SlowLog;
 use hrdm_obs::trace::fmt_ns;
 
@@ -162,39 +163,10 @@ impl ServerConfig {
     }
 }
 
-/// Per-server counters, readable at any time and rendered by `STATS`.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted (admitted or not).
-    pub accepted: AtomicU64,
-    /// Connections turned away with `BUSY`.
-    pub busy_rejected: AtomicU64,
-    /// `QUERY`/`TRACE` requests executed successfully.
-    pub queries: AtomicU64,
-    /// Requests answered with an `ERR` reply.
-    pub errors: AtomicU64,
-    /// Connections closed by the read timeout.
-    pub timeouts: AtomicU64,
-    /// Malformed frames / unknown verbs / handshake violations.
-    pub protocol_errors: AtomicU64,
-    /// Request bytes read off the wire (frame headers included).
-    pub bytes_in: AtomicU64,
-    /// Reply bytes written to the wire (frame headers included).
-    pub bytes_out: AtomicU64,
-    /// Mutating scripts shed with `BUSY` under write backpressure.
-    pub shed_writes: AtomicU64,
-    /// `QUERY` requests answered on the loop thread, never crossing to
-    /// a worker: point-read scripts, and small frames that fail to
-    /// parse.
-    pub inline_reads: AtomicU64,
-    /// `QUERY`/`TRACE` requests handed to the worker pool.
-    pub dispatched: AtomicU64,
-}
-
-/// Registry-backed server metrics, resolved once per process. The same
-/// series back every server instance (like the engine's own metrics),
-/// so `metrics::reset_all` / the bench fixtures reset them all at once.
+/// A server's metrics scope ([`ServerHandle::metrics`]) and its
+/// handles, resolved when it starts. `STATS` renders these counters.
 struct ServerObs {
+    metrics: Registry,
     accept: Counter,
     busy: Counter,
     requests: Counter,
@@ -206,8 +178,10 @@ struct ServerObs {
     bytes_out: Counter,
     frame_bytes: Histogram,
     slow_recorded: Counter,
+    /// Admitted connections open, which `STATS` and admission read.
+    /// Only the loop thread writes it, and it publishes no other data,
+    /// so relaxed loads and stores suffice.
     active: Gauge,
-    epoch: Gauge,
     loop_tick: Counter,
     loop_ready: Histogram,
     pipeline_depth: Histogram,
@@ -215,7 +189,6 @@ struct ServerObs {
     read_inline: Counter,
     read_dispatched: Counter,
     queue_wait: Histogram,
-    write_queue_depth: Gauge,
     lat_hello: Histogram,
     lat_query: Histogram,
     lat_trace: Histogram,
@@ -226,39 +199,40 @@ struct ServerObs {
     lat_shutdown: Histogram,
 }
 
-fn server_obs() -> &'static ServerObs {
-    static OBS: OnceLock<ServerObs> = OnceLock::new();
-    OBS.get_or_init(|| ServerObs {
-        accept: metrics::counter("server.accept"),
-        busy: metrics::counter("server.busy"),
-        requests: metrics::counter("server.requests"),
-        query: metrics::counter("server.query"),
-        query_error: metrics::counter("server.query_error"),
-        timeout: metrics::counter("server.timeout"),
-        protocol_error: metrics::counter("server.protocol_error"),
-        bytes_in: metrics::counter("server.bytes_in"),
-        bytes_out: metrics::counter("server.bytes_out"),
-        frame_bytes: metrics::histogram("server.frame_bytes"),
-        slow_recorded: metrics::counter("server.slowlog.recorded"),
-        active: metrics::gauge("server.active_connections"),
-        epoch: metrics::gauge("server.epoch"),
-        loop_tick: metrics::counter("server.loop.tick"),
-        loop_ready: metrics::histogram("server.loop.ready"),
-        pipeline_depth: metrics::histogram("server.pipeline.depth"),
-        shed: metrics::counter("server.backpressure.shed"),
-        read_inline: metrics::counter("server.read.inline"),
-        read_dispatched: metrics::counter("server.read.dispatched"),
-        queue_wait: metrics::histogram("server.stage.queue_wait"),
-        write_queue_depth: metrics::gauge("server.write_queue_depth"),
-        lat_hello: metrics::histogram("server.latency.hello"),
-        lat_query: metrics::histogram("server.latency.query"),
-        lat_trace: metrics::histogram("server.latency.trace"),
-        lat_stats: metrics::histogram("server.latency.stats"),
-        lat_metrics: metrics::histogram("server.latency.metrics"),
-        lat_slowlog: metrics::histogram("server.latency.slowlog"),
-        lat_quit: metrics::histogram("server.latency.quit"),
-        lat_shutdown: metrics::histogram("server.latency.shutdown"),
-    })
+impl ServerObs {
+    fn new() -> ServerObs {
+        let metrics = Registry::scope();
+        ServerObs {
+            accept: metrics.counter("server.accept"),
+            busy: metrics.counter("server.busy"),
+            requests: metrics.counter("server.requests"),
+            query: metrics.counter("server.query"),
+            query_error: metrics.counter("server.query_error"),
+            timeout: metrics.counter("server.timeout"),
+            protocol_error: metrics.counter("server.protocol_error"),
+            bytes_in: metrics.counter("server.bytes_in"),
+            bytes_out: metrics.counter("server.bytes_out"),
+            frame_bytes: metrics.histogram("server.frame_bytes"),
+            slow_recorded: metrics.counter("server.slowlog.recorded"),
+            active: metrics.gauge("server.active_connections"),
+            loop_tick: metrics.counter("server.loop.tick"),
+            loop_ready: metrics.histogram("server.loop.ready"),
+            pipeline_depth: metrics.histogram("server.pipeline.depth"),
+            shed: metrics.counter("server.backpressure.shed"),
+            read_inline: metrics.counter("server.read.inline"),
+            read_dispatched: metrics.counter("server.read.dispatched"),
+            queue_wait: metrics.histogram("server.stage.queue_wait"),
+            lat_hello: metrics.histogram("server.latency.hello"),
+            lat_query: metrics.histogram("server.latency.query"),
+            lat_trace: metrics.histogram("server.latency.trace"),
+            lat_stats: metrics.histogram("server.latency.stats"),
+            lat_metrics: metrics.histogram("server.latency.metrics"),
+            lat_slowlog: metrics.histogram("server.latency.slowlog"),
+            lat_quit: metrics.histogram("server.latency.quit"),
+            lat_shutdown: metrics.histogram("server.latency.shutdown"),
+            metrics,
+        }
+    }
 }
 
 /// Scripts of at most this many bytes are parsed on the loop thread,
@@ -325,8 +299,7 @@ struct Shared {
     config: ServerConfig,
     addr: SocketAddr,
     shutdown: AtomicBool,
-    active: AtomicUsize,
-    stats: ServerStats,
+    obs: ServerObs,
     wake: WakePipe,
     completions: Mutex<Vec<Completion>>,
     slowlog: Mutex<SlowLog>,
@@ -360,8 +333,7 @@ impl Server {
             config,
             addr,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            stats: ServerStats::default(),
+            obs: ServerObs::new(),
             wake: WakePipe::new()?,
             completions: Mutex::new(Vec::new()),
             slowlog,
@@ -399,16 +371,18 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// The live counters.
-    pub fn stats(&self) -> &ServerStats {
-        &self.shared.stats
+    /// This server's own metrics — every `server.*` series it
+    /// recorded, which `STATS` renders; each record also landed in the
+    /// process registry.
+    pub fn metrics(&self) -> &Registry {
+        &self.shared.obs.metrics
     }
 
     /// Admitted connections currently open (excludes connections being
     /// turned away with `BUSY`). The chaos suite asserts this returns
     /// to zero after hostile clients disconnect.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
+        self.shared.obs.active.get() as usize
     }
 
     /// Request a graceful shutdown and wait for the loop and every
@@ -460,7 +434,8 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
         let Ok(job) = job else {
             return; // channel closed: the loop is shutting down
         };
-        server_obs()
+        shared
+            .obs
             .queue_wait
             .observe_ns(job.dispatched.elapsed().as_nanos() as u64);
         let mut frame = Vec::new();
@@ -482,12 +457,7 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
 fn encode_reply(shared: &Shared, reply: &Reply, out: &mut Vec<u8>) {
     let before = out.len();
     encode_frame(&reply.render(), out);
-    let wire_len = (out.len() - before) as u64;
-    shared
-        .stats
-        .bytes_out
-        .fetch_add(wire_len, Ordering::Relaxed);
-    server_obs().bytes_out.add(wire_len);
+    shared.obs.bytes_out.add((out.len() - before) as u64);
 }
 
 /// Answer one `QUERY`/`TRACE` script — on a worker, or on the loop
@@ -499,7 +469,7 @@ fn encode_reply(shared: &Shared, reply: &Reply, out: &mut Vec<u8>) {
 /// recorded starts here, so it leaves out the loop's parse of a small
 /// script.
 fn answer(shared: &Shared, script: Script) -> Reply {
-    let obs = server_obs();
+    let obs = &shared.obs;
     let started = Instant::now();
     let Script {
         text,
@@ -528,16 +498,13 @@ fn answer(shared: &Shared, script: Script) -> Reply {
     };
     let ((result, shed), trace) = hrdm_obs::trace::capture("server.query", run);
     obs.requests.incr();
-    obs.write_queue_depth.set(shared.engine.write_queue_depth());
     let wall = started.elapsed();
     if traced {
         obs.lat_trace.observe_ns(wall.as_nanos() as u64);
     } else {
         obs.lat_query.observe_ns(wall.as_nanos() as u64);
     }
-    obs.epoch.set(shared.engine.epoch());
     if shed {
-        shared.stats.shed_writes.fetch_add(1, Ordering::Relaxed);
         obs.shed.incr();
         return Reply::Busy(format!(
             "write backpressure: writer queue depth >= {}; retry later",
@@ -558,7 +525,6 @@ fn answer(shared: &Shared, script: Script) -> Reply {
     }
     match result {
         Ok(responses) => {
-            shared.stats.queries.fetch_add(1, Ordering::Relaxed);
             obs.query.incr();
             let mut parts: Vec<String> = responses.into_iter().map(Response::into_text).collect();
             if traced {
@@ -567,7 +533,6 @@ fn answer(shared: &Shared, script: Script) -> Reply {
             Reply::Ok(parts)
         }
         Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
             obs.query_error.incr();
             Reply::Err {
                 kind: e.kind().to_string(),
@@ -737,7 +702,6 @@ impl EventLoop {
     }
 
     fn run(mut self) {
-        let obs = server_obs();
         let mut pollfds: Vec<PollFd> = Vec::new();
         let mut targets: Vec<Target> = Vec::new();
         let mut read_chunk = vec![0u8; 64 * 1024];
@@ -773,8 +737,8 @@ impl EventLoop {
             }
             let timeout_ms = if runnable { 0 } else { self.poll_timeout_ms() };
             let ready = sys::poll_fds(&mut pollfds, timeout_ms).unwrap_or_default();
-            obs.loop_tick.incr();
-            obs.loop_ready.observe(ready as u64);
+            self.shared.obs.loop_tick.incr();
+            self.shared.obs.loop_ready.observe(ready as u64);
 
             // Readiness events first (their indexes match `targets`).
             for k in 0..pollfds.len() {
@@ -840,8 +804,7 @@ impl EventLoop {
         for slot in &mut self.conns {
             *slot = None;
         }
-        self.shared.active.store(0, Ordering::SeqCst);
-        server_obs().active.set(0);
+        self.shared.obs.active.set(0);
         drop(self.jobs.take());
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -886,8 +849,7 @@ impl EventLoop {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            server_obs().accept.incr();
+            self.shared.obs.accept.incr();
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
@@ -896,16 +858,12 @@ impl EventLoop {
             // client ACKs — tens of milliseconds per request.
             let _ = stream.set_nodelay(true);
             let rejecting =
-                self.shared.active.load(Ordering::SeqCst) >= self.shared.config.max_connections;
+                self.shared.obs.active.get() >= self.shared.config.max_connections as u64;
             if rejecting {
-                self.shared
-                    .stats
-                    .busy_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                server_obs().busy.incr();
+                self.shared.obs.busy.incr();
             } else {
-                let now_active = self.shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-                server_obs().active.set(now_active as u64);
+                let active = &self.shared.obs.active;
+                active.set(active.get() + 1);
             }
             self.generation += 1;
             let deadline = if rejecting {
@@ -973,7 +931,7 @@ impl EventLoop {
     /// pipeline cap), then run what the queue allows. A frame that
     /// earns a protocol error is queued as that reply.
     fn process_input(&mut self, token: usize) {
-        let obs = server_obs();
+        let obs = &self.shared.obs;
         loop {
             let Some(conn) = self.conns[token].as_mut() else {
                 return;
@@ -994,12 +952,7 @@ impl EventLoop {
                     continue;
                 }
             };
-            let wire_len = 4 + frame.len() as u64;
-            self.shared
-                .stats
-                .bytes_in
-                .fetch_add(wire_len, Ordering::Relaxed);
-            obs.bytes_in.add(wire_len);
+            obs.bytes_in.add(4 + frame.len() as u64);
             obs.frame_bytes.observe(frame.len() as u64);
             conn.last_activity = Instant::now();
             if conn.rejecting {
@@ -1043,7 +996,6 @@ impl EventLoop {
     /// [`LOOP_REQUESTS_PER_TICK`] turns. Replies go onto the write
     /// buffer, not the socket: every caller pumps once afterwards.
     fn advance(&mut self, token: usize) {
-        let obs = server_obs();
         loop {
             let turn = {
                 let Some(conn) = self.conns[token].as_mut() else {
@@ -1066,7 +1018,9 @@ impl EventLoop {
                 }
             };
             let started = Instant::now();
-            let reply = match request {
+            // `answer` counts and times a script; the other verbs are
+            // counted and timed here, each in its own histogram.
+            let (reply, latency) = match request {
                 Request::Query(text) => {
                     let parsed = (text.len() <= LOOP_PARSE_BYTES).then(|| parser::parse(&text));
                     let script = Script {
@@ -1078,12 +1032,8 @@ impl EventLoop {
                         self.dispatch(token, script);
                         return;
                     }
-                    self.shared
-                        .stats
-                        .inline_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs.read_inline.incr();
-                    answer(&self.shared, script)
+                    self.shared.obs.read_inline.incr();
+                    (answer(&self.shared, script), None)
                 }
                 Request::Trace(text) => {
                     // Parsed on the worker, inside the trace capture.
@@ -1095,68 +1045,58 @@ impl EventLoop {
                     self.dispatch(token, script);
                     return;
                 }
-                Request::Hello => {
-                    obs.requests.incr();
-                    obs.lat_hello
-                        .observe_ns(started.elapsed().as_nanos() as u64);
-                    Reply::Ok(vec![PROTOCOL_VERSION.into()])
-                }
-                Request::Stats => {
-                    let reply = Reply::Ok(vec![render_stats(&self.shared)]);
-                    obs.requests.incr();
-                    obs.lat_stats
-                        .observe_ns(started.elapsed().as_nanos() as u64);
-                    reply
-                }
+                Request::Hello => (
+                    Reply::Ok(vec![PROTOCOL_VERSION.into()]),
+                    Some(&self.shared.obs.lat_hello),
+                ),
+                Request::Stats => (
+                    Reply::Ok(vec![render_stats(&self.shared)]),
+                    Some(&self.shared.obs.lat_stats),
+                ),
                 Request::Metrics(format) => {
-                    let reply = run_metrics(format);
-                    obs.requests.incr();
-                    obs.lat_metrics
-                        .observe_ns(started.elapsed().as_nanos() as u64);
-                    reply
+                    (run_metrics(format), Some(&self.shared.obs.lat_metrics))
                 }
-                Request::Slowlog(limit) => {
-                    let reply = run_slowlog(&self.shared, limit);
-                    obs.requests.incr();
-                    obs.lat_slowlog
-                        .observe_ns(started.elapsed().as_nanos() as u64);
-                    reply
-                }
+                Request::Slowlog(limit) => (
+                    run_slowlog(&self.shared, limit),
+                    Some(&self.shared.obs.lat_slowlog),
+                ),
                 Request::Quit => {
-                    obs.requests.incr();
-                    obs.lat_quit.observe_ns(started.elapsed().as_nanos() as u64);
                     if let Some(conn) = self.conns[token].as_mut() {
                         conn.lifecycle = Lifecycle::Draining;
                         conn.queue.clear();
                     }
-                    Reply::Ok(vec!["bye".into()])
+                    (
+                        Reply::Ok(vec!["bye".into()]),
+                        Some(&self.shared.obs.lat_quit),
+                    )
                 }
                 Request::Shutdown => {
-                    obs.requests.incr();
-                    obs.lat_shutdown
-                        .observe_ns(started.elapsed().as_nanos() as u64);
                     if let Some(conn) = self.conns[token].as_mut() {
                         conn.lifecycle = Lifecycle::Draining;
                         conn.queue.clear();
                         conn.shutdown_after = true;
                     }
                     trigger_shutdown(&self.shared);
-                    Reply::Ok(vec!["shutting down".into()])
+                    let reply = Reply::Ok(vec!["shutting down".into()]);
+                    (reply, Some(&self.shared.obs.lat_shutdown))
                 }
             };
+            if let Some(latency) = latency {
+                self.shared.obs.requests.incr();
+                latency.observe_ns(started.elapsed().as_nanos() as u64);
+            }
             self.reply(token, &reply);
         }
     }
 
     /// Hand one script to the worker pool.
     fn dispatch(&mut self, token: usize, script: Script) {
-        let obs = server_obs();
+        let obs = &self.shared.obs;
         let Some(conn) = self.conns[token].as_mut() else {
             return;
         };
         conn.inflight = true;
         obs.pipeline_depth.observe(conn.backlog() as u64);
-        self.shared.stats.dispatched.fetch_add(1, Ordering::Relaxed);
         obs.read_dispatched.incr();
         let job = Job {
             conn: token,
@@ -1265,7 +1205,6 @@ impl EventLoop {
     // -- timeouts and teardown ----------------------------------------
 
     fn expire_idle(&mut self) {
-        let obs = server_obs();
         let now = Instant::now();
         for token in 0..self.conns.len() {
             let Some(conn) = self.conns[token].as_mut() else {
@@ -1298,9 +1237,7 @@ impl EventLoop {
                 self.doom(token);
                 continue;
             }
-            self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            self.shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            obs.timeout.incr();
+            self.shared.obs.timeout.incr();
             let timeout = conn.deadline;
             conn.lifecycle = Lifecycle::Draining;
             self.reply(
@@ -1328,8 +1265,8 @@ impl EventLoop {
                 continue;
             };
             if !conn.rejecting {
-                let left = self.shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-                server_obs().active.set(left as u64);
+                let active = &self.shared.obs.active;
+                active.set(active.get() - 1);
             }
             self.free.push(token);
             // `conn.stream` drops here, closing the socket.
@@ -1343,9 +1280,7 @@ impl EventLoop {
 
 /// Count a protocol violation and make its `ERR protocol` reply.
 fn protocol_error(shared: &Shared, message: String) -> Reply {
-    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    server_obs().protocol_error.incr();
+    shared.obs.protocol_error.incr();
     Reply::Err {
         kind: "protocol".into(),
         message,
@@ -1385,6 +1320,7 @@ fn run_slowlog(shared: &Shared, limit: Option<u32>) -> Reply {
 }
 
 fn render_stats(shared: &Shared) -> String {
+    let obs = &shared.obs;
     // The open store's LSNs sit under the epoch (read off atomics: the
     // loop never waits on the writer lock).
     let lsns = shared
@@ -1398,21 +1334,21 @@ fn render_stats(shared: &Shared) -> String {
          slowlog-entries: {}\nslowlog-threshold-ms: {}\nworkers: {}\n\
          backpressure-depth: {}\nshed-writes: {}\ninline-reads: {}\ndispatched: {}",
         shared.engine.epoch(),
-        shared.stats.accepted.load(Ordering::Relaxed),
-        shared.active.load(Ordering::SeqCst),
-        shared.stats.busy_rejected.load(Ordering::Relaxed),
-        shared.stats.queries.load(Ordering::Relaxed),
-        shared.stats.errors.load(Ordering::Relaxed),
-        shared.stats.timeouts.load(Ordering::Relaxed),
-        shared.stats.protocol_errors.load(Ordering::Relaxed),
-        shared.stats.bytes_in.load(Ordering::Relaxed),
-        shared.stats.bytes_out.load(Ordering::Relaxed),
+        obs.accept.get(),
+        obs.active.get(),
+        obs.busy.get(),
+        obs.query.get(),
+        obs.query_error.get() + obs.timeout.get() + obs.protocol_error.get(),
+        obs.timeout.get(),
+        obs.protocol_error.get(),
+        obs.bytes_in.get(),
+        obs.bytes_out.get(),
         shared.slowlog().len(),
         shared.config.slowlog_threshold.as_millis(),
         shared.config.effective_workers(),
         shared.config.backpressure_depth,
-        shared.stats.shed_writes.load(Ordering::Relaxed),
-        shared.stats.inline_reads.load(Ordering::Relaxed),
-        shared.stats.dispatched.load(Ordering::Relaxed),
+        obs.shed.get(),
+        obs.read_inline.get(),
+        obs.read_dispatched.get(),
     )
 }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 mod common;
 
-use common::serving_bootstrap;
+use common::{count, serving_bootstrap};
 use hrdm::prelude::Engine;
 use hrdm_server::proto::read_frame;
 use hrdm_server::sys::raise_nofile_limit;
@@ -95,7 +95,7 @@ fn slow_loris_clients_time_out_and_free_their_slots() {
     });
 
     wait_active(&handle, 0, Duration::from_secs(5));
-    let timeouts = handle.stats().timeouts.load(Ordering::Relaxed);
+    let timeouts = count(&handle, "server.timeout");
     assert!(
         timeouts >= LORIS as u64,
         "expected >= {LORIS} timeouts, saw {timeouts}"
@@ -135,7 +135,7 @@ fn mid_frame_disconnects_never_leak_connection_state() {
     wait_active(&handle, 0, Duration::from_secs(5));
     assert_alive(&handle);
     wait_active(&handle, 0, Duration::from_secs(5));
-    assert_eq!(handle.stats().timeouts.load(Ordering::Relaxed), 0);
+    assert_eq!(count(&handle, "server.timeout"), 0);
     handle.shutdown();
 }
 
@@ -281,7 +281,7 @@ fn write_backpressure_sheds_writes_but_never_reads() {
         client.quit().unwrap();
     });
 
-    assert!(handle.stats().shed_writes.load(Ordering::Relaxed) >= 1);
+    assert!(count(&handle, "server.backpressure.shed") >= 1);
     wait_active(&handle, 0, Duration::from_secs(5));
     handle.shutdown();
 }
@@ -369,13 +369,12 @@ fn a_point_read_firehose_does_not_starve_its_neighbours() {
         eprintln!("slowest neighbour round trip beside the firehose: {slowest:?}");
     });
 
-    let stats = handle.stats();
     assert_eq!(
-        stats.inline_reads.load(Ordering::Relaxed),
+        count(&handle, "server.read.inline"),
         answered.load(Ordering::Relaxed) + 40,
         "every firehose request and the neighbour's point reads ran on the loop"
     );
-    assert_eq!(stats.dispatched.load(Ordering::Relaxed), 40, "the COUNTs");
+    assert_eq!(count(&handle, "server.read.dispatched"), 40, "the COUNTs");
     wait_active(&handle, 0, Duration::from_secs(5));
     handle.shutdown();
 }

@@ -1,12 +1,12 @@
 //! The serving fixtures the soak, pipeline and chaos suites share: the
 //! Fig. 1 world as a bootstrap script, a read mix and a write mix over
-//! it, and the reply a serial engine gives.
+//! it, the reply a serial engine gives, and a server's own counts.
 
 // Each test binary compiles this module and uses only part of it.
 #![allow(dead_code)]
 
 use hrdm::prelude::Engine;
-use hrdm_server::Reply;
+use hrdm_server::{Reply, ServerHandle};
 
 /// The Fig. 1 world as an HQL bootstrap script (what `hrdm-serve
 /// --bootstrap` reads in the binary soak).
@@ -71,4 +71,22 @@ pub fn serial_reply(engine: &Engine, statement: &str) -> Reply {
             message: e.to_string(),
         },
     }
+}
+
+/// The server's own count of `name`, a `server.*` counter of its
+/// metrics scope.
+pub fn count(handle: &ServerHandle, name: &'static str) -> u64 {
+    handle.metrics().counter(name).get()
+}
+
+/// Requests the server answered `ERR` (`STATS`' `errors:`).
+pub fn errors(handle: &ServerHandle) -> u64 {
+    [
+        "server.query_error",
+        "server.timeout",
+        "server.protocol_error",
+    ]
+    .map(|name| count(handle, name))
+    .iter()
+    .sum()
 }

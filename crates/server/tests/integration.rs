@@ -187,6 +187,48 @@ fn stats_report_the_open_stores_lsns() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Each server counts into a scope of its own, which its `STATS`
+/// renders; every count also lands in the process registry, which
+/// `METRICS` renders.
+#[test]
+fn two_servers_keep_their_own_counts_and_the_process_sums_them() {
+    let (one, two) = (
+        start(8, Duration::from_secs(5)),
+        start(8, Duration::from_secs(5)),
+    );
+    let total = hrdm_obs::metrics::counter("server.query");
+    let before = total.get();
+    let stats = |handle: &ServerHandle| {
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let Reply::Ok(parts) = client.stats().unwrap() else {
+            panic!("STATS answers OK")
+        };
+        client.quit().unwrap();
+        parts.join("\n")
+    };
+    let mut client = Client::connect(one.addr()).unwrap();
+    client.query("CREATE DOMAIN D;").unwrap();
+    for _ in 0..4 {
+        assert!(client.query("SHOW DOMAIN D;").unwrap().is_ok());
+    }
+    client.quit().unwrap();
+    assert!(stats(&one).contains("\nqueries: 5\n"), "{}", stats(&one));
+    assert!(stats(&two).contains("\nqueries: 0\n"), "{}", stats(&two));
+
+    let mut client = Client::connect(two.addr()).unwrap();
+    assert!(client.query("CREATE DOMAIN E;").unwrap().is_ok());
+    client.quit().unwrap();
+    assert!(stats(&two).contains("\nqueries: 1\n"), "{}", stats(&two));
+    assert_eq!(one.metrics().counter("server.query").get(), 5);
+    assert_eq!(two.metrics().counter("server.query").get(), 1);
+    // Other tests of this binary serve beside this one, so the process
+    // total grows by at least the two servers' sum.
+    assert!(total.get() - before >= 6);
+    for handle in [one, two] {
+        handle.shutdown();
+    }
+}
+
 #[test]
 fn connections_past_the_cap_get_busy() {
     let handle = start(1, Duration::from_secs(5));
@@ -196,13 +238,7 @@ fn connections_past_the_cap_get_busy() {
     let err = Client::connect(handle.addr()).expect_err("second client must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     assert!(err.to_string().contains("busy"), "{err}");
-    assert_eq!(
-        handle
-            .stats()
-            .busy_rejected
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(handle.metrics().counter("server.busy").get(), 1);
     // Once the slot frees, new connections are admitted again.
     first.quit().unwrap();
     let mut admitted = None;
@@ -243,10 +279,7 @@ fn idle_connections_time_out_with_a_stable_kind() {
         "then the connection closes"
     );
     assert_eq!(
-        handle
-            .stats()
-            .timeouts
-            .load(std::sync::atomic::Ordering::Relaxed),
+        handle.metrics().counter("server.timeout").get(),
         1,
         "the timeout is counted"
     );
@@ -288,11 +321,7 @@ fn unknown_verbs_are_protocol_errors_but_keep_the_connection() {
     // Still greeted, still serving.
     assert!(client.query("CREATE DOMAIN D;").unwrap().is_ok());
     assert!(
-        handle
-            .stats()
-            .protocol_errors
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1,
+        handle.metrics().counter("server.protocol_error").get() >= 1,
         "the protocol error is counted"
     );
     client.quit().unwrap();

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 mod common;
 
-use common::{serial_reply, serving_bootstrap};
+use common::{count, errors, serial_reply, serving_bootstrap};
 use hrdm::prelude::Engine;
 use hrdm_server::proto::encode_frame;
 use hrdm_server::{Client, FrameReader, Reply, Request, Server, ServerConfig};
@@ -136,14 +136,8 @@ fn repeated_bursts_on_one_connection_stay_ordered() {
         sent += scripts.len() as u64;
     }
     client.quit().unwrap();
-    let ok = handle
-        .stats()
-        .queries
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let err = handle
-        .stats()
-        .errors
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let ok = count(&handle, "server.query");
+    let err = errors(&handle);
     assert_eq!(
         ok + err,
         sent,
@@ -156,10 +150,9 @@ fn repeated_bursts_on_one_connection_stay_ordered() {
 /// How many `QUERY`/`TRACE` requests the loop answered itself and how
 /// many it handed to a worker.
 fn split(handle: &hrdm_server::ServerHandle) -> (u64, u64) {
-    let stats = handle.stats();
     (
-        stats.inline_reads.load(Ordering::Relaxed),
-        stats.dispatched.load(Ordering::Relaxed),
+        count(handle, "server.read.inline"),
+        count(handle, "server.read.dispatched"),
     )
 }
 
@@ -268,9 +261,8 @@ fn the_edges_of_the_inline_path_answer_like_the_engine() {
     assert_eq!(parts.len(), plain.len() + 1, "responses, then the tree");
     assert_eq!(split(&handle), (3, 3));
 
-    let stats = handle.stats();
     assert_eq!(
-        stats.queries.load(Ordering::Relaxed) + stats.errors.load(Ordering::Relaxed),
+        count(&handle, "server.query") + errors(&handle),
         6,
         "each request counted once, whichever side answered it"
     );
@@ -341,7 +333,7 @@ fn protocol_errors_answer_in_their_turn_between_loop_and_worker_requests() {
     encode_frame(&Request::Query("COUNT Flies;".into()).render(), &mut again);
     stream.write_all(&again).unwrap();
     assert_eq!(recv(&mut stream), serial_reply(&reference, "COUNT Flies;"));
-    assert_eq!(handle.stats().protocol_errors.load(Ordering::Relaxed), 60);
+    assert_eq!(count(&handle, "server.protocol_error"), 60);
     handle.shutdown();
 }
 

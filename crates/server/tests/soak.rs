@@ -14,7 +14,7 @@ use std::time::Duration;
 
 mod common;
 
-use common::{serial_reply, serving_bootstrap, serving_queries, serving_writes};
+use common::{count, errors, serial_reply, serving_bootstrap, serving_queries, serving_writes};
 use hrdm::prelude::Engine;
 use hrdm_server::{Client, Reply, Server, ServerConfig};
 
@@ -141,22 +141,18 @@ fn soak_eight_clients_against_a_journaled_store() {
     client.quit().unwrap();
     // Per-kind exactness: the server classified every request the way
     // the clients observed it, and nothing else happened.
-    let stat = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(stat(&handle.stats().queries), total_ok, "OK replies");
-    assert_eq!(stat(&handle.stats().errors), total_err, "ERR replies");
+    let stat = |name| count(&handle, name);
+    assert_eq!(stat("server.query"), total_ok, "OK replies");
+    assert_eq!(errors(&handle), total_err, "ERR replies");
     assert_eq!(
         total_ok + total_err,
         (CLIENTS * QUERIES_PER_CLIENT + writes.len() + queries.len()) as u64,
         "every request accounted for"
     );
-    assert_eq!(stat(&handle.stats().timeouts), 0, "no timeouts");
-    assert_eq!(
-        stat(&handle.stats().protocol_errors),
-        0,
-        "no protocol errors"
-    );
-    assert_eq!(stat(&handle.stats().busy_rejected), 0, "no admission BUSY");
-    assert_eq!(stat(&handle.stats().shed_writes), 0, "no backpressure shed");
+    assert_eq!(stat("server.timeout"), 0, "no timeouts");
+    assert_eq!(stat("server.protocol_error"), 0, "no protocol errors");
+    assert_eq!(stat("server.busy"), 0, "no admission BUSY");
+    assert_eq!(stat("server.backpressure.shed"), 0, "no backpressure shed");
     handle.shutdown();
 
     // Durability: recovery rebuilds the full serial state from the WAL.
