@@ -656,7 +656,8 @@ fn copy_store(from: &std::path::Path, to: &std::path::Path) {
 /// generation.
 fn b10_restart() {
     use hrdm_core::mutation::CatalogMutation;
-    use hrdm_persist::{store, Frame, Image, Journal, WalReader};
+    use hrdm_persist::wal::Stop;
+    use hrdm_persist::{store, Image, Journal, WalReader};
     const RELATIONS: usize = 256;
     const POPULATED: usize = 16;
     const TUPLES: usize = 430;
@@ -704,27 +705,25 @@ fn b10_restart() {
         let (_, image) = store::load_checkpoint(&checkpoint).expect("checkpoint loads");
         image.into_catalog()
     };
-    /// Read the log back as recovery does, into one kept record,
-    /// handing each mutation to `each`.
-    fn read_log(path: &std::path::Path, mut each: impl FnMut(&CatalogMutation)) {
+    /// Read the log back through recovery's frame loop, into one kept
+    /// record, handing each mutation to `each`.
+    fn read_log(path: &std::path::Path, lsn: u64, mut each: impl FnMut(&CatalogMutation)) {
         let file = std::fs::File::open(path).expect("log opens");
         let mut reader = WalReader::new(std::io::BufReader::new(file)).expect("log header");
         let mut record = CatalogMutation::default();
-        let mut records = 0;
-        while let Some(frame) = reader.next_into(&mut record).expect("intact log") {
-            if let Frame::Mutation = frame {
-                each(&record);
-                records += 1;
-            }
-        }
-        assert_eq!(records, RECORDS, "every record read back");
+        let replayed = reader.replay(lsn, &mut record, u64::MAX, |m| {
+            each(m);
+            Ok::<_, ()>(())
+        });
+        assert!(matches!(replayed.stop, Stop::End), "intact log");
+        assert_eq!(replayed.taken, RECORDS as u64, "every record read back");
     }
     let log = store::wal_path(&store, lsn);
     let mut records = Vec::with_capacity(RECORDS);
-    read_log(&log, |r| records.push(r.clone()));
+    read_log(&log, lsn, |r| records.push(r.clone()));
 
     let load_ns = time_with_setup(REPS, || (), |()| load());
-    let decode_ns = time_with_setup(REPS, || (), |()| read_log(&log, |_| {}));
+    let decode_ns = time_with_setup(REPS, || (), |()| read_log(&log, lsn, |_| {}));
     let apply_ns = time_with_setup(REPS, load, |mut catalog| {
         for record in &records {
             catalog.apply_mutation(record).expect("record applies");

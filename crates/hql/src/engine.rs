@@ -477,9 +477,9 @@ impl Engine {
     }
 
     /// Apply a batch of logical mutations as **one** write — the entry
-    /// a WAL-fed [`Replica`](crate::Replica) feeds each poll of shipped
-    /// history to: an optional checkpoint image to start over from
-    /// (`base`), then the batch in order. It is the write path of a
+    /// a WAL-fed [`Replica`](crate::Replica) feeds each delivery of
+    /// shipped history to: an optional checkpoint image to start over
+    /// from (`base`), then the batch in order. It is the write path of a
     /// mutating statement minus the parsing, run once for the lot: one
     /// world clone (each map node a mutation walks is copied once, then
     /// edited in place), one view-maintenance pass, one published epoch, one
@@ -490,8 +490,8 @@ impl Engine {
     ///
     /// `batch` is handed the function that applies one mutation and
     /// calls it on each, in order, passing on its first error. Each
-    /// mutation is only lent for its own call, so a replica decodes its
-    /// batch one record at a time into the record its `ShipBatch` keeps;
+    /// mutation is only lent for its own call, so a replica applies each
+    /// shipped record as it is decoded (`|apply| records(apply)`);
     /// a slice is `|apply| mutations.iter().try_for_each(apply)`.
     pub fn apply_mutations(
         &self,

@@ -1,34 +1,37 @@
 //! WAL-fed read replicas.
 //!
 //! A [`Replica`] is an embedded [`Engine`] kept current by tailing a
-//! primary's store directory (`hrdm-persist`'s
-//! [`WalTailer`]): each poll of the tailer — a checkpoint image if the
-//! primary rolled over, then the committed mutations past what was
-//! already shipped — is applied by [`Engine::apply_mutations`] as one
-//! write, through the same [`Catalog::apply_mutation`] interpreter the
-//! primary's own writes and recovery run. So a replica at shipped LSN
-//! *L* renders reads **byte-identically** to the primary at LSN *L*
-//! (the replica-parity harness pins this across randomized histories).
+//! primary's store directory (`hrdm-persist`'s [`WalTailer`]): each
+//! delivery of the tailer — a checkpoint image if the primary rolled
+//! over, then the mutations past what was already shipped — is applied
+//! by [`Engine::apply_mutations`] as one write, through the same
+//! [`Catalog::apply_mutation`] interpreter the primary's own writes and
+//! recovery run. So a replica at shipped LSN *L* renders reads
+//! **byte-identically** to the primary at LSN *L* (the replica-parity
+//! harness pins this across randomized histories). The tailer reads the
+//! log inside that write and hands it each record as soon as it is
+//! decoded, so a sync holds one decoded record, never a batch of
+//! records or of their bytes.
 //!
 //! # What a reader may observe
 //!
-//! * **An epoch is a batch.** One [`sync`](Replica::sync) drains the
-//!   log in write transactions of at most [`SYNC_BATCH`] records and
-//!   publishes one epoch per transaction — never one per record, and
-//!   never more than that many records held in memory.
+//! * **An epoch is a transaction.** One [`sync`](Replica::sync) drains
+//!   the log in write transactions of at most [`SYNC_BATCH`] records
+//!   and publishes one epoch per transaction — never one per record,
+//!   and none when there is nothing new.
 //! * **Every published state is the primary's at some LSN** — a prefix
-//!   of its committed history, though not every prefix; the last one a
-//!   `sync` publishes is the LSN it returns.
-//! * **A batch is all or nothing.** If the replica cannot apply a
-//!   record, or the log is damaged, `sync` fails, nothing of that batch
-//!   is published, and nothing is skipped: the tailer is rewound to
-//!   where the batch began, so [`shipped_lsn`](Replica::shipped_lsn)
+//!   of the history the primary has flushed, though not every prefix; the last
+//!   one a `sync` publishes is the LSN it returns.
+//! * **A transaction is all or nothing.** If the replica cannot apply a
+//!   record, `sync` fails, nothing of that transaction is published,
+//!   and nothing is skipped: the tailer moves only past records a
+//!   transaction applied, so [`shipped_lsn`](Replica::shipped_lsn)
 //!   keeps naming the state the replica serves and the next `sync`
 //!   re-reads the same records and fails at the same one. Mid-log
-//!   damage is kind `corrupt`; it clears when the primary's next
-//!   checkpoint supersedes the generation. A log *tail* cut short is
-//!   not a failure — the replica stops before it and resumes when the
-//!   rest arrives.
+//!   damage is kind `corrupt`, once the intact records before it are
+//!   applied; it clears when the primary's next checkpoint supersedes
+//!   the generation. A log *tail* cut short is not a failure — the
+//!   replica stops before it and resumes when the rest arrives.
 //!
 //! Replication is asynchronous and pull-based: call `sync` on whatever
 //! cadence fits (a serving loop tick, a timer thread). Reads between
@@ -47,15 +50,15 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use hrdm_obs::metrics::{Counter, Gauge, Histogram};
-use hrdm_persist::ship::{ShipBatch, WalTailer};
+use hrdm_persist::ship::WalTailer;
 
 use crate::engine::Engine;
 use crate::error::HqlError;
 use crate::executor::{ExecError, ExecResult, ExecutorHandle};
 
 /// Most mutation records one write transaction of a
-/// [`sync`](Replica::sync) applies, and so the most a replica holds
-/// decoded at once however long the log it attached to.
+/// [`sync`](Replica::sync) applies, and so the longest a replica holds
+/// its engine's writer lock however long the log it attached to.
 pub const SYNC_BATCH: usize = 8192;
 
 /// The shipping stream and what the last sync made of it.
@@ -74,7 +77,7 @@ pub struct Replica {
     applied_lsn: Gauge,
     /// Records each successful sync applied — how far behind it was.
     sync_records: Histogram,
-    /// Syncs that failed applying a batch.
+    /// Syncs whose write transaction refused what it was delivered.
     apply_errors: Counter,
 }
 
@@ -105,43 +108,36 @@ impl Replica {
         &self.engine
     }
 
-    /// Pull everything newly committed on the primary and apply it, a
-    /// batch of at most [`SYNC_BATCH`] records per write transaction.
+    /// Pull everything the primary has newly flushed to its log and
+    /// apply it, at most [`SYNC_BATCH`] records per write transaction.
     /// Returns the shipped LSN after the pull (mutations applied since
     /// the primary store was born). On `Err` the replica serves the
-    /// last batch that applied whole, and the next call starts again
-    /// from there (see the module docs).
+    /// last transaction that applied whole, and the next call starts
+    /// again from there (see the module docs).
     pub fn sync(&self) -> ExecResult<u64> {
         let mut feed = self.feed.lock().expect("feed lock poisoned");
-        let tailer = &mut feed.tailer;
-        // Every poll of this sync refills the same batch, so a catch-up
-        // allocates nothing per record; it is dropped when the sync
-        // ends, so a replica keeps no log bytes between syncs.
-        let mut batch = ShipBatch::new();
-        let mut records = 0u64;
+        let mut applied = 0u64;
         let outcome = loop {
-            let batch_start = tailer.cursor();
-            match tailer.poll_into(&mut batch, SYNC_BATCH) {
-                Ok(()) if batch.is_empty() => break Ok(()),
-                Ok(()) => {}
+            // Each record is applied inside the write as it is read.
+            let delivered = feed.tailer.deliver(SYNC_BATCH, |rollover, records| {
+                let base = rollover.map(|(_, image)| image);
+                self.engine.apply_mutations(base, |apply| records(apply))
+            });
+            match delivered {
+                Ok(Ok(Some(n))) => applied += n,
+                Ok(Ok(None)) => break Ok(()),
+                Ok(Err(e)) => {
+                    self.apply_errors.incr();
+                    break Err(e.into());
+                }
                 Err(e) => break Err(ExecError::from(HqlError::from(e))),
             }
-            let base = batch.take_rollover().map(|(_, image)| image);
-            let applied = self
-                .engine
-                .apply_mutations(base, |apply| batch.try_for_each(apply));
-            if let Err(e) = applied {
-                tailer.rewind(batch_start);
-                self.apply_errors.incr();
-                break Err(e.into());
-            }
-            records += batch.len() as u64;
         };
         let lsn = feed.tailer.shipped_lsn();
         self.applied_lsn.set(lsn);
         outcome?;
-        self.sync_records.observe(records);
-        feed.last_sync = Some((records, Instant::now()));
+        self.sync_records.observe(applied);
+        feed.last_sync = Some((applied, Instant::now()));
         Ok(lsn)
     }
 

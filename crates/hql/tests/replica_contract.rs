@@ -211,6 +211,62 @@ fn an_inapplicable_record_fails_every_sync_and_loses_nothing() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A record refused in the first transaction, the one that carries the
+/// checkpoint image, takes the image down with it: the replica stays
+/// where it attached — epoch 0, shipped LSN 0, no relation — and the
+/// next sync brings the image and fails at the same record again.
+#[test]
+fn a_refused_first_batch_keeps_its_rollover() {
+    let dir = temp_store("first");
+    let script = script();
+    let base = 4; // the domain, its two classes and `R`
+    let mut catalog = Catalog::new();
+    for m in &script[..base] {
+        catalog.apply_mutation(m).unwrap();
+    }
+    write_checkpoint(&dir, base as u64, &Image::from_catalog(&catalog)).unwrap();
+    let absent = CatalogMutation::Retract {
+        relation: "R".into(),
+        values: vec!["D".into()],
+    };
+    let records = [assert_r("A"), assert_r("B"), absent];
+    let (bytes, _) = wal_stream(base as u64, &records);
+    std::fs::write(wal_path(&dir, base as u64), &bytes).unwrap();
+
+    let replica = Replica::attach(&dir);
+    let first = replica.sync().unwrap_err();
+    assert_eq!(first.kind(), "unknown", "{first}");
+    let relations = replica.execute_read("SHOW RELATIONS;", 0).unwrap();
+    assert_eq!(
+        relations,
+        Engine::new().execute_read("SHOW RELATIONS;", 0).unwrap()
+    );
+    let again = replica.sync().unwrap_err();
+    assert_eq!(
+        (again.kind(), again.to_string()),
+        (first.kind(), first.to_string())
+    );
+    assert_eq!(replica.engine().epoch(), 0);
+    assert_eq!(replica.shipped_lsn(), 0);
+    assert_eq!(
+        replica
+            .engine()
+            .metrics()
+            .counter("replica.apply_errors")
+            .get(),
+        2
+    );
+
+    // A checkpoint past the two good records supersedes the generation.
+    for m in &records[..2] {
+        catalog.apply_mutation(m).unwrap();
+    }
+    write_checkpoint(&dir, base as u64 + 2, &Image::from_catalog(&catalog)).unwrap();
+    assert_eq!(replica.sync().unwrap(), base as u64 + 2);
+    assert_serves(&replica, &script, base as u64 + 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A flipped bit mid-log is `corrupt` on every sync — with the intact
 /// records before it applied and served — and never a quiet stall; a
 /// log that merely stops mid-frame is not an error, and the replica
@@ -228,6 +284,9 @@ fn mid_log_damage_is_corrupt_and_a_short_tail_is_not() {
     damaged[ends[4] - 1] ^= 0x04;
     std::fs::write(wal_path(&dir, 0), &damaged).unwrap();
     let replica = Replica::attach(&dir);
+    // Damage counts in `ship.corrupt_records`, not as a refused record.
+    let apply_errors = replica.engine().metrics().counter("replica.apply_errors");
+    let mut epoch = None;
     for _ in 0..3 {
         let e = replica.sync().unwrap_err();
         assert_eq!(e.kind(), "corrupt", "{e}");
@@ -236,15 +295,25 @@ fn mid_log_damage_is_corrupt_and_a_short_tail_is_not() {
             "{e}"
         );
         assert_serves(&replica, &script, 4);
+        let now = replica.engine().epoch();
+        assert_eq!(
+            *epoch.get_or_insert(now),
+            now,
+            "damage again publishes nothing"
+        );
+        assert_eq!(apply_errors.get(), 0);
     }
 
     // The same file, repaired but stopping inside record 6.
     std::fs::write(wal_path(&dir, 0), &bytes[..ends[5] - 2]).unwrap();
     assert_eq!(replica.sync().unwrap(), 5);
+    let epoch = replica.engine().epoch();
     assert_eq!(replica.sync().unwrap(), 5, "a short tail waits, quietly");
+    assert_eq!(replica.engine().epoch(), epoch, "and publishes nothing");
     assert_serves(&replica, &script, 5);
     std::fs::write(wal_path(&dir, 0), &bytes).unwrap();
     assert_eq!(replica.sync().unwrap(), total);
     assert_serves(&replica, &script, total);
+    assert_eq!(apply_errors.get(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }

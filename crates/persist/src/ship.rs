@@ -1,27 +1,27 @@
-//! WAL shipping: tail a live store directory and stream its committed
-//! history to a read replica.
+//! WAL shipping: tail a live store directory and stream its history
+//! to a read replica.
 //!
 //! A [`WalTailer`] attaches to the same directory a primary journals
-//! into (see [`crate::store`]) and, on every [`poll`](WalTailer::poll),
-//! reports what is newly durable as [`ShipEvent`]s:
+//! into (see [`crate::store`]). Each [`deliver`](WalTailer::deliver)
+//! hands a consumer what is new: a **rollover** if a new generation
+//! appeared (first attach, or the primary took a checkpoint) — the
+//! checkpoint [`Image`] the consumer replaces its state with — then the
+//! **mutation records** past what was already delivered, numbered by
+//! LSN (mutations applied since the store was born). These are the
+//! records the primary's `WalFile` has *flushed*, not only those an
+//! `fdatasync` made durable, so a replica may run ahead of what a crash
+//! of the primary would keep; shipping only up to the durable LSN is
+//! part (2) of ROADMAP's item "Durability is one published LSN".
 //!
-//! * [`ShipEvent::Rollover`] — a new generation appeared (first attach,
-//!   or the primary took a checkpoint). Carries the checkpoint
-//!   [`Image`]; the replica replaces its state with it wholesale. Only
-//!   ever the first event of a poll.
-//! * [`ShipEvent::Mutation`] — one committed WAL record past what was
-//!   already delivered, numbered by its LSN (mutations applied since
-//!   the store was born).
-//!
-//! A poll costs what is *new*. The tailer keeps a [`ShipCursor`] —
+//! A delivery costs what is *new*. The tailer keeps a cursor —
 //! generation, records delivered, and the byte offset of the frame
 //! boundary it verified up to — decides "same generation" from the
 //! newest checkpoint's file name (an image is loaded and checksummed
-//! only when that name changed), seeks to the offset and decodes from
-//! there. The offset only ever moves past intact frames. A consumer
-//! that polls over and over ([`poll_into`](WalTailer::poll_into)) hands
-//! back the same [`ShipBatch`] each time, and the poll refills the
-//! buffers it already holds.
+//! only when that name changed), seeks to the offset and reads from
+//! there through recovery's frame loop (`WalReader::replay`), decoding
+//! each frame once into the one record it lends the consumer. The
+//! cursor moves past what was delivered only when the consumer accepts
+//! it; one that refuses is handed the same records again next time.
 //!
 //! The tailer is strictly **read-only**, and every delivered record
 //! was CRC-verified. What it does at a frame it cannot deliver depends
@@ -29,22 +29,19 @@
 //!
 //! * a frame cut **short** by end-of-file is a tail still being written
 //!   (or torn by a crash): delivery stops quietly at the last intact
-//!   record and the next poll resumes there;
+//!   record and the next one resumes there;
 //! * a **complete but invalid** frame is damage no retry repairs: the
-//!   poll that finds it first in line fails with
+//!   delivery that finds it first in line fails with
 //!   [`PersistError::Corrupt`] naming the byte offset (and bumps
-//!   `ship.corrupt_records`), and so does every later poll until a
+//!   `ship.corrupt_records`), and so does every later one until a
 //!   checkpoint supersedes the generation. Intact records before it
 //!   are delivered first;
 //! * a WAL now *shorter* than the cursor, or gone (the directory was
-//!   recreated, or the generation was checkpointed away mid-poll), is
+//!   recreated, or the generation was checkpointed away mid-read), is
 //!   re-read from the newest checkpoint as a rollover.
 //!
-//! Polling therefore always yields a *prefix* of the primary's
-//! committed history, delivered exactly once across the tailer's
-//! lifetime — unless the consumer [`rewind`](WalTailer::rewind)s to
-//! re-read what it failed to apply. A poll that returns `Err` leaves
-//! the cursor where it was.
+//! Delivery therefore always yields a *prefix* of the primary's flushed
+//! history, each record accepted exactly once.
 
 use std::fs::File;
 use std::io::{BufReader, ErrorKind, Seek, SeekFrom};
@@ -56,9 +53,9 @@ use hrdm_obs::metrics::{Counter, Registry};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
 use crate::store::{checkpoint_lsns, newest_intact_checkpoint, wal_path};
-use crate::wal::{decode_into, Frame, FrameError, WalReader, WAL_HEADER_LEN};
+use crate::wal::{FrameError, Stop, WalReader, WAL_HEADER_LEN};
 
-/// One unit of shipped history.
+/// One unit of shipped history, owned: what [`WalTailer::poll`] returns.
 pub enum ShipEvent {
     /// A new generation: the replica must replace its state with this
     /// checkpoint image (which captures the first `lsn` mutations).
@@ -78,88 +75,26 @@ pub enum ShipEvent {
     },
 }
 
-/// What one poll delivered — at most one rollover, then mutation records
-/// in LSN order — held in a batch the consumer keeps and hands back to
-/// every [`poll_into`](WalTailer::poll_into).
-///
-/// The batch keeps each delivered record as its verified payload, back
-/// to back in one buffer, and one [`CatalogMutation`] that every payload
-/// is decoded into ([`crate::wal::decode_into`]): by the poll, which
-/// must decode a frame to know it is valid, and again by
-/// [`try_for_each`](ShipBatch::try_for_each) when the consumer applies
-/// it. Once its buffers have grown to a poll's size, a poll and its
-/// application allocate nothing, and what the batch keeps between polls
-/// is the log's own bytes, not a record per frame.
-///
-/// A batch keeps the capacity of the largest poll it received (at most
-/// `max` payloads of at most [`crate::wal::RECORD_CAP`] bytes, and one
-/// `usize` each) and one record; drop it when polls are far apart.
-#[derive(Default)]
-pub struct ShipBatch {
-    rollover: Option<(u64, Image)>,
-    /// The delivered records' payloads, back to back.
-    payloads: Vec<u8>,
-    /// Where each delivered record's payload ends in `payloads`.
-    ends: Vec<usize>,
-    /// The record each payload is decoded into.
-    record: CatalogMutation,
-}
-
-impl ShipBatch {
-    /// An empty batch.
-    pub fn new() -> ShipBatch {
-        ShipBatch::default()
-    }
-
-    /// Nothing was delivered: no rollover, no mutation.
-    pub fn is_empty(&self) -> bool {
-        self.rollover.is_none() && self.ends.is_empty()
-    }
-
-    /// Mutation records the last poll delivered.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// The rollover the last poll delivered, if any: the checkpoint LSN
-    /// of the new generation and its image, taken out of the batch.
-    pub fn take_rollover(&mut self) -> Option<(u64, Image)> {
-        self.rollover.take()
-    }
-
-    /// Hand each delivered mutation to `f`, in LSN order, each decoded
-    /// into the one record the batch keeps; stops at the first `Err`.
-    pub fn try_for_each<E>(
-        &mut self,
-        mut f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        let mut start = 0;
-        for &end in &self.ends {
-            decode_into(&self.payloads[start..end], &mut self.record)
-                .expect("a delivered payload decoded when it was polled");
-            f(&self.record)?;
-            start = end;
-        }
-        Ok(())
-    }
-
-    fn clear(&mut self) {
-        self.rollover = None;
-        self.payloads.clear();
-        self.ends.clear();
-    }
-}
+/// The records of one [`deliver`](WalTailer::deliver): called with the
+/// function applying one record, it lends that function each record in
+/// LSN order as it is read and passes on the first error (once; a
+/// second call hands over nothing).
+pub type Records<'a, E> = dyn FnMut(
+        &mut dyn FnMut(&CatalogMutation) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E>
+    + 'a;
 
 /// A tailer's own metrics scope and its handles.
 struct ShipObs {
     metrics: Registry,
     rollovers: Counter,
     mutations: Counter,
-    /// WAL bytes consumed by polls, a partly read tail frame included.
+    /// WAL bytes consumed by deliveries, a partly read tail frame
+    /// included.
     poll_bytes: Counter,
     /// Checkpoint images opened and verified.
     checkpoint_loads: Counter,
-    /// Polls that failed on a complete but invalid frame.
+    /// Deliveries that failed on a complete but invalid frame.
     corrupt_records: Counter,
     /// Cursors dropped because the WAL under them had shrunk.
     resets: Counter,
@@ -180,40 +115,40 @@ impl ShipObs {
     }
 }
 
-/// Where a [`WalTailer`] stands in the primary's history. Opaque: take
-/// it with [`WalTailer::cursor`] before a poll, hand it back to
-/// [`WalTailer::rewind`] to have that poll's events delivered again.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShipCursor {
+/// Where a [`WalTailer`] stands in the primary's history.
+#[derive(Clone, Copy, Default)]
+struct Cursor {
     /// Checkpoint LSN of the generation being tailed; `None` until the
     /// first generation is observed.
     generation: Option<u64>,
     /// Newest checkpoint LSN *named* in the directory when the
     /// generation was last resolved (it may name a file that did not
-    /// verify); a poll opens checkpoint files only when this changes.
+    /// verify); a delivery opens checkpoint files only when this
+    /// changes.
     newest_named: Option<u64>,
     /// Mutation records delivered from the generation's WAL.
     delivered: u64,
-    /// Byte offset in that WAL just past the last verified frame; 0
-    /// until its header and checkpoint record have been read.
+    /// Byte offset in that WAL just past the last verified frame; the
+    /// WAL is read from its start again while this is not past the
+    /// checkpoint record.
     offset: u64,
 }
 
 /// A read-only tailer over a store directory's live generation.
 pub struct WalTailer {
     dir: PathBuf,
-    cursor: ShipCursor,
+    cursor: Cursor,
     obs: ShipObs,
 }
 
 impl WalTailer {
     /// Attach to a store directory. The directory need not exist yet —
-    /// the first [`poll`](WalTailer::poll) after the primary `OPEN`s it
-    /// reports the initial generation as a rollover.
+    /// the first delivery after the primary `OPEN`s it carries the
+    /// initial generation as a rollover.
     pub fn attach(dir: impl Into<PathBuf>) -> WalTailer {
         WalTailer {
             dir: dir.into(),
-            cursor: ShipCursor::default(),
+            cursor: Cursor::default(),
             obs: ShipObs::new(),
         }
     }
@@ -234,185 +169,206 @@ impl WalTailer {
         self.cursor.generation.unwrap_or(0) + self.cursor.delivered
     }
 
-    /// Where the tailer stands: everything up to here was delivered.
-    pub fn cursor(&self) -> ShipCursor {
-        self.cursor
-    }
-
-    /// Go back to a cursor taken earlier, so the events delivered since
-    /// are delivered again — what a consumer does when it could not
-    /// apply them, so that nothing is skipped.
-    pub fn rewind(&mut self, cursor: ShipCursor) {
-        self.cursor = cursor;
-    }
-
-    /// Collect everything newly committed since the last poll.
-    ///
-    /// Returns an empty vector when nothing changed. A WAL tail cut
-    /// short is not an error — delivery stops at the last intact record
-    /// and the next poll continues from there. A complete but invalid
-    /// frame is [`PersistError::Corrupt`] once every intact record
-    /// before it has been delivered. IO failures (other than files
-    /// legitimately missing mid-rollover) propagate.
+    /// Everything newly flushed since the last delivery, each record
+    /// cloned into an owned [`ShipEvent`]: a [`deliver`](Self::deliver)
+    /// without bound whose consumer keeps what it is lent. Empty when
+    /// nothing changed; errors as `deliver`'s.
     pub fn poll(&mut self) -> Result<Vec<ShipEvent>> {
-        let mut batch = ShipBatch::new();
-        self.poll_into(&mut batch, usize::MAX)?;
-        let mut events = Vec::with_capacity(1 + batch.len());
-        if let Some((lsn, image)) = batch.take_rollover() {
-            events.push(ShipEvent::Rollover { lsn, image });
-        }
-        let mut lsn = self.shipped_lsn() - batch.len() as u64;
-        let Ok(()) = batch.try_for_each(|mutation| {
-            lsn += 1;
-            events.push(ShipEvent::Mutation {
-                lsn,
-                mutation: mutation.clone(),
-            });
-            Ok::<_, std::convert::Infallible>(())
-        });
+        let mut events = Vec::new();
+        let mut lsn = self.shipped_lsn();
+        self.deliver::<PersistError>(usize::MAX, |rollover, records| {
+            if let Some((at, image)) = rollover {
+                lsn = at;
+                events.push(ShipEvent::Rollover { lsn, image });
+            }
+            records(&mut |mutation| {
+                lsn += 1;
+                let mutation = mutation.clone();
+                events.push(ShipEvent::Mutation { lsn, mutation });
+                Ok(())
+            })
+        })??;
         Ok(events)
     }
 
-    /// [`poll`](WalTailer::poll) into a batch the caller keeps, stopping
-    /// after `max` mutation records: the cursor stays on the frame
-    /// boundary and the next poll carries on from it, so a long log can
-    /// be drained in bounded pieces. Whatever `batch` held is replaced;
-    /// on `Err` it holds nothing.
-    pub fn poll_into(&mut self, batch: &mut ShipBatch, max: usize) -> Result<()> {
+    /// Hand what is new to `consume`: the rollover, if the generation
+    /// changed (its checkpoint LSN and image), and the [`Records`] that
+    /// yield at most `max` (≥ 1) mutation records past the cursor. The
+    /// tailer reads one frame ahead and calls `consume` only if there is
+    /// a rollover or at least one intact record.
+    ///
+    /// `Ok(Ok(None))`: nothing to hand over. `Ok(Ok(Some(n)))`: `consume`
+    /// accepted the rollover (if any) and `n` records, and the cursor
+    /// moves past them. `Ok(Err(e))`: `consume` refused; the tailer stays
+    /// where it was, so the same rollover and records come again next
+    /// time. `Err`: the log could not be read (nothing is delivered,
+    /// whatever `consume` returned), or damage is first in line.
+    pub fn deliver<E: From<PersistError>>(
+        &mut self,
+        max: usize,
+        consume: impl FnOnce(Option<(u64, Image)>, &mut Records<'_, E>) -> std::result::Result<(), E>,
+    ) -> Result<std::result::Result<Option<u64>, E>> {
         let _g = hrdm_obs::span!("ship.poll", dir = self.dir.display());
-        batch.clear();
         let mut cursor = self.cursor;
-        match self.advance(&mut cursor, batch, max) {
-            // A failed read says nothing about the log: deliver nothing
-            // and leave the cursor where it was.
-            Err(PersistError::Io(e)) => {
-                batch.clear();
-                Err(PersistError::Io(e))
+        let rollover = self.resolve(&mut cursor)?;
+        let Some(generation) = cursor.generation else {
+            self.cursor = cursor;
+            return Ok(Ok(None)); // no generation yet
+        };
+        let path = wal_path(&self.dir, generation);
+        let corrupt = |at: u64, msg: String| {
+            PersistError::Corrupt(format!("{} at byte {at}: {msg}", path.display()))
+        };
+
+        // Read one frame ahead, refusing it so that it stays decoded in
+        // `record` and the walk stops at its offset.
+        let mut record = CatalogMutation::default();
+        let mut damage = None;
+        let mut waiting = false;
+        let mut reader = match open_wal(&path, &mut cursor) {
+            Ok(reader) => reader,
+            Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
+            Err(e) => {
+                damage = Some(e);
+                None
             }
-            // Damage, with nothing intact before it.
-            Err(e) if batch.is_empty() => {
-                self.obs.corrupt_records.incr();
-                Err(e)
-            }
-            // Deliver what is intact; the next poll meets the damage
-            // first in line and reports it.
-            Err(_) | Ok(()) => {
-                self.cursor = cursor;
-                Ok(())
+        };
+        let read_from = cursor.offset;
+        if let Some(reader) = &mut reader {
+            let ahead = reader.replay(generation, &mut record, 1, |_| Err(()));
+            cursor.offset = ahead.at;
+            match ahead.stop {
+                Stop::Refused(()) => waiting = true,
+                Stop::End | Stop::Max | Stop::Frame(FrameError::Short(_)) => {}
+                Stop::Frame(FrameError::Invalid(msg)) => damage = Some(corrupt(ahead.at, msg)),
+                Stop::Foreign(lsn) => {
+                    let msg = format!("wal names checkpoint {lsn}, expected {generation}");
+                    damage = Some(corrupt(ahead.at, msg));
+                }
+                Stop::Frame(FrameError::Io(e)) => return Err(PersistError::Io(e)),
             }
         }
+
+        let rolled = rollover.is_some();
+        let (mut taken, mut failed) = (0, None);
+        let outcome = (rolled || waiting).then(|| {
+            consume(rollover, &mut |apply| {
+                if !std::mem::take(&mut waiting) {
+                    return Ok(());
+                }
+                let reader = reader.as_mut().expect("a record waits in an open log");
+                apply(&record)?;
+                let rest = reader.replay(generation, &mut record, max.max(1) as u64 - 1, apply);
+                taken = 1 + rest.taken;
+                cursor.offset = rest.at;
+                match rest.stop {
+                    Stop::Refused(e) => Err(e),
+                    Stop::Frame(FrameError::Io(e)) => {
+                        let err = std::io::Error::new(e.kind(), e.to_string());
+                        failed = Some(e);
+                        Err(PersistError::Io(err).into())
+                    }
+                    // Damage ends the delivery quietly too: the next one
+                    // finds it first in line and reports it.
+                    _ => Ok(()),
+                }
+            })
+        });
+        let obs = &self.obs;
+        obs.poll_bytes
+            .add(reader.as_ref().map_or(read_from, WalReader::pos) - read_from);
+        if let Some(e) = failed {
+            return Err(PersistError::Io(e));
+        }
+        let delivered = match (outcome, damage) {
+            (Some(Err(e)), _) => return Ok(Err(e)),
+            (Some(Ok(())), _) => Some(taken),
+            (None, Some(e)) => {
+                obs.corrupt_records.incr();
+                return Err(e);
+            }
+            (None, None) => None,
+        };
+        cursor.delivered += taken;
+        self.cursor = cursor;
+        obs.mutations.add(taken);
+        obs.rollovers.add(u64::from(rolled));
+        Ok(Ok(delivered))
     }
 
-    /// Move `cursor` forward over what is new, delivering what it passes
-    /// into `batch`. On `Err` the cursor stands on the last frame
-    /// boundary before the failure.
-    fn advance(&self, cursor: &mut ShipCursor, batch: &mut ShipBatch, max: usize) -> Result<()> {
+    /// Bring `cursor` to the newest generation whose checkpoint
+    /// verifies, and return the rollover if that changed it.
+    fn resolve(&self, cursor: &mut Cursor) -> Result<Option<(u64, Image)>> {
         let obs = &self.obs;
-
-        // 0. A WAL shorter than what was already verified, or gone, is
-        //    not the file the cursor points into: start over from the
-        //    newest checkpoint instead of seeking into garbage.
+        // A WAL shorter than what was already verified, or gone, is not
+        // the file the cursor points into: start over from the newest
+        // checkpoint instead of seeking into garbage.
         if cursor.offset > 0 {
             let generation = cursor.generation.expect("an offset is into a generation");
             match std::fs::metadata(wal_path(&self.dir, generation)) {
                 Ok(meta) if meta.len() >= cursor.offset => {}
                 Ok(_) => {
                     obs.resets.incr();
-                    *cursor = ShipCursor::default();
+                    *cursor = Cursor::default();
                 }
-                Err(e) if e.kind() == ErrorKind::NotFound => *cursor = ShipCursor::default(),
+                Err(e) if e.kind() == ErrorKind::NotFound => *cursor = Cursor::default(),
                 Err(e) => return Err(e.into()),
             }
         }
 
-        // 1. Generation check, by file name: first attach, or the
-        //    primary rolled over.
+        // Generation check, by file name: first attach, or the primary
+        // rolled over.
         let lsns = match checkpoint_lsns(&self.dir) {
             Ok(lsns) => lsns,
             Err(PersistError::Io(e)) if e.kind() == ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
         let Some(&newest_named) = lsns.first() else {
-            return Ok(()); // store not born yet
+            return Ok(None); // store not born yet
         };
-        if cursor.newest_named != Some(newest_named) {
-            // Corrupt ones are skipped, exactly like recovery does.
-            let (intact, skipped) = newest_intact_checkpoint(&self.dir, &lsns);
-            obs.checkpoint_loads
-                .add(skipped + u64::from(intact.is_some()));
-            let Some((lsn, image)) = intact else {
-                return Ok(()); // nothing verifies (yet)
-            };
-            cursor.newest_named = Some(newest_named);
-            if cursor.generation != Some(lsn) {
-                *cursor = ShipCursor {
-                    generation: Some(lsn),
-                    newest_named: Some(newest_named),
-                    delivered: 0,
-                    offset: 0,
-                };
-                batch.rollover = Some((lsn, image));
-                obs.rollovers.incr();
-            }
+        if cursor.newest_named == Some(newest_named) {
+            return Ok(None);
         }
-        let generation = cursor.generation.expect("resolved above");
-
-        // 2. Tail the generation's WAL from the cursor. The file may not
-        //    exist yet (checkpoint written, WAL not), or hold less than a
-        //    header: that's just "nothing to ship".
-        let path = wal_path(&self.dir, generation);
-        let mut file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
+        // Corrupt ones are skipped, exactly like recovery does.
+        let (intact, skipped) = newest_intact_checkpoint(&self.dir, &lsns);
+        obs.checkpoint_loads
+            .add(skipped + u64::from(intact.is_some()));
+        let Some((lsn, image)) = intact else {
+            return Ok(None); // nothing verifies (yet)
         };
-        let mut reader = if cursor.offset == 0 {
-            if file.metadata()?.len() < WAL_HEADER_LEN {
-                return Ok(());
-            }
-            WalReader::new(BufReader::new(file))?
-        } else {
-            file.seek(SeekFrom::Start(cursor.offset))?;
-            WalReader::resume(BufReader::new(file), cursor.offset)
-        };
-        let corrupt = |at: u64, msg: String| {
-            PersistError::Corrupt(format!("{} at byte {at}: {msg}", path.display()))
-        };
-        let started_at = cursor.offset;
-        let delivered_before = cursor.delivered;
-        let mut outcome = Ok(());
-        while ((cursor.delivered - delivered_before) as usize) < max {
-            match reader.next_into(&mut batch.record) {
-                // A clean end, or a tail still being written.
-                Ok(None) | Err(FrameError::Short(_)) => break,
-                Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => {}
-                Ok(Some(Frame::Checkpoint { lsn })) => {
-                    outcome = Err(corrupt(
-                        cursor.offset,
-                        format!("wal names checkpoint {lsn}, expected {generation}"),
-                    ));
-                    break;
-                }
-                Ok(Some(Frame::Mutation)) => {
-                    cursor.delivered += 1;
-                    batch.payloads.extend_from_slice(reader.payload());
-                    batch.ends.push(batch.payloads.len());
-                }
-                Err(FrameError::Io(e)) => {
-                    outcome = Err(e.into());
-                    break;
-                }
-                Err(FrameError::Invalid(msg)) => {
-                    outcome = Err(corrupt(reader.good_pos(), msg));
-                    break;
-                }
-            }
-            cursor.offset = reader.good_pos();
+        cursor.newest_named = Some(newest_named);
+        if cursor.generation == Some(lsn) {
+            return Ok(None);
         }
-        obs.poll_bytes.add(reader.pos() - started_at);
-        obs.mutations.add(cursor.delivered - delivered_before);
-        outcome
+        *cursor = Cursor {
+            generation: Some(lsn),
+            newest_named: Some(newest_named),
+            delivered: 0,
+            offset: 0,
+        };
+        Ok(Some((lsn, image)))
     }
+}
+
+/// Open the WAL at `path` where `cursor` stands: resumed at its offset
+/// once that is past the checkpoint record, else from the start (the
+/// offset then drops to 0). `None` when the file does not exist yet or
+/// holds less than a header: nothing to ship.
+fn open_wal(path: &Path, cursor: &mut Cursor) -> Result<Option<WalReader<BufReader<File>>>> {
+    let mut file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    if cursor.offset > WAL_HEADER_LEN {
+        file.seek(SeekFrom::Start(cursor.offset))?;
+        return Ok(Some(WalReader::resume(BufReader::new(file), cursor.offset)));
+    }
+    cursor.offset = 0;
+    if file.metadata()?.len() < WAL_HEADER_LEN {
+        return Ok(None);
+    }
+    WalReader::new(BufReader::new(file)).map(Some)
 }
 
 #[cfg(test)]
@@ -541,64 +497,63 @@ mod tests {
             .collect()
     }
 
-    /// Poll at most `max` records into the kept `batch`; the LSNs it
-    /// then holds, the rollover's first, and its mutations.
-    fn poll_lsns(
+    /// Deliver at most `max` records to a consumer that takes them all,
+    /// then accepts or refuses; the LSNs it was handed, the rollover's
+    /// first, and the mutations.
+    fn deliver_lsns(
         tailer: &mut WalTailer,
-        batch: &mut ShipBatch,
         max: usize,
+        accept: bool,
     ) -> (Vec<u64>, Vec<CatalogMutation>) {
-        tailer.poll_into(batch, max).unwrap();
-        let last = tailer.shipped_lsn();
-        let rollover = batch.take_rollover().map(|(lsn, _)| lsn);
-        let lsns = rollover
-            .into_iter()
-            .chain(last + 1 - batch.len() as u64..=last)
-            .collect();
-        let mut mutations = Vec::new();
-        batch
-            .try_for_each(|m| {
+        let (mut lsns, mut mutations) = (Vec::new(), Vec::new());
+        let mut lsn = tailer.shipped_lsn();
+        let outcome = tailer.deliver(max, |rollover, records| {
+            if let Some((at, _)) = rollover {
+                (lsn, lsns) = (at, vec![at]);
+            }
+            records(&mut |m| {
+                lsn += 1;
+                lsns.push(lsn);
                 mutations.push(m.clone());
-                Ok::<_, ()>(())
-            })
-            .unwrap();
+                Ok(())
+            })?;
+            accept
+                .then_some(())
+                .ok_or(PersistError::Corrupt("refused".into()))
+        });
+        assert_eq!(outcome.unwrap().is_ok(), accept);
         (lsns, mutations)
     }
 
     #[test]
-    fn bounded_polls_stop_on_frame_boundaries_and_a_rewind_redelivers() {
+    fn bounded_deliveries_stop_on_frame_boundaries_and_a_refused_delivery_leaves_the_tailer_where_it_was(
+    ) {
         let dir = temp_dir("bounded");
         let mut store = DurableCatalog::open(&dir).unwrap();
-        for m in mutations() {
-            store.mutate(m).unwrap();
+        let all = mutations();
+        for m in &all {
+            store.mutate(m.clone()).unwrap();
         }
         let mut tailer = WalTailer::attach(&dir);
-        let mut batch = ShipBatch::new();
-        let attached = tailer.cursor();
-        // The rollover does not count against the bound.
-        let all = mutations();
+        // The rollover does not count against the bound, and a refused
+        // delivery comes again, rollover and all.
+        for (max, lsns, range) in [(1, vec![0, 1], 0..1), (2, vec![2, 3], 1..3)] {
+            for accept in [false, true] {
+                let expected = (lsns.clone(), all[range.clone()].to_vec());
+                assert_eq!(deliver_lsns(&mut tailer, max, accept), expected);
+            }
+        }
+        // Accepted without taking the records: they come next time.
+        let taken = tailer.deliver::<PersistError>(2, |_, _| Ok(()));
+        assert_eq!(taken.unwrap().unwrap(), Some(0));
         assert_eq!(
-            poll_lsns(&mut tailer, &mut batch, 1),
-            (vec![0, 1], all[..1].to_vec())
-        );
-        let after_one = tailer.cursor();
-        assert_eq!(
-            poll_lsns(&mut tailer, &mut batch, 2),
-            (vec![2, 3], all[1..3].to_vec())
-        );
-        assert_eq!(
-            poll_lsns(&mut tailer, &mut batch, 2),
+            deliver_lsns(&mut tailer, 2, true),
             (vec![4], all[3..].to_vec())
         );
-        tailer.poll_into(&mut batch, 2).unwrap();
-        assert!(batch.is_empty());
-
-        tailer.rewind(after_one);
-        assert_eq!(tailer.shipped_lsn(), 1);
-        assert_eq!(lsns(&tailer.poll().unwrap()), [2, 3, 4]);
-        // Back before the generation was seen: the rollover comes again.
-        tailer.rewind(attached);
-        assert_eq!(lsns(&tailer.poll().unwrap()), [0, 1, 2, 3, 4]);
+        // Nothing new: the consumer is not called.
+        let nothing = tailer.deliver::<PersistError>(2, |_, _| panic!("nothing to deliver"));
+        assert_eq!(nothing.unwrap().unwrap(), None);
+        assert_eq!(tailer.shipped_lsn(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,7 +40,7 @@ use hrdm_obs::metrics::Registry;
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{Frame, FrameError, JournalObs, LsnMarks, WalFile, WalReader};
+use crate::wal::{FrameError, JournalObs, LsnMarks, Stop, WalFile, WalReader};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -234,33 +234,24 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
                 truncated_bytes = file_len;
             }
             Ok(mut reader) => {
-                let mut record = CatalogMutation::default();
-                loop {
-                    let committed = reader.good_pos();
-                    match reader.next_into(&mut record) {
-                        Ok(None) => break,
-                        Ok(Some(Frame::Checkpoint { lsn })) => {
-                            if lsn != checkpoint_lsn {
-                                return Err(PersistError::Corrupt(format!(
-                                    "wal names checkpoint {lsn}, expected {checkpoint_lsn}"
-                                )));
-                            }
-                        }
-                        Ok(Some(Frame::Mutation)) => match catalog.apply_mutation(&record) {
-                            Ok(_) => records_replayed += 1,
-                            Err(_) => {
-                                // Intact frame, inapplicable content: same
-                                // clean stop, but the record is charged to
-                                // the discarded tail.
-                                truncated_bytes = file_len - committed;
-                                break;
-                            }
-                        },
-                        Err(FrameError::Io(e)) => return Err(PersistError::Io(e)),
-                        Err(FrameError::Short(_) | FrameError::Invalid(_)) => {
-                            truncated_bytes = file_len - reader.good_pos();
-                            break;
-                        }
+                let replayed = reader.replay(
+                    checkpoint_lsn,
+                    &mut CatalogMutation::default(),
+                    u64::MAX,
+                    |m| catalog.apply_mutation(m).map(drop),
+                );
+                records_replayed = replayed.taken;
+                match replayed.stop {
+                    Stop::End | Stop::Max => {}
+                    Stop::Frame(FrameError::Io(e)) => return Err(PersistError::Io(e)),
+                    // Torn, corrupt, or an intact frame whose content does
+                    // not apply: a clean stop, and the frame it stopped at
+                    // starts the discarded tail.
+                    Stop::Frame(_) | Stop::Refused(_) => truncated_bytes = file_len - replayed.at,
+                    Stop::Foreign(lsn) => {
+                        return Err(PersistError::Corrupt(format!(
+                            "wal names checkpoint {lsn}, expected {checkpoint_lsn}"
+                        )))
                     }
                 }
             }

@@ -35,6 +35,8 @@
 //! written ([`FrameError::Short`] — come back later), a complete frame
 //! that fails verification is damage ([`FrameError::Invalid`] — no
 //! amount of waiting repairs it).
+//! Both read a log through one frame loop, [`WalReader::replay`], and
+//! each maps where and why it [`Stop`]ped to its own policy.
 //!
 //! # Decoding in place
 //!
@@ -509,6 +511,33 @@ impl<R: Read> Read for Counted<R> {
     }
 }
 
+/// Why [`WalReader::replay`] stopped.
+#[derive(Debug)]
+pub enum Stop<E> {
+    /// End-of-file on a frame boundary: the end of the log, for now.
+    End,
+    /// `max` mutations were taken.
+    Max,
+    /// The next frame is cut short, wrong, or could not be read.
+    Frame(FrameError),
+    /// The log's checkpoint record names another checkpoint (this LSN)
+    /// than the generation it was read as.
+    Foreign(u64),
+    /// The closure refused the mutation.
+    Refused(E),
+}
+
+/// What one [`WalReader::replay`] did.
+#[derive(Debug)]
+pub struct Replayed<E> {
+    /// Mutations the closure took.
+    pub taken: u64,
+    /// Byte offset of the frame the walk stopped at.
+    pub at: u64,
+    /// Why it stopped.
+    pub stop: Stop<E>,
+}
+
 /// Strict streaming reader over a WAL byte stream.
 ///
 /// `next()` returns `Ok(Some(record))` per intact record, `Ok(None)`
@@ -568,12 +597,6 @@ impl<R: Read> WalReader<R> {
         self.r.pos
     }
 
-    /// The payload of the last frame [`next_into`](WalReader::next_into)
-    /// returned.
-    pub(crate) fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
     /// Read the next record into a fresh owned value. After the first
     /// error the reader is poisoned: further calls return `Ok(None)` (a
     /// torn tail has no decodable continuation).
@@ -611,6 +634,39 @@ impl<R: Read> WalReader<R> {
                 Err(e)
             }
         }
+    }
+
+    /// Walk the log's intact frames from here: check its checkpoint
+    /// record against `generation`, decode each mutation into `record`
+    /// (see [`next_into`](WalReader::next_into)) and hand it to `f`, until
+    /// `max` mutations were taken or something [`Stop`]s the walk.
+    pub fn replay<E>(
+        &mut self,
+        generation: u64,
+        record: &mut CatalogMutation,
+        max: u64,
+        mut f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
+    ) -> Replayed<E> {
+        let mut taken = 0;
+        while taken < max {
+            let at = self.good_pos;
+            let stop = match self.next_into(record) {
+                Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => continue,
+                Ok(Some(Frame::Mutation)) => match f(record) {
+                    Ok(()) => {
+                        taken += 1;
+                        continue;
+                    }
+                    Err(e) => Stop::Refused(e),
+                },
+                Ok(Some(Frame::Checkpoint { lsn })) => Stop::Foreign(lsn),
+                Ok(None) => Stop::End,
+                Err(e) => Stop::Frame(e),
+            };
+            return Replayed { taken, at, stop };
+        }
+        let (at, stop) = (self.good_pos, Stop::Max);
+        Replayed { taken, at, stop }
     }
 
     fn read_one(

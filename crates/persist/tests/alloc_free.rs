@@ -18,8 +18,8 @@
 //!   record, wakes the syncer thread or waits for an `fdatasync`;
 //! * recovery's step: `WalReader::next_into` over a real log, decoding
 //!   into the one record replay keeps, then `Catalog::apply_mutation`;
-//! * a `WalTailer` poll into a `ShipBatch` the caller keeps, and
-//!   applying it: a poll of 2 000 records allocates what a poll of 2
+//! * a `WalTailer` delivery whose records are applied as they are
+//!   read: a delivery of 2 000 records allocates what a delivery of 2
 //!   does.
 //!
 //! The same allocator records the largest single allocation, which
@@ -36,7 +36,7 @@ use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 use hrdm_persist::codec::{write_u32, write_u64, write_varint};
 use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
-use hrdm_persist::{recover, Frame, Image, ShipBatch, WalFile, WalReader, WalTailer};
+use hrdm_persist::{recover, Frame, Image, PersistError, WalFile, WalReader, WalTailer};
 
 struct Counting;
 
@@ -302,38 +302,39 @@ fn replaying_a_log_into_the_kept_record_allocates_nothing() {
 }
 
 #[test]
-fn a_tailer_poll_and_its_application_allocate_nothing_per_record() {
+fn a_tailer_delivery_and_its_application_allocate_nothing_per_record() {
     let dir = temp_dir("tail");
     let (mut catalog, assert, retract) = owned_catalog_and_pair();
     write_checkpoint(&dir, 0, &Image::from_catalog(&catalog)).unwrap();
-    write_pairs(&wal_path(&dir, 0), 1 + ROUNDS, &assert, &retract);
+    // The first pair, then a warming delivery, a short and a long one.
+    write_pairs(&wal_path(&dir, 0), 2 + 2 * ROUNDS, &assert, &retract);
 
     let mut tailer = WalTailer::attach(&dir);
-    let mut batch = ShipBatch::new();
-    tailer.poll_into(&mut batch, 2).unwrap();
-    assert!(batch.take_rollover().is_some());
-    let start = tailer.cursor();
-    // Poll up to `max` records past the first pair into the kept batch
-    // and apply them, as a replica's sync does.
+    // Deliver up to `max` records and apply each as it is read, as a
+    // replica's sync does.
     let mut catch_up = |max: usize| {
-        tailer.rewind(start);
-        tailer.poll_into(&mut batch, max).unwrap();
-        batch
-            .try_for_each(|m| catalog.apply_mutation(m).map(drop))
+        let taken = tailer
+            .deliver::<PersistError>(max, |_, records| {
+                records(&mut |m| {
+                    catalog.apply_mutation(m).unwrap();
+                    Ok(())
+                })
+            })
+            .unwrap()
             .unwrap();
-        (tailer.shipped_lsn(), batch.len())
+        (tailer.shipped_lsn(), taken)
     };
-    // Warm: the batch's buffers grow to the long poll's size once.
+    assert_eq!(catch_up(2), (2, Some(2)), "the rollover and the first pair");
     catch_up(2 * ROUNDS);
-    let mut delivered = (0, 0);
+    let mut delivered = (0, None);
     let short = allocations(|| delivered = catch_up(2));
-    assert_eq!(delivered, (4, 2));
+    assert_eq!(delivered, (4 + 2 * ROUNDS as u64, Some(2)));
     let long = allocations(|| delivered = catch_up(2 * ROUNDS));
-    assert_eq!(delivered, (2 + 2 * ROUNDS as u64, 2 * ROUNDS));
+    assert_eq!(delivered, (4 + 4 * ROUNDS as u64, Some(2 * ROUNDS as u64)));
     assert_eq!(
         long,
         short,
-        "a poll of {} records allocated more than a poll of 2",
+        "a delivery of {} records allocated more than a delivery of 2",
         2 * ROUNDS
     );
     assert_eq!(catalog.relation("R").unwrap().len(), 1);
