@@ -5,22 +5,29 @@
 //! back-end for, say, a frame-based knowledge representation system or
 //! a semantic net" (§1). [`Catalog`] is that back-end surface and the
 //! **only** container of named state in the workspace: named domain
-//! hierarchies and named relations, both held through `Arc` so that
-//! relations over the same domain join naturally. The HQL `World`, the
-//! persistence `Image` and the durable store all wrap or exchange this
-//! one type; the Datalog layer (`hrdm-datalog`) resolves its EDB
+//! hierarchies, named relations, both held through `Arc` so that
+//! relations over the same domain join naturally, and the live views
+//! ([`View`]) whose relations are entries like any other. The HQL
+//! engine publishes it, the persistence `Image` and the durable store
+//! exchange it; the Datalog layer (`hrdm-datalog`) resolves its EDB
 //! predicates against it.
 //!
 //! [`Catalog::apply_mutation`] is likewise the only interpreter of the
-//! [`CatalogMutation`] vocabulary: live HQL writes, crash recovery and
-//! WAL-fed replicas all change named state through it, so the code that
-//! replays a log is the code that produced it.
+//! [`CatalogMutation`] vocabulary, and every write statement short of
+//! replacing the whole catalog (`OPEN`, `LOAD`) is one mutation: live
+//! HQL writes, crash recovery and WAL-fed replicas all change named
+//! state through it, views included, so the code that replays a log is
+//! the code that produced it. Each mutation keeps the views current
+//! before it returns, so a replica or a restart that applies the
+//! records one by one reaches the state the live engine reached
+//! statement by statement.
 //!
 //! # What a clone and a write copy
 //!
 //! The two name maps are persistent ([`PMap`]), and so is each
-//! relation's tuple map. `clone()` is therefore two `Arc` bumps
-//! whatever the catalog holds: no name, graph or tuple is copied. A
+//! relation's tuple map. `clone()` is therefore two `Arc` bumps, plus
+//! one per live view, whatever the catalog holds: no name, graph or
+//! tuple is copied. A
 //! mutation then goes through [`Arc::make_mut`] at every level it
 //! descends — name-map node, relation, tuple-map node — which edits in
 //! place what this catalog alone holds (recovery) and copies first what
@@ -34,9 +41,11 @@
 //! the snapshot's; the copy stops at the relation's header.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use hrdm_hierarchy::{HierarchyGraph, NodeKind};
 
+use crate::delta::Delta;
 use crate::error::{CoreError, Result};
 use crate::item::Item;
 use crate::mutation::CatalogMutation;
@@ -44,16 +53,65 @@ use crate::pmap::PMap;
 use crate::relation::HRelation;
 use crate::render::render_table;
 use crate::schema::{Attribute, Schema};
+use crate::view::{MaintainSummary, View};
 
-/// Named domains and relations.
+/// Named domains and relations, and the live views over them.
 ///
-/// `Clone` is two `Arc` bumps: the clone shares both name maps, and
-/// through them every graph and tuple, until one side is mutated. Names
-/// are `Arc<str>` so that copying a name-map node allocates nothing.
+/// `Clone` is two `Arc` bumps plus one per view: the clone shares both
+/// name maps, and through them every graph and tuple, until one side is
+/// mutated. Names are `Arc<str>` so that copying a name-map node
+/// allocates nothing.
 #[derive(Clone, Default)]
 pub struct Catalog {
     domains: PMap<Arc<str>, Arc<HierarchyGraph>>,
     relations: PMap<Arc<str>, Arc<HRelation>>,
+    /// Live views in registration order, so a view over another view is
+    /// maintained after its input and sees its delta. Each view's
+    /// relation is an entry of `relations` like any other.
+    pub(crate) views: Vec<Arc<View>>,
+}
+
+/// What a write's mutations did besides changing named state, summed
+/// over the mutations [`Catalog::apply_mutation_to`] applied.
+#[derive(Debug, Default)]
+pub struct Effect {
+    /// The names the mutations touched, each kind recorded as
+    /// [`Catalog::apply_mutation`] records it for its views: a
+    /// row-level entry names a relation whose rows changed and holds no
+    /// rows ([`Delta::net_rows`] fills them in for the whole write).
+    pub delta: Delta,
+    /// What keeping the views current did.
+    pub views: MaintainSummary,
+    /// Time spent keeping the views current.
+    pub maintain: Duration,
+}
+
+/// Record in `delta` what `m` touches: a domain edit under the domain's
+/// name; a reset for every relation created, dropped, renamed (both
+/// names), re-moded, consolidated or explicated — views over it
+/// rebuild, and a view depending on a name that is gone fails, and
+/// with it the mutation; a row-level entry for a tuple write. A
+/// `DefineView` records nothing: nothing can depend on the fresh view
+/// yet, and an entry under its name would read as a direct write, which
+/// detaches a view.
+fn record(m: &CatalogMutation, delta: &mut Delta) {
+    use CatalogMutation::*;
+    match m {
+        CreateDomain { name } | DropDomain { name } => delta.record_domain(name),
+        AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. } => {
+            delta.record_domain(domain)
+        }
+        CreateRelation { name, .. } | DropRelation { name } => delta.record_reset(name),
+        SetPreemption { relation, .. } | Consolidate { relation } | Explicate { relation, .. } => {
+            delta.record_reset(relation)
+        }
+        RenameRelation { from, to } => {
+            delta.record_reset(from);
+            delta.record_reset(to);
+        }
+        Assert { relation, .. } | Retract { relation, .. } => delta.record_rows(relation),
+        DefineView { .. } => {}
+    }
 }
 
 fn not_found(kind: &'static str, name: &str) -> CoreError {
@@ -191,18 +249,84 @@ impl Catalog {
 
     /// Apply a logical mutation — the one interpreter of the
     /// [`CatalogMutation`] vocabulary, run by live writes, recovery and
-    /// replicas alike.
+    /// replicas alike — and keep the live views current with it.
     ///
-    /// Validation happens before any state changes, so a failed
-    /// mutation leaves the catalog untouched.
+    /// Validation happens before any state changes, and a mutation a
+    /// view refuses (its derivation no longer plans or runs) is rolled
+    /// back, so a failed mutation leaves the catalog untouched.
     ///
     /// An `Assert` or `Retract` returns the item its value names
     /// resolved to — the one resolution of that tuple a write, a replay
     /// or a replica's catch-up makes; callers build deltas and replies
-    /// from it. On a catalog that holds its relation alone, a resolution
-    /// and an edit that fits its tuple-map leaf allocate nothing. Every
-    /// other mutation returns `None`.
+    /// from it. On a catalog that holds its relation alone and no view,
+    /// a resolution and an edit that fits its tuple-map leaf allocate
+    /// nothing. Every other mutation returns `None`.
     pub fn apply_mutation(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
+        self.interpret(m, None)
+    }
+
+    /// [`apply_mutation`](Catalog::apply_mutation), adding to `effect`
+    /// what `m` touched and what keeping the views current did — the
+    /// write path, which publishes the delta and counts the views.
+    pub fn apply_mutation_to(
+        &mut self,
+        m: &CatalogMutation,
+        effect: &mut Effect,
+    ) -> Result<Option<Item>> {
+        self.interpret(m, Some(effect))
+    }
+
+    fn interpret(
+        &mut self,
+        m: &CatalogMutation,
+        effect: Option<&mut Effect>,
+    ) -> Result<Option<Item>> {
+        if self.views.is_empty() {
+            let item = self.change(m)?;
+            if let Some(effect) = effect {
+                record(m, &mut effect.delta);
+            }
+            return Ok(item);
+        }
+        // A view may refuse the mutation once it applied: keep what to
+        // go back to (a shallow clone; the mutation then copies the
+        // paths it walks, as a write to a published catalog does).
+        let before = self.clone();
+        let item = self.change(m)?;
+        let mut delta = Delta::new();
+        record(m, &mut delta);
+        delta.net_rows(&before, self);
+        let started = Instant::now();
+        let maintained = self.maintain_views(&mut delta);
+        let spent = started.elapsed();
+        let summary = match maintained {
+            Ok(summary) => summary,
+            Err(e) => {
+                *self = before;
+                return Err(e);
+            }
+        };
+        if let Some(effect) = effect {
+            effect.delta.absorb(delta);
+            effect.views += summary;
+            effect.maintain += spent;
+        }
+        Ok(item)
+    }
+
+    /// Fail with `DuplicateName` if a relation named `name` exists.
+    fn require_fresh_relation(&self, name: &str) -> Result<()> {
+        if self.relations.contains_key(name) {
+            return Err(CoreError::DuplicateName {
+                kind: "relation",
+                name: name.to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// What `m` does to named state, views aside.
+    fn change(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
         match m {
             CatalogMutation::CreateDomain { name } => {
                 if self.domains.contains_key(name.as_str()) {
@@ -263,12 +387,7 @@ impl Catalog {
                 })
                 .map(|()| None),
             CatalogMutation::CreateRelation { name, attributes } => {
-                if self.relations.contains_key(name.as_str()) {
-                    return Err(CoreError::DuplicateName {
-                        kind: "relation",
-                        name: name.clone(),
-                    });
-                }
+                self.require_fresh_relation(name)?;
                 let pairs: Vec<(&str, &str)> = attributes
                     .iter()
                     .map(|(a, d)| (a.as_str(), d.as_str()))
@@ -277,7 +396,11 @@ impl Catalog {
                 self.add_relation(name.clone(), HRelation::new(schema));
                 Ok(None)
             }
-            CatalogMutation::DropRelation { name } => self.drop_relation(name).map(|_| None),
+            CatalogMutation::DropRelation { name } => {
+                self.drop_relation(name)?;
+                self.detach_view(name);
+                Ok(None)
+            }
             CatalogMutation::Assert {
                 relation,
                 values,
@@ -298,6 +421,38 @@ impl Catalog {
             }
             CatalogMutation::SetPreemption { relation, mode } => {
                 self.relation_mut(relation)?.set_preemption(*mode);
+                Ok(None)
+            }
+            // The name is checked before anything is planned or run.
+            CatalogMutation::DefineView { name, derivation } => {
+                self.require_fresh_relation(name)?;
+                self.attach_view(name, derivation.clone())?;
+                Ok(None)
+            }
+            CatalogMutation::RenameRelation { from, to } => {
+                self.require_fresh_relation(to)?;
+                let relation = self.drop_relation(from)?;
+                self.add_relation(to.as_str(), relation);
+                self.detach_view(from);
+                Ok(None)
+            }
+            CatalogMutation::Consolidate { relation } => {
+                let consolidated = crate::consolidate::consolidate(self.relation(relation)?);
+                self.add_relation(relation.as_str(), consolidated.relation);
+                Ok(None)
+            }
+            CatalogMutation::Explicate { relation, attrs } => {
+                let rel = self.relation(relation)?;
+                let indexes = if attrs.is_empty() {
+                    (0..rel.schema().arity()).collect()
+                } else {
+                    attrs
+                        .iter()
+                        .map(|a| rel.schema().index_of(a))
+                        .collect::<Result<Vec<_>>>()?
+                };
+                let explicated = crate::explicate::explicate(rel, &indexes)?;
+                self.add_relation(relation.as_str(), explicated);
                 Ok(None)
             }
         }
@@ -364,7 +519,8 @@ impl Catalog {
 
     /// Render the whole catalog with stable fields only: every domain's
     /// node/edge structure and every relation's stored tuples, in name
-    /// order, no wall times or pointers. Two catalogs with equal
+    /// order, then every live view's definition, in registration order;
+    /// no wall times or pointers. Two catalogs with equal
     /// `render_stable` output hold the same logical state — the byte
     /// parity check the crash-recovery harness uses.
     pub fn render_stable(&self) -> String {
@@ -410,6 +566,9 @@ impl Catalog {
                 let _ = writeln!(out, "  {line}");
             }
         }
+        for view in self.views() {
+            let _ = writeln!(out, "view {} = {}", view.name(), view.derivation());
+        }
         out
     }
 
@@ -427,6 +586,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derivation::{Derivation, Source};
     use crate::preemption::Preemption;
     use crate::truth::Truth;
 
@@ -591,6 +751,11 @@ mod tests {
         for m in fig1_script() {
             cat.apply_mutation(&m).unwrap();
         }
+        cat.apply_mutation(&CatalogMutation::DefineView {
+            name: "V".into(),
+            derivation: Derivation::Consolidated(Source::named("Flies")),
+        })
+        .unwrap();
         let before = cat.render_stable();
         use CatalogMutation::*;
         let bad: Vec<CatalogMutation> = vec![
@@ -631,6 +796,36 @@ mod tests {
                 name: "Flies".into(), // duplicate
                 attributes: vec![("V".into(), "Animal".into())],
             },
+            DropRelation {
+                name: "Flies".into(), // V reads it: V refuses
+            },
+            RenameRelation {
+                from: "Flies".into(), // V reads it
+                to: "Fliers".into(),
+            },
+            RenameRelation {
+                from: "Walks".into(),
+                to: "Fliers".into(),
+            },
+            RenameRelation {
+                from: "V".into(),
+                to: "Flies".into(), // taken
+            },
+            DefineView {
+                name: "V".into(), // taken
+                derivation: Derivation::Consolidated(Source::named("Flies")),
+            },
+            DefineView {
+                name: "W".into(),
+                derivation: Derivation::Consolidated(Source::named("Walks")),
+            },
+            Consolidate {
+                relation: "Walks".into(),
+            },
+            Explicate {
+                relation: "Flies".into(),
+                attrs: vec!["Colour".into()],
+            },
         ];
         for m in bad {
             assert!(cat.apply_mutation(&m).is_err(), "{m} should fail");
@@ -662,6 +857,106 @@ mod tests {
             mode: Preemption::OnPath,
         };
         assert_eq!(cat.apply_mutation(&mode), Ok(None));
+    }
+
+    #[test]
+    fn the_in_place_operators_rename_and_views_are_mutations() {
+        let mut cat = Catalog::new();
+        for m in fig1_script() {
+            cat.apply_mutation(&m).unwrap();
+        }
+        let view = CatalogMutation::DefineView {
+            name: "V".into(),
+            derivation: Derivation::Consolidated(Source::named("Flies")),
+        };
+        let mut effect = Effect::default();
+        cat.apply_mutation_to(&view, &mut effect).unwrap();
+        assert!(cat.is_view("V"));
+        assert!(effect.delta.is_empty(), "a definition records nothing");
+        // A write to the source keeps the view current, and its effect
+        // names both relations.
+        let paul = CatalogMutation::Assert {
+            relation: "Flies".into(),
+            values: vec!["Paul".into()],
+            truth: Truth::Positive,
+        };
+        cat.apply_mutation_to(&paul, &mut effect).unwrap();
+        assert_eq!(cat.relation("V").unwrap().len(), 3);
+        assert_eq!(effect.views.maintained, 1);
+        let names: Vec<&String> = effect.delta.relations.keys().collect();
+        assert_eq!(names, ["Flies", "V"]);
+        // Explicating and consolidating the source rebuild the view.
+        for m in [
+            CatalogMutation::Explicate {
+                relation: "Flies".into(),
+                attrs: Vec::new(),
+            },
+            CatalogMutation::Consolidate {
+                relation: "Flies".into(),
+            },
+        ] {
+            cat.apply_mutation(&m).unwrap();
+            let fresh = crate::consolidate::consolidate(cat.relation("Flies").unwrap());
+            assert_eq!(
+                render_table(cat.relation("V").unwrap()),
+                render_table(&fresh.relation),
+                "{m}"
+            );
+        }
+        // Renaming a view detaches it; dropping a view drops its
+        // definition.
+        cat.apply_mutation(&CatalogMutation::RenameRelation {
+            from: "V".into(),
+            to: "W".into(),
+        })
+        .unwrap();
+        assert!(!cat.is_view("W") && cat.relation("V").is_err());
+        cat.apply_mutation(&view).unwrap();
+        cat.apply_mutation(&CatalogMutation::DropRelation { name: "V".into() })
+            .unwrap();
+        assert_eq!(cat.views().count(), 0);
+    }
+
+    #[test]
+    fn clone_is_shallow_and_a_write_copies_only_what_it_touches() {
+        let mut cat = Catalog::new();
+        for m in fig1_script() {
+            cat.apply_mutation(&m).unwrap();
+        }
+        cat.apply_mutation(&CatalogMutation::CreateRelation {
+            name: "Walks".into(),
+            attributes: vec![("Creature".into(), "Animal".into())],
+        })
+        .unwrap();
+        let copy = cat.clone();
+        assert!(Arc::ptr_eq(
+            cat.relation_arc("Flies").unwrap(),
+            copy.relation_arc("Flies").unwrap()
+        ));
+        let mut written = cat.clone();
+        written
+            .apply_mutation(&CatalogMutation::Assert {
+                relation: "Walks".into(),
+                values: vec!["Bird".into()],
+                truth: Truth::Positive,
+            })
+            .unwrap();
+        // The original is untouched; the written copy shares every
+        // relation it did not write, and every domain.
+        assert_eq!(cat.relation("Walks").unwrap().len(), 0);
+        assert_eq!(written.relation("Walks").unwrap().len(), 1);
+        assert!(!Arc::ptr_eq(
+            cat.relation_arc("Walks").unwrap(),
+            written.relation_arc("Walks").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            cat.relation_arc("Flies").unwrap(),
+            written.relation_arc("Flies").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            cat.domain("Animal").unwrap(),
+            written.domain("Animal").unwrap()
+        ));
     }
 
     #[test]

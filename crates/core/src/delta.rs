@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::catalog::Catalog;
 use crate::item::Item;
 use crate::pmap::PMap;
 use crate::relation::HRelation;
@@ -167,6 +168,41 @@ impl Delta {
     /// Record a mutation of one domain graph.
     pub fn record_domain(&mut self, domain: &str) {
         self.domains.insert(domain.to_string());
+    }
+
+    /// Fill in the row-level entries: each relation recorded as written
+    /// gets the [`RelationDelta::diff`] of its tuples in `pre` and in
+    /// `post` — the net effect, however many times the write touched an
+    /// item, found by comparing the paths the write copied. A relation
+    /// missing on either side resets.
+    pub fn net_rows(&mut self, pre: &Catalog, post: &Catalog) {
+        for (name, change) in &mut self.relations {
+            if let RelationChange::Rows(rows) = change {
+                match (pre.relation(name), post.relation(name)) {
+                    (Ok(pre), Ok(post)) => *rows = RelationDelta::diff(pre, post),
+                    _ => *change = RelationChange::Reset,
+                }
+            }
+        }
+    }
+
+    /// Record the names `other` records, as this delta's write touching
+    /// them too: a reset stays a reset, rows are left to
+    /// [`net_rows`](Delta::net_rows).
+    pub fn absorb(&mut self, other: Delta) {
+        for (name, change) in other.relations {
+            match change {
+                RelationChange::Reset => {
+                    self.relations.insert(name, RelationChange::Reset);
+                }
+                RelationChange::Rows(_) => {
+                    self.relations
+                        .entry(name)
+                        .or_insert_with(|| RelationChange::Rows(RelationDelta::new()));
+                }
+            }
+        }
+        self.domains.extend(other.domains);
     }
 }
 

@@ -69,6 +69,7 @@ pub mod conflict;
 pub mod consolidate;
 pub mod constraints;
 pub mod delta;
+pub mod derivation;
 pub mod differential;
 pub mod discover;
 pub mod error;
@@ -93,6 +94,7 @@ pub mod subsumption;
 pub mod three_valued;
 pub mod truth;
 pub mod tuple;
+pub mod view;
 
 /// One-stop imports for the common API surface.
 pub mod prelude {

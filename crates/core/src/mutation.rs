@@ -1,6 +1,7 @@
 //! Logical catalog mutations: the replayable change vocabulary.
 //!
-//! Every way a [`Catalog`](crate::catalog::Catalog) can change is
+//! Every way a [`Catalog`](crate::catalog::Catalog) can change, short
+//! of replacing it whole with an image, is
 //! described by one [`CatalogMutation`] value — a *logical* record
 //! (names, not node ids or pointers), so a sequence of mutations can be
 //! journaled, shipped, and replayed onto a fresh catalog to rebuild the
@@ -19,6 +20,7 @@
 
 use std::fmt;
 
+use crate::derivation::{names, quoted, Derivation};
 use crate::preemption::Preemption;
 use crate::truth::Truth;
 
@@ -104,6 +106,34 @@ pub enum CatalogMutation {
         /// The new mode.
         mode: Preemption,
     },
+    /// Bind a fresh relation name to a live view of `derivation` (`LET`):
+    /// its rows are derived now and maintained under every later write.
+    DefineView {
+        /// The view's relation name.
+        name: String,
+        /// What the view's relation equals at every state.
+        derivation: Derivation,
+    },
+    /// Move a relation to a fresh name; a live view so renamed detaches.
+    RenameRelation {
+        /// Current name.
+        from: String,
+        /// New name.
+        to: String,
+    },
+    /// Replace a relation by its consolidation (§3.3.1), in place.
+    Consolidate {
+        /// Relation name.
+        relation: String,
+    },
+    /// Replace a relation by its explication (§3.3.2) on `attrs`, in
+    /// place.
+    Explicate {
+        /// Relation name.
+        relation: String,
+        /// Attributes to explicate; empty means all.
+        attrs: Vec<String>,
+    },
 }
 
 /// An empty `CreateDomain`, holding no heap storage: the blank a log
@@ -130,6 +160,10 @@ impl CatalogMutation {
             CatalogMutation::Assert { .. } => "assert",
             CatalogMutation::Retract { .. } => "retract",
             CatalogMutation::SetPreemption { .. } => "set-preemption",
+            CatalogMutation::DefineView { .. } => "define-view",
+            CatalogMutation::RenameRelation { .. } => "rename-relation",
+            CatalogMutation::Consolidate { .. } => "consolidate",
+            CatalogMutation::Explicate { .. } => "explicate",
         }
     }
 }
@@ -186,6 +220,19 @@ impl fmt::Display for CatalogMutation {
             CatalogMutation::SetPreemption { relation, mode } => {
                 write!(f, "SET PREEMPTION {relation} {mode}")
             }
+            CatalogMutation::DefineView { name, derivation } => {
+                write!(f, "LET {} = {derivation}", quoted(name))
+            }
+            CatalogMutation::RenameRelation { from, to } => {
+                write!(f, "RENAME RELATION {from} TO {to}")
+            }
+            CatalogMutation::Consolidate { relation } => write!(f, "CONSOLIDATE {relation}"),
+            CatalogMutation::Explicate { relation, attrs } if attrs.is_empty() => {
+                write!(f, "EXPLICATE {relation}")
+            }
+            CatalogMutation::Explicate { relation, attrs } => {
+                write!(f, "EXPLICATE {relation} ON {}", names(attrs))
+            }
         }
     }
 }
@@ -225,6 +272,25 @@ mod tests {
             CatalogMutation::SetPreemption {
                 relation: "R".into(),
                 mode: Preemption::OnPath,
+            }
+            .kind(),
+            CatalogMutation::DefineView {
+                name: "V".into(),
+                derivation: Derivation::Consolidated(crate::derivation::Source::named("R")),
+            }
+            .kind(),
+            CatalogMutation::RenameRelation {
+                from: "R".into(),
+                to: "S".into(),
+            }
+            .kind(),
+            CatalogMutation::Consolidate {
+                relation: "R".into(),
+            }
+            .kind(),
+            CatalogMutation::Explicate {
+                relation: "R".into(),
+                attrs: Vec::new(),
             }
             .kind(),
         ];

@@ -86,6 +86,16 @@ impl Schema {
         &self.attributes[i]
     }
 
+    /// The `(attribute, domain)` name pairs — the `CREATE RELATION`
+    /// signature that recreates this schema (a domain is named after
+    /// its root node).
+    pub fn signature(&self) -> Vec<(String, String)> {
+        self.attributes
+            .iter()
+            .map(|a| (a.name.clone(), a.domain.name(a.domain.root()).to_string()))
+            .collect()
+    }
+
     /// The cached product item hierarchy (§2.2).
     #[inline]
     pub fn product(&self) -> &ProductHierarchy {

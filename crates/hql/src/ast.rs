@@ -1,24 +1,12 @@
 //! The HQL abstract syntax.
+//!
+//! A derivation — the right-hand side of `LET`, `EXPLAIN` and `TRACE` —
+//! is `hrdm-core`'s [`Derivation`], re-exported here with its operands
+//! and values: the catalog stores a live view as one, and the log
+//! carries it.
 
-/// A value written in a tuple position: an instance/class name,
-/// optionally universally quantified with `ALL` (the paper's `∀`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValueRef {
-    /// The node name as written.
-    pub name: String,
-    /// True when prefixed with `ALL` (purely documentary: a class name
-    /// without `ALL` still denotes the class; `ALL` on an instance is
-    /// harmless since instances are singleton classes).
-    pub all: bool,
-}
-
-/// A written value resolves by its name alone (see
-/// [`Schema::item`](hrdm_core::prelude::Schema::item)).
-impl AsRef<str> for ValueRef {
-    fn as_ref(&self) -> &str {
-        &self.name
-    }
-}
+use hrdm_core::derivation::{names, quoted};
+pub use hrdm_core::derivation::{Derivation, Source, ValueRef};
 
 /// One parsed HQL statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -373,91 +361,11 @@ impl Statement {
     }
 }
 
-/// An operand of a derivation: a stored relation by name, or a nested
-/// derivation in parentheses (so a whole query tree is one statement and
-/// the planner can rewrite across the composition).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Source {
-    /// A stored relation referenced by name.
-    Named(String),
-    /// `( <derivation> )`
-    Derived(Box<Derivation>),
-}
-
-impl Source {
-    /// Convenience constructor for a named operand.
-    pub fn named(name: impl Into<String>) -> Source {
-        Source::Named(name.into())
-    }
-}
-
-/// Right-hand sides of `LET` statements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Derivation {
-    /// `UNION a b`
-    Union(Source, Source),
-    /// `INTERSECT a b`
-    Intersect(Source, Source),
-    /// `DIFFERENCE a b`
-    Difference(Source, Source),
-    /// `JOIN a b`
-    Join(Source, Source),
-    /// `PROJECT a (attr, …)`
-    Project(Source, Vec<String>),
-    /// `SELECT a WHERE attr IS value AND …`
-    Select(Source, Vec<(String, ValueRef)>),
-    /// `CONSOLIDATE a` (derive, don't mutate)
-    Consolidated(Source),
-    /// `EXPLICATE a [ON attrs]` (derive, don't mutate)
-    Explicated(Source, Vec<String>),
-}
-
 use std::fmt;
-
-/// Quote a name when it cannot stand as a bare word (or could be
-/// absorbed as a keyword by the surrounding rule); anything uncertain
-/// gets quoted.
-fn quoted(name: &str) -> String {
-    let bare_ok = !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        && !name.contains("--")
-        && ![
-            "all", "not", "under", "of", "over", "in", "on", "by", "where", "is", "and", "domain",
-            "to", "relation",
-        ]
-        .contains(&name.to_ascii_lowercase().as_str())
-        && !name.eq_ignore_ascii_case("relations");
-    if bare_ok {
-        name.to_string()
-    } else {
-        format!("\"{}\"", name.replace('"', "\\\""))
-    }
-}
-
-impl fmt::Display for ValueRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.all {
-            write!(f, "ALL {}", quoted(&self.name))
-        } else {
-            write!(f, "{}", quoted(&self.name))
-        }
-    }
-}
 
 fn tuple(values: &[ValueRef]) -> String {
     let parts: Vec<String> = values.iter().map(ValueRef::to_string).collect();
     format!("({})", parts.join(", "))
-}
-
-/// Comma-separated names, quoted where needed — a parent or attribute
-/// list, and the body of a `SHOW RELATIONS` listing.
-pub(crate) fn names(list: &[String]) -> String {
-    list.iter()
-        .map(|n| quoted(n))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 impl fmt::Display for Statement {
@@ -565,44 +473,6 @@ impl fmt::Display for Statement {
             }
             Statement::Dump { relation, to } => {
                 write!(f, "DUMP {} AS {};", quoted(relation), quoted(to))
-            }
-        }
-    }
-}
-
-impl fmt::Display for Source {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Source::Named(name) => write!(f, "{}", quoted(name)),
-            Source::Derived(d) => write!(f, "({d})"),
-        }
-    }
-}
-
-impl fmt::Display for Derivation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Derivation::Union(a, b) => write!(f, "UNION {a} {b}"),
-            Derivation::Intersect(a, b) => write!(f, "INTERSECT {a} {b}"),
-            Derivation::Difference(a, b) => write!(f, "DIFFERENCE {a} {b}"),
-            Derivation::Join(a, b) => write!(f, "JOIN {a} {b}"),
-            Derivation::Project(a, attrs) => {
-                write!(f, "PROJECT {} ({})", a, names(attrs))
-            }
-            Derivation::Select(a, conds) => {
-                let cs: Vec<String> = conds
-                    .iter()
-                    .map(|(attr, v)| format!("{} IS {}", quoted(attr), v))
-                    .collect();
-                write!(f, "SELECT {} WHERE {}", a, cs.join(" AND "))
-            }
-            Derivation::Consolidated(a) => write!(f, "CONSOLIDATE {a}"),
-            Derivation::Explicated(a, attrs) => {
-                if attrs.is_empty() {
-                    write!(f, "EXPLICATE {a}")
-                } else {
-                    write!(f, "EXPLICATE {} ON {}", a, names(attrs))
-                }
             }
         }
     }

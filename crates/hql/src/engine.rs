@@ -13,17 +13,18 @@
 //!   catalog's maps are persistent), applies its change — copying the
 //!   one path of each map it walks, nothing else — stages it on the
 //!   write-ahead log of the `OPEN`ed store (if any), appends what it
-//!   staged once view maintenance has accepted the write, and publishes
+//!   staged once the write can no longer be refused, and publishes
 //!   the fresh world as the next **epoch**. Where that time goes is
 //!   recorded per write in the `engine.write.{clone, apply, journal,
 //!   net_delta, maintain, publish}` histograms, six stages that add up
 //!   to the time under the lock. A failed statement publishes nothing
 //!   and journals nothing, so errors are atomic — neither readers nor
-//!   a restart can observe a half-applied or refused write. A
-//!   statement in the WAL vocabulary resolves to one
-//!   [`CatalogMutation`], and that one value is both applied (through
-//!   [`Catalog::apply_mutation`], the interpreter recovery replays
-//!   with) and logged; [`Engine::apply_mutations`] is the same path for
+//!   a restart can observe a half-applied or refused write. Every
+//!   write statement but `OPEN`, `LOAD` and `CHECKPOINT` resolves to
+//!   one [`CatalogMutation`], and that one value is both applied
+//!   (through [`Catalog::apply_mutation_to`], the interpreter recovery
+//!   replays with, which also keeps the live views current) and
+//!   logged; [`Engine::apply_mutations`] is the same path for
 //!   mutations that arrive already resolved (a replica's feed), a
 //!   whole batch of them as one write.
 //!
@@ -37,7 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hrdm_core::delta::{Delta, RelationChange, RelationDelta};
+use hrdm_core::catalog::Effect;
+use hrdm_core::delta::Delta;
+use hrdm_core::derivation::names;
 use hrdm_core::justify::justify;
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
@@ -45,11 +48,11 @@ use hrdm_core::render::render_table;
 use hrdm_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use hrdm_persist::{Image, Journal, LsnMarks};
 
-use crate::ast::{names, Statement, ValueRef, STATEMENT_KINDS};
+use crate::ast::{Statement, ValueRef, STATEMENT_KINDS};
 use crate::error::{HqlError, Result};
 use crate::exec::Response;
 use crate::parser::parse;
-use crate::world::{signature, World};
+use crate::world::World;
 
 /// A shared, thread-safe HQL engine.
 ///
@@ -107,9 +110,10 @@ struct EngineObs {
     /// write, reply formatting — minus the journal time inside it),
     /// `.journal` (staging the WAL records, then appending them at
     /// commit, incl. any wait for the syncer the loss bound imposes),
-    /// `.net_delta`, `.maintain` (live views, incl. their implicit
-    /// checkpoint), `.publish` (epoch swap, delta hand-over, release of
-    /// the previous epoch's world). The six are differences of
+    /// `.net_delta`, `.maintain` (keeping the live views current, which
+    /// the interpreter does for each mutation it applies), `.publish`
+    /// (epoch swap, delta hand-over, release of the previous epoch's
+    /// world). The six are differences of
     /// consecutive readings of one clock, so per write they add up to
     /// the time from lock acquisition to publication exactly. A refused
     /// write observes nothing.
@@ -174,10 +178,11 @@ impl Drop for QueueGuard<'_> {
 #[derive(Default)]
 struct Writer {
     /// The write-ahead journal of an `OPEN`ed durable store, if any.
-    /// Statements in the WAL vocabulary (DDL, assertions, retractions,
-    /// preemption changes) append mutation records; whole-state changes
-    /// (`LET`, in-place `CONSOLIDATE`/`EXPLICATE`, `LOAD`) take an
-    /// implicit checkpoint instead.
+    /// Every write statement appends its mutation record — `LET`,
+    /// `RENAME`, in-place `CONSOLIDATE`/`EXPLICATE` and writes under
+    /// live views included. Only a change no record carries, a whole
+    /// new world (`LOAD`, a replica's shipped base), writes a
+    /// checkpoint, as `CHECKPOINT` does.
     journal: Option<Journal>,
 }
 
@@ -188,12 +193,12 @@ struct Writer {
 pub struct WriteTxn<'a> {
     /// The private world copy this transaction mutates.
     pub world: World,
-    /// The structured effect of this write: the relations it asserted
-    /// into or retracted from (their rows are diffed in at commit),
-    /// resets, and domain-graph edits. Handlers record into it; the
-    /// engine feeds it to view maintenance and publishes it alongside
-    /// the new epoch.
-    pub delta: Delta,
+    /// What this write's mutations did besides changing the world: the
+    /// names they touched (rows are diffed in at commit), resets and
+    /// domain-graph edits, as the interpreter records them — the delta
+    /// the engine publishes alongside the new epoch — and what keeping
+    /// the views current did.
+    effect: Effect,
     journal: &'a mut Option<Journal>,
     marks: &'a Mutex<Option<Arc<LsnMarks>>>,
     /// The engine's registry, which a journal `OPEN` attaches counts into.
@@ -202,46 +207,16 @@ pub struct WriteTxn<'a> {
     journal_time: Duration,
 }
 
-/// Fill in the row-level entries of a write's `delta`: each relation
-/// the write asserted into or retracted from gets the
-/// [`RelationDelta::diff`] of its tuples before and after — the net
-/// effect, however many times the write touched an item, found by
-/// comparing the paths the write copied.
-fn net_rows(delta: &mut Delta, pre: &World, post: &World) {
-    for (name, change) in &mut delta.relations {
-        if let RelationChange::Rows(rows) = change {
-            match (pre.relation(name), post.relation(name)) {
-                (Ok(pre), Ok(post)) => *rows = RelationDelta::diff(pre, post),
-                _ => *change = RelationChange::Reset,
-            }
-        }
-    }
-}
-
 impl WriteTxn<'_> {
-    /// Apply one WAL-vocabulary mutation: apply it to the private world
-    /// through the catalog's interpreter, record what it touched in the
-    /// write's delta, and stage it on the open store's WAL (skipped
-    /// when detached) — the value that is applied is the value that is
-    /// logged, once the write commits. An `Assert`/`Retract` records
-    /// only its relation (its rows are diffed at commit); the item the
-    /// interpreter resolved is the return value (`None` for every other
-    /// mutation).
+    /// Apply one mutation: apply it to the private world through the
+    /// catalog's interpreter, which records what it touched in the
+    /// write's effect and keeps the views current, and stage it on the
+    /// open store's WAL (skipped when detached) — the value that is
+    /// applied is the value that is logged, once the write commits. The
+    /// item the interpreter resolved is the return value (`None` for
+    /// every mutation but `Assert`/`Retract`).
     fn apply(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
-        use CatalogMutation::*;
-        let resolved = self.world.apply(m)?;
-        match m {
-            CreateDomain { name } | DropDomain { name } => self.delta.record_domain(name),
-            AddClass { domain, .. } | AddInstance { domain, .. } | Prefer { domain, .. } => {
-                self.delta.record_domain(domain)
-            }
-            // Dropping resets too: any view depending on the dropped
-            // relation fails its maintenance pass — and therefore this
-            // write — atomically.
-            CreateRelation { name, .. } | DropRelation { name } => self.delta.record_reset(name),
-            SetPreemption { relation, .. } => self.delta.record_reset(relation),
-            Assert { relation, .. } | Retract { relation, .. } => self.delta.record_rows(relation),
-        }
+        let resolved = self.world.apply_mutation_to(m, &mut self.effect)?;
         if let Some(j) = self.journal.as_mut() {
             let started = Instant::now();
             j.stage(m)?;
@@ -274,19 +249,17 @@ impl WriteTxn<'_> {
 
     /// Replace the whole world (`LOAD`, `OPEN`, a shipped checkpoint
     /// image): every relation of the world replaced and of the new one
-    /// resets — one the new world lacks is gone, as if dropped — and
-    /// live views are gone: images carry relations, not view
-    /// definitions.
+    /// resets — one the new world lacks is gone, as if dropped.
     fn replace_world(&mut self, world: World) {
         let replaced = std::mem::replace(&mut self.world, world);
         for name in replaced.relation_names().chain(self.world.relation_names()) {
-            self.delta.record_reset(name);
+            self.effect.delta.record_reset(name);
         }
     }
 
     /// Checkpoint the open store from the transaction's current world —
-    /// used after changes outside the WAL vocabulary (`LET`, in-place
-    /// operators, `LOAD`), which only an image can carry.
+    /// used after a whole new world (`LOAD`, a shipped base), which no
+    /// log record carries.
     fn checkpoint(&mut self) -> Result<()> {
         if let Some(j) = self.journal.as_mut() {
             j.checkpoint(&self.world.to_image())?;
@@ -482,8 +455,11 @@ impl Engine {
     /// from (`base`), then the batch in order. It is the write path of a
     /// mutating statement minus the parsing, run once for the lot: one
     /// world clone (each map node a mutation walks is copied once, then
-    /// edited in place), one view-maintenance pass, one published epoch, one
-    /// net [`Delta`]. All or nothing: if any mutation is refused the
+    /// edited in place), one published epoch, one net [`Delta`]. The
+    /// interpreter keeps the views current after each mutation, as it
+    /// did after each statement on the primary, so a view reaches the
+    /// state the primary's reached. All or nothing: if any mutation is
+    /// refused the
     /// engine publishes nothing and stays on the epoch it had. If a
     /// store is `OPEN` the mutations are journaled (and a `base`
     /// checkpointed, as `LOAD` is).
@@ -534,7 +510,7 @@ impl Engine {
         let snap = self.inner.state.load();
         let mut txn = WriteTxn {
             world: (*snap).clone(),
-            delta: Delta::new(),
+            effect: Effect::default(),
             journal: &mut writer.journal,
             marks: &self.inner.marks,
             metrics: &self.inner.obs.metrics,
@@ -542,39 +518,31 @@ impl Engine {
         };
         let mut spent = [Duration::ZERO; 6];
         spent[CLONE] = lap(&mut boundary);
+        // The interpreter keeps the views current with each mutation:
+        // one a view refuses (its derivation no longer runs) fails the
+        // write atomically, so readers never see a world whose views
+        // disagree with their definitions.
         let response = f(&mut txn).inspect_err(|_| txn.discard_staged())?;
-        spent[APPLY] = lap(&mut boundary).saturating_sub(txn.journal_time);
-        // Bring live views up to date with this write's delta before
-        // anything publishes: a maintenance failure (the fallback
-        // recomputation erroring) fails the write atomically, so
-        // readers never see a world whose views disagree with their
-        // definitions.
-        let mut delta = std::mem::take(&mut txn.delta);
-        net_rows(&mut delta, &snap, &txn.world);
+        let Effect {
+            mut delta,
+            views,
+            maintain,
+        } = std::mem::take(&mut txn.effect);
+        spent[APPLY] = lap(&mut boundary).saturating_sub(txn.journal_time + maintain);
+        spent[MAINTAIN] = maintain;
+        delta.net_rows(&snap, &txn.world);
         spent[NET_DELTA] = lap(&mut boundary);
-        let summary = txn
-            .world
-            .maintain_views(&mut delta)
-            .inspect_err(|_| txn.discard_staged())?;
         // The write can no longer be refused: its staged mutations reach
-        // the log — before the implicit checkpoint, whose image holds
-        // them, and before publication.
+        // the log before publication.
         spent[JOURNAL] = txn.journal_time;
         if let Some(j) = txn.journal.as_mut() {
-            spent[MAINTAIN] = lap(&mut boundary);
             j.commit()?;
             spent[JOURNAL] += lap(&mut boundary);
         }
-        if summary.changed() {
-            // View relations changed outside the WAL mutation
-            // vocabulary; only an image carries them.
-            txn.checkpoint()?;
-        }
         let [maintained, fallback, detached] = &wobs.ivm;
-        maintained.add(summary.maintained as u64);
-        fallback.add(summary.fallback as u64);
-        detached.add(summary.detached as u64);
-        spent[MAINTAIN] += lap(&mut boundary);
+        maintained.add(views.maintained as u64);
+        fallback.add(views.fallback as u64);
+        detached.add(views.detached as u64);
         let epoch = self.inner.state.publish(Arc::new(txn.world));
         wobs.epoch.set(epoch);
         *self.inner.last_delta.lock().expect("delta lock poisoned") =
@@ -639,6 +607,25 @@ impl Engine {
 // Write handlers
 // ---------------------------------------------------------------------
 
+/// The domain that contains all the given node names (for resolving
+/// `UNDER`/`OF` parents).
+fn domain_containing(world: &World, names: &[String]) -> Result<String> {
+    let mut hits = world
+        .domains()
+        .filter(|(_, g)| names.iter().all(|n| g.node(n).is_ok()))
+        .map(|(d, _)| d);
+    match (hits.next(), hits.next()) {
+        (Some(only), None) => Ok(only.to_string()),
+        (None, _) => Err(HqlError::Unknown {
+            kind: "class",
+            name: names.join(", "),
+        }),
+        _ => Err(HqlError::Execution(format!(
+            "parents {names:?} exist in several domains; qualify with distinct names"
+        ))),
+    }
+}
+
 fn exec_create_domain(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::CreateDomain { name } = stmt else {
         unreachable!("dispatched by kind")
@@ -651,7 +638,7 @@ fn exec_create_class(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response
     let Statement::CreateClass { name, parents } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let domain = txn.world.domain_containing(&parents)?;
+    let domain = domain_containing(&txn.world, &parents)?;
     txn.apply(&CatalogMutation::AddClass {
         domain: domain.clone(),
         name: name.clone(),
@@ -664,7 +651,7 @@ fn exec_create_instance(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respo
     let Statement::CreateInstance { name, parents } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let domain = txn.world.domain_containing(&parents)?;
+    let domain = domain_containing(&txn.world, &parents)?;
     txn.apply(&CatalogMutation::AddInstance {
         domain: domain.clone(),
         name: name.clone(),
@@ -753,9 +740,12 @@ fn exec_consolidate(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response>
     let Statement::Consolidate { relation } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let removed = txn.world.consolidate_in_place(&relation)?;
-    txn.delta.record_reset(&relation);
-    txn.checkpoint()?;
+    let before = txn.world.relation(&relation)?.len();
+    txn.apply(&CatalogMutation::Consolidate {
+        relation: relation.clone(),
+    })?;
+    // Consolidation only removes tuples (§3.3.1).
+    let removed = before - txn.world.relation(&relation)?.len();
     Ok(Response::Ok(format!(
         "consolidated {relation}: removed {removed} redundant tuple(s)"
     )))
@@ -765,9 +755,11 @@ fn exec_explicate(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::Explicate { relation, attrs } = stmt else {
         unreachable!("dispatched by kind")
     };
-    let tuples = txn.world.explicate_in_place(&relation, &attrs)?;
-    txn.delta.record_reset(&relation);
-    txn.checkpoint()?;
+    txn.apply(&CatalogMutation::Explicate {
+        relation: relation.clone(),
+        attrs,
+    })?;
+    let tuples = txn.world.relation(&relation)?.len();
     Ok(Response::Ok(format!(
         "explicated {relation}: now {tuples} tuple(s)"
     )))
@@ -801,12 +793,13 @@ fn exec_let(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::Let { name, derivation } = stmt else {
         unreachable!("dispatched by kind")
     };
-    // The fresh binding is a live view: from now on the writer
-    // maintains it per-delta at commit. Its own birth is deliberately
-    // not recorded in the delta — nothing can depend on it yet, and a
-    // row entry under its name would read as a direct write (detach).
-    let tuples = txn.world.define_view(&name, derivation)?;
-    txn.checkpoint()?;
+    // The fresh binding is a live view: from now on every mutation
+    // keeps it current.
+    txn.apply(&CatalogMutation::DefineView {
+        name: name.clone(),
+        derivation,
+    })?;
+    let tuples = txn.world.relation(&name)?.len();
     Ok(Response::Ok(format!(
         "relation {name} defined ({tuples} tuples)"
     )))
@@ -820,8 +813,8 @@ fn exec_load(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     txn.checkpoint()?;
     Ok(Response::Ok(format!(
         "session restored from {path} ({} domain(s), {} relation(s))",
-        txn.world.domain_count(),
-        txn.world.relation_count()
+        txn.world.domain_names().count(),
+        txn.world.relation_names().count()
     )))
 }
 
@@ -846,8 +839,8 @@ fn exec_open(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
         "store {dir} open at lsn {} ({} domain(s), {} relation(s); \
          {} record(s) replayed, {} byte(s) truncated)",
         r.next_lsn(),
-        txn.world.domain_count(),
-        txn.world.relation_count(),
+        txn.world.domain_names().count(),
+        txn.world.relation_names().count(),
         r.records_replayed,
         r.truncated_bytes
     )))
@@ -886,14 +879,10 @@ fn exec_rename_relation(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Respo
     let Statement::RenameRelation { from, to } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.world.rename_relation(&from, &to)?;
-    // Both names reset: views depending on the old name fail atomically
-    // (their derivations no longer resolve), and consumers of the new
-    // name rebuild from scratch. A rename is outside the WAL mutation
-    // vocabulary, so durability takes an implicit checkpoint.
-    txn.delta.record_reset(&from);
-    txn.delta.record_reset(&to);
-    txn.checkpoint()?;
+    txn.apply(&CatalogMutation::RenameRelation {
+        from: from.clone(),
+        to: to.clone(),
+    })?;
     Ok(Response::Ok(format!("relation {from} renamed to {to}")))
 }
 
@@ -1023,7 +1012,7 @@ fn exec_dump(world: &World, stmt: Statement) -> Result<Response> {
     let mut script = vec![
         Statement::CreateRelation {
             name: to.clone(),
-            attributes: signature(rel),
+            attributes: rel.schema().signature(),
         },
         Statement::SetPreemption {
             relation: to.clone(),
@@ -1265,7 +1254,7 @@ mod tests {
         let live = Engine::new()
             .execute("CREATE RELATION R (V: Nope);")
             .unwrap_err();
-        assert_eq!(live, HqlError::from_catalog(replayed));
+        assert_eq!(live, HqlError::from(replayed));
         assert_eq!(live.to_string(), "unknown domain \"Nope\"");
         assert_eq!(
             Engine::new()

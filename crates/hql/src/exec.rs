@@ -543,13 +543,14 @@ mod tests {
     }
 
     #[test]
-    fn derived_and_in_place_results_checkpoint_implicitly() {
+    fn derived_and_in_place_results_survive_a_reopen() {
         let (dir, dir_str) = temp_store("implicit");
         let s = Engine::new();
         s.execute(&format!("OPEN \"{dir_str}\";")).unwrap();
         s.execute(FIG1).unwrap();
-        // LET is outside the WAL vocabulary, so it must checkpoint; the
-        // derived relation has to survive a reopen.
+        // LET and an in-place CONSOLIDATE are log records: the view and
+        // the consolidated relation both survive a reopen, the view as
+        // a view.
         s.execute("LET Sub = SELECT Flies WHERE Creature IS ALL Penguin;")
             .unwrap();
         s.execute("CONSOLIDATE Flies;").unwrap();
@@ -559,6 +560,7 @@ mod tests {
         s2.execute(&format!("OPEN \"{dir_str}\";")).unwrap();
         assert_eq!(truth_of(&s2, "HOLDS Sub (Pamela);"), Some(true));
         assert_eq!(truth_of(&s2, "HOLDS Flies (Paul);"), Some(false));
+        assert!(s2.snapshot().is_view("Sub"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,6 +30,8 @@ struct Parser<'a> {
     next: Option<Token<'a>>,
     /// The script's first lexical error, once the lexer reached it.
     lex_error: Option<HqlError>,
+    /// Parenthesized derivations open around the current one.
+    nested: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -38,6 +40,7 @@ impl<'a> Parser<'a> {
             lexer: Lexer::new(input),
             next: None,
             lex_error: None,
+            nested: 0,
         };
         p.bump();
         p
@@ -361,10 +364,19 @@ impl<'a> Parser<'a> {
 
     /// A derivation operand: a relation name, or a parenthesized
     /// derivation (so operator compositions are one statement and the
-    /// planner sees the whole tree).
+    /// planner sees the whole tree), at most [`Derivation::MAX_DEPTH`]
+    /// levels deep.
     fn source(&mut self) -> Result<Source> {
         if self.eat(&Token::LParen) {
+            if self.nested + 2 > Derivation::MAX_DEPTH {
+                return Err(self.err(&format!(
+                    "at most {} nested derivations",
+                    Derivation::MAX_DEPTH
+                )));
+            }
+            self.nested += 1;
             let inner = self.derivation()?;
+            self.nested -= 1;
             self.expect(&Token::RParen, "')' after nested derivation")?;
             return Ok(Source::Derived(Box::new(inner)));
         }
@@ -570,6 +582,16 @@ mod tests {
         }
         // An unclosed nested derivation is a parse error.
         assert!(parse("LET X = UNION (JOIN A B C;").is_err());
+        // So is one nested deeper than a log record may carry.
+        let nest = |levels: usize| {
+            let mut d = "CONSOLIDATE R".to_string();
+            for _ in 1..levels {
+                d = format!("CONSOLIDATE ({d})");
+            }
+            parse(&format!("LET X = {d};"))
+        };
+        assert!(nest(Derivation::MAX_DEPTH).is_ok());
+        assert_eq!(nest(Derivation::MAX_DEPTH + 1).unwrap_err().kind(), "parse");
     }
 
     #[test]

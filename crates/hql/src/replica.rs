@@ -6,9 +6,11 @@
 //! over, then the mutations past what was already shipped — is applied
 //! by [`Engine::apply_mutations`] as one write, through the same
 //! [`Catalog::apply_mutation`] interpreter the primary's own writes and
-//! recovery run. So a replica at shipped LSN *L* renders reads
-//! **byte-identically** to the primary at LSN *L* (the replica-parity
-//! harness pins this across randomized histories). The tailer reads the
+//! recovery run — live views included: a `LET` ships as a record and a
+//! base image carries view definitions, so the replica's views follow
+//! their sources as the primary's do. So a replica at shipped LSN *L*
+//! renders reads **byte-identically** to the primary at LSN *L* (the
+//! replica-parity harness pins this across randomized histories). The tailer reads the
 //! log inside that write and hands it each record as soon as it is
 //! decoded, so a sync holds one decoded record, never a batch of
 //! records or of their bytes.

@@ -35,9 +35,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, RwLock};
 
+use hrdm_core::derivation::names;
 use hrdm_core::CoreError;
 
-use crate::ast::{names, Derivation, Source, Statement};
+use crate::ast::{Derivation, Source, Statement};
 use crate::engine::Engine;
 use crate::error::HqlError;
 use crate::executor::{ExecError, ExecResult, ExecutorHandle};

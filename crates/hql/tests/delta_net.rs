@@ -53,9 +53,11 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
                     None => batch.push(model.mutation(&mut rng)),
                 }
             }
-            // Relations the batch creates, drops or re-modes: the ones
-            // whose change is wholesale.
+            // Relations the batch creates, drops, renames, re-modes or
+            // rewrites in place: the ones whose change is wholesale. A
+            // view the batch defines is born with no entry of its own.
             let mut wholesale = BTreeSet::new();
+            let mut defined = BTreeSet::new();
             for m in &batch {
                 mirror
                     .apply_mutation(m)
@@ -65,8 +67,16 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
                     | CatalogMutation::DropRelation { name } => {
                         wholesale.insert(name.clone());
                     }
-                    CatalogMutation::SetPreemption { relation, .. } => {
+                    CatalogMutation::SetPreemption { relation, .. }
+                    | CatalogMutation::Consolidate { relation }
+                    | CatalogMutation::Explicate { relation, .. } => {
                         wholesale.insert(relation.clone());
+                    }
+                    CatalogMutation::RenameRelation { from, to } => {
+                        wholesale.extend([from.clone(), to.clone()]);
+                    }
+                    CatalogMutation::DefineView { name, .. } => {
+                        defined.insert(name.clone());
                     }
                     _ => {}
                 }
@@ -87,10 +97,17 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
             relations.extend(post.relation_names());
             for name in relations {
                 let context = format!("{context}, {name}, after {batch:?}");
+                // A view whose source changed mode changes mode with it,
+                // which a row delta cannot say.
+                let remoded = matches!(
+                    (pre.relation(name), post.relation(name)),
+                    (Ok(a), Ok(b)) if a.preemption() != b.preemption()
+                );
                 match delta.relations.get(name) {
-                    Some(RelationChange::Reset) => {
-                        assert!(wholesale.contains(name), "{context}: reset for no reason")
-                    }
+                    Some(RelationChange::Reset) => assert!(
+                        wholesale.contains(name) || remoded || defined.contains(name),
+                        "{context}: reset for no reason"
+                    ),
                     Some(RelationChange::Rows(rows_delta)) => {
                         assert!(!wholesale.contains(name), "{context}: rows for a reset");
                         let before = pre.relation(name).unwrap();
@@ -116,6 +133,7 @@ fn a_published_delta_applied_to_the_state_before_yields_the_state_after() {
                         }
                         net_to_nothing += usize::from(rows_delta.is_empty());
                     }
+                    None if defined.contains(name) && pre.relation(name).is_err() => {}
                     None => assert_eq!(
                         rows(pre.relation(name).unwrap()),
                         rows(post.relation(name).unwrap()),

@@ -1,8 +1,11 @@
 //! Primitive encoders/decoders: little-endian integers, LEB128
 //! varints, length-prefixed UTF-8 strings, and CRC-32 framing over
-//! `std::io` streams.
+//! `std::io` streams — plus the one composite both the log and the
+//! image carry, a view's [`Derivation`].
 
 use std::io::{Read, Write};
+
+use hrdm_core::derivation::{Derivation, Source, ValueRef};
 
 use crate::error::{PersistError, Result};
 
@@ -194,9 +197,158 @@ pub fn read_str_into(r: &mut &[u8], mut into: String) -> Result<String> {
     Ok(into)
 }
 
+/// Write a name list: a `u32` count, then each name.
+pub fn write_names(w: &mut impl Write, names: &[String]) -> Result<()> {
+    write_u32(w, names.len() as u32)?;
+    for n in names {
+        write_str(w, n)?;
+    }
+    Ok(())
+}
+
+/// A decoded element count, capped like a string length.
+fn read_len(r: &mut impl Read, what: &str) -> Result<usize> {
+    let n = read_u32(r)? as usize;
+    if n > LEN_CAP {
+        return Err(PersistError::Corrupt(format!(
+            "{what} count {n} exceeds sanity cap"
+        )));
+    }
+    Ok(n)
+}
+
+fn read_names(r: &mut impl Read) -> Result<Vec<String>> {
+    (0..read_len(r, "name")?).map(|_| read_str(r)).collect()
+}
+
+/// Write a derivation tree, root first: per node a tag (0 `UNION`,
+/// 1 `INTERSECT`, 2 `DIFFERENCE`, 3 `JOIN`, 4 `PROJECT`, 5 `SELECT`,
+/// 6 `CONSOLIDATE`, 7 `EXPLICATE`), its operands — each a tag (0 a
+/// relation name, 1 a nested derivation) and its body — then its
+/// attribute names or `SELECT` conditions (attribute, value, `ALL` u8).
+pub fn write_derivation(w: &mut impl Write, d: &Derivation) -> Result<()> {
+    let tag = match d {
+        Derivation::Union(..) => 0,
+        Derivation::Intersect(..) => 1,
+        Derivation::Difference(..) => 2,
+        Derivation::Join(..) => 3,
+        Derivation::Project(..) => 4,
+        Derivation::Select(..) => 5,
+        Derivation::Consolidated(_) => 6,
+        Derivation::Explicated(..) => 7,
+    };
+    write_u8(w, tag)?;
+    for source in d.sources() {
+        match source {
+            Source::Named(name) => {
+                write_u8(w, 0)?;
+                write_str(w, name)?;
+            }
+            Source::Derived(inner) => {
+                write_u8(w, 1)?;
+                write_derivation(w, inner)?;
+            }
+        }
+    }
+    match d {
+        Derivation::Project(_, attrs) | Derivation::Explicated(_, attrs) => write_names(w, attrs),
+        Derivation::Select(_, conds) => {
+            write_u32(w, conds.len() as u32)?;
+            for (attr, value) in conds {
+                write_str(w, attr)?;
+                write_str(w, &value.name)?;
+                write_u8(w, u8::from(value.all))?;
+            }
+            Ok(())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Read a derivation [`write_derivation`] wrote. Nesting deeper than
+/// [`Derivation::MAX_DEPTH`] — more than the parser accepts — is
+/// [`PersistError::Corrupt`], so a damaged record cannot recurse the
+/// decoder off the stack.
+pub fn read_derivation(r: &mut impl Read) -> Result<Derivation> {
+    read_derivation_at(r, 1)
+}
+
+fn read_derivation_at(r: &mut impl Read, depth: usize) -> Result<Derivation> {
+    if depth > Derivation::MAX_DEPTH {
+        return Err(PersistError::Corrupt(format!(
+            "derivation nests deeper than {}",
+            Derivation::MAX_DEPTH
+        )));
+    }
+    let tag = read_u8(r)?;
+    let mut source = || -> Result<Source> {
+        match read_u8(r)? {
+            0 => Ok(Source::Named(read_str(r)?)),
+            1 => Ok(Source::Derived(Box::new(read_derivation_at(r, depth + 1)?))),
+            other => Err(PersistError::Corrupt(format!(
+                "unknown derivation operand tag {other}"
+            ))),
+        }
+    };
+    Ok(match tag {
+        0 => Derivation::Union(source()?, source()?),
+        1 => Derivation::Intersect(source()?, source()?),
+        2 => Derivation::Difference(source()?, source()?),
+        3 => Derivation::Join(source()?, source()?),
+        4 => Derivation::Project(source()?, read_names(r)?),
+        5 => {
+            let a = source()?;
+            let conds = (0..read_len(r, "condition")?)
+                .map(|_| {
+                    let attr = read_str(r)?;
+                    let name = read_str(r)?;
+                    let all = match read_u8(r)? {
+                        0 => false,
+                        1 => true,
+                        other => {
+                            return Err(PersistError::Corrupt(format!("unknown ALL flag {other}")))
+                        }
+                    };
+                    Ok((attr, ValueRef { name, all }))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            Derivation::Select(a, conds)
+        }
+        6 => Derivation::Consolidated(source()?),
+        7 => Derivation::Explicated(source()?, read_names(r)?),
+        other => {
+            return Err(PersistError::Corrupt(format!(
+                "unknown derivation tag {other}"
+            )))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A derivation as deep as the parser accepts round-trips; one level
+    /// deeper is corrupt, not a stack overflow.
+    #[test]
+    fn derivations_round_trip_up_to_the_depth_bound() {
+        let nest = |levels: usize| {
+            let mut d = Derivation::Explicated(Source::named("R"), vec!["a".into()]);
+            for _ in 1..levels {
+                d = Derivation::Union(Source::Derived(Box::new(d)), Source::named("S"));
+            }
+            let mut bytes = Vec::new();
+            write_derivation(&mut bytes, &d).unwrap();
+            (d, bytes)
+        };
+        let (deepest, bytes) = nest(Derivation::MAX_DEPTH);
+        assert_eq!(read_derivation(&mut bytes.as_slice()).unwrap(), deepest);
+        let (_, bytes) = nest(Derivation::MAX_DEPTH + 1);
+        assert!(matches!(
+            read_derivation(&mut bytes.as_slice()),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
 
     /// Encode with `write_str` and decode back, asserting both halves
     /// on the `Result` rather than unwrapping blindly.

@@ -3,13 +3,16 @@
 //! [`Image`] is the codec type, not a store of its own: it carries the
 //! same `Arc<HierarchyGraph>` / `Arc<HRelation>` handles a
 //! [`Catalog`] holds, so a checkpoint or an
-//! `OPEN` moves a catalog through it without copying a tuple.
+//! `OPEN` moves a catalog through it without copying a tuple. It
+//! carries each live view as its definition too, so `SAVE`/`LOAD`, a
+//! checkpoint and a replica's shipped base keep views live.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! magic   "HRDM1\0"
-//! version u32 (= 1)
+//! version u32 (= 2; a version-1 image, which had no view table, is
+//!         refused as unsupported)
 //! domains u32 count, then per domain:
 //!   name, node-count u32,
 //!   per node (in id order, root first): name, kind u8 (0=domain 1=class 2=instance)
@@ -18,6 +21,8 @@
 //!   name, preemption u8 (0=off-path 1=on-path 2=none), arity u32,
 //!   per attribute: attr-name, domain-index u32,
 //!   tuple-count u32, per tuple: truth u8 (0=negative 1=positive), node u32 × arity
+//! views u32 count, then per view in registration order:
+//!   name (a relation of the image), derivation (codec::write_derivation)
 //! ```
 
 use std::collections::BTreeMap;
@@ -25,14 +30,18 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use hrdm_core::derivation::Derivation;
 use hrdm_core::prelude::*;
+use hrdm_core::view::View;
 use hrdm_hierarchy::{EdgeKind, HierarchyGraph, NodeId, NodeKind};
 
-use crate::codec::{read_str, read_u32, read_u8, write_str, write_u32, write_u8};
+use crate::codec::{
+    read_derivation, read_str, read_u32, read_u8, write_derivation, write_str, write_u32, write_u8,
+};
 use crate::error::{PersistError, Result};
 
 const MAGIC: &[u8; 6] = b"HRDM1\0";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Upper bound on any decoded element count. Counts are untrusted input;
 /// a corrupt length must produce [`PersistError::Corrupt`], not an
@@ -50,8 +59,9 @@ fn checked_count(n: u32, what: &str) -> Result<usize> {
     }
 }
 
-/// An in-memory catalog image: named shared domains plus named
-/// relations over them, in the order they are encoded.
+/// An in-memory catalog image: named shared domains, named relations
+/// over them and the definitions of the live views among those
+/// relations, in the order they are encoded.
 ///
 /// The image is the `HRDM1` codec's view of a
 /// [`Catalog`], not a second container: it holds the catalog's own
@@ -63,6 +73,9 @@ fn checked_count(n: u32, what: &str) -> Result<usize> {
 pub struct Image {
     domains: Vec<(String, Arc<HierarchyGraph>)>,
     relations: Vec<(String, Arc<HRelation>)>,
+    /// The catalog's live views in registration order (a view over
+    /// another view comes after it), each over its relation above.
+    views: Vec<Arc<View>>,
 }
 
 impl std::fmt::Debug for Image {
@@ -96,8 +109,8 @@ impl Image {
         self.relations.push((name.into(), relation.into()));
     }
 
-    /// Build an image from a [`Catalog`], sharing its domain and
-    /// relation handles.
+    /// Build an image from a [`Catalog`], sharing its domain, relation
+    /// and view handles.
     pub fn from_catalog(catalog: &Catalog) -> Image {
         Image {
             domains: catalog
@@ -108,11 +121,13 @@ impl Image {
                 .relations()
                 .map(|(n, r)| (n.to_string(), r.clone()))
                 .collect(),
+            views: catalog.views().cloned().collect(),
         }
     }
 
     /// Convert back into a [`Catalog`], moving the handles (relations
-    /// were rebuilt against these same domain `Arc`s at decode time).
+    /// were rebuilt against these same domain `Arc`s, and views
+    /// re-attached to them, at decode time).
     pub fn into_catalog(self) -> Catalog {
         let mut catalog = Catalog::new();
         for (name, graph) in self.domains {
@@ -120,6 +135,9 @@ impl Image {
         }
         for (name, relation) in self.relations {
             catalog.add_relation(name, relation);
+        }
+        for view in self.views {
+            catalog.add_view(view);
         }
         catalog
     }
@@ -218,6 +236,12 @@ impl Image {
                     write_u32(w, node.index() as u32)?;
                 }
             }
+        }
+
+        write_u32(w, self.views.len() as u32)?;
+        for view in &self.views {
+            write_str(w, view.name())?;
+            write_derivation(w, view.derivation())?;
         }
         Ok(())
     }
@@ -318,7 +342,45 @@ impl Image {
             relations.push((rel_name, Arc::new(relation)));
         }
 
-        Ok(Image { domains, relations })
+        let view_count = checked_count(read_u32(r)?, "view")?;
+        let mut definitions = Vec::new();
+        for _ in 0..view_count {
+            definitions.push((read_str(r)?, read_derivation(r)?));
+        }
+        let mut image = Image {
+            domains,
+            relations,
+            views: Vec::new(),
+        };
+        if !definitions.is_empty() {
+            image.attach_views(definitions)?;
+        }
+        Ok(image)
+    }
+
+    /// Re-attach each decoded view definition to the relation stored
+    /// under its name, in order: its derivation is materialized once,
+    /// over the image's relations, and must give the rows the image
+    /// stored; the view then holds the materialized relation in their
+    /// place. A view that does not plan, or that disagrees with its
+    /// stored rows, is [`PersistError::Rebuild`].
+    fn attach_views(&mut self, definitions: Vec<(String, Derivation)>) -> Result<()> {
+        let mut catalog = std::mem::take(self).into_catalog();
+        for (name, derivation) in definitions {
+            let rebuild = |e: CoreError| PersistError::Rebuild(format!("view {name:?}: {e}"));
+            let stored = catalog.relation_arc(&name).map_err(rebuild)?.clone();
+            catalog.attach_view(&name, derivation).map_err(rebuild)?;
+            let derived = catalog.relation(&name).map_err(rebuild)?;
+            if derived.preemption() != stored.preemption()
+                || !RelationDelta::diff(&stored, derived).is_empty()
+            {
+                return Err(PersistError::Rebuild(format!(
+                    "view {name:?} does not hold what its definition derives"
+                )));
+            }
+        }
+        *self = Image::from_catalog(&catalog);
+        Ok(())
     }
 
     /// Encode to an owned buffer.
@@ -532,6 +594,77 @@ mod tests {
         let mut image = Image::new();
         image.add_relation("R", rel); // forgot add_domain
         assert!(matches!(image.to_bytes(), Err(PersistError::Rebuild(_))));
+    }
+
+    /// A view over a view survives the byte stream as a live view over
+    /// a live view, in registration order, each re-attached to its
+    /// stored rows, and keeps following its sources afterwards.
+    #[test]
+    fn views_over_views_round_trip_live() {
+        use hrdm_core::derivation::Source;
+        let mut catalog = sample_world().into_catalog();
+        let define = |name: &str, derivation| CatalogMutation::DefineView {
+            name: name.into(),
+            derivation,
+        };
+        let fliers = Derivation::Consolidated(Source::named("Flies"));
+        let both = Derivation::Union(Source::named("Fliers"), Source::named("Flies"));
+        for m in [define("Fliers", fliers), define("Both", both)] {
+            catalog.apply_mutation(&m).unwrap();
+        }
+        let bytes = Image::from_catalog(&catalog).to_bytes().unwrap();
+        let mut restored = Image::from_bytes(&bytes).unwrap().into_catalog();
+        assert_eq!(restored.render_stable(), catalog.render_stable());
+        let order: Vec<&str> = restored.views().map(|v| v.name()).collect();
+        assert_eq!(order, ["Fliers", "Both"]);
+        assert!(restored
+            .render_stable()
+            .ends_with("view Fliers = CONSOLIDATE Flies\nview Both = UNION Fliers Flies\n"));
+        let write = CatalogMutation::Assert {
+            relation: "Flies".into(),
+            values: vec!["Tweety".into()],
+            truth: Truth::Negative,
+        };
+        catalog.apply_mutation(&write).unwrap();
+        restored.apply_mutation(&write).unwrap();
+        assert_eq!(restored.render_stable(), catalog.render_stable());
+        // An image without views grows by the four bytes of an empty
+        // view table.
+        let plain = sample_world().to_bytes().unwrap();
+        assert_eq!(&plain[plain.len() - 4..], &[0, 0, 0, 0]);
+    }
+
+    /// The previous format had no view table: it is refused, not
+    /// misread.
+    #[test]
+    fn a_version_one_image_is_unsupported() {
+        let mut bytes = sample_world().to_bytes().unwrap();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Image::from_bytes(&bytes),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+    }
+
+    /// An image of a catalog shares its storage both ways: no graph and
+    /// no tuple is copied on the way through, and the restored
+    /// relations hold the restored domain handles.
+    #[test]
+    fn catalog_round_trip_shares_storage() {
+        let catalog = sample_world().into_catalog();
+        let restored = Image::from_catalog(&catalog).into_catalog();
+        for name in ["Flies", "Colored"] {
+            assert!(Arc::ptr_eq(
+                catalog.relation_arc(name).unwrap(),
+                restored.relation_arc(name).unwrap()
+            ));
+        }
+        let animal = restored.domain("Animal").unwrap();
+        assert!(Arc::ptr_eq(catalog.domain("Animal").unwrap(), animal));
+        assert!(Arc::ptr_eq(
+            animal,
+            restored.relation("Flies").unwrap().schema().attributes()[0].domain()
+        ));
     }
 
     #[test]

@@ -62,8 +62,8 @@ use hrdm_core::truth::Truth;
 use hrdm_obs::metrics::{Counter, Gauge, Histogram, Registry};
 
 use crate::codec::{
-    crc32, read_str_into, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
-    write_varint,
+    crc32, read_derivation, read_str_into, read_u32, read_u64, read_u8, write_derivation,
+    write_names, write_str, write_u32, write_u64, write_u8, write_varint,
 };
 use crate::error::{PersistError, Result};
 
@@ -153,14 +153,6 @@ fn preemption_from(tag: u8) -> Result<Preemption> {
             "unknown preemption tag {other}"
         ))),
     }
-}
-
-fn write_names(w: &mut impl Write, names: &[String]) -> Result<()> {
-    write_u32(w, names.len() as u32)?;
-    for n in names {
-        write_str(w, n)?;
-    }
-    Ok(())
 }
 
 /// A count of items that each take at least `min_bytes` of what is left
@@ -280,6 +272,25 @@ fn encode_mutation(w: &mut impl Write, m: &CatalogMutation) -> Result<()> {
             write_str(w, relation)?;
             write_u8(w, preemption_tag(*mode))?;
         }
+        CatalogMutation::DefineView { name, derivation } => {
+            write_u8(w, 11)?;
+            write_str(w, name)?;
+            write_derivation(w, derivation)?;
+        }
+        CatalogMutation::RenameRelation { from, to } => {
+            write_u8(w, 12)?;
+            write_str(w, from)?;
+            write_str(w, to)?;
+        }
+        CatalogMutation::Consolidate { relation } => {
+            write_u8(w, 13)?;
+            write_str(w, relation)?;
+        }
+        CatalogMutation::Explicate { relation, attrs } => {
+            write_u8(w, 14)?;
+            write_str(w, relation)?;
+            write_names(w, attrs)?;
+        }
     }
     Ok(())
 }
@@ -356,12 +367,16 @@ fn decode_mutation(tag: u8, r: &mut &[u8], m: &mut CatalogMutation) -> Result<()
         }
         | Retract { relation, values } => (relation, values),
         AddClass { name, parents, .. } | AddInstance { name, parents, .. } => (name, parents),
+        Explicate { relation, attrs } => (relation, attrs),
         CreateDomain { name }
         | DropDomain { name }
         | DropRelation { name }
         | CreateRelation { name, .. }
         | Prefer { domain: name, .. }
-        | SetPreemption { relation: name, .. } => (name, Vec::new()),
+        | SetPreemption { relation: name, .. }
+        | DefineView { name, .. }
+        | RenameRelation { from: name, .. }
+        | Consolidate { relation: name } => (name, Vec::new()),
     };
     // Struct fields are evaluated in the order written: the wire order.
     *m = match tag {
@@ -415,6 +430,21 @@ fn decode_mutation(tag: u8, r: &mut &[u8], m: &mut CatalogMutation) -> Result<()
         10 => SetPreemption {
             relation: read_str_into(r, s)?,
             mode: preemption_from(read_u8(r)?)?,
+        },
+        11 => DefineView {
+            name: read_str_into(r, s)?,
+            derivation: read_derivation(r)?,
+        },
+        12 => RenameRelation {
+            from: read_str_into(r, s)?,
+            to: read_str_into(r, String::new())?,
+        },
+        13 => Consolidate {
+            relation: read_str_into(r, s)?,
+        },
+        14 => Explicate {
+            relation: read_str_into(r, s)?,
+            attrs: read_names_into(r, names)?,
         },
         other => {
             return Err(PersistError::Corrupt(format!(
@@ -1229,6 +1259,7 @@ impl Drop for WalFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrdm_core::derivation::{Derivation, Source, ValueRef};
 
     fn sample_mutations() -> Vec<CatalogMutation> {
         vec![
@@ -1272,6 +1303,36 @@ mod tests {
                 relation: "Flies".into(),
                 mode: Preemption::NoPreemption,
             },
+            CatalogMutation::DefineView {
+                name: "Birds".into(),
+                derivation: Derivation::Select(
+                    Source::Derived(Box::new(Derivation::Explicated(
+                        Source::named("Flies"),
+                        vec!["Creature".into()],
+                    ))),
+                    vec![(
+                        "Creature".into(),
+                        ValueRef {
+                            name: "Bird".into(),
+                            all: true,
+                        },
+                    )],
+                ),
+            },
+            CatalogMutation::Explicate {
+                relation: "Flies".into(),
+                attrs: vec!["Creature".into()],
+            },
+            CatalogMutation::Consolidate {
+                relation: "Flies".into(),
+            },
+            CatalogMutation::RenameRelation {
+                from: "Birds".into(),
+                to: "Fliers".into(),
+            },
+            CatalogMutation::DropRelation {
+                name: "Fliers".into(),
+            },
             CatalogMutation::DropRelation {
                 name: "Flies".into(),
             },
@@ -1309,7 +1370,7 @@ mod tests {
     }
 
     /// A record the reader keeps decodes every kind exactly as a fresh
-    /// one does, whichever of the ten kinds it held before — and an
+    /// one does, whichever of the fourteen kinds it held before — and an
     /// `Assert`/`Retract` into one that held an `Assert`/`Retract`
     /// keeps its storage.
     #[test]
@@ -1318,7 +1379,7 @@ mod tests {
         let mut kinds: Vec<&str> = samples.iter().map(CatalogMutation::kind).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 10, "the samples cover every kind");
+        assert_eq!(kinds.len(), 14, "the samples cover every kind");
         // More values than any sample: a kept list must shrink to fit.
         let wide = CatalogMutation::Retract {
             relation: "Flies".into(),

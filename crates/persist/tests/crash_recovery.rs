@@ -1,8 +1,8 @@
 //! Deterministic fault-injection crash-recovery harness.
 //!
 //! `hrdm-testkit`'s seeded model produces a mutation script (220
-//! operations, all ten mutation kinds — asserted) that is guaranteed
-//! to apply cleanly. The harness then:
+//! operations, the thirteen mutation kinds the model emits — live views
+//! among them — asserted) that is guaranteed to apply cleanly. The harness then:
 //!
 //! 1. applies the script to a live catalog, snapshotting
 //!    `render_stable()` after every prefix — the reference states;
@@ -48,7 +48,7 @@ const SEED: u64 = 0x5EED_CAFE;
 fn gen_script(seed: u64) -> Vec<CatalogMutation> {
     let script = hrdm_testkit::script(seed, SCRIPT_LEN);
     let kinds: BTreeSet<&str> = script.iter().map(CatalogMutation::kind).collect();
-    assert_eq!(kinds.len(), 10, "seed {seed:#x}: only {kinds:?}");
+    assert_eq!(kinds.len(), 13, "seed {seed:#x}: only {kinds:?}");
     script
 }
 

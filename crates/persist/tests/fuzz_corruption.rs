@@ -8,6 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+use hrdm_core::derivation::{Derivation, Source, ValueRef};
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
@@ -30,7 +31,15 @@ fn sample_bytes() -> Vec<u8> {
     let mut image = Image::new();
     image.add_domain("Animal", dom);
     image.add_relation("Flies", flies);
-    image.to_bytes().unwrap()
+    // A live view, so damage can land in the view table too.
+    let mut catalog = image.into_catalog();
+    catalog
+        .apply_mutation(&CatalogMutation::DefineView {
+            name: "Fliers".into(),
+            derivation: Derivation::Consolidated(Source::named("Flies")),
+        })
+        .unwrap();
+    Image::from_catalog(&catalog).to_bytes().unwrap()
 }
 
 proptest! {
@@ -78,7 +87,7 @@ proptest! {
     fn garbage_with_valid_magic_never_panics(
         tail in prop::collection::vec(any::<u8>(), 0..200)
     ) {
-        let mut bytes = b"HRDM1\0\x01\x00\x00\x00".to_vec();
+        let mut bytes = b"HRDM1\0\x02\x00\x00\x00".to_vec();
         bytes.extend(tail);
         let _ = Image::from_bytes(&bytes); // must not panic
     }
@@ -111,6 +120,33 @@ fn sample_wal_mutations() -> Vec<CatalogMutation> {
         CatalogMutation::Retract {
             relation: "Flies".into(),
             values: vec!["Bird".into()],
+        },
+        CatalogMutation::DefineView {
+            name: "Fliers".into(),
+            derivation: Derivation::Project(
+                Source::Derived(Box::new(Derivation::Select(
+                    Source::named("Flies"),
+                    vec![(
+                        "Creature".into(),
+                        ValueRef {
+                            name: "Bird".into(),
+                            all: true,
+                        },
+                    )],
+                ))),
+                vec!["Creature".into()],
+            ),
+        },
+        CatalogMutation::Explicate {
+            relation: "Flies".into(),
+            attrs: vec!["Creature".into()],
+        },
+        CatalogMutation::Consolidate {
+            relation: "Flies".into(),
+        },
+        CatalogMutation::RenameRelation {
+            from: "Fliers".into(),
+            to: "Birds".into(),
         },
     ]
 }
@@ -318,11 +354,11 @@ proptest! {
     /// is what a fresh decode makes of it, success or error.
     #[test]
     fn damaged_payloads_decode_alike_into_a_kept_record(
-        sample in 0usize..5,
+        sample in 0usize..9,
         pos in 0usize..64,
         xor in 0u8..=255,
         cut in 0usize..64,
-        tag in 0u8..12,
+        tag in 0u8..16,
         garbage in prop::collection::vec(any::<u8>(), 0..48),
     ) {
         let intact =

@@ -2,15 +2,15 @@
 //!
 //! One [`Model`] of what a catalog holds — live domains with their
 //! classes, instances and preference edges, live relations with their
-//! stored rows — emits changes that are valid against it by
-//! construction: every [`CatalogMutation`] [`Model::mutation`] returns
-//! applies to a catalog that applied the ones before it, and so does
-//! its HQL text ([`Model::hql`]) on an engine. The suites that hold a
-//! layer to byte parity draw their histories from it: `hrdm-persist`'s
-//! crash sweep as WAL records, `hrdm-hql`'s replica harness as HQL
-//! (adding [`Model::rollover`]'s checkpoint-forcing writes), and its
-//! net-delta property as multi-mutation batches (adding
-//! [`Model::same_item_pair`]).
+//! stored rows, live views with what they read — emits changes that
+//! are valid against it by construction: every [`CatalogMutation`]
+//! [`Model::mutation`] returns applies to a catalog that applied the
+//! ones before it, and so does its HQL text ([`Model::hql`]) on an
+//! engine. The suites that hold a layer to byte parity draw their
+//! histories from it: `hrdm-persist`'s crash sweep as WAL records,
+//! `hrdm-hql`'s replica harness as HQL (adding `CHECKPOINT`s, which
+//! start new log generations), and its net-delta property as
+//! multi-mutation batches (adding [`Model::same_item_pair`]).
 //!
 //! There is one distribution of mutation kinds. The model takes its
 //! randomness from the caller's [`SmallRng`], so a history is a function
@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use hrdm_core::derivation::{Derivation, Source};
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::{Preemption, Truth};
 use rand::rngs::SmallRng;
@@ -62,6 +63,14 @@ struct RelModel {
     /// `DropDomain`).
     domains_used: Vec<String>,
     stored: BTreeMap<Vec<String>, Truth>,
+    /// Rows that were stored when the relation was consolidated: the
+    /// consolidation may have removed any of them, so none is written
+    /// again.
+    maybe: BTreeSet<Vec<String>>,
+    /// For a live view, the relation it consolidates. A view's rows are
+    /// derived, so the model writes into none and renames none (either
+    /// would detach it), and drops or renames no relation a view reads.
+    view_of: Option<String>,
 }
 
 fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
@@ -77,7 +86,8 @@ fn sign(rng: &mut SmallRng) -> Truth {
 }
 
 impl RelModel {
-    /// A row not stored yet, if eight draws find one.
+    /// A row not stored, nor maybe stored, if eight draws find one (an
+    /// `Assert` of a row stored with the other sign is refused).
     fn unstored_row(&self, rng: &mut SmallRng) -> Option<Vec<String>> {
         (0..8)
             .map(|_| {
@@ -86,25 +96,30 @@ impl RelModel {
                     .map(|col| pick(rng, col).clone())
                     .collect()
             })
-            .find(|values| !self.stored.contains_key(values))
+            .find(|values| !self.stored.contains_key(values) && !self.maybe.contains(values))
     }
 }
 
 impl Model {
-    /// The next mutation. All ten kinds occur; the bulk are new classes
-    /// and instances and new rows.
+    /// The next mutation. Every kind but `Explicate` occurs (an
+    /// explication of a relation with conflicts is refused, and the
+    /// model does not track conflicts); the bulk are new classes and
+    /// instances and new rows.
     pub fn mutation(&mut self, rng: &mut SmallRng) -> CatalogMutation {
         for _ in 0..64 {
             let m = match rng.gen_range(0u32..100) {
                 0..=4 => self.create_domain(),
-                5..=29 => self.add_class(rng),
-                30..=44 => self.add_instance(rng),
-                45..=52 => self.prefer(rng),
-                53..=62 => self.create_relation(rng),
-                63..=87 => self.assert(rng),
-                88..=92 => self.retract(rng),
-                93..=96 => self.set_preemption(rng),
-                97..=98 => self.drop_relation(rng),
+                5..=26 => self.add_class(rng),
+                27..=40 => self.add_instance(rng),
+                41..=48 => self.prefer(rng),
+                49..=57 => self.create_relation(rng),
+                58..=80 => self.assert(rng),
+                81..=85 => self.retract(rng),
+                86..=88 => self.set_preemption(rng),
+                89..=90 => self.consolidate(rng),
+                91..=92 => self.rename_relation(rng),
+                93..=95 => self.define_view(rng),
+                96..=98 => self.drop_relation(rng),
                 _ => self.drop_domain(rng),
             };
             if let Some(m) = m {
@@ -119,7 +134,7 @@ impl Model {
     /// stored row retracted then asserted with a fresh sign. `None`
     /// while no relation exists.
     pub fn same_item_pair(&mut self, rng: &mut SmallRng) -> Option<[CatalogMutation; 2]> {
-        let relation = self.pick_relation(rng)?;
+        let relation = self.pick_stored(rng)?;
         let rm = self.relations.get_mut(&relation).unwrap();
         let truth = sign(rng);
         let retract_first = !rm.stored.is_empty() && rng.gen_bool(0.5);
@@ -142,19 +157,6 @@ impl Model {
         } else {
             [assert, retract]
         })
-    }
-
-    /// A write outside the WAL vocabulary, which makes an engine with an
-    /// `OPEN` store start a new log generation: an in-place
-    /// `CONSOLIDATE` of a live relation, or `CHECKPOINT`. Consolidation
-    /// only drops rows, so the model's rows stay a superset of the
-    /// engine's: a later `RETRACT` of a dropped row is refused, and
-    /// nothing else the model emits is.
-    pub fn rollover(&self, rng: &mut SmallRng) -> String {
-        match self.pick_relation(rng) {
-            Some(relation) if rng.gen_bool(2.0 / 3.0) => format!("CONSOLIDATE {relation};"),
-            _ => "CHECKPOINT;".to_string(),
-        }
     }
 
     /// `m`, a mutation this model emitted, as an HQL statement.
@@ -219,6 +221,10 @@ impl Model {
                 };
                 format!("SET PREEMPTION {relation} {mode};")
             }
+            CatalogMutation::DefineView { .. }
+            | CatalogMutation::RenameRelation { .. }
+            | CatalogMutation::Consolidate { .. }
+            | CatalogMutation::Explicate { .. } => format!("{m};"),
         }
     }
 
@@ -246,13 +252,12 @@ impl Model {
         if let Some(d) = self.domains.keys().next() {
             out.push(format!("CREATE DOMAIN {d};"));
         }
-        if let Some((name, r)) = self.relations.iter().next() {
+        if let Some((name, r)) = self.relations.iter().find(|(_, r)| r.view_of.is_none()) {
             let used = &r.domains_used[0];
             out.push(format!("CREATE RELATION {name} (a0: {used});"));
             out.push(format!("DROP DOMAIN {used};"));
-            // The row of the roots; the model's rows are a superset of
-            // the engine's, so one outside them is not stored.
-            if !r.stored.contains_key(&r.domains_used) {
+            // The row of the roots, if the model knows it is not stored.
+            if !r.stored.contains_key(&r.domains_used) && !r.maybe.contains(&r.domains_used) {
                 out.push(self.hql(&CatalogMutation::Retract {
                     relation: name.clone(),
                     values: r.domains_used.clone(),
@@ -274,6 +279,34 @@ impl Model {
 
     fn pick_relation(&self, rng: &mut SmallRng) -> Option<String> {
         let names: Vec<&String> = self.relations.keys().collect();
+        (!names.is_empty()).then(|| (*pick(rng, &names)).clone())
+    }
+
+    /// A relation that is not a view: one whose rows the model knows.
+    fn pick_stored(&self, rng: &mut SmallRng) -> Option<String> {
+        let names: Vec<&String> = self
+            .relations
+            .iter()
+            .filter(|(_, r)| r.view_of.is_none())
+            .map(|(name, _)| name)
+            .collect();
+        (!names.is_empty()).then(|| (*pick(rng, &names)).clone())
+    }
+
+    /// A relation neither a view nor read by one: renaming or dropping
+    /// it leaves every view's derivation valid.
+    fn pick_unread(&self, rng: &mut SmallRng, views_too: bool) -> Option<String> {
+        let read: BTreeSet<&String> = self
+            .relations
+            .values()
+            .filter_map(|r| r.view_of.as_ref())
+            .collect();
+        let names: Vec<&String> = self
+            .relations
+            .iter()
+            .filter(|(name, r)| !read.contains(name) && (views_too || r.view_of.is_none()))
+            .map(|(name, _)| name)
+            .collect();
         (!names.is_empty()).then(|| (*pick(rng, &names)).clone())
     }
 
@@ -364,13 +397,15 @@ impl Model {
                 columns,
                 domains_used: attributes.iter().map(|(_, d)| d.clone()).collect(),
                 stored: BTreeMap::new(),
+                maybe: BTreeSet::new(),
+                view_of: None,
             },
         );
         Some(CatalogMutation::CreateRelation { name, attributes })
     }
 
     fn assert(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let relation = self.pick_relation(rng)?;
+        let relation = self.pick_stored(rng)?;
         let rm = self.relations.get_mut(&relation).unwrap();
         let truth = sign(rng);
         let values = rm.unstored_row(rng)?;
@@ -383,7 +418,7 @@ impl Model {
     }
 
     fn retract(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let relation = self.pick_relation(rng)?;
+        let relation = self.pick_stored(rng)?;
         let rm = self.relations.get_mut(&relation).unwrap();
         if rm.stored.is_empty() {
             return None;
@@ -395,7 +430,7 @@ impl Model {
     }
 
     fn set_preemption(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
-        let relation = self.pick_relation(rng)?;
+        let relation = self.pick_stored(rng)?;
         let mode = *pick(
             rng,
             &[
@@ -407,11 +442,48 @@ impl Model {
         Some(CatalogMutation::SetPreemption { relation, mode })
     }
 
+    /// Consolidation only drops rows, and which ones the model does not
+    /// work out: every stored row becomes one that may be gone.
+    fn consolidate(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
+        let relation = self.pick_stored(rng)?;
+        let rm = self.relations.get_mut(&relation).unwrap();
+        let stored = std::mem::take(&mut rm.stored);
+        rm.maybe.extend(stored.into_keys());
+        Some(CatalogMutation::Consolidate { relation })
+    }
+
+    fn rename_relation(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
+        let from = self.pick_unread(rng, false)?;
+        let to = self.fresh("R");
+        let rm = self.relations.remove(&from).unwrap();
+        self.relations.insert(to.clone(), rm);
+        Some(CatalogMutation::RenameRelation { from, to })
+    }
+
+    /// `LET V = CONSOLIDATE S` over any relation, a view included.
+    fn define_view(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
+        let source = self.pick_relation(rng)?;
+        let name = self.fresh("V");
+        let of = &self.relations[&source];
+        let view = RelModel {
+            columns: of.columns.clone(),
+            domains_used: of.domains_used.clone(),
+            stored: BTreeMap::new(),
+            maybe: BTreeSet::new(),
+            view_of: Some(source.clone()),
+        };
+        self.relations.insert(name.clone(), view);
+        Some(CatalogMutation::DefineView {
+            name,
+            derivation: Derivation::Consolidated(Source::Named(source)),
+        })
+    }
+
     fn drop_relation(&mut self, rng: &mut SmallRng) -> Option<CatalogMutation> {
         if self.relations.len() < 4 {
             return None;
         }
-        let name = self.pick_relation(rng)?;
+        let name = self.pick_unread(rng, true)?;
         self.relations.remove(&name);
         Some(CatalogMutation::DropRelation { name })
     }
