@@ -95,8 +95,8 @@ impl Catalog {
     /// run it **once** as a materialized plan, store the plan's root
     /// output under `name` (shared, not copied; any relation already
     /// there is replaced) and keep the plan as the view's maintenance
-    /// state. `DefineView` does this for a fresh name; loading an image
-    /// does it for a view whose rows the image stored.
+    /// state. `DefineView` does this for a fresh name, and so does
+    /// loading an image for each view it defines.
     pub fn attach_view(&mut self, name: &str, derivation: Derivation) -> Result<()> {
         let planned = self.plan(&derivation)?;
         let deps = scan_names(&planned.plan);

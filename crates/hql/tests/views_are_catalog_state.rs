@@ -12,7 +12,8 @@
 //! plain relation in the history.
 //!
 //! Separately: a `LET` of a taken name is refused before any of its
-//! plan runs.
+//! plan runs, and an `OPEN` of a store whose image this build cannot
+//! decode fails without writing to it.
 
 use std::path::{Path, PathBuf};
 
@@ -33,16 +34,20 @@ fn temp_store(tag: &str) -> PathBuf {
 /// engine.
 fn restart_from_copy(dir: &Path) -> Engine {
     let copy = dir.with_extension("restart");
-    std::fs::create_dir_all(&copy).unwrap();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
-    }
+    copy_store(dir, &copy);
     let restarted = Engine::new();
     restarted
         .execute(&format!("OPEN \"{}\";", copy.display()))
         .unwrap();
     restarted
+}
+
+fn copy_store(dir: &Path, copy: &Path) {
+    std::fs::create_dir_all(copy).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+    }
 }
 
 /// The store's checkpoint file names.
@@ -188,4 +193,83 @@ fn a_let_of_a_taken_name_is_refused_before_any_plan_runs() {
     let (defined, spans) = plan_spans("LET Fresh = UNION A1 B1;");
     defined.unwrap();
     assert!(spans >= 2, "a LET that runs shows its plan nodes ({spans})");
+}
+
+/// Rewrite the image in the checkpoint file at `path` with `edit`, which
+/// keeps its length, and the file's checksum to match: an intact
+/// checkpoint, as a writer of another build would leave it.
+fn rewrite_image(path: &Path, edit: impl FnOnce(&mut [u8])) {
+    let mut bytes = std::fs::read(path).unwrap();
+    // Magic (8 bytes), LSN (8), LEB128 image length, CRC-32 (4), image.
+    let mut crc_at = 16;
+    while bytes[crc_at] & 0x80 != 0 {
+        crc_at += 1;
+    }
+    crc_at += 1;
+    edit(&mut bytes[crc_at + 4..]);
+    let crc = hrdm_persist::codec::crc32(&bytes[crc_at + 4..]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// The files of a store by name, with their bytes.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// An `OPEN` whose newest checkpoint verifies but holds an image of the
+/// previous format version, or a view that no longer derives, fails
+/// with that error's kind. It neither recovers an older or empty
+/// catalog in its place nor begins a generation over the store.
+#[test]
+fn an_open_of_an_image_that_does_not_decode_fails_and_writes_nothing() {
+    let dir = temp_store("undecodable");
+    Engine::new()
+        .execute(&format!(
+            "OPEN \"{}\"; CREATE DOMAIN Animal; CREATE CLASS Bird UNDER Animal; \
+             CREATE RELATION Flies (Creature: Animal); ASSERT Flies (ALL Bird); \
+             LET Fliers = CONSOLIDATE Flies; CHECKPOINT;",
+            dir.display()
+        ))
+        .unwrap();
+    let [checkpoint] = &checkpoints(&dir)[..] else {
+        panic!("one generation after CHECKPOINT")
+    };
+    let version_one = |image: &mut [u8]| image[6..10].copy_from_slice(&1u32.to_le_bytes());
+    open_fails_untouched(&dir, checkpoint, "unsupported-version", version_one);
+    let underivable = |image: &mut [u8]| {
+        let at = image.windows(5).rposition(|w| w == b"Flies").unwrap();
+        image[at..at + 5].copy_from_slice(b"Fliez");
+    };
+    open_fails_untouched(&dir, checkpoint, "rebuild", underivable);
+    let reopened = Engine::new();
+    reopened
+        .execute(&format!("OPEN \"{}\";", dir.display()))
+        .unwrap();
+    assert!(reopened.snapshot().is_view("Fliers"));
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `OPEN` of a copy of `dir` whose checkpoint image `edit` rewrote fails
+/// with error kind `kind` and leaves every file of the copy as it was.
+fn open_fails_untouched(dir: &Path, checkpoint: &str, kind: &str, edit: fn(&mut [u8])) {
+    let copy = dir.with_extension(kind);
+    let _ = std::fs::remove_dir_all(&copy);
+    copy_store(dir, &copy);
+    rewrite_image(&copy.join(checkpoint), edit);
+    let before = files(&copy);
+    let opened = Engine::new().execute(&format!("OPEN \"{}\";", copy.display()));
+    assert_eq!(opened.unwrap_err().kind(), kind);
+    assert_eq!(files(&copy), before, "{kind}: OPEN wrote to the store");
+    std::fs::remove_dir_all(&copy).unwrap();
 }

@@ -4,8 +4,9 @@
 //! same `Arc<HierarchyGraph>` / `Arc<HRelation>` handles a
 //! [`Catalog`] holds, so a checkpoint or an
 //! `OPEN` moves a catalog through it without copying a tuple. It
-//! carries each live view as its definition too, so `SAVE`/`LOAD`, a
-//! checkpoint and a replica's shipped base keep views live.
+//! carries each live view as its definition, not its rows, so
+//! `SAVE`/`LOAD`, a checkpoint and a replica's shipped base keep views
+//! live.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -17,12 +18,13 @@
 //!   name, node-count u32,
 //!   per node (in id order, root first): name, kind u8 (0=domain 1=class 2=instance)
 //!   edge-count u32, per edge: from u32, to u32, kind u8 (0=subset 1=preference)
-//! relations u32 count, then per relation:
+//! relations u32 count, then per stored relation (a view's relation is
+//!   not one: it is derived again from its definition on decode):
 //!   name, preemption u8 (0=off-path 1=on-path 2=none), arity u32,
 //!   per attribute: attr-name, domain-index u32,
 //!   tuple-count u32, per tuple: truth u8 (0=negative 1=positive), node u32 × arity
 //! views u32 count, then per view in registration order:
-//!   name (a relation of the image), derivation (codec::write_derivation)
+//!   name, derivation (codec::write_derivation)
 //! ```
 
 use std::collections::BTreeMap;
@@ -74,7 +76,8 @@ pub struct Image {
     domains: Vec<(String, Arc<HierarchyGraph>)>,
     relations: Vec<(String, Arc<HRelation>)>,
     /// The catalog's live views in registration order (a view over
-    /// another view comes after it), each over its relation above.
+    /// another view comes after it). Each one's relation is among
+    /// `relations` too, but is encoded as this definition only.
     views: Vec<Arc<View>>,
 }
 
@@ -126,8 +129,8 @@ impl Image {
     }
 
     /// Convert back into a [`Catalog`], moving the handles (relations
-    /// were rebuilt against these same domain `Arc`s, and views
-    /// re-attached to them, at decode time).
+    /// were rebuilt against these same domain `Arc`s, and views derived
+    /// over them, at decode time).
     pub fn into_catalog(self) -> Catalog {
         let mut catalog = Catalog::new();
         for (name, graph) in self.domains {
@@ -214,8 +217,10 @@ impl Image {
             }
         }
 
-        write_u32(w, self.relations.len() as u32)?;
-        for (name, rel) in &self.relations {
+        let is_view = |name: &str| self.views.iter().any(|v| v.name() == name);
+        let stored = self.relations.iter().filter(|(name, _)| !is_view(name));
+        write_u32(w, stored.clone().count() as u32)?;
+        for (name, rel) in stored {
             write_str(w, name)?;
             let p = match rel.preemption() {
                 Preemption::OffPath => 0u8,
@@ -358,26 +363,23 @@ impl Image {
         Ok(image)
     }
 
-    /// Re-attach each decoded view definition to the relation stored
-    /// under its name, in order: its derivation is materialized once,
-    /// over the image's relations, and must give the rows the image
-    /// stored; the view then holds the materialized relation in their
-    /// place. A view that does not plan, or that disagrees with its
-    /// stored rows, is [`PersistError::Rebuild`].
+    /// Attach each decoded view definition, in order, over the image's
+    /// stored relations and the views before it: its derivation is
+    /// materialized once, as `DefineView` does, and its relation joins
+    /// the image. A definition whose name is taken, or that does not
+    /// plan, is [`PersistError::Rebuild`] — the writer encoded a view
+    /// this build cannot derive, which no byte damage explains.
     fn attach_views(&mut self, definitions: Vec<(String, Derivation)>) -> Result<()> {
         let mut catalog = std::mem::take(self).into_catalog();
         for (name, derivation) in definitions {
-            let rebuild = |e: CoreError| PersistError::Rebuild(format!("view {name:?}: {e}"));
-            let stored = catalog.relation_arc(&name).map_err(rebuild)?.clone();
-            catalog.attach_view(&name, derivation).map_err(rebuild)?;
-            let derived = catalog.relation(&name).map_err(rebuild)?;
-            if derived.preemption() != stored.preemption()
-                || !RelationDelta::diff(&stored, derived).is_empty()
-            {
+            if catalog.relation(&name).is_ok() {
                 return Err(PersistError::Rebuild(format!(
-                    "view {name:?} does not hold what its definition derives"
+                    "view {name:?} names a relation the image already holds"
                 )));
             }
+            catalog
+                .attach_view(&name, derivation)
+                .map_err(|e| PersistError::Rebuild(format!("view {name:?}: {e}")))?;
         }
         *self = Image::from_catalog(&catalog);
         Ok(())
@@ -632,6 +634,55 @@ mod tests {
         // view table.
         let plain = sample_world().to_bytes().unwrap();
         assert_eq!(&plain[plain.len() - 4..], &[0, 0, 0, 0]);
+    }
+
+    /// A view is encoded as its definition alone: the image of a
+    /// catalog with views is the image of its stored relations plus the
+    /// view table, and no view's rows.
+    #[test]
+    fn an_image_holds_a_views_definition_not_its_rows() {
+        use hrdm_core::derivation::Source;
+        let mut catalog = sample_world().into_catalog();
+        let plain = Image::from_catalog(&catalog).to_bytes().unwrap();
+        let fliers = Derivation::Consolidated(Source::named("Flies"));
+        catalog
+            .apply_mutation(&CatalogMutation::DefineView {
+                name: "Fliers".into(),
+                derivation: fliers.clone(),
+            })
+            .unwrap();
+        assert!(!catalog.relation("Fliers").unwrap().is_empty());
+        let mut expected = plain[..plain.len() - 4].to_vec();
+        write_u32(&mut expected, 1).unwrap();
+        write_str(&mut expected, "Fliers").unwrap();
+        write_derivation(&mut expected, &fliers).unwrap();
+        let bytes = Image::from_catalog(&catalog).to_bytes().unwrap();
+        assert_eq!(bytes, expected);
+        let restored = Image::from_bytes(&bytes).unwrap().into_catalog();
+        assert_eq!(restored.render_stable(), catalog.render_stable());
+    }
+
+    /// A definition that no longer derives over the image's relations —
+    /// here one whose source was renamed in the bytes — is refused as
+    /// [`PersistError::Rebuild`], not dropped or read as a plain
+    /// relation.
+    #[test]
+    fn a_view_that_does_not_derive_is_refused() {
+        use hrdm_core::derivation::Source;
+        let mut catalog = sample_world().into_catalog();
+        catalog
+            .apply_mutation(&CatalogMutation::DefineView {
+                name: "Fliers".into(),
+                derivation: Derivation::Consolidated(Source::named("Flies")),
+            })
+            .unwrap();
+        let mut bytes = Image::from_catalog(&catalog).to_bytes().unwrap();
+        let at = bytes.windows(5).rposition(|w| w == b"Flies").unwrap();
+        bytes[at..at + 5].copy_from_slice(b"Fliez");
+        match Image::from_bytes(&bytes) {
+            Err(PersistError::Rebuild(msg)) => assert!(msg.contains("Fliers"), "{msg}"),
+            other => panic!("expected a rebuild error, got {other:?}"),
+        }
     }
 
     /// The previous format had no view table: it is refused, not

@@ -329,8 +329,8 @@ impl WalTailer {
         if cursor.newest_named == Some(newest_named) {
             return Ok(None);
         }
-        // Corrupt ones are skipped, exactly like recovery does.
-        let (intact, skipped) = newest_intact_checkpoint(&self.dir, &lsns);
+        // Damaged ones are skipped, exactly like recovery does.
+        let (intact, skipped) = newest_intact_checkpoint(&self.dir, &lsns)?;
         obs.checkpoint_loads
             .add(skipped + u64::from(intact.is_some()));
         let Some((lsn, image)) = intact else {

@@ -64,8 +64,12 @@ pub fn wal_path(dir: &Path, lsn: u64) -> PathBuf {
 /// atomically renamed into place.
 pub fn write_checkpoint(dir: &Path, lsn: u64, image: &Image) -> Result<PathBuf> {
     let _g = hrdm_obs::span!("persist.checkpoint", lsn = lsn);
+    write_checkpoint_payload(dir, lsn, &image.to_bytes()?)
+}
+
+/// [`write_checkpoint`] of an already encoded image.
+fn write_checkpoint_payload(dir: &Path, lsn: u64, payload: &[u8]) -> Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let payload = image.to_bytes()?;
     let final_path = checkpoint_path(dir, lsn);
     let tmp_path = final_path.with_extension("ckpt.tmp");
     {
@@ -73,8 +77,8 @@ pub fn write_checkpoint(dir: &Path, lsn: u64, image: &Image) -> Result<PathBuf> 
         f.write_all(CHECKPOINT_MAGIC)?;
         write_u64(&mut f, lsn)?;
         write_varint(&mut f, payload.len() as u64)?;
-        write_u32(&mut f, crc32(&payload))?;
-        f.write_all(&payload)?;
+        write_u32(&mut f, crc32(payload))?;
+        f.write_all(payload)?;
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
@@ -82,10 +86,17 @@ pub fn write_checkpoint(dir: &Path, lsn: u64, image: &Image) -> Result<PathBuf> 
 }
 
 /// Load and verify one checkpoint file, returning its LSN and image.
-/// The payload length in the header is believed only as far as the file
-/// bears it out: a claim longer than the bytes left is
-/// [`PersistError::Corrupt`] before anything is allocated.
 pub fn load_checkpoint(path: &Path) -> Result<(u64, Image)> {
+    let (lsn, payload) = read_checkpoint(path)?;
+    Ok((lsn, Image::from_bytes(&payload)?))
+}
+
+/// Read and verify one checkpoint file, returning its LSN and its
+/// image's bytes, not yet decoded. The payload length in the header is
+/// believed only as far as the file bears it out: a claim longer than
+/// the bytes left is [`PersistError::Corrupt`] before anything is
+/// allocated.
+fn read_checkpoint(path: &Path) -> Result<(u64, Vec<u8>)> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut r = BufReader::new(file);
@@ -114,8 +125,7 @@ pub fn load_checkpoint(path: &Path) -> Result<(u64, Image)> {
     if crc32(&payload) != expected_crc {
         return Err(PersistError::Corrupt("checkpoint checksum mismatch".into()));
     }
-    let image = Image::from_bytes(&payload)?;
-    Ok((lsn, image))
+    Ok((lsn, payload))
 }
 
 /// What recovery found and did — the stable part is golden-tested.
@@ -180,16 +190,30 @@ pub(crate) fn checkpoint_lsns(dir: &Path) -> Result<Vec<u64>> {
 }
 
 /// The newest of `lsns` (newest first) whose checkpoint file verifies,
-/// and how many newer ones were skipped because theirs did not.
-pub(crate) fn newest_intact_checkpoint(dir: &Path, lsns: &[u64]) -> (Option<(u64, Image)>, u64) {
+/// decoded, and how many newer ones were skipped because theirs did
+/// not.
+///
+/// Only damage is skipped: a file that is missing, torn, fails its
+/// checksum or names another LSN. A checkpoint that verifies holds the
+/// bytes its writer wrote, so an image in it that this build cannot
+/// decode — another format version, or a view whose definition does
+/// not rebuild — is an error: falling back to an older generation would
+/// recover an older state in silence, and the next generation started
+/// on it would overwrite this one.
+pub(crate) fn newest_intact_checkpoint(
+    dir: &Path,
+    lsns: &[u64],
+) -> Result<(Option<(u64, Image)>, u64)> {
     let mut skipped = 0;
     for &lsn in lsns {
-        match load_checkpoint(&checkpoint_path(dir, lsn)) {
-            Ok((file_lsn, image)) if file_lsn == lsn => return (Some((lsn, image)), skipped),
+        match read_checkpoint(&checkpoint_path(dir, lsn)) {
+            Ok((file_lsn, payload)) if file_lsn == lsn => {
+                return Ok((Some((lsn, Image::from_bytes(&payload)?)), skipped))
+            }
             Ok(_) | Err(_) => skipped += 1,
         }
     }
-    (None, skipped)
+    Ok((None, skipped))
 }
 
 /// Rebuild a catalog from a store directory: newest intact checkpoint,
@@ -201,12 +225,13 @@ pub(crate) fn newest_intact_checkpoint(dir: &Path, lsns: &[u64]) -> (Option<(u64
 pub fn recover(dir: &Path) -> Result<Recovered> {
     let _g = hrdm_obs::span!("recover.replay", dir = dir.display());
 
-    // 1. Newest checkpoint that verifies; corrupt ones are skipped so a
+    // 1. Newest checkpoint that verifies; damaged ones are skipped so a
     //    crash mid-rename (or a damaged newest image) falls back to the
-    //    previous generation.
+    //    previous generation, while an intact image that does not
+    //    decode stops recovery.
     let (base, checkpoints_skipped) = if dir.is_dir() {
         let _g = hrdm_obs::span!("recover.load_checkpoint");
-        newest_intact_checkpoint(dir, &checkpoint_lsns(dir)?)
+        newest_intact_checkpoint(dir, &checkpoint_lsns(dir)?)?
     } else {
         (None, 0)
     };
@@ -641,6 +666,64 @@ mod tests {
         assert_eq!(rec.report.checkpoint_lsn, good);
         assert_eq!(rec.report.checkpoints_skipped, 1);
         assert_eq!(rec.catalog.render_stable(), expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The files of `dir` by name, with their bytes.
+    fn files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A newest checkpoint that verifies but does not decode — an image
+    /// of the previous format version, or one whose view no longer
+    /// derives — stops recovery and a tailer with that error. Neither
+    /// falls back to the older generation as if the newest were
+    /// damaged, and the directory is left as it was.
+    #[test]
+    fn an_intact_checkpoint_that_does_not_decode_is_an_error() {
+        use hrdm_core::derivation::{Derivation, Source};
+        let dir = temp_dir("undecodable");
+        let mut store = DurableCatalog::open(&dir).unwrap();
+        for m in script() {
+            store.mutate(m).unwrap();
+        }
+        store
+            .mutate(CatalogMutation::DefineView {
+                name: "Fliers".into(),
+                derivation: Derivation::Consolidated(Source::named("Flies")),
+            })
+            .unwrap();
+        let good = store.checkpoint().unwrap();
+        let image = Image::from_catalog(store.catalog()).to_bytes().unwrap();
+        drop(store);
+        let mut version_one = image.clone();
+        version_one[6..10].copy_from_slice(&1u32.to_le_bytes());
+        let mut underivable = image;
+        let at = underivable.windows(5).rposition(|w| w == b"Flies").unwrap();
+        underivable[at..at + 5].copy_from_slice(b"Fliez");
+        for (payload, kind) in [
+            (version_one, "unsupported-version"),
+            (underivable, "rebuild"),
+        ] {
+            let newer = write_checkpoint_payload(&dir, good + 3, &payload).unwrap();
+            let before = files(&dir);
+            assert_eq!(recover(&dir).err().map(|e| e.kind()), Some(kind));
+            let polled = crate::WalTailer::attach(&dir).poll();
+            assert_eq!(polled.err().map(|e| e.kind()), Some(kind));
+            assert_eq!(files(&dir), before, "{kind}: the store was touched");
+            fs::remove_file(newer).unwrap();
+        }
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.report.checkpoint_lsn, good);
+        assert!(rec.catalog.is_view("Fliers"));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,7 +5,9 @@
 //!
 //! ```text
 //! magic    "HRDMWAL1"
-//! version  u32 (= 1)
+//! version  u32 (= 2; version 1 had no record tags past 10, and a
+//!          version-1 reader refuses a version-2 log as unsupported
+//!          rather than cut it at the first new record as a torn tail)
 //! records  …, each framed as:
 //!   len    varint (payload bytes, capped at 1 MiB)
 //!   crc    u32 little-endian, CRC-32 (IEEE) of the payload
@@ -70,7 +72,7 @@ use crate::error::{PersistError, Result};
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 8] = b"HRDMWAL1";
 /// WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 /// Bytes of file header (magic + version) before the first frame.
 pub const WAL_HEADER_LEN: u64 = WAL_MAGIC.len() as u64 + 4;
 /// Upper bound on one record's payload. Catalog mutations are names
@@ -1566,6 +1568,14 @@ mod tests {
         assert!(matches!(
             WalReader::new(&bytes[..]),
             Err(PersistError::UnsupportedVersion(9))
+        ));
+        // The previous version's log, which had no view or in-place
+        // records, is refused too.
+        let mut bytes = WAL_MAGIC.to_vec();
+        write_u32(&mut bytes, 1).unwrap();
+        assert!(matches!(
+            WalReader::new(&bytes[..]),
+            Err(PersistError::UnsupportedVersion(1))
         ));
     }
 
