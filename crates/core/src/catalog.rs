@@ -262,6 +262,11 @@ impl Catalog {
     /// a resolution and an edit that fits its tuple-map leaf allocate
     /// nothing. Every other mutation returns `None`.
     pub fn apply_mutation(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
+        // A replay's usual case, reached without a call through
+        // `interpret`: no view to keep current and no effect to record.
+        if self.views.is_empty() {
+            return self.change(m);
+        }
         self.interpret(m, None)
     }
 

@@ -44,7 +44,7 @@
 //! history, each record accepted exactly once.
 
 use std::fs::File;
-use std::io::{BufReader, ErrorKind, Seek, SeekFrom};
+use std::io::{ErrorKind, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use hrdm_core::mutation::CatalogMutation;
@@ -354,7 +354,7 @@ impl WalTailer {
 /// once that is past the checkpoint record, else from the start (the
 /// offset then drops to 0). `None` when the file does not exist yet or
 /// holds less than a header: nothing to ship.
-fn open_wal(path: &Path, cursor: &mut Cursor) -> Result<Option<WalReader<BufReader<File>>>> {
+fn open_wal(path: &Path, cursor: &mut Cursor) -> Result<Option<WalReader<File>>> {
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
@@ -362,13 +362,13 @@ fn open_wal(path: &Path, cursor: &mut Cursor) -> Result<Option<WalReader<BufRead
     };
     if cursor.offset > WAL_HEADER_LEN {
         file.seek(SeekFrom::Start(cursor.offset))?;
-        return Ok(Some(WalReader::resume(BufReader::new(file), cursor.offset)));
+        return Ok(Some(WalReader::resume(file, cursor.offset)));
     }
     cursor.offset = 0;
     if file.metadata()?.len() < WAL_HEADER_LEN {
         return Ok(None);
     }
-    WalReader::new(BufReader::new(file)).map(Some)
+    WalReader::new(file).map(Some)
 }
 
 #[cfg(test)]

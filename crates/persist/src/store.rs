@@ -40,7 +40,9 @@ use hrdm_obs::metrics::Registry;
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{FrameError, JournalObs, LsnMarks, Stop, WalFile, WalReader};
+use crate::wal::{
+    may_hold_more_than_a_batch, FrameError, JournalObs, LsnMarks, Stop, WalFile, WalReader,
+};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -222,6 +224,16 @@ pub(crate) fn newest_intact_checkpoint(
 /// Read-only and idempotent — it never writes to `dir`, so recovering
 /// after a failed recovery sees the identical state. A missing
 /// directory is an empty store (LSN 0), not an error.
+///
+/// Replay holds a bounded number of batches however long the log: a log
+/// that may hold more than one batch of frames is read, verified and
+/// decoded on a helper thread a batch ahead of this thread's apply
+/// ([`WalReader::replay_ahead`], at most three batches of
+/// [`REPLAY_BATCH`](crate::wal::REPLAY_BATCH) records, two of them
+/// decoded ahead), and a shorter one
+/// on this thread into one record ([`WalReader::replay`]). Both stop at
+/// the same record for the same reason, so the report and the catalog
+/// do not depend on which ran. The helper has ended when this returns.
 pub fn recover(dir: &Path) -> Result<Recovered> {
     let _g = hrdm_obs::span!("recover.replay", dir = dir.display());
 
@@ -241,15 +253,14 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
     };
 
     // 2. Replay the WAL bound to that checkpoint, stopping cleanly at
-    //    the first record that is torn, corrupt, or inapplicable. Every
-    //    record is decoded into the same `record`, so replay holds one
-    //    payload and one record however long the log.
+    //    the first record that is torn, corrupt, or inapplicable. A
+    //    helper thread would only wait on a log of one batch.
     let mut records_replayed = 0u64;
     let mut truncated_bytes = 0u64;
     let path = wal_path(dir, checkpoint_lsn);
     if path.is_file() {
         let file_len = fs::metadata(&path)?.len();
-        match WalReader::new(BufReader::new(File::open(&path)?)) {
+        match WalReader::new(File::open(&path)?) {
             Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
             Err(PersistError::UnsupportedVersion(v)) => {
                 return Err(PersistError::UnsupportedVersion(v))
@@ -259,12 +270,13 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
                 truncated_bytes = file_len;
             }
             Ok(mut reader) => {
-                let replayed = reader.replay(
-                    checkpoint_lsn,
-                    &mut CatalogMutation::default(),
-                    u64::MAX,
-                    |m| catalog.apply_mutation(m).map(drop),
-                );
+                let apply = |m: &CatalogMutation| catalog.apply_mutation(m).map(drop);
+                let replayed = if may_hold_more_than_a_batch(file_len) {
+                    reader.replay_ahead(checkpoint_lsn, apply)
+                } else {
+                    let record = &mut CatalogMutation::default();
+                    reader.replay(checkpoint_lsn, record, u64::MAX, apply)
+                };
                 records_replayed = replayed.taken;
                 match replayed.stop {
                     Stop::End | Stop::Max => {}

@@ -37,23 +37,37 @@
 //! written ([`FrameError::Short`] — come back later), a complete frame
 //! that fails verification is damage ([`FrameError::Invalid`] — no
 //! amount of waiting repairs it).
-//! Both read a log through one frame loop, [`WalReader::replay`], and
-//! each maps where and why it [`Stop`]ped to its own policy.
+//! Both read a log through one frame loop — the tailer through
+//! [`WalReader::replay`], recovery of a long log through
+//! [`WalReader::replay_ahead`] — and each maps where and why it
+//! [`Stop`]ped to its own policy.
 //!
 //! # Decoding in place
 //!
 //! Replay decodes thousands of small records in a row, so the reader
-//! streams: one payload buffer (≤ [`RECORD_CAP`]) is reused for every
-//! frame, and [`WalReader::next_into`] decodes each mutation into a
-//! record the caller keeps ([`decode_into`]), whose strings and name
-//! list are overwritten rather than built anew. A reader therefore holds
-//! one payload plus one record, however long the log; an `Assert` or
-//! `Retract` no longer than the record before it allocates nothing.
+//! streams: it refills one buffer of its own 64 KiB at a time and cuts
+//! each frame out of it as a slice, and
+//! [`WalReader::next_into`] decodes each mutation into a record the
+//! caller keeps ([`decode_into`]), whose strings and name list are
+//! overwritten rather than built anew. A reader therefore holds one
+//! chunk (or one frame, if a frame is longer) plus one record, however
+//! long the log; an `Assert` or `Retract` no longer than the record
+//! before it allocates nothing.
+//!
+//! # Decoding ahead
+//!
+//! [`WalReader::replay_ahead`] is the frame loop's second driver: a
+//! helper thread reads, verifies and decodes frames into batches of
+//! [`REPLAY_BATCH`] records while the calling thread applies the batch
+//! before, so a long replay costs its apply alone. Both drivers classify
+//! frames in one place and stop where and why the other would.
 
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -516,31 +530,31 @@ impl From<FrameError> for PersistError {
     }
 }
 
-/// Fill `buf` from `r`; running out of bytes is a short frame.
-fn read_frame_part(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    what: &'static str,
-) -> std::result::Result<(), FrameError> {
-    r.read_exact(buf).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => FrameError::Short(what),
-        _ => FrameError::Io(e),
-    })
-}
+/// Bytes a [`WalReader`] asks its source for at a time.
+const READ_CHUNK: usize = 64 << 10;
 
-/// A counting reader so the WAL reader can report exact byte offsets
-/// (how much of a torn tail gets discarded, where a tailer resumes).
-struct Counted<R> {
-    inner: R,
-    pos: u64,
-}
+/// Most bytes a frame takes before its payload: a 10-byte varint length
+/// and the 4-byte checksum.
+const FRAME_HEAD_MAX: usize = 10 + 4;
 
-impl<R: Read> Read for Counted<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
+/// Fewest bytes a mutation frame takes: a 1-byte length, the checksum,
+/// and a tag with one empty string.
+const MIN_FRAME: u64 = 1 + 4 + 1 + 4;
+
+/// Records [`WalReader::replay_ahead`] decodes into one batch.
+pub const REPLAY_BATCH: usize = 256;
+
+/// Batches [`WalReader::replay_ahead`] keeps: one being applied and at
+/// most two decoded ahead of it. The second gives the helper a whole
+/// batch's apply to wake up in; with one, the applying thread waited on
+/// it (measured on 2 vCPUs: a 20 000-record replay 1–6 % slower).
+const BATCHES: usize = 3;
+
+/// Whether a log of `len` bytes may hold more than one batch of frames
+/// — what makes decoding ahead worth a thread. Read off the length
+/// alone, so it assumes the smallest frames.
+pub fn may_hold_more_than_a_batch(len: u64) -> bool {
+    len.saturating_sub(WAL_HEADER_LEN) > REPLAY_BATCH as u64 * MIN_FRAME
 }
 
 /// Why [`WalReader::replay`] stopped.
@@ -559,7 +573,20 @@ pub enum Stop<E> {
     Refused(E),
 }
 
-/// What one [`WalReader::replay`] did.
+impl Stop<Infallible> {
+    /// The same stop, as a walk whose closure may refuse reports it.
+    fn widen<E>(self) -> Stop<E> {
+        match self {
+            Stop::End => Stop::End,
+            Stop::Max => Stop::Max,
+            Stop::Frame(e) => Stop::Frame(e),
+            Stop::Foreign(lsn) => Stop::Foreign(lsn),
+            Stop::Refused(never) => match never {},
+        }
+    }
+}
+
+/// What one [`WalReader::replay`] or [`WalReader::replay_ahead`] did.
 #[derive(Debug)]
 pub struct Replayed<E> {
     /// Mutations the closure took.
@@ -570,6 +597,29 @@ pub struct Replayed<E> {
     pub stop: Stop<E>,
 }
 
+/// Up to [`REPLAY_BATCH`] decoded mutations, each with its frame's
+/// offset, on their way from the decoding thread to the applying one;
+/// the last batch of a walk also carries where and why it stopped.
+struct Batch {
+    /// The first `len` are this batch's; the rest keep their storage for
+    /// the next time round.
+    records: Vec<(u64, CatalogMutation)>,
+    len: usize,
+    stop: Option<(u64, Stop<Infallible>)>,
+}
+
+impl Batch {
+    fn new() -> Batch {
+        Batch {
+            records: (0..REPLAY_BATCH)
+                .map(|_| (0, CatalogMutation::default()))
+                .collect(),
+            len: 0,
+            stop: None,
+        }
+    }
+}
+
 /// Strict streaming reader over a WAL byte stream.
 ///
 /// `next()` returns `Ok(Some(record))` per intact record, `Ok(None)`
@@ -577,30 +627,40 @@ pub struct Replayed<E> {
 /// [`PersistError::Corrupt`] for anything else — including a
 /// duplicate checkpoint record or a log whose first record is not a
 /// checkpoint.
+///
+/// The reader buffers its source itself: it reads 64 KiB at a time and
+/// cuts frames out of that buffer, so a plain `File` is the
+/// source to give it. Offsets ([`pos`](WalReader::pos),
+/// [`good_pos`](WalReader::good_pos)) count the bytes frames consumed,
+/// never what was read ahead.
 pub struct WalReader<R> {
-    r: Counted<R>,
+    inner: R,
+    /// Bytes read from `inner`; `buf[head..tail]` are not consumed yet.
+    /// A chunk long, or one frame if a frame is longer (≤
+    /// [`RECORD_CAP`] plus its head).
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// Byte offset of `buf[head]` in the stream.
+    pos: u64,
     /// Byte offset just past the last successfully decoded record.
     good_pos: u64,
     seen_checkpoint: bool,
     poisoned: bool,
-    /// The current frame's payload (reused across frames).
-    payload: Vec<u8>,
 }
 
 impl<R: Read> WalReader<R> {
     /// Wrap a reader positioned at the start of a WAL stream; reads
     /// and validates the header immediately.
     pub fn new(inner: R) -> Result<WalReader<R>> {
-        let mut r = Counted { inner, pos: 0 };
-        read_header(&mut r)?;
-        let good_pos = r.pos;
-        Ok(WalReader {
-            r,
-            good_pos,
-            seen_checkpoint: false,
-            poisoned: false,
-            payload: Vec::new(),
-        })
+        let mut reader = WalReader::resume(inner, 0);
+        reader.seen_checkpoint = false;
+        let header = WAL_HEADER_LEN as usize;
+        reader.fill(header)?;
+        read_header(&mut &reader.buf[..reader.tail.min(header)])?;
+        reader.consume(header);
+        reader.good_pos = reader.pos;
+        Ok(reader)
     }
 
     /// Continue a log whose header and checkpoint record were verified
@@ -610,11 +670,14 @@ impl<R: Read> WalReader<R> {
     /// Offsets stay absolute.
     pub fn resume(inner: R, offset: u64) -> WalReader<R> {
         WalReader {
-            r: Counted { inner, pos: offset },
+            inner,
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            pos: offset,
             good_pos: offset,
             seen_checkpoint: true,
             poisoned: false,
-            payload: Vec::new(),
         }
     }
 
@@ -626,7 +689,37 @@ impl<R: Read> WalReader<R> {
     /// Byte offset just past the last byte consumed, a partly read
     /// frame included.
     pub fn pos(&self) -> u64 {
-        self.r.pos
+        self.pos
+    }
+
+    /// Make `need` unconsumed bytes available, fewer only at the end of
+    /// the source: move what is left to the front, grow the buffer if a
+    /// frame needs it, and read a chunk at a time.
+    fn fill(&mut self, need: usize) -> std::io::Result<()> {
+        if self.tail - self.head >= need {
+            return Ok(());
+        }
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.buf.len() < need.max(READ_CHUNK) {
+            self.buf.resize(need.max(READ_CHUNK), 0);
+        }
+        while self.tail < need {
+            match self.inner.read(&mut self.buf[self.tail..]) {
+                Ok(0) => break,
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Mark the next `n` buffered bytes consumed.
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+        self.pos += n as u64;
     }
 
     /// Read the next record into a fresh owned value. After the first
@@ -657,7 +750,7 @@ impl<R: Read> WalReader<R> {
         }
         match self.read_one(record) {
             Ok(Some(frame)) => {
-                self.good_pos = self.r.pos;
+                self.good_pos = self.pos;
                 Ok(Some(frame))
             }
             Ok(None) => Ok(None),
@@ -665,6 +758,29 @@ impl<R: Read> WalReader<R> {
                 self.poisoned = true;
                 Err(e)
             }
+        }
+    }
+
+    /// Read up to the next mutation of the log extending checkpoint
+    /// `generation`, decoded into `record`: its frame's offset, or that
+    /// of the frame the walk stops at and why. The one classification of
+    /// frames both [`replay`](WalReader::replay) and
+    /// [`replay_ahead`](WalReader::replay_ahead) drive.
+    fn step<E>(
+        &mut self,
+        generation: u64,
+        record: &mut CatalogMutation,
+    ) -> std::result::Result<u64, (u64, Stop<E>)> {
+        loop {
+            let at = self.good_pos;
+            let stop = match self.next_into(record) {
+                Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => continue,
+                Ok(Some(Frame::Mutation)) => return Ok(at),
+                Ok(Some(Frame::Checkpoint { lsn })) => Stop::Foreign(lsn),
+                Ok(None) => Stop::End,
+                Err(e) => Stop::Frame(e),
+            };
+            return Err((at, stop));
         }
     }
 
@@ -681,19 +797,15 @@ impl<R: Read> WalReader<R> {
     ) -> Replayed<E> {
         let mut taken = 0;
         while taken < max {
-            let at = self.good_pos;
-            let stop = match self.next_into(record) {
-                Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => continue,
-                Ok(Some(Frame::Mutation)) => match f(record) {
+            let (at, stop) = match self.step(generation, record) {
+                Ok(at) => match f(record) {
                     Ok(()) => {
                         taken += 1;
                         continue;
                     }
-                    Err(e) => Stop::Refused(e),
+                    Err(e) => (at, Stop::Refused(e)),
                 },
-                Ok(Some(Frame::Checkpoint { lsn })) => Stop::Foreign(lsn),
-                Ok(None) => Stop::End,
-                Err(e) => Stop::Frame(e),
+                Err(stopped) => stopped,
             };
             return Replayed { taken, at, stop };
         }
@@ -701,59 +813,148 @@ impl<R: Read> WalReader<R> {
         Replayed { taken, at, stop }
     }
 
+    /// [`replay`](WalReader::replay) to the end of the log with the
+    /// reading, checking and decoding moved to a helper thread: it
+    /// decodes batches of [`REPLAY_BATCH`] records ahead while this
+    /// thread hands the batch before to `f`. At most three batches exist —
+    /// one being applied, at most two decoded ahead — each reused, so
+    /// memory does not grow with the log. The result is
+    /// `replay`'s with `max` unbounded: the same records taken, and the
+    /// same offset and reason at the stop. When `f` refuses a record the
+    /// helper is told to stop, and it has ended by the time this
+    /// returns. If the helper cannot be started, nothing is taken and the
+    /// walk stops with that error as a [`FrameError::Io`].
+    pub fn replay_ahead<E>(
+        self,
+        generation: u64,
+        f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
+    ) -> Replayed<E>
+    where
+        R: Send,
+    {
+        let start = self.good_pos;
+        let (full_tx, full_rx) = sync_channel(BATCHES);
+        let (free_tx, free_rx) = sync_channel(BATCHES);
+        for _ in 0..BATCHES {
+            free_tx
+                .send(Batch::new())
+                .expect("the channel holds every batch");
+        }
+        std::thread::scope(move |s| {
+            let mut reader = self;
+            let helper = std::thread::Builder::new()
+                .name("wal-decode".into())
+                .spawn_scoped(s, move || {
+                    reader.decode_ahead(generation, &full_tx, &free_rx)
+                });
+            let helper = match helper {
+                Ok(helper) => helper,
+                Err(e) => {
+                    let stop = Stop::Frame(FrameError::Io(e));
+                    return Replayed {
+                        taken: 0,
+                        at: start,
+                        stop,
+                    };
+                }
+            };
+            // Applying takes both channel ends this thread uses and drops
+            // them on return, which releases a helper blocked on either;
+            // the join then waits for its thread to exit.
+            let replayed = apply_batches(full_rx, free_tx, f);
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+            replayed
+        })
+    }
+
+    /// The helper of [`replay_ahead`](WalReader::replay_ahead): fill each
+    /// batch handed back on `free` and send it on `full`, until a batch
+    /// ends the walk or the applying side hangs up.
+    fn decode_ahead(&mut self, generation: u64, full: &SyncSender<Batch>, free: &Receiver<Batch>) {
+        for mut batch in free {
+            batch.len = 0;
+            while batch.len < REPLAY_BATCH && batch.stop.is_none() {
+                let (at, record) = &mut batch.records[batch.len];
+                match self.step(generation, record) {
+                    Ok(offset) => {
+                        *at = offset;
+                        batch.len += 1;
+                    }
+                    Err(stopped) => batch.stop = Some(stopped),
+                }
+            }
+            let last = batch.stop.is_some();
+            if full.send(batch).is_err() || last {
+                return;
+            }
+        }
+    }
+
     fn read_one(
         &mut self,
         record: &mut CatalogMutation,
     ) -> std::result::Result<Option<Frame>, FrameError> {
-        // Distinguish clean EOF (no bytes at all) from a torn frame.
-        let mut first = [0u8; 1];
-        match self.r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(e) => return Err(FrameError::Io(e)),
+        self.fill(FRAME_HEAD_MAX).map_err(FrameError::Io)?;
+        let head = &self.buf[self.head..self.tail];
+        if head.is_empty() {
+            return Ok(None);
         }
-        // Finish the varint whose first byte we just consumed.
-        let len = if first[0] & 0x80 == 0 {
-            first[0] as u64
-        } else {
-            let mut v = (first[0] & 0x7F) as u64;
-            let mut shift = 7u32;
-            loop {
-                let mut byte = [0u8; 1];
-                read_frame_part(&mut self.r, &mut byte, "torn varint length prefix")?;
-                let byte = byte[0];
-                if shift >= 63 && byte > 1 {
-                    return Err(FrameError::Invalid("varint overflows 64 bits".into()));
-                }
-                v |= ((byte & 0x7F) as u64) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-                if shift > 63 {
-                    return Err(FrameError::Invalid("varint longer than 10 bytes".into()));
-                }
+        // The varint length prefix, a byte at a time.
+        let (mut len, mut shift, mut prefix) = (0u64, 0u32, 0usize);
+        loop {
+            let Some(&byte) = head.get(prefix) else {
+                let torn = head.len();
+                self.consume(torn);
+                return Err(FrameError::Short("torn varint length prefix"));
+            };
+            prefix += 1;
+            if shift >= 63 && byte > 1 {
+                self.consume(prefix);
+                return Err(FrameError::Invalid("varint overflows 64 bits".into()));
             }
-            v
-        };
+            len |= ((byte & 0x7F) as u64) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+            if shift > 63 {
+                self.consume(prefix);
+                return Err(FrameError::Invalid("varint longer than 10 bytes".into()));
+            }
+        }
         if len > RECORD_CAP as u64 {
+            self.consume(prefix);
             return Err(FrameError::Invalid(format!(
                 "record length {len} exceeds cap {RECORD_CAP}"
             )));
         }
-        let mut crc = [0u8; 4];
-        read_frame_part(&mut self.r, &mut crc, "torn record checksum")?;
-        self.payload.resize(len as usize, 0);
-        read_frame_part(&mut self.r, &mut self.payload, "torn record payload")?;
-        if crc32(&self.payload) != u32::from_le_bytes(crc) {
-            return Err(FrameError::Invalid("record checksum mismatch".into()));
+        let frame_len = prefix + 4 + len as usize;
+        self.fill(frame_len).map_err(FrameError::Io)?;
+        let held = self.tail - self.head;
+        if held < frame_len {
+            self.consume(held);
+            return Err(FrameError::Short(if held < prefix + 4 {
+                "torn record checksum"
+            } else {
+                "torn record payload"
+            }));
         }
-        let frame = decode_into(&self.payload, record).map_err(|e| {
-            FrameError::Invalid(match e {
-                PersistError::Corrupt(msg) => msg,
-                other => other.to_string(),
+        let frame = &self.buf[self.head + prefix..self.head + frame_len];
+        let (crc, payload) = frame.split_at(4);
+        let decoded = if crc32(payload) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+            Err(FrameError::Invalid("record checksum mismatch".into()))
+        } else {
+            decode_into(payload, record).map_err(|e| {
+                FrameError::Invalid(match e {
+                    PersistError::Corrupt(msg) => msg,
+                    other => other.to_string(),
+                })
             })
-        })?;
+        };
+        self.consume(frame_len);
+        let frame = decoded?;
         match (frame, self.seen_checkpoint) {
             (Frame::Checkpoint { .. }, true) => {
                 return Err(FrameError::Invalid(
@@ -769,6 +970,41 @@ impl<R: Read> WalReader<R> {
             (Frame::Mutation, true) => {}
         }
         Ok(Some(frame))
+    }
+}
+
+/// The applying side of [`WalReader::replay_ahead`]: hand each record of
+/// each batch on `full` to `f` in order and send the batch back on `free`
+/// for reuse, until `f` refuses a record or a batch carries the walk's
+/// stop.
+fn apply_batches<E>(
+    full: Receiver<Batch>,
+    free: SyncSender<Batch>,
+    mut f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
+) -> Replayed<E> {
+    let mut taken = 0;
+    loop {
+        let mut batch = full
+            .recv()
+            .expect("the decoding thread ends on its last batch");
+        for (at, record) in &batch.records[..batch.len] {
+            if let Err(e) = f(record) {
+                let stop = Stop::Refused(e);
+                return Replayed {
+                    taken,
+                    at: *at,
+                    stop,
+                };
+            }
+            taken += 1;
+        }
+        if let Some((at, stop)) = batch.stop.take() {
+            let stop = stop.widen();
+            return Replayed { taken, at, stop };
+        }
+        // Fails only once the helper has ended, and then the last batch
+        // is already on its way.
+        let _ = free.send(batch);
     }
 }
 

@@ -20,7 +20,9 @@
 //!   into the one record replay keeps, then `Catalog::apply_mutation`;
 //! * a `WalTailer` delivery whose records are applied as they are
 //!   read: a delivery of 2 000 records allocates what a delivery of 2
-//!   does.
+//!   does;
+//! * `recover` of a log long enough to be decoded a batch ahead on a
+//!   helper thread: eight batches of records allocate no more than four.
 //!
 //! The same allocator records the largest single allocation, which
 //! holds a checkpoint's claimed length to what its file bears out.
@@ -36,6 +38,7 @@ use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 use hrdm_persist::codec::{write_u32, write_u64, write_varint};
 use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
+use hrdm_persist::wal::{may_hold_more_than_a_batch, REPLAY_BATCH};
 use hrdm_persist::{recover, Frame, Image, PersistError, WalFile, WalReader, WalTailer};
 
 struct Counting;
@@ -339,6 +342,42 @@ fn a_tailer_delivery_and_its_application_allocate_nothing_per_record() {
     );
     assert_eq!(catalog.relation("R").unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Recovery of a long log decodes it a batch ahead on a helper thread.
+/// The calling thread builds the batches (three, reused for the whole
+/// log) and applies every record, so recovering eight batches of
+/// records allocates on it no more than recovering four. The helper
+/// decodes with `decode_into`, which the replay test above holds to no
+/// allocation per record.
+#[test]
+fn recovering_eight_batches_allocates_no_more_than_four() {
+    let (catalog, assert, retract) = owned_catalog_and_pair();
+    let mut counts = Vec::new();
+    for batches in [4, 8] {
+        let dir = temp_dir(&format!("recover_{batches}"));
+        write_checkpoint(&dir, 0, &Image::from_catalog(&catalog)).unwrap();
+        let log = wal_path(&dir, 0);
+        write_pairs(&log, batches * REPLAY_BATCH / 2, &assert, &retract);
+        assert!(may_hold_more_than_a_batch(
+            std::fs::metadata(&log).unwrap().len()
+        ));
+        let mut recovered = None;
+        counts.push(allocations(|| recovered = Some(recover(&dir).unwrap())));
+        let recovered = recovered.unwrap();
+        assert_eq!(
+            recovered.report.records_replayed,
+            (batches * REPLAY_BATCH) as u64
+        );
+        assert_eq!(recovered.catalog.render_stable(), catalog.render_stable());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(
+        counts[1] <= counts[0],
+        "recovering 8 batches allocated {} times, 4 batches {}",
+        counts[1],
+        counts[0]
+    );
 }
 
 /// A checkpoint whose header claims a payload its file does not hold is
