@@ -597,9 +597,9 @@ fn b10_write_split() {
     println!("otherwise be non-durable (the bound is asserted after each row), so at");
     println!("32 most writes leave the lock without touching the disk, and at 1 `wait`");
     println!("is nearly all of `journal`. The catch-up batch is one write of 5 000");
-    println!("records (µs per batch; its delta is asserted to hold all 5 000 rows):");
-    println!("`net_delta` diffs each touched relation's tuple tree along the paths the");
-    println!("batch copied, and `apply` records only which relations the batch touched.");
+    println!("records (µs per batch; one epoch per batch and every relation's state");
+    println!("after it are asserted): `apply`, resolving and writing each record, is");
+    println!("nearly all of the batch.");
     println!("The restart row splits one OPEN into its stages, each timed on its own");
     println!("(ms, median of 9; the replayed count and the reopened catalog, equal to");
     println!("the live one, are asserted); `apply` is two map descents per record —");
@@ -1002,9 +1002,9 @@ fn b10_point_read() {
 /// lock — one `Engine::apply_mutations` of 5 000 shipped `Assert`/
 /// `Retract` records over a 16-relation catalog of 430-tuple relations,
 /// each record retracting a relation's oldest tuple or asserting a
-/// fresh one, so every relation keeps its size and every record is a
-/// row of the batch's delta.
-fn b10_catch_up_batch(stages: &[&'static str; 6], instances: usize) {
+/// fresh one, so every relation keeps its size and every record
+/// changes it.
+fn b10_catch_up_batch(stages: &[&'static str; 5], instances: usize) {
     use hrdm_core::mutation::CatalogMutation;
     const RECORDS: usize = 5_000;
     const BATCHES: usize = 16;
@@ -1044,11 +1044,23 @@ fn b10_catch_up_batch(stages: &[&'static str; 6], instances: usize) {
                 }
             })
             .collect();
+        let epoch = engine.epoch();
         engine
             .apply_mutations(None, |apply| batch.iter().try_for_each(apply))
             .expect("batch lands");
-        let (_, delta) = engine.last_delta().expect("batch published");
-        assert_eq!(delta.row_count(), RECORDS, "every record is a net row");
+        assert_eq!(engine.epoch(), epoch + 1, "one epoch per batch");
+        let snapshot = engine.snapshot();
+        for (r, oldest) in oldest.iter().enumerate() {
+            let relation = snapshot.relation(&format!("R{r}")).expect("R exists");
+            assert_eq!(relation.len(), TUPLES, "R{r} keeps its size");
+            // The batch retracted the tuple before the oldest and
+            // asserted the newest.
+            let newest = oldest + TUPLES - 1;
+            for (value, stored) in [(oldest - 1, None), (newest, Some(Truth::Positive))] {
+                let item = relation.item(&[format!("i{value}")]).expect("instance");
+                assert_eq!(relation.stored(&item), stored, "R{r}: i{value}");
+            }
+        }
     }
     let (sums_after, counts_after) = (sums(), counts());
     for ((stage, after), before) in stages.iter().zip(counts_after).zip(counts_before) {
@@ -1179,14 +1191,19 @@ fn b11_view_maintenance() {
         let write = |rep: usize| format!("ASSERT NOT R (s{rep});");
         let maintain = hrdm_obs::metrics::histogram("engine.write.maintain");
         let maintain_before = maintain.sum_ns();
+        let maintained = engine.metrics().counter("ivm.maintained");
+        let maintained_before = maintained.get();
         let mut samples = Vec::with_capacity(REPS);
         let mut snapshots = Vec::with_capacity(REPS);
         for rep in 0..REPS {
             let t = Instant::now();
             engine.execute(&write(rep)).expect("write commits");
             samples.push(t.elapsed().as_nanos());
-            let (_, delta) = engine.last_delta().expect("write published");
-            assert_eq!(delta.row_count(), 2, "R's new row and V's maintained one");
+            assert_eq!(
+                maintained.get(),
+                maintained_before + rep as u64 + 1,
+                "each write maintains V"
+            );
             snapshots.push(engine.snapshot());
         }
         let maintain_ns = (maintain.sum_ns() - maintain_before) / REPS as u64;

@@ -71,29 +71,24 @@ pub struct Catalog {
     pub(crate) views: Vec<Arc<View>>,
 }
 
-/// What a write's mutations did besides changing named state, summed
-/// over the mutations [`Catalog::apply_mutation_to`] applied.
+/// What keeping the views current did over the mutations
+/// [`Catalog::apply_mutation_to`] applied.
 #[derive(Debug, Default)]
 pub struct Effect {
-    /// The names the mutations touched, each kind recorded as
-    /// [`Catalog::apply_mutation`] records it for its views: a
-    /// row-level entry names a relation whose rows changed and holds no
-    /// rows ([`Delta::net_rows`] fills them in for the whole write).
-    pub delta: Delta,
     /// What keeping the views current did.
     pub views: MaintainSummary,
     /// Time spent keeping the views current.
     pub maintain: Duration,
 }
 
-/// Record in `delta` what `m` touches: a domain edit under the domain's
-/// name; a reset for every relation created, dropped, renamed (both
-/// names), re-moded, consolidated or explicated — views over it
-/// rebuild, and a view depending on a name that is gone fails, and
-/// with it the mutation; a row-level entry for a tuple write. A
-/// `DefineView` records nothing: nothing can depend on the fresh view
-/// yet, and an entry under its name would read as a direct write, which
-/// detaches a view.
+/// Record in `delta` what `m` touches, as the views read it: a domain
+/// edit under the domain's name; a reset for every relation created,
+/// dropped, renamed (both names), re-moded, consolidated or explicated
+/// — views over it rebuild, and a view depending on a name that is gone
+/// fails, and with it the mutation; a row-level entry for a tuple
+/// write. A `DefineView` records nothing: nothing can depend on the
+/// fresh view yet, and an entry under its name would read as a direct
+/// write, which detaches a view.
 fn record(m: &CatalogMutation, delta: &mut Delta) {
     use CatalogMutation::*;
     match m {
@@ -257,66 +252,59 @@ impl Catalog {
     ///
     /// An `Assert` or `Retract` returns the item its value names
     /// resolved to — the one resolution of that tuple a write, a replay
-    /// or a replica's catch-up makes; callers build deltas and replies
-    /// from it. On a catalog that holds its relation alone and no view,
-    /// a resolution and an edit that fits its tuple-map leaf allocate
-    /// nothing. Every other mutation returns `None`.
+    /// or a replica's catch-up makes; callers build replies from it. On
+    /// a catalog that holds its relation alone and no view, a resolution
+    /// and an edit that fits its tuple-map leaf allocate nothing. Every
+    /// other mutation returns `None`.
     pub fn apply_mutation(&mut self, m: &CatalogMutation) -> Result<Option<Item>> {
-        // A replay's usual case, reached without a call through
-        // `interpret`: no view to keep current and no effect to record.
-        if self.views.is_empty() {
-            return self.change(m);
-        }
-        self.interpret(m, None)
+        self.apply_mutation_to(m, &mut Effect::default())
     }
 
     /// [`apply_mutation`](Catalog::apply_mutation), adding to `effect`
-    /// what `m` touched and what keeping the views current did — the
-    /// write path, which publishes the delta and counts the views.
+    /// what keeping the views current did — the write path, which
+    /// counts the views.
+    #[inline]
     pub fn apply_mutation_to(
         &mut self,
         m: &CatalogMutation,
         effect: &mut Effect,
     ) -> Result<Option<Item>> {
-        self.interpret(m, Some(effect))
+        // A write's and a replay's usual case: no view to keep current.
+        if self.views.is_empty() {
+            return self.change(m);
+        }
+        self.change_and_maintain(m, effect)
     }
 
-    fn interpret(
+    /// Apply `m` and bring the views up to date with what it changed,
+    /// or, if a view refuses it, leave the catalog as it was.
+    fn change_and_maintain(
         &mut self,
         m: &CatalogMutation,
-        effect: Option<&mut Effect>,
+        effect: &mut Effect,
     ) -> Result<Option<Item>> {
-        if self.views.is_empty() {
-            let item = self.change(m)?;
-            if let Some(effect) = effect {
-                record(m, &mut effect.delta);
-            }
-            return Ok(item);
-        }
         // A view may refuse the mutation once it applied: keep what to
         // go back to (a shallow clone; the mutation then copies the
         // paths it walks, as a write to a published catalog does).
         let before = self.clone();
         let item = self.change(m)?;
-        let mut delta = Delta::new();
+        let mut delta = Delta::default();
         record(m, &mut delta);
         delta.net_rows(&before, self);
         let started = Instant::now();
         let maintained = self.maintain_views(&mut delta);
         let spent = started.elapsed();
-        let summary = match maintained {
-            Ok(summary) => summary,
+        match maintained {
+            Ok(summary) => {
+                effect.views += summary;
+                effect.maintain += spent;
+                Ok(item)
+            }
             Err(e) => {
                 *self = before;
-                return Err(e);
+                Err(e)
             }
-        };
-        if let Some(effect) = effect {
-            effect.delta.absorb(delta);
-            effect.views += summary;
-            effect.maintain += spent;
         }
-        Ok(item)
     }
 
     /// Fail with `DuplicateName` if a relation named `name` exists.
@@ -877,9 +865,12 @@ mod tests {
         let mut effect = Effect::default();
         cat.apply_mutation_to(&view, &mut effect).unwrap();
         assert!(cat.is_view("V"));
-        assert!(effect.delta.is_empty(), "a definition records nothing");
-        // A write to the source keeps the view current, and its effect
-        // names both relations.
+        assert_eq!(
+            effect.views,
+            MaintainSummary::default(),
+            "a definition maintains nothing"
+        );
+        // A write to the source keeps the view current.
         let paul = CatalogMutation::Assert {
             relation: "Flies".into(),
             values: vec!["Paul".into()],
@@ -888,8 +879,6 @@ mod tests {
         cat.apply_mutation_to(&paul, &mut effect).unwrap();
         assert_eq!(cat.relation("V").unwrap().len(), 3);
         assert_eq!(effect.views.maintained, 1);
-        let names: Vec<&String> = effect.delta.relations.keys().collect();
-        assert_eq!(names, ["Flies", "V"]);
         // Explicating and consolidating the source rebuild the view.
         for m in [
             CatalogMutation::Explicate {

@@ -1,20 +1,21 @@
-//! Structured write deltas: the unit of change a committed mutation
-//! publishes alongside its epoch.
+//! Row deltas: what one mutation changed, as view maintenance reads
+//! it.
 //!
 //! A [`RelationDelta`] is the row-level difference between two states
 //! of one relation — rows now stored (with their new truth, covering
 //! both fresh inserts and truth overwrites) and rows no longer stored.
-//! A [`Delta`] aggregates one write's effect across the whole catalog:
-//! per-relation changes plus the names of any mutated domain graphs.
-//! A write records *which* relations it touched ([`Delta::record_rows`]),
-//! not the rows: at commit those are [`RelationDelta::diff`] of each
-//! touched relation before and after the write.
+//! It is what the differential operators ([`crate::differential`])
+//! take and produce.
 //!
-//! Deltas are what incremental view maintenance
-//! ([`crate::differential`]) consumes: row changes flow through the
-//! differential operators, while a [`RelationChange::Reset`] or a
-//! domain edit signals that the cheap row-level path does not apply
-//! and maintenance must fall back to full recomputation.
+//! Inside the crate, a `Delta` gathers one mutation's effect on the
+//! catalog for the live views: per-relation changes plus the names of
+//! any mutated domain graphs. The interpreter records *which* relations
+//! the mutation touched, not the rows: those are [`RelationDelta::diff`]
+//! of each touched relation before and after it. Row changes flow
+//! through the differential operators, while a reset or a domain edit
+//! signals that the cheap row-level path does not apply and maintenance
+//! falls back to full recomputation. A write publishes its new world,
+//! not a delta.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,9 +92,9 @@ impl RelationDelta {
     }
 }
 
-/// How one relation changed in a committed write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RelationChange {
+/// How one relation changed in a mutation.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum RelationChange {
     /// Row-level changes the differential path can maintain through.
     Rows(RelationDelta),
     /// The relation changed wholesale (created, replaced in place by
@@ -102,54 +103,24 @@ pub enum RelationChange {
     Reset,
 }
 
-impl RelationChange {
-    /// The row delta, when this change is row-level.
-    pub fn rows(&self) -> Option<&RelationDelta> {
-        match self {
-            RelationChange::Rows(d) => Some(d),
-            RelationChange::Reset => None,
-        }
-    }
-}
-
-/// One committed write's structured effect on the catalog: what the
-/// writer publishes alongside the new epoch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Delta {
+/// One mutation's effect on the catalog, as the live views read it.
+#[derive(Debug, Default)]
+pub(crate) struct Delta {
     /// Per-relation changes, keyed by relation name.
-    pub relations: BTreeMap<String, RelationChange>,
-    /// Names of domain graphs this write mutated (class/instance
+    pub(crate) relations: BTreeMap<String, RelationChange>,
+    /// Names of domain graphs the mutation edited (class/instance
     /// creation, preference edges). Domain edits change subsumption
     /// itself, so they force view fallback rather than row maintenance.
-    pub domains: BTreeSet<String>,
+    pub(crate) domains: BTreeSet<String>,
 }
 
 impl Delta {
-    /// An empty delta.
-    pub fn new() -> Delta {
-        Delta::default()
-    }
-
-    /// Whether this write changed nothing views could observe.
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty() && self.domains.is_empty()
-    }
-
-    /// Total row changes across all row-level relation changes.
-    pub fn row_count(&self) -> usize {
-        self.relations
-            .values()
-            .filter_map(RelationChange::rows)
-            .map(RelationDelta::len)
-            .sum()
-    }
-
-    /// Record that a write asserted or retracted rows of `relation`.
-    /// The rows themselves are not recorded: at commit they are the
-    /// [`RelationDelta::diff`] of the relation before and after the
-    /// write. The name is copied into a key the first time a write
-    /// touches the relation; a relation already reset stays reset.
-    pub fn record_rows(&mut self, relation: &str) {
+    /// Record that a mutation asserted or retracted rows of `relation`.
+    /// The rows themselves are not recorded: they are the
+    /// [`RelationDelta::diff`] of the relation before and after it
+    /// ([`net_rows`](Delta::net_rows)). A relation already reset stays
+    /// reset.
+    pub(crate) fn record_rows(&mut self, relation: &str) {
         if !self.relations.contains_key(relation) {
             self.relations.insert(
                 relation.to_string(),
@@ -160,22 +131,21 @@ impl Delta {
 
     /// Record a wholesale change to one relation. Reset absorbs any
     /// row-level changes already recorded for the same relation.
-    pub fn record_reset(&mut self, relation: &str) {
+    pub(crate) fn record_reset(&mut self, relation: &str) {
         self.relations
             .insert(relation.to_string(), RelationChange::Reset);
     }
 
     /// Record a mutation of one domain graph.
-    pub fn record_domain(&mut self, domain: &str) {
+    pub(crate) fn record_domain(&mut self, domain: &str) {
         self.domains.insert(domain.to_string());
     }
 
     /// Fill in the row-level entries: each relation recorded as written
     /// gets the [`RelationDelta::diff`] of its tuples in `pre` and in
-    /// `post` — the net effect, however many times the write touched an
-    /// item, found by comparing the paths the write copied. A relation
-    /// missing on either side resets.
-    pub fn net_rows(&mut self, pre: &Catalog, post: &Catalog) {
+    /// `post`, found by comparing the paths the mutation copied. A
+    /// relation missing on either side resets.
+    pub(crate) fn net_rows(&mut self, pre: &Catalog, post: &Catalog) {
         for (name, change) in &mut self.relations {
             if let RelationChange::Rows(rows) = change {
                 match (pre.relation(name), post.relation(name)) {
@@ -184,25 +154,6 @@ impl Delta {
                 }
             }
         }
-    }
-
-    /// Record the names `other` records, as this delta's write touching
-    /// them too: a reset stays a reset, rows are left to
-    /// [`net_rows`](Delta::net_rows).
-    pub fn absorb(&mut self, other: Delta) {
-        for (name, change) in other.relations {
-            match change {
-                RelationChange::Reset => {
-                    self.relations.insert(name, RelationChange::Reset);
-                }
-                RelationChange::Rows(_) => {
-                    self.relations
-                        .entry(name)
-                        .or_insert_with(|| RelationChange::Rows(RelationDelta::new()));
-                }
-            }
-        }
-        self.domains.extend(other.domains);
     }
 }
 
@@ -292,30 +243,26 @@ mod tests {
         assert!(RelationDelta::diff(&pre, &undone).is_empty());
     }
 
-    /// A touched relation is recorded with no rows until commit, and a
-    /// reset absorbs it, before or after.
+    /// A touched relation is recorded with no rows until they are
+    /// diffed in, and a reset absorbs it, before or after.
     #[test]
     fn reset_absorbs_touched_rows() {
-        let mut delta = Delta::new();
+        let mut delta = Delta::default();
         delta.record_rows("R");
         assert_eq!(
             delta.relations["R"],
             RelationChange::Rows(RelationDelta::new())
         );
-        assert!(!delta.is_empty(), "a touched relation is a change");
         delta.record_reset("R");
         delta.record_rows("R");
         assert_eq!(delta.relations["R"], RelationChange::Reset);
-        assert_eq!(delta.row_count(), 0);
-        assert!(!delta.is_empty());
     }
 
     #[test]
-    fn empty_and_counts() {
-        let mut d = Delta::new();
-        assert!(d.is_empty());
+    fn domain_edits_are_recorded_by_name() {
+        let mut d = Delta::default();
         d.record_domain("D");
-        assert!(!d.is_empty());
-        assert_eq!(d.row_count(), 0);
+        assert!(d.relations.is_empty());
+        assert!(d.domains.contains("D"));
     }
 }

@@ -426,12 +426,6 @@ fn maintain_consolidate(
     Some((new_out, delta))
 }
 
-/// Convenience: the exact tuple sequence of a relation, for parity
-/// assertions.
-pub fn tuples_of(r: &HRelation) -> Vec<(Item, crate::truth::Truth)> {
-    r.iter().map(|(i, t)| (i.clone(), t)).collect()
-}
-
 /// The names of every base relation `plan` scans — the dependency set
 /// a view registry needs to route deltas.
 pub fn scan_names(plan: &LogicalPlan) -> std::collections::BTreeSet<String> {
@@ -448,20 +442,22 @@ pub fn scan_names(plan: &LogicalPlan) -> std::collections::BTreeSet<String> {
     out
 }
 
-/// Build the base-delta map for a single relation change (the common
-/// single-writer case).
-pub fn single_delta(name: &str, delta: RelationDelta) -> BTreeMap<String, RelationDelta> {
-    let mut m = BTreeMap::new();
-    m.insert(name.to_string(), delta);
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
     use crate::truth::Truth;
     use hrdm_hierarchy::HierarchyGraph;
+
+    /// The exact tuple sequence of a relation, for parity assertions.
+    fn tuples_of(r: &HRelation) -> Vec<(Item, Truth)> {
+        r.iter().map(|(i, t)| (i.clone(), t)).collect()
+    }
+
+    /// The base-delta map for a single relation change.
+    fn single_delta(name: &str, delta: RelationDelta) -> BTreeMap<String, RelationDelta> {
+        BTreeMap::from([(name.to_string(), delta)])
+    }
 
     fn taxonomy() -> Arc<Schema> {
         let mut g = HierarchyGraph::new("Animal");

@@ -100,7 +100,7 @@ pub mod view;
 pub mod prelude {
     pub use crate::binding::{Binding, Verdict};
     pub use crate::catalog::Catalog;
-    pub use crate::delta::{Delta, RelationChange, RelationDelta};
+    pub use crate::delta::RelationDelta;
     pub use crate::differential::{MaintainReport, MaterializedPlan};
     pub use crate::error::{CoreError, Result};
     pub use crate::item::Item;

@@ -16,8 +16,8 @@
 //!   staged once the write can no longer be refused, and publishes
 //!   the fresh world as the next **epoch**. Where that time goes is
 //!   recorded per write in the `engine.write.{clone, apply, journal,
-//!   net_delta, maintain, publish}` histograms, six stages that add up
-//!   to the time under the lock. A failed statement publishes nothing
+//!   maintain, publish}` histograms, five stages that add up to the
+//!   time under the lock. A failed statement publishes nothing
 //!   and journals nothing, so errors are atomic — neither readers nor
 //!   a restart can observe a half-applied or refused write. Every
 //!   write statement but `OPEN`, `LOAD` and `CHECKPOINT` resolves to
@@ -39,7 +39,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hrdm_core::catalog::Effect;
-use hrdm_core::delta::Delta;
 use hrdm_core::derivation::names;
 use hrdm_core::justify::justify;
 use hrdm_core::mutation::CatalogMutation;
@@ -70,10 +69,6 @@ struct EngineInner {
     state: SnapshotCell<World>,
     /// Serializes mutating statements and owns the WAL handle.
     writer: Mutex<Writer>,
-    /// The most recent committed write's structured delta, published
-    /// alongside its epoch (under the writer lock, so it always pairs
-    /// with the epoch it produced).
-    last_delta: Mutex<Option<(u64, Arc<Delta>)>>,
     /// Writers currently queued on (or holding) the writer mutex.
     /// Sampled into the `engine.write_queue_depth` gauge at lock
     /// acquisition, so the gauge reports contention a writer actually
@@ -110,26 +105,25 @@ struct EngineObs {
     /// write, reply formatting — minus the journal time inside it),
     /// `.journal` (staging the WAL records, then appending them at
     /// commit, incl. any wait for the syncer the loss bound imposes),
-    /// `.net_delta`, `.maintain` (keeping the live views current, which
-    /// the interpreter does for each mutation it applies), `.publish`
-    /// (epoch swap, delta hand-over, release of the previous epoch's
-    /// world). The six are differences of
-    /// consecutive readings of one clock, so per write they add up to
-    /// the time from lock acquisition to publication exactly. A refused
-    /// write observes nothing.
-    stages: [Histogram; 6],
+    /// `.maintain` (keeping the live views current, which the
+    /// interpreter does for each mutation it applies), `.publish`
+    /// (epoch swap, release of the previous epoch's world). The five
+    /// are differences of consecutive readings of one clock, so per
+    /// write they add up to the time from lock acquisition to
+    /// publication exactly. A refused write observes nothing.
+    stages: [Histogram; 5],
     /// Live-view maintenance outcomes (`ivm.maintained`, `.fallback`,
     /// `.detached`), one add each per write.
     ivm: [Counter; 3],
 }
 
-/// The names of the six write-stage histograms each engine keeps in its
-/// [`metrics`](Engine::metrics), in the order a write runs the stages.
-pub const WRITE_STAGES: [&str; 6] = [
+/// The names of the five write-stage histograms each engine keeps in
+/// its [`metrics`](Engine::metrics), in the order a write runs the
+/// stages.
+pub const WRITE_STAGES: [&str; 5] = [
     "engine.write.clone",
     "engine.write.apply",
     "engine.write.journal",
-    "engine.write.net_delta",
     "engine.write.maintain",
     "engine.write.publish",
 ];
@@ -138,9 +132,8 @@ pub const WRITE_STAGES: [&str; 6] = [
 const CLONE: usize = 0;
 const APPLY: usize = 1;
 const JOURNAL: usize = 2;
-const NET_DELTA: usize = 3;
-const MAINTAIN: usize = 4;
-const PUBLISH: usize = 5;
+const MAINTAIN: usize = 3;
+const PUBLISH: usize = 4;
 
 impl Default for EngineObs {
     fn default() -> EngineObs {
@@ -193,11 +186,7 @@ struct Writer {
 pub struct WriteTxn<'a> {
     /// The private world copy this transaction mutates.
     pub world: World,
-    /// What this write's mutations did besides changing the world: the
-    /// names they touched (rows are diffed in at commit), resets and
-    /// domain-graph edits, as the interpreter records them — the delta
-    /// the engine publishes alongside the new epoch — and what keeping
-    /// the views current did.
+    /// What keeping the views current did over this write's mutations.
     effect: Effect,
     journal: &'a mut Option<Journal>,
     marks: &'a Mutex<Option<Arc<LsnMarks>>>,
@@ -209,8 +198,8 @@ pub struct WriteTxn<'a> {
 
 impl WriteTxn<'_> {
     /// Apply one mutation: apply it to the private world through the
-    /// catalog's interpreter, which records what it touched in the
-    /// write's effect and keeps the views current, and stage it on the
+    /// catalog's interpreter, which keeps the views current and counts
+    /// what that did in the write's effect, and stage it on the
     /// open store's WAL (skipped when detached) — the value that is
     /// applied is the value that is logged, once the write commits. The
     /// item the interpreter resolved is the return value (`None` for
@@ -245,16 +234,6 @@ impl WriteTxn<'_> {
             .apply(m)?
             .expect("the interpreter returns the item of every tuple mutation");
         Ok(self.world.relation(relation)?.schema().display_item(&item))
-    }
-
-    /// Replace the whole world (`LOAD`, `OPEN`, a shipped checkpoint
-    /// image): every relation of the world replaced and of the new one
-    /// resets — one the new world lacks is gone, as if dropped.
-    fn replace_world(&mut self, world: World) {
-        let replaced = std::mem::replace(&mut self.world, world);
-        for name in replaced.relation_names().chain(self.world.relation_names()) {
-            self.effect.delta.record_reset(name);
-        }
     }
 
     /// Checkpoint the open store from the transaction's current world —
@@ -409,19 +388,6 @@ impl Engine {
         &self.inner.obs.metrics
     }
 
-    /// The most recent committed write's structured [`Delta`], paired
-    /// with the epoch it produced; `None` until the first write. Its
-    /// row-level entries are *net*: applying one to the relation as it
-    /// stood before the write yields the relation after it, however
-    /// many mutations the write ran.
-    pub fn last_delta(&self) -> Option<(u64, Arc<Delta>)> {
-        self.inner
-            .last_delta
-            .lock()
-            .expect("delta lock poisoned")
-            .clone()
-    }
-
     /// Parse and execute a script; returns one response per statement.
     ///
     /// Statements run in order; within one call, a read after a write
@@ -455,11 +421,10 @@ impl Engine {
     /// from (`base`), then the batch in order. It is the write path of a
     /// mutating statement minus the parsing, run once for the lot: one
     /// world clone (each map node a mutation walks is copied once, then
-    /// edited in place), one published epoch, one net [`Delta`]. The
-    /// interpreter keeps the views current after each mutation, as it
-    /// did after each statement on the primary, so a view reaches the
-    /// state the primary's reached. All or nothing: if any mutation is
-    /// refused the
+    /// edited in place), one published epoch. The interpreter keeps the
+    /// views current after each mutation, as it did after each
+    /// statement on the primary, so a view reaches the state the
+    /// primary's reached. All or nothing: if any mutation is refused the
     /// engine publishes nothing and stays on the epoch it had. If a
     /// store is `OPEN` the mutations are journaled (and a `base`
     /// checkpointed, as `LOAD` is).
@@ -476,7 +441,7 @@ impl Engine {
     ) -> Result<()> {
         self.write(|txn| {
             if let Some(image) = base {
-                txn.replace_world(World::from_image(image));
+                txn.world = World::from_image(image);
                 txn.checkpoint()?;
             }
             batch(&mut |m| txn.apply(m).map(drop))
@@ -516,22 +481,16 @@ impl Engine {
             metrics: &self.inner.obs.metrics,
             journal_time: Duration::ZERO,
         };
-        let mut spent = [Duration::ZERO; 6];
+        let mut spent = [Duration::ZERO; 5];
         spent[CLONE] = lap(&mut boundary);
         // The interpreter keeps the views current with each mutation:
         // one a view refuses (its derivation no longer runs) fails the
         // write atomically, so readers never see a world whose views
         // disagree with their definitions.
         let response = f(&mut txn).inspect_err(|_| txn.discard_staged())?;
-        let Effect {
-            mut delta,
-            views,
-            maintain,
-        } = std::mem::take(&mut txn.effect);
+        let Effect { views, maintain } = txn.effect;
         spent[APPLY] = lap(&mut boundary).saturating_sub(txn.journal_time + maintain);
         spent[MAINTAIN] = maintain;
-        delta.net_rows(&snap, &txn.world);
-        spent[NET_DELTA] = lap(&mut boundary);
         // The write can no longer be refused: its staged mutations reach
         // the log before publication.
         spent[JOURNAL] = txn.journal_time;
@@ -545,8 +504,6 @@ impl Engine {
         detached.add(views.detached as u64);
         let epoch = self.inner.state.publish(Arc::new(txn.world));
         wobs.epoch.set(epoch);
-        *self.inner.last_delta.lock().expect("delta lock poisoned") =
-            Some((epoch, Arc::new(delta)));
         // Usually the last handle on the previous epoch's world: freeing
         // the nodes this write copied out of it is this write's cost.
         drop(snap);
@@ -809,7 +766,7 @@ fn exec_load(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     let Statement::Load { path } = stmt else {
         unreachable!("dispatched by kind")
     };
-    txn.replace_world(World::from_image(Image::load(&path)?));
+    txn.world = World::from_image(Image::load(&path)?);
     txn.checkpoint()?;
     Ok(Response::Ok(format!(
         "session restored from {path} ({} domain(s), {} relation(s))",
@@ -833,7 +790,7 @@ fn exec_open(txn: &mut WriteTxn<'_>, stmt: Statement) -> Result<Response> {
     // makes the replayed tail durable and drops any torn bytes, so a
     // re-crash cannot regress.
     let journal = Journal::begin(path, r.next_lsn(), &world.to_image(), group, txn.metrics)?;
-    txn.replace_world(world);
+    txn.world = world;
     txn.attach(journal);
     Ok(Response::Ok(format!(
         "store {dir} open at lsn {} ({} domain(s), {} relation(s); \
@@ -1265,9 +1222,9 @@ mod tests {
     }
 
     /// [`Engine::apply_mutations`] is the statement write path minus the
-    /// parsing, once per batch: one epoch and one net delta however
-    /// many mutations, and nothing published — not even the mutations
-    /// before it — when one is refused.
+    /// parsing, once per batch: one epoch however many mutations, and
+    /// nothing published — not even the mutations before it — when one
+    /// is refused.
     #[test]
     fn a_batch_of_mutations_publishes_one_epoch_or_nothing() {
         let assert = |value: &str, truth| CatalogMutation::Assert {
@@ -1294,16 +1251,8 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(engine.epoch(), 1, "one epoch for the whole batch");
-        let (epoch, delta) = engine.last_delta().unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(
-            delta.relations["R"],
-            RelationChange::Reset,
-            "a relation created in the batch resets, rows and all"
-        );
 
-        // Assert-then-retract nets to nothing; a row that stays is one
-        // row, and the batch is still one epoch.
+        // A batch that writes one item three times is still one epoch.
         apply_all(&[
             assert("A", Truth::Positive),
             CatalogMutation::Retract {
@@ -1314,8 +1263,7 @@ mod tests {
             assert("D", Truth::Negative),
         ])
         .unwrap();
-        let (epoch, delta) = engine.last_delta().unwrap();
-        assert_eq!((epoch, engine.epoch(), delta.row_count()), (2, 2, 1));
+        assert_eq!(engine.epoch(), 2);
 
         // A refused record takes the whole batch with it.
         let before = engine.execute_read("SHOW R;", 0).unwrap();

@@ -27,7 +27,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The six `engine.write.*` stages are what a write does under the
+/// The five `engine.write.*` stages are what a write does under the
 /// writer lock, so over a run of writes their sums must account for the
 /// time the caller sees around `execute_statement`, short only of what
 /// happens outside the lock-to-publish window (dispatch, queueing on the
