@@ -50,8 +50,9 @@ impl Item {
 
     /// Build an item of `arity` components, the `i`-th being `f(i)`,
     /// stopping at the first error. Up to four components are written
-    /// in place, so a resolution that succeeds allocates nothing.
-    pub(crate) fn try_from_fn<E>(
+    /// in place, so a resolution or a decode that succeeds allocates
+    /// nothing.
+    pub fn try_from_fn<E>(
         arity: usize,
         mut f: impl FnMut(usize) -> Result<NodeId, E>,
     ) -> Result<Item, E> {

@@ -86,6 +86,14 @@ pub(crate) fn cartesian_items(axes: &[Vec<hrdm_hierarchy::NodeId>]) -> Vec<Item>
     }
 }
 
+/// What [`resolve_conflicts_fixpoint`] did: its `rounds` (one
+/// `find_conflicts` each) and the opposite-truth tuple `pairs` those
+/// rounds resolved — the all-pairs term of an operator's cost.
+pub(crate) struct Fixpoint {
+    pub rounds: u64,
+    pub pairs: u64,
+}
+
 /// Insert synthesized §3.1 resolution tuples until the result satisfies
 /// its ambiguity constraint. `truth_of` computes the correct truth for a
 /// conflicted item from the operator's arguments.
@@ -95,11 +103,18 @@ pub(crate) fn cartesian_items(axes: &[Vec<hrdm_hierarchy::NodeId>]) -> Vec<Item>
 pub(crate) fn resolve_conflicts_fixpoint(
     result: &mut HRelation,
     mut truth_of: impl FnMut(&Item) -> Result<Truth>,
-) -> Result<()> {
+) -> Result<Fixpoint> {
+    let mut done = Fixpoint {
+        rounds: 0,
+        pairs: 0,
+    };
     loop {
+        let positive = result.iter().filter(|&(_, t)| t == Truth::Positive).count();
+        done.rounds += 1;
+        done.pairs += (positive * (result.len() - positive)) as u64;
         let conflicts = find_conflicts(result);
         if conflicts.is_empty() {
-            return Ok(());
+            return Ok(done);
         }
         for c in conflicts {
             let t = truth_of(&c.item)?;

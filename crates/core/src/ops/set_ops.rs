@@ -29,6 +29,10 @@ fn combine(
     if !left.schema().compatible(right.schema()) {
         return Err(CoreError::SchemaMismatch);
     }
+    let mut span = hrdm_obs::span!("core.set_ops.combine");
+    if span.is_active() {
+        span.field_u64("pairs", (left.len() * right.len()) as u64);
+    }
     let mut candidates: BTreeSet<Item> = BTreeSet::new();
     candidates.extend(left.items().cloned());
     candidates.extend(right.items().cloned());
@@ -57,7 +61,14 @@ fn combine(
         let t = truth_of(&item)?;
         result.insert(Tuple::new(item, t))?;
     }
-    resolve_conflicts_fixpoint(&mut result, truth_of)?;
+    // Selections and joins run the same fixpoint; a set operator's
+    // trace splits it out of the operator's own time.
+    let mut fixpoint = hrdm_obs::span!("core.conflict.fixpoint");
+    let done = resolve_conflicts_fixpoint(&mut result, truth_of)?;
+    if fixpoint.is_active() {
+        fixpoint.field_u64("rounds", done.rounds);
+        fixpoint.field_u64("pairs", done.pairs);
+    }
     Ok(result)
 }
 
@@ -112,6 +123,27 @@ mod tests {
         all.into_iter()
             .filter(|i| op(fa.contains(i), fb.contains(i)))
             .collect()
+    }
+
+    /// A set operator's trace splits its own time: the pairwise loop in
+    /// `core.set_ops.combine` (|L|·|R| pairs), the conflict fixpoint
+    /// inside it (one round over the result's opposite-truth pairs).
+    #[test]
+    fn a_set_operator_traces_its_pairs_and_its_fixpoint() {
+        let (jack, jill) = jack_and_jill();
+        let (between_them, trace) =
+            hrdm_obs::trace::capture("test", || union(&jack, &jill).unwrap());
+        let nodes = trace.nodes();
+        let span = |name: &str| *nodes.iter().find(|n| n.name == name).expect(name);
+        let combine = span("core.set_ops.combine");
+        assert_eq!(combine.field_u64("pairs"), Some(3));
+        let fixpoint = span("core.conflict.fixpoint");
+        assert!(combine.children.iter().any(|c| c.name == fixpoint.name));
+        assert_eq!(fixpoint.field_u64("rounds"), Some(1));
+        let positive = between_them.iter().filter(|&(_, t)| t == Truth::Positive);
+        let positive = positive.count() as u64;
+        let negative = between_them.len() as u64 - positive;
+        assert_eq!(fixpoint.field_u64("pairs"), Some(positive * negative));
     }
 
     #[test]

@@ -39,6 +39,12 @@ pub enum HierarchyError {
     /// The requested parent set was empty; every non-root node needs at
     /// least one parent to keep the graph rooted.
     NoParent,
+    /// A node table handed to
+    /// [`HierarchyGraph::from_parts`](crate::HierarchyGraph::from_parts)
+    /// is not in creation order at this node: the domain is node 0 and
+    /// no other, and every other node comes after its first subset
+    /// parent.
+    OutOfOrder(NodeId),
 }
 
 impl fmt::Display for HierarchyError {
@@ -68,6 +74,11 @@ impl fmt::Display for HierarchyError {
             HierarchyError::NoParent => {
                 write!(f, "a non-root node requires at least one parent")
             }
+            HierarchyError::OutOfOrder(id) => write!(
+                f,
+                "node {id} is out of creation order: the domain is node 0 alone, \
+                 and every other node comes after its first subset parent"
+            ),
         }
     }
 }

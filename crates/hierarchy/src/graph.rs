@@ -70,6 +70,10 @@ struct NodeData {
     parents: Vec<(NodeId, EdgeKind)>,
 }
 
+/// One row of the node table [`HierarchyGraph::from_parts`] takes: a
+/// node's name, its kind and its children in order.
+pub type NodeParts = (NodeName, NodeKind, Vec<(NodeId, EdgeKind)>);
+
 /// How many nodes [`HierarchyGraph::binding_ancestors_into`] finds
 /// before it stops checking repeats against its list and builds a
 /// bitmap.
@@ -128,6 +132,147 @@ impl HierarchyGraph {
             edge_count: 0,
             closures: Default::default(),
         }
+    }
+
+    /// Build a graph from its node table in one O(V + E) pass: per node
+    /// in id order its name, its kind and its children in order, as
+    /// [`children_with_kind`](HierarchyGraph::children_with_kind) lists
+    /// them. This is how a decoded image becomes a graph.
+    ///
+    /// The children lists are kept as given. Each node's parents are
+    /// listed in the order nodes then edges would have been added: its
+    /// first subset parent (the lowest id with a subset edge to it)
+    /// first, then the rest by parent id and position.
+    ///
+    /// The table is refused with the error the one-by-one constructors
+    /// raise for the same defect: a duplicate name, an endpoint out of
+    /// range, a self, duplicate or instance edge, a cycle over either
+    /// edge kind. A node with no subset parent is
+    /// [`HierarchyError::NoParent`]; a table not in creation order —
+    /// node 0 not the domain, another domain node, a node before its
+    /// first subset parent, no node at all — is
+    /// [`HierarchyError::OutOfOrder`].
+    pub fn from_parts(parts: Vec<NodeParts>) -> Result<HierarchyGraph> {
+        use std::collections::hash_map::Entry;
+        let n = parts.len();
+        if n == 0 {
+            return Err(HierarchyError::OutOfOrder(NodeId::ROOT));
+        }
+        let mut by_name = HashMap::with_capacity(n);
+        let mut nodes = Vec::with_capacity(n);
+        for (i, (name, kind, children)) in parts.into_iter().enumerate() {
+            let id = NodeId::from_index(i);
+            if (kind == NodeKind::Domain) != (i == 0) {
+                return Err(HierarchyError::OutOfOrder(id));
+            }
+            let name = match by_name.entry(name) {
+                Entry::Occupied(taken) => {
+                    return Err(HierarchyError::DuplicateName(taken.key().clone()))
+                }
+                Entry::Vacant(free) => {
+                    let name = free.key().clone();
+                    free.insert(id);
+                    name
+                }
+            };
+            nodes.push(NodeData {
+                name,
+                kind,
+                children,
+                parents: Vec::new(),
+            });
+        }
+        // `listed[c]` is one more than the last parent whose list held
+        // `c`: a repeat within one list is a duplicate edge.
+        let mut listed = vec![0usize; n];
+        let mut edge_count = 0;
+        for from in 0..n {
+            let children = std::mem::take(&mut nodes[from].children);
+            let from_id = NodeId::from_index(from);
+            if !children.is_empty() && nodes[from].kind == NodeKind::Instance {
+                return Err(HierarchyError::InstanceHasChildren(from_id));
+            }
+            for &(to, kind) in &children {
+                let Some(seen) = listed.get_mut(to.index()) else {
+                    return Err(HierarchyError::UnknownNode(to));
+                };
+                if to == from_id {
+                    return Err(HierarchyError::SelfEdge(to));
+                }
+                if *seen == from + 1 {
+                    return Err(HierarchyError::DuplicateEdge { from: from_id, to });
+                }
+                *seen = from + 1;
+                // The first subset parent goes first, ahead of any
+                // preference parent listed before it.
+                let parents = &mut nodes[to.index()].parents;
+                let first_subset = kind == EdgeKind::Subset
+                    && parents.first().is_none_or(|&(_, k)| k != EdgeKind::Subset);
+                if first_subset {
+                    parents.insert(0, (from_id, kind));
+                } else {
+                    parents.push((from_id, kind));
+                }
+            }
+            edge_count += children.len();
+            nodes[from].children = children;
+        }
+        for (i, node) in nodes.iter().enumerate().skip(1) {
+            match node.parents.first() {
+                Some(&(p, EdgeKind::Subset)) if p.index() < i => {}
+                Some(&(_, EdgeKind::Subset)) => {
+                    return Err(HierarchyError::OutOfOrder(NodeId::from_index(i)))
+                }
+                _ => return Err(HierarchyError::NoParent),
+            }
+        }
+        // One Kahn pass over both edge kinds: what it never frees lies
+        // on a cycle or below one.
+        let mut waiting: Vec<usize> = nodes.iter().map(|d| d.parents.len()).collect();
+        let mut free: Vec<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
+        let mut freed = 0;
+        while let Some(i) = free.pop() {
+            freed += 1;
+            for &(c, _) in &nodes[i].children {
+                waiting[c.index()] -= 1;
+                if waiting[c.index()] == 0 {
+                    free.push(c.index());
+                }
+            }
+        }
+        if freed < n {
+            // Climb unfreed parents from an unfreed node until one
+            // repeats: the edge from the repeated node down to where it
+            // was reached from closes a cycle.
+            let unfreed_parent = |i: usize| {
+                nodes[i]
+                    .parents
+                    .iter()
+                    .map(|&(p, _)| p.index())
+                    .find(|&p| waiting[p] > 0)
+                    .expect("an unfreed node has an unfreed parent")
+            };
+            let mut climbed = vec![false; n];
+            let mut to = (0..n).find(|&i| waiting[i] > 0).expect("freed < n");
+            climbed[to] = true;
+            loop {
+                let from = unfreed_parent(to);
+                if climbed[from] {
+                    return Err(HierarchyError::WouldCreateCycle {
+                        from: NodeId::from_index(from),
+                        to: NodeId::from_index(to),
+                    });
+                }
+                climbed[from] = true;
+                to = from;
+            }
+        }
+        Ok(HierarchyGraph {
+            nodes,
+            by_name,
+            edge_count,
+            closures: Default::default(),
+        })
     }
 
     /// A structural edit happened: the closures describe the old
@@ -1045,6 +1190,159 @@ mod tests {
             assert_eq!(g.binding_ancestors(x, cap), None);
         }
         assert!(widest > LINEAR_SEEN, "widest {widest}");
+    }
+
+    fn parts(g: &HierarchyGraph) -> Vec<NodeParts> {
+        g.node_ids()
+            .map(|id| {
+                (
+                    g.name(id).clone(),
+                    g.kind(id),
+                    g.children_with_kind(id).to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_parts_rebuilds_a_graph_with_its_children_in_order() {
+        let mut g = birds();
+        let canary = g.expect("Canary");
+        let penguin = g.expect("Penguin");
+        g.add_preference_edge(canary, penguin).unwrap();
+        g.add_edge(g.root(), g.expect("Paul")).unwrap();
+        let rebuilt = HierarchyGraph::from_parts(parts(&g)).unwrap();
+        assert_eq!(rebuilt.len(), g.len());
+        assert_eq!(rebuilt.edge_count(), g.edge_count());
+        for id in g.node_ids() {
+            assert_eq!(rebuilt.name(id), g.name(id));
+            assert_eq!(rebuilt.node(g.name(id).as_str()).unwrap(), id);
+            assert_eq!(rebuilt.children_with_kind(id), g.children_with_kind(id));
+            let mut want = g.parents_with_kind(id).to_vec();
+            let mut got = rebuilt.parents_with_kind(id).to_vec();
+            want.sort_unstable_by_key(|&(p, _)| p);
+            got.sort_unstable_by_key(|&(p, _)| p);
+            assert_eq!(got, want);
+        }
+        assert!(rebuilt.is_descendant(g.expect("Patricia"), penguin));
+        assert!(rebuilt.reaches(canary, g.expect("Peter")));
+        assert!(!rebuilt.is_descendant(g.expect("Peter"), canary));
+    }
+
+    /// A node's first subset parent leads its parent list, ahead of a
+    /// preference parent with a lower id; the rest follow by id.
+    #[test]
+    fn from_parts_lists_the_first_subset_parent_first() {
+        let mut g = HierarchyGraph::new("D");
+        let a = g.add_class("A", g.root()).unwrap();
+        let b = g.add_class("B", g.root()).unwrap();
+        let c = g.add_class("C", b).unwrap();
+        g.add_preference_edge(a, c).unwrap();
+        g.add_edge(g.root(), c).unwrap();
+        let rebuilt = HierarchyGraph::from_parts(parts(&g)).unwrap();
+        assert_eq!(
+            rebuilt.parents_with_kind(c),
+            [
+                (g.root(), EdgeKind::Subset),
+                (a, EdgeKind::Preference),
+                (b, EdgeKind::Subset)
+            ]
+        );
+    }
+
+    /// Every table the one-by-one constructors could not have built is
+    /// refused, with their error.
+    #[test]
+    fn from_parts_refuses_what_the_constructors_refuse() {
+        let n = NodeId::from_index;
+        let sub = |i| (n(i), EdgeKind::Subset);
+        let pref = |i| (n(i), EdgeKind::Preference);
+        // D -> {A, i}, A -> B: the table each case below edits.
+        let base = || -> Vec<NodeParts> {
+            vec![
+                ("D".into(), NodeKind::Domain, vec![sub(1), sub(2)]),
+                ("A".into(), NodeKind::Class, vec![sub(3)]),
+                ("i".into(), NodeKind::Instance, vec![]),
+                ("B".into(), NodeKind::Class, vec![]),
+            ]
+        };
+        assert!(HierarchyGraph::from_parts(base()).is_ok());
+        let refused = |edit: &dyn Fn(&mut Vec<NodeParts>)| {
+            let mut table = base();
+            edit(&mut table);
+            HierarchyGraph::from_parts(table).unwrap_err()
+        };
+        use HierarchyError as E;
+        assert_eq!(
+            HierarchyGraph::from_parts(Vec::new()).unwrap_err(),
+            E::OutOfOrder(n(0))
+        );
+        assert_eq!(refused(&|t| t[0].1 = NodeKind::Class), E::OutOfOrder(n(0)));
+        assert_eq!(refused(&|t| t[3].1 = NodeKind::Domain), E::OutOfOrder(n(3)));
+        assert_eq!(
+            refused(&|t| t[3].0 = "A".into()),
+            E::DuplicateName("A".into())
+        );
+        assert_eq!(refused(&|t| t[1].2.push(sub(4))), E::UnknownNode(n(4)));
+        assert_eq!(refused(&|t| t[1].2.push(sub(1))), E::SelfEdge(n(1)));
+        assert_eq!(
+            refused(&|t| t[1].2.push(pref(3))),
+            E::DuplicateEdge {
+                from: n(1),
+                to: n(3)
+            }
+        );
+        assert_eq!(
+            refused(&|t| t[2].2.push(pref(3))),
+            E::InstanceHasChildren(n(2))
+        );
+        // B under A by preference only, or under nothing.
+        assert_eq!(refused(&|t| t[1].2 = vec![pref(3)]), E::NoParent);
+        assert_eq!(refused(&|t| t[1].2.clear()), E::NoParent);
+        // B's only subset parent is a node after it.
+        let after = |t: &mut Vec<NodeParts>| {
+            t[1].2.clear();
+            t.push(("C".into(), NodeKind::Class, vec![sub(3)]));
+            t[0].2.push(sub(4));
+        };
+        assert_eq!(refused(&after), E::OutOfOrder(n(3)));
+        // Cycles over subset edges, through a preference edge, and into
+        // the root.
+        assert!(matches!(
+            refused(&|t| t[3].2.push(sub(1))),
+            E::WouldCreateCycle { .. }
+        ));
+        assert!(matches!(
+            refused(&|t| t[3].2.push(pref(1))),
+            E::WouldCreateCycle { .. }
+        ));
+        assert!(matches!(
+            refused(&|t| t[3].2.push(sub(0))),
+            E::WouldCreateCycle { .. }
+        ));
+    }
+
+    /// The rejected cycle edge lies on the cycle, not below it.
+    #[test]
+    fn from_parts_names_an_edge_on_the_cycle() {
+        let n = NodeId::from_index;
+        let sub = |i| (n(i), EdgeKind::Subset);
+        let table: Vec<NodeParts> = vec![
+            ("D".into(), NodeKind::Domain, vec![sub(1)]),
+            ("A".into(), NodeKind::Class, vec![sub(2)]),
+            ("B".into(), NodeKind::Class, vec![sub(3)]),
+            ("C".into(), NodeKind::Class, vec![sub(2), sub(4)]),
+            ("E".into(), NodeKind::Class, vec![]),
+        ];
+        let HierarchyError::WouldCreateCycle { from, to } =
+            HierarchyGraph::from_parts(table).unwrap_err()
+        else {
+            panic!("a cycle")
+        };
+        assert!(
+            [(n(2), n(3)), (n(3), n(2))].contains(&(from, to)),
+            "{from} -> {to}"
+        );
     }
 
     #[test]

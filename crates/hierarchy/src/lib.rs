@@ -56,7 +56,7 @@ pub mod topo;
 pub mod validate;
 
 pub use error::{HierarchyError, Result};
-pub use graph::{EdgeKind, HierarchyGraph, NodeKind, ANCESTORS_INLINE};
+pub use graph::{EdgeKind, HierarchyGraph, NodeKind, NodeParts, ANCESTORS_INLINE};
 pub use node::{NodeId, NodeName};
 pub use product::{ProductHierarchy, ProductNode};
 pub use spill::SpillVec;

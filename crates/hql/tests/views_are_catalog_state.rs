@@ -226,8 +226,8 @@ fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// An `OPEN` whose newest checkpoint verifies but holds an image of the
-/// previous format version, or a view that no longer derives, fails
+/// An `OPEN` whose newest checkpoint verifies but holds an image of an
+/// earlier format version, or a view that no longer derives, fails
 /// with that error's kind. It neither recovers an older or empty
 /// catalog in its place nor begins a generation over the store.
 #[test]
@@ -246,6 +246,8 @@ fn an_open_of_an_image_that_does_not_decode_fails_and_writes_nothing() {
     };
     let version_one = |image: &mut [u8]| image[6..10].copy_from_slice(&1u32.to_le_bytes());
     open_fails_untouched(&dir, checkpoint, "unsupported-version", version_one);
+    let version_two = |image: &mut [u8]| image[6..10].copy_from_slice(&2u32.to_le_bytes());
+    open_fails_untouched(&dir, checkpoint, "unsupported-version", version_two);
     let underivable = |image: &mut [u8]| {
         let at = image.windows(5).rposition(|w| w == b"Flies").unwrap();
         image[at..at + 5].copy_from_slice(b"Fliez");

@@ -8,26 +8,42 @@
 //! `SAVE`/`LOAD`, a checkpoint and a replica's shipped base keep views
 //! live.
 //!
-//! Layout (all integers little-endian):
+//! Layout, version 3. Every integer is only as wide as it needs to be:
+//! a count or a string length is a LEB128 varint, and a node id is `w`
+//! little-endian bytes, `w` the fewest that hold every id of its
+//! domain (`width(n)`: the fewest bytes that hold each value below `n`).
 //!
 //! ```text
 //! magic   "HRDM1\0"
-//! version u32 (= 2; a version-1 image, which had no view table, is
-//!         refused as unsupported)
-//! domains u32 count, then per domain:
-//!   name, node-count u32,
-//!   per node (in id order, root first): name, kind u8 (0=domain 1=class 2=instance)
-//!   edge-count u32, per edge: from u32, to u32, kind u8 (0=subset 1=preference)
-//! relations u32 count, then per stored relation (a view's relation is
-//!   not one: it is derived again from its definition on decode):
-//!   name, preemption u8 (0=off-path 1=on-path 2=none), arity u32,
-//!   per attribute: attr-name, domain-index u32,
-//!   tuple-count u32, per tuple: truth u8 (0=negative 1=positive), node u32 × arity
-//! views u32 count, then per view in registration order:
-//!   name, derivation (codec::write_derivation)
+//! version u32 LE (= 3; an image of version 1 or 2 is refused as
+//!         unsupported)
+//! domains count, then per domain in name order:
+//!   name, node-count n (≥ 1), then per node in id order, the domain
+//!   first:
+//!     name, kind u8 (0=domain 1=class 2=instance),
+//!     child-count, then per child in order:
+//!       id·2 + edge kind (0=subset 1=preference) in width(2·n) bytes
+//! relations count, then per stored relation in name order (a view's
+//!   relation is not one: it is derived again from its definition on
+//!   decode):
+//!   name, preemption u8 (0=off-path 1=on-path 2=none), arity,
+//!   per attribute: attr-name, domain-index,
+//!   tuple-count, then per tuple in ascending item order:
+//!     component 0 as id·2 + truth (0=negative 1=positive) in
+//!     width(2·n) bytes of its domain, each further component's id in
+//!     width(n) bytes of its own (arity 0: the truth alone, u8)
+//! views count, then per view in registration order:
+//!   name, derivation (codec::write_derivation, as the WAL writes it)
 //! ```
+//!
+//! A name is a varint byte length and its UTF-8. Nothing follows the
+//! view table. The layout leaves the writer no choice — shortest
+//! varints, names and tuples strictly ascending — and the decoder
+//! refuses anything else, so an image decodes only if it is the one
+//! encoding of what it decodes to, and its size depends only on the
+//! catalog's shape: its domain sizes, name lengths, edge and tuple
+//! counts and arities, not on which ids or truths it stores.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -35,35 +51,59 @@ use std::sync::Arc;
 use hrdm_core::derivation::Derivation;
 use hrdm_core::prelude::*;
 use hrdm_core::view::View;
-use hrdm_hierarchy::{EdgeKind, HierarchyGraph, NodeId, NodeKind};
+use hrdm_hierarchy::{EdgeKind, HierarchyError, HierarchyGraph, NodeId, NodeKind, NodeName};
 
-use crate::codec::{
-    read_derivation, read_str, read_u32, read_u8, write_derivation, write_str, write_u32, write_u8,
-};
+use crate::codec::{read_derivation, read_varint, write_derivation, write_u32, write_varint};
 use crate::error::{PersistError, Result};
 
 const MAGIC: &[u8; 6] = b"HRDM1\0";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Upper bound on any decoded element count. Counts are untrusted input;
 /// a corrupt length must produce [`PersistError::Corrupt`], not an
 /// attempted multi-gigabyte allocation (found by fuzz_corruption).
-const COUNT_CAP: usize = 16 << 20;
+const COUNT_CAP: u64 = 16 << 20;
 
-fn checked_count(n: u32, what: &str) -> Result<usize> {
-    let n = n as usize;
-    if n > COUNT_CAP {
-        Err(PersistError::Corrupt(format!(
-            "{what} count {n} exceeds sanity cap"
-        )))
-    } else {
-        Ok(n)
+/// The fewest little-endian bytes that hold every value below `bound`
+/// (at least one).
+fn width(bound: usize) -> usize {
+    let max = bound.saturating_sub(1) as u64;
+    ((64 - max.leading_zeros() as usize).div_ceil(8)).max(1)
+}
+
+/// The byte widths of a tuple's components under `schema`: the first
+/// also carries the truth, in its low bit.
+fn component_widths(schema: &Schema) -> Vec<usize> {
+    schema
+        .attributes()
+        .iter()
+        .enumerate()
+        .map(|(i, a)| width(a.domain().len() << usize::from(i == 0)))
+        .collect()
+}
+
+fn put_uint(out: &mut Vec<u8>, v: usize, w: usize) {
+    out.extend_from_slice(&(v as u64).to_le_bytes()[..w]);
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
+    write_varint(out, s.len() as u64)?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+/// Insert `(name, value)` at its place in name order, replacing the
+/// value of an equal name, as a catalog does.
+fn insert_by_name<T>(entries: &mut Vec<(String, T)>, name: String, value: T) {
+    match entries.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
+        Ok(at) => entries[at].1 = value,
+        Err(at) => entries.insert(at, (name, value)),
     }
 }
 
-/// An in-memory catalog image: named shared domains, named relations
-/// over them and the definitions of the live views among those
-/// relations, in the order they are encoded.
+/// An in-memory catalog image: named shared domains and named
+/// relations over them, each in name order, and the definitions of the
+/// live views among those relations, in registration order.
 ///
 /// The image is the `HRDM1` codec's view of a
 /// [`Catalog`], not a second container: it holds the catalog's own
@@ -101,15 +141,16 @@ impl Image {
     }
 
     /// Register a domain (its `Arc` identity is what relations must
-    /// share).
+    /// share). A domain of the same name is replaced.
     pub fn add_domain(&mut self, name: impl Into<String>, graph: Arc<HierarchyGraph>) {
-        self.domains.push((name.into(), graph));
+        insert_by_name(&mut self.domains, name.into(), graph);
     }
 
     /// Register a relation, owned or already shared. Its attribute
-    /// domains must have been added (checked at encode time).
+    /// domains must have been added (checked at encode time). A
+    /// relation of the same name is replaced.
     pub fn add_relation(&mut self, name: impl Into<String>, relation: impl Into<Arc<HRelation>>) {
-        self.relations.push((name.into(), relation.into()));
+        insert_by_name(&mut self.relations, name.into(), relation.into());
     }
 
     /// Build an image from a [`Catalog`], sharing its domain, relation
@@ -163,21 +204,20 @@ impl Image {
             .ok_or_else(|| PersistError::NotFound(name.to_string()))
     }
 
-    /// Domain names in insertion order.
+    /// Domain names in name order.
     pub fn domain_names(&self) -> impl Iterator<Item = &str> {
         self.domains.iter().map(|(n, _)| n.as_str())
     }
 
-    /// Relation names in insertion order.
+    /// Relation names in name order.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
         self.relations.iter().map(|(n, _)| n.as_str())
     }
 
-    fn domain_index(&self, graph: &Arc<HierarchyGraph>) -> Result<u32> {
+    fn domain_index(&self, graph: &Arc<HierarchyGraph>) -> Result<usize> {
         self.domains
             .iter()
             .position(|(_, g)| Arc::ptr_eq(g, graph))
-            .map(|i| i as u32)
             .ok_or_else(|| {
                 PersistError::Rebuild("relation references a domain not added to the image".into())
             })
@@ -185,172 +225,122 @@ impl Image {
 
     /// Encode to a writer.
     pub fn write(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(MAGIC)?;
-        write_u32(w, VERSION)?;
+        w.write_all(&self.to_bytes()?)?;
+        Ok(())
+    }
 
-        write_u32(w, self.domains.len() as u32)?;
+    /// Encode to an owned buffer.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        write_u32(&mut out, VERSION)?;
+
+        write_varint(&mut out, self.domains.len() as u64)?;
         for (name, g) in &self.domains {
-            write_str(w, name)?;
-            write_u32(w, g.len() as u32)?;
+            put_str(&mut out, name)?;
+            write_varint(&mut out, g.len() as u64)?;
+            let w = width(2 * g.len());
             for id in g.node_ids() {
-                write_str(w, g.name(id).as_str())?;
-                let kind = match g.kind(id) {
-                    NodeKind::Domain => 0u8,
+                put_str(&mut out, g.name(id).as_str())?;
+                out.push(match g.kind(id) {
+                    NodeKind::Domain => 0,
                     NodeKind::Class => 1,
                     NodeKind::Instance => 2,
-                };
-                write_u8(w, kind)?;
-            }
-            let edges: Vec<(NodeId, NodeId, EdgeKind)> = g
-                .node_ids()
-                .flat_map(|from| {
-                    g.children_with_kind(from)
-                        .iter()
-                        .map(move |&(to, k)| (from, to, k))
-                })
-                .collect();
-            write_u32(w, edges.len() as u32)?;
-            for (from, to, kind) in edges {
-                write_u32(w, from.index() as u32)?;
-                write_u32(w, to.index() as u32)?;
-                write_u8(w, if kind == EdgeKind::Subset { 0 } else { 1 })?;
+                });
+                let children = g.children_with_kind(id);
+                write_varint(&mut out, children.len() as u64)?;
+                for &(child, kind) in children {
+                    let preference = usize::from(kind == EdgeKind::Preference);
+                    put_uint(&mut out, 2 * child.index() + preference, w);
+                }
             }
         }
 
         let is_view = |name: &str| self.views.iter().any(|v| v.name() == name);
         let stored = self.relations.iter().filter(|(name, _)| !is_view(name));
-        write_u32(w, stored.clone().count() as u32)?;
+        write_varint(&mut out, stored.clone().count() as u64)?;
         for (name, rel) in stored {
-            write_str(w, name)?;
-            let p = match rel.preemption() {
-                Preemption::OffPath => 0u8,
+            put_str(&mut out, name)?;
+            out.push(match rel.preemption() {
+                Preemption::OffPath => 0,
                 Preemption::OnPath => 1,
                 Preemption::NoPreemption => 2,
-            };
-            write_u8(w, p)?;
+            });
             let schema = rel.schema();
-            write_u32(w, schema.arity() as u32)?;
+            write_varint(&mut out, schema.arity() as u64)?;
             for attr in schema.attributes() {
-                write_str(w, attr.name())?;
-                write_u32(w, self.domain_index(attr.domain())?)?;
+                put_str(&mut out, attr.name())?;
+                write_varint(&mut out, self.domain_index(attr.domain())? as u64)?;
             }
-            write_u32(w, rel.len() as u32)?;
+            let widths = component_widths(schema);
+            write_varint(&mut out, rel.len() as u64)?;
             for (item, truth) in rel.iter() {
-                write_u8(w, if truth == Truth::Positive { 1 } else { 0 })?;
-                for &node in item.components() {
-                    write_u32(w, node.index() as u32)?;
+                let positive = usize::from(truth == Truth::Positive);
+                match item.components() {
+                    [] => out.push(positive as u8),
+                    [first, rest @ ..] => {
+                        put_uint(&mut out, 2 * first.index() + positive, widths[0]);
+                        for (node, &w) in rest.iter().zip(&widths[1..]) {
+                            put_uint(&mut out, node.index(), w);
+                        }
+                    }
                 }
             }
         }
 
-        write_u32(w, self.views.len() as u32)?;
+        write_varint(&mut out, self.views.len() as u64)?;
         for view in &self.views {
-            write_str(w, view.name())?;
-            write_derivation(w, view.derivation())?;
+            put_str(&mut out, view.name())?;
+            write_derivation(&mut out, view.derivation())?;
         }
-        Ok(())
+        Ok(out)
     }
 
-    /// Decode from a reader.
+    /// Decode from a reader (all of it: nothing may follow the image).
     pub fn read(r: &mut impl Read) -> Result<Image> {
-        let mut magic = [0u8; 6];
-        r.read_exact(&mut magic)
-            .map_err(|_| PersistError::BadMagic)?;
-        if &magic != MAGIC {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        Image::from_bytes(&bytes)
+    }
+
+    /// Decode from a buffer holding one image and nothing after it.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Image> {
+        if bytes.get(..MAGIC.len()) != Some(MAGIC) {
             return Err(PersistError::BadMagic);
         }
-        let version = read_u32(r)?;
+        let mut r = Reader {
+            bytes: &bytes[MAGIC.len()..],
+        };
+        let version = u32::from_le_bytes(r.take(4, "the version")?.try_into().unwrap());
         if version != VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
 
-        let domain_count = checked_count(read_u32(r)?, "domain")?;
-        let mut domains: Vec<(String, Arc<HierarchyGraph>)> = Vec::new();
+        let domain_count = r.count("domain count", 5)?;
+        let mut domains: Vec<(String, Arc<HierarchyGraph>)> = Vec::with_capacity(domain_count);
         for _ in 0..domain_count {
-            let dom_name = read_str(r)?;
-            let node_count = checked_count(read_u32(r)?, "node")?;
-            if node_count == 0 {
-                return Err(PersistError::Corrupt("domain with zero nodes".into()));
-            }
-            // Nodes arrive in id order; the graph assigns ids densely in
-            // insertion order, so ids round-trip. Nodes are created
-            // parentless via a placeholder edge pass afterwards — but the
-            // constructor API requires parents, so decode edges first.
-            let mut names = Vec::new();
-            let mut kinds = Vec::new();
-            for _ in 0..node_count {
-                names.push(read_str(r)?);
-                kinds.push(read_u8(r)?);
-            }
-            let edge_count = checked_count(read_u32(r)?, "edge")?;
-            let mut edges = Vec::new();
-            for _ in 0..edge_count {
-                let from = read_u32(r)? as usize;
-                let to = read_u32(r)? as usize;
-                let kind = read_u8(r)?;
-                if from >= node_count || to >= node_count {
-                    return Err(PersistError::Corrupt(format!(
-                        "edge ({from}, {to}) out of range"
-                    )));
-                }
-                edges.push((from, to, kind));
-            }
-            let graph = rebuild_graph(&names, &kinds, &edges)?;
-            domains.push((dom_name, Arc::new(graph)));
+            let name = r.name_after(domains.last().map(|(n, _)| n.as_str()), "domain")?;
+            domains.push((name, Arc::new(r.graph()?)));
         }
 
-        let relation_count = checked_count(read_u32(r)?, "relation")?;
-        let mut relations = Vec::new();
+        let relation_count = r.count("relation count", 4)?;
+        let mut relations: Vec<(String, Arc<HRelation>)> = Vec::with_capacity(relation_count);
         for _ in 0..relation_count {
-            let rel_name = read_str(r)?;
-            let preemption = match read_u8(r)? {
-                0 => Preemption::OffPath,
-                1 => Preemption::OnPath,
-                2 => Preemption::NoPreemption,
-                other => {
-                    return Err(PersistError::Corrupt(format!(
-                        "unknown preemption tag {other}"
-                    )))
-                }
-            };
-            let arity = checked_count(read_u32(r)?, "attribute")?;
-            let mut attrs = Vec::new();
-            for _ in 0..arity {
-                let attr_name = read_str(r)?;
-                let dom_idx = read_u32(r)? as usize;
-                let (_, graph) = domains.get(dom_idx).ok_or_else(|| {
-                    PersistError::Corrupt(format!("domain index {dom_idx} out of range"))
-                })?;
-                attrs.push(Attribute::new(attr_name, graph.clone()));
-            }
-            let schema = Arc::new(Schema::new(attrs));
-            let tuple_count = checked_count(read_u32(r)?, "tuple")?;
-            let mut tuples = Vec::new();
-            for _ in 0..tuple_count {
-                let truth = match read_u8(r)? {
-                    0 => Truth::Negative,
-                    1 => Truth::Positive,
-                    other => {
-                        return Err(PersistError::Corrupt(format!("unknown truth tag {other}")))
-                    }
-                };
-                let mut components = Vec::with_capacity(schema.arity());
-                for _ in 0..schema.arity() {
-                    components.push(NodeId::from_index(read_u32(r)? as usize));
-                }
-                tuples.push(Tuple::new(Item::new(components), truth));
-            }
-            // An image is written in item order, so this packs the tuple
-            // map in one pass (any other order is sorted first).
-            let relation = HRelation::from_stored(schema, preemption, tuples)
-                .map_err(|e| PersistError::Corrupt(format!("bad tuple: {e}")))?;
-            relations.push((rel_name, Arc::new(relation)));
+            let name = r.name_after(relations.last().map(|(n, _)| n.as_str()), "relation")?;
+            relations.push((name, Arc::new(r.relation(&domains)?)));
         }
 
-        let view_count = checked_count(read_u32(r)?, "view")?;
-        let mut definitions = Vec::new();
+        let view_count = r.count("view count", 2)?;
+        let mut definitions = Vec::with_capacity(view_count);
         for _ in 0..view_count {
-            definitions.push((read_str(r)?, read_derivation(r)?));
+            let name = r.str()?.to_string();
+            definitions.push((name, read_derivation(&mut r.bytes)?));
+        }
+        if !r.bytes.is_empty() {
+            return Err(PersistError::Corrupt(format!(
+                "{} byte(s) after the view table",
+                r.bytes.len()
+            )));
         }
         let mut image = Image {
             domains,
@@ -385,86 +375,207 @@ impl Image {
         Ok(())
     }
 
-    /// Encode to an owned buffer.
-    pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        self.write(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Decode from a buffer.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Image> {
-        Image::read(&mut bytes)
-    }
-
     /// Save to a file (buffered).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
         self.write(&mut file)?;
-        use std::io::Write as _;
         file.flush()?;
         Ok(())
     }
 
-    /// Load from a file (buffered).
+    /// Load from a file.
     pub fn load(path: impl AsRef<Path>) -> Result<Image> {
-        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-        Image::read(&mut file)
+        Image::from_bytes(&std::fs::read(path)?)
     }
 }
 
-/// Rebuild a graph from decoded parts. The public constructors demand a
-/// parent at node-creation time, so nodes are added under their first
-/// subset parent (found from the edge list), then the remaining edges
-/// are inserted.
-fn rebuild_graph(
-    names: &[String],
-    kinds: &[u8],
-    edges: &[(usize, usize, u8)],
-) -> Result<HierarchyGraph> {
-    if kinds[0] != 0 {
-        return Err(PersistError::Corrupt(
-            "node 0 must be the domain root".into(),
-        ));
-    }
-    let mut first_parent: BTreeMap<usize, usize> = BTreeMap::new();
-    for &(from, to, kind) in edges {
-        if kind == 0 {
-            first_parent.entry(to).or_insert(from);
+fn corrupt(msg: String) -> PersistError {
+    PersistError::Corrupt(msg)
+}
+
+/// A cursor over the bytes of an image after its magic.
+struct Reader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if n > self.bytes.len() {
+            return Err(corrupt(format!("short read for {what}")));
         }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
     }
-    let mut g = HierarchyGraph::new(names[0].as_str());
-    for (i, name) in names.iter().enumerate().skip(1) {
-        let &parent = first_parent
-            .get(&i)
-            .ok_or_else(|| PersistError::Corrupt(format!("node {i} has no subset parent")))?;
-        if parent >= i {
-            return Err(PersistError::Corrupt(format!(
-                "node {i} created before its parent {parent}"
+
+    fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    /// A `w`-byte little-endian unsigned integer.
+    fn uint(&mut self, w: usize) -> Result<usize> {
+        let mut le = [0u8; 8];
+        le[..w].copy_from_slice(self.take(w, "a node id")?);
+        Ok(u64::from_le_bytes(le) as usize)
+    }
+
+    /// A varint in its shortest spelling: a longer one (a last byte of
+    /// zero after a continuation) is corrupt, so no two images spell
+    /// the same catalog.
+    fn varint(&mut self) -> Result<u64> {
+        let start = self.bytes;
+        let v = read_varint(&mut self.bytes)?;
+        let used = start.len() - self.bytes.len();
+        if used > 1 && start[used - 1] == 0 {
+            return Err(corrupt(format!("varint {v} spelled in {used} bytes")));
+        }
+        Ok(v)
+    }
+
+    /// A count of elements of at least `min_bytes` each: under the cap
+    /// and no more than the bytes left could hold, checked before the
+    /// caller allocates for them.
+    fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize> {
+        let n = self.varint()?;
+        if n > COUNT_CAP {
+            return Err(corrupt(format!("{what} {n} exceeds sanity cap")));
+        }
+        let n = n as usize;
+        if n * min_bytes > self.bytes.len() {
+            return Err(corrupt(format!(
+                "{what} {n} exceeds the {} byte(s) left",
+                self.bytes.len()
             )));
         }
-        let parent = NodeId::from_index(parent);
-        let result = match kinds[i] {
-            1 => g.add_class(name.as_str(), parent),
-            2 => g.add_instance(name.as_str(), parent),
-            other => return Err(PersistError::Corrupt(format!("unknown node kind {other}"))),
-        };
-        result.map_err(|e| PersistError::Rebuild(e.to_string()))?;
+        Ok(n)
     }
-    for &(from, to, kind) in edges {
-        if kind == 0 && first_parent.get(&to) == Some(&from) {
-            continue; // already created with this edge
+
+    fn str(&mut self) -> Result<&'a str> {
+        let len = self.count("string length", 1)?;
+        std::str::from_utf8(self.take(len, "a string")?)
+            .map_err(|_| corrupt("invalid UTF-8".into()))
+    }
+
+    /// The name of the next domain or relation, which must come after
+    /// `prev` in name order.
+    fn name_after(&mut self, prev: Option<&str>, what: &str) -> Result<String> {
+        let name = self.str()?;
+        if prev.is_some_and(|p| p >= name) {
+            return Err(corrupt(format!("{what} {name:?} out of name order")));
         }
-        let from = NodeId::from_index(from);
-        let to = NodeId::from_index(to);
-        let result = match kind {
-            0 => g.add_edge(from, to),
-            1 => g.add_preference_edge(from, to),
-            other => return Err(PersistError::Corrupt(format!("unknown edge kind {other}"))),
-        };
-        result.map_err(|e| PersistError::Rebuild(e.to_string()))?;
+        Ok(name.to_string())
     }
-    Ok(g)
+
+    /// A domain's node table, built into a graph in one pass.
+    fn graph(&mut self) -> Result<HierarchyGraph> {
+        let n = self.count("node count", 3)?;
+        if n == 0 {
+            return Err(corrupt("domain with zero nodes".into()));
+        }
+        let w = width(2 * n);
+        let mut parts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = NodeName::new(self.str()?);
+            let kind = match self.u8("a node kind")? {
+                0 => NodeKind::Domain,
+                1 => NodeKind::Class,
+                2 => NodeKind::Instance,
+                other => return Err(corrupt(format!("unknown node kind {other}"))),
+            };
+            let count = self.count("child count", w)?;
+            let mut children = Vec::with_capacity(count);
+            for _ in 0..count {
+                let v = self.uint(w)?;
+                let kind = match v & 1 {
+                    0 => EdgeKind::Subset,
+                    _ => EdgeKind::Preference,
+                };
+                children.push((NodeId::from_index(v >> 1), kind));
+            }
+            parts.push((name, kind, children));
+        }
+        // What no writer's table holds is damage; what the model
+        // refuses of a well-formed table is a graph this build cannot
+        // rebuild.
+        HierarchyGraph::from_parts(parts).map_err(|e| match e {
+            HierarchyError::UnknownNode(_)
+            | HierarchyError::NoParent
+            | HierarchyError::OutOfOrder(_) => corrupt(e.to_string()),
+            _ => PersistError::Rebuild(e.to_string()),
+        })
+    }
+
+    /// A stored relation over `domains`, its tuples decoded in place
+    /// straight into its tuple map.
+    fn relation(&mut self, domains: &[(String, Arc<HierarchyGraph>)]) -> Result<HRelation> {
+        let preemption = match self.u8("a preemption tag")? {
+            0 => Preemption::OffPath,
+            1 => Preemption::OnPath,
+            2 => Preemption::NoPreemption,
+            other => return Err(corrupt(format!("unknown preemption tag {other}"))),
+        };
+        let arity = self.count("arity", 2)?;
+        let mut attrs = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            let attr_name = self.str()?;
+            let index = self.varint()?;
+            let (_, graph) = usize::try_from(index)
+                .ok()
+                .and_then(|i| domains.get(i))
+                .ok_or_else(|| corrupt(format!("domain index {index} out of range")))?;
+            attrs.push(Attribute::new(attr_name, graph.clone()));
+        }
+        let schema = Arc::new(Schema::new(attrs));
+        let widths = component_widths(&schema);
+        let count = self.count("tuple count", widths.iter().sum::<usize>().max(1))?;
+        let mut failed = None;
+        let mut prev: Option<Item> = None;
+        let tuples = (0..count).map_while(|_| {
+            let decoded = self.tuple(&widths).and_then(|t| match &prev {
+                Some(p) if *p >= t.item => Err(corrupt("tuples out of item order".into())),
+                _ => Ok(t),
+            });
+            match decoded {
+                Ok(t) => {
+                    prev = Some(t.item.clone());
+                    Some(t)
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    None
+                }
+            }
+        });
+        let relation = HRelation::from_stored(schema, preemption, tuples)
+            .map_err(|e| corrupt(format!("bad tuple: {e}")))?;
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(relation),
+        }
+    }
+
+    fn tuple(&mut self, widths: &[usize]) -> Result<Tuple> {
+        if widths.is_empty() {
+            let truth = match self.u8("a truth tag")? {
+                0 => Truth::Negative,
+                1 => Truth::Positive,
+                other => return Err(corrupt(format!("unknown truth tag {other}"))),
+            };
+            return Ok(Tuple::new(Item::new(Vec::new()), truth));
+        }
+        let mut truth = Truth::Negative;
+        let item = Item::try_from_fn(widths.len(), |i| -> Result<NodeId> {
+            let v = self.uint(widths[i])?;
+            if i > 0 {
+                return Ok(NodeId::from_index(v));
+            }
+            if v & 1 == 1 {
+                truth = Truth::Positive;
+            }
+            Ok(NodeId::from_index(v >> 1))
+        })?;
+        Ok(Tuple::new(item, truth))
+    }
 }
 
 #[cfg(test)]
@@ -630,10 +741,10 @@ mod tests {
         catalog.apply_mutation(&write).unwrap();
         restored.apply_mutation(&write).unwrap();
         assert_eq!(restored.render_stable(), catalog.render_stable());
-        // An image without views grows by the four bytes of an empty
-        // view table.
+        // An image without views ends in the one byte of an empty view
+        // table.
         let plain = sample_world().to_bytes().unwrap();
-        assert_eq!(&plain[plain.len() - 4..], &[0, 0, 0, 0]);
+        assert_eq!(plain.last(), Some(&0));
     }
 
     /// A view is encoded as its definition alone: the image of a
@@ -652,9 +763,9 @@ mod tests {
             })
             .unwrap();
         assert!(!catalog.relation("Fliers").unwrap().is_empty());
-        let mut expected = plain[..plain.len() - 4].to_vec();
-        write_u32(&mut expected, 1).unwrap();
-        write_str(&mut expected, "Fliers").unwrap();
+        let mut expected = plain[..plain.len() - 1].to_vec();
+        write_varint(&mut expected, 1).unwrap();
+        put_str(&mut expected, "Fliers").unwrap();
         write_derivation(&mut expected, &fliers).unwrap();
         let bytes = Image::from_catalog(&catalog).to_bytes().unwrap();
         assert_eq!(bytes, expected);
@@ -685,16 +796,117 @@ mod tests {
         }
     }
 
-    /// The previous format had no view table: it is refused, not
-    /// misread.
+    /// Version 1 had no view table and version 2 wrote every integer
+    /// four bytes wide: both are refused, not misread.
     #[test]
-    fn a_version_one_image_is_unsupported() {
-        let mut bytes = sample_world().to_bytes().unwrap();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            Image::from_bytes(&bytes),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
+    fn images_of_versions_one_and_two_are_unsupported() {
+        for version in [1u32, 2] {
+            let mut bytes = sample_world().to_bytes().unwrap();
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                Image::from_bytes(&bytes).unwrap_err(),
+                PersistError::UnsupportedVersion(version)
+            );
+        }
+    }
+
+    #[test]
+    fn widths_hold_every_value_below_the_bound() {
+        let cases = [(0, 1), (1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 3)];
+        for (bound, w) in cases {
+            assert_eq!(width(bound), w, "width({bound})");
+        }
+        assert_eq!(width(1 << 32), 4);
+    }
+
+    /// The sample's bytes, field by field: varint counts and lengths,
+    /// one-byte ids in its small domains, the edge kind and the truth
+    /// in the low bit.
+    #[test]
+    fn the_layout_spends_one_byte_per_small_id() {
+        let mut g = HierarchyGraph::new("D");
+        let a = g.add_class("A", g.root()).unwrap();
+        let b = g.add_instance("b", a).unwrap();
+        g.add_preference_edge(g.root(), b).unwrap();
+        let d = Arc::new(g);
+        let mut r = HRelation::new(Arc::new(Schema::single("x", d.clone())));
+        r.assert_fact(&["b"], Truth::Positive).unwrap();
+        r.assert_fact(&["A"], Truth::Negative).unwrap();
+        let mut image = Image::new();
+        image.add_domain("D", d);
+        image.add_relation("R", r);
+        let mut want = b"HRDM1\0".to_vec();
+        want.extend_from_slice(&3u32.to_le_bytes());
+        want.extend_from_slice(&[1, 1, b'D', 3]); // one domain "D", 3 nodes
+        want.extend_from_slice(&[1, b'D', 0, 2, 1 << 1, 2 << 1 | 1]); // D -> A, D ~> b
+        want.extend_from_slice(&[1, b'A', 1, 1, 2 << 1]); // A -> b
+        want.extend_from_slice(&[1, b'b', 2, 0]);
+        want.extend_from_slice(&[1, 1, b'R', 0, 1, 1, b'x', 0]); // R (x: D), off-path
+        want.extend_from_slice(&[2, 1 << 1, 2 << 1 | 1]); // -A, +b in item order
+        want.push(0); // no views
+        assert_eq!(image.to_bytes().unwrap(), want);
+    }
+
+    /// A decoder that accepted two spellings of one catalog would let a
+    /// damaged image pass for another: a longer varint, a name or a
+    /// tuple out of order, and bytes after the view table are corrupt.
+    #[test]
+    fn a_second_spelling_of_a_catalog_is_corrupt() {
+        let bytes = sample_world().to_bytes().unwrap();
+        let corrupt =
+            |bytes: &[u8]| matches!(Image::from_bytes(bytes), Err(PersistError::Corrupt(_)));
+        let mut longer = bytes[..10].to_vec();
+        longer.extend_from_slice(&[0x82, 0x00]); // 2 domains in two bytes
+        longer.extend_from_slice(&bytes[11..]);
+        assert!(corrupt(&longer));
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(corrupt(&trailing));
+        // "Animal" before "Color" is name order; "Dnimal" is not.
+        let mut unordered = bytes.clone();
+        let at = unordered.windows(6).position(|w| w == b"Animal").unwrap();
+        unordered[at] = b'D';
+        assert!(corrupt(&unordered));
+        // Flies holds (+Bird), (-Penguin), (+AFP): swap two tuples.
+        let flies = Image::from_bytes(&bytes).unwrap();
+        let flies = flies.relation("Flies").unwrap();
+        let ids: Vec<usize> = flies.iter().map(|(i, _)| i.component(0).index()).collect();
+        let at = bytes.len() - 1 - 3;
+        assert_eq!(bytes[at] as usize >> 1, ids[0], "the first Flies tuple");
+        let mut swapped = bytes.clone();
+        swapped.swap(at, at + 1);
+        assert!(corrupt(&swapped));
+    }
+
+    /// A domain table that is not a graph: damage that no writer could
+    /// have produced is corrupt, a table the model refuses is a rebuild
+    /// error, as the one-by-one constructors reported them.
+    #[test]
+    fn a_bad_node_table_keeps_its_error_kind() {
+        let mut g = HierarchyGraph::new("D");
+        let a = g.add_class("A", g.root()).unwrap();
+        g.add_class("B", a).unwrap();
+        let mut image = Image::new();
+        image.add_domain("D", Arc::new(g));
+        let bytes = image.to_bytes().unwrap();
+        // D: [1 'D' 0 1 (A)] A: [1 'A' 1 1 (B)] B: [1 'B' 1 0]
+        let node = 14;
+        assert_eq!(&bytes[node..node + 5], &[1, b'D', 0, 1, 1 << 1]);
+        let edit = |at: usize, v: u8| {
+            let mut b = bytes.clone();
+            b[at] = v;
+            Image::from_bytes(&b).unwrap_err().kind()
+        };
+        assert_eq!(edit(node + 2, 1), "corrupt", "root not the domain");
+        assert_eq!(edit(node + 4, 7 << 1), "corrupt", "edge out of range");
+        assert_eq!(
+            edit(node + 4, 1 << 1 | 1),
+            "corrupt",
+            "A under nothing by subset"
+        );
+        assert_eq!(edit(node + 7, 2), "rebuild", "A an instance with a child");
+        assert_eq!(edit(node + 9, 1 << 1), "rebuild", "self edge");
+        assert_eq!(edit(node + 6, b'D'), "rebuild", "duplicate name");
     }
 
     /// An image of a catalog shares its storage both ways: no graph and

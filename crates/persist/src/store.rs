@@ -695,7 +695,7 @@ mod tests {
     }
 
     /// A newest checkpoint that verifies but does not decode — an image
-    /// of the previous format version, or one whose view no longer
+    /// of an earlier format version, or one whose view no longer
     /// derives — stops recovery and a tailer with that error. Neither
     /// falls back to the older generation as if the newest were
     /// damaged, and the directory is left as it was.
@@ -716,13 +716,18 @@ mod tests {
         let good = store.checkpoint().unwrap();
         let image = Image::from_catalog(store.catalog()).to_bytes().unwrap();
         drop(store);
-        let mut version_one = image.clone();
-        version_one[6..10].copy_from_slice(&1u32.to_le_bytes());
+        let older = |version: u32| {
+            let mut older = image.clone();
+            older[6..10].copy_from_slice(&version.to_le_bytes());
+            older
+        };
+        let (version_one, version_two) = (older(1), older(2));
         let mut underivable = image;
         let at = underivable.windows(5).rposition(|w| w == b"Flies").unwrap();
         underivable[at..at + 5].copy_from_slice(b"Fliez");
         for (payload, kind) in [
             (version_one, "unsupported-version"),
+            (version_two, "unsupported-version"),
             (underivable, "rebuild"),
         ] {
             let newer = write_checkpoint_payload(&dir, good + 3, &payload).unwrap();

@@ -408,3 +408,28 @@ fn a_forged_checkpoint_length_is_refused_before_it_is_allocated() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An image whose domain count is forged — a full ten-byte varint, or
+/// a count under the cap that the bytes left cannot hold — is corrupt
+/// before the decoder allocates for the domains it claims: no single
+/// allocation is larger than an error message.
+#[test]
+fn a_forged_image_count_is_refused_before_it_is_allocated() {
+    let (catalog, _, _) = owned_catalog_and_pair();
+    let bytes = Image::from_catalog(&catalog).to_bytes().unwrap();
+    for forged in [u64::MAX, 1 << 63, (1 << 24) - 1] {
+        // Magic (6 bytes) and version (4), then the one-byte count.
+        let mut image = bytes[..10].to_vec();
+        write_varint(&mut image, forged).unwrap();
+        image.extend_from_slice(&bytes[11..]);
+        let (decoded, largest) = largest_allocation(|| Image::from_bytes(&image));
+        assert!(
+            matches!(decoded, Err(PersistError::Corrupt(_))),
+            "count {forged}: {decoded:?}"
+        );
+        assert!(
+            largest <= 256,
+            "count {forged}: allocated {largest} bytes at once"
+        );
+    }
+}

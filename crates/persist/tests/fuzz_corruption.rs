@@ -87,9 +87,114 @@ proptest! {
     fn garbage_with_valid_magic_never_panics(
         tail in prop::collection::vec(any::<u8>(), 0..200)
     ) {
-        let mut bytes = b"HRDM1\0\x02\x00\x00\x00".to_vec();
+        let mut bytes = b"HRDM1\0\x03\x00\x00\x00".to_vec();
         bytes.extend(tail);
         let _ = Image::from_bytes(&bytes); // must not panic
+    }
+}
+
+// ---------------------------------------------------------------------
+// The exhaustive image sweep: every cut and every flip of one image
+// that holds each kind of thing an image holds.
+
+/// An image with a multi-parent instance, a preference edge, an
+/// arity-2 relation, an empty relation, a non-ASCII name and a live
+/// view.
+fn sweep_sample() -> Vec<u8> {
+    let mut g = HierarchyGraph::new("Animal");
+    let bird = g.add_class("Bird", g.root()).unwrap();
+    let penguin = g.add_class("Penguin", bird).unwrap();
+    let emu = g.add_class("Émeu", bird).unwrap();
+    g.add_instance("Tweety", bird).unwrap();
+    g.add_instance_multi("Paul", &[penguin, emu]).unwrap();
+    g.add_preference_edge(emu, penguin).unwrap();
+    let animal = Arc::new(g);
+    let mut c = HierarchyGraph::new("Color");
+    c.add_instance("Grey", c.root()).unwrap();
+    c.add_instance("White", c.root()).unwrap();
+    let color = Arc::new(c);
+
+    let mut flies = HRelation::new(Arc::new(Schema::single("Creature", animal.clone())));
+    flies.assert_fact(&["Bird"], Truth::Positive).unwrap();
+    flies.assert_fact(&["Penguin"], Truth::Negative).unwrap();
+    flies.assert_fact(&["Paul"], Truth::Positive).unwrap();
+    let mut colored = HRelation::new(Arc::new(Schema::new(vec![
+        Attribute::new("Creature", animal.clone()),
+        Attribute::new("Color", color.clone()),
+    ])));
+    colored
+        .assert_fact(&["Bird", "Grey"], Truth::Positive)
+        .unwrap();
+    colored
+        .assert_fact(&["Paul", "White"], Truth::Negative)
+        .unwrap();
+    let nests = HRelation::new(Arc::new(Schema::single("Creature", animal.clone())));
+
+    let mut image = Image::new();
+    image.add_domain("Animal", animal);
+    image.add_domain("Color", color);
+    image.add_relation("Flies", flies);
+    image.add_relation("Colored", colored);
+    image.add_relation("Nests", nests);
+    let mut catalog = image.into_catalog();
+    catalog
+        .apply_mutation(&CatalogMutation::DefineView {
+            name: "Fliers".into(),
+            derivation: Derivation::Consolidated(Source::named("Flies")),
+        })
+        .unwrap();
+    Image::from_catalog(&catalog).to_bytes().unwrap()
+}
+
+/// Decode `bytes` to a catalog and encode that catalog again.
+fn reencoded(bytes: &[u8]) -> Result<Vec<u8>, PersistError> {
+    let catalog = Image::from_bytes(bytes)?.into_catalog();
+    Ok(Image::from_catalog(&catalog).to_bytes().unwrap())
+}
+
+/// Every proper prefix of an image is an error, and so is every single
+/// byte flipped by 0x01, 0x80 or 0xFF — unless it decodes to a catalog
+/// whose image is exactly the damaged bytes (a name's letter or a
+/// tuple's truth changed into another valid one). An image has one
+/// spelling, so nothing else can decode; nothing panics.
+#[test]
+fn every_cut_and_every_flip_of_an_image_is_refused_or_spells_its_catalog() {
+    let bytes = sweep_sample();
+    assert_eq!(reencoded(&bytes).unwrap(), bytes, "the sample round-trips");
+    for cut in 0..bytes.len() {
+        assert!(Image::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+    }
+    let mut decoded = 0;
+    for pos in 0..bytes.len() {
+        for xor in [0x01u8, 0x80, 0xFF] {
+            let mut damaged = bytes.clone();
+            damaged[pos] ^= xor;
+            if let Ok(again) = reencoded(&damaged) {
+                assert_eq!(again, damaged, "flip {xor:#04x} at byte {pos}");
+                decoded += 1;
+            }
+        }
+    }
+    assert!(decoded > 0, "some flips land on a name or a truth");
+}
+
+/// A count spelled as a full ten-byte varint is corrupt at once, before
+/// the decoder allocates for it (`alloc_free` bounds the allocation).
+#[test]
+fn a_forged_ten_byte_count_is_corrupt() {
+    let bytes = sweep_sample();
+    for forged in [u64::MAX, 1 << 63, (1 << 63) | 5] {
+        let mut varint = Vec::new();
+        hrdm_persist::codec::write_varint(&mut varint, forged).unwrap();
+        assert_eq!(varint.len(), 10);
+        // The domain count is the byte after magic and version.
+        let mut image = bytes[..10].to_vec();
+        image.extend_from_slice(&varint);
+        image.extend_from_slice(&bytes[11..]);
+        assert!(
+            matches!(Image::from_bytes(&image), Err(PersistError::Corrupt(_))),
+            "count {forged}"
+        );
     }
 }
 

@@ -198,3 +198,140 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+// ---------------------------------------------------------------------
+// Size: an image's length depends on its catalog's shape, not on which
+// ids and truths the catalog stores.
+
+/// A catalog's shape: per domain its node count and its edges beyond
+/// the spanning tree; per relation the domain of each attribute and its
+/// tuple count.
+#[derive(Debug)]
+struct Shape {
+    domains: Vec<(usize, usize)>,
+    relations: Vec<(Vec<usize>, usize)>,
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    any::<u64>().prop_map(|seed| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let domains: Vec<(usize, usize)> = (0..rng.gen_range(1..4usize))
+            .map(|_| {
+                // Up to 1 000 nodes: ids one or two bytes wide.
+                let n = if rng.gen_bool(0.5) {
+                    rng.gen_range(1..40usize)
+                } else {
+                    rng.gen_range(100..1000usize)
+                };
+                // At most n/2 extra edges: a domain of n ≥ 3 nodes
+                // has room for that many beside its tree.
+                (n, if n > 2 { rng.gen_range(0..=n / 2) } else { 0 })
+            })
+            .collect();
+        let relations = (0..rng.gen_range(1..4usize))
+            .map(|_| {
+                let arity = rng.gen_range(1..4usize);
+                let attrs: Vec<usize> = (0..arity)
+                    .map(|_| rng.gen_range(0..domains.len()))
+                    .collect();
+                let items: usize = attrs.iter().map(|&d| domains[d].0).product();
+                (attrs, rng.gen_range(0..=items.min(40)))
+            })
+            .collect();
+        Shape { domains, relations }
+    })
+}
+
+/// A catalog of `shape` whose names (same lengths), edges, kinds,
+/// tuples and truths are drawn from `seed`. A tree edge into node `i`
+/// comes from one of the 100 nodes before it and an extra edge goes at
+/// most 20 ids forward, so no node has 128 children: every child count
+/// is one varint byte, as every count in the shape is the same varint.
+fn catalog_of_shape(shape: &Shape, seed: u64) -> Catalog {
+    use hrdm_hierarchy::{EdgeKind, HierarchyGraph, NodeId, NodeKind, NodeParts};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let letter = char::from(b'A' + rng.gen_range(0..26u8));
+    let mut catalog = Catalog::new();
+    let mut graphs = Vec::new();
+    for (d, &(n, extra)) in shape.domains.iter().enumerate() {
+        let mut children = vec![Vec::new(); n];
+        for i in 1..n {
+            let parent = rng.gen_range(i.saturating_sub(100)..i);
+            children[parent].push((NodeId::from_index(i), EdgeKind::Subset));
+        }
+        let mut added = 0;
+        while added < extra {
+            let from = rng.gen_range(0..n - 1);
+            let to = rng.gen_range(from + 1..n.min(from + 21));
+            if children[from].iter().any(|&(c, _)| c.index() == to) {
+                continue;
+            }
+            let kind = if rng.gen_bool(0.5) {
+                EdgeKind::Subset
+            } else {
+                EdgeKind::Preference
+            };
+            children[from].push((NodeId::from_index(to), kind));
+            added += 1;
+        }
+        let parts: Vec<NodeParts> = children
+            .into_iter()
+            .enumerate()
+            .map(|(i, children)| {
+                let kind = match i {
+                    0 => NodeKind::Domain,
+                    _ if children.is_empty() && rng.gen_bool(0.5) => NodeKind::Instance,
+                    _ => NodeKind::Class,
+                };
+                (format!("{letter}{d}-{i:04}").into(), kind, children)
+            })
+            .collect();
+        let graph = Arc::new(HierarchyGraph::from_parts(parts).unwrap());
+        catalog.add_domain_arc(format!("{letter}{d}"), graph.clone());
+        graphs.push(graph);
+    }
+    for (r, (attrs, tuples)) in shape.relations.iter().enumerate() {
+        let schema = Arc::new(Schema::new(
+            attrs
+                .iter()
+                .enumerate()
+                .map(|(k, &d)| Attribute::new(format!("a{k}"), graphs[d].clone()))
+                .collect(),
+        ));
+        let mut items = std::collections::BTreeSet::new();
+        while items.len() < *tuples {
+            let ids = attrs
+                .iter()
+                .map(|&d| NodeId::from_index(rng.gen_range(0..graphs[d].len())));
+            items.insert(Item::new(ids.collect()));
+        }
+        let truths = items.into_iter().map(|item| {
+            let truth = if rng.gen_bool(0.5) {
+                Truth::Positive
+            } else {
+                Truth::Negative
+            };
+            Tuple::new(item, truth)
+        });
+        let relation = HRelation::from_stored(schema, Preemption::OffPath, truths).unwrap();
+        catalog.add_relation(format!("{letter}R{r}"), relation);
+    }
+    catalog
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Two catalogs of one shape encode to images of one length, and
+    /// each image decodes back to its own bytes.
+    #[test]
+    fn image_size_depends_on_shape_only(shape in arb_shape(), a in any::<u64>(), b in any::<u64>()) {
+        let first = Image::from_catalog(&catalog_of_shape(&shape, a)).to_bytes().unwrap();
+        let second = Image::from_catalog(&catalog_of_shape(&shape, b)).to_bytes().unwrap();
+        prop_assert_eq!(first.len(), second.len(), "{:?}", shape);
+        for bytes in [first, second] {
+            let again = Image::from_bytes(&bytes).unwrap().to_bytes().unwrap();
+            prop_assert_eq!(again, bytes);
+        }
+    }
+}

@@ -75,6 +75,11 @@ fn representatives() -> Vec<(&'static str, Error, &'static str)> {
             HierarchyError::NoParent.into(),
             "hierarchy",
         ),
+        (
+            "Hierarchy::OutOfOrder",
+            HierarchyError::OutOfOrder(NodeId::ROOT).into(),
+            "hierarchy",
+        ),
         // hrdm-core.
         (
             "Core::Hierarchy",
