@@ -602,12 +602,12 @@ fn b10_write_split() {
     println!("nearly all of the batch.");
     println!("The restart row splits one OPEN into its stages, each timed on its own");
     println!("(ms, median of 9; the replayed count and the reopened catalog, equal to");
-    println!("the live one, are asserted); `apply` is two map descents per record —");
-    println!("the relation by name, then its item — which is what the lookup line prices.");
-    println!("`recover` is load and replay as OPEN runs them: the log is read, checked");
-    println!("and decoded a batch ahead on a helper thread, off the critical path, so");
-    println!("`recover` ≈ load + apply and the decode stage no longer adds to it — when");
-    println!("the host runs the two threads on two vCPUs; on one, decode adds again.");
+    println!("the live one, are asserted). A record's apply is split in two: `resolve`");
+    println!("turns its names into an item — the relation by name, then its item, two");
+    println!("map descents the lookup line prices — and `insert` edits the relation's");
+    println!("tuple map with that item. `recover` is load and replay as OPEN runs them:");
+    println!("each record is read, checked, decoded and applied on the calling thread");
+    println!("before the next is read, so `recover` ≈ load + decode + resolve + insert.");
     println!("The point-read line splits one `HOLDS` through a 2-shard router into its");
     println!("layers (mean ns; every verdict is asserted equal to `bind()`'s): parse the");
     println!("text, route the relation, bind (relation lookup, item resolution, verdict)");
@@ -655,9 +655,12 @@ fn copy_store(from: &std::path::Path, to: &std::path::Path) {
 /// domain of ~2 000 nodes — the shape of the benchmark's
 /// `durable_restart` — and the same work stage
 /// by stage: the checkpoint load (read, verify, decode into a catalog),
-/// the WAL read + CRC + decode, the apply of the pre-decoded records to
-/// the checkpoint's catalog, and `Journal::begin` writing the next
-/// generation — then `recover` whole, whose decode overlaps its apply.
+/// the WAL read + CRC + decode, the apply of the pre-decoded records
+/// split into `resolve` (names to an item: `Catalog::relation`, then
+/// `HRelation::item`) and `insert` (the tuple-map edit, with the
+/// resolved items), and `Journal::begin` writing the next generation —
+/// then `recover` whole: load, then read, decode and apply on one
+/// thread.
 fn b10_restart() {
     use hrdm_core::mutation::CatalogMutation;
     use hrdm_persist::wal::Stop;
@@ -735,13 +738,60 @@ fn b10_restart() {
     let mut records = Vec::with_capacity(RECORDS);
     read_log(&log, lsn, |r| records.push(r.clone()));
 
+    /// A tuple record's relation, names and truth (`None`: a retract).
+    fn tuple(m: &CatalogMutation) -> (&str, &[String], Option<Truth>) {
+        match m {
+            CatalogMutation::Assert {
+                relation,
+                values,
+                truth,
+            } => (relation, values, Some(*truth)),
+            CatalogMutation::Retract { relation, values } => (relation, values, None),
+            other => panic!("the log holds tuple records, not {other:?}"),
+        }
+    }
+    let resolve = |catalog: &Catalog| -> Vec<Item> {
+        records
+            .iter()
+            .map(|m| {
+                let (relation, values, _) = tuple(m);
+                let relation = catalog.relation(relation).expect("relation exists");
+                relation.item(values).expect("item resolves")
+            })
+            .collect()
+    };
+    let items = resolve(&load());
+    // The populated relation each record edits: `R<k>` is the k-th.
+    let targets: Vec<usize> = records
+        .iter()
+        .map(|m| tuple(m).0[1..].parse().expect("R<k>"))
+        .collect();
+
     let load_ns = time_with_setup(REPS, || (), |()| load());
     let decode_ns = time_with_setup(REPS, || (), |()| read_log(&log, lsn, |_| {}));
-    let apply_ns = time_with_setup(REPS, load, |mut catalog| {
-        for record in &records {
-            catalog.apply_mutation(record).expect("record applies");
+    let resolve_ns = time_with_setup(REPS, load, |catalog| {
+        let items = resolve(&catalog);
+        (catalog, items)
+    });
+    // The populated relations of a loaded catalog, which is dropped
+    // before the edits so that each tuple map is edited in place, as
+    // replay's are.
+    let populated = || {
+        let catalog = load();
+        (0..POPULATED)
+            .map(|r| catalog.relation(&format!("R{r}")).expect("R<k>").clone())
+            .collect::<Vec<HRelation>>()
+    };
+    let insert_ns = time_with_setup(REPS, populated, |mut relations| {
+        for ((m, item), &r) in records.iter().zip(&items).zip(&targets) {
+            match tuple(m).2 {
+                Some(truth) => relations[r]
+                    .assert_item(item.clone(), truth)
+                    .expect("tuple asserts"),
+                None => drop(relations[r].remove(item).expect("tuple stored")),
+            }
         }
-        catalog
+        relations
     });
     let recover_ns = time_with_setup(
         REPS,
@@ -802,16 +852,17 @@ fn b10_restart() {
     );
     let ms = |ns: u128| format!("{:>9.2}", ns as f64 / 1e6);
     println!(
-        "{:>9} {:>9} {:>9} {:>9} | {:>9} | {:>9} {:>9} | {:>9}",
-        "load", "decode", "apply", "begin", "sum", "recover", "OPEN", "image B"
+        "{:>9} {:>9} {:>9} {:>9} {:>9} | {:>9} | {:>9} {:>9} | {:>9}",
+        "load", "decode", "resolve", "insert", "begin", "sum", "recover", "OPEN", "image B"
     );
     println!(
-        "{} {} {} {} | {} | {} {} | {:>9}",
+        "{} {} {} {} {} | {} | {} {} | {:>9}",
         ms(load_ns),
         ms(decode_ns),
-        ms(apply_ns),
+        ms(resolve_ns),
+        ms(insert_ns),
         ms(begin_ns),
-        ms(load_ns + decode_ns + apply_ns + begin_ns),
+        ms(load_ns + decode_ns + resolve_ns + insert_ns + begin_ns),
         ms(recover_ns),
         ms(open_ns),
         image_bytes

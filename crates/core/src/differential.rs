@@ -41,8 +41,9 @@
 //! `differential_parity` harness proves the
 //! maintained relation byte-identical to full recomputation over
 //! thousands of random mutation scripts, and any error raised on the
-//! differential path is propagated so callers (the HQL view registry)
-//! can fall back to full recomputation and use *its* result verbatim.
+//! differential path is propagated so callers (the catalog's
+//! `Catalog::maintain_views`) can fall back to full recomputation and
+//! use *its* result verbatim.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -427,7 +428,7 @@ fn maintain_consolidate(
 }
 
 /// The names of every base relation `plan` scans — the dependency set
-/// a view registry needs to route deltas.
+/// `Catalog::maintain_views` routes a mutation's deltas by.
 pub fn scan_names(plan: &LogicalPlan) -> std::collections::BTreeSet<String> {
     fn walk(p: &LogicalPlan, out: &mut std::collections::BTreeSet<String>) {
         if let LogicalPlan::Scan { name, .. } = p {

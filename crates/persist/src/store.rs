@@ -40,9 +40,7 @@ use hrdm_obs::metrics::Registry;
 use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
-use crate::wal::{
-    may_hold_more_than_a_batch, FrameError, JournalObs, LsnMarks, Stop, WalFile, WalReader,
-};
+use crate::wal::{FrameError, JournalObs, LsnMarks, Stop, WalFile, WalReader};
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"HRDMCKP1";
@@ -225,15 +223,10 @@ pub(crate) fn newest_intact_checkpoint(
 /// after a failed recovery sees the identical state. A missing
 /// directory is an empty store (LSN 0), not an error.
 ///
-/// Replay holds a bounded number of batches however long the log: a log
-/// that may hold more than one batch of frames is read, verified and
-/// decoded on a helper thread a batch ahead of this thread's apply
-/// ([`WalReader::replay_ahead`], at most three batches of
-/// [`REPLAY_BATCH`](crate::wal::REPLAY_BATCH) records, two of them
-/// decoded ahead), and a shorter one
-/// on this thread into one record ([`WalReader::replay`]). Both stop at
-/// the same record for the same reason, so the report and the catalog
-/// do not depend on which ran. The helper has ended when this returns.
+/// Replay runs on the calling thread through [`WalReader::replay`], the
+/// frame loop a replica's tailer also drives: each frame is read,
+/// verified, decoded into the one record replay keeps and applied
+/// before the next is read, so memory does not grow with the log.
 pub fn recover(dir: &Path) -> Result<Recovered> {
     let _g = hrdm_obs::span!("recover.replay", dir = dir.display());
 
@@ -253,8 +246,7 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
     };
 
     // 2. Replay the WAL bound to that checkpoint, stopping cleanly at
-    //    the first record that is torn, corrupt, or inapplicable. A
-    //    helper thread would only wait on a log of one batch.
+    //    the first record that is torn, corrupt, or inapplicable.
     let mut records_replayed = 0u64;
     let mut truncated_bytes = 0u64;
     let path = wal_path(dir, checkpoint_lsn);
@@ -270,13 +262,10 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
                 truncated_bytes = file_len;
             }
             Ok(mut reader) => {
-                let apply = |m: &CatalogMutation| catalog.apply_mutation(m).map(drop);
-                let replayed = if may_hold_more_than_a_batch(file_len) {
-                    reader.replay_ahead(checkpoint_lsn, apply)
-                } else {
-                    let record = &mut CatalogMutation::default();
-                    reader.replay(checkpoint_lsn, record, u64::MAX, apply)
-                };
+                let record = &mut CatalogMutation::default();
+                let replayed = reader.replay(checkpoint_lsn, record, u64::MAX, |m| {
+                    catalog.apply_mutation(m).map(drop)
+                });
                 records_replayed = replayed.taken;
                 match replayed.stop {
                     Stop::End | Stop::Max => {}

@@ -37,10 +37,9 @@
 //! written ([`FrameError::Short`] — come back later), a complete frame
 //! that fails verification is damage ([`FrameError::Invalid`] — no
 //! amount of waiting repairs it).
-//! Both read a log through one frame loop — the tailer through
-//! [`WalReader::replay`], recovery of a long log through
-//! [`WalReader::replay_ahead`] — and each maps where and why it
-//! [`Stop`]ped to its own policy.
+//! Both read a log through one frame loop, [`WalReader::replay`], on the
+//! calling thread, and each maps where and why it [`Stop`]ped to its own
+//! policy.
 //!
 //! # Decoding in place
 //!
@@ -53,21 +52,11 @@
 //! chunk (or one frame, if a frame is longer) plus one record, however
 //! long the log; an `Assert` or `Retract` no longer than the record
 //! before it allocates nothing.
-//!
-//! # Decoding ahead
-//!
-//! [`WalReader::replay_ahead`] is the frame loop's second driver: a
-//! helper thread reads, verifies and decodes frames into batches of
-//! [`REPLAY_BATCH`] records while the calling thread applies the batch
-//! before, so a long replay costs its apply alone. Both drivers classify
-//! frames in one place and stop where and why the other would.
 
-use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -537,26 +526,6 @@ const READ_CHUNK: usize = 64 << 10;
 /// and the 4-byte checksum.
 const FRAME_HEAD_MAX: usize = 10 + 4;
 
-/// Fewest bytes a mutation frame takes: a 1-byte length, the checksum,
-/// and a tag with one empty string.
-const MIN_FRAME: u64 = 1 + 4 + 1 + 4;
-
-/// Records [`WalReader::replay_ahead`] decodes into one batch.
-pub const REPLAY_BATCH: usize = 256;
-
-/// Batches [`WalReader::replay_ahead`] keeps: one being applied and at
-/// most two decoded ahead of it. The second gives the helper a whole
-/// batch's apply to wake up in; with one, the applying thread waited on
-/// it (measured on 2 vCPUs: a 20 000-record replay 1–6 % slower).
-const BATCHES: usize = 3;
-
-/// Whether a log of `len` bytes may hold more than one batch of frames
-/// — what makes decoding ahead worth a thread. Read off the length
-/// alone, so it assumes the smallest frames.
-pub fn may_hold_more_than_a_batch(len: u64) -> bool {
-    len.saturating_sub(WAL_HEADER_LEN) > REPLAY_BATCH as u64 * MIN_FRAME
-}
-
 /// Why [`WalReader::replay`] stopped.
 #[derive(Debug)]
 pub enum Stop<E> {
@@ -573,20 +542,7 @@ pub enum Stop<E> {
     Refused(E),
 }
 
-impl Stop<Infallible> {
-    /// The same stop, as a walk whose closure may refuse reports it.
-    fn widen<E>(self) -> Stop<E> {
-        match self {
-            Stop::End => Stop::End,
-            Stop::Max => Stop::Max,
-            Stop::Frame(e) => Stop::Frame(e),
-            Stop::Foreign(lsn) => Stop::Foreign(lsn),
-            Stop::Refused(never) => match never {},
-        }
-    }
-}
-
-/// What one [`WalReader::replay`] or [`WalReader::replay_ahead`] did.
+/// What one [`WalReader::replay`] did.
 #[derive(Debug)]
 pub struct Replayed<E> {
     /// Mutations the closure took.
@@ -595,29 +551,6 @@ pub struct Replayed<E> {
     pub at: u64,
     /// Why it stopped.
     pub stop: Stop<E>,
-}
-
-/// Up to [`REPLAY_BATCH`] decoded mutations, each with its frame's
-/// offset, on their way from the decoding thread to the applying one;
-/// the last batch of a walk also carries where and why it stopped.
-struct Batch {
-    /// The first `len` are this batch's; the rest keep their storage for
-    /// the next time round.
-    records: Vec<(u64, CatalogMutation)>,
-    len: usize,
-    stop: Option<(u64, Stop<Infallible>)>,
-}
-
-impl Batch {
-    fn new() -> Batch {
-        Batch {
-            records: (0..REPLAY_BATCH)
-                .map(|_| (0, CatalogMutation::default()))
-                .collect(),
-            len: 0,
-            stop: None,
-        }
-    }
 }
 
 /// Strict streaming reader over a WAL byte stream.
@@ -761,29 +694,6 @@ impl<R: Read> WalReader<R> {
         }
     }
 
-    /// Read up to the next mutation of the log extending checkpoint
-    /// `generation`, decoded into `record`: its frame's offset, or that
-    /// of the frame the walk stops at and why. The one classification of
-    /// frames both [`replay`](WalReader::replay) and
-    /// [`replay_ahead`](WalReader::replay_ahead) drive.
-    fn step<E>(
-        &mut self,
-        generation: u64,
-        record: &mut CatalogMutation,
-    ) -> std::result::Result<u64, (u64, Stop<E>)> {
-        loop {
-            let at = self.good_pos;
-            let stop = match self.next_into(record) {
-                Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => continue,
-                Ok(Some(Frame::Mutation)) => return Ok(at),
-                Ok(Some(Frame::Checkpoint { lsn })) => Stop::Foreign(lsn),
-                Ok(None) => Stop::End,
-                Err(e) => Stop::Frame(e),
-            };
-            return Err((at, stop));
-        }
-    }
-
     /// Walk the log's intact frames from here: check its checkpoint
     /// record against `generation`, decode each mutation into `record`
     /// (see [`next_into`](WalReader::next_into)) and hand it to `f`, until
@@ -796,99 +706,26 @@ impl<R: Read> WalReader<R> {
         mut f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
     ) -> Replayed<E> {
         let mut taken = 0;
-        while taken < max {
-            let (at, stop) = match self.step(generation, record) {
-                Ok(at) => match f(record) {
-                    Ok(()) => {
-                        taken += 1;
-                        continue;
-                    }
-                    Err(e) => (at, Stop::Refused(e)),
-                },
-                Err(stopped) => stopped,
+        loop {
+            let at = self.good_pos;
+            let stop = if taken == max {
+                Stop::Max
+            } else {
+                match self.next_into(record) {
+                    Ok(Some(Frame::Checkpoint { lsn })) if lsn == generation => continue,
+                    Ok(Some(Frame::Mutation)) => match f(record) {
+                        Ok(()) => {
+                            taken += 1;
+                            continue;
+                        }
+                        Err(e) => Stop::Refused(e),
+                    },
+                    Ok(Some(Frame::Checkpoint { lsn })) => Stop::Foreign(lsn),
+                    Ok(None) => Stop::End,
+                    Err(e) => Stop::Frame(e),
+                }
             };
             return Replayed { taken, at, stop };
-        }
-        let (at, stop) = (self.good_pos, Stop::Max);
-        Replayed { taken, at, stop }
-    }
-
-    /// [`replay`](WalReader::replay) to the end of the log with the
-    /// reading, checking and decoding moved to a helper thread: it
-    /// decodes batches of [`REPLAY_BATCH`] records ahead while this
-    /// thread hands the batch before to `f`. At most three batches exist —
-    /// one being applied, at most two decoded ahead — each reused, so
-    /// memory does not grow with the log. The result is
-    /// `replay`'s with `max` unbounded: the same records taken, and the
-    /// same offset and reason at the stop. When `f` refuses a record the
-    /// helper is told to stop, and it has ended by the time this
-    /// returns. If the helper cannot be started, nothing is taken and the
-    /// walk stops with that error as a [`FrameError::Io`].
-    pub fn replay_ahead<E>(
-        self,
-        generation: u64,
-        f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
-    ) -> Replayed<E>
-    where
-        R: Send,
-    {
-        let start = self.good_pos;
-        let (full_tx, full_rx) = sync_channel(BATCHES);
-        let (free_tx, free_rx) = sync_channel(BATCHES);
-        for _ in 0..BATCHES {
-            free_tx
-                .send(Batch::new())
-                .expect("the channel holds every batch");
-        }
-        std::thread::scope(move |s| {
-            let mut reader = self;
-            let helper = std::thread::Builder::new()
-                .name("wal-decode".into())
-                .spawn_scoped(s, move || {
-                    reader.decode_ahead(generation, &full_tx, &free_rx)
-                });
-            let helper = match helper {
-                Ok(helper) => helper,
-                Err(e) => {
-                    let stop = Stop::Frame(FrameError::Io(e));
-                    return Replayed {
-                        taken: 0,
-                        at: start,
-                        stop,
-                    };
-                }
-            };
-            // Applying takes both channel ends this thread uses and drops
-            // them on return, which releases a helper blocked on either;
-            // the join then waits for its thread to exit.
-            let replayed = apply_batches(full_rx, free_tx, f);
-            if let Err(panic) = helper.join() {
-                std::panic::resume_unwind(panic);
-            }
-            replayed
-        })
-    }
-
-    /// The helper of [`replay_ahead`](WalReader::replay_ahead): fill each
-    /// batch handed back on `free` and send it on `full`, until a batch
-    /// ends the walk or the applying side hangs up.
-    fn decode_ahead(&mut self, generation: u64, full: &SyncSender<Batch>, free: &Receiver<Batch>) {
-        for mut batch in free {
-            batch.len = 0;
-            while batch.len < REPLAY_BATCH && batch.stop.is_none() {
-                let (at, record) = &mut batch.records[batch.len];
-                match self.step(generation, record) {
-                    Ok(offset) => {
-                        *at = offset;
-                        batch.len += 1;
-                    }
-                    Err(stopped) => batch.stop = Some(stopped),
-                }
-            }
-            let last = batch.stop.is_some();
-            if full.send(batch).is_err() || last {
-                return;
-            }
         }
     }
 
@@ -970,41 +807,6 @@ impl<R: Read> WalReader<R> {
             (Frame::Mutation, true) => {}
         }
         Ok(Some(frame))
-    }
-}
-
-/// The applying side of [`WalReader::replay_ahead`]: hand each record of
-/// each batch on `full` to `f` in order and send the batch back on `free`
-/// for reuse, until `f` refuses a record or a batch carries the walk's
-/// stop.
-fn apply_batches<E>(
-    full: Receiver<Batch>,
-    free: SyncSender<Batch>,
-    mut f: impl FnMut(&CatalogMutation) -> std::result::Result<(), E>,
-) -> Replayed<E> {
-    let mut taken = 0;
-    loop {
-        let mut batch = full
-            .recv()
-            .expect("the decoding thread ends on its last batch");
-        for (at, record) in &batch.records[..batch.len] {
-            if let Err(e) = f(record) {
-                let stop = Stop::Refused(e);
-                return Replayed {
-                    taken,
-                    at: *at,
-                    stop,
-                };
-            }
-            taken += 1;
-        }
-        if let Some((at, stop)) = batch.stop.take() {
-            let stop = stop.widen();
-            return Replayed { taken, at, stop };
-        }
-        // Fails only once the helper has ended, and then the last batch
-        // is already on its way.
-        let _ = free.send(batch);
     }
 }
 

@@ -21,8 +21,8 @@
 //! * a `WalTailer` delivery whose records are applied as they are
 //!   read: a delivery of 2 000 records allocates what a delivery of 2
 //!   does;
-//! * `recover` of a log long enough to be decoded a batch ahead on a
-//!   helper thread: eight batches of records allocate no more than four.
+//! * `recover` of a log, whose replay runs on the calling thread:
+//!   recovering 2 048 records allocates no more than recovering 1 024.
 //!
 //! The same allocator records the largest single allocation, which
 //! holds a checkpoint's claimed length to what its file bears out.
@@ -38,7 +38,6 @@ use hrdm_core::prelude::*;
 use hrdm_hierarchy::HierarchyGraph;
 use hrdm_persist::codec::{write_u32, write_u64, write_varint};
 use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
-use hrdm_persist::wal::{may_hold_more_than_a_batch, REPLAY_BATCH};
 use hrdm_persist::{recover, Frame, Image, PersistError, WalFile, WalReader, WalTailer};
 
 struct Counting;
@@ -344,37 +343,28 @@ fn a_tailer_delivery_and_its_application_allocate_nothing_per_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Recovery of a long log decodes it a batch ahead on a helper thread.
-/// The calling thread builds the batches (three, reused for the whole
-/// log) and applies every record, so recovering eight batches of
-/// records allocates on it no more than recovering four. The helper
-/// decodes with `decode_into`, which the replay test above holds to no
-/// allocation per record.
+/// Recovery reads, decodes and applies every record on the calling
+/// thread, into the one record replay keeps, so the counter sees the
+/// whole replay: recovering 2 048 records allocates no more than
+/// recovering 1 024.
 #[test]
-fn recovering_eight_batches_allocates_no_more_than_four() {
+fn recovering_2048_records_allocates_no_more_than_1024() {
     let (catalog, assert, retract) = owned_catalog_and_pair();
     let mut counts = Vec::new();
-    for batches in [4, 8] {
-        let dir = temp_dir(&format!("recover_{batches}"));
+    for records in [1_024, 2_048] {
+        let dir = temp_dir(&format!("recover_{records}"));
         write_checkpoint(&dir, 0, &Image::from_catalog(&catalog)).unwrap();
-        let log = wal_path(&dir, 0);
-        write_pairs(&log, batches * REPLAY_BATCH / 2, &assert, &retract);
-        assert!(may_hold_more_than_a_batch(
-            std::fs::metadata(&log).unwrap().len()
-        ));
+        write_pairs(&wal_path(&dir, 0), records / 2, &assert, &retract);
         let mut recovered = None;
         counts.push(allocations(|| recovered = Some(recover(&dir).unwrap())));
         let recovered = recovered.unwrap();
-        assert_eq!(
-            recovered.report.records_replayed,
-            (batches * REPLAY_BATCH) as u64
-        );
+        assert_eq!(recovered.report.records_replayed, records as u64);
         assert_eq!(recovered.catalog.render_stable(), catalog.render_stable());
         std::fs::remove_dir_all(&dir).unwrap();
     }
     assert!(
         counts[1] <= counts[0],
-        "recovering 8 batches allocated {} times, 4 batches {}",
+        "recovering 2 048 records allocated {} times, 1 024 records {}",
         counts[1],
         counts[0]
     );
