@@ -671,8 +671,10 @@ fn b10_restart() {
     const RECORDS: usize = 20_000;
     const REPS: usize = 9;
     const INSTANCES: usize = 2_000;
-    /// The checkpoint image's size: a count, so it is asserted exactly.
+    /// The checkpoint image's size and the log's: counts, so they are
+    /// asserted exactly.
     const IMAGE_BYTES: usize = 35_896;
+    const LOG_BYTES: u64 = 316_646;
     let dir = std::env::temp_dir().join(format!("hrdm_b10_restart_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.join("store");
@@ -735,6 +737,8 @@ fn b10_restart() {
         assert_eq!(replayed.taken, RECORDS as u64, "every record read back");
     }
     let log = store::wal_path(&store, lsn);
+    let log_bytes = std::fs::metadata(&log).expect("log exists").len();
+    assert_eq!(log_bytes, LOG_BYTES, "the log's bytes");
     let mut records = Vec::with_capacity(RECORDS);
     read_log(&log, lsn, |r| records.push(r.clone()));
 
@@ -852,11 +856,20 @@ fn b10_restart() {
     );
     let ms = |ns: u128| format!("{:>9.2}", ns as f64 / 1e6);
     println!(
-        "{:>9} {:>9} {:>9} {:>9} {:>9} | {:>9} | {:>9} {:>9} | {:>9}",
-        "load", "decode", "resolve", "insert", "begin", "sum", "recover", "OPEN", "image B"
+        "{:>9} {:>9} {:>9} {:>9} {:>9} | {:>9} | {:>9} {:>9} | {:>9} {:>9}",
+        "load",
+        "decode",
+        "resolve",
+        "insert",
+        "begin",
+        "sum",
+        "recover",
+        "OPEN",
+        "image B",
+        "log B"
     );
     println!(
-        "{} {} {} {} {} | {} | {} {} | {:>9}",
+        "{} {} {} {} {} | {} | {} {} | {:>9} {:>9}",
         ms(load_ns),
         ms(decode_ns),
         ms(resolve_ns),
@@ -865,7 +878,8 @@ fn b10_restart() {
         ms(load_ns + decode_ns + resolve_ns + insert_ns + begin_ns),
         ms(recover_ns),
         ms(open_ns),
-        image_bytes
+        image_bytes,
+        log_bytes
     );
 }
 

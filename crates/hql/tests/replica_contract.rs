@@ -30,11 +30,11 @@ fn temp_store(tag: &str) -> PathBuf {
 /// mutation frame ends.
 fn wal_stream(lsn: u64, script: &[CatalogMutation]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
-    write_header(&mut bytes).unwrap();
-    write_record(&mut bytes, &WalRecord::Checkpoint { lsn }).unwrap();
+    write_header(&mut bytes);
+    write_record(&mut bytes, &WalRecord::Checkpoint { lsn });
     let mut ends = Vec::new();
     for m in script {
-        write_record(&mut bytes, &WalRecord::Mutation(m.clone())).unwrap();
+        write_record(&mut bytes, &WalRecord::Mutation(m.clone()));
         ends.push(bytes.len());
     }
     (bytes, ends)

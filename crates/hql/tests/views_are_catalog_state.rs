@@ -248,6 +248,8 @@ fn an_open_of_an_image_that_does_not_decode_fails_and_writes_nothing() {
     open_fails_untouched(&dir, checkpoint, "unsupported-version", version_one);
     let version_two = |image: &mut [u8]| image[6..10].copy_from_slice(&2u32.to_le_bytes());
     open_fails_untouched(&dir, checkpoint, "unsupported-version", version_two);
+    let version_three = |image: &mut [u8]| image[6..10].copy_from_slice(&3u32.to_le_bytes());
+    open_fails_untouched(&dir, checkpoint, "unsupported-version", version_three);
     let underivable = |image: &mut [u8]| {
         let at = image.windows(5).rposition(|w| w == b"Flies").unwrap();
         image[at..at + 5].copy_from_slice(b"Fliez");

@@ -1,93 +1,406 @@
-//! Primitive encoders/decoders: little-endian integers, LEB128
-//! varints, length-prefixed UTF-8 strings, and CRC-32 framing over
-//! `std::io` streams — plus the one composite both the log and the
-//! image carry, a view's [`Derivation`].
+//! The byte codec every `hrdm-persist` format is spelled in: the log's
+//! records, the checkpoint file and the `HRDM1` image.
+//!
+//! Writers append to a `Vec<u8>` and cannot fail; [`Reader`] is the one
+//! cursor that reads their bytes back out of a slice. Between them they
+//! hold every byte-level decision the formats share:
+//!
+//! * fixed-width little-endian integers for tags (`u8`), versions and
+//!   checksums (`u32`) and LSNs (`u64`), and `w`-byte ones for node ids
+//!   ([`width`]);
+//! * every count and every string's byte length as a LEB128 varint in
+//!   its shortest spelling — a longer one is corrupt, so one value has
+//!   one encoding;
+//! * a name as its varint length and UTF-8, a name list as a varint
+//!   count and its names;
+//! * the truth and preemption tags, each one table;
+//! * a view's [`Derivation`], as a tagged tree;
+//! * the frame both the log's records and the checkpoint file use: a
+//!   varint payload length, the payload's CRC-32, the payload.
+//!
+//! A count or a length is untrusted input: the reader checks it against
+//! [`COUNT_CAP`] and against what the bytes left could hold before the
+//! caller allocates anything for it.
 
-use std::io::{Read, Write};
+use std::ops::Range;
 
 use hrdm_core::derivation::{Derivation, Source, ValueRef};
+use hrdm_core::preemption::Preemption;
+use hrdm_core::truth::Truth;
 
 use crate::error::{PersistError, Result};
 
-/// Maximum length accepted for any decoded string or varint-framed
-/// payload (16 MiB). Lengths are untrusted input; anything above the
-/// cap is [`PersistError::Corrupt`], not an attempted allocation.
-pub const LEN_CAP: usize = 16 << 20;
+/// Upper bound on any decoded count or string length (16 Mi): a larger
+/// one is [`PersistError::Corrupt`], not an attempted allocation.
+pub const COUNT_CAP: u64 = 16 << 20;
 
-/// Write a `u32` little-endian.
-pub fn write_u32(w: &mut impl Write, v: u32) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
+/// Each truth's tag is its index here.
+const TRUTHS: [Truth; 2] = [Truth::Negative, Truth::Positive];
+
+/// Each preemption mode's tag is its index here.
+const PREEMPTIONS: [Preemption; 3] = [
+    Preemption::OffPath,
+    Preemption::OnPath,
+    Preemption::NoPreemption,
+];
+
+fn corrupt(msg: String) -> PersistError {
+    PersistError::Corrupt(msg)
 }
 
-/// Read a `u32` little-endian.
-pub fn read_u32(r: &mut impl Read) -> Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)
-        .map_err(|_| PersistError::Corrupt("short read for u32".into()))?;
-    Ok(u32::from_le_bytes(buf))
+/// The fewest little-endian bytes that hold every value below `bound`
+/// (at least one).
+pub fn width(bound: usize) -> usize {
+    let max = bound.saturating_sub(1) as u64;
+    ((64 - max.leading_zeros() as usize).div_ceil(8)).max(1)
 }
 
-/// Write a single byte.
-pub fn write_u8(w: &mut impl Write, v: u8) -> Result<()> {
-    w.write_all(&[v])?;
-    Ok(())
+/// Append a `u32` little-endian.
+pub fn write_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Read a single byte.
-pub fn read_u8(r: &mut impl Read) -> Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)
-        .map_err(|_| PersistError::Corrupt("short read for u8".into()))?;
-    Ok(buf[0])
+/// Append a `u64` little-endian.
+pub fn write_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Write a `u64` little-endian.
-pub fn write_u64(w: &mut impl Write, v: u64) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
+/// Append the low `w` bytes of `v`, little-endian.
+pub fn write_uint(out: &mut Vec<u8>, v: usize, w: usize) {
+    out.extend_from_slice(&(v as u64).to_le_bytes()[..w]);
 }
 
-/// Read a `u64` little-endian.
-pub fn read_u64(r: &mut impl Read) -> Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)
-        .map_err(|_| PersistError::Corrupt("short read for u64".into()))?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Write a `u64` as a LEB128 varint (7 bits per byte, high bit =
-/// continuation). Small values — the common case for WAL record
-/// lengths — cost one byte.
-pub fn write_varint(w: &mut impl Write, mut v: u64) -> Result<()> {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Append a LEB128 varint (7 bits per byte, high bit = continuation) in
+/// its shortest spelling: a value below 128 costs one byte.
+pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            w.write_all(&[byte])?;
-            return Ok(());
-        }
-        w.write_all(&[byte | 0x80])?;
+    }
+    out.push(v as u8);
+}
+
+/// Append a name: its varint byte length, then its UTF-8.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    write_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Append a name list: a varint count, then each name.
+pub fn write_names(out: &mut Vec<u8>, names: &[String]) {
+    write_varint(out, names.len() as u64);
+    for n in names {
+        write_str(out, n);
     }
 }
 
-/// Read a LEB128 varint. At most ten bytes (`ceil(64/7)`); an
-/// eleventh continuation byte, or a tenth byte with bits beyond the
-/// 64th, is [`PersistError::Corrupt`].
-pub fn read_varint(r: &mut impl Read) -> Result<u64> {
+/// A truth's tag: 0 negative, 1 positive.
+pub fn truth_tag(t: Truth) -> u8 {
+    TRUTHS
+        .iter()
+        .position(|&x| x == t)
+        .expect("every truth has a tag") as u8
+}
+
+/// The truth tagged `tag`.
+#[inline]
+pub fn truth_of(tag: u8) -> Result<Truth> {
+    TRUTHS
+        .get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| corrupt(format!("unknown truth tag {tag}")))
+}
+
+/// Append a preemption mode's tag: 0 off-path, 1 on-path, 2 none.
+pub fn write_preemption(out: &mut Vec<u8>, p: Preemption) {
+    let tag = PREEMPTIONS.iter().position(|&x| x == p);
+    out.push(tag.expect("every preemption mode has a tag") as u8);
+}
+
+/// Append a derivation tree, root first: per node a tag (0 `UNION`,
+/// 1 `INTERSECT`, 2 `DIFFERENCE`, 3 `JOIN`, 4 `PROJECT`, 5 `SELECT`,
+/// 6 `CONSOLIDATE`, 7 `EXPLICATE`), its operands — each a tag (0 a
+/// relation name, 1 a nested derivation) and its body — then its
+/// attribute names or `SELECT` conditions (a count, then per condition
+/// attribute, value and `ALL` as a u8).
+pub fn write_derivation(out: &mut Vec<u8>, d: &Derivation) {
+    out.push(match d {
+        Derivation::Union(..) => 0,
+        Derivation::Intersect(..) => 1,
+        Derivation::Difference(..) => 2,
+        Derivation::Join(..) => 3,
+        Derivation::Project(..) => 4,
+        Derivation::Select(..) => 5,
+        Derivation::Consolidated(_) => 6,
+        Derivation::Explicated(..) => 7,
+    });
+    for source in d.sources() {
+        match source {
+            Source::Named(name) => {
+                out.push(0);
+                write_str(out, name);
+            }
+            Source::Derived(inner) => {
+                out.push(1);
+                write_derivation(out, inner);
+            }
+        }
+    }
+    match d {
+        Derivation::Project(_, attrs) | Derivation::Explicated(_, attrs) => write_names(out, attrs),
+        Derivation::Select(_, conds) => {
+            write_varint(out, conds.len() as u64);
+            for (attr, value) in conds {
+                write_str(out, attr);
+                write_str(out, &value.name);
+                out.push(u8::from(value.all));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Append a frame's head for `payload`: its varint length, then its
+/// CRC-32 (IEEE) as a `u32`. The payload follows it.
+pub fn write_frame_head(out: &mut Vec<u8>, payload: &[u8]) {
+    write_varint(out, payload.len() as u64);
+    write_u32(out, crc32(payload));
+}
+
+/// A varint off the front of `bytes` and the bytes it took, or `None` if
+/// `bytes` end inside it. At most ten bytes (`ceil(64/7)`), the tenth
+/// holding one bit, and no longer than the value needs (a last byte of
+/// zero after a continuation); anything else is corrupt.
+#[inline]
+fn varint_at(bytes: &[u8]) -> Result<Option<(u64, usize)>> {
+    // Nearly every length and count in a log fits in one byte.
+    if let Some(&byte @ 0..0x80) = bytes.first() {
+        return Ok(Some((u64::from(byte), 1)));
+    }
     let mut v = 0u64;
-    for k in 0..10 {
-        let byte = read_u8(r).map_err(|_| PersistError::Corrupt("short read for varint".into()))?;
-        let payload = (byte & 0x7F) as u64;
+    for (k, &byte) in bytes.iter().enumerate().take(10) {
+        let payload = u64::from(byte & 0x7F);
         if k == 9 && payload > 1 {
-            return Err(PersistError::Corrupt("varint overflows 64 bits".into()));
+            return Err(corrupt("varint overflows 64 bits".into()));
         }
         v |= payload << (7 * k);
         if byte & 0x80 == 0 {
-            return Ok(v);
+            if k > 0 && byte == 0 {
+                return Err(corrupt(format!("varint {v} spelled in {} bytes", k + 1)));
+            }
+            return Ok(Some((v, k + 1)));
         }
     }
-    Err(PersistError::Corrupt("varint longer than 10 bytes".into()))
+    if bytes.len() >= 10 {
+        return Err(corrupt("varint longer than 10 bytes".into()));
+    }
+    Ok(None)
+}
+
+/// Parse a frame's head off the front of `bytes`: the range its payload
+/// takes in `bytes` (which may run past their end) and the payload's
+/// checksum. `Ok(None)` if `bytes` end inside the head; a length over
+/// `cap` or a malformed varint is corrupt.
+#[inline]
+pub fn frame_head(bytes: &[u8], cap: u64) -> Result<Option<(Range<usize>, u32)>> {
+    let Some((len, prefix)) = varint_at(bytes)? else {
+        return Ok(None);
+    };
+    if len > cap {
+        return Err(corrupt(format!("payload length {len} exceeds cap {cap}")));
+    }
+    let Some(crc) = bytes.get(prefix..prefix + 4) else {
+        return Ok(None);
+    };
+    let start = prefix + 4;
+    let crc = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
+    Ok(Some((start..start + len as usize, crc)))
+}
+
+/// A cursor over encoded bytes: each read takes its field off the
+/// front, and a field the bytes left cannot hold is
+/// [`PersistError::Corrupt`].
+///
+/// The reads a log record is made of are `#[inline]`: replay runs a
+/// handful per record, thousands of records in a row, and without
+/// inlining they made a replay's read and decode ~40 % slower.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes }
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if n > self.bytes.len() {
+            return Err(corrupt(format!("short read for {what}")));
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    /// A `u32`, little-endian.
+    pub fn u32(&mut self, what: &str) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+    }
+
+    /// A `u64`, little-endian.
+    pub fn u64(&mut self, what: &str) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    }
+
+    /// A `w`-byte little-endian unsigned integer (`w` ≤ 8).
+    #[inline]
+    pub fn uint(&mut self, w: usize) -> Result<usize> {
+        let mut le = [0u8; 8];
+        le[..w].copy_from_slice(self.take(w, "a node id")?);
+        Ok(u64::from_le_bytes(le) as usize)
+    }
+
+    /// A varint in its shortest spelling.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64> {
+        let (v, used) =
+            varint_at(self.bytes)?.ok_or_else(|| corrupt("short read for varint".into()))?;
+        self.bytes = &self.bytes[used..];
+        Ok(v)
+    }
+
+    /// A count of elements of at least `min_bytes` each: under the cap
+    /// and no more than the bytes left could hold, checked before the
+    /// caller allocates for them.
+    #[inline]
+    pub fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize> {
+        let n = self.varint()?;
+        if n > COUNT_CAP {
+            return Err(corrupt(format!("{what} {n} exceeds sanity cap")));
+        }
+        let n = n as usize;
+        if n * min_bytes > self.bytes.len() {
+            return Err(corrupt(format!(
+                "{what} {n} exceeds the {} byte(s) left",
+                self.bytes.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A name, borrowed from the bytes.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str> {
+        let len = self.count("string length", 1)?;
+        std::str::from_utf8(self.take(len, "a string")?)
+            .map_err(|_| corrupt("invalid UTF-8".into()))
+    }
+
+    /// A name, copied into `into`'s storage (cleared first), which is
+    /// handed back: a name no longer than what it held allocates nothing.
+    #[inline]
+    pub fn str_into(&mut self, mut into: String) -> Result<String> {
+        let s = self.str()?;
+        into.clear();
+        into.push_str(s);
+        Ok(into)
+    }
+
+    /// A name list, read into `names`' storage, reusing the strings it
+    /// already holds, and handed back.
+    #[inline]
+    pub fn names_into(&mut self, mut names: Vec<String>) -> Result<Vec<String>> {
+        let n = self.count("name count", 1)?;
+        names.truncate(n);
+        for name in names.iter_mut() {
+            *name = self.str_into(std::mem::take(name))?;
+        }
+        for _ in names.len()..n {
+            names.push(self.str_into(String::new())?);
+        }
+        Ok(names)
+    }
+
+    /// A truth tag.
+    #[inline]
+    pub fn truth(&mut self) -> Result<Truth> {
+        truth_of(self.u8("a truth tag")?)
+    }
+
+    /// A preemption tag.
+    pub fn preemption(&mut self) -> Result<Preemption> {
+        let tag = self.u8("a preemption tag")?;
+        PREEMPTIONS
+            .get(usize::from(tag))
+            .copied()
+            .ok_or_else(|| corrupt(format!("unknown preemption tag {tag}")))
+    }
+
+    /// A derivation [`write_derivation`] wrote. Nesting deeper than
+    /// [`Derivation::MAX_DEPTH`] — more than the parser accepts — is
+    /// corrupt, so damaged bytes cannot recurse the decoder off the
+    /// stack.
+    pub fn derivation(&mut self) -> Result<Derivation> {
+        self.derivation_at(1)
+    }
+
+    fn derivation_at(&mut self, depth: usize) -> Result<Derivation> {
+        if depth > Derivation::MAX_DEPTH {
+            return Err(corrupt(format!(
+                "derivation nests deeper than {}",
+                Derivation::MAX_DEPTH
+            )));
+        }
+        let tag = self.u8("a derivation tag")?;
+        let source = |r: &mut Self| -> Result<Source> {
+            match r.u8("an operand tag")? {
+                0 => Ok(Source::Named(r.str()?.to_string())),
+                1 => Ok(Source::Derived(Box::new(r.derivation_at(depth + 1)?))),
+                other => Err(corrupt(format!("unknown derivation operand tag {other}"))),
+            }
+        };
+        Ok(match tag {
+            0 => Derivation::Union(source(self)?, source(self)?),
+            1 => Derivation::Intersect(source(self)?, source(self)?),
+            2 => Derivation::Difference(source(self)?, source(self)?),
+            3 => Derivation::Join(source(self)?, source(self)?),
+            4 => Derivation::Project(source(self)?, self.names_into(Vec::new())?),
+            5 => {
+                let a = source(self)?;
+                // A condition is two names and a flag.
+                let conds = (0..self.count("condition count", 3)?)
+                    .map(|_| {
+                        let attr = self.str()?.to_string();
+                        let name = self.str()?.to_string();
+                        let all = match self.u8("an ALL flag")? {
+                            0 => false,
+                            1 => true,
+                            other => return Err(corrupt(format!("unknown ALL flag {other}"))),
+                        };
+                        Ok((attr, ValueRef { name, all }))
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                Derivation::Select(a, conds)
+            }
+            6 => Derivation::Consolidated(source(self)?),
+            7 => Derivation::Explicated(source(self)?, self.names_into(Vec::new())?),
+            other => return Err(corrupt(format!("unknown derivation tag {other}"))),
+        })
+    }
 }
 
 /// Slicing-by-8 tables for the reflected IEEE polynomial, built at
@@ -127,8 +440,8 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (ISO-HDLC / IEEE 802.3, the zlib polynomial) of `bytes` —
-/// the frame checksum the WAL uses to detect torn and bit-flipped
-/// records. Slicing-by-8: eight table lookups fold in eight bytes at a
+/// the frame checksum that detects torn and bit-flipped records and
+/// images. Slicing-by-8: eight table lookups fold in eight bytes at a
 /// time, and the tail of fewer than eight goes byte at a time. The
 /// checksums are those of the byte-at-a-time loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -153,177 +466,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Write a length-prefixed UTF-8 string.
-pub fn write_str(w: &mut impl Write, s: &str) -> Result<()> {
-    write_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-/// Read a length-prefixed UTF-8 string (capped at [`LEN_CAP`] to keep
-/// a corrupt length from allocating the moon).
-pub fn read_str(r: &mut impl Read) -> Result<String> {
-    let len = read_u32(r)? as usize;
-    if len > LEN_CAP {
-        return Err(PersistError::Corrupt(format!(
-            "string length {len} exceeds sanity cap"
-        )));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)
-        .map_err(|_| PersistError::Corrupt("short read for string body".into()))?;
-    String::from_utf8(buf).map_err(|_| PersistError::Corrupt("invalid UTF-8".into()))
-}
-
-/// Read a length-prefixed UTF-8 string off the front of a payload into
-/// `into`'s storage (cleared first), and hand that storage back: a
-/// string no longer than what it held allocates nothing. A length
-/// longer than what is left of the payload is
-/// [`PersistError::Corrupt`] before anything is allocated.
-pub fn read_str_into(r: &mut &[u8], mut into: String) -> Result<String> {
-    let len = read_u32(r)? as usize;
-    if len > r.len() {
-        return Err(PersistError::Corrupt(format!(
-            "string length {len} exceeds the {} byte(s) left",
-            r.len()
-        )));
-    }
-    let (body, rest) = r.split_at(len);
-    let body =
-        std::str::from_utf8(body).map_err(|_| PersistError::Corrupt("invalid UTF-8".into()))?;
-    into.clear();
-    into.push_str(body);
-    *r = rest;
-    Ok(into)
-}
-
-/// Write a name list: a `u32` count, then each name.
-pub fn write_names(w: &mut impl Write, names: &[String]) -> Result<()> {
-    write_u32(w, names.len() as u32)?;
-    for n in names {
-        write_str(w, n)?;
-    }
-    Ok(())
-}
-
-/// A decoded element count, capped like a string length.
-fn read_len(r: &mut impl Read, what: &str) -> Result<usize> {
-    let n = read_u32(r)? as usize;
-    if n > LEN_CAP {
-        return Err(PersistError::Corrupt(format!(
-            "{what} count {n} exceeds sanity cap"
-        )));
-    }
-    Ok(n)
-}
-
-fn read_names(r: &mut impl Read) -> Result<Vec<String>> {
-    (0..read_len(r, "name")?).map(|_| read_str(r)).collect()
-}
-
-/// Write a derivation tree, root first: per node a tag (0 `UNION`,
-/// 1 `INTERSECT`, 2 `DIFFERENCE`, 3 `JOIN`, 4 `PROJECT`, 5 `SELECT`,
-/// 6 `CONSOLIDATE`, 7 `EXPLICATE`), its operands — each a tag (0 a
-/// relation name, 1 a nested derivation) and its body — then its
-/// attribute names or `SELECT` conditions (attribute, value, `ALL` u8).
-pub fn write_derivation(w: &mut impl Write, d: &Derivation) -> Result<()> {
-    let tag = match d {
-        Derivation::Union(..) => 0,
-        Derivation::Intersect(..) => 1,
-        Derivation::Difference(..) => 2,
-        Derivation::Join(..) => 3,
-        Derivation::Project(..) => 4,
-        Derivation::Select(..) => 5,
-        Derivation::Consolidated(_) => 6,
-        Derivation::Explicated(..) => 7,
-    };
-    write_u8(w, tag)?;
-    for source in d.sources() {
-        match source {
-            Source::Named(name) => {
-                write_u8(w, 0)?;
-                write_str(w, name)?;
-            }
-            Source::Derived(inner) => {
-                write_u8(w, 1)?;
-                write_derivation(w, inner)?;
-            }
-        }
-    }
-    match d {
-        Derivation::Project(_, attrs) | Derivation::Explicated(_, attrs) => write_names(w, attrs),
-        Derivation::Select(_, conds) => {
-            write_u32(w, conds.len() as u32)?;
-            for (attr, value) in conds {
-                write_str(w, attr)?;
-                write_str(w, &value.name)?;
-                write_u8(w, u8::from(value.all))?;
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Read a derivation [`write_derivation`] wrote. Nesting deeper than
-/// [`Derivation::MAX_DEPTH`] — more than the parser accepts — is
-/// [`PersistError::Corrupt`], so a damaged record cannot recurse the
-/// decoder off the stack.
-pub fn read_derivation(r: &mut impl Read) -> Result<Derivation> {
-    read_derivation_at(r, 1)
-}
-
-fn read_derivation_at(r: &mut impl Read, depth: usize) -> Result<Derivation> {
-    if depth > Derivation::MAX_DEPTH {
-        return Err(PersistError::Corrupt(format!(
-            "derivation nests deeper than {}",
-            Derivation::MAX_DEPTH
-        )));
-    }
-    let tag = read_u8(r)?;
-    let mut source = || -> Result<Source> {
-        match read_u8(r)? {
-            0 => Ok(Source::Named(read_str(r)?)),
-            1 => Ok(Source::Derived(Box::new(read_derivation_at(r, depth + 1)?))),
-            other => Err(PersistError::Corrupt(format!(
-                "unknown derivation operand tag {other}"
-            ))),
-        }
-    };
-    Ok(match tag {
-        0 => Derivation::Union(source()?, source()?),
-        1 => Derivation::Intersect(source()?, source()?),
-        2 => Derivation::Difference(source()?, source()?),
-        3 => Derivation::Join(source()?, source()?),
-        4 => Derivation::Project(source()?, read_names(r)?),
-        5 => {
-            let a = source()?;
-            let conds = (0..read_len(r, "condition")?)
-                .map(|_| {
-                    let attr = read_str(r)?;
-                    let name = read_str(r)?;
-                    let all = match read_u8(r)? {
-                        0 => false,
-                        1 => true,
-                        other => {
-                            return Err(PersistError::Corrupt(format!("unknown ALL flag {other}")))
-                        }
-                    };
-                    Ok((attr, ValueRef { name, all }))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Derivation::Select(a, conds)
-        }
-        6 => Derivation::Consolidated(source()?),
-        7 => Derivation::Explicated(source()?, read_names(r)?),
-        other => {
-            return Err(PersistError::Corrupt(format!(
-                "unknown derivation tag {other}"
-            )))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,90 +480,105 @@ mod tests {
                 d = Derivation::Union(Source::Derived(Box::new(d)), Source::named("S"));
             }
             let mut bytes = Vec::new();
-            write_derivation(&mut bytes, &d).unwrap();
+            write_derivation(&mut bytes, &d);
             (d, bytes)
         };
         let (deepest, bytes) = nest(Derivation::MAX_DEPTH);
-        assert_eq!(read_derivation(&mut bytes.as_slice()).unwrap(), deepest);
+        assert_eq!(Reader::new(&bytes).derivation().unwrap(), deepest);
         let (_, bytes) = nest(Derivation::MAX_DEPTH + 1);
         assert!(matches!(
-            read_derivation(&mut bytes.as_slice()),
-            Err(PersistError::Corrupt(_))
-        ));
-    }
-
-    /// Encode with `write_str` and decode back, asserting both halves
-    /// on the `Result` rather than unwrapping blindly.
-    fn round_trip_str(s: &str) -> String {
-        let mut buf = Vec::new();
-        assert!(
-            matches!(write_str(&mut buf, s), Ok(())),
-            "encode of {s:?} must succeed"
-        );
-        match read_str(&mut &buf[..]) {
-            Ok(decoded) => decoded,
-            Err(e) => panic!("decode of {s:?} failed: {e}"),
-        }
-    }
-
-    #[test]
-    fn u32_round_trip() {
-        let mut buf = Vec::new();
-        for v in [0u32, 1, 0xDEAD_BEEF, u32::MAX] {
-            buf.clear();
-            assert!(matches!(write_u32(&mut buf, v), Ok(())));
-            assert!(matches!(read_u32(&mut &buf[..]), Ok(got) if got == v));
-        }
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let mut buf = Vec::new();
-        for v in [0u64, 1, u32::MAX as u64 + 1, u64::MAX] {
-            buf.clear();
-            assert!(matches!(write_u64(&mut buf, v), Ok(())));
-            assert!(matches!(read_u64(&mut &buf[..]), Ok(got) if got == v));
-        }
-        assert!(matches!(
-            read_u64(&mut &[1u8, 2, 3][..]),
+            Reader::new(&bytes).derivation(),
             Err(PersistError::Corrupt(_))
         ));
     }
 
     #[test]
-    fn u8_round_trip() {
+    fn fixed_width_integers_round_trip() {
         let mut buf = Vec::new();
-        assert!(matches!(write_u8(&mut buf, 7), Ok(())));
-        assert!(matches!(read_u8(&mut &buf[..]), Ok(7)));
-    }
-
-    #[test]
-    fn strings_round_trip() {
-        assert_eq!(round_trip_str(""), "");
-        assert_eq!(round_trip_str("Bird"), "Bird");
-        assert_eq!(
-            round_trip_str("Amazing Flying Penguin ∀"),
-            "Amazing Flying Penguin ∀"
-        );
-    }
-
-    #[test]
-    fn max_length_string_boundary() {
-        // A string exactly at LEN_CAP round-trips; one byte over the
-        // cap is rejected at decode time as Corrupt, not allocated.
-        let max = "x".repeat(LEN_CAP);
-        assert_eq!(round_trip_str(&max).len(), LEN_CAP);
-        let mut buf = Vec::new();
-        assert!(matches!(write_u32(&mut buf, LEN_CAP as u32 + 1), Ok(())));
-        buf.resize(buf.len() + 8, b'x'); // body irrelevant: length gate fires first
+        write_u32(&mut buf, 0xDEAD_BEEF);
+        write_u64(&mut buf, u64::MAX - 1);
+        write_uint(&mut buf, 0x01_0203, 3);
+        buf.push(7);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u32("a").unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64("b").unwrap(), u64::MAX - 1);
+        assert_eq!(r.uint(3).unwrap(), 0x01_0203);
+        assert_eq!(r.u8("c").unwrap(), 7);
+        assert!(r.rest().is_empty());
         assert!(matches!(
-            read_str(&mut &buf[..]),
-            Err(PersistError::Corrupt(msg)) if msg.contains("sanity cap")
+            Reader::new(&[1u8, 2, 3]).u64("an LSN"),
+            Err(PersistError::Corrupt(msg)) if msg.contains("short read for an LSN")
         ));
     }
 
     #[test]
-    fn varint_round_trip_and_boundaries() {
+    fn strings_round_trip_and_keep_their_storage() {
+        let mut buf = Vec::new();
+        for s in ["", "Bird", "Amazing Flying Penguin ∀"] {
+            write_str(&mut buf, s);
+        }
+        buf.push(0xAB);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.str().unwrap(), "");
+        let kept = String::with_capacity(16);
+        let at = kept.as_ptr();
+        let s = r.str_into(kept).unwrap();
+        assert_eq!((s.as_str(), s.as_ptr()), ("Bird", at));
+        assert_eq!(r.str().unwrap(), "Amazing Flying Penguin ∀");
+        assert_eq!(r.rest(), &[0xAB]);
+    }
+
+    #[test]
+    fn name_lists_reuse_the_strings_they_held() {
+        let mut buf = Vec::new();
+        write_names(&mut buf, &["a".into(), "bc".into()]);
+        let held = vec!["xyz".to_string(), "w".into(), "v".into()];
+        let at = held[0].as_ptr();
+        let names = Reader::new(&buf).names_into(held).unwrap();
+        assert_eq!(names, ["a", "bc"]);
+        assert_eq!(names[0].as_ptr(), at);
+    }
+
+    /// A string length is judged against the cap and the bytes left
+    /// before anything is allocated; its body must be UTF-8.
+    #[test]
+    fn string_lengths_are_bounded_by_the_cap_and_what_is_left() {
+        let mut buf = Vec::new();
+        for claimed in [5, COUNT_CAP, COUNT_CAP + 1, u64::MAX] {
+            buf.clear();
+            write_varint(&mut buf, claimed);
+            buf.extend_from_slice(b"abcd");
+            let err = Reader::new(&buf).str().unwrap_err().to_string();
+            let want = if claimed > COUNT_CAP {
+                "sanity cap"
+            } else {
+                "4 byte(s) left"
+            };
+            assert!(err.contains(want), "{claimed}: {err}");
+        }
+        buf.clear();
+        write_varint(&mut buf, 2);
+        buf.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(matches!(
+            Reader::new(&buf).str_into(String::new()),
+            Err(PersistError::Corrupt(msg)) if msg.contains("UTF-8")
+        ));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_what_the_bytes_left_could_hold() {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 3);
+        buf.extend_from_slice(&[0; 6]);
+        assert_eq!(Reader::new(&buf).count("pairs", 2).unwrap(), 3);
+        assert!(matches!(
+            Reader::new(&buf).count("triples", 3),
+            Err(PersistError::Corrupt(msg)) if msg.contains("triples 3 exceeds the 6 byte(s) left")
+        ));
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_shortest_spelling() {
         let mut buf = Vec::new();
         // Every 7-bit boundary, plus the extremes.
         let mut cases = vec![0u64, 1, u64::MAX];
@@ -431,38 +588,91 @@ mod tests {
         }
         for v in cases {
             buf.clear();
-            assert!(matches!(write_varint(&mut buf, v), Ok(())));
-            assert!(
-                matches!(read_varint(&mut &buf[..]), Ok(got) if got == v),
-                "varint {v} must round-trip"
-            );
+            write_varint(&mut buf, v);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v, "varint {v} must round-trip");
+            assert!(r.rest().is_empty());
         }
         // u64::MAX is the 10-byte ceiling.
         buf.clear();
-        assert!(matches!(write_varint(&mut buf, u64::MAX), Ok(())));
+        write_varint(&mut buf, u64::MAX);
         assert_eq!(buf.len(), 10);
+        // 5 spelled in two bytes is another spelling of it.
+        assert!(matches!(
+            Reader::new(&[0x85, 0x00]).varint(),
+            Err(PersistError::Corrupt(msg)) if msg.contains("spelled in 2 bytes")
+        ));
     }
 
     #[test]
     fn varint_overflow_and_truncation_rejected() {
         // Ten continuation bytes and an eleventh byte: too long.
-        let long = [0x80u8; 10];
+        let long = [0x80u8; 11];
         assert!(matches!(
-            read_varint(&mut &long[..]),
-            Err(PersistError::Corrupt(_))
+            Reader::new(&long).varint(),
+            Err(PersistError::Corrupt(msg)) if msg.contains("longer than 10")
         ));
         // Tenth byte carrying bits beyond the 64th: overflow.
         let mut over = vec![0xFFu8; 9];
         over.push(0x02);
         assert!(matches!(
-            read_varint(&mut &over[..]),
+            Reader::new(&over).varint(),
             Err(PersistError::Corrupt(msg)) if msg.contains("overflows")
         ));
         // A dangling continuation bit with no next byte: short read.
         assert!(matches!(
-            read_varint(&mut &[0x80u8][..]),
-            Err(PersistError::Corrupt(_))
+            Reader::new(&[0x80u8]).varint(),
+            Err(PersistError::Corrupt(msg)) if msg.contains("short read")
         ));
+    }
+
+    #[test]
+    fn tags_round_trip_and_unknown_ones_are_corrupt() {
+        let mut buf = Vec::new();
+        for t in TRUTHS {
+            buf.push(truth_tag(t));
+        }
+        for p in PREEMPTIONS {
+            write_preemption(&mut buf, p);
+        }
+        assert_eq!(buf, [0, 1, 0, 1, 2]);
+        let mut r = Reader::new(&buf);
+        assert_eq!([r.truth().unwrap(), r.truth().unwrap()], TRUTHS);
+        for p in PREEMPTIONS {
+            assert_eq!(r.preemption().unwrap(), p);
+        }
+        assert!(Reader::new(&[2]).truth().is_err());
+        assert!(Reader::new(&[3]).preemption().is_err());
+    }
+
+    /// A frame head tells bytes that end inside it from a length that is
+    /// wrong, and places the payload after the length and checksum.
+    #[test]
+    fn frame_heads_parse_cut_short_or_invalid() {
+        let mut buf = Vec::new();
+        write_frame_head(&mut buf, &[9; 200]);
+        assert_eq!(buf.len(), 2 + 4);
+        assert_eq!(
+            frame_head(&buf, 1 << 20).unwrap(),
+            Some((6..206, crc32(&[9; 200])))
+        );
+        for cut in 0..buf.len() {
+            assert_eq!(frame_head(&buf[..cut], 1 << 20).unwrap(), None, "{cut}");
+        }
+        assert!(matches!(
+            frame_head(&buf, 199),
+            Err(PersistError::Corrupt(msg)) if msg.contains("exceeds cap")
+        ));
+        assert!(frame_head(&[0x80, 0x00, 0, 0, 0, 0], 1 << 20).is_err());
+    }
+
+    #[test]
+    fn widths_hold_every_value_below_the_bound() {
+        let cases = [(0, 1), (1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 3)];
+        for (bound, w) in cases {
+            assert_eq!(width(bound), w, "width({bound})");
+        }
+        assert_eq!(width(1 << 32), 4);
     }
 
     #[test]
@@ -511,73 +721,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn short_reads_are_corrupt_not_panics() {
-        assert!(matches!(
-            read_u32(&mut &[1u8, 2][..]),
-            Err(PersistError::Corrupt(_))
-        ));
-        // Length says 10 but only 2 bytes follow.
-        let mut buf = Vec::new();
-        assert!(matches!(write_u32(&mut buf, 10), Ok(())));
-        buf.extend_from_slice(b"ab");
-        assert!(matches!(
-            read_str(&mut &buf[..]),
-            Err(PersistError::Corrupt(msg)) if msg.contains("string body")
-        ));
-    }
-
-    #[test]
-    fn absurd_length_rejected() {
-        let mut buf = Vec::new();
-        assert!(matches!(write_u32(&mut buf, u32::MAX), Ok(())));
-        assert!(matches!(
-            read_str(&mut &buf[..]),
-            Err(PersistError::Corrupt(msg)) if msg.contains("sanity cap")
-        ));
-    }
-
-    /// The payload reader keeps the storage it is handed, and judges a
-    /// length against the bytes left, not against [`LEN_CAP`].
-    #[test]
-    fn payload_strings_reuse_storage_and_are_bounded_by_what_is_left() {
-        let mut buf = Vec::new();
-        assert!(matches!(write_str(&mut buf, "Bird"), Ok(())));
-        buf.push(0xAB);
-        let mut r = &buf[..];
-        let kept = String::with_capacity(16);
-        let at = kept.as_ptr();
-        let s = read_str_into(&mut r, kept).unwrap();
-        assert_eq!((s.as_str(), s.as_ptr(), r), ("Bird", at, &[0xABu8][..]));
-
-        for claimed in [5u32, LEN_CAP as u32, u32::MAX] {
-            buf.clear();
-            assert!(matches!(write_u32(&mut buf, claimed), Ok(())));
-            buf.extend_from_slice(b"abcd");
-            assert!(matches!(
-                read_str_into(&mut &buf[..], String::new()),
-                Err(PersistError::Corrupt(msg)) if msg.contains("4 byte(s) left")
-            ));
-        }
-        buf.clear();
-        assert!(matches!(write_u32(&mut buf, 2), Ok(())));
-        buf.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(matches!(
-            read_str_into(&mut &buf[..], String::new()),
-            Err(PersistError::Corrupt(msg)) if msg.contains("UTF-8")
-        ));
-    }
-
-    #[test]
-    fn invalid_utf8_rejected() {
-        let mut buf = Vec::new();
-        assert!(matches!(write_u32(&mut buf, 2), Ok(())));
-        buf.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(matches!(
-            read_str(&mut &buf[..]),
-            Err(PersistError::Corrupt(msg)) if msg.contains("UTF-8")
-        ));
     }
 }

@@ -29,7 +29,7 @@
 //!    the same directory yields identical catalogs and reports.
 
 use std::fs::{self, File};
-use std::io::{BufReader, Seek, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::Catalog;
 use hrdm_obs::metrics::Registry;
 
-use crate::codec::{crc32, read_u32, read_u64, read_varint, write_u32, write_u64, write_varint};
+use crate::codec::{crc32, frame_head, write_frame_head, write_u64, Reader};
 use crate::error::{PersistError, Result};
 use crate::image::Image;
 use crate::wal::{FrameError, JournalObs, LsnMarks, Stop, WalFile, WalReader};
@@ -73,11 +73,11 @@ fn write_checkpoint_payload(dir: &Path, lsn: u64, payload: &[u8]) -> Result<Path
     let final_path = checkpoint_path(dir, lsn);
     let tmp_path = final_path.with_extension("ckpt.tmp");
     {
+        let mut head = CHECKPOINT_MAGIC.to_vec();
+        write_u64(&mut head, lsn);
+        write_frame_head(&mut head, payload);
         let mut f = File::create(&tmp_path)?;
-        f.write_all(CHECKPOINT_MAGIC)?;
-        write_u64(&mut f, lsn)?;
-        write_varint(&mut f, payload.len() as u64)?;
-        write_u32(&mut f, crc32(payload))?;
+        f.write_all(&head)?;
         f.write_all(payload)?;
         f.sync_all()?;
     }
@@ -94,38 +94,33 @@ pub fn load_checkpoint(path: &Path) -> Result<(u64, Image)> {
 /// Read and verify one checkpoint file, returning its LSN and its
 /// image's bytes, not yet decoded. The payload length in the header is
 /// believed only as far as the file bears it out: a claim longer than
-/// the bytes left is [`PersistError::Corrupt`] before anything is
-/// allocated.
+/// the bytes left is [`PersistError::Corrupt`] before anything more than
+/// the file is allocated.
 fn read_checkpoint(path: &Path) -> Result<(u64, Vec<u8>)> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    std::io::Read::read_exact(&mut r, &mut magic).map_err(|_| PersistError::BadMagic)?;
-    if &magic != CHECKPOINT_MAGIC {
+    let mut bytes = fs::read(path)?;
+    let mut r = Reader::new(&bytes);
+    if r.take(CHECKPOINT_MAGIC.len(), "the magic").ok() != Some(CHECKPOINT_MAGIC) {
         return Err(PersistError::BadMagic);
     }
-    let lsn = read_u64(&mut r)?;
-    let len = read_varint(&mut r)?;
-    if len > CHECKPOINT_CAP {
+    let lsn = r.u64("the checkpoint LSN")?;
+    let frame = r.rest();
+    let (payload, crc) = frame_head(frame, CHECKPOINT_CAP)?
+        .ok_or_else(|| PersistError::Corrupt("torn checkpoint header".into()))?;
+    let left = frame.len() - payload.start;
+    if payload.len() > left {
         return Err(PersistError::Corrupt(format!(
-            "checkpoint image length {len} exceeds cap"
+            "checkpoint image length {} exceeds the {left} byte(s) left in the file",
+            payload.len()
         )));
     }
-    let expected_crc = read_u32(&mut r)?;
-    let left = file_len.saturating_sub(r.stream_position()?);
-    if len > left {
-        return Err(PersistError::Corrupt(format!(
-            "checkpoint image length {len} exceeds the {left} byte(s) left in the file"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    std::io::Read::read_exact(&mut r, &mut payload)
-        .map_err(|_| PersistError::Corrupt("torn checkpoint payload".into()))?;
-    if crc32(&payload) != expected_crc {
+    let at = bytes.len() - frame.len();
+    let payload = at + payload.start..at + payload.end;
+    if crc32(&bytes[payload.clone()]) != crc {
         return Err(PersistError::Corrupt("checkpoint checksum mismatch".into()));
     }
-    Ok((lsn, payload))
+    bytes.truncate(payload.end);
+    bytes.drain(..payload.start);
+    Ok((lsn, bytes))
 }
 
 /// What recovery found and did — the stable part is golden-tested.
@@ -710,15 +705,11 @@ mod tests {
             older[6..10].copy_from_slice(&version.to_le_bytes());
             older
         };
-        let (version_one, version_two) = (older(1), older(2));
-        let mut underivable = image;
+        let mut underivable = image.clone();
         let at = underivable.windows(5).rposition(|w| w == b"Flies").unwrap();
         underivable[at..at + 5].copy_from_slice(b"Fliez");
-        for (payload, kind) in [
-            (version_one, "unsupported-version"),
-            (version_two, "unsupported-version"),
-            (underivable, "rebuild"),
-        ] {
+        let unsupported = (1..=3).map(|v| (older(v), "unsupported-version"));
+        for (payload, kind) in unsupported.chain([(underivable, "rebuild")]) {
             let newer = write_checkpoint_payload(&dir, good + 3, &payload).unwrap();
             let before = files(&dir);
             assert_eq!(recover(&dir).err().map(|e| e.kind()), Some(kind));

@@ -5,14 +5,21 @@
 //!
 //! ```text
 //! magic    "HRDMWAL1"
-//! version  u32 (= 2; version 1 had no record tags past 10, and a
-//!          version-1 reader refuses a version-2 log as unsupported
-//!          rather than cut it at the first new record as a torn tail)
+//! version  u32 (= 3; a log of version 1 or 2 is refused as unsupported,
+//!          and there is no second decoder)
 //! records  …, each framed as:
 //!   len    varint (payload bytes, capped at 1 MiB)
 //!   crc    u32 little-endian, CRC-32 (IEEE) of the payload
-//!   payload len bytes, tag u8 + codec-primitive fields
+//!   payload len bytes: tag u8, then the record's fields
 //! ```
+//!
+//! Every field is spelled by [`crate::codec`], as the image's are: a
+//! name is a varint byte length and its UTF-8, a name list or an
+//! attribute list a varint count and its entries, a truth or a
+//! preemption mode a u8 tag, a view's definition a tagged tree; the
+//! checkpoint record's LSN is a u64. Every varint is in its shortest
+//! spelling, so a payload decodes only if it is the encoding of the
+//! record it decodes to.
 //!
 //! The **first** record of every log is a [`WalRecord::Checkpoint`]
 //! naming the LSN of the checkpoint image the log extends; mutation
@@ -62,20 +69,18 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hrdm_core::mutation::CatalogMutation;
-use hrdm_core::preemption::Preemption;
-use hrdm_core::truth::Truth;
 use hrdm_obs::metrics::{Counter, Gauge, Histogram, Registry};
 
 use crate::codec::{
-    crc32, read_derivation, read_str_into, read_u32, read_u64, read_u8, write_derivation,
-    write_names, write_str, write_u32, write_u64, write_u8, write_varint,
+    crc32, frame_head, truth_tag, write_derivation, write_frame_head, write_names,
+    write_preemption, write_str, write_u32, write_u64, write_varint, Reader,
 };
 use crate::error::{PersistError, Result};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 8] = b"HRDMWAL1";
 /// WAL format version.
-pub const WAL_VERSION: u32 = 2;
+pub const WAL_VERSION: u32 = 3;
 /// Bytes of file header (magic + version) before the first frame.
 pub const WAL_HEADER_LEN: u64 = WAL_MAGIC.len() as u64 + 4;
 /// Upper bound on one record's payload. Catalog mutations are names
@@ -126,178 +131,115 @@ pub enum WalRecord {
     Mutation(CatalogMutation),
 }
 
-fn truth_tag(t: Truth) -> u8 {
-    match t {
-        Truth::Negative => 0,
-        Truth::Positive => 1,
-    }
-}
-
-fn truth_from(tag: u8) -> Result<Truth> {
-    match tag {
-        0 => Ok(Truth::Negative),
-        1 => Ok(Truth::Positive),
-        other => Err(PersistError::Corrupt(format!("unknown truth tag {other}"))),
-    }
-}
-
-fn preemption_tag(p: Preemption) -> u8 {
-    match p {
-        Preemption::OffPath => 0,
-        Preemption::OnPath => 1,
-        Preemption::NoPreemption => 2,
-    }
-}
-
-fn preemption_from(tag: u8) -> Result<Preemption> {
-    match tag {
-        0 => Ok(Preemption::OffPath),
-        1 => Ok(Preemption::OnPath),
-        2 => Ok(Preemption::NoPreemption),
-        other => Err(PersistError::Corrupt(format!(
-            "unknown preemption tag {other}"
-        ))),
-    }
-}
-
-/// A count of items that each take at least `min_bytes` of what is left
-/// of the payload: one claiming more than fits is corrupt before any
-/// item is read or allocated.
-fn read_count(r: &mut &[u8], min_bytes: usize, what: &str) -> Result<usize> {
-    let n = read_u32(r)? as usize;
-    if n > r.len() / min_bytes {
-        return Err(PersistError::Corrupt(format!(
-            "{what} count {n} exceeds the {} byte(s) left",
-            r.len()
-        )));
-    }
-    Ok(n)
-}
-
-/// Read a name list into `names`' storage, reusing the strings it
-/// already holds, and hand it back.
-fn read_names_into(r: &mut &[u8], mut names: Vec<String>) -> Result<Vec<String>> {
-    let n = read_count(r, 4, "name")?;
-    names.truncate(n);
-    for name in names.iter_mut() {
-        *name = read_str_into(r, std::mem::take(name))?;
-    }
-    for _ in names.len()..n {
-        names.push(read_str_into(r, String::new())?);
-    }
-    Ok(names)
-}
-
 /// Encode a record's payload (tag + fields, no framing).
-pub fn encode_payload(record: &WalRecord) -> Result<Vec<u8>> {
+pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
     let mut buf = Vec::new();
     match record {
         WalRecord::Checkpoint { lsn } => {
-            write_u8(&mut buf, 0)?;
-            write_u64(&mut buf, *lsn)?;
+            buf.push(0);
+            write_u64(&mut buf, *lsn);
         }
-        WalRecord::Mutation(m) => encode_mutation(&mut buf, m)?,
+        WalRecord::Mutation(m) => encode_mutation(&mut buf, m),
     }
-    Ok(buf)
+    buf
 }
 
-/// Encode a mutation record's payload onto `w` — what
+/// Append a mutation record's payload to `out` — what
 /// [`encode_payload`] yields for `WalRecord::Mutation(m.clone())`,
 /// without the clone.
-fn encode_mutation(w: &mut impl Write, m: &CatalogMutation) -> Result<()> {
+fn encode_mutation(out: &mut Vec<u8>, m: &CatalogMutation) {
     match m {
         CatalogMutation::CreateDomain { name } => {
-            write_u8(w, 1)?;
-            write_str(w, name)?;
+            out.push(1);
+            write_str(out, name);
         }
         CatalogMutation::DropDomain { name } => {
-            write_u8(w, 2)?;
-            write_str(w, name)?;
+            out.push(2);
+            write_str(out, name);
         }
         CatalogMutation::AddClass {
             domain,
             name,
             parents,
         } => {
-            write_u8(w, 3)?;
-            write_str(w, domain)?;
-            write_str(w, name)?;
-            write_names(w, parents)?;
+            out.push(3);
+            write_str(out, domain);
+            write_str(out, name);
+            write_names(out, parents);
         }
         CatalogMutation::AddInstance {
             domain,
             name,
             parents,
         } => {
-            write_u8(w, 4)?;
-            write_str(w, domain)?;
-            write_str(w, name)?;
-            write_names(w, parents)?;
+            out.push(4);
+            write_str(out, domain);
+            write_str(out, name);
+            write_names(out, parents);
         }
         CatalogMutation::Prefer {
             domain,
             stronger,
             weaker,
         } => {
-            write_u8(w, 5)?;
-            write_str(w, domain)?;
-            write_str(w, stronger)?;
-            write_str(w, weaker)?;
+            out.push(5);
+            write_str(out, domain);
+            write_str(out, stronger);
+            write_str(out, weaker);
         }
         CatalogMutation::CreateRelation { name, attributes } => {
-            write_u8(w, 6)?;
-            write_str(w, name)?;
-            write_u32(w, attributes.len() as u32)?;
+            out.push(6);
+            write_str(out, name);
+            write_varint(out, attributes.len() as u64);
             for (attr, dom) in attributes {
-                write_str(w, attr)?;
-                write_str(w, dom)?;
+                write_str(out, attr);
+                write_str(out, dom);
             }
         }
         CatalogMutation::DropRelation { name } => {
-            write_u8(w, 7)?;
-            write_str(w, name)?;
+            out.push(7);
+            write_str(out, name);
         }
         CatalogMutation::Assert {
             relation,
             values,
             truth,
         } => {
-            write_u8(w, 8)?;
-            write_str(w, relation)?;
-            write_u8(w, truth_tag(*truth))?;
-            write_names(w, values)?;
+            out.push(8);
+            write_str(out, relation);
+            out.push(truth_tag(*truth));
+            write_names(out, values);
         }
         CatalogMutation::Retract { relation, values } => {
-            write_u8(w, 9)?;
-            write_str(w, relation)?;
-            write_names(w, values)?;
+            out.push(9);
+            write_str(out, relation);
+            write_names(out, values);
         }
         CatalogMutation::SetPreemption { relation, mode } => {
-            write_u8(w, 10)?;
-            write_str(w, relation)?;
-            write_u8(w, preemption_tag(*mode))?;
+            out.push(10);
+            write_str(out, relation);
+            write_preemption(out, *mode);
         }
         CatalogMutation::DefineView { name, derivation } => {
-            write_u8(w, 11)?;
-            write_str(w, name)?;
-            write_derivation(w, derivation)?;
+            out.push(11);
+            write_str(out, name);
+            write_derivation(out, derivation);
         }
         CatalogMutation::RenameRelation { from, to } => {
-            write_u8(w, 12)?;
-            write_str(w, from)?;
-            write_str(w, to)?;
+            out.push(12);
+            write_str(out, from);
+            write_str(out, to);
         }
         CatalogMutation::Consolidate { relation } => {
-            write_u8(w, 13)?;
-            write_str(w, relation)?;
+            out.push(13);
+            write_str(out, relation);
         }
         CatalogMutation::Explicate { relation, attrs } => {
-            write_u8(w, 14)?;
-            write_str(w, relation)?;
-            write_names(w, attrs)?;
+            out.push(14);
+            write_str(out, relation);
+            write_names(out, attrs);
         }
     }
-    Ok(())
 }
 
 /// What a frame held, once [`decode_into`] has put its mutation (if it
@@ -343,20 +285,20 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
 /// was, and after an `Err` it may hold the previous record, a blank one,
 /// or the fields of a payload that had trailing bytes.
 pub fn decode_into(payload: &[u8], record: &mut CatalogMutation) -> Result<Frame> {
-    let mut r = payload;
-    let frame = match read_u8(&mut r)? {
+    let mut r = Reader::new(payload);
+    let frame = match r.u8("a record tag")? {
         0 => Frame::Checkpoint {
-            lsn: read_u64(&mut r)?,
+            lsn: r.u64("a checkpoint LSN")?,
         },
         tag => {
             decode_mutation(tag, &mut r, record)?;
             Frame::Mutation
         }
     };
-    if !r.is_empty() {
+    if !r.rest().is_empty() {
         return Err(PersistError::Corrupt(format!(
             "{} trailing byte(s) in record payload",
-            r.len()
+            r.rest().len()
         )));
     }
     Ok(frame)
@@ -364,7 +306,7 @@ pub fn decode_into(payload: &[u8], record: &mut CatalogMutation) -> Result<Frame
 
 /// Decode the fields of a mutation record with tag `tag` into `m`,
 /// reusing the first string and the name list `m` held.
-fn decode_mutation(tag: u8, r: &mut &[u8], m: &mut CatalogMutation) -> Result<()> {
+fn decode_mutation(tag: u8, r: &mut Reader<'_>, m: &mut CatalogMutation) -> Result<()> {
     use CatalogMutation::*;
     let (s, names) = match std::mem::take(m) {
         Assert {
@@ -386,70 +328,65 @@ fn decode_mutation(tag: u8, r: &mut &[u8], m: &mut CatalogMutation) -> Result<()
     // Struct fields are evaluated in the order written: the wire order.
     *m = match tag {
         1 => CreateDomain {
-            name: read_str_into(r, s)?,
+            name: r.str_into(s)?,
         },
         2 => DropDomain {
-            name: read_str_into(r, s)?,
+            name: r.str_into(s)?,
         },
         3 => AddClass {
-            domain: read_str_into(r, s)?,
-            name: read_str_into(r, String::new())?,
-            parents: read_names_into(r, names)?,
+            domain: r.str_into(s)?,
+            name: r.str_into(String::new())?,
+            parents: r.names_into(names)?,
         },
         4 => AddInstance {
-            domain: read_str_into(r, s)?,
-            name: read_str_into(r, String::new())?,
-            parents: read_names_into(r, names)?,
+            domain: r.str_into(s)?,
+            name: r.str_into(String::new())?,
+            parents: r.names_into(names)?,
         },
         5 => Prefer {
-            domain: read_str_into(r, s)?,
-            stronger: read_str_into(r, String::new())?,
-            weaker: read_str_into(r, String::new())?,
+            domain: r.str_into(s)?,
+            stronger: r.str_into(String::new())?,
+            weaker: r.str_into(String::new())?,
         },
         6 => {
-            let name = read_str_into(r, s)?;
-            // An attribute is two strings, each at least a length prefix.
-            let n = read_count(r, 8, "attribute")?;
+            let name = r.str_into(s)?;
+            // An attribute is two names, each at least a length byte.
+            let n = r.count("attribute count", 2)?;
             let attributes = (0..n)
-                .map(|_| {
-                    Ok((
-                        read_str_into(r, String::new())?,
-                        read_str_into(r, String::new())?,
-                    ))
-                })
+                .map(|_| Ok((r.str_into(String::new())?, r.str_into(String::new())?)))
                 .collect::<Result<Vec<_>>>()?;
             CreateRelation { name, attributes }
         }
         7 => DropRelation {
-            name: read_str_into(r, s)?,
+            name: r.str_into(s)?,
         },
         8 => Assert {
-            relation: read_str_into(r, s)?,
-            truth: truth_from(read_u8(r)?)?,
-            values: read_names_into(r, names)?,
+            relation: r.str_into(s)?,
+            truth: r.truth()?,
+            values: r.names_into(names)?,
         },
         9 => Retract {
-            relation: read_str_into(r, s)?,
-            values: read_names_into(r, names)?,
+            relation: r.str_into(s)?,
+            values: r.names_into(names)?,
         },
         10 => SetPreemption {
-            relation: read_str_into(r, s)?,
-            mode: preemption_from(read_u8(r)?)?,
+            relation: r.str_into(s)?,
+            mode: r.preemption()?,
         },
         11 => DefineView {
-            name: read_str_into(r, s)?,
-            derivation: read_derivation(r)?,
+            name: r.str_into(s)?,
+            derivation: r.derivation()?,
         },
         12 => RenameRelation {
-            from: read_str_into(r, s)?,
-            to: read_str_into(r, String::new())?,
+            from: r.str_into(s)?,
+            to: r.str_into(String::new())?,
         },
         13 => Consolidate {
-            relation: read_str_into(r, s)?,
+            relation: r.str_into(s)?,
         },
         14 => Explicate {
-            relation: read_str_into(r, s)?,
-            attrs: read_names_into(r, names)?,
+            relation: r.str_into(s)?,
+            attrs: r.names_into(names)?,
         },
         other => {
             return Err(PersistError::Corrupt(format!(
@@ -460,39 +397,33 @@ fn decode_mutation(tag: u8, r: &mut &[u8], m: &mut CatalogMutation) -> Result<()
     Ok(())
 }
 
-/// Write the WAL file header (magic + version).
-pub fn write_header(w: &mut impl Write) -> Result<()> {
-    w.write_all(WAL_MAGIC)?;
-    write_u32(w, WAL_VERSION)?;
-    Ok(())
+/// Append the WAL file header (magic + version).
+pub fn write_header(out: &mut Vec<u8>) {
+    out.extend_from_slice(WAL_MAGIC);
+    write_u32(out, WAL_VERSION);
 }
 
-/// Read and validate the WAL file header.
-pub fn read_header(r: &mut impl Read) -> Result<()> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|_| PersistError::BadMagic)?;
-    if &magic != WAL_MAGIC {
+/// Validate the WAL file header at the front of `bytes`.
+fn read_header(bytes: &[u8]) -> Result<()> {
+    let mut r = Reader::new(bytes);
+    if r.take(WAL_MAGIC.len(), "the magic").ok() != Some(WAL_MAGIC) {
         return Err(PersistError::BadMagic);
     }
-    let version = read_u32(r)?;
-    if version != WAL_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
+    match r.u32("the version")? {
+        WAL_VERSION => Ok(()),
+        version => Err(PersistError::UnsupportedVersion(version)),
     }
-    Ok(())
 }
 
-/// Frame and write one record: varint length, CRC-32, payload.
-pub fn write_record(w: &mut impl Write, record: &WalRecord) -> Result<()> {
-    write_frame(w, &encode_payload(record)?)
+/// Append one framed record: varint length, CRC-32, payload.
+pub fn write_record(out: &mut Vec<u8>, record: &WalRecord) {
+    write_frame(out, &encode_payload(record));
 }
 
-/// Write one encoded payload with its frame.
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    write_varint(w, payload.len() as u64)?;
-    write_u32(w, crc32(payload))?;
-    w.write_all(payload)?;
-    Ok(())
+/// Append one encoded payload with its frame.
+fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    write_frame_head(out, payload);
+    out.extend_from_slice(payload);
 }
 
 /// Why [`WalReader::next_into`] produced no record.
@@ -517,6 +448,14 @@ impl From<FrameError> for PersistError {
             FrameError::Invalid(msg) => PersistError::Corrupt(msg),
         }
     }
+}
+
+/// A decode error as a complete frame that fails verification.
+fn invalid(e: PersistError) -> FrameError {
+    FrameError::Invalid(match e {
+        PersistError::Corrupt(msg) => msg,
+        other => other.to_string(),
+    })
 }
 
 /// Bytes a [`WalReader`] asks its source for at a time.
@@ -590,7 +529,7 @@ impl<R: Read> WalReader<R> {
         reader.seen_checkpoint = false;
         let header = WAL_HEADER_LEN as usize;
         reader.fill(header)?;
-        read_header(&mut &reader.buf[..reader.tail.min(header)])?;
+        read_header(&reader.buf[..reader.tail.min(header)])?;
         reader.consume(header);
         reader.good_pos = reader.pos;
         Ok(reader)
@@ -734,61 +673,27 @@ impl<R: Read> WalReader<R> {
         record: &mut CatalogMutation,
     ) -> std::result::Result<Option<Frame>, FrameError> {
         self.fill(FRAME_HEAD_MAX).map_err(FrameError::Io)?;
-        let head = &self.buf[self.head..self.tail];
-        if head.is_empty() {
+        let held = self.tail - self.head;
+        if held == 0 {
             return Ok(None);
         }
-        // The varint length prefix, a byte at a time.
-        let (mut len, mut shift, mut prefix) = (0u64, 0u32, 0usize);
-        loop {
-            let Some(&byte) = head.get(prefix) else {
-                let torn = head.len();
-                self.consume(torn);
-                return Err(FrameError::Short("torn varint length prefix"));
-            };
-            prefix += 1;
-            if shift >= 63 && byte > 1 {
-                self.consume(prefix);
-                return Err(FrameError::Invalid("varint overflows 64 bits".into()));
-            }
-            len |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift > 63 {
-                self.consume(prefix);
-                return Err(FrameError::Invalid("varint longer than 10 bytes".into()));
-            }
-        }
-        if len > RECORD_CAP as u64 {
-            self.consume(prefix);
-            return Err(FrameError::Invalid(format!(
-                "record length {len} exceeds cap {RECORD_CAP}"
-            )));
-        }
-        let frame_len = prefix + 4 + len as usize;
-        self.fill(frame_len).map_err(FrameError::Io)?;
-        let held = self.tail - self.head;
-        if held < frame_len {
+        let head = frame_head(&self.buf[self.head..self.tail], RECORD_CAP as u64);
+        let Some((payload, crc)) = head.map_err(invalid)? else {
             self.consume(held);
-            return Err(FrameError::Short(if held < prefix + 4 {
-                "torn record checksum"
-            } else {
-                "torn record payload"
-            }));
+            return Err(FrameError::Short("torn frame head"));
+        };
+        self.fill(payload.end).map_err(FrameError::Io)?;
+        let held = self.tail - self.head;
+        if held < payload.end {
+            self.consume(held);
+            return Err(FrameError::Short("torn record payload"));
         }
-        let frame = &self.buf[self.head + prefix..self.head + frame_len];
-        let (crc, payload) = frame.split_at(4);
-        let decoded = if crc32(payload) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+        let frame_len = payload.end;
+        let payload = &self.buf[self.head + payload.start..self.head + payload.end];
+        let decoded = if crc32(payload) != crc {
             Err(FrameError::Invalid("record checksum mismatch".into()))
         } else {
-            decode_into(payload, record).map_err(|e| {
-                FrameError::Invalid(match e {
-                    PersistError::Corrupt(msg) => msg,
-                    other => other.to_string(),
-                })
-            })
+            decode_into(payload, record).map_err(invalid)
         };
         self.consume(frame_len);
         let frame = decoded?;
@@ -1048,14 +953,12 @@ impl WalFile {
             .create(true)
             .truncate(true)
             .open(&path)?;
+        let mut head = Vec::new();
+        write_header(&mut head);
+        let lsn = checkpoint_lsn;
+        write_record(&mut head, &WalRecord::Checkpoint { lsn });
         let mut w = BufWriter::new(file);
-        write_header(&mut w)?;
-        write_record(
-            &mut w,
-            &WalRecord::Checkpoint {
-                lsn: checkpoint_lsn,
-            },
-        )?;
+        w.write_all(&head)?;
         w.flush()?;
         {
             let _g = hrdm_obs::span!("wal.fsync", records = 0);
@@ -1149,8 +1052,8 @@ impl WalFile {
     pub(crate) fn stage(&mut self, m: &CatalogMutation) -> Result<()> {
         let _g = hrdm_obs::span!("wal.append", kind = m.kind());
         self.payload.clear();
-        encode_mutation(&mut self.payload, m)?;
-        write_frame(&mut self.staged, &self.payload)?;
+        encode_mutation(&mut self.payload, m);
+        write_frame(&mut self.staged, &self.payload);
         self.staged_records += 1;
         Ok(())
     }
@@ -1300,6 +1203,8 @@ impl Drop for WalFile {
 mod tests {
     use super::*;
     use hrdm_core::derivation::{Derivation, Source, ValueRef};
+    use hrdm_core::preemption::Preemption;
+    use hrdm_core::truth::Truth;
 
     fn sample_mutations() -> Vec<CatalogMutation> {
         vec![
@@ -1384,10 +1289,10 @@ mod tests {
 
     fn sample_log() -> Vec<u8> {
         let mut buf = Vec::new();
-        write_header(&mut buf).unwrap();
-        write_record(&mut buf, &WalRecord::Checkpoint { lsn: 7 }).unwrap();
+        write_header(&mut buf);
+        write_record(&mut buf, &WalRecord::Checkpoint { lsn: 7 });
         for m in sample_mutations() {
-            write_record(&mut buf, &WalRecord::Mutation(m)).unwrap();
+            write_record(&mut buf, &WalRecord::Mutation(m));
         }
         buf
     }
@@ -1395,14 +1300,14 @@ mod tests {
     #[test]
     fn every_mutation_kind_round_trips() {
         for m in sample_mutations() {
-            let payload = encode_payload(&WalRecord::Mutation(m.clone())).unwrap();
+            let payload = encode_payload(&WalRecord::Mutation(m.clone()));
             assert_eq!(
                 decode_payload(&payload).unwrap(),
                 WalRecord::Mutation(m.clone()),
                 "{m} must round-trip"
             );
         }
-        let payload = encode_payload(&WalRecord::Checkpoint { lsn: u64::MAX }).unwrap();
+        let payload = encode_payload(&WalRecord::Checkpoint { lsn: u64::MAX });
         assert_eq!(
             decode_payload(&payload).unwrap(),
             WalRecord::Checkpoint { lsn: u64::MAX }
@@ -1426,7 +1331,7 @@ mod tests {
             values: vec!["Tweety".into(), "Sky".into(), "Noon".into()],
         };
         for next in &samples {
-            let payload = encode_payload(&WalRecord::Mutation(next.clone())).unwrap();
+            let payload = encode_payload(&WalRecord::Mutation(next.clone()));
             let fresh = decode_payload(&payload).unwrap();
             for before in samples.iter().chain([&wide]) {
                 let mut kept = before.clone();
@@ -1439,7 +1344,7 @@ mod tests {
             }
             // A checkpoint leaves the kept record as it was.
             let mut kept = next.clone();
-            let checkpoint = encode_payload(&WalRecord::Checkpoint { lsn: 9 }).unwrap();
+            let checkpoint = encode_payload(&WalRecord::Checkpoint { lsn: 9 });
             assert_eq!(
                 decode_into(&checkpoint, &mut kept).unwrap(),
                 Frame::Checkpoint { lsn: 9 }
@@ -1453,7 +1358,7 @@ mod tests {
             unreachable!("sample 6 is an assert")
         };
         let at = relation.as_ptr();
-        let payload = encode_payload(&WalRecord::Mutation(retract.clone())).unwrap();
+        let payload = encode_payload(&WalRecord::Mutation(retract.clone()));
         decode_into(&payload, &mut kept).unwrap();
         let CatalogMutation::Retract { relation, .. } = &kept else {
             panic!("decoded {kept}")
@@ -1555,9 +1460,9 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_corrupt() {
         let mut bytes = Vec::new();
-        write_header(&mut bytes).unwrap();
-        write_varint(&mut bytes, RECORD_CAP as u64 + 1).unwrap();
-        write_u32(&mut bytes, 0).unwrap();
+        write_header(&mut bytes);
+        write_varint(&mut bytes, RECORD_CAP as u64 + 1);
+        write_u32(&mut bytes, 0);
         let mut reader = WalReader::new(&bytes[..]).unwrap();
         assert!(matches!(
             reader.next(),
@@ -1568,9 +1473,9 @@ mod tests {
     #[test]
     fn duplicate_checkpoint_record_is_corrupt() {
         let mut bytes = Vec::new();
-        write_header(&mut bytes).unwrap();
-        write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 0 }).unwrap();
-        write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 1 }).unwrap();
+        write_header(&mut bytes);
+        write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 0 });
+        write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 1 });
         let mut reader = WalReader::new(&bytes[..]).unwrap();
         assert!(reader.next().unwrap().is_some());
         assert!(matches!(
@@ -1582,12 +1487,11 @@ mod tests {
     #[test]
     fn missing_leading_checkpoint_is_corrupt() {
         let mut bytes = Vec::new();
-        write_header(&mut bytes).unwrap();
+        write_header(&mut bytes);
         write_record(
             &mut bytes,
             &WalRecord::Mutation(CatalogMutation::CreateDomain { name: "D".into() }),
-        )
-        .unwrap();
+        );
         let mut reader = WalReader::new(&bytes[..]).unwrap();
         assert!(matches!(
             reader.next(),
@@ -1602,24 +1506,32 @@ mod tests {
             Err(PersistError::BadMagic)
         ));
         let mut bytes = WAL_MAGIC.to_vec();
-        write_u32(&mut bytes, 9).unwrap();
+        write_u32(&mut bytes, 9);
         assert!(matches!(
             WalReader::new(&bytes[..]),
             Err(PersistError::UnsupportedVersion(9))
         ));
-        // The previous version's log, which had no view or in-place
-        // records, is refused too.
-        let mut bytes = WAL_MAGIC.to_vec();
-        write_u32(&mut bytes, 1).unwrap();
-        assert!(matches!(
-            WalReader::new(&bytes[..]),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
+        // Earlier versions' logs are refused, not misread: version 1 had
+        // no view or in-place records, version 2 wrote u32 lengths and
+        // counts. A header cut inside its version is corrupt.
+        for version in [1, 2] {
+            let mut bytes = WAL_MAGIC.to_vec();
+            write_u32(&mut bytes, version);
+            assert_eq!(
+                WalReader::new(&bytes[..]).err(),
+                Some(PersistError::UnsupportedVersion(version))
+            );
+            bytes.pop();
+            assert!(matches!(
+                WalReader::new(&bytes[..]),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
     fn trailing_payload_bytes_rejected() {
-        let mut payload = encode_payload(&WalRecord::Checkpoint { lsn: 3 }).unwrap();
+        let mut payload = encode_payload(&WalRecord::Checkpoint { lsn: 3 });
         payload.push(0xAB);
         assert!(matches!(
             decode_payload(&payload),

@@ -381,9 +381,9 @@ fn a_forged_checkpoint_length_is_refused_before_it_is_allocated() {
     write_checkpoint(&dir, 5, &Image::from_catalog(&catalog)).unwrap();
     let mut forged = Vec::new();
     forged.extend_from_slice(hrdm_persist::store::CHECKPOINT_MAGIC);
-    write_u64(&mut forged, 9).unwrap();
-    write_varint(&mut forged, (1 << 30) - 1).unwrap();
-    write_u32(&mut forged, 0).unwrap();
+    write_u64(&mut forged, 9);
+    write_varint(&mut forged, (1 << 30) - 1);
+    write_u32(&mut forged, 0);
     forged.resize(forged.len() + (64 << 10), 0x5A);
     std::fs::write(checkpoint_path(&dir, 9), &forged).unwrap();
 
@@ -410,7 +410,7 @@ fn a_forged_image_count_is_refused_before_it_is_allocated() {
     for forged in [u64::MAX, 1 << 63, (1 << 24) - 1] {
         // Magic (6 bytes) and version (4), then the one-byte count.
         let mut image = bytes[..10].to_vec();
-        write_varint(&mut image, forged).unwrap();
+        write_varint(&mut image, forged);
         image.extend_from_slice(&bytes[11..]);
         let (decoded, largest) = largest_allocation(|| Image::from_bytes(&image));
         assert!(
@@ -420,6 +420,49 @@ fn a_forged_image_count_is_refused_before_it_is_allocated() {
         assert!(
             largest <= 256,
             "count {forged}: allocated {largest} bytes at once"
+        );
+    }
+}
+
+/// An image whose view definition carries a forged operand-name length
+/// — under the cap but beyond the bytes left, or a full ten-byte varint
+/// — is corrupt before the decoder allocates the name: no single
+/// allocation is larger than the intact image's decode makes.
+#[test]
+fn a_forged_view_name_length_is_refused_before_it_is_allocated() {
+    use hrdm_core::derivation::{Derivation, Source};
+    let (mut catalog, _, _) = owned_catalog_and_pair();
+    catalog
+        .apply_mutation(&CatalogMutation::DefineView {
+            name: "Fliers".into(),
+            derivation: Derivation::Consolidated(Source::named("R")),
+        })
+        .unwrap();
+    let bytes = Image::from_catalog(&catalog).to_bytes().unwrap();
+    // The image ends in the definition: CONSOLIDATE, a named operand,
+    // its one-byte length and "R".
+    let tail = [6, 0, 1, b'R'];
+    assert!(bytes.ends_with(&tail));
+    let at = bytes.len() - 2;
+    // Decoding the image allocates its catalog (a tuple map's leaf is
+    // the largest block); a forged length may add nothing larger.
+    let (intact, bound) = largest_allocation(|| Image::from_bytes(&bytes));
+    assert!(
+        intact.is_ok() && bound <= 1024,
+        "the intact image: {bound} bytes"
+    );
+    for forged in [(1 << 24) - 1, 1 << 24, u64::MAX] {
+        let mut image = bytes[..at].to_vec();
+        write_varint(&mut image, forged);
+        image.push(b'R');
+        let (decoded, largest) = largest_allocation(|| Image::from_bytes(&image));
+        assert!(
+            matches!(decoded, Err(PersistError::Corrupt(_))),
+            "length {forged}: {decoded:?}"
+        );
+        assert!(
+            largest <= bound,
+            "length {forged}: allocated {largest} bytes at once"
         );
     }
 }

@@ -35,8 +35,9 @@ use std::path::{Path, PathBuf};
 
 use hrdm_core::mutation::CatalogMutation;
 use hrdm_core::prelude::Catalog;
+use hrdm_persist::codec::write_frame_head;
 use hrdm_persist::store::{checkpoint_path, wal_path, write_checkpoint};
-use hrdm_persist::wal::{write_header, write_record};
+use hrdm_persist::wal::{encode_payload, write_header, write_record, WAL_MAGIC};
 use hrdm_persist::{
     recover, DurableCatalog, Fault, FaultFs, Image, PersistError, ShipEvent, WalRecord, WalTailer,
 };
@@ -76,12 +77,12 @@ fn wal_stream(script: &[CatalogMutation]) -> (Vec<u8>, Vec<u64>) {
 /// [`wal_stream`] for a generation that extends the checkpoint at `lsn`.
 fn wal_stream_at(lsn: u64, script: &[CatalogMutation]) -> (Vec<u8>, Vec<u64>) {
     let mut bytes = Vec::new();
-    write_header(&mut bytes).unwrap();
+    write_header(&mut bytes);
     let mut boundaries = vec![bytes.len() as u64];
-    write_record(&mut bytes, &WalRecord::Checkpoint { lsn }).unwrap();
+    write_record(&mut bytes, &WalRecord::Checkpoint { lsn });
     boundaries.push(bytes.len() as u64);
     for m in script {
-        write_record(&mut bytes, &WalRecord::Mutation(m.clone())).unwrap();
+        write_record(&mut bytes, &WalRecord::Mutation(m.clone()));
         boundaries.push(bytes.len() as u64);
     }
     (bytes, boundaries)
@@ -198,13 +199,32 @@ fn every_bit_flip_recovers_a_prefix() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Write `record`'s frame through `w` in the pieces a torn write may
+/// split it at: each byte of its length, its checksum, its payload.
+fn write_pieces(w: &mut FaultFs<Vec<u8>>, record: &WalRecord) {
+    let payload = encode_payload(record);
+    let mut head = Vec::new();
+    write_frame_head(&mut head, &payload);
+    let (len, crc) = head.split_at(head.len() - 4);
+    for byte in len {
+        w.write_all(&[*byte]).unwrap();
+    }
+    w.write_all(crc).unwrap();
+    w.write_all(&payload).unwrap();
+}
+
 /// Replay the WAL-writing workload through `w`, a [`FaultFs`]; its
-/// inner buffer is the bytes that "reached disk".
+/// inner buffer is the bytes that "reached disk". The header is two
+/// writes, magic and version.
 fn stream_through(script: &[CatalogMutation], mut w: FaultFs<Vec<u8>>) -> FaultFs<Vec<u8>> {
-    write_header(&mut w).unwrap();
-    write_record(&mut w, &WalRecord::Checkpoint { lsn: 0 }).unwrap();
+    let mut header = Vec::new();
+    write_header(&mut header);
+    let (magic, version) = header.split_at(WAL_MAGIC.len());
+    w.write_all(magic).unwrap();
+    w.write_all(version).unwrap();
+    write_pieces(&mut w, &WalRecord::Checkpoint { lsn: 0 });
     for m in script {
-        write_record(&mut w, &WalRecord::Mutation(m.clone())).unwrap();
+        write_pieces(&mut w, &WalRecord::Mutation(m.clone()));
     }
     w.flush().unwrap();
     w

@@ -87,7 +87,7 @@ proptest! {
     fn garbage_with_valid_magic_never_panics(
         tail in prop::collection::vec(any::<u8>(), 0..200)
     ) {
-        let mut bytes = b"HRDM1\0\x03\x00\x00\x00".to_vec();
+        let mut bytes = b"HRDM1\0\x04\x00\x00\x00".to_vec();
         bytes.extend(tail);
         let _ = Image::from_bytes(&bytes); // must not panic
     }
@@ -185,7 +185,7 @@ fn a_forged_ten_byte_count_is_corrupt() {
     let bytes = sweep_sample();
     for forged in [u64::MAX, 1 << 63, (1 << 63) | 5] {
         let mut varint = Vec::new();
-        hrdm_persist::codec::write_varint(&mut varint, forged).unwrap();
+        hrdm_persist::codec::write_varint(&mut varint, forged);
         assert_eq!(varint.len(), 10);
         // The domain count is the byte after magic and version.
         let mut image = bytes[..10].to_vec();
@@ -259,12 +259,12 @@ fn sample_wal_mutations() -> Vec<CatalogMutation> {
 /// A well-formed WAL stream plus the end offset of every frame.
 fn sample_wal() -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
-    write_header(&mut bytes).unwrap();
+    write_header(&mut bytes);
     let mut boundaries = vec![bytes.len()];
-    write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 5 }).unwrap();
+    write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 5 });
     boundaries.push(bytes.len());
     for m in sample_wal_mutations() {
-        write_record(&mut bytes, &WalRecord::Mutation(m)).unwrap();
+        write_record(&mut bytes, &WalRecord::Mutation(m));
         boundaries.push(bytes.len());
     }
     (bytes, boundaries)
@@ -349,6 +349,41 @@ fn assert_kept_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every proper prefix of each sample record's payload, and every
+/// single byte of it flipped every way, is refused by `decode_into` or
+/// decodes to a record whose payload is exactly the damaged bytes (a
+/// name's letter or a truth changed into another valid one): a record
+/// has one spelling, as an image has. Nothing panics.
+#[test]
+fn every_cut_and_every_flip_of_a_record_is_refused_or_spells_its_record() {
+    let spells = |bytes: &[u8], case: &str| -> bool {
+        let mut kept = CatalogMutation::default();
+        match decode_into(bytes, &mut kept) {
+            Ok(frame) => {
+                assert_eq!(encode_payload(&owned(frame, &kept)), bytes, "{case}");
+                true
+            }
+            Err(_) => false,
+        }
+    };
+    let mut decoded = 0;
+    for m in sample_wal_mutations() {
+        let payload = encode_payload(&WalRecord::Mutation(m.clone()));
+        assert!(spells(&payload, "intact"), "{m} decodes");
+        for cut in 0..payload.len() {
+            assert!(!spells(&payload[..cut], &format!("{m} cut at {cut}")));
+        }
+        for pos in 0..payload.len() {
+            for xor in 1..=255u8 {
+                let mut damaged = payload.clone();
+                damaged[pos] ^= xor;
+                decoded += usize::from(spells(&damaged, &format!("{m}: {xor:#04x} at {pos}")));
+            }
+        }
+    }
+    assert!(decoded > 0, "some flips land on a name or a truth");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -394,7 +429,7 @@ proptest! {
     #[test]
     fn wal_oversized_length_prefix_is_corrupt(oversize in 1u64..1_000_000) {
         let mut bytes = Vec::new();
-        write_header(&mut bytes).unwrap();
+        write_header(&mut bytes);
         // A frame claiming a payload beyond RECORD_CAP must be rejected
         // before any allocation of that size.
         let mut v = RECORD_CAP as u64 + oversize;
@@ -414,18 +449,18 @@ proptest! {
     #[test]
     fn wal_duplicate_checkpoint_is_corrupt(lsn in any::<u64>(), at in 0usize..6) {
         let mut bytes = Vec::new();
-        write_header(&mut bytes).unwrap();
-        write_record(&mut bytes, &WalRecord::Checkpoint { lsn }).unwrap();
+        write_header(&mut bytes);
+        write_record(&mut bytes, &WalRecord::Checkpoint { lsn });
         let muts = sample_wal_mutations();
         let at = at.min(muts.len());
         for m in &muts[..at] {
-            write_record(&mut bytes, &WalRecord::Mutation(m.clone())).unwrap();
+            write_record(&mut bytes, &WalRecord::Mutation(m.clone()));
         }
         // A second checkpoint record — wherever it lands — is corrupt:
         // checkpoints truncate the log, they never appear mid-stream.
-        write_record(&mut bytes, &WalRecord::Checkpoint { lsn: lsn ^ 1 }).unwrap();
+        write_record(&mut bytes, &WalRecord::Checkpoint { lsn: lsn ^ 1 });
         for m in &muts[at..] {
-            write_record(&mut bytes, &WalRecord::Mutation(m.clone())).unwrap();
+            write_record(&mut bytes, &WalRecord::Mutation(m.clone()));
         }
         let err = read_all(&bytes).unwrap_err();
         prop_assert!(
@@ -439,7 +474,7 @@ proptest! {
         tail in prop::collection::vec(any::<u8>(), 0..300)
     ) {
         let mut bytes = Vec::new();
-        write_header(&mut bytes).unwrap();
+        write_header(&mut bytes);
         bytes.extend(tail);
         assert_kept_parity(&bytes)?;
         // Anything but a leaked Io error is fine, as long as it didn't panic.
@@ -467,7 +502,7 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..48),
     ) {
         let intact =
-            encode_payload(&WalRecord::Mutation(sample_wal_mutations()[sample].clone())).unwrap();
+            encode_payload(&WalRecord::Mutation(sample_wal_mutations()[sample].clone()));
         let mut damaged = intact.clone();
         let at = pos % damaged.len();
         damaged[at] ^= xor;

@@ -34,10 +34,10 @@ fn script(n: usize) -> Vec<CatalogMutation> {
 /// The exact WAL byte stream a journal writes for `script`.
 fn wal_stream(script: &[CatalogMutation]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_header(&mut bytes).unwrap();
-    write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 0 }).unwrap();
+    write_header(&mut bytes);
+    write_record(&mut bytes, &WalRecord::Checkpoint { lsn: 0 });
     for m in script {
-        write_record(&mut bytes, &WalRecord::Mutation(m.clone())).unwrap();
+        write_record(&mut bytes, &WalRecord::Mutation(m.clone()));
     }
     bytes
 }

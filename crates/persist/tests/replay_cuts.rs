@@ -31,8 +31,8 @@ use hrdm_persist::wal::{write_header, write_record, Replayed};
 use hrdm_persist::{WalReader, WalRecord};
 
 const SEED: u64 = 0xA11E_AD00;
-/// Enough records for a log longer than one 64 KiB read.
-const HISTORY: usize = 3_000;
+/// Enough records for a log longer than one 64 KiB read (~69 KB).
+const HISTORY: usize = 3_500;
 /// Every `STRIDE`-th cut and bit flip is replayed.
 const STRIDE: usize = if cfg!(debug_assertions) { 16 } else { 1 };
 /// Bytes a reader asks its source for at a time.
@@ -75,11 +75,11 @@ fn refused() -> CatalogMutation {
 /// each record's frame starts at (then the log's length).
 fn log(lsn: u64, records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
-    write_header(&mut bytes).unwrap();
-    write_record(&mut bytes, &WalRecord::Checkpoint { lsn }).unwrap();
+    write_header(&mut bytes);
+    write_record(&mut bytes, &WalRecord::Checkpoint { lsn });
     let mut starts = vec![bytes.len()];
     for r in records {
-        write_record(&mut bytes, r).unwrap();
+        write_record(&mut bytes, r);
         starts.push(bytes.len());
     }
     (bytes, starts)
